@@ -1,13 +1,16 @@
-"""Algorithmic collectives: ring / binomial / recursive-doubling schedules.
+"""Collective schedules: one algorithm table behind every collective.
 
-The naive compositions in :mod:`repro.api.mpi` move the right bytes but
-with textbook-free schedules (linear gathers, post-everything
-all-to-alls).  This module supplies the classic algorithms — selectable
-per call (``comm.bcast(..., algorithm="ring")``), per world
+Every schedule a :class:`~repro.api.mpi.Communicator` collective can run
+lives here, registered in :data:`ALGORITHMS` under its (collective,
+algorithm) pair with the tag span it needs.  The classic algorithms —
+ring / binomial / recursive-doubling — are selectable per call
+(``comm.bcast(..., algorithm="ring")``), per world
 (``MpiWorld.create(..., collectives={...})``), or by the cost-model
 :class:`AlgorithmSelector` (``algorithm="auto"``), following the
 model-selects-algorithm pattern of Barchet-Estefanel & Mounié's
-intra-cluster collective tuning.
+intra-cluster collective tuning.  Each collective's ``naive`` entry is
+the default and reuses a schedule of the table with whole messages (see
+docs/collectives.md for which one).
 
 Every per-hop send rides the engine unchanged, so a large hop is still
 hetero-split across all rails by the paper's strategy; the *pipeline
@@ -25,8 +28,7 @@ sources while every rail stays busy, instead of head-of-line blocking
 whole queues behind the elephant flows.
 
 All schedules are deterministic: same world + same calls = bit-identical
-timestamps.  The naive compositions remain the default and are
-selectable explicitly as ``algorithm="naive"``.
+timestamps.
 """
 
 from __future__ import annotations
@@ -37,9 +39,11 @@ from typing import (
     TYPE_CHECKING,
     Callable,
     Dict,
+    Iterable,
     Iterator,
     List,
     Mapping,
+    NamedTuple,
     Optional,
     Sequence,
     Set,
@@ -54,16 +58,6 @@ from repro.util.errors import ConfigurationError
 if TYPE_CHECKING:  # pragma: no cover - type-only import (mpi imports us)
     from repro.api.mpi import Communicator
     from repro.core.estimator import NicEstimator
-
-#: algorithm names accepted per collective ("auto" = cost-model choice)
-VALID_ALGORITHMS: Dict[str, Tuple[str, ...]] = {
-    "bcast": ("naive", "binomial", "ring", "doubling", "auto"),
-    "gather": ("naive", "binomial", "ring", "auto"),
-    "allgather": ("naive", "ring", "doubling", "auto"),
-    "reduce": ("naive", "binomial", "ring", "auto"),
-    "alltoall": ("naive", "ring", "doubling", "rails", "auto"),
-    "alltoallv": ("naive", "rails", "replan", "auto"),
-}
 
 #: per-hop pipeline segmentation: never cut below this
 MIN_SEGMENT_BYTES = 16 * 1024
@@ -542,8 +536,8 @@ def _binomial_parent_children(
 ) -> Tuple[Optional[int], List[int]]:
     """Parent and children (virtual ranks) in the binomial bcast tree.
 
-    Mirrors the naive bcast's mask walk: the parent clears the lowest
-    set bit; children sit at decreasing strides below it.
+    The classic mask walk: the parent clears the lowest set bit;
+    children sit at decreasing strides below it.
     """
     mask = 1
     parent: Optional[int] = None
@@ -565,7 +559,7 @@ def _reduce_children_parent(
     vrank: int, n: int
 ) -> Tuple[List[int], Optional[int], int]:
     """Children (ascending stride), parent, and own subtree size in the
-    binomial reduce/gather tree (the naive reduce's mask walk)."""
+    binomial reduce/gather tree (the same mask walk, upward)."""
     children = []
     mask = 1
     while mask < n:
@@ -578,6 +572,52 @@ def _reduce_children_parent(
     parent = (vrank ^ mask) if vrank != 0 else None
     subtree = min(mask, n - vrank)
     return children, parent, subtree
+
+
+# --------------------------------------------------------------------- #
+# barrier and scatter (one fixed schedule each)
+# --------------------------------------------------------------------- #
+
+
+def barrier_dissemination(comm: "Communicator", tag: int) -> Iterator:
+    """Dissemination barrier: ceil(log2(n)) rounds of 1-byte tokens.
+
+    In round ``k`` every rank sends to ``rank + 2^k`` and waits for a
+    token from ``rank - 2^k`` (mod n); after the last round all ranks
+    are transitively synchronized.
+    """
+    n = comm.size
+    name = comm.peer_name
+    round_no = 0
+    dist = 1
+    while dist < n:
+        peer_to = (comm.rank + dist) % n
+        peer_from = (comm.rank - dist) % n
+        comm.session.isend(name(peer_to), 1, tag=tag + round_no)
+        handle = comm.session.irecv(source=name(peer_from), tag=tag + round_no)
+        yield from comm.session.wait(handle)
+        dist *= 2
+        round_no += 1
+
+
+def scatter_linear(
+    comm: "Communicator", nbytes: int, root: int, tag: int
+) -> Iterator:
+    """Linear scatter: the root sends every other rank its block and
+    waits for the last.  The root owns all the data, so the tree
+    variants only move *more* bytes; linear matches MPICH's default for
+    scatter of large blocks."""
+    name = comm.peer_name
+    if comm.rank == root:
+        last: Optional[Message] = None
+        for r in range(comm.size):
+            if r != root:
+                last = comm.session.isend(name(r), nbytes, tag=tag)
+        if last is not None:
+            yield from comm.session.wait(last)
+    else:
+        handle = comm.session.irecv(source=name(root), tag=tag)
+        yield from comm.session.wait(handle)
 
 
 # --------------------------------------------------------------------- #
@@ -677,6 +717,26 @@ def bcast_doubling(
 # --------------------------------------------------------------------- #
 
 
+def gather_linear(
+    comm: "Communicator", nbytes: int, root: int, tag: int
+) -> Iterator:
+    """Linear gather: the root posts a receive per rank and waits for
+    them in rank order; every other rank sends its block straight to
+    the root."""
+    name = comm.peer_name
+    if comm.rank == root:
+        handles = [
+            comm.session.irecv(source=name(r), tag=tag)
+            for r in range(comm.size)
+            if r != root
+        ]
+        for handle in handles:
+            yield from comm.session.wait(handle)
+    else:
+        msg = comm.session.isend(name(root), nbytes, tag=tag)
+        yield from comm.session.wait(msg)
+
+
 def gather_binomial(
     comm: "Communicator", nbytes: int, root: int, tag: int
 ) -> Iterator:
@@ -748,6 +808,15 @@ def allgather_doubling(comm: "Communicator", nbytes: int, tag: int) -> Iterator:
             mask <<= 1
             round_no += 1
         return
+    yield from allgather_bruck(comm, nbytes, tag)
+
+
+def allgather_bruck(comm: "Communicator", nbytes: int, tag: int) -> Iterator:
+    """Dissemination (Bruck) allgather: round k sends the blocks gathered
+    so far to rank-2^k and takes rank+2^k's — ceil(log2 n) rounds on any
+    rank count."""
+    n = comm.size
+    name = comm.peer_name
     accumulated = 1
     dist = 1
     round_no = 0
@@ -862,24 +931,42 @@ def alltoall_doubling(comm: "Communicator", nbytes: int, tag: int) -> Iterator:
         round_no += 1
 
 
+def _post_all(
+    comm: "Communicator",
+    tag: int,
+    sends: Iterable[Tuple[int, int]],
+    sources: Iterable[int],
+) -> Iterator:
+    """Post every receive, then every ``(dst, bytes)`` send, then wait
+    for the receives: the naive all-to-alls' single burst."""
+    name = comm.peer_name
+    handles = [comm.session.irecv(source=name(src), tag=tag) for src in sources]
+    for dst, size in sends:
+        comm.session.isend(name(dst), size, tag=tag)
+    for handle in handles:
+        yield from comm.session.wait(handle)
+
+
+def alltoall_naive(comm: "Communicator", nbytes: int, tag: int) -> Iterator:
+    """Post-everything exchange: all n-1 receives and sends at once,
+    zero-byte blocks included — the port storm the ring avoids."""
+    peers = [p for p in range(comm.size) if p != comm.rank]
+    yield from _post_all(comm, tag, [(p, nbytes) for p in peers], peers)
+
+
 def alltoallv_naive(
     comm: "Communicator", matrix: Sequence[Sequence[int]], tag: int
 ) -> Iterator:
     """Post-everything irregular exchange (the uniform-striping
-    baseline: each flow is one message, hetero-split across rails)."""
-    n = comm.size
-    name = comm.peer_name
+    baseline: each flow is one message, hetero-split across rails).
+    Empty flows send nothing."""
     r = comm.rank
-    handles = [
-        comm.session.irecv(source=name(src), tag=tag)
-        for src in range(n)
-        if src != r and matrix[src][r] > 0
-    ]
-    for dst in range(n):
-        if dst != r and matrix[r][dst] > 0:
-            comm.session.isend(name(dst), matrix[r][dst], tag=tag)
-    for handle in handles:
-        yield from comm.session.wait(handle)
+    yield from _post_all(
+        comm,
+        tag,
+        [(dst, s) for dst, s in enumerate(matrix[r]) if dst != r and s > 0],
+        [src for src, row in enumerate(matrix) if src != r and row[r] > 0],
+    )
 
 
 def rails_segments(
@@ -892,6 +979,53 @@ def rails_segments(
         max_segments=BALANCE_MAX_SEGMENTS,
         min_bytes=rails_segment_floor(estimators) if estimators else None,
     )
+
+
+def _rails_plan(
+    matrix: Sequence[Sequence[int]], estimators: Sequence["NicEstimator"]
+) -> Dict[int, List[int]]:
+    """:func:`rails_segments` of each distinct positive flow size in
+    ``matrix``, cut once per call and shared by the tag span, the
+    receives and the send order."""
+    return {
+        s: rails_segments(s, estimators) for s in set().union(*matrix) if s > 0
+    }
+
+
+def _rails_span(ranks: int, plan: Mapping[int, List[int]]) -> int:
+    """One tag block spanning the widest flow's segment count."""
+    return max(map(len, plan.values()), default=1)
+
+
+def _rails_receives(
+    comm: "Communicator",
+    matrix: Sequence[Sequence[int]],
+    tag: int,
+    plan: Mapping[int, List[int]],
+) -> List:
+    """One receive per incoming segment, posted up front: segment ``t``
+    of every flow rides ``tag + t``."""
+    r = comm.rank
+    name = comm.peer_name
+    return [
+        comm.session.irecv(source=name(src), tag=tag + t)
+        for src, flows in enumerate(matrix)
+        if src != r and flows[r] > 0
+        for t in range(len(plan[flows[r]]))
+    ]
+
+
+def _balanced_order(
+    rank: int, row: Sequence[int], plan: Mapping[int, List[int]]
+) -> "deque":
+    """:func:`balanced_schedule` of one matrix ``row`` from a plan."""
+    n = len(row)
+    pending: List[Tuple[int, int, int]] = []
+    for d in range(1, n):
+        dst = (rank + d) % n
+        if row[dst] > 0:
+            pending.extend((dst, t, seg) for t, seg in enumerate(plan[row[dst]]))
+    return _replan_order(pending, rank, n)
 
 
 def balanced_schedule(
@@ -912,29 +1046,8 @@ def balanced_schedule(
     at every rank (the traffic matrix is global, as in RailS'
     traffic-engineering setting).
     """
-    n = len(matrix)
-    queues: Dict[int, deque] = {}
-    remaining: Dict[int, int] = {}
-    for d in range(1, n):
-        dst = (rank + d) % n
-        size = matrix[rank][dst]
-        if size > 0:
-            queues[dst] = deque(enumerate(rails_segments(size, estimators)))
-            remaining[dst] = size
-    order: List[Tuple[int, int, int]] = []
-    while queues:
-        cycle = sorted(
-            queues, key=lambda dst: (-remaining[dst], (dst - rank) % n)
-        )
-        for dst in cycle:
-            q = queues[dst]
-            t, seg = q.popleft()
-            order.append((dst, t, seg))
-            remaining[dst] -= seg
-            if not q:
-                del queues[dst]
-                del remaining[dst]
-    return order
+    row = matrix[rank]
+    return list(_balanced_order(rank, row, _rails_plan([row], estimators)))
 
 
 def alltoallv_rails(
@@ -952,21 +1065,21 @@ def alltoallv_rails(
     have imposed), and every segment is big enough to hetero-split
     across all rails.
     """
-    n = comm.size
-    r = comm.rank
+    yield from _rails(comm, matrix, tag, _rails_plan(matrix, estimators))
+
+
+def _rails(
+    comm: "Communicator",
+    matrix: Sequence[Sequence[int]],
+    tag: int,
+    plan: Mapping[int, List[int]],
+) -> Iterator:
+    """:func:`alltoallv_rails` from a segment plan."""
+    handles = _rails_receives(comm, matrix, tag, plan)
     name = comm.peer_name
-    handles = []
-    for src in range(n):
-        if src == r or matrix[src][r] <= 0:
-            continue
-        segs = rails_segments(matrix[src][r], estimators)
-        handles.extend(
-            comm.session.irecv(source=name(src), tag=tag + t)
-            for t in range(len(segs))
-        )
     sends = [
         comm.session.isend(name(dst), seg, tag=tag + t)
-        for dst, t, seg in balanced_schedule(r, matrix, estimators)
+        for dst, t, seg in _balanced_order(comm.rank, matrix[comm.rank], plan)
     ]
     for msg in sends:
         yield from comm.session.wait(msg)
@@ -990,7 +1103,8 @@ def _replan_order(
     degraded fabric; without it raw bytes stand in.  Per-destination
     segment order is preserved, so segment indices — and therefore tags
     — still match the receives posted up front: a re-plan reorders
-    hops, it never re-sends or re-sizes them.
+    hops, it never re-sends or re-sizes them.  The one owner of the
+    cycle order: :func:`balanced_schedule` is this over a fresh row.
     """
     queues: Dict[int, deque] = {}
     remaining: Dict[int, int] = {}
@@ -1038,19 +1152,24 @@ def alltoallv_rails_replan(
     to the receive posted for it up front, so exactly-once holds through
     any number of re-plans.
     """
+    plan = _rails_plan(matrix, estimators)
+    yield from _replan(comm, matrix, tag, plan, window, price)
+
+
+def _replan(
+    comm: "Communicator",
+    matrix: Sequence[Sequence[int]],
+    tag: int,
+    plan: Mapping[int, List[int]],
+    window: int = REPLAN_WINDOW,
+    price: Optional[Callable[[int], float]] = None,
+) -> Iterator:
+    """:func:`alltoallv_rails_replan` from a segment plan."""
     n = comm.size
     r = comm.rank
     name = comm.peer_name
-    handles = []
-    for src in range(n):
-        if src == r or matrix[src][r] <= 0:
-            continue
-        segs = rails_segments(matrix[src][r], estimators)
-        handles.extend(
-            comm.session.irecv(source=name(src), tag=tag + t)
-            for t in range(len(segs))
-        )
-    pending: deque = deque(balanced_schedule(r, matrix, estimators))
+    handles = _rails_receives(comm, matrix, tag, plan)
+    pending = _balanced_order(r, matrix[r], plan)
     planned = sum(seg for _, _, seg in pending)
     accounted = 0
     cluster = comm.world.cluster
@@ -1162,3 +1281,121 @@ def moe_matrix(
         ]
         for i in range(n)
     ]
+
+
+# --------------------------------------------------------------------- #
+# the algorithm table
+# --------------------------------------------------------------------- #
+
+
+def _one(ranks: int) -> int:
+    return 1
+
+
+def _rounds(ranks: int) -> int:
+    return max(1, math.ceil(math.log2(ranks)))
+
+
+def _count(ranks: int, segments: Sequence[int]) -> int:
+    return len(segments)
+
+
+def _whole(comm: "Communicator", nbytes: int, root: int) -> List[int]:
+    # The naive tree hop carries the whole message; pipeline_segments
+    # would return [] for 0 bytes and send nothing.
+    return [nbytes]
+
+
+def _pipelined(comm: "Communicator", nbytes: int, root: int) -> List[int]:
+    return pipeline_segments(nbytes, comm.world.rail_estimators())
+
+
+def _uniform_plan(comm: "Communicator", nbytes: int) -> Dict[int, List[int]]:
+    return _rails_plan([[nbytes]], comm.world.rail_estimators())
+
+
+def _matrix_plan(
+    comm: "Communicator", sizes: Sequence[Sequence[int]]
+) -> Dict[int, List[int]]:
+    return _rails_plan(sizes, comm.world.rail_estimators())
+
+
+def _alltoall_rails(
+    comm: "Communicator", nbytes: int, tag: int, plan: Mapping[int, List[int]]
+) -> Iterator:
+    return _rails(comm, uniform_matrix(comm.size, nbytes), tag, plan)
+
+
+def _priced_replan(
+    comm: "Communicator",
+    sizes: Sequence[Sequence[int]],
+    tag: int,
+    plan: Mapping[int, List[int]],
+) -> Iterator:
+    return _replan(comm, sizes, tag, plan, price=comm._hop_predict())
+
+
+class Algorithm(NamedTuple):
+    """One entry of :data:`ALGORITHMS`.
+
+    ``schedule(comm, *args, tag[, plan])`` is the per-rank generator;
+    ``args`` are the collective's parsed arguments — ``(nbytes, root)``
+    when it has a root, ``(nbytes,)`` or alltoallv's ``(sizes,)``
+    otherwise, none for the barrier.  ``span(ranks[, plan])`` is the
+    number of consecutive tags the schedule uses.  ``plan(comm, *args)``,
+    when set, segments the payload once per call and hands the result
+    to both.
+    """
+
+    schedule: Callable[..., Iterator]
+    span: Callable[..., int]
+    plan: Optional[Callable[..., object]] = None
+
+
+#: (collective, algorithm) -> schedule: the one place an algorithm is
+#: registered ("Adding an algorithm" in docs/collectives.md).  ``naive``
+#: comes first and is the default.
+ALGORITHMS: Dict[str, Dict[str, Algorithm]] = {
+    "bcast": {
+        "naive": Algorithm(bcast_binomial, _count, _whole),
+        "binomial": Algorithm(bcast_binomial, _count, _pipelined),
+        "ring": Algorithm(bcast_ring, _count, _pipelined),
+        "doubling": Algorithm(bcast_doubling, lambda n: 2 + _rounds(n)),
+    },
+    "gather": {
+        "naive": Algorithm(gather_linear, _one),
+        "binomial": Algorithm(gather_binomial, _one),
+        "ring": Algorithm(gather_ring, _one),
+    },
+    "allgather": {
+        "naive": Algorithm(allgather_bruck, _rounds),
+        "ring": Algorithm(allgather_ring, lambda n: n - 1),
+        "doubling": Algorithm(allgather_doubling, _rounds),
+    },
+    "reduce": {
+        "naive": Algorithm(reduce_binomial, _count, _whole),
+        "binomial": Algorithm(reduce_binomial, _count, _pipelined),
+        "ring": Algorithm(reduce_ring, lambda n: n),
+    },
+    "alltoall": {
+        "naive": Algorithm(alltoall_naive, _one),
+        "ring": Algorithm(alltoall_ring, lambda n: n),
+        "doubling": Algorithm(alltoall_doubling, _rounds),
+        "rails": Algorithm(_alltoall_rails, _rails_span, _uniform_plan),
+    },
+    "alltoallv": {
+        "naive": Algorithm(alltoallv_naive, _one),
+        "rails": Algorithm(_rails, _rails_span, _matrix_plan),
+        "replan": Algorithm(_priced_replan, _rails_span, _matrix_plan),
+    },
+    # One fixed schedule each: no choice, so no override and no "auto".
+    "barrier": {"dissemination": Algorithm(barrier_dissemination, _rounds)},
+    "scatter": {"linear": Algorithm(scatter_linear, _one)},
+}
+
+#: algorithm names accepted per collective ("auto" = cost-model choice)
+VALID_ALGORITHMS: Dict[str, Tuple[str, ...]] = {
+    collective: (*algorithms, "auto")
+    for collective, algorithms in ALGORITHMS.items()
+    if len(algorithms) > 1
+}

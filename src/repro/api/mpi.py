@@ -5,7 +5,8 @@ MPICH2-Nemesis software stack so as to use the multirail capabilities ...
 within the widespread MPI implementation".  This module provides that
 integration's *shape*: a rank-addressed :class:`Communicator` whose
 point-to-point calls ride the engine (and therefore the strategies), plus
-timing-faithful collectives (barrier, bcast, gather, alltoall).
+timing-faithful collectives (barrier, bcast, gather, scatter, allgather,
+reduce, alltoall, alltoallv).
 
 The API follows mpi4py's lower-case convention.  Because this is a
 timing simulator, messages carry *sizes*, not payloads; a collective's
@@ -24,10 +25,11 @@ result is when it completes.  Blocking calls are generator coroutines to
     world.spawn_all(program)
     world.run()
 
-Collectives default to the original naive compositions (selectable
-explicitly as ``algorithm="naive"`` — that path is bit-identical to
-older revisions).  The classic schedules live in
-:mod:`repro.api.collectives` and are chosen per call
+Every collective schedule lives in the algorithm table of
+:mod:`repro.api.collectives`; each ``Communicator`` collective validates
+its arguments, picks a table entry and runs it.  The default,
+``algorithm="naive"``, produces the same timestamps as older revisions;
+the classic schedules are chosen per call
 (``comm.bcast("4M", algorithm="ring")``), per world
 (``MpiWorld.create(8, collectives={"alltoall": "ring"})``), or by the
 cost model (``algorithm="auto"``).  Worlds can also span switched
@@ -36,7 +38,6 @@ fabrics: ``MpiWorld.create(fabric=Fabric.fat_tree(16))``.
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Union
 
 from repro.api import collectives as coll
@@ -56,15 +57,6 @@ def _rank_name(rank: int) -> str:
     return f"rank{rank}"
 
 
-def _safe_size(size) -> int:
-    """``parse_size`` that never raises — profiling metadata only (the
-    schedule body re-parses the size and raises the proper error)."""
-    try:
-        return parse_size(size)
-    except (ValueError, TypeError):
-        return 0
-
-
 class Communicator:
     """One rank's handle on the world (MPI_COMM_WORLD equivalent)."""
 
@@ -73,9 +65,6 @@ class Communicator:
         self.rank = rank
         self.session: Session = world.cluster.session(world.node_name(rank))
         self._collective_seq = 0
-        #: resolved algorithm of the collective currently executing
-        #: (read by the obs profiler after the schedule finishes)
-        self._last_algorithm = "naive"
         #: per-rank profiled-op counter (ranks call collectives in the
         #: same order, so equal seq values line up across ranks)
         self._profile_seq = 0
@@ -141,18 +130,17 @@ class Communicator:
         return result
 
     # ------------------------------------------------------------------ #
-    # collectives (timing-faithful classic algorithms)
+    # collectives (schedules: the algorithm table of repro.api.collectives)
     # ------------------------------------------------------------------ #
 
     #: tag slots reserved per collective call (bounds the round count)
     _TAGS_PER_COLLECTIVE = 64
 
-    def _next_collective_tag(self, span: int = _TAGS_PER_COLLECTIVE) -> int:
+    def _next_collective_tag(self, span: int) -> int:
         # Every rank calls collectives in the same order (MPI semantics),
         # so a per-rank counter yields matching tag blocks across ranks.
         # Algorithms needing more than one 64-slot block (e.g. a ring
-        # all-to-all across 128 ranks) reserve several; the naive paths
-        # keep the default span, so their tag values never move.
+        # all-to-all across 128 ranks) reserve several.
         tag = (
             _COLLECTIVE_TAG_BASE
             + self._collective_seq * self._TAGS_PER_COLLECTIVE
@@ -165,7 +153,10 @@ class Communicator:
         self, collective: str, algorithm: Optional[str], nbytes: int
     ) -> str:
         """Per-call override > world default > ``"naive"``; ``"auto"``
-        goes through the world's cost-model selector."""
+        goes through the world's cost-model selector.  Barrier and
+        scatter run their one fixed schedule."""
+        if collective not in coll.VALID_ALGORITHMS:
+            return next(iter(coll.ALGORITHMS[collective]))
         if algorithm is None:
             algorithm = self.world.collectives.get(collective, "naive")
         coll.validate_algorithm(collective, algorithm)
@@ -176,397 +167,52 @@ class Communicator:
                 self.size,
                 health=self.world.fabric_health(),
             )
-        self._last_algorithm = algorithm
         return algorithm
 
-    # -- obs: collective critical-path profiler (docs/observability.md) --
-
-    def _profiling(self) -> bool:
-        """One ``obs.on`` read when off — the obs overhead contract."""
-        obs = self.world.cluster.obs
-        return obs.on and obs.collectives.enabled
-
-    def _profile(self, name: str, nbytes: int, body: Iterator) -> Iterator:
-        """Run a collective generator inside a profiling scope.
-
-        Purely passive: marks this rank's send log before the schedule
-        runs and hands the profiler the slice of messages it posted
-        afterwards — no extra event, no timestamp moved.  Completion
-        times are read lazily once the run drains.
-        """
-        cluster = self.world.cluster
-        engine = self.session.engine
-        mark = len(engine.sent_log)
-        t0 = cluster.sim.now
-        self._last_algorithm = "naive"
-        yield from body
-        cluster.obs.collectives.finish_op(
-            rank=self.rank,
-            node=self.session.node,
-            collective=name,
-            algorithm=self._last_algorithm,
-            nbytes=nbytes,
-            seq=self._profile_seq,
-            t_start=t0,
-            t_end=cluster.sim.now,
-            msgs=list(engine.sent_log[mark:]),
-            hop_predict=self._hop_predict(),
-        )
-        self._profile_seq += 1
-
-    def _hop_predict(self):
-        """The cost model's memoized per-hop lookup, or None unsampled."""
-        profiles = self.world.cluster.profiles
-        if profiles is None or not profiles.estimators:
-            return None
-        return self.world.selector().hop
-
-    def barrier(self) -> Iterator:
-        """Dissemination barrier: ceil(log2(n)) rounds of 1-byte tokens.
-
-        In round ``k`` every rank sends to ``rank + 2^k`` and waits for a
-        token from ``rank - 2^k`` (mod n); after the last round all ranks
-        are transitively synchronized.
-        """
-        body = self._barrier_impl()
+    def _collective(
+        self,
+        name: str,
+        algorithm: Optional[str],
+        data: "int | str | Sequence[Sequence[int | str]] | None" = None,
+        root: Optional[int] = None,
+    ) -> Iterator:
+        """The one collective path: validate and parse, resolve
+        ``auto``, reserve the tag block, run the table's schedule —
+        inside the profiler when obs is on."""
+        if root is not None:
+            self._check_root(root)
+        if name == "barrier":
+            args: tuple = ()
+            nbytes = peak = 0
+        elif name == "alltoallv":
+            sizes = self._traffic_sizes(data)
+            args = (sizes,)
+            nbytes = sum(sizes[self.rank])
+            peak = max(map(max, sizes))  # the widest flow prices auto
+        else:
+            nbytes = peak = parse_size(data)
+            args = (nbytes,) if root is None else (nbytes, root)
+        # A lone rank has no peers: the default entry, nothing to run.
+        algo, body = next(iter(coll.ALGORITHMS[name])), iter(())
+        if self.size > 1:
+            algo = self._resolve_algorithm(name, algorithm, peak)
+            entry = coll.ALGORITHMS[name][algo]
+            plan = () if entry.plan is None else (entry.plan(self, *args),)
+            tag = self._next_collective_tag(entry.span(self.size, *plan))
+            body = entry.schedule(self, *args, tag, *plan)
         if self._profiling():
-            yield from self._profile("barrier", 0, body)
+            yield from self._profile(name, algo, nbytes, body)
         else:
             yield from body
-
-    def _barrier_impl(self) -> Iterator:
-        n = self.size
-        self._last_algorithm = "dissemination"
-        if n == 1:
-            return
-        base_tag = self._next_collective_tag()
-        round_no = 0
-        dist = 1
-        while dist < n:
-            peer_to = (self.rank + dist) % n
-            peer_from = (self.rank - dist) % n
-            self.session.isend(self.peer_name(peer_to), 1, tag=base_tag + round_no)
-            handle = self.session.irecv(
-                source=self.peer_name(peer_from), tag=base_tag + round_no
-            )
-            yield from self.session.wait(handle)
-            dist *= 2
-            round_no += 1
-
-    def bcast(
-        self, size: "int | str", root: int = 0,
-        algorithm: Optional[str] = None,
-    ) -> Iterator:
-        """Broadcast of ``size`` bytes from ``root``.
-
-        ``algorithm``: ``naive`` (the classic whole-message binomial
-        tree, the default), ``binomial`` (segmented/pipelined tree),
-        ``ring`` (segmented ring pipeline), ``doubling`` (scatter +
-        allgather), or ``auto``.
-        """
-        body = self._bcast_impl(size, root, algorithm)
-        if self._profiling():
-            yield from self._profile("bcast", _safe_size(size), body)
-        else:
-            yield from body
-
-    def _bcast_impl(
-        self, size: "int | str", root: int, algorithm: Optional[str]
-    ) -> Iterator:
-        n = self.size
-        self._check_root(root)
-        nbytes = parse_size(size)
-        if n == 1:
-            return
-        algo = self._resolve_algorithm("bcast", algorithm, nbytes)
-        if algo != "naive":
-            if algo == "doubling":
-                span = 2 + max(1, math.ceil(math.log2(n)))
-                tag = self._next_collective_tag(span=span)
-                yield from coll.bcast_doubling(self, nbytes, root, tag)
-                return
-            segs = coll.pipeline_segments(nbytes, self.world.rail_estimators())
-            tag = self._next_collective_tag(span=len(segs))
-            impl = coll.bcast_binomial if algo == "binomial" else coll.bcast_ring
-            yield from impl(self, nbytes, root, tag, segs)
-            return
-        tag = self._next_collective_tag()
-        vrank = (self.rank - root) % n
-        mask = 1
-        while mask < n:
-            if vrank & mask:
-                parent = ((vrank ^ mask) + root) % n
-                handle = self.session.irecv(source=self.peer_name(parent), tag=tag)
-                yield from self.session.wait(handle)
-                break
-            mask <<= 1
-        # The loop leaves ``mask`` at the stride above this rank's highest
-        # forwarding distance (root: past the top); descend and forward.
-        mask >>= 1
-        while mask > 0:
-            if vrank + mask < n:
-                child = ((vrank + mask) + root) % n
-                self.session.isend(self.peer_name(child), nbytes, tag=tag)
-            mask >>= 1
 
     def _check_root(self, root: int) -> None:
         if not 0 <= root < self.size:
             raise ConfigurationError(f"root {root} outside 0..{self.size - 1}")
 
-    def gather(
-        self, size: "int | str", root: int = 0,
-        algorithm: Optional[str] = None,
-    ) -> Iterator:
-        """Gather of ``size`` bytes per rank to ``root``.
-
-        ``algorithm``: ``naive`` (linear, the default), ``binomial``
-        (combining tree), ``ring`` (neighbour pipeline), or ``auto``.
-        """
-        body = self._gather_impl(size, root, algorithm)
-        if self._profiling():
-            yield from self._profile("gather", _safe_size(size), body)
-        else:
-            yield from body
-
-    def _gather_impl(
-        self, size: "int | str", root: int, algorithm: Optional[str]
-    ) -> Iterator:
-        self._check_root(root)
-        nbytes = parse_size(size)
-        if self.size > 1:
-            algo = self._resolve_algorithm("gather", algorithm, nbytes)
-            if algo != "naive":
-                tag = self._next_collective_tag(span=1)
-                impl = (
-                    coll.gather_binomial if algo == "binomial" else coll.gather_ring
-                )
-                yield from impl(self, nbytes, root, tag)
-                return
-        tag = self._next_collective_tag()
-        if self.rank == root:
-            handles = [
-                self.session.irecv(source=self.peer_name(r), tag=tag)
-                for r in range(self.size)
-                if r != root
-            ]
-            for h in handles:
-                yield from self.session.wait(h)
-        else:
-            msg = self.session.isend(self.peer_name(root), nbytes, tag=tag)
-            yield from self.session.wait(msg)
-
-    def alltoall(
-        self, size: "int | str", algorithm: Optional[str] = None
-    ) -> Iterator:
-        """Each rank sends ``size`` bytes to every other rank.
-
-        ``algorithm``: ``naive`` (post everything at once, the default),
-        ``ring`` (rank-shifted pairwise rounds — no port storm),
-        ``doubling`` (Bruck, log rounds of aggregated blocks), ``rails``
-        (RailS-style segmented/balanced schedule), or ``auto``.
-        """
-        body = self._alltoall_impl(size, algorithm)
-        if self._profiling():
-            yield from self._profile("alltoall", _safe_size(size), body)
-        else:
-            yield from body
-
-    def _alltoall_impl(
-        self, size: "int | str", algorithm: Optional[str]
-    ) -> Iterator:
-        nbytes = parse_size(size)
-        n = self.size
-        if n > 1:
-            algo = self._resolve_algorithm("alltoall", algorithm, nbytes)
-            if algo != "naive":
-                if algo == "ring":
-                    tag = self._next_collective_tag(span=n)
-                    yield from coll.alltoall_ring(self, nbytes, tag)
-                elif algo == "doubling":
-                    span = max(1, math.ceil(math.log2(n)))
-                    tag = self._next_collective_tag(span=span)
-                    yield from coll.alltoall_doubling(self, nbytes, tag)
-                else:  # rails
-                    matrix = coll.uniform_matrix(n, nbytes)
-                    yield from self._alltoallv_rails(matrix)
-                return
-        tag = self._next_collective_tag()
-        handles = [
-            self.session.irecv(source=self.peer_name(r), tag=tag)
-            for r in range(self.size)
-            if r != self.rank
-        ]
-        for r in range(self.size):
-            if r != self.rank:
-                self.session.isend(self.peer_name(r), nbytes, tag=tag)
-        for h in handles:
-            yield from self.session.wait(h)
-
-    def scatter(self, size: "int | str", root: int = 0) -> Iterator:
-        """Root sends a distinct ``size``-byte block to every other rank.
-
-        Linear (the root owns all the data, so the tree variants only
-        move *more* bytes; linear matches MPICH's default for scatter of
-        large blocks).
-        """
-        body = self._scatter_impl(size, root)
-        if self._profiling():
-            yield from self._profile("scatter", _safe_size(size), body)
-        else:
-            yield from body
-
-    def _scatter_impl(self, size: "int | str", root: int) -> Iterator:
-        self._check_root(root)
-        nbytes = parse_size(size)
-        self._last_algorithm = "linear"
-        tag = self._next_collective_tag()
-        if self.rank == root:
-            last: Optional[Message] = None
-            for r in range(self.size):
-                if r != root:
-                    last = self.session.isend(self.peer_name(r), nbytes, tag=tag)
-            if last is not None:
-                yield from self.session.wait(last)
-        else:
-            handle = self.session.irecv(source=self.peer_name(root), tag=tag)
-            yield from self.session.wait(handle)
-
-    def allgather(
-        self, size: "int | str", algorithm: Optional[str] = None
-    ) -> Iterator:
-        """Every rank ends up with every rank's ``size``-byte block.
-
-        ``algorithm``: ``naive`` (Bruck/dissemination, the default),
-        ``ring`` (n-1 neighbour rounds, bandwidth-optimal), ``doubling``
-        (recursive doubling on power-of-two worlds), or ``auto``.
-        """
-        body = self._allgather_impl(size, algorithm)
-        if self._profiling():
-            yield from self._profile("allgather", _safe_size(size), body)
-        else:
-            yield from body
-
-    def _allgather_impl(
-        self, size: "int | str", algorithm: Optional[str]
-    ) -> Iterator:
-        n = self.size
-        nbytes = parse_size(size)
-        if n == 1:
-            return
-        algo = self._resolve_algorithm("allgather", algorithm, nbytes)
-        if algo != "naive":
-            if algo == "ring":
-                tag = self._next_collective_tag(span=n - 1)
-                yield from coll.allgather_ring(self, nbytes, tag)
-            else:  # doubling
-                span = max(1, math.ceil(math.log2(n)))
-                tag = self._next_collective_tag(span=span)
-                yield from coll.allgather_doubling(self, nbytes, tag)
-            return
-        base_tag = self._next_collective_tag()
-        round_no = 0
-        dist = 1
-        accumulated = 1
-        while dist < n:
-            peer_to = (self.rank - dist) % n
-            peer_from = (self.rank + dist) % n
-            block = min(accumulated, n - accumulated) * nbytes
-            self.session.isend(
-                self.peer_name(peer_to), max(1, block), tag=base_tag + round_no
-            )
-            handle = self.session.irecv(
-                source=self.peer_name(peer_from), tag=base_tag + round_no
-            )
-            yield from self.session.wait(handle)
-            accumulated = min(n, accumulated * 2)
-            dist *= 2
-            round_no += 1
-
-    def reduce(
-        self, size: "int | str", root: int = 0,
-        algorithm: Optional[str] = None,
-    ) -> Iterator:
-        """Reduction of ``size``-byte contributions to ``root``.
-
-        ``algorithm``: ``naive`` (whole-message binomial tree, the
-        default — the mirror image of :meth:`bcast`), ``binomial``
-        (segmented/pipelined tree), ``ring`` (reduce-scatter + block
-        gather), or ``auto``.  Combination cost is the receive itself —
-        payloads are sizes, not values.
-        """
-        body = self._reduce_impl(size, root, algorithm)
-        if self._profiling():
-            yield from self._profile("reduce", _safe_size(size), body)
-        else:
-            yield from body
-
-    def _reduce_impl(
-        self, size: "int | str", root: int, algorithm: Optional[str]
-    ) -> Iterator:
-        n = self.size
-        self._check_root(root)
-        nbytes = parse_size(size)
-        if n == 1:
-            return
-        algo = self._resolve_algorithm("reduce", algorithm, nbytes)
-        if algo != "naive":
-            if algo == "ring":
-                tag = self._next_collective_tag(span=n)
-                yield from coll.reduce_ring(self, nbytes, root, tag)
-                return
-            segs = coll.pipeline_segments(nbytes, self.world.rail_estimators())
-            tag = self._next_collective_tag(span=len(segs))
-            yield from coll.reduce_binomial(self, nbytes, root, tag, segs)
-            return
-        tag = self._next_collective_tag()
-        vrank = (self.rank - root) % n
-        # Receive from children: strides below our lowest set bit.
-        mask = 1
-        while mask < n:
-            if vrank & mask:
-                break
-            child_v = vrank + mask
-            if child_v < n:
-                child = (child_v + root) % n
-                handle = self.session.irecv(source=self.peer_name(child), tag=tag)
-                yield from self.session.wait(handle)
-            mask <<= 1
-        # Then send our combined contribution to the parent (root: none).
-        if vrank != 0:
-            parent = ((vrank ^ mask) + root) % n
-            msg = self.session.isend(self.peer_name(parent), nbytes, tag=tag)
-            yield from self.session.wait(msg)
-
-    def alltoallv(
-        self,
-        matrix: Sequence[Sequence["int | str"]],
-        algorithm: Optional[str] = None,
-    ) -> Iterator:
-        """Irregular all-to-all from a global n×n traffic ``matrix``
-        (``matrix[i][j]`` = bytes rank i sends rank j; zero diagonal).
-
-        Every rank receives the same matrix — the traffic-engineering
-        setting of RailS, where the demand is known (e.g. an MoE
-        router's expert counts).  ``algorithm``: ``naive`` (one message
-        per flow, posted at once — uniform striping) or ``rails`` (the
-        segmented, rank-shifted, windowed balanced schedule); ``auto``
-        picks ``rails``.
-        """
-        body = self._alltoallv_impl(matrix, algorithm)
-        if self._profiling():
-            try:
-                nbytes = sum(_safe_size(v) if v else 0 for v in matrix[self.rank])
-            except (TypeError, IndexError):
-                nbytes = 0
-            yield from self._profile("alltoallv", nbytes, body)
-        else:
-            yield from body
-
-    def _alltoallv_impl(
-        self,
-        matrix: Sequence[Sequence["int | str"]],
-        algorithm: Optional[str],
-    ) -> Iterator:
+    def _traffic_sizes(
+        self, matrix: Sequence[Sequence["int | str"]]
+    ) -> List[List[int]]:
+        """An alltoallv traffic matrix checked and parsed to bytes."""
         n = self.size
         if len(matrix) != n or any(len(row) != n for row in matrix):
             raise ConfigurationError(
@@ -591,49 +237,149 @@ class Communicator:
                     raise ConfigurationError(
                         f"negative traffic matrix entry [{i}][{j}]: {sizes[i][j]}"
                     )
-        peak = max((s for row in sizes for s in row), default=0)
-        algo = self._resolve_algorithm("alltoallv", algorithm, max(1, peak))
-        if algo == "replan":
-            yield from self._alltoallv_replan(sizes)
-            return
-        if algo in ("rails", "auto"):
-            yield from self._alltoallv_rails(sizes)
-            return
-        tag = self._next_collective_tag()
-        yield from coll.alltoallv_naive(self, sizes, tag)
+        return sizes
 
-    def _rails_tag(self, sizes: List[List[int]], ests) -> int:
-        """One tag block spanning the widest flow's segment count."""
-        span = max(
-            (
-                len(coll.rails_segments(s, ests))
-                for row in sizes
-                for s in row
-                if s > 0
-            ),
-            default=1,
+    # -- obs: collective critical-path profiler (docs/observability.md) --
+
+    def _profiling(self) -> bool:
+        """One ``obs.on`` read when off — the obs overhead contract."""
+        obs = self.world.cluster.obs
+        return obs.on and obs.collectives.enabled
+
+    def _profile(
+        self, name: str, algorithm: str, nbytes: int, body: Iterator
+    ) -> Iterator:
+        """Run a collective generator inside a profiling scope.
+
+        Purely passive: marks this rank's send log before the schedule
+        runs and hands the profiler the slice of messages it posted
+        afterwards — no extra event, no timestamp moved.  Completion
+        times are read lazily once the run drains.
+        """
+        cluster = self.world.cluster
+        engine = self.session.engine
+        mark = len(engine.sent_log)
+        t0 = cluster.sim.now
+        yield from body
+        cluster.obs.collectives.finish_op(
+            rank=self.rank,
+            node=self.session.node,
+            collective=name,
+            algorithm=algorithm,
+            nbytes=nbytes,
+            seq=self._profile_seq,
+            t_start=t0,
+            t_end=cluster.sim.now,
+            msgs=list(engine.sent_log[mark:]),
+            hop_predict=self._hop_predict(),
         )
-        return self._next_collective_tag(span=span)
+        self._profile_seq += 1
 
-    def _alltoallv_rails(self, sizes: List[List[int]]) -> Iterator:
-        """Shared rails path for :meth:`alltoall`/:meth:`alltoallv`."""
-        ests = self.world.rail_estimators()
-        tag = self._rails_tag(sizes, ests)
-        yield from coll.alltoallv_rails(self, sizes, tag, ests)
-
-    def _alltoallv_replan(self, sizes: List[List[int]]) -> Iterator:
-        """Re-planning balanced path (``algorithm="replan"``)."""
-        ests = self.world.rail_estimators()
-        tag = self._rails_tag(sizes, ests)
+    def _hop_predict(self):
+        """The cost model's memoized per-hop lookup, or None unsampled."""
         profiles = self.world.cluster.profiles
-        price = (
-            self.world.selector().hop
-            if profiles is not None and profiles.estimators
-            else None
-        )
-        yield from coll.alltoallv_rails_replan(
-            self, sizes, tag, ests, price=price
-        )
+        if profiles is None or not profiles.estimators:
+            return None
+        return self.world.selector().hop
+
+    def barrier(self) -> Iterator:
+        """Dissemination barrier: ceil(log2(n)) rounds of 1-byte tokens.
+
+        In round ``k`` every rank sends to ``rank + 2^k`` and waits for a
+        token from ``rank - 2^k`` (mod n); after the last round all ranks
+        are transitively synchronized.
+        """
+        return self._collective("barrier", None)
+
+    def bcast(
+        self, size: "int | str", root: int = 0,
+        algorithm: Optional[str] = None,
+    ) -> Iterator:
+        """Broadcast of ``size`` bytes from ``root``.
+
+        ``algorithm``: ``naive`` (the classic whole-message binomial
+        tree, the default), ``binomial`` (segmented/pipelined tree),
+        ``ring`` (segmented ring pipeline), ``doubling`` (scatter +
+        allgather), or ``auto``.
+        """
+        return self._collective("bcast", algorithm, size, root)
+
+    def gather(
+        self, size: "int | str", root: int = 0,
+        algorithm: Optional[str] = None,
+    ) -> Iterator:
+        """Gather of ``size`` bytes per rank to ``root``.
+
+        ``algorithm``: ``naive`` (linear, the default), ``binomial``
+        (combining tree), ``ring`` (neighbour pipeline), or ``auto``.
+        """
+        return self._collective("gather", algorithm, size, root)
+
+    def alltoall(
+        self, size: "int | str", algorithm: Optional[str] = None
+    ) -> Iterator:
+        """Each rank sends ``size`` bytes to every other rank.
+
+        ``algorithm``: ``naive`` (post everything at once, the default),
+        ``ring`` (rank-shifted pairwise rounds — no port storm),
+        ``doubling`` (Bruck, log rounds of aggregated blocks), ``rails``
+        (RailS-style segmented/balanced schedule), or ``auto``.
+        """
+        return self._collective("alltoall", algorithm, size)
+
+    def scatter(self, size: "int | str", root: int = 0) -> Iterator:
+        """Root sends a distinct ``size``-byte block to every other rank.
+
+        Linear (the root owns all the data, so the tree variants only
+        move *more* bytes; linear matches MPICH's default for scatter of
+        large blocks).
+        """
+        return self._collective("scatter", None, size, root)
+
+    def allgather(
+        self, size: "int | str", algorithm: Optional[str] = None
+    ) -> Iterator:
+        """Every rank ends up with every rank's ``size``-byte block.
+
+        ``algorithm``: ``naive`` (Bruck/dissemination, the default),
+        ``ring`` (n-1 neighbour rounds, bandwidth-optimal), ``doubling``
+        (recursive doubling on power-of-two worlds), or ``auto``.
+        """
+        return self._collective("allgather", algorithm, size)
+
+    def reduce(
+        self, size: "int | str", root: int = 0,
+        algorithm: Optional[str] = None,
+    ) -> Iterator:
+        """Reduction of ``size``-byte contributions to ``root``.
+
+        ``algorithm``: ``naive`` (whole-message binomial tree, the
+        default — the mirror image of :meth:`bcast`), ``binomial``
+        (segmented/pipelined tree), ``ring`` (reduce-scatter + block
+        gather), or ``auto``.  Combination cost is the receive itself —
+        payloads are sizes, not values.
+        """
+        return self._collective("reduce", algorithm, size, root)
+
+    def alltoallv(
+        self,
+        matrix: Sequence[Sequence["int | str"]],
+        algorithm: Optional[str] = None,
+    ) -> Iterator:
+        """Irregular all-to-all from a global n×n traffic ``matrix``
+        (``matrix[i][j]`` = bytes rank i sends rank j; zero diagonal).
+
+        Every rank receives the same matrix — the traffic-engineering
+        setting of RailS, where the demand is known (e.g. an MoE
+        router's expert counts).  ``algorithm``: ``naive`` (one message
+        per flow, posted at once — uniform striping), ``rails`` (the
+        segmented, rank-shifted, windowed balanced schedule) or
+        ``replan`` (``rails`` that re-plans on fault signals; never
+        picked by ``auto``).  ``auto`` picks ``rails`` from 3 ranks up;
+        at 2 ranks naive and rails price the same and the name
+        tie-break picks ``naive``.
+        """
+        return self._collective("alltoallv", algorithm, matrix)
 
 
 class MpiWorld:

@@ -9,6 +9,7 @@ one.
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.api import ClusterBuilder
 from repro.api import collectives as coll
@@ -79,6 +80,31 @@ class TestAlgorithmSurface:
         for size in (1 * KiB, 64 * KiB, 1024 * KiB):
             assert "replan" not in sel.costs("alltoallv", size, RANKS)
             assert sel.select("alltoallv", size, RANKS) in ("naive", "rails")
+
+
+class TestReplanIdentity:
+    """Re-cutting an untouched balanced schedule — nothing sent, no
+    price — returns it unchanged.  The property that lets one function
+    own the largest-remaining-first cycle order."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_recut_of_an_untouched_schedule_is_identity(self, data):
+        ests = list(default_profiles(RAILS).estimators.values())
+        n = data.draw(st.integers(2, 12), label="ranks")
+        hot = data.draw(
+            st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1),
+            label="hot",
+        )
+        base = data.draw(
+            st.sampled_from([1, 100, 16 * KiB, 60 * KiB, 300 * KiB, 1024 * KiB]),
+            label="base",
+        )
+        skew = data.draw(st.integers(1, 8), label="skew")
+        rank = data.draw(st.integers(0, n - 1), label="rank")
+        matrix = coll.moe_matrix(n, base, skew=skew, hot=sorted(hot))
+        schedule = coll.balanced_schedule(rank, matrix, ests)
+        assert list(coll._replan_order(schedule, rank, n)) == schedule
 
 
 class TestHealthyRuns:
