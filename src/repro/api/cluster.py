@@ -24,7 +24,7 @@ from repro.networks.drivers.base import Driver
 from repro.networks.drivers import make_driver
 from repro.networks.nic import Nic
 from repro.networks.wire import Wire
-from repro.obs import NULL_OBS, Observability
+from repro.obs import Hooks, Observability
 from repro.simtime import Simulator
 from repro.util.errors import ConfigurationError
 
@@ -76,15 +76,18 @@ class Cluster:
         machines: Dict[str, Machine],
         engines: Dict[str, NmadEngine],
         profiles: Optional[ProfileStore],
+        hooks: Hooks,
+        observability: Observability,
     ) -> None:
         self.sim = sim
         self.machines = machines
         self.engines = engines
         self.profiles = profiles
+        #: the hook stream every engine, NIC, switch and injector emits to
+        self.hooks = hooks
+        self._observability = observability
         #: armed by :func:`repro.faults.install_faults` (None = no faults)
         self.fault_injector: Optional[FaultInjector] = None
-        #: cluster-wide observability hub (NULL_OBS = disabled, the default)
-        self.obs: Observability = NULL_OBS
         #: cluster-wide invariant monitor (None = checking off, the default)
         self.invariants: Optional[InvariantMonitor] = None
         #: closed-loop calibration controller (None = drift defense off,
@@ -99,6 +102,12 @@ class Cluster:
 
     def __repr__(self) -> str:
         return f"<Cluster nodes={sorted(self.machines)}>"
+
+    @property
+    def obs(self) -> Observability:
+        """The obs read-outs (tracer, metrics, accuracy, flight recorder,
+        collective profiler); surfaces that are off stay empty."""
+        return self._observability
 
     def engine(self, node: str) -> NmadEngine:
         try:
@@ -198,8 +207,9 @@ class Cluster:
             )
             self.profiles = fresh = store
         for engine in self.engines.values():
-            engine.predictor = CompletionPredictor(fresh.estimators)
-            engine.predictor.bind_obs(engine.obs, engine.machine.name)
+            engine.predictor = CompletionPredictor(
+                fresh.estimators, hooks=self.hooks, node=engine.machine.name
+            )
         return fresh
 
     def _resolve_rail(self, rail: str) -> Nic:
@@ -267,19 +277,13 @@ class Cluster:
 
     def chrome_trace(self) -> Dict[str, Any]:
         """The run so far as a Chrome ``trace_event`` JSON object."""
-        from repro.obs.chrome_export import chrome_trace
-
-        self.obs.collectives.flush_to_tracer(self.obs.tracer)
-        return chrome_trace(self.obs.tracer)
+        return self.obs.chrome_trace()
 
     def export_chrome_trace(self, target) -> int:
         """Write the Chrome trace to ``target`` (path or file object);
         returns the number of events written.  Load the file in
         ``chrome://tracing`` or https://ui.perfetto.dev."""
-        from repro.obs.chrome_export import export_chrome_trace
-
-        self.obs.collectives.flush_to_tracer(self.obs.tracer)
-        return export_chrome_trace(self.obs.tracer, target)
+        return self.obs.export_chrome_trace(target)
 
     # ------------------------------------------------------------------ #
     # drain accounting (see docs/chaos.md)
@@ -320,11 +324,8 @@ class Cluster:
         except InvariantViolation as exc:
             # Post-mortem before propagating: the flight recorder's ring
             # holds the events leading up to the violation.
-            self.obs.flight.trigger(
-                "invariant-violation",
-                self.sim.now,
-                detail={"invariant": exc.invariant, "message": exc.detail},
-            )
+            if self.hooks.on_violation:
+                self.hooks.on_violation(exc, self.sim.now)
             raise
 
     def drain_stuck(self) -> List[Any]:
@@ -333,15 +334,8 @@ class Cluster:
         drained: List[Any] = []
         for name in sorted(self.engines):
             drained.extend(self.engines[name].drain_stuck())
-        if drained:
-            self.obs.flight.trigger(
-                "drain-stuck",
-                self.sim.now,
-                detail={
-                    "drained": len(drained),
-                    "msg_ids": [m.msg_id for m in drained[:16]],
-                },
-            )
+        if drained and self.hooks.on_drain_stuck:
+            self.hooks.on_drain_stuck(drained, self.sim.now)
         return drained
 
 
@@ -623,10 +617,11 @@ class ClusterBuilder:
         flight_capacity: Optional[int] = None,
         collectives: bool = True,
     ) -> "ClusterBuilder":
-        """Attach a cluster-wide :class:`repro.obs.Observability` hub.
+        """Attach a cluster-wide :class:`repro.obs.Observability` bundle.
 
         Off by default — and the disabled path is bit-identical to a
-        build without this call (all hooks are record-only and guarded).
+        build without this call (the surfaces are record-only hook
+        subscribers).
         ``trace``/``metrics``/``accuracy``/``flight``/``collectives``
         toggle the telemetry planes individually; ``trace_limit`` bounds
         the trace event buffer (oldest runs keep, newest drop, counted
@@ -643,17 +638,10 @@ class ClusterBuilder:
             "flight": flight,
             "collectives": collectives,
         }
+        Observability.check_limits(trace_limit, flight_capacity)
         if trace_limit is not None:
-            if trace_limit < 1:
-                raise ConfigurationError(
-                    f"trace_limit must be positive, got {trace_limit}"
-                )
             spec["trace_limit"] = trace_limit
         if flight_capacity is not None:
-            if flight_capacity < 1:
-                raise ConfigurationError(
-                    f"flight_capacity must be positive, got {flight_capacity}"
-                )
             spec["flight_capacity"] = flight_capacity
         self._observability = spec
         return self
@@ -756,16 +744,19 @@ class ClusterBuilder:
             drivers += [d for _, d, _, _ in self._switches]
             profiles = ProfileStore.sample_drivers(drivers, sampler=self._sampler)
 
-        obs = (
-            Observability(**self._observability)
-            if self._observability is not None
-            else NULL_OBS
-        )
+        # One hook stream per cluster.  Subscription order is delivery
+        # order: the monitor checks a fact before the obs surfaces record
+        # it, and the drift feed (install_calibration) comes last.
+        hooks = Hooks()
         inv = (
             InvariantMonitor(**self._invariants)
             if self._invariants is not None
             else None
         )
+        if inv is not None:
+            hooks.subscribe(inv)
+        obs = Observability(**(self._observability or {"enabled": False}))
+        obs.subscribe(hooks)
         engines: Dict[str, NmadEngine] = {}
         for name, machine in self._machines.items():
             spec = self._per_node_strategy.get(name, self._strategy)
@@ -775,12 +766,10 @@ class ClusterBuilder:
                 estimators=profiles.estimators if profiles else None,
                 app_core_id=self._app_core_id,
                 multicore_rx=self._multicore_rx,
-                obs=obs,
-                invariants=inv,
+                hooks=hooks,
                 **self._resilience,
             )
-        cluster = Cluster(self.sim, self._machines, engines, profiles)
-        cluster.obs = obs
+        cluster = Cluster(self.sim, self._machines, engines, profiles, hooks, obs)
         cluster.invariants = inv
         cluster.fabric = self._fabric
         cluster.collectives = dict(self._collectives)
@@ -794,8 +783,6 @@ class ClusterBuilder:
                 cluster, CalibrationController(**self._calibration)
             )
         if self._faults is not None:
-            # install_faults reads cluster.invariants, set just above, so
-            # the injector's on_fault hook sees the same monitor.
             install_faults(cluster, self._faults)
         return cluster
 

@@ -1176,8 +1176,7 @@ def _replan(
     sim = comm.session.sim
     engine = comm.session.engine
     injector = getattr(cluster, "fault_injector", None)
-    inv = cluster.invariants
-    obs = cluster.obs
+    hooks = cluster.hooks
 
     def signals() -> Tuple[int, int, int]:
         return (
@@ -1208,31 +1207,14 @@ def _replan(
             baseline = current
             replans += 1
             left = sum(seg for _, _, seg in pending)
-            if inv is not None and inv.on:
-                inv.on_replan(r, tag, planned, accounted, left, sim.now)
-            if obs.on:
-                obs.metrics.counter("collective.replans").inc()
-                obs.flight.record(
-                    "collective-replan",
-                    sim.now,
-                    comm.session.node,
-                    {
-                        "rank": r,
-                        "tag": tag,
-                        "replan": replans,
-                        "accounted_bytes": accounted,
-                        "pending_bytes": left,
-                        "pending_hops": len(pending),
-                    },
-                )
-                obs.flight.trigger(
-                    "collective-replan",
-                    sim.now,
-                    {"rank": r, "tag": tag, "replan": replans},
+            if hooks.on_replan:
+                hooks.on_replan(
+                    r, tag, planned, accounted, left, sim.now,
+                    comm.session.node, replans, len(pending),
                 )
             pending = _replan_order(pending, r, n, price)
-    if inv is not None and inv.on:
-        inv.on_collective_complete(r, tag, planned, accounted, sim.now)
+    if hooks.on_collective_complete:
+        hooks.on_collective_complete(r, tag, planned, accounted, sim.now)
     for handle in handles:
         yield from comm.session.wait(handle)
 

@@ -178,7 +178,7 @@ class Communicator:
     ) -> Iterator:
         """The one collective path: validate and parse, resolve
         ``auto``, reserve the tag block, run the table's schedule —
-        inside the profiler when obs is on."""
+        inside a profiling scope while a profiler is subscribed."""
         if root is not None:
             self._check_root(root)
         if name == "barrier":
@@ -200,7 +200,7 @@ class Communicator:
             plan = () if entry.plan is None else (entry.plan(self, *args),)
             tag = self._next_collective_tag(entry.span(self.size, *plan))
             body = entry.schedule(self, *args, tag, *plan)
-        if self._profiling():
+        if self.world.cluster.hooks.on_collective_op:
             yield from self._profile(name, algo, nbytes, body)
         else:
             yield from body
@@ -239,12 +239,7 @@ class Communicator:
                     )
         return sizes
 
-    # -- obs: collective critical-path profiler (docs/observability.md) --
-
-    def _profiling(self) -> bool:
-        """One ``obs.on`` read when off — the obs overhead contract."""
-        obs = self.world.cluster.obs
-        return obs.on and obs.collectives.enabled
+    # -- collective critical-path profiling (docs/observability.md) --
 
     def _profile(
         self, name: str, algorithm: str, nbytes: int, body: Iterator
@@ -252,26 +247,19 @@ class Communicator:
         """Run a collective generator inside a profiling scope.
 
         Purely passive: marks this rank's send log before the schedule
-        runs and hands the profiler the slice of messages it posted
-        afterwards — no extra event, no timestamp moved.  Completion
-        times are read lazily once the run drains.
+        runs and emits ``on_collective_op`` with the slice of messages it
+        posted afterwards — no extra event, no timestamp moved.
+        Completion times are read lazily once the run drains.
         """
         cluster = self.world.cluster
         engine = self.session.engine
         mark = len(engine.sent_log)
         t0 = cluster.sim.now
         yield from body
-        cluster.obs.collectives.finish_op(
-            rank=self.rank,
-            node=self.session.node,
-            collective=name,
-            algorithm=algorithm,
-            nbytes=nbytes,
-            seq=self._profile_seq,
-            t_start=t0,
-            t_end=cluster.sim.now,
-            msgs=list(engine.sent_log[mark:]),
-            hop_predict=self._hop_predict(),
+        cluster.hooks.on_collective_op(
+            self.rank, self.session.node, name, algorithm, nbytes,
+            self._profile_seq, t0, cluster.sim.now,
+            engine.sent_log[mark:], self._hop_predict(),
         )
         self._profile_seq += 1
 

@@ -675,8 +675,8 @@ def obs_off_bit_equality(smoke: bool = False) -> Dict:
     """Re-measure the obs-off simulated tables; compare against the
     committed BENCH_PR7 sections bit-for-bit.
 
-    Obs-off runs go through exactly the PR 7 code path (every hook is
-    one ``obs.on`` read against the null bundle), so the deterministic
+    Obs-off runs subscribe nothing to the hook stream (every hook site
+    is one attribute read), so the deterministic
     collective tables must serialize byte-identically to what PR 7
     committed.  ``smoke`` restricts to the 8-rank row — the 128-rank
     point alone dominates the full table's runtime.

@@ -8,16 +8,14 @@ re-samples drifting rails *online* (blending fresh curves into the
 immutable estimators) and degrades planning along the
 :class:`FallbackLadder` while confidence is low.
 
-Off by default: engines hold :data:`NULL_CALIBRATION` and every hook
-site costs one attribute read — with calibration off, simulated
+Off by default: nothing is subscribed to the hook stream and
+``engine.calib`` is ``None`` — with calibration off, simulated
 timestamps and exported artefacts are byte-identical to a build without
 this package.  See ``docs/calibration.md``.
 """
 
 from repro.core.calibration.controller import (
-    NULL_CALIBRATION,
     CalibrationController,
-    NullCalibration,
     ResampleRecord,
     install_calibration,
 )
@@ -29,8 +27,6 @@ __all__ = [
     "CalibrationController",
     "DriftDetector",
     "FallbackLadder",
-    "NULL_CALIBRATION",
-    "NullCalibration",
     "ResampleRecord",
     "TrustLevel",
     "install_calibration",

@@ -1,15 +1,16 @@
 """The closed-loop calibration controller.
 
-One :class:`CalibrationController` is shared cluster-wide, exactly like
-the observability bundle and the invariant monitor: every engine holds a
-reference (``engine.calib``) guarded by a single ``.on`` attribute read,
-and :data:`NULL_CALIBRATION` is the do-nothing singleton installed when
-calibration is off — in which case no code path below ever runs and the
+One :class:`CalibrationController` is shared cluster-wide.  It has two
+sides: the *drift feed* is a subscriber of the cluster's hook stream
+(:mod:`repro.obs.hooks`) like the obs surfaces and the invariant
+monitor, and the *planning handle* (``engine.calib``) is what the split
+strategy consults.  With calibration off nothing is subscribed and
+``engine.calib`` is ``None`` — no code path below ever runs and the
 simulation is bit-identical to a build without calibration.
 
 When on, the loop closes like this:
 
-1. every fully-processed data chunk reaches :meth:`observe_transfer`
+1. every fully-processed data chunk reaches :meth:`on_arrival`
    (receiver side, zero simulated cost) and its relative prediction
    error feeds the :class:`~repro.core.calibration.drift.DriftDetector`;
 2. a drift trigger re-samples the suspect rail **online** via
@@ -41,20 +42,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.packets import Message
     from repro.networks.nic import Nic
     from repro.networks.transfer import Transfer
-
-
-class NullCalibration:
-    """Inert stand-in when calibration is off (shared singleton)."""
-
-    __slots__ = ()
-    on = False
-
-    def __repr__(self) -> str:
-        return "<NullCalibration off>"
-
-
-#: the shared no-op controller — one attribute read per guarded hook
-NULL_CALIBRATION = NullCalibration()
 
 
 class ResampleRecord:
@@ -103,8 +90,6 @@ class CalibrationController:
         Pre-built collaborators (defaults constructed from the
         remaining keyword knobs; see their classes for semantics).
     """
-
-    on = True
 
     def __init__(
         self,
@@ -170,10 +155,10 @@ class CalibrationController:
         return ladder
 
     # ------------------------------------------------------------------ #
-    # the feedback path (receiver side, guarded by engine.calib.on)
+    # the drift feed (receiver side; a hook-stream subscriber)
     # ------------------------------------------------------------------ #
 
-    def observe_transfer(self, transfer: "Transfer", nic: "Nic") -> None:
+    def on_arrival(self, transfer: "Transfer", nic: "Nic") -> None:
         """Fold one completed data chunk's prediction error into the
         detector; trigger an online re-sample when drift is declared.
 
@@ -224,15 +209,9 @@ class CalibrationController:
         self.observations += 1
         if self.detector.observe(rail, band, rel_error, now):
             self.drift_events += 1
-            self._emit_instant(
-                sender, "drift-detected",
-                {
-                    "rail": rail,
-                    "band": band,
-                    "ewma": self.detector.band_error(rail, band),
-                },
-            )
-            self._count("calibration.drift_detected")
+            hooks = self._cluster.hooks
+            if hooks.on_drift:
+                hooks.on_drift(sender, band, self.detector.band_error(rail, band))
             if self.auto_resample and self._cluster is not None:
                 self._resample(rail, band)
 
@@ -265,11 +244,8 @@ class CalibrationController:
         self.resample_log.append(
             ResampleRecord(now, rail, tech, self.blend, trigger_band)
         )
-        self._count("calibration.resamples")
-        self._emit_instant(
-            nic, "resample",
-            {"rail": rail, "technology": tech, "blend": self.blend},
-        )
+        if cluster.hooks.on_resample:
+            cluster.hooks.on_resample(nic, self.blend)
 
     # ------------------------------------------------------------------ #
     # the planning path (strategy side)
@@ -290,32 +266,11 @@ class CalibrationController:
         ladder = self.ladder_for(engine.machine.name)
         before = ladder.level
         level = ladder.update(min(confs.values()), now)
-        if level is not before:
-            self._count("calibration.fallback_transitions")
-            self._emit_instant(
-                rails[0], "fallback",
-                {
-                    "node": engine.machine.name,
-                    "from": before.name,
-                    "to": level.name,
-                    "confidence": min(confs.values()),
-                },
+        if level is not before and engine.hooks.on_fallback:
+            engine.hooks.on_fallback(
+                rails[0], engine.machine.name, before, level,
+                min(confs.values()),
             )
-            if level < before:
-                # A ladder *drop* (lost trust) is a post-mortem moment:
-                # dump the flight-recorder ring leading up to it.
-                obs = self._cluster.obs
-                if obs.on:
-                    obs.flight.trigger(
-                        "ladder-drop",
-                        now,
-                        detail={
-                            "node": engine.machine.name,
-                            "from": before.name,
-                            "to": level.name,
-                            "confidence": min(confs.values()),
-                        },
-                    )
         if level is TrustLevel.FULL:
             plan = strategy.hetero_plan(msg, rails)
             plan = self._maybe_clamp(strategy, msg, plan)
@@ -389,7 +344,9 @@ class CalibrationController:
         plan.sizes = sizes
         plan.split.sizes = list(sizes)
         self.clamped_splits += 1
-        self._count("calibration.clamped_splits")
+        hooks = strategy.engine.hooks
+        if hooks.on_clamp:
+            hooks.on_clamp(plan)
         return plan
 
     # ------------------------------------------------------------------ #
@@ -454,33 +411,14 @@ class CalibrationController:
                 )
         return "\n".join(lines)
 
-    # ------------------------------------------------------------------ #
-    # obs plumbing (guarded — silent when observability is off)
-    # ------------------------------------------------------------------ #
-
-    def _count(self, name: str) -> None:
-        cluster = self._cluster
-        if cluster is None:
-            return
-        obs = cluster.obs
-        if obs.on:
-            obs.metrics.counter(name).inc()
-
-    def _emit_instant(self, nic: "Nic", name: str, args: Dict) -> None:
-        cluster = self._cluster
-        if cluster is None:
-            return
-        obs = cluster.obs
-        if obs.on and obs.tracer.enabled:
-            obs.tracer.instant(
-                nic.machine.name, "calibration", name, nic.sim.now,
-                cat="calibration", args=args,
-            )
-
 
 def install_calibration(cluster, controller: CalibrationController) -> None:
-    """Wire a controller into a built cluster (mirror of install_faults)."""
+    """Wire a controller into a built cluster (mirror of install_faults):
+    subscribe its drift feed to the hook stream, hand every engine its
+    planning handle, and arm prediction stamps (the feed reads them)."""
     controller.install(cluster)
     cluster.calibration = controller
+    cluster.hooks.subscribe(controller)
+    cluster.hooks.stamps = True
     for engine in cluster.engines.values():
         engine.calib = controller

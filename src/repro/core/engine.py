@@ -31,8 +31,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.estimator import NicEstimator
-from repro.core.calibration import NULL_CALIBRATION
-from repro.core.invariants import NULL_INVARIANTS, InvariantMonitor
 from repro.core.packets import (
     DegradedSend,
     Message,
@@ -54,7 +52,7 @@ from repro.hardware.core import Core
 from repro.hardware.machine import Machine
 from repro.networks.nic import Nic
 from repro.networks.transfer import Transfer, TransferKind
-from repro.obs import NULL_OBS, Observability
+from repro.obs.hooks import Hooks
 from repro.pioman.progress import PiomanEngine
 from repro.pioman.requests import SendRequest
 from repro.simtime import SimEvent
@@ -114,10 +112,11 @@ class NmadEngine:
         Exponential backoff of the watchdog re-check after a retry:
         ``delay = min(backoff_max, backoff_base * backoff_factor**n)``.
         ``backoff_base`` defaults to ``timeout``; ``backoff_max`` to 32x.
-    obs:
-        Shared :class:`~repro.obs.Observability` bundle (tracer, metrics,
-        accuracy telemetry).  ``None`` (default) uses the no-op singleton
-        — every hook site then costs a single attribute read.
+    hooks:
+        The cluster's hook stream (:mod:`repro.obs.hooks`), shared with
+        this node's scheduler, strategy, predictor, PIOMan and NICs.
+        ``None`` (default) builds a private one with nothing subscribed —
+        every hook site then costs a single attribute read.
     """
 
     def __init__(
@@ -134,8 +133,7 @@ class NmadEngine:
         backoff_base: Union[float, str, None] = None,
         backoff_factor: float = 2.0,
         backoff_max: Union[float, str, None] = None,
-        obs: Optional[Observability] = None,
-        invariants: Optional[InvariantMonitor] = None,
+        hooks: Optional[Hooks] = None,
     ) -> None:
         if not machine.nics:
             raise ConfigurationError(f"{machine.name} has no NICs")
@@ -145,16 +143,13 @@ class NmadEngine:
         self.machine = machine
         self.sim = machine.sim
         self.app_core: Core = machine.cores[app_core_id]
-        #: shared observability bundle (the null singleton when off);
-        #: installed onto this node's PIOMan engine and NICs below
-        self.obs = obs if obs is not None else NULL_OBS
-        #: shared invariant monitor (null singleton when off) — same
-        #: guarded-hook pattern as ``obs``; see repro.core.invariants
-        self.inv = invariants if invariants is not None else NULL_INVARIANTS
-        #: shared calibration controller (null singleton when off) —
-        #: installed post-build by install_calibration; unlike obs/inv,
-        #: an enabled controller deliberately influences planning
-        self.calib = NULL_CALIBRATION
+        #: the cluster's hook stream; installed onto this node's PIOMan
+        #: engine, predictor and NICs below
+        self.hooks = hooks if hooks is not None else Hooks()
+        #: the calibration controller's planning handle (None when off);
+        #: installed post-build by install_calibration — unlike the hook
+        #: subscribers, an armed controller deliberately changes plans
+        self.calib = None
         self.marcel = marcel or MarcelScheduler(machine)
         self.pioman = pioman or PiomanEngine(
             machine,
@@ -164,13 +159,12 @@ class NmadEngine:
         )
         self.pioman.bind()
         self.pioman.rx_dispatch = self._on_transfer
-        self.pioman.obs = self.obs
-        self.pioman.inv = self.inv
+        self.pioman.hooks = self.hooks
         self.predictor = (
-            CompletionPredictor(estimators) if estimators else None
+            CompletionPredictor(estimators, hooks=self.hooks, node=machine.name)
+            if estimators
+            else None
         )
-        if self.predictor is not None:
-            self.predictor.bind_obs(self.obs, machine.name)
         self.scheduler = OptimizerScheduler(self)
         self.strategy = strategy
         strategy.attach(self)
@@ -182,8 +176,7 @@ class NmadEngine:
             nic.idle_listeners.append(self.scheduler.on_nic_idle)
             nic.down_listeners.append(self._on_nic_down)
             nic.up_listeners.append(self._on_nic_up)
-            nic.obs = self.obs
-            nic.inv = self.inv
+            nic.hooks = self.hooks
         # receive-side state
         self._posted_recvs: List[RecvHandle] = []
         self._unexpected: List[Message] = []
@@ -275,26 +268,8 @@ class NmadEngine:
         self.messages_sent += 1
         self.bytes_sent += size
         self.sent_log.append(msg)
-        if self.inv.on:
-            self.inv.on_send(msg)
-        obs = self.obs
-        if obs.on:
-            node = self.machine.name
-            obs.metrics.counter(f"engine.{node}.messages_sent").inc()
-            obs.metrics.counter(f"engine.{node}.bytes_sent").inc(size)
-            obs.flight.record(
-                "send", self.sim.now, node,
-                {"msg": msg.msg_id, "dest": dest, "size": size, "tag": tag},
-            )
-            if obs.tracer.enabled:
-                obs.tracer.async_begin(
-                    node, "messages", f"msg{msg.msg_id}", msg.msg_id,
-                    self.sim.now, cat="message",
-                    args={
-                        "dest": dest, "size": size, "tag": tag,
-                        "mode": msg.mode.value if msg.mode else "deferred",
-                    },
-                )
+        if self.hooks.on_send:
+            self.hooks.on_send(msg)
         self.scheduler.enqueue(msg)
         if self.timeout is not None:
             self._arm_watchdog(msg, 0, self.timeout, self._progress_of(msg))
@@ -387,8 +362,9 @@ class NmadEngine:
     def _predict_chunk(self, transfer: Transfer, nic: Nic) -> None:
         """Stamp accuracy-telemetry predictions on an outgoing data chunk.
 
-        Only called when observability or calibration is on (the drift
-        loop consumes the same stamps) and a predictor exists.
+        Only called when ``hooks.stamps`` is set (obs or calibration on:
+        accuracy telemetry and the drift feed read the stamps) and a
+        predictor exists.
         Purely passive: the estimator lookups are memoized value lookups
         that change no planning state, so simulated timestamps are
         unmoved with or without the stamps.
@@ -430,7 +406,7 @@ class NmadEngine:
         msg.rails_used = [nic.qualified_name for nic, _ in chunks]
         msg.chunk_sizes = list(sizes)
         msg.transfers.extend(transfers)
-        if (self.obs.on or self.calib.on) and self.predictor is not None:
+        if self.hooks.stamps and self.predictor is not None:
             for t, (nic, _) in zip(transfers, chunks):
                 self._predict_chunk(t, nic)
         if offload and len(chunks) > 1:
@@ -472,7 +448,7 @@ class NmadEngine:
             self.app_core.run(agg_cost, label="aggregate")
         for m in msgs:
             m.transfers.append(packet)
-        if (self.obs.on or self.calib.on) and self.predictor is not None:
+        if self.hooks.stamps and self.predictor is not None:
             self._predict_chunk(packet, nic)
         nic.submit(packet, self.app_core)
 
@@ -490,14 +466,12 @@ class NmadEngine:
     # ------------------------------------------------------------------ #
 
     def _on_transfer(self, transfer: Transfer, nic: Nic) -> None:
-        if self.obs.on:
-            self._observe_arrival(transfer, nic)
-        calib = self.calib
-        if calib.on:
-            # Feed the drift loop the same (predicted, actual) pair the
-            # accuracy telemetry sees — may trigger an online re-sample
-            # (zero simulated time; the probe runs a private simulator).
-            calib.observe_transfer(transfer, nic)
+        # ``t_complete`` is stamped (PIOMan's ``_rx_done`` runs before
+        # the dispatch), so subscribers see the whole submit→complete
+        # interval; the drift feed may re-sample here (zero simulated
+        # time: the probe runs a private simulator).
+        if self.hooks.on_arrival:
+            self.hooks.on_arrival(transfer, nic)
         if transfer.kind is TransferKind.EAGER:
             self._on_eager(transfer)
         elif transfer.kind is TransferKind.RDV_REQ:
@@ -509,61 +483,6 @@ class NmadEngine:
         else:  # pragma: no cover - exhaustive over TransferKind
             raise ProtocolError(f"unknown transfer kind {transfer.kind}")
 
-    def _observe_arrival(self, transfer: Transfer, nic: Nic) -> None:
-        """Record one fully-processed transfer (receiver side, purely
-        passive): lifecycle span, counters, prediction-accuracy pairing.
-
-        ``t_complete`` is already stamped (PIOMan's ``_rx_done`` runs
-        before the dispatch), so the whole submit→complete interval is
-        known here.
-        """
-        obs = self.obs
-        src = transfer.src_node or "?"
-        rail = transfer.nic_name or nic.qualified_name
-        tr = obs.tracer
-        if (
-            tr.enabled
-            and transfer.t_submit is not None
-            and transfer.t_complete is not None
-        ):
-            # Emit the id-matched pair in one go; the exporter re-sorts
-            # by timestamp, so recording both at arrival time is safe.
-            lane = f"rail:{rail.split('.')[-1]}"
-            span_args = {
-                "msg": transfer.msg_id,
-                "size": transfer.size,
-                "rail": rail,
-                "chunk": f"{transfer.chunk_index + 1}/{transfer.chunk_count}",
-            }
-            tr.async_begin(
-                src, lane, transfer.kind.value, transfer.transfer_id,
-                transfer.t_submit, cat="transfer", args=span_args,
-            )
-            tr.async_end(
-                src, lane, transfer.kind.value, transfer.transfer_id,
-                transfer.t_complete, cat="transfer",
-            )
-        acc = obs.accuracy
-        if (
-            acc.enabled
-            and transfer.predicted_time is not None
-            and transfer.t_complete is not None
-        ):
-            start = (
-                transfer.t_service_start
-                if transfer.t_service_start is not None
-                else transfer.t_submit
-            )
-            acc.record(
-                rail=rail,
-                mode=transfer.kind.value,
-                size=transfer.size,
-                predicted=transfer.predicted_time,
-                actual=transfer.t_complete - start,
-                predicted_completion=transfer.predicted_completion,
-                actual_completion=transfer.t_complete,
-            )
-
     def _account_delivery(self, msg: Message, transfer: Transfer, nbytes: int) -> None:
         """Receiver-side integrity gate in front of chunk accounting.
 
@@ -574,23 +493,14 @@ class NmadEngine:
         suppressed (counted, surfaced to the invariant monitor) instead
         of corrupting the byte accounting.
         """
-        inv = self.inv
+        hooks = self.hooks
         if not msg.register_delivery(transfer.chunk_key):
             self.duplicates_suppressed += 1
-            obs = self.obs
-            if obs.on:
-                obs.metrics.counter(
-                    f"engine.{self.machine.name}.duplicates_suppressed"
-                ).inc()
-                obs.flight.record(
-                    "duplicate-suppressed", self.sim.now, self.machine.name,
-                    {"msg": msg.msg_id, "transfer": transfer.transfer_id},
-                )
-            if inv.on:
-                inv.on_duplicate(msg, transfer, self.sim.now)
+            if hooks.on_duplicate:
+                hooks.on_duplicate(msg, transfer, self.sim.now)
             return
-        if inv.on:
-            inv.on_delivery(msg, transfer, self.sim.now)
+        if hooks.on_delivery:
+            hooks.on_delivery(msg, transfer, self.sim.now)
         if msg.account_chunk(nbytes):
             self._complete_message(msg)
 
@@ -648,7 +558,7 @@ class NmadEngine:
         msg.expect_chunks(len(plan.nics))
         msg.rails_used = [n.qualified_name for n in plan.nics]
         msg.chunk_sizes = list(plan.sizes)
-        stamp = (self.obs.on or self.calib.on) and self.predictor is not None
+        stamp = self.hooks.stamps and self.predictor is not None
         for t, nic in zip(make_rdv_chunks(msg, plan.sizes), plan.nics):
             msg.transfers.append(t)
             if stamp:
@@ -667,27 +577,8 @@ class NmadEngine:
         msg.status = MessageStatus.COMPLETE
         msg.t_complete = self.sim.now
         self.messages_completed += 1
-        if self.inv.on:
-            self.inv.on_complete(msg, self.sim.now)
-        obs = self.obs
-        if obs.on:
-            # Account completions on the *sender's* lane so the series
-            # lines up with its messages_sent (this runs receiver-side).
-            obs.metrics.counter(f"engine.{msg.src}.messages_completed").inc()
-            if msg.t_post is not None:
-                obs.metrics.histogram(
-                    f"engine.{msg.src}.message_latency_us"
-                ).observe(self.sim.now - msg.t_post)
-            obs.flight.record(
-                "complete", self.sim.now, msg.src,
-                {"msg": msg.msg_id, "retries": msg.retries},
-            )
-            if obs.tracer.enabled:
-                obs.tracer.async_end(
-                    msg.src, "messages", f"msg{msg.msg_id}", msg.msg_id,
-                    self.sim.now, cat="message",
-                    args={"retries": msg.retries},
-                )
+        if self.hooks.on_complete:
+            self.hooks.on_complete(msg, self.sim.now)
         self._cancel_watchdog(msg)
         assert msg.done is not None
         msg.done.trigger(msg)
@@ -780,8 +671,11 @@ class NmadEngine:
             m.retries += 1
             m.transfers.append(new)
         self.retries_issued += 1
-        if self.inv.on:
-            self.inv.on_retry(primary, old, new, self.max_retries, self.sim.now)
+        hooks = self.hooks
+        if hooks.on_retry:
+            hooks.on_retry(
+                primary, old, new, self.max_retries, self.sim.now, nic, reason
+            )
         self.retry_log.append(
             RetryRecord(
                 time=self.sim.now,
@@ -793,34 +687,7 @@ class NmadEngine:
                 reason=reason,
             )
         )
-        obs = self.obs
-        if obs.on:
-            node = self.machine.name
-            obs.metrics.counter(f"engine.{node}.retries_issued").inc()
-            obs.metrics.counter(f"engine.{node}.retries_{reason}").inc()
-            obs.flight.record(
-                "retry", self.sim.now, node,
-                {
-                    "msg": primary.msg_id,
-                    "rail": nic.qualified_name,
-                    "reason": reason,
-                },
-            )
-            if obs.tracer.enabled:
-                obs.tracer.instant(
-                    node, "faults", "retry", self.sim.now, cat="fault",
-                    args={
-                        "msg": primary.msg_id,
-                        "kind": new.kind.value,
-                        "old_transfer": old.transfer_id,
-                        "new_transfer": new.transfer_id,
-                        "rail": nic.qualified_name,
-                        "reason": reason,
-                    },
-                )
-            if self.predictor is not None and not self.calib.on:
-                self._predict_chunk(new, nic)
-        if self.calib.on and self.predictor is not None:
+        if hooks.stamps and self.predictor is not None:
             self._predict_chunk(new, nic)
         nic.submit(new, self.app_core)
         return True
@@ -880,44 +747,8 @@ class NmadEngine:
             size=msg.size,
         )
         self.messages_degraded += 1
-        if self.inv.on:
-            self.inv.on_degraded(msg, self.sim.now)
-        obs = self.obs
-        if obs.on:
-            node = self.machine.name
-            obs.metrics.counter(f"engine.{node}.messages_degraded").inc()
-            obs.flight.record(
-                "degraded", self.sim.now, node,
-                {
-                    "msg": msg.msg_id,
-                    "reason": reason,
-                    "retries": msg.retries,
-                    "bytes_received": msg.bytes_received,
-                },
-            )
-            # A send was given up on — dump the ring for post-mortem.
-            obs.flight.trigger(
-                "degraded-send",
-                self.sim.now,
-                detail={"msg": msg.msg_id, "reason": reason, "node": node},
-            )
-            if obs.tracer.enabled:
-                obs.tracer.instant(
-                    node, "faults", "degraded", self.sim.now, cat="fault",
-                    args={
-                        "msg": msg.msg_id,
-                        "reason": reason,
-                        "retries": msg.retries,
-                        "bytes_received": msg.bytes_received,
-                    },
-                )
-                # Close the message's async span so the trace validates
-                # even when a send is given up on.
-                obs.tracer.async_end(
-                    msg.src, "messages", f"msg{msg.msg_id}", msg.msg_id,
-                    self.sim.now, cat="message",
-                    args={"degraded": True},
-                )
+        if self.hooks.on_degraded:
+            self.hooks.on_degraded(msg, self.sim.now, self.machine.name)
         self._cancel_watchdog(msg)
         if msg.done is not None and not msg.done.triggered:
             msg.done.trigger(msg)

@@ -1,12 +1,12 @@
 """Runtime invariant checking: machine-checked delivery integrity.
 
-An :class:`InvariantMonitor` is wired through the engine, scheduler,
-NICs, PIOMan and the fault injector exactly like the ``repro.obs``
-observability hub: every hook site guards on a single ``inv.on``
-attribute read against the shared :data:`NULL_INVARIANTS` singleton, so
-a cluster built without invariants pays one attribute read per hook and
-moves **no simulated timestamp** when they are enabled — the monitor is
-purely passive, it reads state and raises, it never schedules events.
+An :class:`InvariantMonitor` is a subscriber of the cluster's hook
+stream (:mod:`repro.obs.hooks`), like the obs surfaces: the engine,
+scheduler, NICs, switches, PIOMan, fault injector and collectives emit
+their facts once and the monitor checks them.  A cluster built without
+invariants does not subscribe it, and enabling it moves **no simulated
+timestamp** — the monitor is purely passive, it reads state and raises,
+it never schedules events.
 
 Checked invariants (the catalogue in ``docs/chaos.md``):
 
@@ -162,63 +162,6 @@ class _MessageLedger:
     degraded: bool = False
 
 
-class NullInvariantMonitor:
-    """The disabled monitor: one shared instance, every hook a no-op.
-
-    Hook sites guard on :attr:`on` (a plain ``False`` attribute read) so
-    none of these methods are reached on the healthy default path; they
-    exist so unguarded test/diagnostic code can call them safely.
-    """
-
-    __slots__ = ()
-    on = False
-
-    def bind_context(self, seed=None, schedule=None) -> None:
-        pass
-
-    def on_send(self, msg) -> None:
-        pass
-
-    def on_delivery(self, msg, transfer, now) -> None:
-        pass
-
-    def on_duplicate(self, msg, transfer, now) -> None:
-        pass
-
-    def on_complete(self, msg, now) -> None:
-        pass
-
-    def on_degraded(self, msg, now) -> None:
-        pass
-
-    def on_retry(self, msg, old, new, max_retries, now) -> None:
-        pass
-
-    def on_activation(self, node, outlist, now) -> None:
-        pass
-
-    def on_tx(self, nic, transfer, start, now) -> None:
-        pass
-
-    def on_rx_done(self, transfer, nic, now) -> None:
-        pass
-
-    def on_fault(self, rule_id, action, now) -> None:
-        pass
-
-    def on_route(self, switch, spine, alive, now) -> None:
-        pass
-
-    def on_replan(self, rank, seq, planned, accounted, remaining, now) -> None:
-        pass
-
-    def on_collective_complete(self, rank, seq, planned, accounted, now) -> None:
-        pass
-
-    def check_drain(self, cluster) -> None:
-        pass
-
-
 class InvariantMonitor:
     """Simulation-time invariant checker for one cluster.
 
@@ -232,7 +175,6 @@ class InvariantMonitor:
     """
 
     __slots__ = (
-        "on",
         "trail_depth",
         "strict_checksums",
         "_trail",
@@ -248,7 +190,6 @@ class InvariantMonitor:
     def __init__(
         self, trail_depth: int = DEFAULT_TRAIL_DEPTH, strict_checksums: bool = True
     ) -> None:
-        self.on = True
         self.trail_depth = int(trail_depth)
         self.strict_checksums = bool(strict_checksums)
         self._trail: Deque[str] = deque(maxlen=self.trail_depth)
@@ -262,6 +203,10 @@ class InvariantMonitor:
         self.checks_performed: int = 0
         #: duplicate deliveries correctly suppressed by the engine
         self.duplicates_seen: int = 0
+
+    #: a suppressed duplicate reaches the obs surfaces before this
+    #: monitor checks it, so a violation dump taken here still holds it
+    hook_late = ("on_duplicate",)
 
     def __repr__(self) -> str:
         return (
@@ -430,7 +375,7 @@ class InvariantMonitor:
             )
         self._note(f"complete msg={msg.msg_id}")
 
-    def on_degraded(self, msg, now: float) -> None:
+    def on_degraded(self, msg, now: float, *_) -> None:
         self._touch(now, f"degradation of msg {msg.msg_id}")
         ledger = self._ledgers.get(msg.msg_id)
         if ledger is not None:
@@ -438,7 +383,7 @@ class InvariantMonitor:
         reason = msg.outcome.reason if msg.outcome is not None else "?"
         self._note(f"degraded msg={msg.msg_id}: {reason}")
 
-    def on_retry(self, msg, old, new, max_retries: int, now: float) -> None:
+    def on_retry(self, msg, old, new, max_retries: int, now: float, *_) -> None:
         self._touch(now, f"retry of transfer {old.transfer_id}")
         if msg.retries > max_retries:
             self._violate(
@@ -505,7 +450,7 @@ class InvariantMonitor:
                 now,
             )
 
-    def on_fault(self, rule_id: int, action, now: float) -> None:
+    def on_fault(self, rule_id: int, action, now: float, *_) -> None:
         self._touch(now, f"fault rule {rule_id}")
         last_time, last_rule = self._last_fault
         if now < last_time or (now == last_time and rule_id < last_rule):
@@ -522,13 +467,13 @@ class InvariantMonitor:
     # fabric routing / collective re-plan hooks
     # ------------------------------------------------------------------ #
 
-    def on_route(self, switch: str, spine, alive: bool, now: float) -> None:
+    def on_route(self, switch, spine, alive: bool, now: float) -> None:
         """An inter-pod flow was assigned a spine (or failed to be)."""
-        self._touch(now, f"route decision on {switch}")
+        self._touch(now, f"route decision on {switch.name}")
         if not alive:
             self._violate(
                 "route-liveness",
-                f"{switch}: flow pinned to down spine {spine} while "
+                f"{switch.name}: flow pinned to down spine {spine} while "
                 f"another spine is up",
                 now,
             )
@@ -541,6 +486,7 @@ class InvariantMonitor:
         accounted: int,
         remaining: int,
         now: float,
+        *_,
     ) -> None:
         """A collective re-cut its remaining schedule mid-flight."""
         self._touch(now, f"re-plan on rank {rank}")
@@ -626,13 +572,8 @@ class InvariantMonitor:
         }
 
 
-#: the shared disabled monitor — the default for every engine/NIC/injector
-NULL_INVARIANTS = NullInvariantMonitor()
-
 __all__ = [
     "DEFAULT_TRAIL_DEPTH",
     "InvariantMonitor",
     "InvariantViolation",
-    "NullInvariantMonitor",
-    "NULL_INVARIANTS",
 ]

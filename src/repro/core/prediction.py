@@ -20,6 +20,7 @@ from repro.core.estimator import NicEstimator, SampleTable
 from repro.core.packets import TransferMode
 from repro.core.split import SplitResult, dichotomy_split, waterfill_split
 from repro.networks.nic import Nic
+from repro.obs.hooks import Hooks
 from repro.util.errors import ConfigurationError, SamplingError, SchedulingError
 
 
@@ -117,12 +118,17 @@ class CompletionPredictor:
     cache hit never changes any planned byte — simulated timestamps stay
     bit-identical to an uncached run.  A coarser quantum trades that
     exactness for more hits under jittery offsets; opt-in only.
+
+    ``hooks``/``node``: the owning engine's hook stream and node name —
+    every plan decision is emitted as ``on_plan`` under that node.
     """
 
     def __init__(
         self,
         estimators: Dict[str, NicEstimator],
         offset_quantum: float = 0.0,
+        hooks: Optional[Hooks] = None,
+        node: str = "",
     ) -> None:
         if not estimators:
             raise SamplingError("predictor needs at least one estimator")
@@ -134,16 +140,8 @@ class CompletionPredictor:
         self._scaled_cache: Dict[Tuple[str, float], _ScaledEstimator] = {}
         self.plan_cache_hits = 0
         self.plan_cache_misses = 0
-        # observability (bound by the owning engine; None = untraced)
-        self._obs = None
-        self._obs_node = ""
-
-    def bind_obs(self, obs, node: str) -> None:
-        """Attach an :class:`~repro.obs.Observability` bundle; plan
-        decisions are then traced under ``node``'s lanes.  Re-bound by
-        ``Cluster.resample`` when fresh estimators swap the predictor."""
-        self._obs = obs
-        self._obs_node = node
+        self.hooks = hooks if hooks is not None else Hooks()
+        self.node = node
 
     def invalidate_plan_cache(self) -> None:
         """Drop every cached split decision (hit/miss counters survive)."""
@@ -386,9 +384,9 @@ class CompletionPredictor:
                 predicted_completion=completion,
                 split=split,
             )
-            if self._obs is not None and self._obs.on:
-                self._trace_plan(
-                    nics, offsets, size, mode, plan, iterations, cached=True
+            if self.hooks.on_plan:
+                self.hooks.on_plan(
+                    self.node, nics, offsets, size, mode, plan, iterations, True
                 )
             return plan
         self.plan_cache_misses += 1
@@ -437,61 +435,8 @@ class CompletionPredictor:
             predicted_completion=completion,
             split=split,
         )
-        if self._obs is not None and self._obs.on:
-            self._trace_plan(
-                nics, offsets, size, mode, plan, split.iterations, cached=False
+        if self.hooks.on_plan:
+            self.hooks.on_plan(
+                self.node, nics, offsets, size, mode, plan, split.iterations, False
             )
         return plan
-
-    def _trace_plan(
-        self,
-        considered: Sequence[Nic],
-        offsets: Sequence[float],
-        size: int,
-        mode: TransferMode,
-        plan: RailPlan,
-        iterations: int,
-        cached: bool,
-    ) -> None:
-        """Record one §II-B decision: rails considered, rails discarded
-        (the Fig. 2 path), split ratio, dichotomy iterations."""
-        from repro.obs.metrics import DEFAULT_DEPTH_BUCKETS
-
-        obs = self._obs
-        node = self._obs_node
-        obs.metrics.counter(f"predictor.{node}.plans").inc()
-        obs.metrics.counter(
-            f"predictor.{node}.plan_cache_{'hits' if cached else 'misses'}"
-        ).inc()
-        obs.metrics.histogram(
-            f"predictor.{node}.rails_per_plan", bounds=DEFAULT_DEPTH_BUCKETS
-        ).observe(len(plan.nics))
-        tr = obs.tracer
-        if not tr.enabled:
-            return
-        chosen = {n.qualified_name for n in plan.nics}
-        discarded = [
-            {
-                "rail": n.qualified_name,
-                "busy_offset_us": off,
-                # The Fig. 2 rule: the chosen subset is predicted to
-                # finish before this rail would help.
-                "reason": "predicted-slower",
-            }
-            for n, off in zip(considered, offsets)
-            if n.qualified_name not in chosen
-        ]
-        tr.instant(
-            node, "planner", "plan", considered[0].sim.now, cat="decision",
-            args={
-                "size": size,
-                "mode": mode.value,
-                "considered": [n.qualified_name for n in considered],
-                "busy_offsets_us": list(offsets),
-                "chosen": sorted(chosen),
-                "chunk_sizes": list(plan.sizes),
-                "iterations": iterations,
-                "predicted_completion_us": plan.predicted_completion,
-                "cache": "hit" if cached else "miss",
-            },
-        )

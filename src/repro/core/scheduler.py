@@ -101,9 +101,9 @@ class OptimizerScheduler:
         self._in_activation = True
         try:
             self.activations += 1
-            inv = self.engine.inv
-            if inv.on:
-                inv.on_activation(
+            hooks = self.engine.hooks
+            if hooks.on_activation:
+                hooks.on_activation(
                     self.engine.machine.name, self._outlist, self.sim.now
                 )
             for msg in self._outlist:
@@ -112,16 +112,6 @@ class OptimizerScheduler:
                 # actually send (strategies branch on msg.mode).
                 if msg.mode is None and self.engine.sendable(msg):
                     msg.mode = self.engine.strategy.choose_mode(msg)
-            obs = self.engine.obs
-            if obs.on:
-                from repro.obs.metrics import DEFAULT_DEPTH_BUCKETS
-
-                node = self.engine.machine.name
-                obs.metrics.counter(f"scheduler.{node}.activations").inc()
-                obs.metrics.histogram(
-                    f"scheduler.{node}.outlist_depth",
-                    bounds=DEFAULT_DEPTH_BUCKETS,
-                ).observe(len(self._outlist))
             self.engine.strategy.schedule_outlist()
         finally:
             self._in_activation = False

@@ -63,21 +63,10 @@ class AdaptiveStrategy(MulticoreSplitStrategy):
                 nic = self._aggregation_rail(msg.dest, sum(m.size for m in batch))
                 engine.submit_aggregated_eager(batch, nic)
                 self.aggregations += 1
-                obs = self.obs
-                if obs.on:
-                    node = engine.machine.name
-                    obs.metrics.counter(f"strategy.{node}.aggregations").inc()
-                    if obs.tracer.enabled:
-                        obs.tracer.instant(
-                            node, "strategy", "aggregate", engine.sim.now,
-                            cat="decision",
-                            args={
-                                "dest": msg.dest,
-                                "messages": [m.msg_id for m in batch],
-                                "total_bytes": sum(m.size for m in batch),
-                                "rail": nic.qualified_name,
-                            },
-                        )
+                if engine.hooks.on_aggregate:
+                    engine.hooks.on_aggregate(
+                        engine.machine.name, batch, nic, engine.sim.now
+                    )
             else:
                 # A lone packet: parallel send over separate NICs from
                 # different cores when the estimator says it pays off.
@@ -86,10 +75,8 @@ class AdaptiveStrategy(MulticoreSplitStrategy):
                 self._emit_eager(msg)
                 if len(msg.rails_used) > 1:
                     self.splits += 1
-                    if self.obs.on:
-                        self.obs.metrics.counter(
-                            f"strategy.{engine.machine.name}.splits"
-                        ).inc()
+                    if engine.hooks.on_lone_split:
+                        engine.hooks.on_lone_split(engine.machine.name)
                 del rails_before
 
     # ------------------------------------------------------------------ #

@@ -59,15 +59,6 @@ class Strategy:
             )
 
     @property
-    def obs(self):
-        """The engine's observability hub (NULL_OBS until attached)."""
-        if self.engine is None:
-            from repro.obs import NULL_OBS
-
-            return NULL_OBS
-        return self.engine.obs
-
-    @property
     def predictor(self) -> "CompletionPredictor":
         assert self.engine is not None, "strategy not attached"
         if self.engine.predictor is None:

@@ -161,22 +161,10 @@ class MulticoreSplitStrategy(HeteroSplitStrategy):
             else:
                 self.engine.start_rendezvous(msg, control_nic=self.control_rail(msg))
             return
-        obs = self.obs
-        if obs.on:
-            node = engine.machine.name
-            obs.metrics.counter(f"strategy.{node}.splits").inc()
-            if obs.tracer.enabled:
-                obs.tracer.instant(
-                    node, "strategy", "split", engine.sim.now, cat="decision",
-                    args={
-                        "msg": msg.msg_id,
-                        "size": msg.size,
-                        "rails": [n.qualified_name for n in plan.nics],
-                        "chunk_sizes": list(plan.sizes),
-                        "iterations": plan.split.iterations,
-                        "to_us": self._to(),
-                    },
-                )
+        if engine.hooks.on_split:
+            engine.hooks.on_split(
+                engine.machine.name, msg, plan, self._to(), engine.sim.now
+            )
         engine.submit_eager_chunks(
             msg,
             list(zip(plan.nics, plan.sizes)),

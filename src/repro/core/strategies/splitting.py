@@ -179,7 +179,7 @@ class HeteroSplitStrategy(_SplitBase):
     def plan_rdv_data(self, msg: Message):
         rails = self.rails_to(msg.dest, msg)
         calib = self.engine.calib
-        if calib.on:
+        if calib is not None:
             # Drift defense: the calibration controller walks the
             # fallback ladder and delegates back to hetero_plan while
             # the profiles are trusted (docs/calibration.md).

@@ -576,14 +576,9 @@ def _violation_flight_dump(cluster, violation) -> Optional[Dict[str, Any]]:
     if dump is None or dump.get("reason") != "invariant-violation":
         # Mid-run violations (monitor raises inside cluster.run())
         # bypass check_drain's trigger — snapshot the ring now.
-        dump = flight.trigger(
-            "invariant-violation",
-            cluster.sim.now,
-            detail={
-                "invariant": violation.invariant,
-                "message": violation.detail,
-            },
-        )
+        if cluster.hooks.on_violation:
+            cluster.hooks.on_violation(violation, cluster.sim.now)
+        dump = flight.last_dump()
     return dump
 
 

@@ -16,12 +16,11 @@ from __future__ import annotations
 import random
 from typing import Dict, Iterable, List, Tuple
 
-from repro.core.invariants import NULL_INVARIANTS
 from repro.faults.schedule import FABRIC_ACTIONS, FaultAction, FaultSchedule
 from repro.networks.nic import DropRule, Nic
 from repro.networks.switch import FatTreeSwitch, Switch
 from repro.networks.transfer import TransferKind
-from repro.obs import NULL_OBS
+from repro.obs.hooks import Hooks
 from repro.util.errors import ConfigurationError
 
 #: fabric actions aimed at fat-tree spines rather than edge links
@@ -54,10 +53,8 @@ class FaultInjector:
         #: the audit trail the rule-ordering regression test reads
         self.fired_log: List[Tuple[float, int, str, str]] = []
         self._armed = False
-        #: observability hub; install_faults swaps in the cluster-wide one
-        self.obs = NULL_OBS
-        #: invariant monitor; install_faults swaps in the cluster-wide one
-        self.inv = NULL_INVARIANTS
+        #: the cluster's hook stream; install_faults installs it
+        self.hooks = Hooks()
 
     def __repr__(self) -> str:
         return (
@@ -207,30 +204,13 @@ class FaultInjector:
         self.fired_log.append(
             (self.sim.now, rule_id, nic.qualified_name, action.action)
         )
-        if self.inv.on:
-            self.inv.on_fault(rule_id, action, self.sim.now)
-        silent = action.action in ("silent_degrade", "silent_restore")
-        obs = self.obs
-        # Silent actions are the whole point of the calibration drift
-        # loop: no metrics counter, no trace instant — nothing downstream
-        # of obs may learn about them.  They still land in fired_log (the
-        # injector's own audit trail) and the invariant rule-order check.
-        if obs.on and not silent:
-            obs.metrics.counter("faults.fired").inc()
-            obs.metrics.counter(f"faults.{action.action}").inc()
-            if obs.tracer.enabled:
-                obs.tracer.instant(
-                    nic.machine.name,
-                    f"nic:{nic.name}",
-                    f"fault:{action.action}",
-                    self.sim.now,
-                    cat="fault",
-                    args={
-                        "nic": nic.qualified_name,
-                        "rule_id": rule_id,
-                        "params": dict(action.params),
-                    },
-                )
+        # Silent actions (the calibration drift loop's test case) are
+        # emitted too: the invariant rule-order check audits them, while
+        # the obs subscribers ignore them.
+        if self.hooks.on_fault:
+            self.hooks.on_fault(
+                rule_id, action, self.sim.now, nic, nic.qualified_name
+            )
         if action.action == "down":
             nic.fail()
         elif action.action == "up":
@@ -282,25 +262,8 @@ class FaultInjector:
         self.fired_log.append(
             (self.sim.now, rule_id, qualified, action.action)
         )
-        if self.inv.on:
-            self.inv.on_fault(rule_id, action, self.sim.now)
-        obs = self.obs
-        if obs.on:
-            obs.metrics.counter("faults.fired").inc()
-            obs.metrics.counter(f"faults.{action.action}").inc()
-            if obs.tracer.enabled:
-                obs.tracer.instant(
-                    sw.name,
-                    "fabric",
-                    f"fault:{action.action}",
-                    self.sim.now,
-                    cat="fault",
-                    args={
-                        "target": qualified,
-                        "rule_id": rule_id,
-                        "params": dict(action.params),
-                    },
-                )
+        if self.hooks.on_fault:
+            self.hooks.on_fault(rule_id, action, self.sim.now, sw, qualified)
         a = action.action
         if a == "link_down":
             sw.link_fail(target)
@@ -336,8 +299,7 @@ def install_faults(cluster, schedule: FaultSchedule) -> FaultInjector:
         for nic in machine.nics
     ]
     injector = FaultInjector(nics, schedule)
-    injector.obs = getattr(cluster, "obs", NULL_OBS)
-    injector.inv = getattr(cluster, "invariants", None) or NULL_INVARIANTS
+    injector.hooks = cluster.hooks
     injector.arm()
     cluster.fault_injector = injector
     return injector

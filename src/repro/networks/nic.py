@@ -35,7 +35,7 @@ from repro.hardware.core import Core
 from repro.hardware.machine import Machine
 from repro.networks.profile import NetworkProfile
 from repro.networks.transfer import Transfer, TransferKind, wire_checksum
-from repro.obs import NULL_OBS
+from repro.obs.hooks import Hooks
 from repro.simtime import Resource, SimEvent, Simulator, Timeout
 from repro.util.errors import ConfigurationError, SchedulingError
 
@@ -120,7 +120,7 @@ class Nic:
         self.extra_latency: float = 0.0
         # Silent degradation (calibration PR): slows the transmit engine
         # like ``bw_factor`` but is deliberately invisible to planning —
-        # ``is_degraded`` stays False, no obs event fires, no fault window
+        # ``is_degraded`` stays False, no hook event fires, no fault window
         # is logged.  Only the prediction-error stream can notice it.
         self.silent_bw_factor: float = 1.0
         self.silent_log: List[FaultWindow] = []
@@ -133,16 +133,9 @@ class Nic:
         self.up_listeners: List[Callable[["Nic"], None]] = []
         self.transfers_aborted: int = 0
         self.transfers_dropped: int = 0
-        #: observability bundle; installed by the owning engine (guarded
-        #: call sites — the shared null bundle costs one attribute read)
-        self.obs = NULL_OBS
-        #: invariant monitor; installed by the owning engine (same
-        #: guarded-hook pattern; the null singleton when checking is off).
-        #: Imported at runtime: repro.core's package init reaches this
-        #: module, so a top-level import would be circular.
-        from repro.core.invariants import NULL_INVARIANTS
-
-        self.inv = NULL_INVARIANTS
+        #: the cluster's hook stream; installed by the owning engine (and
+        #: read by the wire or switch this NIC transmits into)
+        self.hooks = Hooks()
         machine._attach_nic(self)
 
     def __repr__(self) -> str:
@@ -254,17 +247,8 @@ class Nic:
             if t.tx_done is not None and not t.tx_done.triggered:
                 t.tx_done.trigger(t)
         self.transfers_aborted += len(aborted)
-        obs = self.obs
-        if obs.on:
-            obs.metrics.counter(f"nic.{self.qualified_name}.down").inc()
-            obs.metrics.counter(f"nic.{self.qualified_name}.aborted").inc(
-                len(aborted)
-            )
-            obs.tracer.instant(
-                self.machine.name, f"nic:{self.name}", "nic-down",
-                self.sim.now, cat="fault",
-                args={"aborted": [t.transfer_id for t in aborted]},
-            )
+        if self.hooks.on_nic_down:
+            self.hooks.on_nic_down(self, aborted)
         for listener in list(self.down_listeners):
             listener(self, list(aborted))
         return aborted
@@ -276,14 +260,8 @@ class Nic:
         self._up = True
         start = self._open_faults.pop("down", self.sim.now)
         self.fault_log.append(FaultWindow(start, self.sim.now, "down"))
-        obs = self.obs
-        if obs.on:
-            obs.metrics.counter(f"nic.{self.qualified_name}.up").inc()
-            obs.tracer.instant(
-                self.machine.name, f"nic:{self.name}", "nic-up",
-                self.sim.now, cat="fault",
-                args={"downtime_us": self.sim.now - start},
-            )
+        if self.hooks.on_nic_up:
+            self.hooks.on_nic_up(self, start)
         for listener in list(self.up_listeners):
             listener(self)
         self._maybe_notify_idle()
@@ -301,14 +279,8 @@ class Nic:
             self._open_faults["degraded"] = self.sim.now
         self.bw_factor = bw_factor
         self.extra_latency = extra_latency
-        obs = self.obs
-        if obs.on:
-            obs.metrics.counter(f"nic.{self.qualified_name}.degrade").inc()
-            obs.tracer.instant(
-                self.machine.name, f"nic:{self.name}", "nic-degrade",
-                self.sim.now, cat="fault",
-                args={"bw_factor": bw_factor, "extra_latency": extra_latency},
-            )
+        if self.hooks.on_nic_degrade:
+            self.hooks.on_nic_degrade(self, bw_factor, extra_latency)
 
     def restore(self) -> None:
         """End a degradation window (no-op when not degraded)."""
@@ -318,20 +290,14 @@ class Nic:
         self.extra_latency = 0.0
         start = self._open_faults.pop("degraded", self.sim.now)
         self.fault_log.append(FaultWindow(start, self.sim.now, "degraded"))
-        obs = self.obs
-        if obs.on:
-            obs.metrics.counter(f"nic.{self.qualified_name}.restore").inc()
-            obs.tracer.instant(
-                self.machine.name, f"nic:{self.name}", "nic-restore",
-                self.sim.now, cat="fault",
-                args={"degraded_us": self.sim.now - start},
-            )
+        if self.hooks.on_nic_restore:
+            self.hooks.on_nic_restore(self, start)
 
     def silent_degrade(self, bw_factor: float) -> None:
         """Slow the transmit engine *without announcing it*.
 
         Unlike :meth:`degrade`, this changes neither ``bw_factor`` nor
-        ``is_degraded``, emits no obs event and opens no fault window —
+        ``is_degraded``, emits no hook event and opens no fault window —
         the predictor keeps planning with the healthy profile.  Only the
         drift loop (``repro.core.calibration``) can detect the resulting
         prediction-error growth.  Ground truth lands in ``silent_log``
@@ -377,20 +343,8 @@ class Nic:
             if rule.should_drop(transfer):
                 transfer.dropped = True
                 self.transfers_dropped += 1
-                obs = self.obs
-                if obs.on:
-                    obs.metrics.counter(
-                        f"nic.{self.qualified_name}.dropped"
-                    ).inc()
-                    obs.tracer.instant(
-                        self.machine.name, f"nic:{self.name}", "packet-drop",
-                        self.sim.now, cat="fault",
-                        args={
-                            "transfer": transfer.transfer_id,
-                            "kind": transfer.kind.value,
-                            "rule": rule.label,
-                        },
-                    )
+                if self.hooks.on_drop:
+                    self.hooks.on_drop(self, transfer, rule)
                 return True
         return False
 
@@ -398,8 +352,8 @@ class Nic:
         """Mark a transfer dead on this NIC and unblock its submitter."""
         transfer.aborted = True
         self.transfers_aborted += 1
-        if self.obs.on:
-            self.obs.metrics.counter(f"nic.{self.qualified_name}.aborted").inc()
+        if self.hooks.on_abort:
+            self.hooks.on_abort(self, transfer)
         if transfer.tx_done is None:
             transfer.tx_done = SimEvent(
                 self.sim, name=f"transfer{transfer.transfer_id}.tx_done"
@@ -587,28 +541,14 @@ class Nic:
 
     def _finish_tx(self, transfer: Transfer, start: float) -> None:
         transfer.t_tx_done = self.sim.now
-        if self.inv.on:
-            self.inv.on_tx(self, transfer, start, self.sim.now)
+        hooks = self.hooks
+        if hooks.on_tx:
+            hooks.on_tx(self, transfer, start, self.sim.now)
         if transfer in self._pending:
             self._pending.remove(transfer)
         self.work_log.append(
             NicWork(start, self.sim.now, transfer.kind, transfer.size)
         )
-        obs = self.obs
-        if obs.on and obs.tracer.enabled and start is not None:
-            # Transmit-engine occupancy: serialized per NIC, so these X
-            # events never overlap within one lane.
-            obs.tracer.complete(
-                self.machine.name, f"nic:{self.name}",
-                f"tx:{transfer.kind.value}", start, self.sim.now - start,
-                cat="tx",
-                args={
-                    "transfer": transfer.transfer_id,
-                    "msg": transfer.msg_id,
-                    "size": transfer.size,
-                    "aborted": transfer.aborted,
-                },
-            )
         if transfer.aborted:
             # The link died mid-transmit: the engine was held but the
             # bytes never reached the wire.
@@ -624,11 +564,8 @@ class Nic:
             return
         self.bytes_sent += transfer.size
         self.transfers_sent += 1
-        if obs.on:
-            obs.metrics.counter(f"nic.{self.qualified_name}.transfers").inc()
-            obs.metrics.counter(f"nic.{self.qualified_name}.bytes").inc(
-                transfer.size
-            )
+        if hooks.on_nic_send:
+            hooks.on_nic_send(self, transfer)
         assert self.wire is not None
         self.wire.transmit(self, transfer)
         if transfer.tx_done is not None and not transfer.tx_done.triggered:

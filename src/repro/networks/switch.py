@@ -158,11 +158,6 @@ class Switch:
     def link_is_up(self, node: str) -> bool:
         return node not in self._link_down
 
-    def _count_drop(self, src: Nic) -> None:
-        obs = src.obs
-        if obs.on:
-            obs.metrics.counter(f"fabric.{self.name}.dropped_packets").inc()
-
     @staticmethod
     def _discard(dst: Nic, transfer: Transfer) -> None:
         """Drop a packet at the switch (dead link/spine on its path)."""
@@ -190,7 +185,8 @@ class Switch:
             # A dead link rejects traffic: the head reaches the edge one
             # latency in and is discarded there.
             self.link_dropped_packets += 1
-            self._count_drop(src)
+            if src.hooks.on_fabric_drop:
+                src.hooks.on_fabric_drop(self)
             transfer.wire_event = sim.schedule_at(
                 sim.now + self.switch_latency, self._discard, dst, transfer
             )
@@ -217,11 +213,9 @@ class Switch:
         delivery = max(start + out_drain, sim.now + self.switch_latency)
         self._port_free[id(dst)] = delivery
         self.packets_forwarded += 1
-        obs = src.obs
-        if obs.on:
-            # Purely passive: every value is already computed above.
-            self._observe_link(
-                obs, src, dst, transfer, start, out_drain,
+        if src.hooks.on_link:
+            src.hooks.on_link(
+                self, src, dst, transfer, start, out_drain,
                 max(0.0, free_at - head_in),
             )
         extra = src.extra_latency
@@ -230,87 +224,6 @@ class Switch:
         transfer.wire_event = sim.schedule_at(
             delivery + extra, self._deliver, dst, transfer
         )
-
-    # ------------------------------------------------------------------ #
-    # link accounting (obs hook sites; see docs/observability.md)
-    # ------------------------------------------------------------------ #
-
-    def _observe_link(
-        self,
-        obs,
-        src: Nic,
-        dst: Nic,
-        transfer: Transfer,
-        start: float,
-        drain: float,
-        stall: float,
-    ) -> None:
-        """Record one output-port occupancy interval.
-
-        Busy time, queued bytes and contention stalls accumulate as
-        metrics; the drain interval becomes an ``X`` span in a per-link
-        lane of a ``fabric:{switch}`` pseudo-node — port draining
-        serializes, so the spans in one lane never overlap and Perfetto
-        shows incast as back-to-back blocks.
-        """
-        node = dst.machine.name
-        m = obs.metrics
-        prefix = f"fabric.{self.name}.link.{node}"
-        m.counter(f"{prefix}.packets").inc()
-        m.counter(f"{prefix}.queued_bytes").inc(transfer.size)
-        m.counter(f"{prefix}.busy_us").inc(drain)
-        m.histogram(f"{prefix}.packet_bytes").observe(transfer.size)
-        if stall > 0.0:
-            m.counter(f"{prefix}.stalled_packets").inc()
-            m.counter(f"{prefix}.stall_total_us").inc(stall)
-            m.histogram(f"{prefix}.stall_us").observe(stall)
-        if obs.tracer.enabled:
-            obs.tracer.complete(
-                f"fabric:{self.name}", f"link:{node}",
-                f"fwd:{transfer.kind.value}", start, drain, cat="fabric",
-                args={
-                    "transfer": transfer.transfer_id,
-                    "msg": transfer.msg_id,
-                    "size": transfer.size,
-                    "src": src.machine.name,
-                    "stall_us": stall,
-                },
-            )
-
-    def _observe_spine(
-        self,
-        obs,
-        src: Nic,
-        transfer: Transfer,
-        spine: int,
-        start: float,
-        drain: float,
-        stall: float,
-    ) -> None:
-        """Record one spine-link occupancy interval (fat tree only, but
-        defined here so both accounting sites share one home)."""
-        m = obs.metrics
-        prefix = f"fabric.{self.name}.spine{spine}"
-        m.counter(f"{prefix}.packets").inc()
-        m.counter(f"{prefix}.queued_bytes").inc(transfer.size)
-        m.counter(f"{prefix}.busy_us").inc(drain)
-        if stall > 0.0:
-            m.counter(f"{prefix}.stalled_packets").inc()
-            m.counter(f"{prefix}.stall_total_us").inc(stall)
-            m.histogram(f"{prefix}.stall_us").observe(stall)
-        if obs.tracer.enabled:
-            obs.tracer.complete(
-                f"fabric:{self.name}", f"spine:{spine}",
-                f"fwd:{transfer.kind.value}", start, drain, cat="fabric",
-                args={
-                    "transfer": transfer.transfer_id,
-                    "msg": transfer.msg_id,
-                    "size": transfer.size,
-                    "src": src.machine.name,
-                    "dst": transfer.dst_node,
-                    "stall_us": stall,
-                },
-            )
 
     @staticmethod
     def _deliver(dst: Nic, transfer: Transfer) -> None:
@@ -518,7 +431,8 @@ class FatTreeSwitch(Switch):
             or dst.machine.name in self._link_down
         ):
             self.link_dropped_packets += 1
-            self._count_drop(src)
+            if src.hooks.on_fabric_drop:
+                src.hooks.on_fabric_drop(self)
             transfer.wire_event = sim.schedule_at(
                 sim.now + self.switch_latency, self._discard, dst, transfer
             )
@@ -532,8 +446,8 @@ class FatTreeSwitch(Switch):
         # its spine two latencies after leaving the NIC, then serializes
         # on the (health-aware) hashed spine link.
         spine = self._select_spine(src_idx, dst_idx)
-        inv = src.inv
-        if inv.on:
+        hooks = src.hooks
+        if hooks.on_route:
             # Route-liveness: the selector must never pin a flow to a
             # down spine while an alternative is up (static routing and
             # total outages are deliberate, not violations).
@@ -542,12 +456,13 @@ class FatTreeSwitch(Switch):
                 and any(self._spine_up)
                 and (spine is None or not self._spine_up[spine])
             )
-            inv.on_route(self.name, spine, not pinned_dead, sim.now)
+            hooks.on_route(self, spine, not pinned_dead, sim.now)
         if spine is None or not self._spine_up[spine]:
             # Dead spine (static hash) or no spine up at all: discarded
             # at the edge — a dead spine serializes nothing.
             self.spine_dropped_packets += 1
-            self._count_drop(src)
+            if src.hooks.on_fabric_drop:
+                src.hooks.on_fabric_drop(self)
             transfer.wire_event = sim.schedule_at(
                 sim.now + 2.0 * self.switch_latency, self._discard, dst, transfer
             )
@@ -589,15 +504,15 @@ class FatTreeSwitch(Switch):
         self._port_free[id(dst)] = delivery
         self.packets_forwarded += 1
         self.inter_pod_packets += 1
-        obs = src.obs
-        if obs.on:
-            # Spine serialization and output-port drain, both passive.
-            self._observe_spine(
-                obs, src, transfer, spine, spine_start, spine_drain,
+        # Spine serialization and output-port drain, both passive.
+        if hooks.on_spine:
+            hooks.on_spine(
+                self, src, transfer, spine, spine_start, spine_drain,
                 max(0.0, spine_free - head_at_spine),
             )
-            self._observe_link(
-                obs, src, dst, transfer, start, out_drain,
+        if hooks.on_link:
+            hooks.on_link(
+                self, src, dst, transfer, start, out_drain,
                 max(0.0, free_at - head_at_port),
             )
         extra = src.extra_latency

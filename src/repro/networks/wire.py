@@ -70,19 +70,8 @@ class Wire:
         dies before it lands is lost.
         """
         peer = self.peer_of(src)
-        obs = src.obs
-        if obs.on:
-            # Link accounting for the point-to-point path, so wire-mesh
-            # and switched fabrics share one metric family.  A wire has
-            # no port contention by construction, so only the occupancy
-            # side exists (serialization lives in the NIC's tx engine).
-            m = obs.metrics
-            prefix = f"fabric.wire.{src.qualified_name}->{peer.machine.name}"
-            m.counter(f"{prefix}.packets").inc()
-            m.counter(f"{prefix}.queued_bytes").inc(transfer.size)
-            m.counter(f"{prefix}.busy_us").inc(
-                src.profile.wire_latency + src.extra_latency
-            )
+        if src.hooks.on_wire:
+            src.hooks.on_wire(src, peer, transfer)
         # The handle lets the engine's retry path cancel a superseded
         # original that is still in flight (see docs/chaos.md).
         transfer.wire_event = src.sim.schedule(

@@ -1,10 +1,8 @@
 """Observability: structured tracing, metrics, prediction accuracy.
 
-One :class:`Observability` instance is shared by every engine, NIC,
-scheduler and fault injector of a cluster (``ClusterBuilder
-.observability()`` wires it; the config file's ``observability:``
-section does the same declaratively).  It bundles the three telemetry
-surfaces:
+One :class:`Observability` bundle per cluster (``ClusterBuilder
+.observability()`` builds it; the config file's ``observability:``
+section does the same declaratively) holds the five read-out surfaces:
 
 * :attr:`Observability.tracer` — span-based structured tracer
   (:mod:`repro.obs.tracer`), exported as Chrome ``trace_event`` JSON by
@@ -12,27 +10,26 @@ surfaces:
 * :attr:`Observability.metrics` — counters / gauges / fixed-bucket
   histograms (:mod:`repro.obs.metrics`);
 * :attr:`Observability.accuracy` — predicted-vs-actual transfer-time
-  telemetry (:mod:`repro.obs.accuracy`).
+  telemetry (:mod:`repro.obs.accuracy`);
+* :attr:`Observability.flight` — the post-mortem flight recorder
+  (:mod:`repro.obs.flight`);
+* :attr:`Observability.collectives` — the collective critical-path
+  profiler (:mod:`repro.obs.collective`).
 
-Overhead contract: when observability is off (the default), every hook
-site guards on ``obs.on`` — one attribute read — and the shared
-:data:`NULL_OBS` singleton's components are no-ops.  The tracer and
-accuracy recorders are **purely passive**: they read simulated state but
-never schedule events, occupy resources or alter control flow, so
-enabling them moves *no simulated timestamp* (the determinism tests
-assert this bit-for-bit).
+Each surface is a subscriber of the cluster's hook stream
+(:mod:`repro.obs.hooks`); a disabled surface is simply not subscribed
+and stays empty.  With everything off nothing subscribes, and every hook
+site costs one attribute read.  The surfaces are **purely passive**:
+they read simulated state but never schedule events, occupy resources
+or alter control flow, so enabling them moves *no simulated timestamp*
+(the determinism tests assert this bit-for-bit).
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, Optional
 
-from repro.obs.accuracy import (
-    NULL_ACCURACY,
-    NullAccuracy,
-    PredictionAccuracy,
-    size_bucket,
-)
+from repro.obs.accuracy import PredictionAccuracy, size_bucket
 from repro.obs.chrome_export import (
     chrome_trace,
     dumps_chrome_trace,
@@ -40,20 +37,14 @@ from repro.obs.chrome_export import (
     validate_chrome_trace,
 )
 from repro.obs.collective import (
-    NULL_COLLECTIVES,
     CollectiveProfiler,
-    NullCollectiveProfiler,
     critical_path,
     measured_hop_table,
     predicted_vs_measured,
     stragglers,
 )
-from repro.obs.flight import (
-    DEFAULT_FLIGHT_CAPACITY,
-    NULL_FLIGHT,
-    FlightRecorder,
-    NullFlightRecorder,
-)
+from repro.obs.flight import DEFAULT_FLIGHT_CAPACITY, FlightRecorder
+from repro.obs.hooks import EVENTS, Hooks
 from repro.obs.metrics import (
     DEFAULT_BANDWIDTH_BUCKETS_MBPS,
     DEFAULT_BYTE_BUCKETS,
@@ -63,22 +54,21 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    NULL_METRICS,
-    NullMetrics,
     bucket_preset_for,
     merge_snapshots,
 )
-from repro.obs.tracer import DEFAULT_TRACE_LIMIT, NULL_TRACER, NullTracer, Tracer
+from repro.obs.tracer import DEFAULT_TRACE_LIMIT, Tracer
+from repro.util.errors import ConfigurationError
 
 
 class Observability:
-    """The bundle handed to every instrumented layer.
+    """The five read-out surfaces of one cluster.
 
     Parameters
     ----------
     enabled:
-        Master switch.  ``False`` builds the null bundle (also available
-        as the shared :data:`NULL_OBS`).
+        Master switch.  ``False`` subscribes nothing (every surface
+        stays empty).
     trace / metrics / accuracy:
         Disable individual surfaces while keeping the others.
     trace_limit:
@@ -106,20 +96,39 @@ class Observability:
         flight_capacity: Optional[int] = None,
         collectives: bool = True,
     ) -> None:
+        self.check_limits(trace_limit, flight_capacity)
         self.on = bool(enabled)
-        self.tracer = Tracer(trace_limit) if self.on and trace else NULL_TRACER
-        self.metrics = MetricsRegistry() if self.on and metrics else NULL_METRICS
-        self.accuracy = (
-            PredictionAccuracy() if self.on and accuracy else NULL_ACCURACY
+        self.tracer = Tracer(trace_limit)
+        self.metrics = MetricsRegistry()
+        self.accuracy = PredictionAccuracy()
+        self.flight = FlightRecorder(
+            DEFAULT_FLIGHT_CAPACITY if flight_capacity is None else flight_capacity
         )
-        self.flight = (
-            FlightRecorder(flight_capacity or DEFAULT_FLIGHT_CAPACITY)
-            if self.on and flight
-            else NULL_FLIGHT
+        self.collectives = CollectiveProfiler()
+        wanted = (trace, metrics, accuracy, flight, collectives)
+        for surface, on in zip(self.surfaces, wanted):
+            surface.enabled = self.on and bool(on)
+
+    @property
+    def surfaces(self) -> tuple:
+        """The five surfaces, in subscription order."""
+        return (
+            self.tracer, self.metrics, self.accuracy, self.flight, self.collectives
         )
-        self.collectives = (
-            CollectiveProfiler() if self.on and collectives else NULL_COLLECTIVES
-        )
+
+    @staticmethod
+    def check_limits(
+        trace_limit: Optional[int], flight_capacity: Optional[int]
+    ) -> None:
+        """Reject non-positive bounds (``None`` means the default)."""
+        if trace_limit is not None and trace_limit < 1:
+            raise ConfigurationError(
+                f"trace_limit must be positive, got {trace_limit}"
+            )
+        if flight_capacity is not None and flight_capacity < 1:
+            raise ConfigurationError(
+                f"flight_capacity must be positive, got {flight_capacity}"
+            )
 
     def __repr__(self) -> str:
         if not self.on:
@@ -129,9 +138,29 @@ class Observability:
             f"events={len(self.tracer.events)} accuracy={self.accuracy.enabled}>"
         )
 
-    @classmethod
-    def disabled(cls) -> "Observability":
-        return cls(enabled=False)
+    def subscribe(self, hooks: Hooks) -> None:
+        """Subscribe every enabled surface to ``hooks``.
+
+        An enabled bundle also arms prediction stamps on outgoing data
+        chunks, whichever surfaces are on (what accuracy telemetry reads).
+        """
+        if not self.on:
+            return
+        hooks.stamps = True
+        for surface in self.surfaces:
+            if surface.enabled:
+                hooks.subscribe(surface)
+
+    def chrome_trace(self) -> Dict[str, Any]:
+        """The trace so far, with the profiled collectives flushed in."""
+        self.collectives.flush_to_tracer(self.tracer)
+        return chrome_trace(self.tracer)
+
+    def export_chrome_trace(self, target) -> int:
+        """:meth:`chrome_trace` written to ``target``; returns the event
+        count."""
+        self.collectives.flush_to_tracer(self.tracer)
+        return export_chrome_trace(self.tracer, target)
 
     # ------------------------------------------------------------------ #
     # snapshots
@@ -144,7 +173,7 @@ class Observability:
         point-in-time state (utilization, queue depths, cache hit rates)
         and are only meaningful after this call.
         """
-        if not self.on:
+        if not self.metrics.enabled:
             return
         m = self.metrics
         m.gauge("sim.now_us").set(cluster.sim.now)
@@ -172,8 +201,8 @@ class Observability:
                 m.gauge(f"predictor.{name}.plan_cache_misses").set(
                     engine.predictor.plan_cache_misses
                 )
-        calib = getattr(cluster, "calibration", None)
-        if calib is not None and calib.on:
+        calib = cluster.calibration
+        if calib is not None:
             # Drift-defense gauges only exist when calibration is armed,
             # so healthy snapshots stay byte-identical with it off.
             for rail in calib.detector.rails():
@@ -197,19 +226,13 @@ class Observability:
         }
 
 
-#: the shared disabled bundle — the default for every engine/NIC/injector
-NULL_OBS = Observability.disabled()
-
 __all__ = [
     "Observability",
-    "NULL_OBS",
+    "Hooks",
+    "EVENTS",
     "Tracer",
-    "NullTracer",
-    "NULL_TRACER",
     "DEFAULT_TRACE_LIMIT",
     "MetricsRegistry",
-    "NullMetrics",
-    "NULL_METRICS",
     "Counter",
     "Gauge",
     "Histogram",
@@ -220,19 +243,13 @@ __all__ = [
     "bucket_preset_for",
     "merge_snapshots",
     "FlightRecorder",
-    "NullFlightRecorder",
-    "NULL_FLIGHT",
     "DEFAULT_FLIGHT_CAPACITY",
     "CollectiveProfiler",
-    "NullCollectiveProfiler",
-    "NULL_COLLECTIVES",
     "critical_path",
     "stragglers",
     "predicted_vs_measured",
     "measured_hop_table",
     "PredictionAccuracy",
-    "NullAccuracy",
-    "NULL_ACCURACY",
     "size_bucket",
     "chrome_trace",
     "dumps_chrome_trace",

@@ -87,9 +87,7 @@ class ErrorStats:
 class PredictionAccuracy:
     """Cluster-wide accumulator, keyed by sending rail (qualified name)."""
 
-    __slots__ = ("_transfer", "_completion", "_buckets", "samples")
-
-    enabled = True
+    __slots__ = ("_transfer", "_completion", "_buckets", "samples", "enabled")
 
     def __init__(self) -> None:
         self._transfer: Dict[str, ErrorStats] = {}
@@ -97,6 +95,8 @@ class PredictionAccuracy:
         #: (rail, bucket-label) -> transfer-time error stats
         self._buckets: Dict[str, Dict[str, ErrorStats]] = {}
         self.samples = 0
+        #: subscribed to the hook stream (False: the surface is off)
+        self.enabled = True
 
     def __repr__(self) -> str:
         return f"<PredictionAccuracy {self.samples} samples, {len(self._transfer)} rails>"
@@ -127,6 +127,26 @@ class PredictionAccuracy:
             if comp is None:
                 comp = self._completion[rail] = ErrorStats()
             comp.add(predicted_completion, actual_completion)
+
+    def on_arrival(self, transfer, nic) -> None:
+        """Hook subscriber (repro.obs.hooks): pair a fully-processed
+        chunk's stamped prediction with what it actually took."""
+        if transfer.predicted_time is None or transfer.t_complete is None:
+            return
+        start = (
+            transfer.t_service_start
+            if transfer.t_service_start is not None
+            else transfer.t_submit
+        )
+        self.record(
+            rail=transfer.nic_name or nic.qualified_name,
+            mode=transfer.kind.value,
+            size=transfer.size,
+            predicted=transfer.predicted_time,
+            actual=transfer.t_complete - start,
+            predicted_completion=transfer.predicted_completion,
+            actual_completion=transfer.t_complete,
+        )
 
     # ------------------------------------------------------------------ #
     # queries
@@ -164,6 +184,8 @@ class PredictionAccuracy:
 
     def report(self) -> str:
         """Fixed-width table: per-rail, then per-(rail, size-bucket)."""
+        if not self.enabled:
+            return "prediction accuracy: telemetry disabled"
         if not self.samples:
             return "prediction accuracy: no samples recorded"
         lines = [f"prediction accuracy ({self.samples} chunks):"]
@@ -200,33 +222,3 @@ class PredictionAccuracy:
                     f"{c.mean_rel_error:>12.3e} {c.mean_abs_rel_error:>12.3e}"
                 )
         return "\n".join(lines)
-
-
-class NullAccuracy:
-    """The disabled accumulator: record() is a no-op."""
-
-    __slots__ = ()
-
-    enabled = False
-    samples = 0
-
-    def record(self, *args, **kwargs) -> None:
-        pass
-
-    def rails(self):
-        return []
-
-    def rail_stats(self, rail: str) -> None:
-        return None
-
-    def snapshot(self) -> Dict[str, object]:
-        return {"samples": 0, "per_rail": {}, "per_bucket": {}}
-
-    def report(self) -> str:
-        return "prediction accuracy: telemetry disabled"
-
-    def __repr__(self) -> str:
-        return "<NullAccuracy>"
-
-
-NULL_ACCURACY = NullAccuracy()

@@ -1,8 +1,9 @@
 """Collective critical-path profiler: per-hop spans + post-run analysis.
 
 The :class:`~repro.api.mpi.Communicator` wraps every collective call in
-a profiling scope when observability is on (one ``obs.on`` read when
-off).  The scope is purely passive: it marks the rank's send log before
+a profiling scope while the profiler is subscribed to the hook stream
+(one attribute read when it is not) and emits ``on_collective_op`` when
+the call finishes.  The scope is purely passive: it marks the rank's send log before
 the schedule runs and slices the messages the schedule posted after it
 finishes — no extra events, no timestamp moved.  Each message becomes a
 *hop* row once the run drains (``t_post``/``t_complete`` are stamped by
@@ -31,19 +32,19 @@ from typing import Callable, Dict, List, Optional
 class CollectiveProfiler:
     """Per-collective-invocation records with lazy hop materialization."""
 
-    __slots__ = ("ops",)
-
-    enabled = True
+    __slots__ = ("ops", "enabled")
 
     def __init__(self) -> None:
         #: one dict per profiled collective call (any rank), in the
         #: deterministic order the simulator finished them
         self.ops: List[Dict] = []
+        #: subscribed to the hook stream (False: the surface is off)
+        self.enabled = True
 
     def __repr__(self) -> str:
         return f"<CollectiveProfiler {len(self.ops)} op(s)>"
 
-    def finish_op(
+    def on_collective_op(
         self,
         rank: int,
         node: str,
@@ -182,42 +183,6 @@ class CollectiveProfiler:
 
     def clear(self) -> None:
         self.ops.clear()
-
-
-class NullCollectiveProfiler:
-    """Disabled profiler: every method is a no-op."""
-
-    __slots__ = ()
-
-    enabled = False
-    ops: List[Dict] = []
-
-    def finish_op(self, *args, **kwargs) -> None:
-        pass
-
-    def hops(self) -> List[Dict]:
-        return []
-
-    def op_rows(self) -> List[Dict]:
-        return []
-
-    def snapshot(self) -> Dict[str, object]:
-        return {
-            "ops": [], "hops": [], "critical_path": [],
-            "stragglers": [], "predicted_vs_measured": [],
-        }
-
-    def flush_to_tracer(self, tracer) -> None:
-        pass
-
-    def clear(self) -> None:
-        pass
-
-    def __repr__(self) -> str:
-        return "<NullCollectiveProfiler>"
-
-
-NULL_COLLECTIVES = NullCollectiveProfiler()
 
 
 # ---------------------------------------------------------------------- #

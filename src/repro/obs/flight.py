@@ -13,8 +13,10 @@ structured dump when something goes wrong:
 * a calibration fallback-ladder drop (trust demoted a level),
 * messages still stuck at drain (``drain_stuck``).
 
-The usual obs contract applies: every producer site guards on ``obs.on``,
-recording is purely passive (tuple append into a ``deque``; no events
+The recorder is a subscriber of the cluster's hook stream
+(:mod:`repro.obs.hooks`): its ``on_*`` handlers below are the only place
+that knows the record kinds and dump reasons.  Recording is purely
+passive (tuple append into a ``deque``; no events
 scheduled, no simulated state read back into planning), and dumps are
 deterministic — events carry only simulated time and stable identifiers,
 so the same seed ships the same dump byte-for-byte, serial or sharded.
@@ -39,9 +41,7 @@ MAX_DUMPS = 8
 class FlightRecorder:
     """Bounded ring buffer of recent simulator events + trigger dumps."""
 
-    __slots__ = ("capacity", "events", "dumps", "recorded", "triggered")
-
-    enabled = True
+    __slots__ = ("capacity", "events", "dumps", "recorded", "triggered", "enabled")
 
     def __init__(self, capacity: int = DEFAULT_FLIGHT_CAPACITY) -> None:
         if capacity < 1:
@@ -53,6 +53,8 @@ class FlightRecorder:
         self.dumps: List[Dict[str, object]] = []
         self.recorded = 0
         self.triggered = 0
+        #: subscribed to the hook stream (False: the surface is off)
+        self.enabled = True
 
     def __repr__(self) -> str:
         return (
@@ -113,36 +115,92 @@ class FlightRecorder:
         self.recorded = 0
         self.triggered = 0
 
+    # ------------------------------------------------------------------ #
+    # hook subscriber (repro.obs.hooks): engine facts -> ring / dumps
+    # ------------------------------------------------------------------ #
 
-class NullFlightRecorder:
-    """Disabled recorder: every method is a no-op."""
+    def on_send(self, msg) -> None:
+        self.record(
+            "send", msg.t_post, msg.src,
+            {"msg": msg.msg_id, "dest": msg.dest, "size": msg.size, "tag": msg.tag},
+        )
 
-    __slots__ = ()
+    def on_duplicate(self, msg, transfer, now) -> None:
+        self.record(
+            "duplicate-suppressed", now, msg.dest,
+            {"msg": msg.msg_id, "transfer": transfer.transfer_id},
+        )
 
-    enabled = False
-    capacity = 0
-    dumps: List[Dict[str, object]] = []
+    def on_complete(self, msg, now) -> None:
+        self.record(
+            "complete", now, msg.src, {"msg": msg.msg_id, "retries": msg.retries}
+        )
 
-    def record(self, kind, t, node, detail=None) -> None:
-        pass
+    def on_degraded(self, msg, now, node) -> None:
+        reason = msg.outcome.reason
+        self.record(
+            "degraded", now, node,
+            {
+                "msg": msg.msg_id,
+                "reason": reason,
+                "retries": msg.retries,
+                "bytes_received": msg.bytes_received,
+            },
+        )
+        # A send was given up on — dump the ring for post-mortem.
+        self.trigger(
+            "degraded-send", now,
+            detail={"msg": msg.msg_id, "reason": reason, "node": node},
+        )
 
-    def trigger(self, reason, t, detail=None) -> None:
-        return None
+    def on_retry(self, msg, old, new, max_retries, now, nic, reason) -> None:
+        self.record(
+            "retry", now, nic.machine.name,
+            {"msg": msg.msg_id, "rail": nic.qualified_name, "reason": reason},
+        )
 
-    def last_dump(self) -> None:
-        return None
+    def on_replan(
+        self, rank, seq, planned, accounted, remaining, now, node, replan, hops
+    ) -> None:
+        self.record(
+            "collective-replan", now, node,
+            {
+                "rank": rank,
+                "tag": seq,
+                "replan": replan,
+                "accounted_bytes": accounted,
+                "pending_bytes": remaining,
+                "pending_hops": hops,
+            },
+        )
+        self.trigger(
+            "collective-replan", now, {"rank": rank, "tag": seq, "replan": replan}
+        )
 
-    def snapshot(self) -> Dict[str, object]:
-        return {
-            "capacity": 0, "recorded": 0, "buffered": 0,
-            "triggered": 0, "dumps": [],
-        }
+    def on_fallback(self, nic, node, before, after, confidence) -> None:
+        if after < before:
+            # A ladder *drop* (lost trust) is a post-mortem moment.
+            self.trigger(
+                "ladder-drop", nic.sim.now,
+                detail={
+                    "node": node,
+                    "from": before.name,
+                    "to": after.name,
+                    "confidence": confidence,
+                },
+            )
 
-    def clear(self) -> None:
-        pass
+    def on_violation(self, violation, now) -> None:
+        self.trigger(
+            "invariant-violation", now,
+            detail={"invariant": violation.invariant, "message": violation.detail},
+        )
 
-    def __repr__(self) -> str:
-        return "<NullFlightRecorder>"
-
-
-NULL_FLIGHT = NullFlightRecorder()
+    def on_drain_stuck(self, drained, now) -> None:
+        self.trigger(
+            "drain-stuck", now,
+            detail={
+                "drained": len(drained),
+                "msg_ids": [m.msg_id for m in drained[:16]],
+            },
+        )

@@ -4,6 +4,11 @@ Replaces the ad-hoc per-object counter attributes as the *queryable*
 metrics surface (the attributes stay for backwards compatibility; the
 registry is the cluster-wide, uniformly-named view).
 
+The registry is a subscriber of the cluster's hook stream
+(:mod:`repro.obs.hooks`): its ``on_*`` handlers below are the only place
+that knows the metric names.  When metrics are off it is simply not
+subscribed.
+
 Determinism contract: instrument names are plain strings, snapshots are
 sorted by name, and histogram bucket boundaries are **fixed at creation**
 — never derived from the data — so two identical runs produce
@@ -155,12 +160,14 @@ class Histogram:
 class MetricsRegistry:
     """Get-or-create home for every instrument, keyed by name."""
 
-    __slots__ = ("_counters", "_gauges", "_histograms")
+    __slots__ = ("_counters", "_gauges", "_histograms", "enabled")
 
     def __init__(self) -> None:
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
+        #: subscribed to the hook stream (False: the surface is off)
+        self.enabled = True
 
     def __repr__(self) -> str:
         return (
@@ -240,51 +247,162 @@ class MetricsRegistry:
                 setattr(mine, attr, val if cur is None else pick(cur, val))
         return self
 
+    # ------------------------------------------------------------------ #
+    # hook subscriber (repro.obs.hooks): engine facts -> instruments
+    # ------------------------------------------------------------------ #
 
-class _NullInstrument:
-    """Stand-in counter/gauge/histogram whose mutators are no-ops."""
+    def on_send(self, msg) -> None:
+        self.counter(f"engine.{msg.src}.messages_sent").inc()
+        self.counter(f"engine.{msg.src}.bytes_sent").inc(msg.size)
 
-    __slots__ = ()
+    def on_duplicate(self, msg, transfer, now) -> None:
+        self.counter(f"engine.{msg.dest}.duplicates_suppressed").inc()
 
-    name = "null"
-    value = 0
-    count = 0
+    def on_complete(self, msg, now) -> None:
+        # Completions land on the *sender's* lane so the series lines up
+        # with its messages_sent (the event fires receiver-side).
+        self.counter(f"engine.{msg.src}.messages_completed").inc()
+        if msg.t_post is not None:
+            self.histogram(f"engine.{msg.src}.message_latency_us").observe(
+                now - msg.t_post
+            )
 
-    def inc(self, amount: float = 1) -> None:
-        pass
+    def on_degraded(self, msg, now, node) -> None:
+        self.counter(f"engine.{node}.messages_degraded").inc()
 
-    def set(self, value: float) -> None:
-        pass
+    def on_retry(self, msg, old, new, max_retries, now, nic, reason) -> None:
+        node = nic.machine.name
+        self.counter(f"engine.{node}.retries_issued").inc()
+        self.counter(f"engine.{node}.retries_{reason}").inc()
 
-    def observe(self, value: float) -> None:
-        pass
+    def on_activation(self, node, outlist, now) -> None:
+        self.counter(f"scheduler.{node}.activations").inc()
+        self.histogram(
+            f"scheduler.{node}.outlist_depth", bounds=DEFAULT_DEPTH_BUCKETS
+        ).observe(len(outlist))
 
+    def on_plan(
+        self, node, considered, offsets, size, mode, plan, iterations, cached
+    ) -> None:
+        self.counter(f"predictor.{node}.plans").inc()
+        self.counter(
+            f"predictor.{node}.plan_cache_{'hits' if cached else 'misses'}"
+        ).inc()
+        self.histogram(
+            f"predictor.{node}.rails_per_plan", bounds=DEFAULT_DEPTH_BUCKETS
+        ).observe(len(plan.nics))
 
-_NULL_INSTRUMENT = _NullInstrument()
+    def on_split(self, node, msg, plan, to_us, now) -> None:
+        self.counter(f"strategy.{node}.splits").inc()
 
+    def on_lone_split(self, node) -> None:
+        self.counter(f"strategy.{node}.splits").inc()
 
-class NullMetrics:
-    """The disabled registry: hands out the shared no-op instrument."""
+    def on_aggregate(self, node, msgs, nic, now) -> None:
+        self.counter(f"strategy.{node}.aggregations").inc()
 
-    __slots__ = ()
+    def on_nic_send(self, nic, transfer) -> None:
+        q = nic.qualified_name
+        self.counter(f"nic.{q}.transfers").inc()
+        self.counter(f"nic.{q}.bytes").inc(transfer.size)
 
-    def counter(self, name: str) -> _NullInstrument:
-        return _NULL_INSTRUMENT
+    def on_nic_down(self, nic, aborted) -> None:
+        self.counter(f"nic.{nic.qualified_name}.down").inc()
+        self.counter(f"nic.{nic.qualified_name}.aborted").inc(len(aborted))
 
-    def gauge(self, name: str) -> _NullInstrument:
-        return _NULL_INSTRUMENT
+    def on_nic_up(self, nic, since) -> None:
+        self.counter(f"nic.{nic.qualified_name}.up").inc()
 
-    def histogram(self, name: str, bounds: Sequence[float] = ()) -> _NullInstrument:
-        return _NULL_INSTRUMENT
+    def on_nic_degrade(self, nic, bw_factor, extra_latency) -> None:
+        self.counter(f"nic.{nic.qualified_name}.degrade").inc()
 
-    def snapshot(self) -> Dict[str, Dict[str, object]]:
-        return {"counters": {}, "gauges": {}, "histograms": {}}
+    def on_nic_restore(self, nic, since) -> None:
+        self.counter(f"nic.{nic.qualified_name}.restore").inc()
 
-    def __repr__(self) -> str:
-        return "<NullMetrics>"
+    def on_drop(self, nic, transfer, rule) -> None:
+        self.counter(f"nic.{nic.qualified_name}.dropped").inc()
 
+    def on_abort(self, nic, transfer) -> None:
+        self.counter(f"nic.{nic.qualified_name}.aborted").inc()
 
-NULL_METRICS = NullMetrics()
+    def on_wire(self, src, peer, transfer) -> None:
+        # The point-to-point path shares the switched fabrics' metric
+        # family.  A wire has no port contention by construction, so only
+        # the occupancy side exists (serialization lives in the NIC).
+        prefix = f"fabric.wire.{src.qualified_name}->{peer.machine.name}"
+        self.counter(f"{prefix}.packets").inc()
+        self.counter(f"{prefix}.queued_bytes").inc(transfer.size)
+        self.counter(f"{prefix}.busy_us").inc(
+            src.profile.wire_latency + src.extra_latency
+        )
+
+    def on_link(self, switch, src, dst, transfer, start, drain, stall) -> None:
+        prefix = f"fabric.{switch.name}.link.{dst.machine.name}"
+        self.counter(f"{prefix}.packets").inc()
+        self.counter(f"{prefix}.queued_bytes").inc(transfer.size)
+        self.counter(f"{prefix}.busy_us").inc(drain)
+        self.histogram(f"{prefix}.packet_bytes").observe(transfer.size)
+        if stall > 0.0:
+            self.counter(f"{prefix}.stalled_packets").inc()
+            self.counter(f"{prefix}.stall_total_us").inc(stall)
+            self.histogram(f"{prefix}.stall_us").observe(stall)
+
+    def on_spine(self, switch, src, transfer, spine, start, drain, stall) -> None:
+        prefix = f"fabric.{switch.name}.spine{spine}"
+        self.counter(f"{prefix}.packets").inc()
+        self.counter(f"{prefix}.queued_bytes").inc(transfer.size)
+        self.counter(f"{prefix}.busy_us").inc(drain)
+        if stall > 0.0:
+            self.counter(f"{prefix}.stalled_packets").inc()
+            self.counter(f"{prefix}.stall_total_us").inc(stall)
+            self.histogram(f"{prefix}.stall_us").observe(stall)
+
+    def on_fabric_drop(self, switch) -> None:
+        self.counter(f"fabric.{switch.name}.dropped_packets").inc()
+
+    def on_offload(self, machine, core, issuing_core, preempt, pending, now) -> None:
+        # TO accounting: 3 µs to signal an idle core, 6 µs when the
+        # pickup preempts a computing thread (§III-D).
+        node, topo = machine.name, machine.topology
+        self.counter(f"pioman.{node}.offloads").inc()
+        if preempt:
+            self.counter(f"pioman.{node}.offload_preempts").inc()
+        self.counter(f"pioman.{node}.offload_cost_us").inc(
+            topo.preempt_cost_us if preempt else topo.signal_cost_us
+        )
+
+    def on_rx_interrupt(self, nic, transfer, core, cost) -> None:
+        node = nic.machine.name
+        self.counter(f"pioman.{node}.interrupts").inc()
+        self.counter(f"pioman.{node}.offload_cost_us").inc(
+            nic.machine.topology.preempt_cost_us
+        )
+
+    def on_rx_spill(self, node) -> None:
+        self.counter(f"pioman.{node}.rx_spills").inc()
+
+    def on_fault(self, rule_id, action, now, device, target) -> None:
+        if action.action.startswith("silent_"):
+            return  # silent faults stay invisible to obs (see Tracer)
+        self.counter("faults.fired").inc()
+        self.counter(f"faults.{action.action}").inc()
+
+    def on_replan(
+        self, rank, seq, planned, accounted, remaining, now, node, replan, hops
+    ) -> None:
+        self.counter("collective.replans").inc()
+
+    def on_drift(self, nic, band, ewma) -> None:
+        self.counter("calibration.drift_detected").inc()
+
+    def on_resample(self, nic, blend) -> None:
+        self.counter("calibration.resamples").inc()
+
+    def on_fallback(self, nic, node, before, after, confidence) -> None:
+        self.counter("calibration.fallback_transitions").inc()
+
+    def on_clamp(self, plan) -> None:
+        self.counter("calibration.clamped_splits").inc()
 
 
 def merge_snapshots(

@@ -13,9 +13,14 @@ lists.  Events follow the Chrome ``trace_event`` vocabulary:
   transfer lifecycles);
 * ``counter`` (phase ``C``) — a sampled value series.
 
-Hot call sites guard on :attr:`Tracer.enabled` (a plain attribute read)
-and the disabled path is the :class:`NullTracer` singleton whose methods
-are no-ops — near-zero overhead when tracing is off.
+The tracer is a subscriber of the cluster's hook stream
+(:mod:`repro.obs.hooks`): its ``on_*`` handlers below turn engine facts
+into events, and are the only place that knows the trace's lanes.  When
+tracing is off the tracer is simply not subscribed.
+
+A bounded tracer (``limit``) drops the newest events once full — except
+the end of an async span whose begin it kept, so a truncated trace
+still pairs every recorded begin.
 
 ``pid``/``tid`` are recorded as the *node name* and a human-readable
 *lane* string; :mod:`repro.obs.chrome_export` maps them to the integers
@@ -24,7 +29,7 @@ the Chrome JSON format wants and emits the matching metadata events.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 #: default cap on recorded events before the tracer starts dropping
 #: (deterministic: based purely on the event count, never on memory)
@@ -34,16 +39,17 @@ DEFAULT_TRACE_LIMIT = 1_000_000
 class Tracer:
     """Recording tracer: appends event dicts to an in-memory list."""
 
-    __slots__ = ("events", "limit", "dropped", "_seq")
-
-    #: guarded by every call site; class attribute so the check is cheap
-    enabled = True
+    __slots__ = ("events", "limit", "dropped", "enabled", "_seq", "_open")
 
     def __init__(self, limit: Optional[int] = DEFAULT_TRACE_LIMIT) -> None:
         self.events: List[Dict[str, Any]] = []
         self.limit = limit
         self.dropped = 0
+        #: subscribed to the hook stream (False: the surface is off)
+        self.enabled = True
         self._seq = 0
+        #: open async spans (key -> count), tallied once the limit is hit
+        self._open: Optional[Dict[Tuple, int]] = None
 
     def __len__(self) -> int:
         return len(self.events)
@@ -55,6 +61,7 @@ class Tracer:
         self.events.clear()
         self.dropped = 0
         self._seq = 0
+        self._open = None
 
     # ------------------------------------------------------------------ #
     # recording primitives
@@ -62,11 +69,30 @@ class Tracer:
 
     def _push(self, event: Dict[str, Any]) -> None:
         if self.limit is not None and len(self.events) >= self.limit:
-            self.dropped += 1
-            return
+            if not self._closes_kept_span(event):
+                self.dropped += 1
+                return
         event["seq"] = self._seq
         self._seq += 1
         self.events.append(event)
+
+    def _closes_kept_span(self, event: Dict[str, Any]) -> bool:
+        """Past the limit: is ``event`` the end of a span whose begin was
+        recorded?  Such ends are kept, so no exported span dangles."""
+        if event["ph"] != "e":
+            return False
+        if self._open is None:
+            self._open = {}
+            for ev in self.events:
+                if ev["ph"] in ("b", "e"):
+                    key = (ev["cat"], ev["id"], ev["name"])
+                    step = 1 if ev["ph"] == "b" else -1
+                    self._open[key] = self._open.get(key, 0) + step
+        key = (event["cat"], event["id"], event["name"])
+        if self._open.get(key, 0) <= 0:
+            return False
+        self._open[key] -= 1
+        return True
 
     def complete(
         self,
@@ -160,43 +186,279 @@ class Tracer:
             }
         )
 
+    # ------------------------------------------------------------------ #
+    # hook subscriber (repro.obs.hooks): engine facts -> trace events
+    # ------------------------------------------------------------------ #
 
-class NullTracer:
-    """The disabled tracer: every method is a no-op.
+    def on_send(self, msg) -> None:
+        self.async_begin(
+            msg.src, "messages", f"msg{msg.msg_id}", msg.msg_id,
+            msg.t_post, cat="message",
+            args={
+                "dest": msg.dest, "size": msg.size, "tag": msg.tag,
+                "mode": msg.mode.value if msg.mode else "deferred",
+            },
+        )
 
-    Shared as the :data:`NULL_TRACER` singleton; stateless, so one
-    instance serves every engine of every cluster.
-    """
+    def on_complete(self, msg, now: float) -> None:
+        self.async_end(
+            msg.src, "messages", f"msg{msg.msg_id}", msg.msg_id,
+            now, cat="message", args={"retries": msg.retries},
+        )
 
-    __slots__ = ()
+    def on_degraded(self, msg, now: float, node: str) -> None:
+        self.instant(
+            node, "faults", "degraded", now, cat="fault",
+            args={
+                "msg": msg.msg_id,
+                "reason": msg.outcome.reason,
+                "retries": msg.retries,
+                "bytes_received": msg.bytes_received,
+            },
+        )
+        # Close the message's async span so the trace validates even
+        # when a send is given up on.
+        self.async_end(
+            msg.src, "messages", f"msg{msg.msg_id}", msg.msg_id,
+            now, cat="message", args={"degraded": True},
+        )
 
-    enabled = False
-    events: List[Dict[str, Any]] = []
-    dropped = 0
+    def on_retry(self, msg, old, new, max_retries, now, nic, reason) -> None:
+        self.instant(
+            nic.machine.name, "faults", "retry", now, cat="fault",
+            args={
+                "msg": msg.msg_id,
+                "kind": new.kind.value,
+                "old_transfer": old.transfer_id,
+                "new_transfer": new.transfer_id,
+                "rail": nic.qualified_name,
+                "reason": reason,
+            },
+        )
 
-    def __len__(self) -> int:
-        return 0
+    def on_arrival(self, transfer, nic) -> None:
+        """Transfer lifecycle span, emitted as an id-matched pair at
+        arrival (the exporter re-sorts by timestamp)."""
+        if transfer.t_submit is None or transfer.t_complete is None:
+            return
+        src = transfer.src_node or "?"
+        rail = transfer.nic_name or nic.qualified_name
+        lane = f"rail:{rail.split('.')[-1]}"
+        self.async_begin(
+            src, lane, transfer.kind.value, transfer.transfer_id,
+            transfer.t_submit, cat="transfer",
+            args={
+                "msg": transfer.msg_id,
+                "size": transfer.size,
+                "rail": rail,
+                "chunk": f"{transfer.chunk_index + 1}/{transfer.chunk_count}",
+            },
+        )
+        self.async_end(
+            src, lane, transfer.kind.value, transfer.transfer_id,
+            transfer.t_complete, cat="transfer",
+        )
 
-    def __repr__(self) -> str:
-        return "<NullTracer>"
+    def on_plan(
+        self, node, considered, offsets, size, mode, plan, iterations, cached
+    ) -> None:
+        """One §II-B decision: rails considered with their busy offsets,
+        rails chosen (the others are the Fig. 2 discards), split ratio,
+        dichotomy iterations."""
+        chosen = {n.qualified_name for n in plan.nics}
+        self.instant(
+            node, "planner", "plan", considered[0].sim.now, cat="decision",
+            args={
+                "size": size,
+                "mode": mode.value,
+                "considered": [n.qualified_name for n in considered],
+                "busy_offsets_us": list(offsets),
+                "chosen": sorted(chosen),
+                "chunk_sizes": list(plan.sizes),
+                "iterations": iterations,
+                "predicted_completion_us": plan.predicted_completion,
+                "cache": "hit" if cached else "miss",
+            },
+        )
 
-    def clear(self) -> None:
-        pass
+    def on_split(self, node, msg, plan, to_us, now) -> None:
+        self.instant(
+            node, "strategy", "split", now, cat="decision",
+            args={
+                "msg": msg.msg_id,
+                "size": msg.size,
+                "rails": [n.qualified_name for n in plan.nics],
+                "chunk_sizes": list(plan.sizes),
+                "iterations": plan.split.iterations,
+                "to_us": to_us,
+            },
+        )
 
-    def complete(self, *args, **kwargs) -> None:
-        pass
+    def on_aggregate(self, node, msgs, nic, now) -> None:
+        self.instant(
+            node, "strategy", "aggregate", now, cat="decision",
+            args={
+                "dest": msgs[0].dest,
+                "messages": [m.msg_id for m in msgs],
+                "total_bytes": sum(m.size for m in msgs),
+                "rail": nic.qualified_name,
+            },
+        )
 
-    def instant(self, *args, **kwargs) -> None:
-        pass
+    def on_tx(self, nic, transfer, start, now) -> None:
+        """Transmit-engine occupancy: serialized per NIC, so these X
+        events never overlap within one lane."""
+        if start is None:
+            return
+        self.complete(
+            nic.machine.name, f"nic:{nic.name}",
+            f"tx:{transfer.kind.value}", start, now - start, cat="tx",
+            args={
+                "transfer": transfer.transfer_id,
+                "msg": transfer.msg_id,
+                "size": transfer.size,
+                "aborted": transfer.aborted,
+            },
+        )
 
-    def async_begin(self, *args, **kwargs) -> None:
-        pass
+    def _nic_instant(self, nic, name: str, args: Dict[str, Any]) -> None:
+        self.instant(
+            nic.machine.name, f"nic:{nic.name}", name, nic.sim.now,
+            cat="fault", args=args,
+        )
 
-    def async_end(self, *args, **kwargs) -> None:
-        pass
+    def on_nic_down(self, nic, aborted) -> None:
+        self._nic_instant(
+            nic, "nic-down", {"aborted": [t.transfer_id for t in aborted]}
+        )
 
-    def counter(self, *args, **kwargs) -> None:
-        pass
+    def on_nic_up(self, nic, since) -> None:
+        self._nic_instant(nic, "nic-up", {"downtime_us": nic.sim.now - since})
 
+    def on_nic_degrade(self, nic, bw_factor, extra_latency) -> None:
+        self._nic_instant(
+            nic, "nic-degrade",
+            {"bw_factor": bw_factor, "extra_latency": extra_latency},
+        )
 
-NULL_TRACER = NullTracer()
+    def on_nic_restore(self, nic, since) -> None:
+        self._nic_instant(
+            nic, "nic-restore", {"degraded_us": nic.sim.now - since}
+        )
+
+    def on_drop(self, nic, transfer, rule) -> None:
+        self._nic_instant(
+            nic, "packet-drop",
+            {
+                "transfer": transfer.transfer_id,
+                "kind": transfer.kind.value,
+                "rule": rule.label,
+            },
+        )
+
+    def on_link(self, switch, src, dst, transfer, start, drain, stall) -> None:
+        """Output-port drain as an ``X`` span in a per-link lane of a
+        ``fabric:{switch}`` pseudo-node: port draining serializes, so
+        Perfetto shows incast as back-to-back blocks."""
+        self.complete(
+            f"fabric:{switch.name}", f"link:{dst.machine.name}",
+            f"fwd:{transfer.kind.value}", start, drain, cat="fabric",
+            args={
+                "transfer": transfer.transfer_id,
+                "msg": transfer.msg_id,
+                "size": transfer.size,
+                "src": src.machine.name,
+                "stall_us": stall,
+            },
+        )
+
+    def on_spine(self, switch, src, transfer, spine, start, drain, stall) -> None:
+        self.complete(
+            f"fabric:{switch.name}", f"spine:{spine}",
+            f"fwd:{transfer.kind.value}", start, drain, cat="fabric",
+            args={
+                "transfer": transfer.transfer_id,
+                "msg": transfer.msg_id,
+                "size": transfer.size,
+                "src": src.machine.name,
+                "dst": transfer.dst_node,
+                "stall_us": stall,
+            },
+        )
+
+    def on_offload(self, machine, core, issuing_core, preempt, pending, now) -> None:
+        topo = machine.topology
+        self.instant(
+            machine.name, "pioman", "offload", now, cat="offload",
+            args={
+                "core": core.core_id,
+                "from_core": issuing_core.core_id,
+                "preempt": preempt,
+                "signal_cost_us": (
+                    topo.preempt_cost_us if preempt else topo.signal_cost_us
+                ),
+                "pending_sends": pending,
+            },
+        )
+
+    def on_rx_interrupt(self, nic, transfer, core, cost) -> None:
+        self.instant(
+            nic.machine.name, "pioman", "rx-interrupt", nic.sim.now,
+            cat="offload",
+            args={
+                "nic": nic.qualified_name,
+                "transfer": transfer.transfer_id,
+                "core": core.core_id,
+                "signal_cost_us": nic.machine.topology.preempt_cost_us,
+                "rx_cost_us": cost,
+            },
+        )
+
+    def on_fault(self, rule_id, action, now, device, target) -> None:
+        if action.action.startswith("silent_"):
+            # Silent faults are the calibration drift loop's test case:
+            # nothing downstream of obs may learn about them.
+            return
+        params = {"rule_id": rule_id, "params": dict(action.params)}
+        machine = getattr(device, "machine", None)
+        if machine is not None:
+            node, lane, args = machine.name, f"nic:{device.name}", {"nic": target}
+        else:
+            node, lane, args = device.name, "fabric", {"target": target}
+        args.update(params)
+        self.instant(
+            node, lane, f"fault:{action.action}", now, cat="fault", args=args
+        )
+
+    def _calibration_instant(self, nic, name: str, args: Dict[str, Any]) -> None:
+        self.instant(
+            nic.machine.name, "calibration", name, nic.sim.now,
+            cat="calibration", args=args,
+        )
+
+    def on_drift(self, nic, band, ewma) -> None:
+        self._calibration_instant(
+            nic, "drift-detected",
+            {"rail": nic.qualified_name, "band": band, "ewma": ewma},
+        )
+
+    def on_resample(self, nic, blend) -> None:
+        self._calibration_instant(
+            nic, "resample",
+            {
+                "rail": nic.qualified_name,
+                "technology": nic.profile.name,
+                "blend": blend,
+            },
+        )
+
+    def on_fallback(self, nic, node, before, after, confidence) -> None:
+        self._calibration_instant(
+            nic, "fallback",
+            {
+                "node": node,
+                "from": before.name,
+                "to": after.name,
+                "confidence": confidence,
+            },
+        )

@@ -9,7 +9,7 @@ from repro.hardware.core import Core
 from repro.hardware.machine import Machine
 from repro.networks.nic import Nic
 from repro.networks.transfer import Transfer, TransferKind
-from repro.obs import NULL_OBS
+from repro.obs.hooks import Hooks
 from repro.pioman.requests import SendRequest
 from repro.threading.marcel import MarcelScheduler
 from repro.threading.tasklet import Tasklet
@@ -58,13 +58,8 @@ class PiomanEngine:
         self.events_detected: int = 0
         self.offloads: int = 0
         self.interrupts: int = 0
-        #: observability hub; the engine swaps in the cluster-wide one
-        self.obs = NULL_OBS
-        #: invariant monitor; the engine swaps in the cluster-wide one
-        #: (runtime import: repro.core's package init reaches this module)
-        from repro.core.invariants import NULL_INVARIANTS
-
-        self.inv = NULL_INVARIANTS
+        #: the cluster's hook stream; the engine installs its own
+        self.hooks = Hooks()
 
     def __repr__(self) -> str:
         return (
@@ -120,20 +115,16 @@ class PiomanEngine:
             if idle:
                 core = idle[0]
                 self.rx_spills += 1
-                if self.obs.on:
-                    self.obs.metrics.counter(
-                        f"pioman.{self.machine.name}.rx_spills"
-                    ).inc()
+                if self.hooks.on_rx_spill:
+                    self.hooks.on_rx_spill(self.machine.name)
         victim = self.marcel.thread_on(core)
         if victim is not None:
             idle = self.marcel.idle_cores(exclude=core)
             if idle:
                 core = idle[0]
                 self.rx_spills += 1
-                if self.obs.on:
-                    self.obs.metrics.counter(
-                        f"pioman.{self.machine.name}.rx_spills"
-                    ).inc()
+                if self.hooks.on_rx_spill:
+                    self.hooks.on_rx_spill(self.machine.name)
             else:
                 self._rx_via_interrupt(transfer, nic, core, cost)
                 return
@@ -151,25 +142,8 @@ class PiomanEngine:
         from repro.threading.tasklet import Tasklet
 
         self.interrupts += 1
-        obs = self.obs
-        if obs.on:
-            node = self.machine.name
-            preempt_cost = self.machine.topology.preempt_cost_us
-            obs.metrics.counter(f"pioman.{node}.interrupts").inc()
-            obs.metrics.counter(f"pioman.{node}.offload_cost_us").inc(
-                preempt_cost
-            )
-            if obs.tracer.enabled:
-                obs.tracer.instant(
-                    node, "pioman", "rx-interrupt", self.sim.now, cat="offload",
-                    args={
-                        "nic": nic.qualified_name,
-                        "transfer": transfer.transfer_id,
-                        "core": core.core_id,
-                        "signal_cost_us": preempt_cost,
-                        "rx_cost_us": cost,
-                    },
-                )
+        if self.hooks.on_rx_interrupt:
+            self.hooks.on_rx_interrupt(nic, transfer, core, cost)
         tasklet = Tasklet(
             body=lambda: self._rx_done(transfer, nic),
             name=f"rx-irq:{nic.name}",
@@ -180,8 +154,8 @@ class PiomanEngine:
     def _rx_done(self, transfer: Transfer, nic: Nic) -> None:
         self.events_detected += 1
         transfer.t_complete = self.sim.now
-        if self.inv.on:
-            self.inv.on_rx_done(transfer, nic, self.sim.now)
+        if self.hooks.on_rx_done:
+            self.hooks.on_rx_done(transfer, nic, self.sim.now)
         if transfer.done is not None:
             transfer.done.trigger(transfer)
         if self.rx_dispatch is not None:
@@ -249,36 +223,11 @@ class PiomanEngine:
                 self.marcel.schedule_tasklet(tasklet, core, from_core=issuing_core)
             else:
                 self.offloads += 1
-                obs = self.obs
-                if obs.on:
-                    node = self.machine.name
-                    # TO accounting: 3 µs to signal an idle core, 6 µs
-                    # when the pickup preempts a computing thread (§III-D).
-                    topo = self.machine.topology
-                    signal_cost = (
-                        topo.preempt_cost_us
-                        if needs_preempt
-                        else topo.signal_cost_us
+                if self.hooks.on_offload:
+                    self.hooks.on_offload(
+                        self.machine, core, issuing_core, needs_preempt,
+                        len(self.to_be_sent), now,
                     )
-                    obs.metrics.counter(f"pioman.{node}.offloads").inc()
-                    if needs_preempt:
-                        obs.metrics.counter(
-                            f"pioman.{node}.offload_preempts"
-                        ).inc()
-                    obs.metrics.counter(f"pioman.{node}.offload_cost_us").inc(
-                        signal_cost
-                    )
-                    if obs.tracer.enabled:
-                        obs.tracer.instant(
-                            node, "pioman", "offload", now, cat="offload",
-                            args={
-                                "core": core.core_id,
-                                "from_core": issuing_core.core_id,
-                                "preempt": needs_preempt,
-                                "signal_cost_us": signal_cost,
-                                "pending_sends": len(self.to_be_sent),
-                            },
-                        )
                 self.marcel.schedule_tasklet(tasklet, core, from_core=issuing_core)
             tasklets.append(tasklet)
         return tasklets

@@ -7,7 +7,7 @@ import pytest
 from repro.api import load_cluster
 from repro.api.config import builder_from_config
 from repro.bench.cli import main
-from repro.core.calibration import NULL_CALIBRATION, CalibrationController
+from repro.core.calibration import CalibrationController
 from repro.util.errors import ConfigurationError
 
 
@@ -36,8 +36,9 @@ class TestConfigKey:
     def test_false_is_off(self):
         cluster = load_cluster(paper_config(calibration=False))
         assert cluster.calibration is None
+        assert cluster.hooks.subscribers == ()
         for engine in cluster.engines.values():
-            assert engine.calib is NULL_CALIBRATION
+            assert engine.calib is None
 
     def test_absent_is_off(self):
         cluster = load_cluster(paper_config())

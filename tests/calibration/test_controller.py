@@ -9,7 +9,7 @@ import pytest
 
 from repro.api.cluster import ClusterBuilder
 from repro.bench.runners import default_profiles
-from repro.core.calibration import NULL_CALIBRATION, CalibrationController
+from repro.core.calibration import CalibrationController
 from repro.faults import FaultSchedule
 from repro.util.errors import ConfigurationError
 
@@ -165,17 +165,23 @@ class TestAccessors:
             cluster.calibration_report()
 
     def test_engines_hold_the_null_singleton_when_off(self):
+        """Off: no planning handle, no drift feed on the hook stream."""
         cluster = build(calibration=False, degraded=False)
+        assert not any(
+            isinstance(s, CalibrationController)
+            for s in cluster.hooks.subscribers
+        )
         for engine in cluster.engines.values():
-            assert engine.calib is NULL_CALIBRATION
-            assert engine.calib.on is False
+            assert engine.calib is None
 
     def test_engines_share_the_live_controller_when_on(self):
         cluster = build(degraded=False)
         assert isinstance(cluster.calibration, CalibrationController)
+        assert cluster.calibration in cluster.hooks.subscribers
+        assert cluster.hooks.stamps is True
         for engine in cluster.engines.values():
             assert engine.calib is cluster.calibration
-            assert engine.calib.on is True
+            assert engine.hooks is cluster.hooks
 
     def test_report_narrates_the_loop(self):
         cluster = build()

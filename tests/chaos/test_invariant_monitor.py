@@ -4,13 +4,10 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.core.invariants import (
-    NULL_INVARIANTS,
-    InvariantMonitor,
-    InvariantViolation,
-    NullInvariantMonitor,
-)
+from repro.api import ClusterBuilder
+from repro.core.invariants import InvariantMonitor, InvariantViolation
 from repro.networks.transfer import Transfer, TransferKind, wire_checksum
+from repro.obs.hooks import EVENTS, Hooks
 
 
 def msg_stub(msg_id=1, size=4096, **kw):
@@ -41,24 +38,18 @@ def chunk(msg_id=1, size=4096, offset=0, seq_no=0, **kw):
 
 
 class TestNullMonitor:
+    """Checking off: no monitor is subscribed, every hook is inert."""
+
     def test_singleton_is_off(self):
-        assert NULL_INVARIANTS.on is False
-        assert isinstance(NULL_INVARIANTS, NullInvariantMonitor)
+        cluster = ClusterBuilder.paper_testbed().build()
+        assert cluster.invariants is None
+        assert cluster.hooks.on is False
+        assert cluster.hooks.subscribers == ()
 
     def test_every_hook_is_a_noop(self):
-        n = NULL_INVARIANTS
-        n.bind_context(seed=1, schedule={})
-        n.on_send(None)
-        n.on_delivery(None, None, 0.0)
-        n.on_duplicate(None, None, 0.0)
-        n.on_complete(None, 0.0)
-        n.on_degraded(None, 0.0)
-        n.on_retry(None, None, None, 0, 0.0)
-        n.on_activation("node0", [], 0.0)
-        n.on_tx(None, None, 0.0, 0.0)
-        n.on_rx_done(None, None, 0.0)
-        n.on_fault(0, None, 0.0)
-        n.check_drain(None)
+        hooks = Hooks()
+        assert hooks.on is False
+        assert all(getattr(hooks, name) is None for name in EVENTS)
 
 
 class TestClockMonotonic:
@@ -197,25 +188,25 @@ class TestViolationStructure:
 
 class TestBuilderWiring:
     def test_builder_installs_monitor_everywhere(self):
-        from repro.api import ClusterBuilder
-
         cluster = ClusterBuilder.paper_testbed().invariants().build()
         mon = cluster.invariants
         assert isinstance(mon, InvariantMonitor)
+        assert cluster.hooks.subscribers == (mon,)
         for engine in cluster.engines.values():
-            assert engine.inv is mon
-            assert engine.pioman.inv is mon
+            assert engine.hooks is cluster.hooks
+            assert engine.pioman.hooks is cluster.hooks
+            assert engine.predictor.hooks is cluster.hooks
         for machine in cluster.machines.values():
             for nic in machine.nics:
-                assert nic.inv is mon
+                assert nic.hooks is cluster.hooks
 
     def test_default_build_keeps_null_monitor(self):
-        from repro.api import ClusterBuilder
-
+        """Off by default: the monitor is not on the hook stream."""
         cluster = ClusterBuilder.paper_testbed().build()
         assert cluster.invariants is None
-        for engine in cluster.engines.values():
-            assert engine.inv is NULL_INVARIANTS
+        assert not any(
+            isinstance(s, InvariantMonitor) for s in cluster.hooks.subscribers
+        )
 
     def test_config_accepts_invariants_section(self):
         from repro.api.config import load_cluster

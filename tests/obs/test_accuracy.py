@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.obs import NULL_ACCURACY, PredictionAccuracy, size_bucket
+from repro.api import ClusterBuilder
+from repro.obs import PredictionAccuracy, size_bucket
 from repro.util.units import KiB, MiB
 
 
@@ -61,8 +62,20 @@ class TestSnapshot:
 
 
 class TestNullAccuracy:
+    """Accuracy off: the surface is not subscribed and records nothing."""
+
     def test_inert(self):
-        NULL_ACCURACY.record("n.r0", "eager", 1, 1.0, 2.0)
-        assert NULL_ACCURACY.samples == 0
-        assert NULL_ACCURACY.snapshot()["per_rail"] == {}
-        assert NULL_ACCURACY.rails() == []
+        cluster = (
+            ClusterBuilder.paper_testbed().observability(accuracy=False).build()
+        )
+        a, b = cluster.sessions("node0", "node1")
+        b.irecv(source="node0")
+        a.isend("node1", "1M")
+        cluster.run()
+        acc = cluster.obs.accuracy
+        assert acc.enabled is False
+        assert acc not in cluster.hooks.subscribers
+        assert acc.samples == 0
+        assert acc.snapshot()["per_rail"] == {}
+        assert acc.rails() == []
+        assert "disabled" in cluster.accuracy_report()

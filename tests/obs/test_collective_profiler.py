@@ -11,7 +11,6 @@ from repro.faults.chaos import _reset_id_counters
 from repro.hardware.topology import Fabric
 from repro.obs import validate_chrome_trace
 from repro.obs.collective import (
-    NULL_COLLECTIVES,
     critical_path,
     measured_hop_table,
     predicted_vs_measured,
@@ -170,11 +169,28 @@ class TestTraceFlush:
 
 
 class TestNullProfiler:
+    """Profiling off: the profiler is not subscribed and sees no op."""
+
     def test_all_methods_are_noops(self):
-        NULL_COLLECTIVES.finish_op(
-            0, "node0", "alltoall", "ring", 1, 0, 0.0, 1.0, []
+        from repro.api.cluster import ClusterBuilder
+
+        cluster = (
+            ClusterBuilder("hetero_split")
+            .fabric(Fabric.flat(4, rails=RAILS))
+            .sampling(profiles=default_profiles(RAILS))
+            .observability(collectives=False)
+            .build()
         )
-        assert NULL_COLLECTIVES.hops() == []
-        assert NULL_COLLECTIVES.op_rows() == []
-        assert NULL_COLLECTIVES.snapshot()["critical_path"] == []
-        assert NULL_COLLECTIVES.enabled is False
+        world = MpiWorld.from_cluster(cluster)
+
+        def program(comm):
+            yield from comm.alltoall(1024, algorithm="ring")
+
+        world.spawn_all(program)
+        world.run()
+        profiler = cluster.obs.collectives
+        assert profiler.enabled is False
+        assert profiler not in cluster.hooks.subscribers
+        assert profiler.hops() == []
+        assert profiler.op_rows() == []
+        assert profiler.snapshot()["critical_path"] == []

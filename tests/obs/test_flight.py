@@ -7,12 +7,7 @@ import pytest
 from repro.api import ClusterBuilder, load_cluster
 from repro.core.invariants import InvariantViolation
 from repro.faults.chaos import run_scenario
-from repro.obs.flight import (
-    DEFAULT_FLIGHT_CAPACITY,
-    MAX_DUMPS,
-    FlightRecorder,
-    NullFlightRecorder,
-)
+from repro.obs.flight import DEFAULT_FLIGHT_CAPACITY, MAX_DUMPS, FlightRecorder
 from repro.util.errors import ConfigurationError
 
 
@@ -60,11 +55,23 @@ class TestRing:
         assert fr.last_dump() is None
 
     def test_null_recorder_is_inert(self):
-        null = NullFlightRecorder()
-        null.record("send", 1.0, "node0")
-        assert null.trigger("test", 1.0) is None
-        assert null.last_dump() is None
-        assert null.snapshot()["capacity"] == 0
+        """Flight off: the recorder is not subscribed; even a violation
+        at drain leaves it empty."""
+        cluster = (
+            ClusterBuilder.paper_testbed()
+            .invariants()
+            .observability(flight=False)
+            .build()
+        )
+        sender, _ = cluster.sessions("node0", "node1")
+        sender.isend("node1", "4M")
+        cluster.run()
+        with pytest.raises(InvariantViolation):
+            cluster.check_drain()
+        flight = cluster.obs.flight
+        assert flight not in cluster.hooks.subscribers
+        assert flight.recorded == 0 and flight.triggered == 0
+        assert flight.last_dump() is None
 
 
 def _stuck_cluster():
@@ -123,6 +130,7 @@ class TestClusterTriggers:
     def test_obs_off_cluster_has_null_recorder(self):
         cluster = ClusterBuilder.paper_testbed().build()
         assert cluster.obs.flight.enabled is False
+        assert cluster.obs.flight not in cluster.hooks.subscribers
 
 
 class TestChaosIntegration:

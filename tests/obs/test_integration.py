@@ -15,7 +15,7 @@ import pytest
 
 from repro.api import ClusterBuilder, FaultSchedule, load_cluster
 from repro.hardware.topology import CpuTopology
-from repro.obs import validate_chrome_trace
+from repro.obs import Observability, validate_chrome_trace
 from repro.util.errors import ConfigurationError
 
 
@@ -200,13 +200,36 @@ class TestConfigAndBuilder:
         with pytest.raises(ConfigurationError):
             ClusterBuilder.paper_testbed().observability(trace_limit=0)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [{"trace_limit": 0}, {"trace_limit": -5}, {"flight_capacity": 0},
+         {"flight_capacity": -1}],
+        ids=lambda kw: "=".join(map(str, next(iter(kw.items())))),
+    )
+    def test_both_entry_points_reject_non_positive_bounds(self, bad):
+        with pytest.raises(ConfigurationError):
+            Observability(**bad)
+        with pytest.raises(ConfigurationError):
+            ClusterBuilder.paper_testbed().observability(**bad)
+
+    def test_explicit_bounds_are_honoured(self):
+        obs = Observability(trace_limit=3, flight_capacity=5)
+        assert obs.tracer.limit == 3
+        assert obs.flight.capacity == 5
+        assert Observability(trace_limit=None).tracer.limit is None
+
     def test_shared_hub_across_engines(self):
+        """One hook stream per cluster, every obs surface on it."""
         cluster = ClusterBuilder.paper_testbed().observability().build()
-        hubs = {id(engine.obs) for engine in cluster.engines.values()}
-        assert hubs == {id(cluster.obs)}
+        hubs = {id(engine.hooks) for engine in cluster.engines.values()}
+        assert hubs == {id(cluster.hooks)}
         for machine in cluster.machines.values():
             for nic in machine.nics:
-                assert nic.obs is cluster.obs
+                assert nic.hooks is cluster.hooks
+        obs = cluster.obs
+        assert cluster.hooks.subscribers == (
+            obs.tracer, obs.metrics, obs.accuracy, obs.flight, obs.collectives
+        )
 
     def test_obs_snapshot_shape(self):
         cluster, _ = _run_testbed(observability=True)

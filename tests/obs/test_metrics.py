@@ -1,15 +1,11 @@
-"""Metrics registry: instruments, snapshot determinism, the null path."""
+"""Metrics registry: instruments, snapshot determinism, the off path."""
 
 import json
 
 import pytest
 
-from repro.obs import (
-    DEFAULT_DEPTH_BUCKETS,
-    Histogram,
-    MetricsRegistry,
-    NULL_METRICS,
-)
+from repro.api import ClusterBuilder
+from repro.obs import DEFAULT_DEPTH_BUCKETS, Histogram, MetricsRegistry
 from repro.util.errors import ConfigurationError
 
 
@@ -80,11 +76,19 @@ class TestSnapshot:
 
 
 class TestNullMetrics:
+    """Metrics off: the registry is not subscribed and stays empty, and
+    no gauge is sampled into it."""
+
     def test_inert(self):
-        NULL_METRICS.counter("x").inc(5)
-        NULL_METRICS.gauge("y").set(9.0)
-        NULL_METRICS.histogram("z").observe(1.0)
-        assert NULL_METRICS.snapshot() == {
+        cluster = (
+            ClusterBuilder.paper_testbed().observability(metrics=False).build()
+        )
+        a, b = cluster.sessions("node0", "node1")
+        b.irecv(source="node0")
+        a.isend("node1", "64K")
+        cluster.run()
+        assert cluster.obs.metrics not in cluster.hooks.subscribers
+        assert cluster.metrics_snapshot() == {
             "counters": {},
             "gauges": {},
             "histograms": {},

@@ -1,8 +1,9 @@
-"""Tracer primitives: recording, limits, the null singleton."""
+"""Tracer primitives: recording, limits, the off path."""
 
 import pytest
 
-from repro.obs import NULL_TRACER, Tracer
+from repro.api import ClusterBuilder
+from repro.obs import Tracer
 
 
 class TestRecording:
@@ -61,14 +62,54 @@ class TestLimit:
         tr.instant("n", "l", "c", ts=0.0)
         assert tr.events[0]["seq"] == 0
 
+    def test_keeps_the_end_of_a_recorded_begin(self):
+        tr = Tracer(limit=2)
+        tr.async_begin("n", "l", "kept", span_id=1, ts=0.0)
+        tr.async_begin("n", "l", "also-kept", span_id=2, ts=0.0)
+        tr.async_begin("n", "l", "dropped", span_id=3, ts=1.0)
+        tr.async_end("n", "l", "dropped", span_id=3, ts=2.0)
+        tr.async_end("n", "l", "kept", span_id=1, ts=3.0)
+        tr.async_end("n", "l", "kept", span_id=1, ts=4.0)
+        tr.async_end("n", "l", "also-kept", span_id=2, ts=5.0)
+        assert [(ev["ph"], ev["name"]) for ev in tr.events] == [
+            ("b", "kept"), ("b", "also-kept"), ("e", "kept"), ("e", "also-kept"),
+        ]
+        assert tr.dropped == 3
+        assert [ev["seq"] for ev in tr.events] == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("limit", range(1, 21))
+    def test_truncated_cluster_trace_validates(self, limit):
+        """Three 64 KiB hetero-split sends record 44 events; any smaller
+        limit still pairs every recorded async begin with its end."""
+        from repro.obs import validate_chrome_trace
+
+        cluster = (
+            ClusterBuilder.paper_testbed(strategy="hetero_split")
+            .observability(trace_limit=limit)
+            .build()
+        )
+        a, b = cluster.sessions("node0", "node1")
+        for _ in range(3):
+            b.irecv(source="node0")
+            a.isend("node1", "64K")
+        cluster.run()
+        assert cluster.obs.tracer.dropped > 0
+        assert validate_chrome_trace(cluster.chrome_trace()) == []
+
 
 class TestNullTracer:
+    """Tracing off: the tracer is not subscribed and records nothing."""
+
     def test_is_disabled_and_inert(self):
-        assert NULL_TRACER.enabled is False
-        NULL_TRACER.complete("n", "l", "x", ts=0.0, dur=1.0)
-        NULL_TRACER.instant("n", "l", "x", ts=0.0)
-        NULL_TRACER.async_begin("n", "l", "x", span_id=1, ts=0.0)
-        NULL_TRACER.async_end("n", "l", "x", span_id=1, ts=0.0)
-        NULL_TRACER.counter("n", "x", ts=0.0, values={"v": 1})
-        assert len(NULL_TRACER.events) == 0
-        assert NULL_TRACER.dropped == 0
+        cluster = (
+            ClusterBuilder.paper_testbed().observability(trace=False).build()
+        )
+        a, b = cluster.sessions("node0", "node1")
+        b.irecv(source="node0")
+        a.isend("node1", "1M")
+        cluster.run()
+        tracer = cluster.obs.tracer
+        assert tracer.enabled is False
+        assert tracer not in cluster.hooks.subscribers
+        assert len(tracer.events) == 0
+        assert tracer.dropped == 0
