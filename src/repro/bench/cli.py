@@ -6,7 +6,6 @@ Usage::
     python -m repro.bench.cli run FIG8
     python -m repro.bench.cli run all
     python -m repro.bench.cli sweep --sizes 64K,1M,8M --strategies hetero_split,iso_split
-    python -m repro.bench.cli perf --smoke
     python -m repro.bench.cli faults --demo
     python -m repro.bench.cli metrics --json -
     python -m repro.bench.cli accuracy --faults
@@ -17,11 +16,6 @@ Usage::
 
 ``run`` regenerates a registered paper artefact and prints its table;
 ``sweep`` is a free-form bandwidth sweep for ad-hoc exploration;
-``perf`` times the kernel/estimator/split hot paths (``--smoke`` also
-fails when any guarded metric regresses >30% vs the committed
-``BENCH_PR7.json`` trajectory; ``--compare BENCH_PRn.json`` prints a
-per-metric delta table against any committed trajectory file — see
-docs/performance.md);
 ``faults`` showcases the fault-injection subsystem (``--demo`` narrates
 a NIC dying mid-transfer; ``--json`` regenerates ``BENCH_PR2.json``);
 ``metrics`` and ``accuracy`` run instrumented demo scenarios and print
@@ -40,7 +34,7 @@ docs/calibration.md);
 ``collectives`` races the classic collective schedules against the
 naive compositions on switched fabrics (``--demo`` shows the cost
 model's predictions next to measured makespans; ``--json`` regenerates
-``BENCH_PR7.json`` — see docs/collectives.md);
+the collective sections of ``BENCH_PR7.json`` — see docs/collectives.md);
 ``topology`` prints the ASCII picture of a fabric — a canned shape via
 ``--shape``/``--nodes`` or the ``fabric:`` section of a cluster config
 via ``--config``.
@@ -97,25 +91,6 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help="worker processes for the sweep cells (0 = one per CPU)",
-    )
-
-    perf = sub.add_parser(
-        "perf", help="time the kernel/estimator/split hot paths"
-    )
-    perf.add_argument(
-        "--smoke",
-        action="store_true",
-        help="fast run; exit 1 if any guarded metric regresses >30%% vs "
-        "the committed BENCH_PR8.json",
-    )
-    perf.add_argument(
-        "--json", metavar="PATH", help="also dump the measured stats as JSON"
-    )
-    perf.add_argument(
-        "--compare",
-        metavar="BENCH_PRn.json",
-        help="measure, then print a per-metric delta table against the "
-        "named committed trajectory file (with --json: dump the deltas)",
     )
 
     faults = sub.add_parser(
@@ -327,8 +302,8 @@ def _build_parser() -> argparse.ArgumentParser:
     collectives.add_argument(
         "--json",
         metavar="PATH",
-        help="measure the full BENCH_PR7-shaped payload (8/32/128-rank "
-        "race + skewed RailS points + perf metrics) and dump it as "
+        help="measure the collective sections of BENCH_PR7.json "
+        "(8/32/128-rank race + skewed RailS points) and dump them as "
         "JSON ('-' for stdout)",
     )
 
@@ -449,58 +424,6 @@ def _cmd_sweep(
         print(str(exc), file=sys.stderr)
         return 2
     print(result.render())
-    return 0
-
-
-def _cmd_perf(
-    smoke: bool,
-    json_path: Optional[str] = None,
-    compare_path: Optional[str] = None,
-) -> int:
-    import json
-    from pathlib import Path
-
-    from repro.bench import perfstats
-
-    stats = perfstats.collect_perfstats(smoke=smoke)
-    baseline = perfstats.load_baseline()
-    if compare_path:
-        ref_path = Path(compare_path)
-        if not ref_path.exists():
-            candidate = perfstats.repo_root() / compare_path
-            if candidate.exists():
-                ref_path = candidate
-        reference = perfstats.load_baseline(ref_path)
-        if reference is None:
-            print(f"cannot read {compare_path}", file=sys.stderr)
-            return 2
-        deltas = perfstats.compare_stats(stats, reference)
-        print(perfstats.render_comparison(deltas, ref_path.name))
-        if json_path:
-            payload = {"reference": ref_path.name, "deltas": deltas}
-            with open(json_path, "w") as fh:
-                json.dump(payload, fh, indent=2, sort_keys=True)
-            print(f"comparison written to {json_path}")
-        return 0
-    print(perfstats.render_stats(stats, baseline))
-    if json_path:
-        with open(json_path, "w") as fh:
-            json.dump(stats, fh, indent=2, sort_keys=True)
-        print(f"stats written to {json_path}")
-    if smoke:
-        if baseline is None:
-            print(
-                f"no {perfstats.BASELINE_FILENAME} baseline found; "
-                "nothing to guard against",
-                file=sys.stderr,
-            )
-            return 0
-        problems = perfstats.compare_to_baseline(stats, baseline)
-        if problems:
-            for p in problems:
-                print(f"PERF REGRESSION: {p}", file=sys.stderr)
-            return 1
-        print("perf smoke: ok (within 30% of committed baseline)")
     return 0
 
 
@@ -931,10 +854,9 @@ def _cmd_collectives(demo: bool, json_path: Optional[str]) -> int:
     if demo:
         _collectives_demo()
     if json_path:
-        from repro.bench import perfstats
+        from repro.bench.experiments import collectives
 
-        payload = perfstats.collect_pr7_payload()
-        _dump_json(payload, json_path, "collectives payload")
+        _dump_json(collectives.collect(), json_path, "collectives payload")
     return 0
 
 
@@ -1086,10 +1008,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             return _cmd_sweep(
                 args.sizes, args.strategies, args.metric, args.rails,
                 jobs=args.jobs,
-            )
-        if args.command == "perf":
-            return _cmd_perf(
-                args.smoke, json_path=args.json, compare_path=args.compare
             )
         if args.command == "faults":
             return _cmd_faults(args.demo, json_path=args.json)

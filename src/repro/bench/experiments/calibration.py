@@ -33,8 +33,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.bench.experiments.degraded import BURST, SIZES
-from repro.bench.perfstats import repo_root
-from repro.bench.runners import default_profiles
+from repro.bench.runners import default_profiles, repo_root
 from repro.util.errors import ConfigurationError
 from repro.util.units import bytes_per_us_to_mbps
 

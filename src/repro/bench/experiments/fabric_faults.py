@@ -33,8 +33,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.bench.perfstats import repo_root
-from repro.bench.runners import default_profiles
+from repro.bench.runners import default_profiles, repo_root
 from repro.util.errors import ConfigurationError
 
 #: rail technologies (the paper's pair — one fat tree per rail)

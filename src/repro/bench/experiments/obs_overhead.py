@@ -1,44 +1,30 @@
-"""OBS — observability overhead: disabled hooks must cost ~nothing.
+"""OBS — observability overhead: enabled hooks must not move simulated time.
 
 The PR 3 guard scenario.  The same healthy burst workload as ``DEG``'s
-baseline runs three ways:
+baseline runs two ways, once each:
 
 * **off** — observability not built (the default; exactly PR 2's path);
 * **on** — full tracing + metrics + accuracy.
 
-Three claims, pinned by ``BENCH_PR3.json``:
-
-1. simulated results (makespan, throughput) are **bit-identical** in all
-   modes — telemetry is purely passive;
-2. the *off* throughput equals the committed ``BENCH_PR2.json`` healthy
-   numbers exactly — the guarded hook sites did not perturb PR 2;
-3. the wall-clock overhead of *on* vs *off* is measured and reported
-   (informational: virtual-time benchmarks pin simulated numbers, wall
-   time is hardware-dependent).
+The two bandwidth columns must be identical: telemetry is purely
+passive.  ``BENCH_PR3.json`` holds the committed numbers.  The
+wall-clock cost of the obs bundle is measured by the end-to-end
+benchmark's ``moe_fat_tree_obs`` workload (``benchmarks/e2e``).
 """
 
 from __future__ import annotations
 
-import json
-import time
-from typing import Dict, List, Optional, Tuple
+from typing import List
 
 from repro.bench.experiments.degraded import BURST, SIZES
-from repro.bench.perfstats import repo_root
 from repro.bench.runners import default_profiles
 from repro.bench.series import Series, SweepResult
 from repro.util.errors import ConfigurationError
 from repro.util.units import bytes_per_us_to_mbps
 
-#: wall-time repeats per mode (the minimum is reported)
-REPEATS = 3
 
-
-def _measure(size: int, observability: bool) -> Tuple[float, float, float, int]:
-    """One healthy BURST at ``size`` bytes.
-
-    Returns (makespan µs, MB/s, wall seconds, trace events recorded).
-    """
+def _measure(size: int, observability: bool) -> float:
+    """Aggregate MB/s of one healthy BURST at ``size`` bytes."""
     from repro.api.cluster import ClusterBuilder
 
     builder = ClusterBuilder.paper_testbed(strategy="hetero_split").sampling(
@@ -48,46 +34,17 @@ def _measure(size: int, observability: bool) -> Tuple[float, float, float, int]:
         builder.observability()
     cluster = builder.build()
     sender, receiver = cluster.sessions("node0", "node1")
-    t0 = time.perf_counter()
     messages = []
     for i in range(BURST):
         receiver.irecv(tag=i)
         messages.append(sender.isend("node1", size, tag=i))
     cluster.run()
-    wall = time.perf_counter() - t0
     if any(m.t_complete is None for m in messages):
         raise ConfigurationError(f"message incomplete at {size}B")
     elapsed = max(m.t_complete for m in messages) - min(
         m.t_post for m in messages
     )
-    total = sum(m.size for m in messages)
-    return (
-        cluster.sim.now,
-        bytes_per_us_to_mbps(total / elapsed),
-        wall,
-        len(cluster.obs.tracer.events),
-    )
-
-
-def _best(size: int, observability: bool) -> Tuple[float, float, float, int]:
-    """Repeat :func:`_measure`; keep the fastest wall time (simulated
-    numbers are identical across repeats by construction)."""
-    best = None
-    for _ in range(REPEATS):
-        sample = _measure(size, observability)
-        if best is None or sample[2] < best[2]:
-            best = sample
-    return best
-
-
-def _bench_pr2_healthy() -> Dict[int, float]:
-    """Committed healthy MB/s per size from BENCH_PR2.json (empty when
-    the file is absent — e.g. an installed package without the repo)."""
-    path = repo_root() / "BENCH_PR2.json"
-    if not path.exists():
-        return {}
-    payload = json.loads(path.read_text())
-    return {p["size"]: p["healthy_mbps"] for p in payload.get("points", [])}
+    return bytes_per_us_to_mbps(sum(m.size for m in messages) / elapsed)
 
 
 def run() -> SweepResult:
@@ -95,8 +52,8 @@ def run() -> SweepResult:
     off: List[float] = []
     on: List[float] = []
     for size in SIZES:
-        off.append(_best(size, observability=False)[1])
-        on.append(_best(size, observability=True)[1])
+        off.append(_measure(size, observability=False))
+        on.append(_measure(size, observability=True))
     return SweepResult(
         title=(
             f"OBS: {BURST}-message healthy burst, observability off vs on "
@@ -109,52 +66,3 @@ def run() -> SweepResult:
         ],
         y_label="aggregate bandwidth, MB/s",
     )
-
-
-def collect(json_path: Optional[str] = None) -> Dict:
-    """The BENCH_PR3.json payload: per-size off/on comparison."""
-    pr2 = _bench_pr2_healthy()
-    points = []
-    for size in SIZES:
-        mk_off, bw_off, wall_off, ev_off = _best(size, observability=False)
-        mk_on, bw_on, wall_on, ev_on = _best(size, observability=True)
-        points.append(
-            {
-                "size": size,
-                "makespan_us": mk_off,
-                "makespan_identical": mk_off == mk_on,
-                "mbps": bw_off,
-                "mbps_identical": bw_off == bw_on,
-                "matches_bench_pr2": (
-                    pr2[size] == bw_off if size in pr2 else None
-                ),
-                "trace_events_recorded": ev_on,
-                "wall_off_s": wall_off,
-                "wall_on_s": wall_on,
-                "wall_overhead_fraction": (
-                    (wall_on - wall_off) / wall_off if wall_off > 0 else 0.0
-                ),
-            }
-        )
-    payload = {
-        "schema": 1,
-        "pr": 3,
-        "description": (
-            "Observability overhead guard: the DEG healthy burst "
-            f"({BURST} messages, paper testbed, hetero_split) with "
-            "repro.obs disabled vs fully enabled.  Simulated makespan "
-            "and throughput must be bit-identical in both modes, and "
-            "the disabled numbers must equal BENCH_PR2.json's "
-            "healthy_mbps exactly.  Wall-time columns are "
-            "informational (hardware-dependent; fastest of "
-            f"{REPEATS} repeats)."
-        ),
-        "harness": "python -m repro.bench.cli run OBS / obs_overhead.collect",
-        "scenario": {"burst": BURST, "repeats": REPEATS, "sizes": list(SIZES)},
-        "points": points,
-    }
-    if json_path:
-        with open(json_path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    return payload

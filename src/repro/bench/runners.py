@@ -8,6 +8,7 @@ sampling pass is computed once per rail set and memoized.
 from __future__ import annotations
 
 from functools import lru_cache
+from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.api.cluster import Cluster, ClusterBuilder, StrategySpec
@@ -16,6 +17,15 @@ from repro.core.packets import Message
 from repro.core.sampling import ProfileStore
 from repro.networks.drivers import make_driver
 from repro.util.errors import ConfigurationError
+
+
+def repo_root() -> Path:
+    """Best-effort repository root (where the ``BENCH_PR*.json`` live)."""
+    here = Path(__file__).resolve()
+    for parent in here.parents:
+        if (parent / "pyproject.toml").exists():
+            return parent
+    return Path.cwd()
 
 
 @lru_cache(maxsize=None)

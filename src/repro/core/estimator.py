@@ -17,11 +17,11 @@ other parameters such as rendezvous threshold".
 Performance notes
 -----------------
 ``SampleTable.__call__`` is the innermost call of every split decision
-(40–60 invocations per planned message), so the scalar path is pure
-Python over plain lists — numpy scalar indexing costs ~20× a list index.
-The numpy arrays are kept for the bulk :meth:`SampleTable.batch` path and
-for external analysis code.  Both paths evaluate the *same* IEEE-754
-expression, so they agree bitwise — asserted by the test suite.
+(40–60 invocations per planned message), so lookups are pure Python over
+plain lists — numpy scalar indexing costs ~20× a list index.  The numpy
+``sizes``/``times`` arrays are kept for validation at construction and
+for external analysis code; the test suite checks the list path
+bitwise against the original numpy formula.
 
 :class:`NicEstimator` is immutable after construction (enforced via
 ``__setattr__``), which makes its derived quantities — ``rdv_threshold``,
@@ -119,58 +119,6 @@ class SampleTable:
         t = t0 + (t1 - t0) * (size - s0) / (s1 - s0)
         return t if t > 0.0 else 0.0
 
-    def batch(self, sizes: Sequence[float]) -> np.ndarray:
-        """Vectorized estimates for an array of sizes (bulk analysis path).
-
-        Evaluates the identical interpolation expression as the scalar
-        ``__call__``, element-wise over numpy arrays; the two paths agree
-        bitwise on every input.
-        """
-        arr = np.asarray(sizes, dtype=np.float64)
-        if np.any(arr < 0):
-            raise SamplingError("negative size in batch")
-        idx = np.clip(
-            np.searchsorted(self.sizes, np.maximum(arr, 1.0), side="right") - 1,
-            0,
-            self._last_segment,
-        )
-        s0, s1 = self.sizes[idx], self.sizes[idx + 1]
-        t0, t1 = self.times[idx], self.times[idx + 1]
-        return np.maximum(0.0, t0 + (t1 - t0) * (arr - s0) / (s1 - s0))
-
-    def inverse_batch(self, times: Sequence[float]) -> np.ndarray:
-        """Vectorized :meth:`inverse` for an array of target times.
-
-        Element-for-element the same IEEE-754 expressions as the scalar
-        path (same operand order, same clamps), so the two agree bitwise
-        — the waterfill solver can price many completion candidates in
-        one call without perturbing a single planned byte.
-        """
-        arr = np.asarray(times, dtype=np.float64)
-        t, s = self.times, self.sizes
-        zero_time = self(0)
-        idx = np.clip(
-            np.searchsorted(t, arr, side="right") - 1, 0, self._last_segment
-        )
-        t0, t1 = t[idx], t[idx + 1]
-        s0, s1 = s[idx], s[idx + 1]
-        flat = t1 == t0
-        denom = np.where(flat, 1.0, t1 - t0)
-        # Near-flat (but not exactly flat) segments can overflow to inf
-        # in the unselected where-branch; the scalar path reaches the
-        # same inf without warning, so silence only the warning.
-        with np.errstate(over="ignore"):
-            interp = np.where(flat, s1, s0 + (s1 - s0) * (arr - t0) / denom)
-        # Last-segment extrapolation, exactly as the scalar branch.
-        slope = self._slopes[-1]
-        extrapolated = (
-            np.full_like(arr, s[-1])
-            if slope <= 0
-            else s[-1] + (arr - t[-1]) / slope
-        )
-        out = np.where(arr >= t[-1], extrapolated, interp)
-        return np.where(arr <= zero_time, 0.0, out)
-
     def inverse(self, time: float) -> float:
         """Largest size transferable within ``time`` (for waterfilling).
 
@@ -216,11 +164,10 @@ class SampleTable:
         if not 0.0 <= weight <= 1.0:
             raise SamplingError(f"blend weight {weight} outside [0, 1]")
         keep = 1.0 - weight
-        # One vectorized pass over the grid: fresh.batch is bit-equal to
-        # per-point fresh(s) calls, and scalar multiply-add over float64
-        # is the identical IEEE expression either way — re-sampling got
-        # cheaper without moving a blended point by one ulp.
-        times = (keep * self.times + weight * fresh.batch(self.sizes)).tolist()
+        times = [
+            keep * t + weight * fresh(s)
+            for s, t in zip(self._sizes_list, self._times_list)
+        ]
         running = 0.0
         for i, t in enumerate(times):
             if t < running:
@@ -323,18 +270,6 @@ class NicEstimator:
                 memo.clear()
             memo[key] = t
         return t
-
-    def transfer_times(self, sizes: Sequence[float], mode: TransferMode) -> np.ndarray:
-        """Vectorized :meth:`transfer_time` over an array of sizes.
-
-        One numpy pass through the mode's sample table instead of a
-        Python call per size; bit-equal to the scalar path on every
-        element (``SampleTable.batch`` evaluates the identical IEEE-754
-        expression).  Bypasses the scalar memo — bulk pricing of dozens
-        of candidate chunk sizes is faster vectorized than memoized.
-        """
-        table = self.eager if mode is TransferMode.EAGER else self.dma
-        return table.batch(sizes)
 
     def rdv_handshake(self) -> float:
         """Predicted REQ+ACK cost (two control one-ways)."""

@@ -14,8 +14,6 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.core.estimator import NicEstimator, SampleTable
 from repro.core.packets import TransferMode
 from repro.core.split import SplitResult, dichotomy_split, waterfill_split
@@ -70,11 +68,6 @@ class _ScaledTable:
     def __call__(self, size: float) -> float:
         return self._table(size) / self._factor
 
-    def batch(self, sizes) -> "np.ndarray":
-        # Elementwise division by the same scalar the scalar path uses:
-        # bit-equal to calling __call__ per size.
-        return self._table.batch(sizes) / self._factor
-
     def inverse(self, time: float) -> float:
         return self._table.inverse(time * self._factor)
 
@@ -110,14 +103,11 @@ class CompletionPredictor:
     traffic and every size sweep re-plan the same shapes constantly.
     Estimators are immutable after construction, so cached plans can
     only go stale if the estimator set itself is swapped — which builds
-    a fresh predictor (``Cluster.resample`` does exactly that); an
-    explicit :meth:`invalidate_plan_cache` exists for anything exotic.
+    a fresh predictor (``Cluster.resample`` does exactly that).
 
-    ``offset_quantum`` (µs) buckets the busy offsets used in the cache
-    *key*.  The default 0.0 keys on exact offsets, which guarantees a
-    cache hit never changes any planned byte — simulated timestamps stay
-    bit-identical to an uncached run.  A coarser quantum trades that
-    exactness for more hits under jittery offsets; opt-in only.
+    The cache keys on exact busy offsets, so a hit never changes any
+    planned byte — simulated timestamps stay bit-identical to an
+    uncached run.
 
     ``hooks``/``node``: the owning engine's hook stream and node name —
     every plan decision is emitted as ``on_plan`` under that node.
@@ -126,32 +116,18 @@ class CompletionPredictor:
     def __init__(
         self,
         estimators: Dict[str, NicEstimator],
-        offset_quantum: float = 0.0,
         hooks: Optional[Hooks] = None,
         node: str = "",
     ) -> None:
         if not estimators:
             raise SamplingError("predictor needs at least one estimator")
-        if offset_quantum < 0:
-            raise ConfigurationError(f"negative offset quantum: {offset_quantum}")
         self.estimators = dict(estimators)
-        self.offset_quantum = offset_quantum
         self._plan_cache: Dict[tuple, tuple] = {}
         self._scaled_cache: Dict[Tuple[str, float], _ScaledEstimator] = {}
         self.plan_cache_hits = 0
         self.plan_cache_misses = 0
         self.hooks = hooks if hooks is not None else Hooks()
         self.node = node
-
-    def invalidate_plan_cache(self) -> None:
-        """Drop every cached split decision (hit/miss counters survive)."""
-        self._plan_cache.clear()
-
-    def _quantize(self, offset: float) -> float:
-        q = self.offset_quantum
-        if q <= 0.0:
-            return offset
-        return round(offset / q) * q
 
     def estimator_for(self, nic: Nic) -> NicEstimator:
         """The estimator sampled for this NIC's technology."""
@@ -212,113 +188,6 @@ class CompletionPredictor:
         return self._planning_estimator(nic).transfer_time(size, mode)
 
     # ------------------------------------------------------------------ #
-    # batched candidate pricing (one vectorized call across all rails
-    # and all candidate split points of a plan)
-    # ------------------------------------------------------------------ #
-
-    def price_candidates(
-        self,
-        nics: Sequence[Nic],
-        candidate_sizes: Sequence[Sequence[float]],
-        mode: TransferMode,
-    ) -> "np.ndarray":
-        """Predicted completions of many candidate splits in one call.
-
-        ``candidate_sizes`` is a ``(candidates, rails)`` matrix: row
-        ``c`` assigns ``candidate_sizes[c][r]`` bytes to ``nics[r]``.
-        Returns one predicted completion per row::
-
-            completion[c] = max_r( busy_offset_r + T_r(size[c, r]) )
-
-        — the quantity the §II-B solvers minimize, evaluated with one
-        ``SampleTable.batch`` pass per rail instead of a Python call per
-        ``(candidate, rail)`` cell.  Bit-equal to
-        :meth:`price_candidates_scalar` on every element (the hypothesis
-        suite asserts it), so analysis and solver code can mix the two
-        paths freely.  Degraded rails price through the same scaled
-        planning view the scalar path uses.
-
-        Like the solvers' interior evaluation (``dichotomy_split``'s
-        ``time_a``/``time_b``), a zero-byte cell is priced at the
-        curve's zero-size intercept — the "drop this rail entirely"
-        special case stays where it always lived, in the caller.
-        """
-        arr = np.asarray(candidate_sizes, dtype=np.float64)
-        if arr.ndim != 2 or arr.shape[1] != len(nics):
-            raise ConfigurationError(
-                f"candidate matrix shape {arr.shape} does not match "
-                f"{len(nics)} rail(s)"
-            )
-        completion: Optional[np.ndarray] = None
-        for r, nic in enumerate(nics):
-            est = self._planning_estimator(nic)
-            table = est.eager if mode is TransferMode.EAGER else est.dma
-            rail_completion = self._rail_offset(nic) + table.batch(arr[:, r])
-            completion = (
-                rail_completion
-                if completion is None
-                else np.maximum(completion, rail_completion)
-            )
-        assert completion is not None
-        return completion
-
-    def price_candidates_scalar(
-        self,
-        nics: Sequence[Nic],
-        candidate_sizes: Sequence[Sequence[float]],
-        mode: TransferMode,
-    ) -> List[float]:
-        """Reference scalar loop for :meth:`price_candidates`.
-
-        One table call per ``(candidate, rail)`` cell — what pricing
-        cost before vectorization, kept as the bit-equality oracle and
-        the baseline side of the ``pricing`` benchmark pair in
-        ``BENCH_PR6.json``.
-        """
-        tables = []
-        for nic in nics:
-            est = self._planning_estimator(nic)
-            tables.append(
-                (
-                    est.eager if mode is TransferMode.EAGER else est.dma,
-                    self._rail_offset(nic),
-                )
-            )
-        out: List[float] = []
-        for row in candidate_sizes:
-            if len(row) != len(nics):
-                raise ConfigurationError(
-                    f"candidate row width {len(row)} does not match "
-                    f"{len(nics)} rail(s)"
-                )
-            out.append(
-                max(off + table(s) for (table, off), s in zip(tables, row))
-            )
-        return out
-
-    def price_boundaries(
-        self,
-        nics: Sequence[Nic],
-        size: int,
-        mode: TransferMode,
-        boundaries: Sequence[float],
-    ) -> "np.ndarray":
-        """Price every two-rail boundary candidate in one vectorized call.
-
-        Boundary ``b`` sends ``b`` bytes on ``nics[0]`` and ``size - b``
-        on ``nics[1]`` — the dichotomy solver's search axis, priced as a
-        whole grid at once (grid sweeps, ablation benches, charts).
-        """
-        if len(nics) != 2:
-            raise ConfigurationError(
-                f"price_boundaries takes exactly 2 rails, got {len(nics)}"
-            )
-        b = np.asarray(boundaries, dtype=np.float64)
-        return self.price_candidates(
-            nics, np.stack((b, size - b), axis=1), mode
-        )
-
-    # ------------------------------------------------------------------ #
     # rail-subset selection + split (the full §II-B decision)
     # ------------------------------------------------------------------ #
 
@@ -362,7 +231,7 @@ class CompletionPredictor:
             tuple(n.name for n in nics),
             size,
             mode,
-            tuple(self._quantize(off) for off in offsets),
+            offsets,
             limit,
             fixed_cost,
             tuple(n.bw_factor for n in nics),

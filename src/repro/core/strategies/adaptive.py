@@ -71,13 +71,9 @@ class AdaptiveStrategy(MulticoreSplitStrategy):
                 # A lone packet: parallel send over separate NICs from
                 # different cores when the estimator says it pays off.
                 scheduler.pop_ready()
-                rails_before = len(msg.rails_used)
                 self._emit_eager(msg)
                 if len(msg.rails_used) > 1:
                     self.splits += 1
-                    if engine.hooks.on_lone_split:
-                        engine.hooks.on_lone_split(engine.machine.name)
-                del rails_before
 
     # ------------------------------------------------------------------ #
 

@@ -47,7 +47,6 @@ EVENTS: Dict[str, str] = {
     "on_activation": "node, outlist, now",
     "on_plan": "node, considered, offsets, size, mode, plan, iterations, cached",
     "on_split": "node, msg, plan, to_us, now",
-    "on_lone_split": "node",
     "on_aggregate": "node, msgs, nic, now",
     # NIC, wire, switch
     "on_tx": "nic, transfer, start, now",

@@ -295,9 +295,6 @@ class MetricsRegistry:
     def on_split(self, node, msg, plan, to_us, now) -> None:
         self.counter(f"strategy.{node}.splits").inc()
 
-    def on_lone_split(self, node) -> None:
-        self.counter(f"strategy.{node}.splits").inc()
-
     def on_aggregate(self, node, msgs, nic, now) -> None:
         self.counter(f"strategy.{node}.aggregations").inc()
 

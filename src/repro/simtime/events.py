@@ -411,9 +411,8 @@ class EventQueue:
     :data:`CALENDAR_LOW_WATER`.  Both structures pop in the identical
     ``(time, priority, seq)`` total order, so the switch never moves a
     timestamp — simulated runs are bit-identical whichever backend (or
-    mixture) served them.  ``auto_calendar=False`` pins the heap, which
-    is how the perf harness measures the PR 5 baseline interleaved with
-    the calendar path.
+    mixture) served them.  ``auto_calendar=False`` pins the heap — the
+    reference the calendar tests compare against.
     """
 
     __slots__ = ("_heap", "_seq", "_live", "_dead", "_cal", "_auto")

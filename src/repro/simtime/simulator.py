@@ -35,11 +35,9 @@ class Simulator:
         sim.run()
     """
 
-    def __init__(self, start_time: float = 0.0, auto_calendar: bool = True) -> None:
+    def __init__(self, start_time: float = 0.0) -> None:
         self.now: float = float(start_time)
-        # auto_calendar=False pins the PR 1 heap backend (the perf
-        # harness measures it interleaved with the calendar path).
-        self._queue = EventQueue(auto_calendar=auto_calendar)
+        self._queue = EventQueue()
         # Bound once: schedule/schedule_at are the hottest calls in every
         # run, and the queue lives as long as the simulator.
         self._push = self._queue.push

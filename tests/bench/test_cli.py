@@ -130,40 +130,6 @@ class TestAccuracyCommand:
         assert degraded["mean_abs_rel_error"] > 1e-8
 
 
-class TestPerfCompare:
-    def test_compare_against_committed_trajectory_file(self, capsys):
-        assert main(["perf", "--smoke", "--compare", "BENCH_PR6.json"]) == 0
-        out = capsys.readouterr().out
-        assert "BENCH_PR6.json" in out
-        assert "speedup" in out
-
-    def test_compare_missing_file_fails(self, capsys):
-        assert main(["perf", "--smoke", "--compare", "BENCH_PR99.json"]) == 2
-        assert "cannot read" in capsys.readouterr().err
-
-    def test_compare_json_dump(self, tmp_path, capsys):
-        import json
-
-        out_path = tmp_path / "deltas.json"
-        assert (
-            main(
-                [
-                    "perf",
-                    "--smoke",
-                    "--compare",
-                    "BENCH_PR6.json",
-                    "--json",
-                    str(out_path),
-                ]
-            )
-            == 0
-        )
-        payload = json.loads(out_path.read_text())
-        assert payload["reference"] == "BENCH_PR6.json"
-        for row in payload["deltas"].values():
-            assert set(row) == {"measured", "reference", "ratio"}
-
-
 class TestChaosFanOut:
     def test_jobs_artifact_matches_serial_byte_for_byte(self, tmp_path, capsys):
         a = tmp_path / "serial.json"

@@ -7,6 +7,7 @@ from repro.bench.runners import (
     default_profiles,
     measure_oneway,
     measure_pair_completion,
+    repo_root,
     sweep_oneway,
 )
 from repro.util.errors import ConfigurationError
@@ -25,6 +26,11 @@ class TestDefaultProfiles:
 
     def test_contains_requested_technologies(self, profiles):
         assert "myri10g" in profiles and "quadrics" in profiles
+
+
+class TestRepoRoot:
+    def test_repo_root_finds_pyproject(self):
+        assert (repo_root() / "pyproject.toml").exists()
 
 
 class TestMeasureOneway:

@@ -64,6 +64,19 @@ class TestSampleTableBlend:
         assert list(out.sizes) == [1024.0, 4096.0]
         assert list(out.times) == [20.0, 40.0]
 
+    def test_blend_still_monotonic_and_bit_stable(self):
+        """Each blended point is exactly ``(1 - w) * t + w * fresh(s)``
+        before the monotonic clamp (calibration's byte-identity tests
+        depend on it)."""
+        a = table([1, 64, 4096], [1.0, 5.0, 40.0])
+        b = table([1, 64, 4096], [2.0, 4.0, 90.0])
+        blended = a.blend(b, 0.25)
+        expected = [0.75 * t + 0.25 * b(s) for s, t in zip([1, 64, 4096], [1.0, 5.0, 40.0])]
+        running = 0.0
+        for i, t in enumerate(expected):
+            expected[i] = running = max(running, t)
+        assert blended.times.tolist() == expected
+
     @pytest.mark.parametrize("weight", [-0.1, 1.1])
     def test_bad_weight_rejected(self, weight):
         t = table([1024, 2048], [10.0, 20.0])

@@ -40,7 +40,12 @@ class TestModeSelection:
         assert strat.splits == 0
 
     def test_lone_medium_message_splits_across_cores(self, profiles):
-        cluster = build("adaptive", profiles)
+        cluster = (
+            ClusterBuilder.paper_testbed(strategy="adaptive")
+            .sampling(profiles=profiles)
+            .observability()
+            .build()
+        )
         a, b = cluster.session("node0"), cluster.session("node1")
         b.irecv()
         m = a.isend("node1", 32 * KiB)
@@ -50,6 +55,9 @@ class TestModeSelection:
         strat = cluster.engine("node0").strategy
         assert strat.splits == 1
         assert strat.aggregations == 0
+        # The metrics registry counts each split once, like the strategy.
+        counters = cluster.metrics_snapshot()["counters"]
+        assert counters["strategy.node0.splits"] == strat.splits
 
     def test_large_message_goes_hetero_rendezvous(self, profiles):
         cluster = build("adaptive", profiles)

@@ -196,9 +196,9 @@ def _numpy_reference(table, size):
 
 
 class TestScalarFastPathEqualsNumpyPath:
-    """The pure-Python scalar path, the vectorized batch path and the
-    seed's numpy formula must agree to the last bit — the estimator sits
-    under every split decision, so any drift would shift timestamps."""
+    """The pure-Python scalar path and the seed's numpy formula must
+    agree to the last bit — the estimator sits under every split
+    decision, so any drift would shift timestamps."""
 
     @given(
         st.integers(min_value=2, max_value=20),  # log2 of first sample
@@ -218,7 +218,6 @@ class TestScalarFastPathEqualsNumpyPath:
         t = SampleTable(sizes, times)
         assert t._pow2
         assert t(size) == _numpy_reference(t, size)
-        assert t(size) == float(t.batch([size])[0])
 
     @given(
         st.lists(
@@ -240,14 +239,6 @@ class TestScalarFastPathEqualsNumpyPath:
         times = sorted(raw_times[: len(sizes)])
         t = SampleTable(sizes, times)
         assert t(size) == _numpy_reference(t, size)
-        assert t(size) == float(t.batch([size])[0])
-
-    def test_batch_matches_scalar_over_a_sweep(self):
-        t = linear_table(POW2, 2.0, 100.0)
-        probe = [0, 1, 3, 4, 5, 1000, 16384, 50000]
-        batched = t.batch(probe)
-        for s, b in zip(probe, batched):
-            assert t(s) == float(b)
 
 
 class TestEstimatorImmutabilityAndMemo:

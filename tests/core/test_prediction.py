@@ -187,25 +187,3 @@ class TestPlanCache:
         pred.plan(node_a.nics, 1 * MiB, RDV, fixed_cost=3.0)
         assert pred.plan_cache_hits == 0
         assert pred.plan_cache_misses == 5
-
-    def test_invalidate_clears(self, sim, rig):
-        node_a, pred = rig
-        pred.plan(node_a.nics, 1 * MiB, RDV)
-        pred.invalidate_plan_cache()
-        pred.plan(node_a.nics, 1 * MiB, RDV)
-        assert pred.plan_cache_hits == 0
-        assert pred.plan_cache_misses == 2
-
-    def test_offset_quantum_buckets_nearby_offsets(self, sim, profiles):
-        from repro.networks import ElanDriver, MxDriver
-
-        node_a, _ = wire_pair(sim, [MxDriver(), ElanDriver()])
-        pred = CompletionPredictor(profiles.estimators, offset_quantum=1.0)
-        pred.plan(node_a.nics, 1 * MiB, RDV)
-        node_a.nics[0].inject_busy(0.25)  # < quantum/2: same bucket
-        pred.plan(node_a.nics, 1 * MiB, RDV)
-        assert pred.plan_cache_hits == 1
-
-    def test_negative_quantum_rejected(self, profiles):
-        with pytest.raises(ConfigurationError):
-            CompletionPredictor(profiles.estimators, offset_quantum=-1.0)

@@ -1,6 +1,6 @@
 """Golden hook output: every obs surface, invariant verdict and trail.
 
-Seven scenarios exercise every instrumented decision of the engine —
+Eight scenarios exercise every instrumented decision of the engine —
 retries, drops, aggregation, offloads, receive interrupts and spills,
 collective profiling, spine re-routing and re-planning, drift
 re-sampling and fallback-ladder drops, a planted double delivery and an
