@@ -28,9 +28,17 @@ def repo_root() -> Path:
     return Path.cwd()
 
 
+def default_profiles(rails: Sequence[str] = ("myri10g", "quadrics")) -> ProfileStore:
+    """Sampled profiles for a rail set, computed once per process.
+
+    Keyed on ``tuple(rails)``: the default and the same rails passed
+    explicitly share one sampling pass and one store.
+    """
+    return _sampled_profiles(tuple(rails))
+
+
 @lru_cache(maxsize=None)
-def default_profiles(rails: Tuple[str, ...] = ("myri10g", "quadrics")) -> ProfileStore:
-    """Sampled profiles for a rail set, computed once per process."""
+def _sampled_profiles(rails: Tuple[str, ...]) -> ProfileStore:
     return ProfileStore.sample_drivers([make_driver(r) for r in rails])
 
 

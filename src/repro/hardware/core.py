@@ -6,6 +6,10 @@ Two usage styles, matching the simulator's two styles:
   simulation process: waits for the core, holds it ``cost`` µs, releases;
 * **callback style** — ``core.run(cost, fn, *args)``: queues a work item;
   when the core reaches it, holds the core ``cost`` µs then calls ``fn``.
+  ``core.declare(cost)`` then ``core.hold(cost, fn, *args)`` splits the
+  announcement from the occupancy, for work that waits on something
+  else first (a NIC transmit engine).  Callback-style work is a chain
+  of lane and timer events: no process, no generator per occupancy.
 
 Both styles share one FIFO, so PIO copies, tasklet bodies and application
 compute contend for the core exactly as they would on real hardware.
@@ -26,7 +30,7 @@ from repro.simtime import Resource, Simulator, Timeout
 from repro.util.errors import SchedulingError
 
 
-@dataclass
+@dataclass(slots=True)
 class CoreWork:
     """One completed occupancy interval, for utilization accounting."""
 
@@ -109,14 +113,11 @@ class Core:
     # occupancy
     # ------------------------------------------------------------------ #
 
-    def occupy(self, cost: float, label: str = "work", on_start=None):
+    def occupy(self, cost: float, label: str = "work"):
         """Process-style occupancy: ``yield from core.occupy(cost)``.
 
         Declares ``cost`` up front (feeding :attr:`busy_until`), waits for
         the core FIFO, holds it for ``cost`` µs, then releases.
-        ``on_start`` (if given) is called the instant the core is actually
-        acquired — mirroring :meth:`hold_declared`, for callers that need
-        to timestamp the true start of service.
         """
         if cost < 0:
             raise SchedulingError(f"negative occupancy cost: {cost}")
@@ -124,8 +125,6 @@ class Core:
         req = self._res.request()
         yield req
         start = self.sim.now
-        if on_start is not None:
-            on_start()
         yield Timeout(cost)
         self._res.release(req)
         self._record(start, self.sim.now, label)
@@ -138,54 +137,65 @@ class Core:
         label: str = "work",
     ) -> None:
         """Callback-style occupancy: queue ``cost`` µs of work, then call
-        ``callback(*args)`` (if given) the instant the work completes."""
+        ``callback(*args)`` (if given) the instant the work completes.
+
+        The work is declared now and joins the core FIFO one same-instant
+        hop later, as a process spawned now would.
+        """
         if cost < 0:
             raise SchedulingError(f"negative occupancy cost: {cost}")
         self._declare(cost)
-
-        def body():
-            req = self._res.request()
-            yield req
-            start = self.sim.now
-            yield Timeout(cost)
-            self._res.release(req)
-            self._record(start, self.sim.now, label)
-            if callback is not None:
-                callback(*args)
-
-        self.sim.spawn(body(), name=f"core{self.core_id}.{label}")
+        self.sim.call_soon(
+            self._res.acquire, self._start, cost, label, None, callback, args
+        )
 
     def declare(self, cost: float) -> None:
         """Pre-announce ``cost`` µs of imminent work (feeds :attr:`busy_until`).
 
         Used when the work item will start after an external wait (e.g. a
         PIO copy queued behind a NIC transmit engine) but the strategy
-        must already see the core as committed.  Pair with
-        :meth:`hold_declared`, which performs the occupancy *without*
-        declaring again.
+        must already see the core as committed.  Pair with :meth:`hold`,
+        which performs the occupancy *without* declaring again.
         """
         if cost < 0:
             raise SchedulingError(f"negative occupancy cost: {cost}")
         self._declare(cost)
 
-    def hold_declared(self, cost: float, label: str = "work", on_start=None):
-        """Process-style occupancy for work already announced via
-        :meth:`declare`: ``yield from core.hold_declared(cost)``.
+    def hold(
+        self,
+        cost: float,
+        callback: Optional[Callable[..., None]] = None,
+        *args: Any,
+        label: str = "work",
+        on_start: Optional[Callable[..., None]] = None,
+    ) -> None:
+        """Callback-style occupancy for work already announced via
+        :meth:`declare`: join the core FIFO now, hold the core ``cost``
+        µs, release it, then call ``callback(*args)`` (if given).
 
-        ``on_start`` (if given) is called the instant the core is actually
-        acquired — the precise start of the copy, which timing-sensitive
-        callers (the NIC pipelines) need to timestamp.
+        ``on_start(*args)`` (if given) runs the instant the core is
+        actually acquired — the precise start of the copy, which
+        timing-sensitive callers (the NIC pipelines) need to timestamp.
         """
         if cost < 0:
             raise SchedulingError(f"negative occupancy cost: {cost}")
-        req = self._res.request()
-        yield req
+        self._res.acquire(self._start, cost, label, on_start, callback, args)
+
+    # ------------------------------------------------------------------ #
+    # callback-style occupancy steps
+    # ------------------------------------------------------------------ #
+
+    def _start(self, req, cost, label, on_start, callback, args) -> None:
         start = self.sim.now
         if on_start is not None:
-            on_start()
-        yield Timeout(cost)
+            on_start(*args)
+        self.sim.schedule(cost, self._end, req, start, label, callback, args)
+
+    def _end(self, req, start, label, callback, args) -> None:
         self._res.release(req)
         self._record(start, self.sim.now, label)
+        if callback is not None:
+            callback(*args)
 
     # ------------------------------------------------------------------ #
     # internals

@@ -36,7 +36,7 @@ from repro.hardware.machine import Machine
 from repro.networks.profile import NetworkProfile
 from repro.networks.transfer import Transfer, TransferKind, wire_checksum
 from repro.obs.hooks import Hooks
-from repro.simtime import Resource, SimEvent, Simulator, Timeout
+from repro.simtime import Resource, SimEvent, Simulator
 from repro.util.errors import ConfigurationError, SchedulingError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -44,7 +44,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.networks.wire import Wire
 
 
-@dataclass
+@dataclass(slots=True)
 class NicWork:
     """One completed transmit-engine interval (utilization accounting)."""
 
@@ -209,19 +209,15 @@ class Nic:
         if duration < 0:
             raise SchedulingError(f"negative busy injection: {duration}")
         self._declare(duration)
+        self.sim.call_soon(self._tx.acquire, self._background_start, duration)
 
-        def body():
-            req = self._tx.request()
-            yield req
-            start = self.sim.now
-            yield Timeout(duration)
-            self._tx.release(req)
-            self.work_log.append(
-                NicWork(start, self.sim.now, TransferKind.RDV_DATA, 0)
-            )
-            self._maybe_notify_idle()
+    def _background_start(self, req, duration: float) -> None:
+        self.sim.schedule(duration, self._background_end, req, self.sim.now)
 
-        self.sim.spawn(body(), name=f"{self.qualified_name}.background")
+    def _background_end(self, req, start: float) -> None:
+        self._tx.release(req)
+        self.work_log.append(NicWork(start, self.sim.now, TransferKind.RDV_DATA, 0))
+        self._maybe_notify_idle()
 
     # ------------------------------------------------------------------ #
     # fault state machine (driven by repro.faults.FaultInjector)
@@ -242,8 +238,8 @@ class Nic:
         aborted = [t for t in self._pending if t.t_tx_done is None]
         for t in aborted:
             t.aborted = True
-            # Unblock offloading cores immediately; the pipeline process
-            # notices the abort at its next resumption and bails.
+            # Unblock offloading cores immediately; the send pipeline
+            # notices the abort at its next link and bails.
             if t.tx_done is not None and not t.tx_done.triggered:
                 t.tx_done.trigger(t)
         self.transfers_aborted += len(aborted)
@@ -424,22 +420,13 @@ class Nic:
                     f"{self.profile.name} eager limit {self.profile.eager_limit}B"
                 )
             self._declare(self._eager_tx_time(transfer.size))
-            self.sim.spawn(
-                self._eager_pipeline(transfer, core),
-                name=f"{self.qualified_name}.eager{transfer.transfer_id}",
-            )
+            self.sim.call_soon(self._eager_start, transfer, core)
         elif transfer.kind is TransferKind.RDV_DATA:
             self._declare(self._rdv_tx_time(transfer.size))
-            self.sim.spawn(
-                self._rdv_pipeline(transfer, core),
-                name=f"{self.qualified_name}.rdv{transfer.transfer_id}",
-            )
+            self.sim.call_soon(self._rdv_start, transfer, core)
         else:  # control packet
             self._declare(0.0)
-            self.sim.spawn(
-                self._control_pipeline(transfer, core),
-                name=f"{self.qualified_name}.ctrl{transfer.transfer_id}",
-            )
+            self.sim.call_soon(self._control_start, transfer, core)
         return transfer.done
 
     def expected_tx_time(self, transfer: Transfer) -> float:
@@ -467,72 +454,89 @@ class Nic:
         f = self.bw_factor * self.silent_bw_factor
         return t if f == 1.0 else t / f
 
-    def _eager_pipeline(self, transfer: Transfer, core: Core):
+    # Each pipeline is a chain of callbacks, one link per event: a start
+    # hop, then core grant, core release, transmit-engine grant, ...  The
+    # same-instant hops are not shortcuts to remove: each fixes the seq of
+    # the events pushed after it, and so the order of exact-time ties.
+
+    def _stamp_service(self, transfer: Transfer, *_) -> None:
+        transfer.t_service_start = self.sim.now
+
+    def _eager_start(self, transfer: Transfer, core: Core) -> None:
         # Fixed acquisition order (core, then NIC) rules out deadlock; the
         # core spinning while it waits for NIC doorbell space is also what
         # the hardware does.
         post = self.profile.post_overhead
         copy = self._eager_tx_time(transfer.size)
-
-        def stamp_service():
-            transfer.t_service_start = self.sim.now
-
-        yield from core.occupy(
-            post, label=f"post:{self.name}", on_start=stamp_service
+        core.declare(post)
+        core.hold(
+            post, self._eager_posted, transfer, core, copy,
+            label=f"post:{self.name}", on_start=self._stamp_service,
         )
+
+    def _eager_posted(self, transfer: Transfer, core: Core, copy: float) -> None:
         if transfer.aborted:
             self._finish_aborted(transfer)
             return
         # Declare the copy before waiting for the transmit engine so
         # strategy queries already see the core as committed to it.
         core.declare(copy)
-        req = self._tx.request()
-        yield req
+        self._tx.acquire(self._eager_tx_granted, transfer, core, copy)
+
+    def _eager_tx_granted(self, req, transfer: Transfer, core: Core, copy: float) -> None:
         if transfer.aborted:
             self._tx.release(req)
             self._finish_aborted(transfer)
             return
+        core.hold(
+            copy, self._eager_copied, req, transfer,
+            label=f"pio:{self.name}", on_start=self._stamp_copy,
+        )
 
-        def stamp_start():
-            transfer.t_cpu_start = self.sim.now
-            transfer.t_wire_start = self.sim.now
+    def _stamp_copy(self, req, transfer: Transfer) -> None:
+        transfer.t_cpu_start = transfer.t_wire_start = self.sim.now
 
-        yield from core.hold_declared(copy, label=f"pio:{self.name}", on_start=stamp_start)
+    def _eager_copied(self, req, transfer: Transfer) -> None:
         self._tx.release(req)
         self._finish_tx(transfer, start=transfer.t_cpu_start)
 
-    def _rdv_pipeline(self, transfer: Transfer, core: Core):
-        def stamp_service():
-            transfer.t_service_start = self.sim.now
-
-        yield from core.occupy(
-            self.profile.rdv_send_cpu(),
-            label=f"rdv-setup:{self.name}",
-            on_start=stamp_service,
+    def _rdv_start(self, transfer: Transfer, core: Core) -> None:
+        cost = self.profile.rdv_send_cpu()
+        core.declare(cost)
+        core.hold(
+            cost, self._rdv_set_up, transfer,
+            label=f"rdv-setup:{self.name}", on_start=self._stamp_service,
         )
+
+    def _rdv_set_up(self, transfer: Transfer) -> None:
         if transfer.aborted:
             self._finish_aborted(transfer)
             return
-        req = self._tx.request()
-        yield req
+        self._tx.acquire(self._rdv_tx_granted, transfer)
+
+    def _rdv_tx_granted(self, req, transfer: Transfer) -> None:
         if transfer.aborted:
             self._tx.release(req)
             self._finish_aborted(transfer)
             return
         transfer.t_wire_start = self.sim.now
-        yield Timeout(self._rdv_tx_time(transfer.size))
+        self.sim.schedule(
+            self._rdv_tx_time(transfer.size), self._rdv_sent, req, transfer
+        )
+
+    def _rdv_sent(self, req, transfer: Transfer) -> None:
         self._tx.release(req)
         self._finish_tx(transfer, start=transfer.t_wire_start)
 
-    def _control_pipeline(self, transfer: Transfer, core: Core):
-        def stamp_service():
-            transfer.t_service_start = self.sim.now
-
-        yield from core.occupy(
-            self.profile.control_send_cpu(),
-            label=f"ctrl:{self.name}",
-            on_start=stamp_service,
+    def _control_start(self, transfer: Transfer, core: Core) -> None:
+        cost = self.profile.control_send_cpu()
+        core.declare(cost)
+        core.hold(
+            cost, self._control_posted, transfer,
+            label=f"ctrl:{self.name}", on_start=self._stamp_service,
         )
+
+    def _control_posted(self, transfer: Transfer) -> None:
         if transfer.aborted:
             self._finish_aborted(transfer)
             return

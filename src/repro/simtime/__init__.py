@@ -8,13 +8,19 @@ reusable by every other subpackage.
 
 Two programming styles are supported and freely mixable:
 
-* **callback style** — ``sim.schedule(delay, fn, *args)``;
+* **callback style** — ``sim.schedule(delay, fn, *args)``, or
+  ``sim.call_soon(fn, *args)`` for the current instant;
 * **process style** — generator coroutines spawned with ``sim.spawn`` that
   ``yield`` waitables (:class:`Timeout`, :class:`SimEvent`,
   :class:`AllOf`, :class:`AnyOf`) just like SimPy processes.
+
+Events for a later instant wait in one binary heap; events for the
+current instant wait in a FIFO lane beside it, which pops them in the
+heap's own order without a sift or a handle each.  A process start, a
+wake-up or a resource grant costs one lane entry.
 """
 
-from repro.simtime.events import CalendarQueue, EventQueue, ScheduledEvent
+from repro.simtime.events import EventQueue, ScheduledEvent
 from repro.simtime.simulator import Simulator
 from repro.simtime.process import (
     Process,
@@ -27,7 +33,6 @@ from repro.simtime.process import (
 from repro.simtime.resources import Resource, ResourceRequest
 
 __all__ = [
-    "CalendarQueue",
     "EventQueue",
     "ScheduledEvent",
     "Simulator",

@@ -17,7 +17,7 @@ signal (paper §III-D).
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator, List
+from typing import Any, Iterable, Iterator, List, Optional
 
 from repro.simtime.simulator import Simulator
 from repro.util.errors import SimulationError
@@ -33,6 +33,8 @@ class Interrupt(Exception):
 
 class Waitable:
     """Base class: something a process may ``yield`` on."""
+
+    __slots__ = ()
 
     def subscribe(self, sim: Simulator, callback) -> None:
         """Arrange for ``callback(value)`` to run when this completes."""
@@ -55,7 +57,8 @@ class SimEvent(Waitable):
         self.name = name
         self.triggered = False
         self.value: Any = None
-        self._callbacks: List[Any] = []
+        #: waiters in subscription order; built by the first subscribe
+        self._callbacks: Optional[List[Any]] = None
 
     def __repr__(self) -> str:
         state = "set" if self.triggered else "pending"
@@ -67,17 +70,23 @@ class SimEvent(Waitable):
             raise SimulationError(f"{self!r} triggered twice")
         self.triggered = True
         self.value = value
-        callbacks, self._callbacks = self._callbacks, []
-        for cb in callbacks:
-            # Deferred (delay-0) delivery keeps trigger() safe to call from
-            # anywhere, including from inside another waiter's callback.
-            self.sim.schedule(0.0, cb, value)
+        callbacks = self._callbacks
+        if callbacks:
+            self._callbacks = None
+            # Deferred same-instant delivery keeps trigger() safe to call
+            # from anywhere, including from inside another waiter.
+            lane = self.sim._lane
+            args = (value,)
+            for cb in callbacks:
+                lane.append((cb, args, None))
 
     def subscribe(self, sim: Simulator, callback) -> None:
         if sim is not self.sim:
             raise SimulationError("waiting on an event from another simulator")
         if self.triggered:
-            sim.schedule(0.0, callback, self.value)
+            sim._lane.append((callback, (self.value,), None))
+        elif self._callbacks is None:
+            self._callbacks = [callback]
         else:
             self._callbacks.append(callback)
 
@@ -161,16 +170,20 @@ class Process(Waitable):
     loop — tests rely on failures being loud, not swallowed.
     """
 
+    __slots__ = ("sim", "gen", "name", "alive", "result", "_done", "_wake")
+
     def __init__(self, sim: Simulator, gen: Iterator[Any], name: str = "") -> None:
         self.sim = sim
         self.gen = gen
         self.name = name or getattr(gen, "__name__", "process")
         self.alive = True
         self.result: Any = None
-        self._done = SimEvent(sim, name=f"{self.name}.done")
-        self._wait_token = 0  # invalidates stale waitable callbacks
+        #: the join event, built when something first joins
+        self._done: Optional[SimEvent] = None
+        #: the callback every wait of this process resumes through
+        self._wake = self._waker()
         sim._processes += 1
-        sim.schedule(0.0, self._resume_value, None)
+        sim._lane.append((self._wake, (None,), None))
 
     def __repr__(self) -> str:
         state = "alive" if self.alive else "done"
@@ -179,25 +192,33 @@ class Process(Waitable):
     # -- waitable protocol ------------------------------------------------
 
     def subscribe(self, sim: Simulator, callback) -> None:
-        self._done.subscribe(sim, callback)
+        done = self._done
+        if done is None:
+            done = self._done = SimEvent(self.sim, name=f"{self.name}.done")
+            if not self.alive:
+                done.trigger(self.result)
+        done.subscribe(sim, callback)
 
     # -- driving the generator --------------------------------------------
 
-    def _resume_value(self, value: Any) -> None:
-        if not self.alive:
-            return
-        self._wait_token += 1
-        try:
-            yielded = self.gen.send(value)
-        except StopIteration as stop:
-            self._finish(stop.value)
-            return
-        self._await(yielded)
+    def _waker(self):
+        def wake(value: Any) -> None:
+            # Only the current waker resumes: one left pending by a wait
+            # the process was interrupted out of is stale.
+            if self._wake is wake:
+                try:
+                    yielded = self.gen.send(value)
+                except StopIteration as stop:
+                    self._finish(stop.value)
+                    return
+                self._await(yielded)
+
+        return wake
 
     def _resume_throw(self, exc: BaseException) -> None:
         if not self.alive:
             return
-        self._wait_token += 1
+        self._wake = self._waker()
         try:
             yielded = self.gen.throw(exc)
         except StopIteration as stop:
@@ -210,21 +231,15 @@ class Process(Waitable):
             raise SimulationError(
                 f"process {self.name!r} yielded {yielded!r}, not a Waitable"
             )
-        token = self._wait_token
-
-        def on_complete(value: Any) -> None:
-            # A stale wake-up (e.g. the process was interrupted while this
-            # timeout was pending) must not double-resume the generator.
-            if self.alive and self._wait_token == token:
-                self._resume_value(value)
-
-        yielded.subscribe(self.sim, on_complete)
+        yielded.subscribe(self.sim, self._wake)
 
     def _finish(self, result: Any) -> None:
         self.alive = False
         self.result = result
+        self._wake = None  # breaks the process <-> waker cycle
         self.sim._processes -= 1
-        self._done.trigger(result)
+        if self._done is not None:
+            self._done.trigger(result)
 
     # -- external control ---------------------------------------------------
 
@@ -237,4 +252,4 @@ class Process(Waitable):
         """
         if not self.alive:
             raise SimulationError(f"interrupting finished process {self.name!r}")
-        self.sim.schedule(0.0, self._resume_throw, Interrupt(cause))
+        self.sim.call_soon(self._resume_throw, Interrupt(cause))

@@ -8,35 +8,62 @@ are themselves waitables, so processes can write::
     yield req                  # granted when a slot frees up
     yield Timeout(copy_cost)   # hold the core for the copy duration
     core_resource.release(req)
+
+Callback code passes its continuation instead:
+``core_resource.acquire(fn, *args)`` runs ``fn(req, *args)`` at the
+point where such a process would resume from ``yield req``.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque
+from typing import Any, Callable, Deque, Optional
 
-from repro.simtime.process import SimEvent, Waitable
-from repro.simtime.simulator import Simulator
+from repro.simtime.process import Waitable
+from repro.simtime.simulator import LaneEntry, Simulator
 from repro.util.errors import SimulationError
 
 
 class ResourceRequest(Waitable):
-    """A pending or granted claim on a :class:`Resource` slot."""
+    """A pending or granted claim on a :class:`Resource` slot.
 
-    __slots__ = ("resource", "event", "granted", "released")
+    One waiter per claim: the process that yields it, or the callback
+    given to :meth:`Resource.acquire`.  The waiter resumes one
+    same-instant hop after the grant.
+    """
+
+    __slots__ = ("resource", "granted", "released", "_then")
 
     def __init__(self, resource: "Resource") -> None:
         self.resource = resource
-        self.event = SimEvent(resource.sim, name=f"{resource.name}.grant")
         self.granted = False
         self.released = False
+        #: the waiter's lane entry, held until the grant
+        self._then: Optional[LaneEntry] = None
 
     def subscribe(self, sim: Simulator, callback) -> None:
-        self.event.subscribe(sim, callback)
+        self._wait(callback, (self,))
 
     def cancel(self) -> None:
         """Withdraw a not-yet-granted request (e.g. a timed-out waiter)."""
         self.resource._cancel(self)
+
+    def _wait(self, callback: Callable[..., None], args: tuple) -> None:
+        if self.granted:
+            self.resource.sim._lane.append((callback, args, None))
+        elif self._then is None:
+            self._then = (callback, args, None)
+        else:
+            raise SimulationError(
+                f"request on {self.resource.name} already has a waiter"
+            )
+
+    def _grant(self) -> None:
+        self.granted = True
+        then = self._then
+        if then is not None:
+            self._then = None
+            self.resource.sim._lane.append(then)
 
 
 class Resource:
@@ -77,9 +104,15 @@ class Resource:
         if self.in_use < self.capacity:
             self.in_use += 1
             req.granted = True
-            req.event.trigger(req)
         else:
             self._waiting.append(req)
+        return req
+
+    def acquire(self, callback: Callable[..., None], *args: Any) -> ResourceRequest:
+        """Claim a slot, callback style: ``callback(req, *args)`` runs
+        where a process would resume from ``yield req``."""
+        req = self.request()
+        req._wait(callback, (req, *args))
         return req
 
     def release(self, req: ResourceRequest) -> None:
@@ -90,9 +123,7 @@ class Resource:
             raise SimulationError(f"double release on {self.name}")
         req.released = True
         if self._waiting:
-            nxt = self._waiting.popleft()
-            nxt.granted = True
-            nxt.event.trigger(nxt)
+            self._waiting.popleft()._grant()
         else:
             self.in_use -= 1
 

@@ -1,20 +1,33 @@
-"""The discrete-event simulator: one virtual clock, one event queue.
+"""The discrete-event simulator: one virtual clock, a heap and a lane.
 
 Time is ``float`` microseconds.  The simulator is single-threaded and
 deterministic: same inputs, same event trace, same results — which is what
 lets the test suite assert exact chunk completion times for the paper's
 split-ratio experiments.
+
+Events for a later instant wait in a binary heap ordered by
+``(time, priority, seq)``.  Events for the *current* instant at
+priority 0 — process starts, wake-ups, resource grants: most of what a
+run schedules — go to a FIFO lane instead.  The event loop fires heap
+entries due now at priority <= 0 first, then the lane, then advances the
+clock.  That is exactly the heap's own pop order: a heap entry due at
+``now`` was pushed before the clock reached ``now``, so its ``seq``
+precedes every lane entry's.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterator, Optional, TYPE_CHECKING
+from collections import deque
+from typing import Any, Callable, Deque, Iterator, Optional, Tuple, TYPE_CHECKING
 
-from repro.simtime.events import EventQueue, ScheduledEvent
+from repro.simtime.events import EventQueue, ScheduledEvent, new_event
 from repro.util.errors import SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.simtime.process import Process
+
+#: one lane entry: callback, args, and the handle when one was handed out
+LaneEntry = Tuple[Callable[..., None], Tuple[Any, ...], Optional[ScheduledEvent]]
 
 
 class Simulator:
@@ -41,6 +54,10 @@ class Simulator:
         # Bound once: schedule/schedule_at are the hottest calls in every
         # run, and the queue lives as long as the simulator.
         self._push = self._queue.push
+        #: events due at ``now``, priority 0, in push order
+        self._lane: Deque[LaneEntry] = deque()
+        #: cancelled lane entries not yet drained
+        self._lane_dead = 0
         self._running = False
         self._processes: int = 0  # live process count, for diagnostics
         #: total events executed over this simulator's lifetime
@@ -60,7 +77,15 @@ class Simulator:
         """Schedule ``callback(*args)`` to run ``delay`` µs from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule {delay} us in the past")
-        return self._push(self.now + delay, callback, args, priority)
+        now = self.now
+        time = now + delay
+        # Routed on the computed time, not on delay == 0: a delay too
+        # small to move the clock is the current instant too.
+        if time == now and priority == 0:
+            ev = new_event(time, 0, None, callback, args)
+            self._lane.append((callback, args, ev))
+            return ev
+        return self._push(time, callback, args, priority)
 
     def schedule_at(
         self,
@@ -74,11 +99,29 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at t={time} before now={self.now}"
             )
+        if time == self.now and priority == 0:
+            ev = new_event(time, 0, None, callback, args)
+            self._lane.append((callback, args, ev))
+            return ev
         return self._push(time, callback, args, priority)
+
+    def call_soon(self, callback: Callable[..., None], *args: Any) -> None:
+        """Run ``callback(*args)`` at the current instant, after every
+        event already due now — ``schedule(0.0, ...)`` without a handle.
+
+        The kernel's own same-instant hops (process starts, wake-ups,
+        resource grants) take this path: nothing to cancel, nothing
+        allocated beyond the lane entry.
+        """
+        self._lane.append((callback, args, None))
 
     def cancel(self, ev: ScheduledEvent) -> None:
         """Cancel a pending event (no-op if it already fired)."""
-        self._queue.cancel(ev)
+        if ev.seq is not None:
+            self._queue.cancel(ev)
+        elif not ev.cancelled and not ev.fired:
+            ev.cancelled = True
+            self._lane_dead += 1
 
     # ------------------------------------------------------------------ #
     # processes
@@ -102,6 +145,22 @@ class Simulator:
 
     def step(self) -> bool:
         """Run the single earliest event.  Returns False when queue empty."""
+        lane = self._lane
+        while lane:
+            head = self._queue.pop_ahead_of_lane(self.now)
+            if head is not None:
+                self.events_processed += 1
+                head.callback(*head.args)
+                return True
+            callback, args, ev = lane.popleft()
+            if ev is not None:
+                if ev.cancelled:
+                    self._lane_dead -= 1
+                    continue
+                ev.fired = True
+            self.events_processed += 1
+            callback(*args)
+            return True
         ev = self._queue.pop()
         if ev is None:
             return False
@@ -123,15 +182,41 @@ class Simulator:
         """
         if self._running:
             raise SimulationError("Simulator.run() is not reentrant")
+        if until is not None and until < self.now:
+            return self.now  # every pending event lies beyond the bound
         self._running = True
-        # One pop-with-bound per iteration: the naive peek_time() + step()
-        # pair costs two heap accesses (and two cancelled-head drains) per
-        # event; pop_due folds them into one.
-        pop_due = self._queue.pop_due
+        queue = self._queue
+        heap = queue._heap
+        # One pop-with-bound per clock advance: the naive peek_time() +
+        # step() pair costs two heap accesses (and two cancelled-head
+        # drains) per event; pop_due folds them into one.
+        pop_due = queue.pop_due
+        pop_ahead = queue.pop_ahead_of_lane
+        lane = self._lane
+        popleft = lane.popleft
         now = self.now
         n = 0
         try:
-            while (ev := pop_due(until)) is not None:
+            while True:
+                if lane:
+                    if heap and heap[0][0] <= now and heap[0][1] <= 0:
+                        ev = pop_ahead(now)
+                        if ev is not None:
+                            n += 1
+                            ev.callback(*ev.args)
+                            continue
+                    callback, args, ev = popleft()
+                    if ev is not None:
+                        if ev.cancelled:
+                            self._lane_dead -= 1
+                            continue
+                        ev.fired = True
+                    n += 1
+                    callback(*args)
+                    continue
+                ev = pop_due(until)
+                if ev is None:
+                    break
                 t = ev.time
                 if t < now:
                     raise SimulationError(
@@ -160,5 +245,5 @@ class Simulator:
 
     @property
     def pending_events(self) -> int:
-        """Number of live events still queued (diagnostic)."""
-        return len(self._queue)
+        """Number of live events still queued, lane included (diagnostic)."""
+        return len(self._queue) + len(self._lane) - self._lane_dead

@@ -351,3 +351,27 @@ class TestValidation:
         assert out == {"bcast": "ring"}
         with pytest.raises(ConfigurationError):
             coll.validate_overrides({"bcast": "bruck"})
+
+
+class TestProcessBudget:
+    """Send pipelines and core occupancies are callback chains, so a
+    collective spawns no process beyond the rank programs themselves."""
+
+    def test_flat_alltoall_spawns_only_the_rank_programs(self, profiles, monkeypatch):
+        from repro.simtime.process import Process
+
+        spawned = []
+        init = Process.__init__
+
+        def counting_init(self, sim, gen, name=""):
+            spawned.append(name)
+            init(self, sim, gen, name)
+
+        monkeypatch.setattr(Process, "__init__", counting_init)
+        world = make_flat_world(8, profiles, monitored=False)
+        run_collective(world, "alltoall", "naive", size=16 * KiB)
+        messages = sum(len(e.sent_log) for e in world.cluster.engines.values())
+        assert messages == 8 * 7
+        # Two per message (a NIC pipeline and a receive-side occupancy)
+        # before the pipelines became callback chains.
+        assert sorted(spawned) == [f"rank{r}" for r in range(8)]

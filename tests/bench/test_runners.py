@@ -24,6 +24,11 @@ class TestDefaultProfiles:
         assert default_profiles() is default_profiles()
         assert default_profiles(("myri10g",)) is not default_profiles()
 
+    def test_default_and_explicit_rails_share_one_store(self):
+        # Separate cache entries would sample the rails twice.
+        assert default_profiles(("myri10g", "quadrics")) is default_profiles()
+        assert default_profiles(["myri10g", "quadrics"]) is default_profiles()
+
     def test_contains_requested_technologies(self, profiles):
         assert "myri10g" in profiles and "quadrics" in profiles
 

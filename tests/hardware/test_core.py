@@ -4,7 +4,7 @@ import pytest
 
 from repro.hardware import Core
 from repro.simtime import Simulator, Timeout
-from repro.util.errors import SchedulingError
+from repro.util.errors import SchedulingError, SimulationError
 
 
 @pytest.fixture
@@ -128,15 +128,47 @@ class TestIdlePrediction:
     def test_declare_hold_declared_pair(self, sim, core):
         core.declare(6.0)
         assert core.busy_until == 6.0
+        marks = []
 
-        def proc():
-            yield Timeout(2.0)  # external wait (e.g. NIC doorbell)
-            yield from core.hold_declared(6.0, label="pio")
+        def after_external_wait():  # e.g. the NIC doorbell
+            core.hold(
+                6.0, marks.append, "end", label="pio",
+                on_start=lambda tag: marks.append(("start", sim.now)),
+            )
+            marks.append(("busy_until", core.busy_until))
 
-        sim.spawn(proc())
+        sim.schedule(2.0, after_external_wait)
         sim.run()
+        # hold() does not declare again: the prediction stays at 6.0
+        assert marks == [("busy_until", 6.0), ("start", 2.0), "end"]
         assert sim.now == 8.0
         assert core.busy_time == 6.0
+        assert core.work_log[0].label == "pio"
+
+    def test_hold_rejects_negative_cost(self, sim, core):
+        with pytest.raises(SchedulingError):
+            core.hold(-1.0)
+
+
+class TestCallbackSlotMisuse:
+    """Callback-style occupancy keeps the core slot's release checks."""
+
+    def test_releasing_ungranted_core_slot_rejected(self, sim, core):
+        core.run(10.0)
+        sim.run(until=1.0)  # the work item holds the core now
+        queued = core._res.acquire(lambda req: None)
+        assert not queued.granted
+        with pytest.raises(SimulationError, match="ungranted"):
+            core._res.release(queued)
+
+    def test_double_release_of_core_slot_rejected(self, sim, core):
+        granted = []
+        core._res.acquire(granted.append)
+        sim.run()
+        (req,) = granted
+        core._res.release(req)
+        with pytest.raises(SimulationError, match="double release"):
+            core._res.release(req)
 
 
 class TestUtilization:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.networks import Transfer, TransferKind
-from repro.util.errors import ConfigurationError, SchedulingError
+from repro.util.errors import ConfigurationError, SchedulingError, SimulationError
 
 from tests.conftest import wire_pair
 from repro.networks import MxDriver, ElanDriver, Nic
@@ -215,3 +215,28 @@ class TestRxHandler:
         done.subscribe(sim, fired.append)
         sim.run()
         assert fired == [t]
+
+
+class TestTransmitSlotMisuse:
+    """The callback send pipelines keep the transmit slot's release checks."""
+
+    def test_releasing_ungranted_slot_rejected(self, sim, single_rail_pair):
+        node_a, _ = single_rail_pair
+        nic = node_a.nics[0]
+        nic.submit(rdv_data(1 << 20), node_a.cores[0])
+        sim.run(until=50.0)  # the DMA holds the transmit engine now
+        assert nic._tx.in_use == 1
+        queued = nic._tx.acquire(lambda req: None)
+        with pytest.raises(SimulationError, match="ungranted"):
+            nic._tx.release(queued)
+
+    def test_double_release_rejected(self, sim, single_rail_pair):
+        node_a, _ = single_rail_pair
+        nic = node_a.nics[0]
+        granted = []
+        nic._tx.acquire(granted.append)
+        sim.run()
+        (req,) = granted
+        nic._tx.release(req)
+        with pytest.raises(SimulationError, match="double release"):
+            nic._tx.release(req)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.simtime.events import EventQueue
+from repro.simtime.events import COMPACT_MIN_DEAD, EventQueue
 
 
 def nop():
@@ -158,3 +158,37 @@ class TestDrainConsistency:
         assert q.pop() is live  # pop drains the cancelled head first
         assert q.peek_time() is None
         assert len(q) == 0
+
+
+class TestMassCancellationAccounting:
+    """Regression: a retry storm cancelling thousands of watchdogs used
+    to leave the storage full of tombstones — ``__len__`` said "almost
+    empty" while ``peek_time`` still faced an O(d log d) drain and the
+    entries pinned memory until the clock swept past them."""
+
+    def test_len_and_storage_agree_after_mass_cancel(self):
+        q = EventQueue()
+        keep = q.push(1e6, nop)
+        doomed = [q.push(float(i), nop) for i in range(4 * COMPACT_MIN_DEAD)]
+        for ev in doomed:
+            q.cancel(ev)
+        assert len(q) == 1
+        # Compaction must have reclaimed the tombstones: storage is
+        # bounded by a small constant over the live population, not by
+        # the historical cancellation volume.
+        assert q.storage_size <= COMPACT_MIN_DEAD + 1
+        assert q.peek_time() == 1e6
+        assert q.pop() is keep
+
+    def test_compaction_preserves_order_and_cancellability(self):
+        q = EventQueue()
+        live = [q.push(1000.0 + i, nop) for i in range(50)]
+        doomed = [q.push(float(i), nop) for i in range(2 * COMPACT_MIN_DEAD)]
+        for ev in doomed:
+            q.cancel(ev)
+        q.cancel(live[10])  # cancel a survivor after compaction too
+        times = []
+        while (ev := q.pop()) is not None:
+            times.append(ev.time)
+        expected = [1000.0 + i for i in range(50) if i != 10]
+        assert times == expected

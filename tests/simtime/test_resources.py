@@ -123,3 +123,26 @@ class TestResourceErrors:
         res.release(r1)
         assert res.in_use == 2  # queued waiter got the slot
         assert res.queued == 0
+
+
+class TestCallbackAcquire:
+    def test_callback_runs_one_hop_after_the_grant(self):
+        sim = Simulator()
+        res = Resource(sim, capacity=1)
+        log = []
+        first = res.acquire(lambda req, tag: log.append((tag, req, sim.now)), "a")
+        second = res.acquire(lambda req, tag: log.append((tag, req, sim.now)), "b")
+        assert log == []  # granted, but the waiter resumes from the lane
+        sim.run()
+        assert log == [("a", first, 0.0)]
+        sim.schedule(3.0, res.release, first)
+        sim.run()
+        assert log == [("a", first, 0.0), ("b", second, 3.0)]
+
+    def test_second_waiter_on_one_request_rejected(self):
+        sim = Simulator()
+        res = Resource(sim, capacity=1)
+        res.request()
+        queued = res.acquire(lambda req: None)
+        with pytest.raises(SimulationError, match="already has a waiter"):
+            queued.subscribe(sim, lambda req: None)

@@ -47,6 +47,27 @@ class TestScheduling:
         sim.run()
         assert seen == [("first", 1.0), ("second", 3.0)]
 
+    def test_mass_cancel_mid_run_keeps_order(self):
+        """Compaction rebuilds the heap in place, under the running loop."""
+        sim = Simulator()
+        seen = []
+        doomed = [sim.schedule(2.0 + i, seen.append, "dead") for i in range(2000)]
+        for i in range(5):
+            sim.schedule(1.5 + 1000.0 * i, seen.append, i)
+
+        def cancel_all():
+            for ev in doomed:
+                sim.cancel(ev)
+            # The loop must see the rebuilt heap: the urgent entry
+            # outranks the lane entry pushed before it.
+            sim.schedule(0.0, seen.append, "lane")
+            sim.schedule(0.0, seen.append, "urgent", priority=-1)
+
+        sim.schedule(1.0, cancel_all)
+        sim.run()
+        assert seen == ["urgent", "lane", 0, 1, 2, 3, 4]
+        assert sim._queue.storage_size == 0
+
     def test_cancel_pending_event(self):
         sim = Simulator()
         seen = []
