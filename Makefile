@@ -3,12 +3,11 @@ PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 
 # Worker count for the sharded soak/sweep targets.  0 means "one worker
-# per CPU" (resolved by repro.bench.parallel via os.cpu_count()).
+# per CPU" (resolved by repro.util.parallel via os.cpu_count()).
 JOBS ?= 0
 
-.PHONY: test check faults-demo chaos chaos-wide \
-        chaos-silent chaos-fabric fabric-demo calibration-demo \
-        collectives-demo bench-parallel soak-parallel
+.PHONY: test check chaos chaos-wide chaos-silent chaos-fabric \
+        bench-parallel soak-parallel
 
 # Tier-1 verify (the ROADMAP contract).
 test:
@@ -19,10 +18,6 @@ test:
 # benchmarks/e2e/README.md).
 check: test
 	$(PYTHON) benchmarks/e2e/run.py --quick
-
-# Narrated fault-injection demo (NIC dies mid-transfer, send survives).
-faults-demo:
-	$(PYTHON) -m repro.bench.cli faults --demo
 
 # Chaos soak: the fixed CI seed window under the invariant monitor
 # (exits nonzero on any violation; see docs/chaos.md).
@@ -43,20 +38,6 @@ chaos-silent:
 # the workload (docs/fabric-faults.md; the CI window).
 chaos-fabric:
 	$(PYTHON) -m repro.bench.cli chaos --seeds 25 --shape fat_tree --ranks 8
-
-# Narrated fabric fault-tolerance demo: the BENCH_PR10 degraded-
-# alltoall guard plus the healthy bit-equality check.
-fabric-demo:
-	$(PYTHON) -m repro.bench.cli fabric --demo
-
-# Narrated estimator-drift-defense demo (docs/calibration.md).
-calibration-demo:
-	$(PYTHON) -m repro.bench.cli calibration --demo
-
-# Collective-algorithm race + cost-model decision table
-# (docs/collectives.md).
-collectives-demo:
-	$(PYTHON) -m repro.bench.cli collectives --demo
 
 # Sharded bandwidth sweep: every (strategy, size) cell fanned out over
 # $(JOBS) workers; output identical to the serial sweep.

@@ -2,21 +2,23 @@
 """Regenerate EXPERIMENTS.md from live experiment runs.
 
 Run:  python benchmarks/generate_experiments_md.py
+
+``tests/paper/test_golden.py`` checks that :func:`render` reproduces the
+committed file byte for byte.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
+from typing import Any, Callable
 
 from repro.bench.experiments import (
-    ablations,
+    experiment_registry,
     fig1,
     fig3,
     fig4,
     fig8,
     fig9,
-    streams,
-    text_tables,
 )
 from repro.util.units import KiB, MiB, format_size
 
@@ -27,7 +29,13 @@ def code(text: str) -> str:
     return f"```\n{text}\n```"
 
 
-def main() -> None:
+def _run_registered(key: str) -> Any:
+    return experiment_registry[key]()
+
+
+def render(run: Callable[[str], Any] = _run_registered) -> str:
+    """The text of EXPERIMENTS.md; ``run(key)`` returns the result of a
+    registered experiment (the tests pass a cached runner)."""
     sections = []
     sections.append(
         "# EXPERIMENTS — paper vs measured\n\n"
@@ -36,11 +44,11 @@ def main() -> None:
         "calibrated-model outputs; the claims being validated are the *shapes*\n"
         "— who wins, by what factor, where crossovers fall (DESIGN.md §6).\n\n"
         "Regenerate this file:  `python benchmarks/generate_experiments_md.py`\n"
-        "Run the assertions:    `pytest benchmarks/`\n"
+        "Run the assertions:    `pytest tests/paper/`\n"
     )
 
     # ------------------------------------------------------------- FIG1
-    r1 = fig1.run()
+    r1 = run("FIG1")
     sections.append(
         "## FIG1 — the placement schematic, measured (paper Fig. 1)\n\n"
         "| claim (paper) | measured |\n"
@@ -56,7 +64,7 @@ def main() -> None:
     )
 
     # ------------------------------------------------------------- FIG3
-    r3 = fig3.run()
+    r3 = run("FIG3")
     col = r3.column(64)
     worst = col[fig3.BALANCED] / min(col[fig3.AGG_MYRI], col[fig3.AGG_QUAD])
     col16k = r3.column(16 * KiB)
@@ -75,7 +83,7 @@ def main() -> None:
     )
 
     # ------------------------------------------------------------- FIG4
-    r4 = fig4.run()
+    r4 = run("FIG4")
     sections.append(
         "## FIG4 — PIO transfer combinations (paper Fig. 4)\n\n"
         "| claim (paper) | measured |\n"
@@ -91,7 +99,7 @@ def main() -> None:
     )
 
     # ------------------------------------------------------------- FIG8
-    r8 = fig8.run()
+    r8 = run("FIG8")
     plateau = r8.column(8 * MiB)
     rows = "\n".join(
         f"| {label} plateau | {fig8.PAPER_PLATEAUS[label]:.0f} MB/s | "
@@ -109,7 +117,7 @@ def main() -> None:
     )
 
     # ------------------------------------------------------------- FIG9
-    r9 = fig9.run()
+    r9 = run("FIG9")
     col64 = r9.column(64 * KiB)
     reduction = (1 - col64[fig9.ESTIMATE] / col64[fig9.MYRI]) * 100
     crossover = next(
@@ -131,7 +139,7 @@ def main() -> None:
     )
 
     # --------------------------------------------------------------- T1
-    t1 = text_tables.run_t1()
+    t1 = run("T1")
     iso_m = next(c for c in t1.iso if "myri" in c.rail)
     iso_q = next(c for c in t1.iso if "quadrics" in c.rail)
     het_m = next(c for c in t1.hetero if "myri" in c.rail)
@@ -152,7 +160,7 @@ def main() -> None:
     )
 
     # --------------------------------------------------------------- T2
-    t2 = text_tables.run_t2()
+    t2 = run("T2")
     sections.append(
         "## T2 — §III-D micro-costs and derived figures\n\n"
         "| quantity | paper | measured |\n"
@@ -168,29 +176,32 @@ def main() -> None:
 
     # -------------------------------------------------------- ablations
     parts = ["## Ablations (DESIGN.md §5)\n"]
-    for name, runner in (
-        ("A1 — dichotomy depth", ablations.run_a1_dichotomy_depth),
-        ("A2 — sampling grid density", ablations.run_a2_sampling_grid),
-        ("A3 — idle prediction under load", ablations.run_a3_idle_prediction),
-        ("A4 — offloading cost TO", ablations.run_a4_offload_cost),
-        ("A5 — n-rail scaling", ablations.run_a5_nrail),
-        ("A6 — estimation vs measured multicore run", ablations.run_a6_estimation_vs_measured),
-        ("A7 — multicore receive progression (future work)", ablations.run_a7_multicore_rx),
-        ("A8 — stale vs fresh sampling under rail degradation", ablations.run_a8_stale_sampling),
-        ("A9 — sampling-noise robustness", ablations.run_a9_sampling_noise),
-        ("A10 — event-detection reactivity (polling / spill / interrupt)", ablations.run_a10_reactivity),
-        ("A11 — aggregation-window sensitivity", ablations.run_a11_aggregation_window),
+    for key, name in (
+        ("A1", "dichotomy depth"),
+        ("A2", "sampling grid density"),
+        ("A3", "idle prediction under load"),
+        ("A4", "offloading cost TO"),
+        ("A5", "n-rail scaling"),
+        ("A6", "estimation vs measured multicore run"),
+        ("A7", "multicore receive progression (future work)"),
+        ("A8", "stale vs fresh sampling under rail degradation"),
+        ("A9", "sampling-noise robustness"),
+        ("A10", "event-detection reactivity (polling / spill / interrupt)"),
+        ("A11", "aggregation-window sensitivity"),
     ):
-        parts.append(f"### {name}\n\n" + code(runner().render()))
+        parts.append(f"### {key} — {name}\n\n" + code(run(key).render()))
     sections.append("\n\n".join(parts))
 
     # ------------------------------------------------------- supplementary
     sections.append(
         "## S1 — stream multiplexing (supplementary; §II-A / Fig. 1)\n\n"
-        + code(streams.run().render())
+        + code(run("S1").render())
     )
+    return "\n\n".join(sections) + "\n"
 
-    OUT.write_text("\n\n".join(sections) + "\n")
+
+def main() -> None:
+    OUT.write_text(render())
     print(f"wrote {OUT}")
 
 

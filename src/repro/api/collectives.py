@@ -348,7 +348,7 @@ class AlgorithmSelector:
         ranks: int,
         health: Optional["FabricHealth"] = None,
     ) -> str:
-        """Human-readable cost table (the ``cli collectives`` view)."""
+        """Human-readable cost table (printed by ``cli run COLL``)."""
         costs = self.costs(collective, size, ranks, health=health)
         pick = self.select(collective, size, ranks, health=health)
         lines = [

@@ -1,9 +1,11 @@
 """Benchmark harness: runners, series formatting, experiment registry.
 
-Every figure and in-text table of the paper's evaluation (§IV) has a
-regenerator in :mod:`repro.bench.experiments`; the pytest-benchmark
-wrappers in ``benchmarks/`` call into those and assert the validation
-contract from DESIGN.md §6 (shape, not absolute numbers).
+Every figure and in-text table of the paper's evaluation (§IV), and
+every committed ``BENCH_PR*.json`` payload, has one regenerator in
+:mod:`repro.bench.experiments`.  ``python -m repro.bench.cli run EXP``
+prints it (``--json`` writes the payload); ``tests/paper/`` asserts the
+validation contract from DESIGN.md §6 (shape, not absolute numbers) and
+checks every committed simulated number exactly.
 """
 
 from repro.bench.series import Series, SweepResult, format_table

@@ -4,20 +4,19 @@ Usage::
 
     python -m repro.bench.cli list
     python -m repro.bench.cli run FIG8
+    python -m repro.bench.cli run DEG --json BENCH_PR2.json
     python -m repro.bench.cli run all
     python -m repro.bench.cli sweep --sizes 64K,1M,8M --strategies hetero_split,iso_split
-    python -m repro.bench.cli faults --demo
     python -m repro.bench.cli metrics --json -
     python -m repro.bench.cli accuracy --faults
     python -m repro.bench.cli chaos --seeds 50
-    python -m repro.bench.cli calibration --demo
-    python -m repro.bench.cli collectives --demo
     python -m repro.bench.cli topology --shape fat_tree --nodes 16
 
 ``run`` regenerates a registered paper artefact and prints its table;
+it is the one way to print or write an artefact.  ``--json`` dumps the
+committed payload of DEG, CHAOS, CAL, COLL or FAB (``BENCH_PR2/4/5/7/10``;
+``-`` for stdout, the table then goes to stderr).
 ``sweep`` is a free-form bandwidth sweep for ad-hoc exploration;
-``faults`` showcases the fault-injection subsystem (``--demo`` narrates
-a NIC dying mid-transfer; ``--json`` regenerates ``BENCH_PR2.json``);
 ``metrics`` and ``accuracy`` run instrumented demo scenarios and print
 (or dump as JSON — see docs/observability.md for the schemas) the
 telemetry the ``repro.obs`` subsystem collects;
@@ -25,16 +24,7 @@ telemetry the ``repro.obs`` subsystem collects;
 invariant monitor (see docs/chaos.md) and exits nonzero on any
 violation — ``--shrink`` reduces failing seeds to minimal schedules,
 ``--silent`` adds silent-degrade episodes (and ``--calibration`` arms
-the drift loop against them), ``--json`` regenerates the
-``BENCH_PR4.json`` payload;
-``calibration`` showcases the estimator drift defense (``--demo``
-narrates a silent rail degradation being detected, re-sampled and
-recovered; ``--json`` regenerates ``BENCH_PR5.json`` — see
-docs/calibration.md);
-``collectives`` races the classic collective schedules against the
-naive compositions on switched fabrics (``--demo`` shows the cost
-model's predictions next to measured makespans; ``--json`` regenerates
-the collective sections of ``BENCH_PR7.json`` — see docs/collectives.md);
+the drift loop against them);
 ``topology`` prints the ASCII picture of a fabric — a canned shape via
 ``--shape``/``--nodes`` or the ``fabric:`` section of a cluster config
 via ``--config``.
@@ -68,6 +58,12 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also render an ASCII chart (sweep-shaped experiments only)",
     )
+    run.add_argument(
+        "--json",
+        metavar="PATH",
+        help="also dump the committed JSON payload ('-' for stdout; "
+        "payload experiments only: DEG, CHAOS, CAL, COLL, FAB)",
+    )
 
     sweep = sub.add_parser("sweep", help="ad-hoc bandwidth/latency sweep")
     sweep.add_argument(
@@ -91,22 +87,6 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help="worker processes for the sweep cells (0 = one per CPU)",
-    )
-
-    faults = sub.add_parser(
-        "faults", help="degraded-mode scenarios (fault injection)"
-    )
-    faults.add_argument(
-        "--demo",
-        action="store_true",
-        help="narrated single-message demo: NIC dies mid-transfer, the "
-        "send re-plans onto the surviving rail",
-    )
-    faults.add_argument(
-        "--json",
-        metavar="PATH",
-        help="run the DEG flapping scenario and dump the BENCH_PR2-shaped "
-        "payload as JSON",
     )
 
     metrics = sub.add_parser(
@@ -203,12 +183,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="reduce every failing seed to a minimal episode schedule",
     )
     chaos.add_argument(
-        "--json",
-        metavar="PATH",
-        help="regenerate the BENCH_PR4-shaped payload as JSON "
-        "(fixed 50-seed window plus healthy bit-identity points)",
-    )
-    chaos.add_argument(
         "--silent",
         action="store_true",
         help="add silent-degrade episodes (bandwidth drops with no fault "
@@ -254,59 +228,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "seed as JSON (empty list when the soak is green)",
     )
 
-    fabric = sub.add_parser(
-        "fabric",
-        help="fabric fault tolerance: re-planning vs blind under spine "
-        "loss (docs/fabric-faults.md)",
-    )
-    fabric.add_argument(
-        "--demo",
-        action="store_true",
-        help="race the re-planning schedule against the blind one under "
-        "a mid-collective dual-rail spine outage",
-    )
-    fabric.add_argument(
-        "--json",
-        metavar="PATH",
-        help="measure the BENCH_PR10-shaped payload (degraded guard + "
-        "healthy bit-equality vs BENCH_PR8) and dump it as JSON "
-        "('-' for stdout)",
-    )
-
-    calib = sub.add_parser(
-        "calibration", help="estimator drift defense (docs/calibration.md)"
-    )
-    calib.add_argument(
-        "--demo",
-        action="store_true",
-        help="narrated scenario: a rail silently halves its bandwidth; "
-        "the drift loop detects, re-samples and recovers",
-    )
-    calib.add_argument(
-        "--json",
-        metavar="PATH",
-        help="run the CAL guard scenario and dump the BENCH_PR5-shaped "
-        "payload as JSON ('-' for stdout)",
-    )
-
-    collectives = sub.add_parser(
-        "collectives",
-        help="collective algorithms vs naive (docs/collectives.md)",
-    )
-    collectives.add_argument(
-        "--demo",
-        action="store_true",
-        help="race naive/ring/doubling/rails all-to-all on a switched "
-        "8-rank fabric, with the cost model's predictions alongside",
-    )
-    collectives.add_argument(
-        "--json",
-        metavar="PATH",
-        help="measure the collective sections of BENCH_PR7.json "
-        "(8/32/128-rank race + skewed RailS points) and dump them as "
-        "JSON ('-' for stdout)",
-    )
-
     topo = sub.add_parser(
         "topology", help="describe a fabric (nodes, per-rail link graphs)"
     )
@@ -345,15 +266,19 @@ def _cmd_list() -> int:
 
 
 def _cmd_run(
-    experiment: str, csv_path: Optional[str] = None, chart: bool = False
+    experiment: str,
+    csv_path: Optional[str] = None,
+    chart: bool = False,
+    json_path: Optional[str] = None,
 ) -> int:
     from repro.bench.experiments import experiment_registry
 
     if experiment.lower() == "all":
         keys: Sequence[str] = list(experiment_registry)
-        if csv_path:
-            print("--csv requires a single experiment", file=sys.stderr)
-            return 2
+        for flag, value in (("--csv", csv_path), ("--json", json_path)):
+            if value:
+                print(f"{flag} requires a single experiment", file=sys.stderr)
+                return 2
     else:
         key = experiment.upper()
         if key not in experiment_registry:
@@ -361,18 +286,20 @@ def _cmd_run(
             print(f"unknown experiment {experiment!r}; known: {known}", file=sys.stderr)
             return 2
         keys = [key]
+    # `--json -` keeps stdout for the JSON alone
+    out = sys.stderr if json_path == "-" else sys.stdout
     for i, key in enumerate(keys):
         if i:
-            print()
+            print(file=out)
         result = experiment_registry[key]()
-        print(result.render())
+        print(result.render(), file=out)
         if chart:
             from repro.bench.charts import ascii_chart
             from repro.bench.series import SweepResult
 
             if isinstance(result, SweepResult):
-                print()
-                print(ascii_chart(result))
+                print(file=out)
+                print(ascii_chart(result), file=out)
             else:
                 print(f"{key} is not sweep-shaped; no chart", file=sys.stderr)
         if csv_path:
@@ -382,14 +309,18 @@ def _cmd_run(
                 )
                 return 2
             result.to_csv(csv_path)
-            print(f"csv written to {csv_path}")
+            print(f"csv written to {csv_path}", file=out)
+        if json_path:
+            if not hasattr(result, "payload"):
+                print(f"{key} has no JSON payload", file=sys.stderr)
+                return 2
+            _dump_json(result.payload(), json_path, f"{key} payload")
     return 0
 
 
 def _cmd_sweep(
     sizes: str, strategies: str, metric: str, rails: str, jobs: int = 1
 ) -> int:
-    from repro.bench.parallel import parallel_sweep_oneway, resolve_jobs
     from repro.bench.runners import sweep_oneway
     from repro.util.units import parse_size
 
@@ -400,26 +331,15 @@ def _cmd_sweep(
         return 2
     strategy_names = [s.strip() for s in strategies.split(",") if s.strip()]
     rail_tuple = tuple(r.strip() for r in rails.split(",") if r.strip())
-    strategy_map = {name: name for name in strategy_names}
-    title = f"ad-hoc sweep over {rail_tuple}"
     try:
-        if resolve_jobs(jobs) > 1:
-            result = parallel_sweep_oneway(
-                title=title,
-                sizes=size_list,
-                strategies=strategy_map,
-                metric=metric,
-                rails=rail_tuple,
-                jobs=jobs,
-            )
-        else:
-            result = sweep_oneway(
-                title=title,
-                sizes=size_list,
-                strategies=strategy_map,
-                metric=metric,
-                rails=rail_tuple,
-            )
+        result = sweep_oneway(
+            title=f"ad-hoc sweep over {rail_tuple}",
+            sizes=size_list,
+            strategies={name: name for name in strategy_names},
+            metric=metric,
+            rails=rail_tuple,
+            jobs=jobs,
+        )
     except KeyError as exc:
         print(str(exc), file=sys.stderr)
         return 2
@@ -427,28 +347,8 @@ def _cmd_sweep(
     return 0
 
 
-def _cmd_faults(demo: bool, json_path: Optional[str] = None) -> int:
-    if not demo and not json_path:
-        print("faults: pass --demo and/or --json PATH", file=sys.stderr)
-        return 2
-    if demo:
-        _faults_demo()
-    if json_path:
-        from repro.bench.experiments import degraded
-
-        payload = degraded.collect(json_path=json_path)
-        for point in payload["points"]:
-            print(
-                f"{point['size']:>9}B  healthy {point['healthy_mbps']:8.2f} MB/s"
-                f"  flapping {point['degraded_mbps']:8.2f} MB/s"
-                f"  ({point['retained_fraction']:.0%} retained, "
-                f"{point['retries_issued']} retries)"
-            )
-        print(f"payload written to {json_path}")
-    return 0
-
-
 def _dump_json(payload, path: str, label: str) -> None:
+    """Write ``payload`` as sorted, indented JSON; ``-`` is stdout."""
     import json
 
     text = json.dumps(payload, indent=2, sort_keys=True)
@@ -728,7 +628,6 @@ def _cmd_chaos(
     seeds_spec: str,
     intensity: Optional[int],
     do_shrink: bool,
-    json_path: Optional[str],
     silent: bool = False,
     calibration: bool = False,
     jobs: int = 1,
@@ -737,13 +636,10 @@ def _cmd_chaos(
     shape: str = "paper",
     ranks: int = 8,
 ) -> int:
-    from repro.bench.parallel import (
-        parallel_soak,
-        resolve_jobs,
-        soak_artifact,
-    )
+    from repro.bench.parallel import soak_artifact
     from repro.faults import soak
     from repro.faults.chaos import DEFAULT_INTENSITY
+    from repro.util.parallel import resolve_jobs
 
     try:
         if "-" in seeds_spec:
@@ -758,28 +654,18 @@ def _cmd_chaos(
         )
         return 2
     workers = resolve_jobs(jobs)
+    report = soak(
+        seeds,
+        intensity=intensity if intensity is not None else DEFAULT_INTENSITY,
+        shrink_failures=do_shrink,
+        silent=silent,
+        calibration=calibration,
+        shape=shape,
+        ranks=ranks,
+        jobs=workers,
+    )
     if workers > 1:
-        report = parallel_soak(
-            seeds,
-            jobs=workers,
-            intensity=intensity if intensity is not None else DEFAULT_INTENSITY,
-            shrink_failures=do_shrink,
-            silent=silent,
-            calibration=calibration,
-            shape=shape,
-            ranks=ranks,
-        )
         print(f"[{workers} workers]")
-    else:
-        report = soak(
-            seeds,
-            intensity=intensity if intensity is not None else DEFAULT_INTENSITY,
-            shrink_failures=do_shrink,
-            silent=silent,
-            calibration=calibration,
-            shape=shape,
-            ranks=ranks,
-        )
     if artifact_path:
         _dump_json(soak_artifact(report), artifact_path, "soak artifact")
     if flight_dump_path:
@@ -794,90 +680,7 @@ def _cmd_chaos(
         assert bad.violation is not None
         print()
         print(bad.violation.report())
-    if json_path:
-        from repro.bench.experiments import chaos_soak
-
-        payload = chaos_soak.collect(json_path=json_path)
-        print(f"payload written to {json_path}")
-        if payload["soak"]["violations_on"]:
-            return 1
     return 1 if report.violations else 0
-
-
-def _cmd_fabric(demo: bool, json_path: Optional[str]) -> int:
-    if not demo and not json_path:
-        print("fabric: pass --demo and/or --json PATH", file=sys.stderr)
-        return 2
-    from repro.bench.experiments import fabric_faults
-
-    if demo:
-        print(fabric_faults.run().render())
-    if json_path:
-        payload = fabric_faults.collect(
-            json_path=None if json_path == "-" else json_path
-        )
-        if json_path == "-":
-            _dump_json(payload, "-", "fabric payload")
-        else:
-            print(f"payload written to {json_path}")
-        healthy = payload["healthy"].get("vs_bench_pr8") or {}
-        if not payload["degraded"]["guard_ok"] or not all(healthy.values()):
-            return 1
-    return 0
-
-
-def _cmd_calibration(demo: bool, json_path: Optional[str]) -> int:
-    if not demo and not json_path:
-        print("calibration: pass --demo and/or --json PATH", file=sys.stderr)
-        return 2
-    if demo:
-        _calibration_demo()
-    if json_path:
-        from repro.bench.experiments import calibration
-
-        payload = calibration.collect(
-            json_path=None if json_path == "-" else json_path
-        )
-        if json_path == "-":
-            _dump_json(payload, "-", "calibration payload")
-        else:
-            print(f"payload written to {json_path}")
-        if not payload["recovery_ok"]:
-            return 1
-    return 0
-
-
-def _cmd_collectives(demo: bool, json_path: Optional[str]) -> int:
-    if not demo and not json_path:
-        print("collectives: pass --demo and/or --json PATH", file=sys.stderr)
-        return 2
-    if demo:
-        _collectives_demo()
-    if json_path:
-        from repro.bench.experiments import collectives
-
-        _dump_json(collectives.collect(), json_path, "collectives payload")
-    return 0
-
-
-def _collectives_demo() -> None:
-    """The collective-algorithm race, narrated: the cost model's
-    predictions for an 8-rank switched all-to-all, then the measured
-    makespans (uniform + skewed RailS scenario)."""
-    from repro.api.collectives import AlgorithmSelector
-    from repro.bench.experiments import collectives as C
-    from repro.bench.runners import default_profiles
-
-    size = C.ALLTOALL_SIZES[8]
-    print(
-        "scenario: all-to-all across 8 ranks on one flat contended "
-        f"switch per rail ({'+'.join(C.RAILS)})"
-    )
-    print()
-    selector = AlgorithmSelector(default_profiles(C.RAILS).estimators)
-    print(selector.table("alltoall", size, 8))
-    print()
-    print(C.run(ranks=(8,)).render())
 
 
 def _cmd_topology(
@@ -927,75 +730,6 @@ def _cmd_topology(
     return 0
 
 
-def _calibration_demo() -> None:
-    """The drift-defense acceptance scenario, narrated: a rail silently
-    halves its bandwidth; the drift loop notices from prediction error
-    alone, re-samples it online, and the split recovers."""
-    from repro.api import ClusterBuilder, FaultSchedule
-    from repro.bench.experiments.calibration import (
-        BW_FACTOR,
-        CALIBRATION_KNOBS,
-        COUNT,
-        SIZE,
-        _RAIL,
-        _build,
-        _sequential,
-    )
-
-    print(
-        f"scenario: {_RAIL} silently drops to {BW_FACTOR:.0%} bandwidth "
-        "at t=0 (no fault event announced);"
-    )
-    print(
-        f"          sequential {COUNT}x{SIZE // (1024 * 1024)} MiB stream, "
-        "hetero_split, paper testbed"
-    )
-    print()
-    results = {}
-    for mode in ("blind", "defended", "oracle"):
-        cluster = _build(mode)
-        makespan = _sequential(cluster)
-        results[mode] = makespan
-        line = f"{mode:>9}: makespan {makespan:10.1f} us"
-        print(line)
-        if cluster.calibration is not None:
-            print()
-            print(cluster.calibration_report())
-            print()
-    print()
-    print(
-        f"recovered {(results['blind'] - results['defended']) / (results['blind'] - results['oracle']):.0%} "
-        "of the throughput an oracle re-sample would reclaim"
-    )
-
-
-def _faults_demo() -> None:
-    """The acceptance scenario, narrated: a 4 MiB hetero-split send loses
-    its fast rail mid-transfer and completes on the surviving one."""
-    from repro.api import ClusterBuilder, FaultSchedule
-    from repro.trace import Timeline, explain
-
-    schedule = FaultSchedule(seed=7).nic_down(
-        "node0.myri10g0", at=150.0, duration=2000.0
-    )
-    cluster = (
-        ClusterBuilder.paper_testbed(strategy="hetero_split")
-        .faults(schedule)
-        .resilience(timeout="200us")
-        .build()
-    )
-    sender, receiver = cluster.sessions("node0", "node1")
-    receiver.irecv(source="node0")
-    msg = sender.isend("node1", "4M")
-    result = cluster.run()
-    print("scenario: 4M hetero_split send; node0.myri10g0 down t=150..2150us")
-    print(f"run: {result!r}")
-    print()
-    print(explain(msg))
-    print()
-    print(Timeline.from_cluster(cluster).to_ascii())
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     """Entry point; returns a process exit code (0 ok, 2 usage error)."""
     args = _build_parser().parse_args(argv)
@@ -1003,14 +737,17 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.command == "list":
             return _cmd_list()
         if args.command == "run":
-            return _cmd_run(args.experiment, csv_path=args.csv, chart=args.chart)
+            return _cmd_run(
+                args.experiment,
+                csv_path=args.csv,
+                chart=args.chart,
+                json_path=args.json,
+            )
         if args.command == "sweep":
             return _cmd_sweep(
                 args.sizes, args.strategies, args.metric, args.rails,
                 jobs=args.jobs,
             )
-        if args.command == "faults":
-            return _cmd_faults(args.demo, json_path=args.json)
         if args.command == "metrics":
             return _cmd_metrics(args.faults, args.json, args.trace, args.fabric)
         if args.command == "accuracy":
@@ -1024,7 +761,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 args.seeds,
                 args.intensity,
                 args.shrink,
-                args.json,
                 silent=args.silent,
                 calibration=args.calibration,
                 jobs=args.jobs,
@@ -1033,12 +769,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 shape=args.shape,
                 ranks=args.ranks,
             )
-        if args.command == "fabric":
-            return _cmd_fabric(args.demo, args.json)
-        if args.command == "calibration":
-            return _cmd_calibration(args.demo, args.json)
-        if args.command == "collectives":
-            return _cmd_collectives(args.demo, args.json)
         if args.command == "topology":
             return _cmd_topology(
                 args.shape, args.nodes, args.rails, args.config

@@ -20,7 +20,10 @@ FAB         fabric fault tolerance: re-planning vs blind under spine loss
 
 Every module exposes ``run(...) -> SweepResult`` (or a small dataclass
 for the non-sweep artefacts) plus module-level constants with the paper's
-reference numbers for EXPERIMENTS.md.
+reference numbers for EXPERIMENTS.md.  Each ``run`` measures once: its
+result renders the table and, for DEG/CHAOS/CAL/COLL/FAB, builds the
+committed JSON payload (``payload()``, the ``BENCH_PR2/4/5/7/10.json``
+content that ``cli run EXP --json`` writes).
 """
 
 from repro.bench.experiments import (

@@ -24,6 +24,9 @@ misleads it) is driven through four builds:
 ``blind`` stays measurably worse, plus the healthy-path guard: with
 calibration off (and even armed-but-healthy), simulated makespans are
 bit-identical to the committed ``BENCH_PR4.json`` numbers.
+``cli run CAL --json PATH`` regenerates it; the rendered table ends
+with the defended build's calibration report (drift events, re-samples
+and fallback-ladder moves).
 """
 
 from __future__ import annotations
@@ -101,8 +104,7 @@ def _sequential(cluster) -> float:
     return done[-1]
 
 
-def _mode_point(mode: str) -> Dict[str, object]:
-    cluster = _build(mode)
+def _mode_point(mode: str, cluster) -> Dict[str, object]:
     makespan = _sequential(cluster)
     point: Dict[str, object] = {
         "mode": mode,
@@ -167,6 +169,8 @@ class CalibrationResult:
     healthy: List[Tuple[int, float, Optional[bool], bool]] = field(
         default_factory=list
     )
+    #: the defended build's ``calibration_report()``
+    report: str = ""
 
     def render(self) -> str:
         lines = [
@@ -200,18 +204,63 @@ class CalibrationResult:
             mark = "identical" if same else "DIVERGED"
             pr4 = {True: "=PR4", False: "PR4-MISMATCH", None: "no-PR4"}[matches]
             lines.append(f"    {size:>9}B  {mbps:10.2f} MB/s  {mark}  {pr4}")
+        lines += ["", "defended build:", self.report]
         return "\n".join(lines)
+
+    def payload(self) -> Dict:
+        """The BENCH_PR5.json payload: recovery ratios + healthy identity."""
+        return {
+            "schema": 1,
+            "pr": 5,
+            "description": (
+                "Estimator drift defense guard: node0.myri10g0's bandwidth "
+                f"silently drops to {BW_FACTOR:.0%} at t=0 (no fault event "
+                "announced) under a sequential stream of "
+                f"{COUNT}x{SIZE // (1024 * 1024)} MiB sends.  The "
+                "drift-defended build (calibration on) must recover at "
+                f"least {RECOVERY_FLOOR:.0%} of the oracle re-sampled "
+                "throughput while the blind baseline stays measurably "
+                "worse.  The healthy block re-runs the BENCH_PR4 burst with "
+                "calibration absent vs armed: throughput must be "
+                "bit-identical both ways and equal BENCH_PR4.json exactly."
+            ),
+            "harness": "python -m repro.bench.cli run CAL --json PATH",
+            "scenario": {
+                "count": COUNT,
+                "size": SIZE,
+                "bw_factor": BW_FACTOR,
+                "rail": _RAIL,
+                "recovery_floor": RECOVERY_FLOOR,
+                "calibration_knobs": dict(CALIBRATION_KNOBS),
+            },
+            "modes": self.points,
+            "recovery": self.recovery,
+            "blind_ratio": self.blind_ratio,
+            "recovery_ok": self.recovery >= RECOVERY_FLOOR,
+            "blind_worse": self.blind_ratio < self.recovery,
+            "healthy": [
+                {
+                    "size": size,
+                    "mbps": mbps,
+                    "matches_bench_pr4": matches,
+                    "identical_with_calibration": same,
+                }
+                for size, mbps, matches, same in self.healthy
+            ],
+        }
 
 
 def run() -> CalibrationResult:
     """Blind vs drift-defended vs oracle under silent degrade."""
-    points = [_mode_point(m) for m in ("healthy", "oracle", "defended", "blind")]
-    by_mode = {p["mode"]: p for p in points}
-    result = CalibrationResult(
-        points=points,
-        recovery=by_mode["defended"]["mbps"] / by_mode["oracle"]["mbps"],
-        blind_ratio=by_mode["blind"]["mbps"] / by_mode["oracle"]["mbps"],
-    )
+    result = CalibrationResult()
+    for mode in ("healthy", "oracle", "defended", "blind"):
+        cluster = _build(mode)
+        result.points.append(_mode_point(mode, cluster))
+        if cluster.calibration is not None:
+            result.report = cluster.calibration_report()
+    by_mode = {p["mode"]: p for p in result.points}
+    result.recovery = by_mode["defended"]["mbps"] / by_mode["oracle"]["mbps"]
+    result.blind_ratio = by_mode["blind"]["mbps"] / by_mode["oracle"]["mbps"]
     pr4 = _bench_pr4_healthy()
     off = _healthy_burst(calibration=False)
     on = _healthy_burst(calibration=True)
@@ -225,52 +274,3 @@ def run() -> CalibrationResult:
             )
         )
     return result
-
-
-def collect(json_path: Optional[str] = None) -> Dict:
-    """The BENCH_PR5.json payload: recovery ratios + healthy identity."""
-    result = run()
-    payload = {
-        "schema": 1,
-        "pr": 5,
-        "description": (
-            "Estimator drift defense guard: node0.myri10g0's bandwidth "
-            f"silently drops to {BW_FACTOR:.0%} at t=0 (no fault event "
-            "announced) under a sequential stream of "
-            f"{COUNT}x{SIZE // (1024 * 1024)} MiB sends.  The "
-            "drift-defended build (calibration on) must recover at "
-            f"least {RECOVERY_FLOOR:.0%} of the oracle re-sampled "
-            "throughput while the blind baseline stays measurably "
-            "worse.  The healthy block re-runs the PR 4 burst with "
-            "calibration absent vs armed: throughput must be "
-            "bit-identical both ways and equal BENCH_PR4.json exactly."
-        ),
-        "harness": "python -m repro.bench.cli calibration / calibration.collect",
-        "scenario": {
-            "count": COUNT,
-            "size": SIZE,
-            "bw_factor": BW_FACTOR,
-            "rail": _RAIL,
-            "recovery_floor": RECOVERY_FLOOR,
-            "calibration_knobs": dict(CALIBRATION_KNOBS),
-        },
-        "modes": result.points,
-        "recovery": result.recovery,
-        "blind_ratio": result.blind_ratio,
-        "recovery_ok": result.recovery >= RECOVERY_FLOOR,
-        "blind_worse": result.blind_ratio < result.recovery,
-        "healthy": [
-            {
-                "size": size,
-                "mbps": mbps,
-                "matches_bench_pr4": matches,
-                "identical_with_calibration": same,
-            }
-            for size, mbps, matches, same in result.healthy
-        ],
-    }
-    if json_path:
-        with open(json_path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    return payload

@@ -16,15 +16,16 @@ The PR 4 guard scenario, two halves:
    both ways (wall-time, informational) so the checker's cost under
    fault-heavy load stays visible.
 
-See ``docs/chaos.md`` for the seed workflow.
+``cli run CHAOS --json PATH`` regenerates the payload.  See
+``docs/chaos.md`` for the seed workflow.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Tuple
 
 from repro.bench.experiments.degraded import BURST, SIZES
 from repro.bench.runners import default_profiles, repo_root
@@ -97,61 +98,65 @@ def _bench_pr3_healthy() -> Dict[int, float]:
 
 @dataclass
 class ChaosSoakResult:
-    """Rendered summary for ``python -m repro.bench.cli run CHAOS``."""
+    """The BENCH_PR4 numbers: healthy-burst points and soak totals."""
 
-    seeds: int = SOAK_SEEDS
-    violations: int = 0
-    scenarios_per_sec_on: float = 0.0
-    scenarios_per_sec_off: float = 0.0
-    total_checks: int = 0
-    total_faults: int = 0
-    #: per-size (mbps, identical-with-monitor?) for the healthy burst
-    healthy: List[Tuple[int, float, bool]] = field(default_factory=list)
+    #: per size: off-mode makespan/MB/s, bit-identity with the monitor
+    #: on, BENCH_PR3 match, checks and fastest wall times
+    points: List[Dict]
+    #: the 50-seed soak, monitor on vs off
+    soak: Dict
 
     def render(self) -> str:
+        soak = self.soak
         lines = [
-            f"CHAOS: {self.seeds}-seed chaos soak under the invariant monitor",
+            f"CHAOS: {soak['seeds']}-seed chaos soak under the invariant "
+            "monitor",
             "",
-            f"  violations           {self.violations}",
-            f"  invariant checks     {self.total_checks}",
-            f"  faults fired         {self.total_faults}",
-            f"  scenarios/sec (on)   {self.scenarios_per_sec_on:.2f}",
-            f"  scenarios/sec (off)  {self.scenarios_per_sec_off:.2f}",
+            f"  violations           {soak['violations_on']}",
+            f"  invariant checks     {soak['total_invariant_checks']}",
+            f"  faults fired         {soak['total_faults_fired']}",
+            f"  scenarios/sec (on)   {soak['scenarios_per_sec_on']:.2f}",
+            f"  scenarios/sec (off)  {soak['scenarios_per_sec_off']:.2f}",
             "",
             "  healthy burst, monitor off vs on "
             "(identical = zero simulated overhead):",
         ]
-        for size, mbps, same in self.healthy:
+        for p in self.points:
+            same = p["makespan_identical"] and p["mbps_identical"]
             mark = "identical" if same else "DIVERGED"
-            lines.append(f"    {size:>9}B  {mbps:10.2f} MB/s  {mark}")
+            lines.append(f"    {p['size']:>9}B  {p['mbps']:10.2f} MB/s  {mark}")
         return "\n".join(lines)
+
+    def payload(self) -> Dict:
+        """The BENCH_PR4.json payload."""
+        return {
+            "schema": 1,
+            "pr": 4,
+            "description": (
+                "Chaos-soak and invariant-checker guard: the OBS healthy "
+                f"burst ({BURST} messages, paper testbed, hetero_split) "
+                "with the invariant monitor off vs on — simulated makespan "
+                "and throughput must be bit-identical, and the off numbers "
+                "must equal BENCH_PR3.json's mbps exactly.  The soak block "
+                "pins zero violations over seeds "
+                f"0..{SOAK_SEEDS - 1} and reports scenarios/sec with the "
+                "monitor on vs off (wall-time, informational; "
+                f"fastest-of-{REPEATS} repeats for the burst)."
+            ),
+            "harness": "python -m repro.bench.cli run CHAOS --json PATH",
+            "scenario": {
+                "burst": BURST,
+                "repeats": REPEATS,
+                "sizes": list(SIZES),
+                "soak_seeds": SOAK_SEEDS,
+            },
+            "points": self.points,
+            "soak": self.soak,
+        }
 
 
 def run() -> ChaosSoakResult:
     """Chaos soak + invariant-overhead summary (the PR 4 guard)."""
-    from repro.faults import soak
-
-    on = soak(SOAK_SEEDS)
-    off = soak(SOAK_SEEDS, invariants=False)
-    result = ChaosSoakResult(
-        seeds=SOAK_SEEDS,
-        violations=len(on.violations),
-        scenarios_per_sec_on=on.scenarios_per_sec,
-        scenarios_per_sec_off=off.scenarios_per_sec,
-        total_checks=sum(s.checks_performed for s in on.scenarios),
-        total_faults=sum(s.faults_fired for s in on.scenarios),
-    )
-    for size in SIZES:
-        mk_off, bw_off, _, _ = _best(size, invariants=False)
-        mk_on, bw_on, _, _ = _best(size, invariants=True)
-        result.healthy.append(
-            (size, bw_off, mk_off == mk_on and bw_off == bw_on)
-        )
-    return result
-
-
-def collect(json_path: Optional[str] = None) -> Dict:
-    """The BENCH_PR4.json payload: healthy bit-identity + soak numbers."""
     from repro.faults import soak
 
     pr3 = _bench_pr3_healthy()
@@ -176,29 +181,9 @@ def collect(json_path: Optional[str] = None) -> Dict:
         )
     on = soak(SOAK_SEEDS)
     off = soak(SOAK_SEEDS, invariants=False)
-    payload = {
-        "schema": 1,
-        "pr": 4,
-        "description": (
-            "Chaos-soak and invariant-checker guard: the OBS healthy "
-            f"burst ({BURST} messages, paper testbed, hetero_split) with "
-            "the invariant monitor off vs on — simulated makespan and "
-            "throughput must be bit-identical, and the off numbers must "
-            "equal BENCH_PR3.json's mbps exactly.  The soak block pins "
-            f"zero violations over seeds 0..{SOAK_SEEDS - 1} and reports "
-            "scenarios/sec with the monitor on vs off (wall-time, "
-            "informational; fastest-of-%d repeats for the burst)."
-            % REPEATS
-        ),
-        "harness": "python -m repro.bench.cli chaos / chaos_soak.collect",
-        "scenario": {
-            "burst": BURST,
-            "repeats": REPEATS,
-            "sizes": list(SIZES),
-            "soak_seeds": SOAK_SEEDS,
-        },
-        "points": points,
-        "soak": {
+    return ChaosSoakResult(
+        points=points,
+        soak={
             "seeds": SOAK_SEEDS,
             "violations_on": len(on.violations),
             "violations_off": len(off.violations),
@@ -216,9 +201,4 @@ def collect(json_path: Optional[str] = None) -> Dict:
                 s.deliveries_cancelled for s in on.scenarios
             ),
         },
-    }
-    if json_path:
-        with open(json_path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    return payload
+    )

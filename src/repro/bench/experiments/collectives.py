@@ -21,12 +21,15 @@ Two scenario families:
 
 Everything here is simulated time (µs) — deterministic across hosts, so
 ``BENCH_PR7.json`` pins exact ratios, not noisy wall-clock rates.
+``cli run COLL --json PATH`` regenerates its two collective sections;
+the rendered tables end with the cost model's predictions for the
+8-rank all-to-all, next to the measured makespans above them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.api import collectives as coll
 from repro.bench.runners import default_profiles
@@ -156,6 +159,8 @@ class CollectivesResult:
 
     alltoall: List[Dict]
     skewed: Dict
+    #: ``AlgorithmSelector.table`` for the 8-rank uniform all-to-all
+    cost_table: str = ""
     notes: List[str] = field(default_factory=list)
 
     def render(self) -> str:
@@ -197,32 +202,27 @@ class CollectivesResult:
         )
         if self.notes:
             lines += [""] + self.notes
+        lines += ["", self.cost_table]
         return "\n".join(lines)
+
+    def payload(self) -> Dict:
+        """The collective sections of the BENCH_PR7.json payload."""
+        return {
+            "alltoall_flat_switch": self.alltoall,
+            "skewed_alltoallv_fat_tree": self.skewed,
+        }
 
 
 def run(ranks: Sequence[int] = ALLTOALL_RANKS) -> CollectivesResult:
     """Collective-algorithm race: switched all-to-all + skewed RailS."""
+    selector = coll.AlgorithmSelector(default_profiles(RAILS).estimators)
     return CollectivesResult(
         alltoall=alltoall_table(ranks=ranks),
         skewed=skewed_table(),
+        cost_table=selector.table("alltoall", ALLTOALL_SIZES[8], 8),
         notes=[
             "naive posts all flows at once (per-port incast storm); ring"
             " staggers rank-shifted rounds; doubling is Bruck; rails is the"
             " segmented largest-remaining-first balanced schedule.",
         ],
     )
-
-
-def collect(json_path: Optional[str] = None) -> Dict:
-    """The collective sections of the BENCH_PR7.json payload."""
-    payload = {
-        "alltoall_flat_switch": alltoall_table(),
-        "skewed_alltoallv_fat_tree": skewed_table(),
-    }
-    if json_path:
-        import json
-
-        with open(json_path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    return payload

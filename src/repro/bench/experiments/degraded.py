@@ -6,12 +6,19 @@ of messages while the Myri-10G rail (both endpoints) flaps down/up at a
 fault-aware planner keep every message completing on the surviving
 Quadrics rail during down windows, at a bandwidth cost this experiment
 quantifies.  The committed ``BENCH_PR2.json`` pins the healthy vs
-degraded trajectory (deterministic — the schedule is seed-driven).
+degraded trajectory (deterministic — the schedule is seed-driven);
+``cli run DEG --json PATH`` regenerates it.
+
+The rendered table ends with the single-message story behind those
+numbers: a 4 MiB send loses its fast rail mid-transfer, and the
+message's ``explain()`` and Gantt chart show the stranded chunk retried
+on the survivor.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Tuple
 
 from repro.bench.runners import default_profiles
 from repro.bench.series import Series, SweepResult
@@ -77,30 +84,79 @@ def _measure_burst(
     )
 
 
-def run() -> SweepResult:
-    """Degraded-mode bandwidth: healthy vs Myri-10G flapping at 50% duty."""
-    healthy: List[float] = []
-    degraded: List[float] = []
-    for size in SIZES:
-        healthy.append(_measure_burst(size, faulty=False)[0])
-        degraded.append(_measure_burst(size, faulty=True)[0])
-    return SweepResult(
-        title=(
-            f"DEG: {BURST}-message burst bandwidth, healthy vs "
-            f"myri10g flapping ({FLAP_PERIOD:.0f}us period, "
-            f"{FLAP_DUTY:.0%} duty)"
-        ),
-        x_sizes=list(SIZES),
-        series=[
-            Series(label="healthy", values=healthy),
-            Series(label="flapping", values=degraded),
-        ],
-        y_label="aggregate bandwidth, MB/s",
+def _nic_down_story() -> str:
+    """A 4 MiB hetero-split send loses node0.myri10g0 at 150 µs; returns
+    the message's ``explain()`` and the cluster's Gantt chart."""
+    from repro.api.cluster import ClusterBuilder
+    from repro.faults import FaultSchedule
+    from repro.trace import Timeline, explain
+
+    schedule = FaultSchedule(seed=7).nic_down(
+        "node0.myri10g0", at=150.0, duration=2000.0
+    )
+    cluster = (
+        ClusterBuilder.paper_testbed(strategy="hetero_split")
+        .faults(schedule)
+        .resilience(timeout=TIMEOUT)
+        .build()
+    )
+    sender, receiver = cluster.sessions("node0", "node1")
+    receiver.irecv(source="node0")
+    msg = sender.isend("node1", "4M")
+    result = cluster.run()
+    return "\n".join(
+        [
+            "scenario: 4M hetero_split send; node0.myri10g0 down "
+            "t=150..2150us",
+            f"run: {result!r}",
+            "",
+            explain(msg),
+            "",
+            Timeline.from_cluster(cluster).to_ascii(),
+        ]
     )
 
 
-def collect(json_path: Optional[str] = None) -> Dict:
-    """The BENCH_PR2.json payload: per-size healthy/degraded numbers."""
+@dataclass
+class DegradedResult(SweepResult):
+    """The DEG sweep plus its BENCH_PR2 points and the NIC-down story."""
+
+    points: List[Dict] = field(default_factory=list)
+    story: str = ""
+
+    def render(self, precision: int = 2) -> str:
+        return super().render(precision) + "\n\n" + self.story
+
+    def payload(self) -> Dict:
+        """The BENCH_PR2.json payload: per-size healthy/degraded numbers."""
+        return {
+            "schema": 1,
+            "pr": 2,
+            "description": (
+                "Degraded-mode scenario of the fault-injection layer: "
+                f"{BURST}-message bursts on the paper testbed "
+                "(hetero_split) with the myri10g rail flapping at "
+                f"{FLAP_DUTY:.0%} duty ({FLAP_PERIOD:.0f}us period, both "
+                f"endpoints), watchdog timeout {TIMEOUT}, schedule seed "
+                f"{SEED}.  Deterministic: re-running 'python -m "
+                "repro.bench.cli run DEG --json PATH' reproduces these "
+                "numbers exactly."
+            ),
+            "harness": "python -m repro.bench.cli run DEG --json PATH",
+            "scenario": {
+                "burst": BURST,
+                "flap_nic": FLAP_NIC,
+                "flap_period_us": FLAP_PERIOD,
+                "flap_duty": FLAP_DUTY,
+                "timeout": TIMEOUT,
+                "seed": SEED,
+            },
+            "points": self.points,
+        }
+
+
+def run() -> DegradedResult:
+    """Degraded-mode bandwidth: healthy vs Myri-10G flapping at 50% duty."""
     points = []
     for size in SIZES:
         h_bw, _, _, _ = _measure_burst(size, faulty=False)
@@ -116,33 +172,18 @@ def collect(json_path: Optional[str] = None) -> Dict:
                 "last_completion_us": last_t,
             }
         )
-    payload = {
-        "schema": 1,
-        "pr": 2,
-        "description": (
-            "Degraded-mode scenario for the fault-injection PR: "
-            f"{BURST}-message bursts on the paper testbed (hetero_split) "
-            f"with the myri10g rail flapping at {FLAP_DUTY:.0%} duty "
-            f"({FLAP_PERIOD:.0f}us period, both endpoints), watchdog "
-            f"timeout {TIMEOUT}, schedule seed {SEED}.  Deterministic: "
-            "re-running 'python -m repro.bench.cli faults --json PATH' "
-            "reproduces these numbers exactly."
+    return DegradedResult(
+        title=(
+            f"DEG: {BURST}-message burst bandwidth, healthy vs "
+            f"myri10g flapping ({FLAP_PERIOD:.0f}us period, "
+            f"{FLAP_DUTY:.0%} duty)"
         ),
-        "harness": "python -m repro.bench.cli faults --json PATH",
-        "scenario": {
-            "burst": BURST,
-            "flap_nic": FLAP_NIC,
-            "flap_period_us": FLAP_PERIOD,
-            "flap_duty": FLAP_DUTY,
-            "timeout": TIMEOUT,
-            "seed": SEED,
-        },
-        "points": points,
-    }
-    if json_path:
-        import json
-
-        with open(json_path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    return payload
+        x_sizes=list(SIZES),
+        series=[
+            Series(label="healthy", values=[p["healthy_mbps"] for p in points]),
+            Series(label="flapping", values=[p["degraded_mbps"] for p in points]),
+        ],
+        y_label="aggregate bandwidth, MB/s",
+        points=points,
+        story=_nic_down_story(),
+    )

@@ -25,6 +25,7 @@ price, route and serialize exactly as before this PR.
 
 Everything is simulated time (µs): deterministic across hosts, so the
 payload pins exact numbers, not noisy wall-clock rates.
+``cli run FAB --json PATH`` regenerates it.
 """
 
 from __future__ import annotations
@@ -203,6 +204,7 @@ class FabricFaultsResult:
     """Registry-shaped result: the guard scenario, renderable."""
 
     guard: Dict
+    healthy: Dict
     notes: List[str] = field(default_factory=list)
 
     def render(self) -> str:
@@ -231,58 +233,54 @@ class FabricFaultsResult:
             lines += [""] + self.notes
         return "\n".join(lines)
 
+    def payload(self) -> Dict:
+        """The BENCH_PR10.json payload: healthy bit-equality + the guard."""
+        return {
+            "schema": 1,
+            "pr": 10,
+            "description": (
+                "Fabric-scale fault tolerance: skewed MoE all-to-allv on "
+                f"an {RANKS}-rank dual-rail fat tree (pods of {POD_SIZE}, "
+                f"{SPINES} spines) with spine0 of both rails down at "
+                f"{OUTAGE_AT} for {OUTAGE_DURATION} (schedule seed {SEED}). "
+                "'degraded' races the health-aware re-planning schedule "
+                "(adaptive ECMP + largest-remaining-first re-cuts, "
+                "invariant monitor armed) against the blind static-hash "
+                "rails schedule; the guard pins the speedup floor.  "
+                "'healthy' re-measures the BENCH_PR8 skewed fat-tree table and "
+                "must match BENCH_PR8.json bit-for-bit — no faults armed "
+                "means no behavior change.  Deterministic: re-running "
+                "'python -m repro.bench.cli run FAB --json PATH' "
+                "reproduces these numbers exactly."
+            ),
+            "harness": "python -m repro.bench.cli run FAB --json PATH",
+            "scenario": {
+                "ranks": RANKS,
+                "pod_size": POD_SIZE,
+                "spines": SPINES,
+                "rails": list(RAILS),
+                "moe_base_bytes": MOE_BASE,
+                "moe_hot": list(MOE_HOT),
+                "moe_skew": MOE_SKEW,
+                "outage_at": OUTAGE_AT,
+                "outage_duration": OUTAGE_DURATION,
+                "seed": SEED,
+                "timeout": TIMEOUT,
+                "max_retries": MAX_RETRIES,
+            },
+            "degraded": self.guard,
+            "healthy": self.healthy,
+        }
+
 
 def run() -> FabricFaultsResult:
     """Fabric fault tolerance: re-planning vs blind under spine loss."""
     return FabricFaultsResult(
         guard=degraded_guard(),
+        healthy=healthy_bit_equality(),
         notes=[
             "replan = adaptive ECMP + mid-collective re-planning with the"
             " invariant monitor armed; blind = static hashing + the"
             " fault-oblivious rails schedule (watchdog re-sends drops).",
         ],
     )
-
-
-def collect(json_path: Optional[str] = None) -> Dict:
-    """The BENCH_PR10.json payload: healthy bit-equality + the guard."""
-    payload = {
-        "schema": 1,
-        "pr": 10,
-        "description": (
-            "Fabric-scale fault tolerance: skewed MoE all-to-allv on an "
-            f"{RANKS}-rank dual-rail fat tree (pods of {POD_SIZE}, "
-            f"{SPINES} spines) with spine0 of both rails down at "
-            f"{OUTAGE_AT} for {OUTAGE_DURATION} (schedule seed {SEED}). "
-            "'degraded' races the health-aware re-planning schedule "
-            "(adaptive ECMP + largest-remaining-first re-cuts, invariant "
-            "monitor armed) against the blind static-hash rails schedule; "
-            "the guard pins the speedup floor.  'healthy' re-measures the "
-            "PR 8 skewed fat-tree table and must match BENCH_PR8.json "
-            "bit-for-bit — no faults armed means no behavior change.  "
-            "Deterministic: re-running 'python -m repro.bench.cli fabric "
-            "--json PATH' reproduces these numbers exactly."
-        ),
-        "harness": "python -m repro.bench.cli fabric --json PATH",
-        "scenario": {
-            "ranks": RANKS,
-            "pod_size": POD_SIZE,
-            "spines": SPINES,
-            "rails": list(RAILS),
-            "moe_base_bytes": MOE_BASE,
-            "moe_hot": list(MOE_HOT),
-            "moe_skew": MOE_SKEW,
-            "outage_at": OUTAGE_AT,
-            "outage_duration": OUTAGE_DURATION,
-            "seed": SEED,
-            "timeout": TIMEOUT,
-            "max_retries": MAX_RETRIES,
-        },
-        "degraded": degraded_guard(),
-        "healthy": healthy_bit_equality(),
-    }
-    if json_path:
-        with open(json_path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    return payload

@@ -1,159 +1,16 @@
-"""Multiprocess fan-out for embarrassingly parallel bench/soak work.
+"""Deterministic soak artifacts: what a sharded soak must reproduce.
 
-The chaos soak, the silent-calibration soak and the bandwidth sweeps all
-have the same shape: N independent, *deterministically seeded* work
-items whose results only meet at the very end.  One Python process can
-only use one core, so :func:`parallel_map` shards such work across a
-``multiprocessing`` pool and re-assembles the results **in input
-order** — and because every item is self-seeded (``chaos:{seed}`` /
-``workload:{seed}`` RNG streams, per-scenario id-counter resets, seeded
-sampling), a sharded run produces *byte-identical* per-item results no
-matter how many workers ran or which worker drew which item.
-
-``--jobs 1`` (the default everywhere) bypasses multiprocessing entirely
-and runs inline in the calling process — same code path as before this
-module existed.  ``--jobs 0`` means "one worker per CPU".
-
-Workers are forked where the platform allows (cheap, inherits the
-warmed ``default_profiles`` memo) and spawned otherwise; either way the
-work function and its arguments must be picklable, which is why the
-workers in this module are plain module-level functions.
+:func:`repro.faults.soak` shards its seeds over ``jobs`` processes
+(:func:`repro.util.parallel.parallel_map`) and merges the per-seed
+results back in seed order.  Every scenario is self-seeded, so the
+artifacts below are a pure function of the seed list: serialized, they
+are byte-identical for ``--jobs 1`` and ``--jobs N`` (``cli chaos
+--artifact``, and the fan-out tests that pin that contract).
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import os
-import time
-from functools import partial
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
-
-from repro.util.errors import ConfigurationError
-
-
-def resolve_jobs(jobs: Optional[int]) -> int:
-    """Normalize a ``--jobs`` value: ``None``/``0`` → one per CPU."""
-    if jobs is None or jobs == 0:
-        return os.cpu_count() or 1
-    if jobs < 0:
-        raise ConfigurationError(f"jobs must be >= 0, got {jobs}")
-    return jobs
-
-
-def _pool_context():
-    """Fork where available (Linux): cheap worker start and the parent's
-    memoized sampling passes come along for free.  Spawn elsewhere."""
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-forking platforms
-        return multiprocessing.get_context("spawn")
-
-
-def parallel_map(
-    fn: Callable[[Any], Any],
-    items: Sequence[Any],
-    jobs: Optional[int] = 1,
-) -> List[Any]:
-    """``[fn(x) for x in items]``, sharded over ``jobs`` processes.
-
-    Results come back **in input order** regardless of which worker
-    finished first — the property every deterministic artifact in this
-    repo leans on.  ``jobs`` ≤ 1 (after :func:`resolve_jobs`) or a
-    single item runs inline with no pool at all.
-    """
-    items = list(items)
-    jobs = resolve_jobs(jobs)
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    ctx = _pool_context()
-    workers = min(jobs, len(items))
-    with ctx.Pool(processes=workers) as pool:
-        # chunksize=1: scenario costs vary wildly (shrink-worthy seeds
-        # run the whole ddmin loop); fine-grained hand-out keeps the
-        # stragglers from serializing the tail.
-        return pool.map(fn, items, chunksize=1)
-
-
-# ---------------------------------------------------------------------- #
-# chaos soak fan-out
-# ---------------------------------------------------------------------- #
-
-
-def _soak_one(options: Dict[str, Any], seed: int):
-    """Pool worker: run one chaos scenario (module-level for pickling)."""
-    from repro.faults.chaos import run_scenario
-
-    return run_scenario(seed, **options)
-
-
-def parallel_soak(
-    seeds,
-    jobs: Optional[int] = 1,
-    strategy: str = "hetero_split",
-    horizon: Optional[float] = None,
-    intensity: Optional[int] = None,
-    shrink_failures: bool = False,
-    invariants: bool = True,
-    silent: bool = False,
-    calibration: bool = False,
-    obs_metrics: bool = False,
-    shape: str = "paper",
-    ranks: int = 8,
-):
-    """A :func:`repro.faults.chaos.soak` sharded over ``jobs`` processes.
-
-    Per-seed results are merged back in seed order, so the report's
-    ``results`` list — and therefore :func:`soak_artifact` — is
-    byte-identical to a ``jobs=1`` run.  Only ``wall_seconds`` (and the
-    derived scenarios/sec) differ: they measure the *parent's* wall
-    clock around the whole fan-out, which is the honest throughput of
-    the sharded soak.
-
-    Shrinking still runs serially in the parent: failures are rare, the
-    ddmin loop is itself a sequential fixpoint, and keeping it here
-    means a violation's shrunk schedule is computed exactly as the
-    serial soak would have.
-    """
-    from repro.faults.chaos import (
-        DEFAULT_HORIZON,
-        DEFAULT_INTENSITY,
-        SoakReport,
-        shrink,
-    )
-
-    if isinstance(seeds, int):
-        seeds = range(seeds)
-    seed_list = [int(s) for s in seeds]
-    options = {
-        "strategy": strategy,
-        "horizon": horizon if horizon is not None else DEFAULT_HORIZON,
-        "intensity": intensity if intensity is not None else DEFAULT_INTENSITY,
-        "invariants": invariants,
-        "silent": silent,
-        "calibration": calibration,
-        "obs_metrics": obs_metrics,
-        "shape": shape,
-        "ranks": ranks,
-    }
-    report = SoakReport()
-    t0 = time.perf_counter()
-    report.scenarios = parallel_map(
-        partial(_soak_one, options), seed_list, jobs=jobs
-    )
-    if shrink_failures:
-        for result in report.scenarios:
-            if not result.ok:
-                minimal = shrink(
-                    result.seed,
-                    strategy=strategy,
-                    horizon=options["horizon"],
-                    intensity=options["intensity"],
-                    shape=shape,
-                    ranks=ranks,
-                )
-                report.shrunk[result.seed] = minimal.to_json()
-    report.wall_seconds = time.perf_counter() - t0
-    return report
+from typing import Any, Dict
 
 
 def soak_artifact(report) -> Dict[str, Any]:
@@ -178,9 +35,9 @@ def soak_obs_artifact(report) -> Dict[str, Any]:
     cannot share a registry across process boundaries); this folds them
     with :func:`repro.obs.metrics.merge_snapshots` — counters add,
     histograms add bucket-wise, gauges keep the last shard's value —
-    and collects every flight dump.  ``parallel_map`` returns shards in
-    input order, so the merge order (and therefore the serialized
-    artifact) is byte-identical for ``--jobs 1`` and ``--jobs N``.
+    and collects every flight dump.  ``soak`` returns scenarios in seed
+    order, so the merge order (and therefore the serialized artifact) is
+    byte-identical for ``--jobs 1`` and ``--jobs N``.
     """
     from repro.obs.metrics import merge_snapshots
 
@@ -200,68 +57,4 @@ def soak_obs_artifact(report) -> Dict[str, Any]:
     }
 
 
-# ---------------------------------------------------------------------- #
-# sweep fan-out
-# ---------------------------------------------------------------------- #
-
-
-def _sweep_cell(
-    rails: Tuple[str, ...], metric: str, cell: Tuple[Any, int]
-) -> float:
-    """Pool worker: measure one (strategy, size) sweep cell.
-
-    Each worker process memoizes its own sampling pass via
-    ``default_profiles`` (seeded, hence identical across processes), so
-    a forked *or* spawned worker prices cells exactly like the parent.
-    """
-    from repro.bench.runners import build_paper_cluster, measure_oneway
-    from repro.util.units import bytes_per_us_to_mbps
-
-    spec, size = cell
-    cluster = build_paper_cluster(spec, rails=rails)
-    msg = measure_oneway(cluster, size)
-    if metric == "latency":
-        return msg.latency
-    return bytes_per_us_to_mbps(size / msg.latency)
-
-
-def parallel_sweep_oneway(
-    title: str,
-    sizes: Sequence[int],
-    strategies: Dict[str, Any],
-    metric: str = "latency",
-    rails: Tuple[str, ...] = ("myri10g", "quadrics"),
-    jobs: Optional[int] = 1,
-):
-    """:func:`repro.bench.runners.sweep_oneway`, cells fanned out.
-
-    Strategy specs must be picklable (names/classes — not closures);
-    the CLI's comma-separated strategy *names* always qualify.  Cell
-    results are reassembled into the same row-major (strategy × size)
-    order the serial sweep produces, so tables and CSVs are identical.
-    """
-    from repro.bench.series import Series, SweepResult
-
-    if metric not in ("latency", "bandwidth"):
-        raise ConfigurationError(f"unknown metric {metric!r}")
-    labels = list(strategies)
-    cells = [(strategies[label], size) for label in labels for size in sizes]
-    values = parallel_map(partial(_sweep_cell, tuple(rails), metric), cells, jobs=jobs)
-    series = []
-    n = len(sizes)
-    for i, label in enumerate(labels):
-        series.append(Series(label=label, values=values[i * n : (i + 1) * n]))
-    y_label = "one-way latency, us" if metric == "latency" else "bandwidth, MB/s"
-    return SweepResult(
-        title=title, x_sizes=list(sizes), series=series, y_label=y_label
-    )
-
-
-__all__ = [
-    "parallel_map",
-    "parallel_soak",
-    "parallel_sweep_oneway",
-    "resolve_jobs",
-    "soak_artifact",
-    "soak_obs_artifact",
-]
+__all__ = ["soak_artifact", "soak_obs_artifact"]

@@ -7,9 +7,9 @@ sampling pass is computed once per rail set and memoized.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
 from repro.api.cluster import Cluster, ClusterBuilder, StrategySpec
 from repro.bench.series import Series, SweepResult
@@ -17,6 +17,7 @@ from repro.core.packets import Message
 from repro.core.sampling import ProfileStore
 from repro.networks.drivers import make_driver
 from repro.util.errors import ConfigurationError
+from repro.util.parallel import parallel_map
 
 
 def repo_root() -> Path:
@@ -103,6 +104,25 @@ def measure_pair_completion(
     return max(m1.t_complete, m2.t_complete) - m1.t_post, m1, m2
 
 
+def _sweep_cell(
+    rails: Tuple[str, ...],
+    metric: str,
+    profiles: Optional[ProfileStore],
+    cell: Tuple[Union[StrategySpec, Callable[[], StrategySpec]], int],
+) -> float:
+    """Measure one (strategy, size) cell of :func:`sweep_oneway` on a
+    fresh cluster (module-level, so pool workers can unpickle it)."""
+    from repro.util.units import bytes_per_us_to_mbps
+
+    spec, size = cell
+    resolved = spec() if callable(spec) and not isinstance(spec, type) else spec
+    cluster = build_paper_cluster(resolved, rails=rails, profiles=profiles)
+    msg = measure_oneway(cluster, size)
+    if metric == "latency":
+        return msg.latency
+    return bytes_per_us_to_mbps(size / msg.latency)
+
+
 def sweep_oneway(
     title: str,
     sizes: Sequence[int],
@@ -110,29 +130,32 @@ def sweep_oneway(
     metric: str = "latency",
     rails: Tuple[str, ...] = ("myri10g", "quadrics"),
     profiles: Optional[ProfileStore] = None,
+    jobs: Optional[int] = 1,
 ) -> SweepResult:
     """Measure every (strategy, size) pair on a fresh cluster.
 
     ``metric``: ``"latency"`` (µs one-way) or ``"bandwidth"`` (MB/s).
     Strategy values may be specs or zero-arg factories (fresh per point).
-    """
-    from repro.util.units import bytes_per_us_to_mbps
 
+    ``jobs`` fans the cells out over that many processes
+    (:func:`repro.util.parallel.parallel_map`; ``0`` = one per CPU).
+    Cells come back in the serial (strategy × size) order, so tables and
+    CSVs are identical for any ``jobs``.  With ``jobs > 1`` the specs
+    (and ``profiles``) must pickle: strategy names or classes, not
+    closures.
+    """
     if metric not in ("latency", "bandwidth"):
         raise ConfigurationError(f"unknown metric {metric!r}")
-    store = profiles or default_profiles(rails)
-    series: List[Series] = []
-    for label, spec in strategies.items():
-        values: List[float] = []
-        for size in sizes:
-            resolved = spec() if callable(spec) and not isinstance(spec, type) else spec
-            cluster = build_paper_cluster(resolved, rails=rails, profiles=store)
-            msg = measure_oneway(cluster, size)
-            if metric == "latency":
-                values.append(msg.latency)
-            else:
-                values.append(bytes_per_us_to_mbps(size / msg.latency))
-        series.append(Series(label=label, values=values))
+    labels = list(strategies)
+    cells = [(strategies[label], size) for label in labels for size in sizes]
+    values = parallel_map(
+        partial(_sweep_cell, tuple(rails), metric, profiles), cells, jobs
+    )
+    n = len(sizes)
+    series = [
+        Series(label=label, values=values[i * n : (i + 1) * n])
+        for i, label in enumerate(labels)
+    ]
     y_label = "one-way latency, us" if metric == "latency" else "bandwidth, MB/s"
     return SweepResult(
         title=title, x_sizes=list(sizes), series=series, y_label=y_label

@@ -139,7 +139,7 @@ class InvariantViolation(ReproError):
         return "\n".join(lines)
 
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-friendly form (what ``cli chaos --json`` emits)."""
+        """JSON-friendly form (what ``cli chaos --artifact`` records)."""
         return {
             "invariant": self.invariant,
             "detail": self.detail,

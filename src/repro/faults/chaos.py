@@ -34,11 +34,13 @@ import itertools
 import random
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.invariants import InvariantViolation
 from repro.faults.schedule import FaultSchedule
 from repro.util.errors import ConfigurationError
+from repro.util.parallel import parallel_map
 
 #: episode kinds a chaos seed may draw (generation order = this order)
 EPISODE_KINDS = (
@@ -858,8 +860,10 @@ def soak(
     invariants: bool = True,
     silent: bool = False,
     calibration: bool = False,
+    obs_metrics: bool = False,
     shape: str = "paper",
     ranks: int = 8,
+    jobs: Optional[int] = 1,
 ) -> SoakReport:
     """Run a chaos scenario per seed; collect outcomes, never abort.
 
@@ -869,34 +873,43 @@ def soak(
     to the report.  ``silent``/``calibration`` run the silent-degrade
     pool with the drift loop armed (the PR 5 soak).  ``shape``/``ranks``
     pick the testbed per :func:`run_scenario` — the fabric soak.
+
+    ``jobs`` shards the seeds over that many processes
+    (:func:`repro.util.parallel.parallel_map`; ``0`` = one per CPU).
+    Results merge back in seed order, so
+    :func:`repro.bench.parallel.soak_artifact` is byte-identical for any
+    ``jobs``; only ``wall_seconds`` differs.
+    Shrinking runs in the calling process after the fan-out: the ddmin
+    loop is itself a sequential fixpoint.
     """
     if isinstance(seeds, int):
         seeds = range(seeds)
+    scenario = partial(
+        run_scenario,
+        strategy=strategy,
+        horizon=horizon,
+        intensity=intensity,
+        invariants=invariants,
+        silent=silent,
+        calibration=calibration,
+        obs_metrics=obs_metrics,
+        shape=shape,
+        ranks=ranks,
+    )
     report = SoakReport()
     t0 = time.perf_counter()
-    for seed in seeds:
-        result = run_scenario(
-            seed,
-            strategy=strategy,
-            horizon=horizon,
-            intensity=intensity,
-            invariants=invariants,
-            silent=silent,
-            calibration=calibration,
-            shape=shape,
-            ranks=ranks,
-        )
-        report.scenarios.append(result)
-        if not result.ok and shrink_failures:
+    report.scenarios = parallel_map(scenario, [int(s) for s in seeds], jobs)
+    if shrink_failures:
+        for result in report.violations:
             minimal = shrink(
-                seed,
+                result.seed,
                 strategy=strategy,
                 horizon=horizon,
                 intensity=intensity,
                 shape=shape,
                 ranks=ranks,
             )
-            report.shrunk[seed] = minimal.to_json()
+            report.shrunk[result.seed] = minimal.to_json()
     report.wall_seconds = time.perf_counter() - t0
     return report
 

@@ -2,7 +2,7 @@
 
 Not part of the paper's two-rail evaluation testbed, but NewMadeleine
 ships a Verbs driver (§III-A) and the n-rail ablation
-(`benchmarks/bench_ablation.py`, A5) uses it as a third/fourth rail.
+(`tests/paper/test_ablation.py`, A5) uses it as a third/fourth rail.
 Calibrated to generic DDR 4x figures of the era: ≈ 1.9 µs latency,
 ≈ 1400 MB/s large-message bandwidth.
 """

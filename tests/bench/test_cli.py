@@ -44,6 +44,30 @@ class TestRun:
         assert main(["run", "T1", "--csv", str(tmp_path / "x.csv")]) == 2
         assert "not sweep-shaped" in capsys.readouterr().err
 
+    def test_json_dash_prints_only_the_payload(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        import json
+
+        from repro.bench.experiments import degraded
+
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "DEG", "--json", "-"]) == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out) == degraded.run().payload()
+        assert "DEG:" in captured.err  # the table moves to stderr
+        assert list(tmp_path.iterdir()) == []
+
+    def test_json_with_all_rejected(self, tmp_path, capsys):
+        assert main(["run", "all", "--json", str(tmp_path / "x.json")]) == 2
+        assert "single experiment" in capsys.readouterr().err
+
+    def test_json_without_payload_rejected(self, tmp_path, capsys):
+        path = tmp_path / "x.json"
+        assert main(["run", "FIG8", "--json", str(path)]) == 2
+        assert "no JSON payload" in capsys.readouterr().err
+        assert not path.exists()
+
 
 class TestSweep:
     def test_adhoc_sweep(self, capsys):

@@ -1,6 +1,6 @@
 """The fan-out contract: sharded runs are byte-identical to serial ones.
 
-Everything in ``repro.bench.parallel`` leans on one property — each
+``soak(jobs=)`` and ``sweep_oneway(jobs=)`` lean on one property — each
 work item is deterministically self-seeded, so the merged result is a
 pure function of the input list, not of worker count or scheduling.
 These tests pin that property with real 2-worker pools (cheap: tiny
@@ -13,16 +13,12 @@ import pickle
 
 import pytest
 
-from repro.bench import parallel
-from repro.bench.parallel import (
-    parallel_map,
-    parallel_soak,
-    parallel_sweep_oneway,
-    resolve_jobs,
-    soak_artifact,
-)
+from repro.bench.parallel import soak_artifact
+from repro.bench.runners import sweep_oneway
 from repro.core.invariants import InvariantViolation
+from repro.faults import soak
 from repro.util.errors import ConfigurationError
+from repro.util.parallel import parallel_map, resolve_jobs
 
 
 def _square(x):
@@ -61,24 +57,24 @@ class TestParallelMap:
 
 class TestSoakFanOut:
     def test_sharded_artifact_is_byte_identical_to_serial(self):
-        serial = parallel_soak(range(4), jobs=1, horizon=400.0, intensity=2)
-        sharded = parallel_soak(range(4), jobs=2, horizon=400.0, intensity=2)
+        serial = soak(range(4), jobs=1, horizon=400.0, intensity=2)
+        sharded = soak(range(4), jobs=2, horizon=400.0, intensity=2)
         a = json.dumps(soak_artifact(serial), sort_keys=True)
         b = json.dumps(soak_artifact(sharded), sort_keys=True)
         assert a == b
 
     def test_results_merge_in_seed_order(self):
-        report = parallel_soak([5, 1, 9], jobs=2, horizon=300.0, intensity=1)
+        report = soak([5, 1, 9], jobs=2, horizon=300.0, intensity=1)
         assert [r.seed for r in report.scenarios] == [5, 1, 9]
 
     def test_artifact_drops_wall_clock_fields(self):
-        report = parallel_soak(range(2), jobs=1, horizon=300.0, intensity=1)
+        report = soak(range(2), jobs=1, horizon=300.0, intensity=1)
         art = soak_artifact(report)
         assert "wall_seconds" not in art and "scenarios_per_sec" not in art
         assert report.wall_seconds > 0  # still on the report itself
 
     def test_int_seeds_means_range(self):
-        report = parallel_soak(3, jobs=1, horizon=300.0, intensity=1)
+        report = soak(3, jobs=1, horizon=300.0, intensity=1)
         assert [r.seed for r in report.scenarios] == [0, 1, 2]
 
 
@@ -105,14 +101,12 @@ class TestInvariantViolationPickles:
 
 class TestSweepFanOut:
     def test_sharded_sweep_matches_serial(self):
-        from repro.bench.runners import sweep_oneway
-
         sizes = [1024, 4096]
         # Plain strategy *names*, exactly what the CLI hands over —
         # they pickle, unlike closures.
         strategies = {"hetero_split": "hetero_split"}
         serial = sweep_oneway("t", sizes, strategies, metric="latency")
-        sharded = parallel_sweep_oneway(
+        sharded = sweep_oneway(
             "t", sizes, strategies, metric="latency", jobs=2
         )
         assert [s.label for s in sharded.series] == [
@@ -123,4 +117,4 @@ class TestSweepFanOut:
 
     def test_unknown_metric_rejected(self):
         with pytest.raises(ConfigurationError):
-            parallel_sweep_oneway("t", [1024], {}, metric="goodput")
+            sweep_oneway("t", [1024], {}, metric="goodput", jobs=2)

@@ -1,4 +1,4 @@
-"""Front-door plumbing: the `calibration` config key and CLI verb."""
+"""Front-door plumbing: the `calibration` config key and CLI flags."""
 
 import json
 
@@ -79,14 +79,11 @@ class TestConfigKey:
 
 
 class TestCliVerb:
-    def test_bare_calibration_is_a_usage_error(self, capsys):
-        assert main(["calibration"]) == 2
-        assert "--demo" in capsys.readouterr().err
-
     def test_listed_in_help(self, capsys):
+        """The CAL experiment is the calibration artefact's front door."""
         with pytest.raises(SystemExit):
-            main(["--help"])
-        assert "calibration" in capsys.readouterr().out
+            main(["run", "--help"])
+        assert "CAL" in capsys.readouterr().out
 
     def test_chaos_accepts_the_silent_flags(self, capsys):
         assert main(["chaos", "--seeds", "2", "--silent", "--calibration"]) == 0

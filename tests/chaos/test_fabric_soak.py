@@ -10,7 +10,7 @@ processes changes nothing but wall-clock.
 
 import json
 
-from repro.bench.parallel import parallel_soak, soak_artifact
+from repro.bench.parallel import soak_artifact
 from repro.faults import chaos
 from repro.networks.switch import FatTreeSwitch
 
@@ -99,12 +99,8 @@ class TestPlantedRoutingBug:
 class TestShardedByteIdentity:
     def test_jobs_1_and_jobs_2_agree_byte_for_byte(self):
         seeds = range(6)
-        serial = soak_artifact(
-            parallel_soak(seeds, jobs=1, shape="fat_tree")
-        )
-        sharded = soak_artifact(
-            parallel_soak(seeds, jobs=2, shape="fat_tree")
-        )
+        serial = soak_artifact(chaos.soak(seeds, jobs=1, shape="fat_tree"))
+        sharded = soak_artifact(chaos.soak(seeds, jobs=2, shape="fat_tree"))
         assert json.dumps(serial, sort_keys=True) == json.dumps(
             sharded, sort_keys=True
         )

@@ -2,7 +2,7 @@
 
 The calibration tests pin the *model-level* targets from the paper's §IV;
 the full measured reproduction (through the engine, sampling and
-strategies) lives in tests/core and benchmarks/.
+strategies) lives in tests/core and tests/paper.
 """
 
 import pytest

@@ -93,7 +93,7 @@ def read_out(cluster, msg=None, violation=None):
 
 
 def faults_demo():
-    """``cli faults --demo``: 4 MiB hetero split, fast rail dies at
+    """The DEG NIC-down story: 4 MiB hetero split, fast rail dies at
     150 µs, the stranded chunk is retried on the survivor."""
     schedule = FaultSchedule(seed=7).nic_down(
         "node0.myri10g0", at=150.0, duration=2000.0

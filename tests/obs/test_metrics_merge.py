@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from repro.bench.parallel import parallel_soak, soak_obs_artifact
+from repro.bench.parallel import soak_obs_artifact
+from repro.faults import soak
 from repro.obs.metrics import (
     DEFAULT_BANDWIDTH_BUCKETS_MBPS,
     DEFAULT_BYTE_BUCKETS,
@@ -116,14 +117,14 @@ class TestSnapshotMerge:
 
 class TestSoakObsArtifact:
     def test_jobs_1_and_jobs_n_merge_byte_identically(self):
-        serial = parallel_soak(4, jobs=1, obs_metrics=True)
-        sharded = parallel_soak(4, jobs=2, obs_metrics=True)
+        serial = soak(4, jobs=1, obs_metrics=True)
+        sharded = soak(4, jobs=2, obs_metrics=True)
         assert json.dumps(
             soak_obs_artifact(serial), sort_keys=True
         ) == json.dumps(soak_obs_artifact(sharded), sort_keys=True)
 
     def test_artifact_shape(self):
-        artifact = soak_obs_artifact(parallel_soak(2, jobs=1, obs_metrics=True))
+        artifact = soak_obs_artifact(soak(2, jobs=1, obs_metrics=True))
         assert artifact["seeds"] == 2
         assert artifact["metrics"]["counters"]  # merged traffic counters
         assert artifact["flight_dumps"] == []  # both seeds are clean

@@ -2,18 +2,16 @@
 
 import pytest
 
-from repro.bench.experiments import ablations
 from repro.util.units import KiB
 
 
 class TestA1DichotomyDepth:
     @pytest.fixture(scope="class")
-    def result(self):
-        return ablations.run_a1_dichotomy_depth()
+    def result(self, experiment):
+        return experiment("A1")
 
-    def test_regeneration(self, benchmark):
-        out = benchmark(ablations.run_a1_dichotomy_depth)
-        assert out.x_sizes == [1, 2, 4, 8, 16, 32]
+    def test_regeneration(self, result):
+        assert result.x_sizes == [1, 2, 4, 8, 16, 32]
 
     def test_accuracy_improves_with_depth(self, result):
         excess = result["completion excess %"].values
@@ -29,12 +27,11 @@ class TestA1DichotomyDepth:
 
 class TestA2SamplingGrid:
     @pytest.fixture(scope="class")
-    def result(self):
-        return ablations.run_a2_sampling_grid()
+    def result(self, experiment):
+        return experiment("A2")
 
-    def test_regeneration(self, benchmark):
-        out = benchmark(ablations.run_a2_sampling_grid)
-        assert len(out.series) == 2
+    def test_regeneration(self, result):
+        assert len(result.series) == 2
 
     def test_pow2_grid_error_below_1pct(self, result):
         col = result.column(1)
@@ -48,12 +45,11 @@ class TestA2SamplingGrid:
 
 class TestA3IdlePrediction:
     @pytest.fixture(scope="class")
-    def result(self):
-        return ablations.run_a3_idle_prediction()
+    def result(self, experiment):
+        return experiment("A3")
 
-    def test_regeneration(self, benchmark):
-        out = benchmark(ablations.run_a3_idle_prediction)
-        assert len(out.series) == 2
+    def test_regeneration(self, result):
+        assert len(result.series) == 2
 
     def test_identical_when_rails_idle(self, result):
         col = result.column(0)
@@ -76,12 +72,11 @@ class TestA3IdlePrediction:
 
 class TestA4OffloadCost:
     @pytest.fixture(scope="class")
-    def result(self):
-        return ablations.run_a4_offload_cost()
+    def result(self, experiment):
+        return experiment("A4")
 
-    def test_regeneration(self, benchmark):
-        out = benchmark(ablations.run_a4_offload_cost)
-        assert out.x_sizes == [0, 3, 6, 12]
+    def test_regeneration(self, result):
+        assert result.x_sizes == [0, 3, 6, 12]
 
     def test_crossover_grows_with_to(self, result):
         crossovers = result["crossover size B"].values
@@ -97,12 +92,11 @@ class TestA4OffloadCost:
 
 class TestA5NRail:
     @pytest.fixture(scope="class")
-    def result(self):
-        return ablations.run_a5_nrail()
+    def result(self, experiment):
+        return experiment("A5")
 
-    def test_regeneration(self, benchmark):
-        out = benchmark(ablations.run_a5_nrail)
-        assert out.x_sizes == [1, 2, 3]
+    def test_regeneration(self, result):
+        assert result.x_sizes == [1, 2, 3]
 
     def test_bandwidth_scales_with_rails(self, result):
         measured = result["measured MB/s"].values
@@ -117,12 +111,11 @@ class TestA5NRail:
 
 class TestA6EstimationVsMeasured:
     @pytest.fixture(scope="class")
-    def result(self):
-        return ablations.run_a6_estimation_vs_measured()
+    def result(self, experiment):
+        return experiment("A6")
 
-    def test_regeneration(self, benchmark):
-        out = benchmark(ablations.run_a6_estimation_vs_measured)
-        assert len(out.series) == 3
+    def test_regeneration(self, result):
+        assert len(result.series) == 3
 
     def test_measured_never_beats_estimate_when_split(self, result):
         """Equation (1) ignores receive-side serialization, so once the
@@ -154,12 +147,11 @@ class TestA6EstimationVsMeasured:
 
 class TestA7MulticoreRx:
     @pytest.fixture(scope="class")
-    def result(self):
-        return ablations.run_a7_multicore_rx()
+    def result(self, experiment):
+        return experiment("A7")
 
-    def test_regeneration(self, benchmark):
-        out = benchmark(ablations.run_a7_multicore_rx)
-        assert len(out.series) == 3
+    def test_regeneration(self, result):
+        assert len(result.series) == 3
 
     def test_multicore_rx_never_slower(self, result):
         single = result["measured, single-core rx"].values
@@ -183,12 +175,11 @@ class TestA7MulticoreRx:
 
 class TestA8StaleSampling:
     @pytest.fixture(scope="class")
-    def result(self):
-        return ablations.run_a8_stale_sampling()
+    def result(self, experiment):
+        return experiment("A8")
 
-    def test_regeneration(self, benchmark):
-        out = benchmark(ablations.run_a8_stale_sampling)
-        assert out.x_sizes == [100, 75, 50, 25]
+    def test_regeneration(self, result):
+        assert result.x_sizes == [100, 75, 50, 25]
 
     def test_identical_when_nothing_degraded(self, result):
         col = result.column(100)
@@ -214,12 +205,11 @@ class TestA8StaleSampling:
 
 class TestA9SamplingNoise:
     @pytest.fixture(scope="class")
-    def result(self):
-        return ablations.run_a9_sampling_noise()
+    def result(self, experiment):
+        return experiment("A9")
 
-    def test_regeneration(self, benchmark):
-        out = benchmark(ablations.run_a9_sampling_noise)
-        assert len(out.series) == 3
+    def test_regeneration(self, result):
+        assert len(result.series) == 3
 
     def test_zero_noise_matches_baseline(self, result):
         col = result.column(0)
@@ -243,12 +233,11 @@ class TestA9SamplingNoise:
 
 class TestA10Reactivity:
     @pytest.fixture(scope="class")
-    def result(self):
-        return ablations.run_a10_reactivity()
+    def result(self, experiment):
+        return experiment("A10")
 
-    def test_regeneration(self, benchmark):
-        out = benchmark(ablations.run_a10_reactivity)
-        assert len(out.series) == 3
+    def test_regeneration(self, result):
+        assert len(result.series) == 3
 
     def test_spill_is_free(self, result):
         """An idle core polls at the same latency as the poll core."""
@@ -270,12 +259,11 @@ class TestA10Reactivity:
 
 class TestA11AggregationWindow:
     @pytest.fixture(scope="class")
-    def result(self):
-        return ablations.run_a11_aggregation_window()
+    def result(self, experiment):
+        return experiment("A11")
 
-    def test_regeneration(self, benchmark):
-        out = benchmark(ablations.run_a11_aggregation_window)
-        assert len(out.series) == 3
+    def test_regeneration(self, result):
+        assert len(result.series) == 3
 
     def test_same_instant_posts_aggregate(self, result):
         col = result.column(0)

@@ -12,13 +12,12 @@ from repro.bench.experiments import fig1
 
 
 @pytest.fixture(scope="module")
-def result():
-    return fig1.run()
+def result(experiment):
+    return experiment("FIG1")
 
 
-def test_fig1_regeneration(benchmark, result):
-    out = benchmark(fig1.run)
-    assert set(out.completion) == set(fig1.CASES)
+def test_fig1_regeneration(result):
+    assert set(result.completion) == set(fig1.CASES)
 
 
 class TestFig1Shape:

@@ -12,14 +12,13 @@ from repro.bench.experiments import fig3
 
 
 @pytest.fixture(scope="module")
-def result():
-    return fig3.run()
+def result(experiment):
+    return experiment("FIG3")
 
 
-def test_fig3_regeneration(benchmark, result):
-    out = benchmark(fig3.run)
-    assert out.x_sizes == list(fig3.SIZES)
-    assert set(out.labels) == {fig3.AGG_MYRI, fig3.AGG_QUAD, fig3.BALANCED}
+def test_fig3_regeneration(result):
+    assert result.x_sizes == list(fig3.SIZES)
+    assert set(result.labels) == {fig3.AGG_MYRI, fig3.AGG_QUAD, fig3.BALANCED}
 
 
 class TestFig3Shape:

@@ -12,13 +12,12 @@ from repro.bench.experiments import fig4
 
 
 @pytest.fixture(scope="module")
-def result():
-    return fig4.run()
+def result(experiment):
+    return experiment("FIG4")
 
 
-def test_fig4_regeneration(benchmark, result):
-    out = benchmark(fig4.run)
-    assert set(out.completion) == set(fig4.CASES)
+def test_fig4_regeneration(result):
+    assert set(result.completion) == set(fig4.CASES)
 
 
 class TestFig4Shape:

@@ -12,13 +12,12 @@ from repro.util.units import MiB
 
 
 @pytest.fixture(scope="module")
-def result():
-    return fig8.run()
+def result(experiment):
+    return experiment("FIG8")
 
 
-def test_fig8_regeneration(benchmark, result):
-    out = benchmark(fig8.run)
-    assert set(out.labels) == {fig8.MYRI, fig8.QUAD, fig8.ISO, fig8.HETERO}
+def test_fig8_regeneration(result):
+    assert set(result.labels) == {fig8.MYRI, fig8.QUAD, fig8.ISO, fig8.HETERO}
 
 
 class TestFig8Shape:

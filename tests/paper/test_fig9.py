@@ -12,13 +12,12 @@ from repro.util.units import KiB
 
 
 @pytest.fixture(scope="module")
-def result():
-    return fig9.run()
+def result(experiment):
+    return experiment("FIG9")
 
 
-def test_fig9_regeneration(benchmark, result):
-    out = benchmark(fig9.run)
-    assert set(out.labels) == {fig9.MYRI, fig9.QUAD, fig9.ESTIMATE}
+def test_fig9_regeneration(result):
+    assert set(result.labels) == {fig9.MYRI, fig9.QUAD, fig9.ESTIMATE}
 
 
 class TestFig9Shape:

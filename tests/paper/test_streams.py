@@ -12,13 +12,12 @@ from repro.bench.experiments import streams
 
 
 @pytest.fixture(scope="module")
-def result():
-    return streams.run()
+def result(experiment):
+    return experiment("S1")
 
 
-def test_s1_regeneration(benchmark):
-    out = benchmark(streams.run)
-    assert set(out.throughput_mbps) == set(streams.STRATEGIES)
+def test_s1_regeneration(result):
+    assert set(result.throughput_mbps) == set(streams.STRATEGIES)
 
 
 class TestS1Shape:

@@ -6,29 +6,26 @@ T2: offload micro-costs and figures derived from the sweeps.
 
 import pytest
 
-from repro.bench.experiments import text_tables
 from repro.bench.experiments.text_tables import PAPER_T1, PAPER_T2
 from repro.util.units import KiB
 
 
 @pytest.fixture(scope="module")
-def t1():
-    return text_tables.run_t1()
+def t1(experiment):
+    return experiment("T1")
 
 
 @pytest.fixture(scope="module")
-def t2():
-    return text_tables.run_t2()
+def t2(experiment):
+    return experiment("T2")
 
 
-def test_t1_regeneration(benchmark):
-    out = benchmark(text_tables.run_t1)
-    assert len(out.iso) == 2 and len(out.hetero) == 2
+def test_t1_regeneration(t1):
+    assert len(t1.iso) == 2 and len(t1.hetero) == 2
 
 
-def test_t2_regeneration(benchmark):
-    out = benchmark(text_tables.run_t2)
-    assert out.plateaus_mbps
+def test_t2_regeneration(t2):
+    assert t2.plateaus_mbps
 
 
 class TestT1ChunkTimes:
