@@ -62,6 +62,156 @@ from repro.util.units import parse_size, parse_time
 
 _TERMINAL = (MessageStatus.COMPLETE, MessageStatus.DEGRADED)
 
+#: a receive's (source, tag); ``None`` is a wildcard
+Pattern = Tuple[Optional[str], Optional[int]]
+
+
+def _patterns(msg: Message) -> Tuple[Pattern, Pattern, Pattern, Pattern]:
+    """The four receive patterns that match ``msg``."""
+    src, tag = msg.src, msg.tag
+    return ((src, tag), (src, None), (None, tag), (None, None))
+
+
+class RecvMatcher:
+    """One engine's receive-side queues, indexed by (source, tag).
+
+    The matching order rule lives here and nowhere else:
+
+    * a completed message goes to the earliest-posted pending receive
+      that matches it, and waits as *unexpected* when none does;
+    * a new receive takes the earliest-completed unexpected message it
+      matches;
+    * a rendezvous REQ that finds no matching pending receive is
+      *parked*; a new receive that took no unexpected message releases
+      the earliest-parked REQ it matches, and stays pending itself.
+
+    "Matches" is :meth:`RecvHandle.matches`, and every answer is the one
+    a scan in post or arrival order would give, found with at most four
+    dict lookups.  A pending receive sits in the bucket of its own
+    pattern and carries its post number (``RecvHandle.seq``), so a
+    message compares the heads of the four buckets whose patterns match
+    it.  An unexpected message or a parked REQ sits in all four of those
+    buckets (insertion-ordered dicts), so a receive reads the head of
+    its own pattern's bucket.  Empty buckets are deleted.
+    """
+
+    __slots__ = ("_posted", "_unclaimed", "_parked", "_seq")
+
+    def __init__(self) -> None:
+        #: pattern -> pending receives of that pattern, in post order
+        self._posted: Dict[Pattern, List[RecvHandle]] = {}
+        #: pattern -> unexpected messages it matches, in completion order
+        self._unclaimed: Dict[Pattern, Dict[Message, None]] = {}
+        #: pattern -> parked REQs it matches, in arrival order, each with
+        #: the NIC its ACK goes out on
+        self._parked: Dict[Pattern, Dict[Message, Nic]] = {}
+        self._seq = 0
+
+    def complete(self, msg: Message) -> Optional[RecvHandle]:
+        """A message completed: remove and return the earliest-posted
+        pending receive it matches, or keep it as unexpected and return
+        None."""
+        posted = self._posted
+        head: Optional[RecvHandle] = None
+        head_key: Optional[Pattern] = None
+        for key in _patterns(msg):
+            bucket = posted.get(key)
+            if bucket is not None and (head is None or bucket[0].seq < head.seq):
+                head, head_key = bucket[0], key
+        if head is None:
+            self._file(self._unclaimed, msg, None)
+            return None
+        bucket = posted[head_key]
+        del bucket[0]
+        if not bucket:
+            del posted[head_key]
+        return head
+
+    def request(self, msg: Message, nic: Nic) -> bool:
+        """A rendezvous REQ arrived on ``nic``: True when a receive it
+        matches is pending (the handle stays pending); otherwise park it
+        and return False.  A duplicate of a parked REQ keeps the first."""
+        posted = self._posted
+        if any(key in posted for key in _patterns(msg)):
+            return True
+        if msg not in self._parked.get((msg.src, msg.tag), ()):
+            self._file(self._parked, msg, nic)
+        return False
+
+    def post(self, handle: RecvHandle) -> Optional[Message]:
+        """A receive was posted: remove and return the earliest unexpected
+        message it matches, or make it the latest pending receive and
+        return None."""
+        source, tag = handle.source, handle.tag
+        taken = self._take(self._unclaimed, (source, tag))
+        if taken is not None:
+            return taken[0]
+        handle.seq = self._seq
+        self._seq += 1
+        bucket = self._posted.get((source, tag))
+        if bucket is None:
+            self._posted[(source, tag)] = [handle]
+        else:
+            bucket.append(handle)
+        return None
+
+    def release(
+        self, source: Optional[str], tag: Optional[int]
+    ) -> Optional[Tuple[Message, Nic]]:
+        """Remove and return the earliest parked REQ the pattern matches,
+        with its NIC, or None."""
+        return self._take(self._parked, (source, tag))
+
+    def cancel(self, handle: RecvHandle) -> bool:
+        """Withdraw a pending receive; False when it is not pending."""
+        key = (handle.source, handle.tag)
+        bucket = self._posted.get(key, [])
+        if handle not in bucket:
+            return False
+        bucket.remove(handle)
+        if not bucket:
+            del self._posted[key]
+        return True
+
+    def pending(self) -> Tuple[List[RecvHandle], List[Message], List[Message]]:
+        """Pending receives in post order, unexpected messages in
+        completion order and parked REQs' messages in arrival order."""
+        posted = sorted(
+            (h for bucket in self._posted.values() for h in bucket),
+            key=lambda h: h.seq,
+        )
+        wildcard = (None, None)
+        return (
+            posted,
+            list(self._unclaimed.get(wildcard, ())),
+            list(self._parked.get(wildcard, ())),
+        )
+
+    @staticmethod
+    def _file(
+        index: Dict[Pattern, Dict[Message, object]], msg: Message, value: object
+    ) -> None:
+        for key in _patterns(msg):
+            bucket = index.get(key)
+            if bucket is None:
+                index[key] = {msg: value}
+            else:
+                bucket[msg] = value
+
+    @staticmethod
+    def _take(index: Dict[Pattern, Dict[Message, object]], pattern: Pattern):
+        bucket = index.get(pattern)
+        if bucket is None:
+            return None
+        msg = next(iter(bucket))
+        value = bucket[msg]
+        for key in _patterns(msg):
+            bucket = index[key]
+            del bucket[msg]
+            if not bucket:
+                del index[key]
+        return msg, value
+
 
 @dataclass(frozen=True)
 class RetryRecord:
@@ -178,9 +328,7 @@ class NmadEngine:
             nic.up_listeners.append(self._on_nic_up)
             nic.hooks = self.hooks
         # receive-side state
-        self._posted_recvs: List[RecvHandle] = []
-        self._unexpected: List[Message] = []
-        self._pending_rdv: List[Tuple[Message, Nic]] = []
+        self.matcher = RecvMatcher()
         # resilience knobs (None timeout = watchdogs off)
         self.timeout = None if timeout is None else parse_time(timeout)
         if self.timeout is not None and self.timeout <= 0:
@@ -282,19 +430,15 @@ class NmadEngine:
         message once that message fully arrived."""
         handle = RecvHandle(node=self.machine.name, source=source, tag=tag)
         handle.done = SimEvent(self.sim, name=f"recv@{self.machine.name}")
-        for msg in self._unexpected:
-            if handle.matches(msg):
-                self._unexpected.remove(msg)
-                handle.matched = msg
-                handle.done.trigger(msg)
-                return handle
-        self._posted_recvs.append(handle)
+        msg = self.matcher.post(handle)
+        if msg is not None:
+            handle.matched = msg
+            handle.done.trigger(msg)
+            return handle
         # A rendezvous may have been waiting for exactly this buffer.
-        for msg, nic in list(self._pending_rdv):
-            if handle.matches(msg):
-                self._pending_rdv.remove((msg, nic))
-                self._send_rdv_ack(msg, nic)
-                break
+        parked = self.matcher.release(source, tag)
+        if parked is not None:
+            self._send_rdv_ack(*parked)
         return handle
 
     def cancel_recv(self, handle: RecvHandle) -> bool:
@@ -302,18 +446,21 @@ class NmadEngine:
 
         Returns True when the handle was pending and is now cancelled;
         False when it already matched (the message is the caller's).
-        Rendezvous senders waiting on this buffer keep waiting for the
-        next matching post — exactly as if the receive had never been
+
+        A rendezvous REQ parked before the post was released by it: its
+        ACK is already out and is not withdrawn.  That message's data
+        still flows, and when it completes with no other receive pending
+        for it, it waits as an unexpected message that the next matching
+        post takes at once.  A REQ that arrives after the cancel parks
+        until the next matching post, as if this receive had never been
         posted.
         """
         if handle.matched is not None:
             return False
-        try:
-            self._posted_recvs.remove(handle)
-        except ValueError:
+        if not self.matcher.cancel(handle):
             raise ProtocolError(
                 f"receive handle was not posted on {self.machine.name}"
-            ) from None
+            )
         return True
 
     def rails_to(self, dest: str, msg: Optional[Message] = None) -> List[Nic]:
@@ -518,14 +665,10 @@ class NmadEngine:
             # Stale REQ: the data phase already started (a retried REQ
             # raced its original, or the send was already given up on).
             return
-        for handle in self._posted_recvs:
-            if handle.matches(msg):
-                self._send_rdv_ack(msg, nic)
-                return
-        # No buffer yet: the rendezvous waits for a matching post_recv.
-        # A duplicate REQ (handshake retry) must not enqueue twice.
-        if not any(m is msg for m, _ in self._pending_rdv):
-            self._pending_rdv.append((msg, nic))
+        # With no matching buffer posted yet, the matcher parks the REQ
+        # until a matching post_recv releases it.
+        if self.matcher.request(msg, nic):
+            self._send_rdv_ack(msg, nic)
 
     def _send_rdv_ack(self, msg: Message, nic: Nic) -> None:
         ack = make_rdv_ack(msg)
@@ -582,14 +725,11 @@ class NmadEngine:
         self._cancel_watchdog(msg)
         assert msg.done is not None
         msg.done.trigger(msg)
-        for handle in self._posted_recvs:
-            if handle.matched is None and handle.matches(msg):
-                handle.matched = msg
-                self._posted_recvs.remove(handle)
-                assert handle.done is not None
-                handle.done.trigger(msg)
-                return
-        self._unexpected.append(msg)
+        handle = self.matcher.complete(msg)
+        if handle is not None:  # else the message waits as unexpected
+            handle.matched = msg
+            assert handle.done is not None
+            handle.done.trigger(msg)
 
     # ------------------------------------------------------------------ #
     # fault handling: rerouting, retries, watchdogs (docs/faults.md)

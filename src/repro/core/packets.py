@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Set, Tuple
 
 from repro.simtime import SimEvent
 from repro.util.errors import ProtocolError
@@ -59,7 +59,7 @@ class DegradedSend:
         return self.bytes_received / self.size if self.size else 0.0
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class Message:
     """One application send.
 
@@ -69,6 +69,9 @@ class Message:
     Slotted like :class:`~repro.networks.transfer.Transfer`: the chunk
     accounting on the receive path reads/writes these fields per chunk,
     and open-loop workloads keep millions of messages alive at once.
+    Equality is identity (``msg_id`` is unique anyway), so the engine's
+    queues and the receive matcher's index compare and hash a message
+    without reading its fields.
     """
 
     src: str
@@ -93,9 +96,13 @@ class Message:
     #: next per-message wire sequence number (stamped at NIC submit; a
     #: retry gets a fresh seq over the same chunk interval)
     wire_seq: int = 0
-    #: chunk intervals already accounted — the receiver-side duplicate
-    #: suppression set: a retry racing its late original lands here once
-    delivered_intervals: set = field(default_factory=set)
+    #: the first chunk interval accounted (None before any)
+    first_interval: Optional[Tuple[int, int]] = None
+    #: every chunk interval accounted, built when a second distinct one
+    #: arrives (most messages travel as one chunk and never need it) —
+    #: the receiver-side duplicate suppression set: a retry racing its
+    #: late original lands here once
+    delivered_intervals: Optional[Set[Tuple[int, int]]] = None
     #: deliveries ignored because their interval was already accounted
     duplicates_suppressed: int = 0
 
@@ -174,11 +181,20 @@ class Message:
         (either order); the caller must then *not* account the chunk, so
         a byte interval is only ever summed once (exactly-once delivery).
         """
-        if chunk_key in self.delivered_intervals:
-            self.duplicates_suppressed += 1
-            return False
-        self.delivered_intervals.add(chunk_key)
-        return True
+        seen = self.delivered_intervals
+        if seen is None:
+            first = self.first_interval
+            if first is None:
+                self.first_interval = chunk_key
+                return True
+            if chunk_key != first:
+                self.delivered_intervals = {first, chunk_key}
+                return True
+        elif chunk_key not in seen:
+            seen.add(chunk_key)
+            return True
+        self.duplicates_suppressed += 1
+        return False
 
     def account_chunk(self, nbytes: int) -> bool:
         """Record one received chunk; True when the message is complete."""
@@ -198,12 +214,13 @@ class Message:
         return False
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class RecvHandle:
     """A posted receive: matches incoming messages by (source, tag).
 
     ``source``/``tag`` of ``None`` match anything (wildcards).  ``done``
-    triggers with the matched :class:`Message`.
+    triggers with the matched :class:`Message`.  Equality is identity,
+    like :class:`Message`'s.
     """
 
     node: str
@@ -211,8 +228,13 @@ class RecvHandle:
     tag: Optional[int] = None
     done: Optional[SimEvent] = None
     matched: Optional[Message] = None
+    #: post order on its engine, stamped by the engine's receive matcher
+    seq: int = field(default=-1, init=False, repr=False)
 
     def matches(self, msg: Message) -> bool:
+        """The matching predicate: ``source`` and ``tag`` each equal the
+        message's or are ``None``.  The engine's receive matcher gives
+        the answer a post-order scan with this predicate would give."""
         if self.source is not None and msg.src != self.source:
             return False
         if self.tag is not None and msg.tag != self.tag:

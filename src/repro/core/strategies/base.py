@@ -10,7 +10,19 @@ from repro.util.errors import ConfigurationError, SchedulingError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.engine import NmadEngine
+    from repro.core.estimator import NicEstimator
     from repro.core.prediction import CompletionPredictor, RailPlan
+
+
+def _sampled_mode(est: "NicEstimator", size: int) -> TransferMode:
+    """One rail's sampled protocol for a ``size``-byte message.
+
+    The eager limit is checked before ``best_mode`` so that the
+    estimator's mode memo only ever holds eager-capable sizes.
+    """
+    if size > est.eager_limit:
+        return TransferMode.RENDEZVOUS
+    return est.best_mode(size)
 
 
 class Strategy:
@@ -106,12 +118,15 @@ class Strategy:
                 return TransferMode.EAGER
             return TransferMode.RENDEZVOUS
         if self.engine is not None and self.engine.predictor is not None:
-            # Sampled threshold of the rail that would carry the message.
-            nic = self.fastest_rail(msg.dest, msg.size, TransferMode.EAGER)
-            est = self.engine.predictor.estimator_for(nic)
-            if msg.size <= est.eager_limit:
-                return est.best_mode(msg.size)
-            return TransferMode.RENDEZVOUS
+            # Sampled threshold of the rail that would carry the message;
+            # which rail that is only matters when the rails disagree.
+            predictor = self.engine.predictor
+            size = msg.size
+            modes = {_sampled_mode(predictor.estimator_for(n), size) for n in rails}
+            if len(modes) == 1:
+                return modes.pop()
+            nic = self.fastest_rail(msg.dest, size, TransferMode.EAGER)
+            return _sampled_mode(predictor.estimator_for(nic), size)
         # No sampling: eager whenever some rail accepts the size.
         if any(msg.size <= n.profile.eager_limit for n in rails):
             return TransferMode.EAGER

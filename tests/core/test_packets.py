@@ -71,6 +71,44 @@ class TestMessageAccounting:
     def test_ids_are_unique(self):
         assert msg().msg_id != msg().msg_id
 
+    def test_equality_is_identity_and_messages_hash(self):
+        m = msg()
+        twin = Message(src=m.src, dest=m.dest, size=m.size, tag=m.tag, msg_id=m.msg_id)
+        assert m == m and m != twin
+        assert {m: "m", twin: "twin"}[m] == "m"
+        h = RecvHandle(node="b", source="a", tag=5)
+        assert h != RecvHandle(node="b", source="a", tag=5)
+        assert h in {h}
+
+
+A, B, C = (0, 10), (10, 10), (20, 10)
+
+
+class TestDeliveryRegistration:
+    @pytest.mark.parametrize(
+        "deliveries, first_time",
+        [
+            ([A, A], [True, False]),
+            ([A, B, A], [True, True, False]),
+            ([A, B, B], [True, True, False]),
+            ([B, A, B], [True, True, False]),
+            ([B, A, A], [True, True, False]),
+            ([A, B, C, B, A, C], [True, True, True, False, False, False]),
+        ],
+    )
+    def test_duplicates_are_suppressed_and_counted(self, deliveries, first_time):
+        m = msg(30)
+        assert [m.register_delivery(key) for key in deliveries] == first_time
+        assert m.duplicates_suppressed == first_time.count(False)
+
+    def test_interval_set_is_built_for_a_second_interval_only(self):
+        m = msg(30)
+        m.register_delivery(A)
+        m.register_delivery(A)
+        assert m.delivered_intervals is None
+        m.register_delivery(B)
+        assert m.delivered_intervals == {A, B}
+
 
 class TestRecvHandleMatching:
     def test_wildcard_matches_anything(self):

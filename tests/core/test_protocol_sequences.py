@@ -152,6 +152,21 @@ class TestRecvCancellation:
         cluster.run()
         assert m.status is MessageStatus.COMPLETE
 
+    def test_cancel_does_not_withdraw_a_rendezvous_ack(self, cluster):
+        """A post releases the REQ parked before it at once; cancelling the
+        post leaves that ACK out, so the data flows and the message ends
+        up unexpected, taken by the next matching post."""
+        a, b = cluster.session("node0"), cluster.session("node1")
+        m = a.isend("node1", 1 * MiB, tag=1)
+        cluster.sim.run(until=cluster.sim.now + 3000.0)
+        assert cluster.engines["node1"].matcher.pending()[2] == [m]
+        h = b.irecv(tag=1)
+        assert b.cancel(h) is True
+        cluster.run()
+        assert m.status is MessageStatus.COMPLETE
+        assert h.matched is None
+        assert b.irecv(tag=1).matched is m
+
 
 class TestAccountingGuards:
     def test_double_chunk_completion_raises(self, cluster):

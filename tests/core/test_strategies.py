@@ -4,6 +4,7 @@ import pytest
 
 from repro.api import ClusterBuilder
 from repro.core import MessageStatus, TransferMode, make_strategy
+from repro.core.packets import Message
 from repro.core.sampling import ProfileStore
 from repro.core.strategies import (
     AggregateStrategy,
@@ -51,6 +52,44 @@ class TestRegistry:
     def test_unknown_name(self):
         with pytest.raises(KeyError):
             make_strategy("quantum")
+
+
+class TestSampledModeChoice:
+    """The sampled eager/rendezvous pick reads the threshold of the rail
+    that would carry the message; on the paper testbed those are
+    50,710 B (myri10g) and 22,831 B (quadrics)."""
+
+    def engine(self, profiles):
+        engine = build(HeteroSplitStrategy(), profiles).engines["node0"]
+        thresholds = [
+            engine.predictor.estimator_for(n).rdv_threshold()
+            for n in engine.machine.nics
+        ]
+        assert thresholds == [50_710, 22_831]
+        return engine
+
+    def test_disagreeing_rails_follow_the_less_busy_one(self, profiles):
+        engine = self.engine(profiles)
+        myri, quadrics = engine.machine.nics
+        msg = Message(src="node0", dest="node1", size=30 * KiB)
+        quadrics.inject_busy(1000.0)
+        assert engine.strategy.choose_mode(msg) is TransferMode.EAGER
+        myri.inject_busy(2000.0)
+        assert engine.strategy.choose_mode(msg) is TransferMode.RENDEZVOUS
+
+    @pytest.mark.parametrize(
+        "size, mode",
+        [(1 * KiB, TransferMode.EAGER), (1 * MiB, TransferMode.RENDEZVOUS)],
+    )
+    def test_agreeing_rails_are_not_priced(self, profiles, monkeypatch, size, mode):
+        engine = self.engine(profiles)
+
+        def refuse(*args):
+            raise AssertionError("predict called")
+
+        monkeypatch.setattr(engine.predictor, "predict", refuse)
+        msg = Message(src="node0", dest="node1", size=size)
+        assert engine.strategy.choose_mode(msg) is mode
 
 
 class TestSingleRail:
