@@ -16,7 +16,7 @@ Run:  python examples/multicore_smallmsg.py
 from repro.bench.experiments import fig9
 from repro.bench.runners import build_paper_cluster, default_profiles, measure_oneway
 from repro.core.strategies import MulticoreSplitStrategy
-from repro.trace import Timeline
+from repro.obs import Timeline
 from repro.util.units import KiB
 
 
@@ -30,14 +30,15 @@ def main() -> None:
         MulticoreSplitStrategy(rdv_threshold=128 * KiB),
         profiles=default_profiles(),
     )
-    msg = measure_oneway(cluster, size)
     machine = cluster.machines["node0"]
+    timeline = Timeline.record(machine)
+    msg = measure_oneway(cluster, size)
     print(f"measured multicore eager send of {size}B: {msg.latency:.2f} us")
     print(f"  chunks: {msg.chunk_sizes} over {msg.rails_used}")
     print(f"  offloads signalled: {cluster.engine('node0').pioman.offloads}")
     print()
     print("sender-side timeline (cores do the PIO copies, NICs transmit):")
-    print(Timeline.from_machine(machine).to_ascii(width=64))
+    print(timeline.to_ascii(width=64))
     print()
     print("core0 posts chunk 1 and copies it; core1 wakes 3 us later and")
     print("copies chunk 2 in parallel — the Fig. 7 sequence.")

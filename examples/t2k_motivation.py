@@ -20,7 +20,7 @@ from repro.core.sampling import ProfileStore
 from repro.core.strategies import HeteroSplitStrategy, MulticoreSplitStrategy
 from repro.hardware import CpuTopology
 from repro.networks.drivers import make_driver
-from repro.trace import Timeline
+from repro.obs import Timeline
 from repro.util.units import KiB, MiB, bytes_per_us_to_mbps
 
 N_RAILS = 4
@@ -61,11 +61,11 @@ def main() -> None:
     cluster = build_t2k(
         MulticoreSplitStrategy(rdv_threshold=256 * KiB), profiles
     )
+    tl = Timeline.record(cluster.machines["node0"])
     msg = measure_oneway(cluster, 96 * KiB)
     print(f"   chunks: {msg.chunk_sizes}")
     print(f"   latency: {msg.latency:.1f} us "
           f"(offloads: {cluster.engine('node0').pioman.offloads})")
-    tl = Timeline.from_machine(cluster.machines["node0"])
     busy_cores = [l for l in tl.lanes if l.startswith("core") and tl.intervals(l)]
     print(f"   cores that copied in parallel: {busy_cores}")
     print()

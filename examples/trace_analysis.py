@@ -5,7 +5,8 @@ Runs a mixed workload under the adaptive strategy, then shows the three
 ways to look at what happened:
 
 1. :func:`repro.core.cluster_report` — per-node counters and utilization;
-2. :class:`repro.trace.Timeline` — interval queries + ASCII Gantt;
+2. :class:`repro.obs.Timeline` — recorded from the hook stream during
+   the run; interval queries + ASCII Gantt;
 3. CSV export of both the timeline and the message lifecycles, for
    plotting with your own tools.
 
@@ -16,12 +17,13 @@ import io
 
 from repro.api import ClusterBuilder
 from repro.core import cluster_report
-from repro.trace import Timeline, explain, export_messages_csv, export_timeline_csv
+from repro.obs import Timeline, explain, export_messages_csv, export_timeline_csv
 from repro.util.units import KiB, MiB
 
 
 def main() -> None:
     cluster = ClusterBuilder.paper_testbed(strategy="adaptive").build()
+    timeline = Timeline.record(cluster.machines["node0"])
     a, b = cluster.session("node0"), cluster.session("node1")
 
     sizes = [1 * KiB, 1 * KiB, 32 * KiB, 2 * MiB]
@@ -35,7 +37,6 @@ def main() -> None:
     print(cluster_report(cluster))
     print()
 
-    timeline = Timeline.from_machine(cluster.machines["node0"])
     print("=== sender timeline " + "=" * 39)
     print(timeline.to_ascii(width=60))
     print()

@@ -22,10 +22,10 @@ Package map: :mod:`repro.simtime` (event kernel), :mod:`repro.hardware`
 (cores/nodes), :mod:`repro.networks` (rails), :mod:`repro.threading` +
 :mod:`repro.pioman` (Marcel/PIOMan runtime), :mod:`repro.core`
 (NewMadeleine: sampling, prediction, splitting, strategies, engine),
-:mod:`repro.api` (clusters, sessions, MPI layer), :mod:`repro.trace`
-(timelines), :mod:`repro.bench` (experiments; also
-``python -m repro.bench.cli``).  See DESIGN.md and EXPERIMENTS.md at the
-repository root.
+:mod:`repro.api` (clusters, sessions, MPI layer), :mod:`repro.obs` (the
+hook stream and its subscribers: tracer, metrics, timelines),
+:mod:`repro.bench` (experiments; also ``python -m repro.bench.cli``).
+See DESIGN.md and EXPERIMENTS.md at the repository root.
 """
 
 __version__ = "1.0.0"

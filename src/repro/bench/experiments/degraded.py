@@ -89,7 +89,7 @@ def _nic_down_story() -> str:
     the message's ``explain()`` and the cluster's Gantt chart."""
     from repro.api.cluster import ClusterBuilder
     from repro.faults import FaultSchedule
-    from repro.trace import Timeline, explain
+    from repro.obs import Timeline, explain
 
     schedule = FaultSchedule(seed=7).nic_down(
         "node0.myri10g0", at=150.0, duration=2000.0
@@ -100,6 +100,7 @@ def _nic_down_story() -> str:
         .resilience(timeout=TIMEOUT)
         .build()
     )
+    timeline = Timeline.record(cluster)
     sender, receiver = cluster.sessions("node0", "node1")
     receiver.irecv(source="node0")
     msg = sender.isend("node1", "4M")
@@ -112,7 +113,7 @@ def _nic_down_story() -> str:
             "",
             explain(msg),
             "",
-            Timeline.from_cluster(cluster).to_ascii(),
+            timeline.to_ascii(),
         ]
     )
 

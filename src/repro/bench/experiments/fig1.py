@@ -20,7 +20,7 @@ from typing import Dict
 from repro.bench.runners import build_paper_cluster, default_profiles
 from repro.bench.workloads import run_stream, uniform_stream
 from repro.core.strategies import GreedyStrategy, HeteroSplitStrategy, IsoSplitStrategy
-from repro.trace import Timeline
+from repro.obs import Timeline
 from repro.util.units import KiB, MiB
 
 CASES = (
@@ -72,11 +72,11 @@ def run() -> Fig1Result:
     }
     for case, strategy in strategies.items():
         cluster = build_paper_cluster(strategy, profiles=profiles)
+        machine = cluster.machines["node0"]
+        full = Timeline.record(machine)
         stream = run_stream(
             cluster, uniform_stream(MESSAGE_COUNT, MESSAGE_SIZE)
         )
-        machine = cluster.machines["node0"]
-        full = Timeline.from_machine(machine)
         lanes = Timeline()
         for nic in machine.nics:
             lane = f"nic:{nic.name}"

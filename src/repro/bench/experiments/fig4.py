@@ -24,7 +24,7 @@ from typing import Dict
 
 from repro.bench.runners import build_paper_cluster, default_profiles, measure_pair_completion
 from repro.core.strategies import AggregateStrategy, GreedyStrategy, MulticoreSplitStrategy
-from repro.trace import Timeline
+from repro.obs import Timeline
 from repro.util.units import KiB, format_time_us
 
 #: per-packet payload for the micro-benchmark (medium eager size, where
@@ -73,6 +73,7 @@ def run(segment_size: int = DEFAULT_SEGMENT) -> Fig4Result:
     }
     for label, strategy in cases.items():
         cluster = build_paper_cluster(strategy, profiles=profiles)
+        tl = Timeline.record(cluster.machines["node0"])
         if label == CASES[2]:
             # One message of 2*segment split by the strategy over cores.
             from repro.bench.runners import measure_oneway
@@ -82,7 +83,6 @@ def run(segment_size: int = DEFAULT_SEGMENT) -> Fig4Result:
         else:
             completion, _, _ = measure_pair_completion(cluster, segment_size)
         result.completion[label] = completion
-        tl = Timeline.from_machine(cluster.machines["node0"])
         mx, elan = (n.name for n in cluster.machines["node0"].nics)
         result.rail_overlap[label] = tl.overlap(f"nic:{mx}", f"nic:{elan}")
         # Copy overlap: any two distinct cores both copying.

@@ -23,7 +23,7 @@ from typing import Dict, List, Tuple
 
 from repro.bench.runners import build_paper_cluster, default_profiles, measure_oneway
 from repro.core.strategies import HeteroSplitStrategy, IsoSplitStrategy
-from repro.trace import Timeline
+from repro.obs import Timeline
 from repro.util.units import KiB, MiB
 
 #: paper reference values for T1 (µs / bytes)
@@ -74,19 +74,18 @@ class T1Result:
 
 
 def _chunk_times(cluster, strategy_name: str) -> Tuple[List[ChunkReport], Timeline]:
-    msg = measure_oneway(cluster, 4 * MiB)
     machine = cluster.machines["node0"]
-    tl = Timeline.from_machine(machine)
+    tl = Timeline.record(machine)
+    msg = measure_oneway(cluster, 4 * MiB)
     reports = []
     for rail_qname, size in zip(msg.rails_used, msg.chunk_sizes):
         rail = rail_qname.split(".")[1]
         nic = machine.nic_by_name(rail)
         # Chunk wire time = the rail's data transmit window + delivery and
         # detection; approximate with submit->last transmit end + fixed
-        # tail from the profile (wire latency + detect).
-        data_ivs = [w for w in nic.work_log if w.size > 0]
-        start = min(w.start for w in data_ivs)
-        end = max(w.end for w in data_ivs)
+        # tail from the profile (wire latency + detect).  The lane holds
+        # only the data chunk: the zero-length control post is dropped.
+        start, end = tl.span(f"nic:{rail}")
         tail = nic.profile.wire_latency + nic.profile.poll_detect
         reports.append(
             ChunkReport(rail=rail, chunk_bytes=size, chunk_time_us=end - start + tail)

@@ -27,7 +27,6 @@ outcome instead of hanging.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.estimator import NicEstimator
@@ -213,19 +212,6 @@ class RecvMatcher:
         return msg, value
 
 
-@dataclass(frozen=True)
-class RetryRecord:
-    """One replacement transfer issued for a lost/aborted one."""
-
-    time: float
-    msg_id: int
-    kind: str
-    old_transfer: int
-    new_transfer: int
-    rail: str
-    reason: str  # "nic-down" | "timeout" | "recovery"
-
-
 class NmadEngine:
     """The multirail communication engine for one node.
 
@@ -293,9 +279,11 @@ class NmadEngine:
         self.machine = machine
         self.sim = machine.sim
         self.app_core: Core = machine.cores[app_core_id]
-        #: the cluster's hook stream; installed onto this node's PIOMan
-        #: engine, predictor and NICs below
+        #: the cluster's hook stream; installed onto this node's cores,
+        #: PIOMan engine, predictor and NICs below
         self.hooks = hooks if hooks is not None else Hooks()
+        for core in machine.cores:
+            core.hooks = self.hooks
         #: the calibration controller's planning handle (None when off);
         #: installed post-build by install_calibration — unlike the hook
         #: subscribers, an armed controller deliberately changes plans
@@ -366,7 +354,6 @@ class NmadEngine:
         self._watchdogs: Dict[int, object] = {}  # msg_id -> ScheduledEvent
         self._stranded: List[Transfer] = []  # lost, no up rail to retry on
         self._stalled_rdv_data: List[Message] = []  # ACK'd, all rails down
-        self.retry_log: List[RetryRecord] = []
         # counters
         self.messages_sent = 0
         self.messages_completed = 0
@@ -467,7 +454,7 @@ class NmadEngine:
         """Local *up* NICs wired towards ``dest`` (strategy-facing).
 
         Down rails are excluded; pass ``msg`` to record why each skipped
-        rail was avoided (surfaced by ``trace.explain``).  Raises when no
+        rail was avoided (surfaced by ``obs.explain``).  Raises when no
         rail is up — callers that can wait should check :meth:`sendable`
         first (the out-list scheduler does).
         """
@@ -816,17 +803,6 @@ class NmadEngine:
             hooks.on_retry(
                 primary, old, new, self.max_retries, self.sim.now, nic, reason
             )
-        self.retry_log.append(
-            RetryRecord(
-                time=self.sim.now,
-                msg_id=primary.msg_id,
-                kind=new.kind.value,
-                old_transfer=old.transfer_id,
-                new_transfer=new.transfer_id,
-                rail=nic.qualified_name,
-                reason=reason,
-            )
-        )
         if hooks.stamps and self.predictor is not None:
             self._predict_chunk(new, nic)
         nic.submit(new, self.app_core)

@@ -119,7 +119,7 @@ class Message:
     chunk_sizes: List[int] = field(default_factory=list)
     aggregated_with: List[int] = field(default_factory=list)
     #: every NIC-level transfer that carried (part of) this message,
-    #: control packets included — the raw material for trace.explain()
+    #: control packets included — the raw material for obs.explain()
     transfers: List = field(default_factory=list, repr=False)
 
     def __post_init__(self) -> None:
@@ -142,7 +142,7 @@ class Message:
     def note_rail_avoided(
         self, rail: str, reason: str, now: Optional[float] = None
     ) -> None:
-        """Record why the planner skipped a rail (read by trace.explain).
+        """Record why the planner skipped a rail (read by obs.explain).
 
         Deduplicated on (rail, reason): re-planning every activation while
         a fault holds produces one note, stamped with its first occurrence.

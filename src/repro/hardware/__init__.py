@@ -8,8 +8,8 @@ capacity-1 FIFO resource in virtual time with occupancy accounting, and a
 :class:`CpuTopology` — two dual-core sockets for the paper's testbed.
 """
 
-from repro.hardware.core import Core, CoreWork
+from repro.hardware.core import Core
 from repro.hardware.topology import CpuTopology
 from repro.hardware.machine import Machine
 
-__all__ = ["Core", "CoreWork", "CpuTopology", "Machine"]
+__all__ = ["Core", "CpuTopology", "Machine"]

@@ -14,6 +14,11 @@ Two usage styles, matching the simulator's two styles:
 Both styles share one FIFO, so PIO copies, tasklet bodies and application
 compute contend for the core exactly as they would on real hardware.
 
+Every completed occupancy goes out once as an ``on_busy`` event on the
+core's hook stream (the owning engine installs the cluster's), which is
+how a :class:`~repro.obs.timeline.Timeline` sees core lanes; the core
+itself keeps only its total busy time.
+
 The core also keeps the two pieces of bookkeeping the paper's strategy
 needs: *is the core idle right now?* (the strategy splits into at most
 ``min(#idle NICs, #idle cores)`` chunks, §III-B) and *when will it become
@@ -23,24 +28,11 @@ way it is applied to NICs).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, Optional
 
+from repro.obs.hooks import Hooks
 from repro.simtime import Resource, Simulator, Timeout
 from repro.util.errors import SchedulingError
-
-
-@dataclass(slots=True)
-class CoreWork:
-    """One completed occupancy interval, for utilization accounting."""
-
-    start: float
-    end: float
-    label: str
-
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
 
 
 class Core:
@@ -63,10 +55,10 @@ class Core:
         self.socket_id = socket_id
         self._res = Resource(sim, capacity=1, name=f"core{core_id}")
         self._busy_until: float = 0.0
-        self.work_log: List[CoreWork] = []
-        #: total µs this core has been held (kept incrementally so that
-        #: utilization queries do not scan the log)
+        #: total µs this core has been held, summed in completion order
         self.busy_time: float = 0.0
+        #: the cluster's hook stream; installed by the owning engine
+        self.hooks = Hooks()
 
     def __repr__(self) -> str:
         state = "idle" if self.is_idle else f"busy until {self._busy_until:.2f}"
@@ -97,17 +89,11 @@ class Core:
         """
         return max(self.sim.now, self._busy_until)
 
-    def utilization(self, since: float = 0.0) -> float:
-        """Fraction of ``[since, now]`` the core spent occupied."""
-        window = self.sim.now - since
-        if window <= 0:
+    def utilization(self) -> float:
+        """Fraction of ``[0, now]`` the core spent occupied."""
+        if self.sim.now <= 0:
             return 0.0
-        busy = sum(
-            min(w.end, self.sim.now) - max(w.start, since)
-            for w in self.work_log
-            if w.end > since
-        )
-        return busy / window
+        return self.busy_time / self.sim.now
 
     # ------------------------------------------------------------------ #
     # occupancy
@@ -206,5 +192,7 @@ class Core:
         self._busy_until = base + cost
 
     def _record(self, start: float, end: float, label: str) -> None:
-        self.work_log.append(CoreWork(start, end, label))
         self.busy_time += end - start
+        hooks = self.hooks
+        if hooks.on_busy:
+            hooks.on_busy(self, start, end, label)

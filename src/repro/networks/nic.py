@@ -24,12 +24,16 @@ are dropped) and *degraded* (transmit times stretched by ``1/bw_factor``,
 ``extra_latency`` added per delivery).  Deterministic drop rules model
 eager-packet loss and stalled rendezvous handshakes.  All state changes
 are plain simulator events, so faulty runs stay bit-reproducible.
+
+The NIC keeps no log of what it did: each transmit, background
+occupancy and fault transition goes out once on its hook stream
+(``on_tx``, ``on_busy``, ``on_nic_*``), and only the transmit engine's
+total busy time stays on the NIC.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, TYPE_CHECKING
+from typing import Callable, List, Optional, TYPE_CHECKING
 
 from repro.hardware.core import Core
 from repro.hardware.machine import Machine
@@ -42,25 +46,6 @@ from repro.util.errors import ConfigurationError, SchedulingError
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.networks.drivers.base import Driver
     from repro.networks.wire import Wire
-
-
-@dataclass(slots=True)
-class NicWork:
-    """One completed transmit-engine interval (utilization accounting)."""
-
-    start: float
-    end: float
-    kind: TransferKind
-    size: int
-
-
-@dataclass
-class FaultWindow:
-    """One closed interval during which a fault held (trace-facing)."""
-
-    start: float
-    end: float
-    kind: str  # "down" or "degraded"
 
 
 class DropRule:
@@ -110,24 +95,26 @@ class Nic:
         self._busy_until: float = 0.0
         self.rx_handler: Optional[Callable[[Transfer], None]] = None
         self.idle_listeners: List[Callable[["Nic"], None]] = []
-        self.inbox: List[Transfer] = []
-        self.work_log: List[NicWork] = []
+        #: total µs the transmit engine has been held, summed in
+        #: completion order (transfers, aborted ones included, and
+        #: injected background work)
+        self.busy_time: float = 0.0
         self.bytes_sent: int = 0
         self.transfers_sent: int = 0
         # -- fault/degradation state (driven by repro.faults) --
         self._up: bool = True
         self.bw_factor: float = 1.0
         self.extra_latency: float = 0.0
-        # Silent degradation (calibration PR): slows the transmit engine
-        # like ``bw_factor`` but is deliberately invisible to planning —
-        # ``is_degraded`` stays False, no hook event fires, no fault window
-        # is logged.  Only the prediction-error stream can notice it.
+        # start of the current down / degraded spell (the ``since`` of
+        # on_nic_up / on_nic_restore)
+        self._down_since: float = 0.0
+        self._degraded_since: float = 0.0
+        # Silent degradation: slows the transmit engine like
+        # ``bw_factor`` but is deliberately invisible to planning —
+        # ``is_degraded`` stays False and no hook event fires.  Only the
+        # prediction-error stream can notice it.
         self.silent_bw_factor: float = 1.0
-        self.silent_log: List[FaultWindow] = []
-        self._silent_since: Optional[float] = None
         self.drop_rules: List[DropRule] = []
-        self.fault_log: List[FaultWindow] = []
-        self._open_faults: Dict[str, float] = {}  # kind -> window start
         self._pending: List[Transfer] = []  # submitted, transmit not drained
         self.down_listeners: List[Callable[["Nic", List[Transfer]], None]] = []
         self.up_listeners: List[Callable[["Nic"], None]] = []
@@ -188,17 +175,11 @@ class Nic:
         """
         return max(self.sim.now, self._busy_until)
 
-    def utilization(self, since: float = 0.0) -> float:
-        """Fraction of ``[since, now]`` the transmit engine was held."""
-        window = self.sim.now - since
-        if window <= 0:
+    def utilization(self) -> float:
+        """Fraction of ``[0, now]`` the transmit engine was held."""
+        if self.sim.now <= 0:
             return 0.0
-        busy = sum(
-            min(w.end, self.sim.now) - max(w.start, since)
-            for w in self.work_log
-            if w.end > since
-        )
-        return busy / window
+        return self.busy_time / self.sim.now
 
     def inject_busy(self, duration: float) -> None:
         """Occupy the transmit engine with opaque background traffic.
@@ -216,7 +197,11 @@ class Nic:
 
     def _background_end(self, req, start: float) -> None:
         self._tx.release(req)
-        self.work_log.append(NicWork(start, self.sim.now, TransferKind.RDV_DATA, 0))
+        self.busy_time += self.sim.now - start
+        hooks = self.hooks
+        if hooks.on_busy:
+            # labelled as DMA traffic, which is what it stands in for
+            hooks.on_busy(self, start, self.sim.now, TransferKind.RDV_DATA.value)
         self._maybe_notify_idle()
 
     # ------------------------------------------------------------------ #
@@ -234,7 +219,7 @@ class Nic:
         if not self._up:
             return []
         self._up = False
-        self._open_faults["down"] = self.sim.now
+        self._down_since = self.sim.now
         aborted = [t for t in self._pending if t.t_tx_done is None]
         for t in aborted:
             t.aborted = True
@@ -254,25 +239,31 @@ class Nic:
         if self._up:
             return
         self._up = True
-        start = self._open_faults.pop("down", self.sim.now)
-        self.fault_log.append(FaultWindow(start, self.sim.now, "down"))
         if self.hooks.on_nic_up:
-            self.hooks.on_nic_up(self, start)
+            self.hooks.on_nic_up(self, self._down_since)
         for listener in list(self.up_listeners):
             listener(self)
         self._maybe_notify_idle()
 
     def degrade(self, bw_factor: float = 1.0, extra_latency: float = 0.0) -> None:
         """Stretch this NIC's timings: transmit phases take ``1/bw_factor``
-        longer, every delivery pays ``extra_latency`` extra µs."""
+        longer, every delivery pays ``extra_latency`` extra µs.
+
+        Degrading to the healthy timings (``bw_factor=1.0``, no extra
+        latency) is :meth:`restore`: it ends a degradation window, and
+        does nothing on a healthy NIC.
+        """
         if bw_factor <= 0.0 or bw_factor > 1.0:
             raise ConfigurationError(
                 f"degradation bw_factor must be in (0, 1], got {bw_factor}"
             )
         if extra_latency < 0.0:
             raise ConfigurationError(f"negative extra latency: {extra_latency}")
+        if bw_factor == 1.0 and extra_latency == 0.0:
+            self.restore()
+            return
         if not self.is_degraded:
-            self._open_faults["degraded"] = self.sim.now
+            self._degraded_since = self.sim.now
         self.bw_factor = bw_factor
         self.extra_latency = extra_latency
         if self.hooks.on_nic_degrade:
@@ -284,54 +275,27 @@ class Nic:
             return
         self.bw_factor = 1.0
         self.extra_latency = 0.0
-        start = self._open_faults.pop("degraded", self.sim.now)
-        self.fault_log.append(FaultWindow(start, self.sim.now, "degraded"))
         if self.hooks.on_nic_restore:
-            self.hooks.on_nic_restore(self, start)
+            self.hooks.on_nic_restore(self, self._degraded_since)
 
     def silent_degrade(self, bw_factor: float) -> None:
         """Slow the transmit engine *without announcing it*.
 
         Unlike :meth:`degrade`, this changes neither ``bw_factor`` nor
-        ``is_degraded``, emits no hook event and opens no fault window —
-        the predictor keeps planning with the healthy profile.  Only the
-        drift loop (``repro.core.calibration``) can detect the resulting
-        prediction-error growth.  Ground truth lands in ``silent_log``
-        for post-hoc experiment scoring.
+        ``is_degraded`` and emits no hook event — the predictor keeps
+        planning with the healthy profile.  Only the drift loop
+        (``repro.core.calibration``) can detect the resulting
+        prediction-error growth.
         """
         if bw_factor <= 0.0 or bw_factor > 1.0:
             raise ConfigurationError(
                 f"silent bw_factor must be in (0, 1], got {bw_factor}"
             )
-        if self._silent_since is None and bw_factor != 1.0:
-            self._silent_since = self.sim.now
         self.silent_bw_factor = bw_factor
-        if bw_factor == 1.0 and self._silent_since is not None:
-            self.silent_log.append(
-                FaultWindow(self._silent_since, self.sim.now, "silent")
-            )
-            self._silent_since = None
 
     def silent_restore(self) -> None:
-        """End a silent degradation window (no-op when not silent)."""
-        if self.silent_bw_factor == 1.0:
-            return
+        """End a silent degradation (no-op when not silent)."""
         self.silent_bw_factor = 1.0
-        if self._silent_since is not None:
-            self.silent_log.append(
-                FaultWindow(self._silent_since, self.sim.now, "silent")
-            )
-            self._silent_since = None
-
-    def fault_windows(self, now: Optional[float] = None) -> List[FaultWindow]:
-        """Closed fault windows plus any still-open ones clipped at ``now``."""
-        now = self.sim.now if now is None else now
-        out = list(self.fault_log)
-        for kind, start in self._open_faults.items():
-            if now > start:
-                out.append(FaultWindow(start, now, kind))
-        out.sort(key=lambda w: (w.start, w.end))
-        return out
 
     def _drop_outgoing(self, transfer: Transfer) -> bool:
         """Evaluate the active drop rules against an outgoing transfer."""
@@ -550,9 +514,7 @@ class Nic:
             hooks.on_tx(self, transfer, start, self.sim.now)
         if transfer in self._pending:
             self._pending.remove(transfer)
-        self.work_log.append(
-            NicWork(start, self.sim.now, transfer.kind, transfer.size)
-        )
+        self.busy_time += self.sim.now - start
         if transfer.aborted:
             # The link died mid-transmit: the engine was held but the
             # bytes never reached the wire.
@@ -596,9 +558,8 @@ class Nic:
     # ------------------------------------------------------------------ #
 
     def _on_delivery(self, transfer: Transfer) -> None:
-        """Last byte arrived; hand off to the progress engine (or inbox)."""
+        """Last byte arrived; hand off to the progress engine."""
         transfer.t_delivered = self.sim.now
-        self.inbox.append(transfer)
         if self.rx_handler is not None:
             self.rx_handler(transfer)
 

@@ -1,4 +1,4 @@
-"""Observability: structured tracing, metrics, prediction accuracy.
+"""Observability: structured tracing, metrics, prediction accuracy, timelines.
 
 One :class:`Observability` bundle per cluster (``ClusterBuilder
 .observability()`` builds it; the config file's ``observability:``
@@ -23,6 +23,16 @@ site costs one attribute read.  The surfaces are **purely passive**:
 they read simulated state but never schedule events, occupy resources
 or alter control flow, so enabling them moves *no simulated timestamp*
 (the determinism tests assert this bit-for-bit).
+
+One more subscriber is not part of the bundle: a caller attaches a
+:class:`Timeline` (:mod:`repro.obs.timeline`) to a built cluster or
+machine with :meth:`Timeline.record` to get its core, NIC, fault and
+retry lanes — overlaps, idle gaps, an ASCII Gantt chart — with CSV
+export in :mod:`repro.obs.export`; :func:`explain` breaks one message
+into its transfers' phases.
+
+This package never imports the hardware or network model at module
+level: the cores and NICs import :mod:`repro.obs.hooks`.
 """
 
 from __future__ import annotations
@@ -43,6 +53,12 @@ from repro.obs.collective import (
     predicted_vs_measured,
     stragglers,
 )
+from repro.obs.explain import explain
+from repro.obs.export import (
+    export_messages_csv,
+    export_timeline_csv,
+    load_timeline_csv,
+)
 from repro.obs.flight import DEFAULT_FLIGHT_CAPACITY, FlightRecorder
 from repro.obs.hooks import EVENTS, Hooks
 from repro.obs.metrics import (
@@ -57,6 +73,7 @@ from repro.obs.metrics import (
     bucket_preset_for,
     merge_snapshots,
 )
+from repro.obs.timeline import Interval, Timeline
 from repro.obs.tracer import DEFAULT_TRACE_LIMIT, Tracer
 from repro.util.errors import ConfigurationError
 
@@ -255,4 +272,10 @@ __all__ = [
     "dumps_chrome_trace",
     "export_chrome_trace",
     "validate_chrome_trace",
+    "Timeline",
+    "Interval",
+    "explain",
+    "export_timeline_csv",
+    "export_messages_csv",
+    "load_timeline_csv",
 ]

@@ -8,12 +8,13 @@ look at when a strategy's decision surprises you.
 
 from __future__ import annotations
 
-from typing import List
+from typing import TYPE_CHECKING
 
-from repro.core.packets import Message
-from repro.networks.transfer import Transfer
 from repro.util.errors import ConfigurationError
 from repro.util.units import format_size
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.packets import Message
 
 
 def _phase(t0, t1) -> str:
@@ -60,7 +61,6 @@ def explain(msg: Message) -> str:
     lines.append(header)
     lines.append("  " + "-" * (len(header) - 2))
     for t in sorted(msg.transfers, key=lambda t: t.t_submit or 0.0):
-        assert isinstance(t, Transfer)
         rail = (t.nic_name or "?").split(".")[-1]
         submit = f"{t.t_submit:9.2f}" if t.t_submit is not None else "        ?"
         flags = []

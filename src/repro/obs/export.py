@@ -10,11 +10,13 @@ import csv
 import io
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterable, Iterator, Union
+from typing import TYPE_CHECKING, Iterable, Iterator, Union
 
-from repro.core.packets import Message
-from repro.trace.timeline import Timeline
+from repro.obs.timeline import Interval, Timeline
 from repro.util.errors import ConfigurationError
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.packets import Message
 
 PathOrBuffer = Union[str, Path, io.TextIOBase]
 
@@ -86,8 +88,6 @@ def export_messages_csv(messages: Iterable[Message], target: PathOrBuffer) -> in
 
 def load_timeline_csv(source: Union[str, Path]) -> Timeline:
     """Round-trip loader for :func:`export_timeline_csv` files."""
-    from repro.trace.timeline import Interval
-
     path = Path(source)
     if not path.exists():
         raise ConfigurationError(f"no timeline file {path}")

@@ -1,9 +1,9 @@
 """The hook stream: one event per engine decision, fanned out to subscribers.
 
 Every instrumented component of a cluster (engine, scheduler, strategies,
-predictor, NICs, wires, switches, PIOMan, fault injector, collectives,
-calibration controller) holds the cluster's one :class:`Hooks` handle
-and emits each fact exactly once::
+predictor, cores, NICs, wires, switches, PIOMan, fault injector,
+collectives, calibration controller) holds the cluster's one
+:class:`Hooks` handle and emits each fact exactly once::
 
     hooks = self.hooks
     if hooks.on_retry:
@@ -15,9 +15,11 @@ site, and a cluster whose subscribers ignore an event pays no call for
 it either (``hooks.on`` tells whether anything subscribed).  Subscribers
 are plain objects with ``on_<event>`` methods for the events they care
 about: the invariant monitor, the five obs surfaces (metrics, tracer,
-prediction accuracy, flight recorder, collective profiler) and the
-calibration drift feed.  Only the subscribers know metric names, trace
-lanes and flight-record kinds; the emitters only state what happened.
+prediction accuracy, flight recorder, collective profiler), the
+calibration drift feed, and the occupancy timeline
+(:meth:`repro.obs.timeline.Timeline.record`), which a caller attaches
+itself.  Only the subscribers know metric names, trace lanes and
+flight-record kinds; the emitters only state what happened.
 
 Subscribers see an event in subscription order (the cluster builder
 subscribes the invariant monitor, then the obs surfaces, then the drift
@@ -48,6 +50,9 @@ EVENTS: Dict[str, str] = {
     "on_plan": "node, considered, offsets, size, mode, plan, iterations, cached",
     "on_split": "node, msg, plan, to_us, now",
     "on_aggregate": "node, msgs, nic, now",
+    # core or NIC occupancy that carries no transfer (a core's work item,
+    # a NIC's injected background traffic)
+    "on_busy": "device, start, now, label",
     # NIC, wire, switch
     "on_tx": "nic, transfer, start, now",
     "on_nic_send": "nic, transfer",

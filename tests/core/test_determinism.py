@@ -12,7 +12,7 @@ import pytest
 from repro.bench.runners import build_paper_cluster, default_profiles
 from repro.bench.workloads import mixed_stream, run_stream, uniform_stream
 from repro.core.strategies import HeteroSplitStrategy
-from repro.trace import Timeline
+from repro.obs import Timeline
 from repro.util.units import KiB, MiB
 
 
@@ -21,9 +21,9 @@ def _trace(stream_spec):
     cluster = build_paper_cluster(
         HeteroSplitStrategy(rdv_threshold=32 * KiB), profiles=default_profiles()
     )
-    result = run_stream(cluster, stream_spec)
     machine = cluster.machines["node0"]
-    timeline = Timeline.from_machine(machine)
+    timeline = Timeline.record(machine)
+    result = run_stream(cluster, stream_spec)
     lanes = {
         f"nic:{nic.name}": [
             (iv.start, iv.end, iv.label) for iv in timeline.intervals(f"nic:{nic.name}")

@@ -17,6 +17,7 @@ from repro.core.strategies import (
     strategy_registry,
 )
 from repro.networks import ElanDriver, MxDriver
+from repro.obs import Timeline
 from repro.util.errors import ConfigurationError
 from repro.util.units import KiB, MiB
 
@@ -198,13 +199,11 @@ class TestIsoSplit:
     def test_iso_leaves_fast_rail_idle(self, profiles):
         """§IV-A: under iso-split the Myri rail idles ~670 µs at 4 MiB."""
         cluster = build("iso_split", profiles)
-        m = one_way(cluster, 4 * MiB)
-        eng = cluster.engine("node0")
-        mx, elan = eng.machine.nics
-        mx_end = max(w.end for w in mx.work_log)
-        elan_end = max(w.end for w in elan.work_log)
-        gap = elan_end - mx_end
-        assert gap == pytest.approx(670.0, abs=60.0)
+        machine = cluster.machines["node0"]
+        tl = Timeline.record(machine)
+        one_way(cluster, 4 * MiB)
+        mx, elan = (f"nic:{nic.name}" for nic in machine.nics)
+        assert tl.idle_gap(mx, elan) == pytest.approx(670.0, abs=60.0)
 
 
 class TestStaticRatio:
@@ -242,9 +241,11 @@ class TestHeteroSplit:
     def test_chunk_times_equalized_at_4mib(self, profiles):
         """§IV-A's exemplar: both chunks land within ~1% of each other."""
         cluster = build("hetero_split", profiles)
-        m = one_way(cluster, 4 * MiB)
-        eng = cluster.engine("node0")
-        ends = [max(w.end for w in nic.work_log if w.size > 0) for nic in eng.machine.nics]
+        machine = cluster.machines["node0"]
+        tl = Timeline.record(machine)
+        one_way(cluster, 4 * MiB)
+        # each NIC lane holds its data chunk (the control post is zero-length)
+        ends = [tl.span(f"nic:{nic.name}")[1] for nic in machine.nics]
         assert abs(ends[0] - ends[1]) / max(ends) < 0.01
 
     def test_respects_max_rails(self, profiles):

@@ -10,8 +10,11 @@ from repro.api import ClusterBuilder, FaultSchedule, RunResult
 from repro.bench.runners import default_profiles
 from repro.core import MessageStatus
 from repro.core.packets import DegradedSend, TransferMode
-from repro.trace import Timeline, explain
+from repro.networks import MxDriver
+from repro.obs import Timeline, explain
 from repro.util.units import MiB
+
+from tests.conftest import wire_pair
 
 
 def faulty_cluster(schedule, timeout="200us", **resilience):
@@ -80,16 +83,14 @@ class TestNicDownMidTransfer:
     def test_timeline_gains_fault_and_retry_lanes(self):
         schedule = FaultSchedule(seed=7).nic_down(**self.SCHEDULE)
         cluster = faulty_cluster(schedule)
+        tl = Timeline.record(cluster.machines["node0"])
+        merged = Timeline.record(cluster)
         one_send(cluster)
-        tl = Timeline.from_machine(
-            cluster.machines["node0"], engine=cluster.engine("node0")
-        )
         assert "fault:myri10g0" in tl.lanes
         assert "retry" in tl.lanes
         (window,) = tl.intervals("fault:myri10g0")
         assert (window.start, window.end, window.label) == (150.0, 2150.0, "down")
         assert tl.intervals("retry")
-        merged = Timeline.from_cluster(cluster)
         assert "node0/fault:myri10g0" in merged.lanes
         assert "node0/retry" in merged.lanes
 
@@ -211,3 +212,38 @@ class TestHealthyPathUnchanged:
         # run's delivery timeline (its events are cancelled on completion).
         assert m1.t_complete == m2.t_complete
         assert m2.retries == 0 and m2.outcome is None
+
+
+class TestDegradeToHealthy:
+    """A degrade that leaves the NIC healthy is a restore: it closes an
+    open window and announces nothing on a healthy NIC."""
+
+    def test_default_degrade_on_a_healthy_nic_opens_no_window(self):
+        schedule = FaultSchedule(seed=1).degrade(
+            "node0.myri10g0", at=10.0, duration=5.0
+        )
+        builder = ClusterBuilder.paper_testbed().sampling(
+            profiles=default_profiles()
+        )
+        cluster = builder.faults(schedule).observability().build()
+        tl = Timeline.record(cluster)
+        msg, _ = one_send(cluster, size=1 * MiB)
+        assert msg.status is MessageStatus.COMPLETE
+        assert cluster.fault_injector.faults_fired == 2
+        assert not [lane for lane in tl.lanes if "/fault:" in lane]
+        names = {e.get("name") for e in cluster.obs.chrome_trace()["traceEvents"]}
+        assert "nic-degrade" not in names and "nic-restore" not in names
+
+    def test_degrade_to_healthy_closes_the_window(self, sim):
+        node_a, _ = wire_pair(sim, [MxDriver()])
+        nic = node_a.nics[0]
+        tl = Timeline.record(node_a)
+        sim.schedule_at(10.0, nic.degrade, 0.5)
+        sim.schedule_at(20.0, nic.degrade, 1.0, 0.0)
+        sim.schedule_at(30.0, nic.restore)
+        sim.schedule_at(100.0, lambda: None)
+        sim.run()
+        assert not nic.is_degraded
+        assert [
+            (w.start, w.end, w.label) for w in tl.intervals(f"fault:{nic.name}")
+        ] == [(10.0, 20.0, "degraded")]

@@ -5,6 +5,7 @@ import pytest
 from repro.faults import FaultInjector, FaultSchedule
 from repro.hardware import Machine
 from repro.networks import MxDriver, Nic, Wire
+from repro.obs import Timeline
 from repro.simtime import Simulator
 from repro.util.errors import ConfigurationError
 
@@ -61,15 +62,16 @@ class TestFiring:
         nic = a.nics[0]
         schedule = FaultSchedule().nic_down("node0.myri10g0", at=10.0, duration=5.0)
         inj = FaultInjector(list(a.nics) + list(b.nics), schedule).arm()
+        timeline = Timeline.record(a)
         assert nic.is_up
         sim.run(until=12.0)
         assert not nic.is_up
         sim.run(until=20.0)
         assert nic.is_up
         assert inj.faults_fired == 2
-        assert [(w.start, w.end, w.kind) for w in nic.fault_windows(sim.now)] == [
-            (10.0, 15.0, "down")
-        ]
+        assert [
+            (w.start, w.end, w.label) for w in timeline.intervals("fault:myri10g0")
+        ] == [(10.0, 15.0, "down")]
 
     def test_bare_name_downs_both_endpoints(self):
         sim = Simulator()

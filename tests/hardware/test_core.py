@@ -17,6 +17,16 @@ def core(sim):
     return Core(sim, core_id=0)
 
 
+class BusyLog:
+    """Records the ``on_busy`` events a core emits."""
+
+    def __init__(self):
+        self.events = []
+
+    def on_busy(self, device, start, now, label):
+        self.events.append((device, start, now, label))
+
+
 class TestOccupy:
     def test_occupy_holds_for_cost(self, sim, core):
         marks = []
@@ -126,6 +136,8 @@ class TestIdlePrediction:
         assert sim.now == 16.0  # 10 (idle gap) + start + 4
 
     def test_declare_hold_declared_pair(self, sim, core):
+        busy = BusyLog()
+        core.hooks.subscribe(busy)
         core.declare(6.0)
         assert core.busy_until == 6.0
         marks = []
@@ -143,7 +155,7 @@ class TestIdlePrediction:
         assert marks == [("busy_until", 6.0), ("start", 2.0), "end"]
         assert sim.now == 8.0
         assert core.busy_time == 6.0
-        assert core.work_log[0].label == "pio"
+        assert busy.events == [(core, 2.0, 8.0, "pio")]
 
     def test_hold_rejects_negative_cost(self, sim, core):
         with pytest.raises(SchedulingError):
@@ -182,13 +194,6 @@ class TestUtilization:
         sim.schedule(10.0, lambda: None)
         sim.run()
         assert core.utilization() == pytest.approx(0.5)
-
-    def test_since_filter(self, sim, core):
-        core.run(4.0)
-        sim.run()
-        sim.schedule(4.0, lambda: None)
-        sim.run()  # now = 8, busy in [0, 4]
-        assert core.utilization(since=4.0) == pytest.approx(0.0)
 
     def test_empty_window(self, sim, core):
         assert core.utilization() == 0.0

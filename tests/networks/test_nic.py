@@ -27,7 +27,6 @@ class TestEagerPipeline:
         sim.run()
         expected = p.post_overhead + p.pio_copy_time(4096) + p.wire_latency
         assert t.t_delivered == pytest.approx(expected)
-        assert node_b.nics[0].inbox == [t]
 
     def test_send_core_occupied_for_post_plus_copy(self, sim, single_rail_pair):
         node_a, _ = single_rail_pair
@@ -194,6 +193,54 @@ class TestNicState:
         # NIC was busy for the DMA out of the whole run window.
         expected = dma / sim.now
         assert nic.utilization() == pytest.approx(expected, rel=1e-6)
+
+
+class TxLog:
+    """Every transmit-engine interval a NIC reports, in emission order."""
+
+    def __init__(self):
+        self.intervals = []
+
+    def on_tx(self, nic, transfer, start, now):
+        self.intervals.append((start, now, transfer.kind.value, transfer.aborted))
+
+    def on_busy(self, device, start, now, label):
+        self.intervals.append((start, now, "background", False))
+
+
+class TestBusyTime:
+    def test_fresh_nic_has_no_busy_time(self, sim, single_rail_pair):
+        nic = single_rail_pair[0].nics[0]
+        assert nic.busy_time == 0.0
+        assert nic.utilization() == 0.0
+
+    def test_sums_every_interval_in_record_order(self, sim, single_rail_pair):
+        """Background work, transfers and a DMA aborted mid-transmit (the
+        engine stays held until its scheduled end) all count."""
+        node_a, _ = single_rail_pair
+        nic = node_a.nics[0]
+        log = TxLog()
+        nic.hooks.subscribe(log)
+        nic.inject_busy(25.0)
+        nic.submit(eager(4096, msg_id=1), node_a.cores[0])
+        doomed = rdv_data(1 << 20, msg_id=2)
+        nic.submit(doomed, node_a.cores[1])
+        nic.submit(
+            Transfer(kind=TransferKind.RDV_REQ, size=0, msg_id=3), node_a.cores[0]
+        )
+        sim.schedule(100.0, nic.fail)
+        sim.run()
+        assert doomed.aborted and doomed.t_wire_start < 100.0 < doomed.t_tx_done
+        # the control post takes no transmit-engine time and goes first
+        assert [label for _, _, label, _ in log.intervals] == [
+            "rdv-req", "background", "eager", "rdv-data",
+        ]
+        assert log.intervals[-1][3]  # the aborted DMA
+        expected = 0.0
+        for start, end, _, _ in log.intervals:
+            expected += end - start
+        assert nic.busy_time == expected
+        assert nic.utilization() == nic.busy_time / sim.now
 
 
 class TestRxHandler:

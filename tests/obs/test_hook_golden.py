@@ -8,7 +8,7 @@ invariants-only run.  Each scenario reduces every read-out to the
 SHA-256 of its canonical JSON: the metrics snapshot, the accuracy
 snapshot, the Chrome trace, the flight recorder, the collective
 profiler, the calibration and invariant snapshots, any violation, and
-the ``trace.explain`` text of the scenario's headline message.  A
+the ``explain`` text of the scenario's headline message.  A
 surface that is not enabled in a scenario is recorded as ``None``.
 
 The fixture ``hook_golden.json`` pins those digests, so moving, merging
@@ -34,7 +34,7 @@ from repro.core.engine import NmadEngine
 from repro.core.invariants import InvariantViolation
 from repro.core.packets import Message
 from repro.faults import run_scenario
-from repro.trace import explain
+from repro.obs import explain
 import repro.core.packets as packets
 import repro.networks.transfer as transfer
 import repro.pioman.requests as requests

@@ -29,7 +29,7 @@ SRC = pathlib.Path(__file__).resolve().parents[2] / "src" / "repro"
 #: the instrumented code: every hook site lives here
 SCANNED = sorted(
     path
-    for pkg in ("core", "networks", "pioman", "threading", "api")
+    for pkg in ("core", "hardware", "networks", "pioman", "threading", "api")
     for path in (SRC / pkg).rglob("*.py")
 ) + [SRC / "faults" / "injector.py"]
 
@@ -80,6 +80,7 @@ def test_scan_covers_the_instrumented_packages():
         "core/prediction.py",
         "core/strategies/adaptive.py",
         "core/calibration/controller.py",
+        "hardware/core.py",
         "networks/nic.py",
         "networks/switch.py",
         "networks/wire.py",

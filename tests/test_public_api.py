@@ -22,7 +22,7 @@ PACKAGES = [
     "repro.pioman",
     "repro.core",
     "repro.api",
-    "repro.trace",
+    "repro.obs",
     "repro.bench",
 ]
 

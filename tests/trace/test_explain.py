@@ -1,10 +1,10 @@
-"""Tests for the per-message phase breakdown (trace.explain)."""
+"""Tests for the per-message phase breakdown (obs.explain)."""
 
 import pytest
 
 from repro.api import ClusterBuilder
 from repro.bench.runners import default_profiles
-from repro.trace import explain
+from repro.obs import explain
 from repro.util.errors import ConfigurationError
 from repro.util.units import KiB, MiB
 

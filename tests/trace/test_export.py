@@ -6,7 +6,7 @@ import pytest
 
 from repro.api import ClusterBuilder
 from repro.bench.runners import default_profiles
-from repro.trace import (
+from repro.obs import (
     Interval,
     Timeline,
     export_messages_csv,
@@ -24,11 +24,11 @@ def run_artifacts():
         .sampling(profiles=default_profiles())
         .build()
     )
+    timeline = Timeline.record(cluster.machines["node0"])
     a, b = cluster.session("node0"), cluster.session("node1")
     b.irecv()
     msg = a.isend("node1", 2 * MiB)
     cluster.run()
-    timeline = Timeline.from_machine(cluster.machines["node0"])
     return timeline, [msg]
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.trace import Interval, Timeline
+from repro.obs import Interval, Timeline
 from repro.util.errors import ConfigurationError
 
 
@@ -67,6 +67,8 @@ class TestIntervalArithmetic:
 
 
 class TestFromMachine:
+    """Timelines recorded from one machine's hook stream."""
+
     def test_fig4_overlap_discriminates_serial_vs_parallel(self, sim):
         """Two PIO copies: same core → no overlap; two cores → overlap."""
         from repro.hardware import Machine
@@ -79,6 +81,8 @@ class TestFromMachine:
         Wire(mx, Nic(node_b, MxDriver(), name="mx"))
         Wire(elan, Nic(node_b, ElanDriver(), name="elan"))
 
+        timeline = Timeline.record(node_a)
+
         def send_pair(core_a, core_b):
             t1 = Transfer(kind=TransferKind.EAGER, size=16384, msg_id=1)
             t2 = Transfer(kind=TransferKind.EAGER, size=16384, msg_id=2)
@@ -87,10 +91,26 @@ class TestFromMachine:
 
         send_pair(node_a.cores[0], node_a.cores[0])
         sim.run()
-        serial = Timeline.from_machine(node_a)
-        assert serial.overlap("nic:mx", "nic:elan") == pytest.approx(0.0, abs=1e-9)
+        assert timeline.overlap("nic:mx", "nic:elan") == pytest.approx(0.0, abs=1e-9)
 
         send_pair(node_a.cores[1], node_a.cores[2])
         sim.run()
-        parallel = Timeline.from_machine(node_a)
-        assert parallel.overlap("core1", "core2") > 5.0
+        assert timeline.overlap("core1", "core2") > 5.0
+
+    def test_open_window_is_clipped_when_read(self, sim):
+        """A degrade inside an open window keeps its start; the window
+        ends wherever the clock is when the lanes are read."""
+        from repro.hardware import Machine
+        from repro.networks import MxDriver, Nic, Wire
+
+        node_a = Machine(sim, "a")
+        nic = Nic(node_a, MxDriver(), name="mx")
+        Wire(nic, Nic(Machine(sim, "b"), MxDriver(), name="mx"))
+        timeline = Timeline.record(node_a)
+        sim.schedule_at(10.0, nic.degrade, 0.5)
+        sim.schedule_at(20.0, nic.degrade, 0.25)
+        sim.run(until=30.0)
+        assert timeline.intervals("fault:mx") == [Interval(10.0, 30.0, "degraded")]
+        sim.schedule_at(50.0, lambda: None)
+        sim.run()
+        assert timeline.intervals("fault:mx") == [Interval(10.0, 50.0, "degraded")]

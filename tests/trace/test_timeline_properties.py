@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.trace import Interval, Timeline
+from repro.obs import Interval, Timeline
 
 interval_st = st.tuples(
     st.floats(min_value=0.0, max_value=1e4),
