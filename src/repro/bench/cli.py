@@ -14,8 +14,9 @@ Usage::
 
 ``run`` regenerates a registered paper artefact and prints its table;
 it is the one way to print or write an artefact.  ``--json`` dumps the
-committed payload of DEG, CHAOS, CAL, COLL or FAB (``BENCH_PR2/4/5/7/10``;
-``-`` for stdout, the table then goes to stderr).
+committed payload of DEG, OBS, CHAOS, CAL, COLL or FAB
+(``BENCH_PR2/3/4/5/7/10``; ``-`` for stdout, the table then goes to
+stderr).
 ``sweep`` is a free-form bandwidth sweep for ad-hoc exploration;
 ``metrics`` and ``accuracy`` run instrumented demo scenarios and print
 (or dump as JSON — see docs/observability.md for the schemas) the
@@ -62,7 +63,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--json",
         metavar="PATH",
         help="also dump the committed JSON payload ('-' for stdout; "
-        "payload experiments only: DEG, CHAOS, CAL, COLL, FAB)",
+        "payload experiments only: DEG, OBS, CHAOS, CAL, COLL, FAB)",
     )
 
     sweep = sub.add_parser("sweep", help="ad-hoc bandwidth/latency sweep")
@@ -557,9 +558,7 @@ def _cmd_obs_report(
     now = cluster.sim.now
     util = _fabric_utilization(obs.metrics.snapshot()["counters"], now)
     coll = obs.collectives.snapshot()
-    hop_scale = world.selector().calibrate(
-        measured_hop_table(obs.collectives.hops())
-    )
+    hop_scale = world.selector().calibrate(measured_hop_table(coll["hops"]))
 
     print(
         f"scenario: {ranks}-rank {algorithm} alltoall, {size} B per pair, "

@@ -7,24 +7,29 @@ baseline runs two ways, once each:
 * **on** — full tracing + metrics + accuracy.
 
 The two bandwidth columns must be identical: telemetry is purely
-passive.  ``BENCH_PR3.json`` holds the committed numbers.  The
-wall-clock cost of the obs bundle is measured by the end-to-end
-benchmark's ``moe_fat_tree_obs`` workload (``benchmarks/e2e``).
+passive.  ``BENCH_PR3.json`` holds the committed numbers, and
+``cli run OBS --json PATH`` regenerates its simulated values (the
+payload has no wall-clock columns).  The wall-clock cost of the obs
+bundle is measured by the end-to-end benchmark's ``moe_fat_tree_obs``
+workload (``benchmarks/e2e``).
 """
 
 from __future__ import annotations
 
-from typing import List
+import json
+from dataclasses import dataclass, field
+from typing import Dict, List, Tuple
 
 from repro.bench.experiments.degraded import BURST, SIZES
-from repro.bench.runners import default_profiles
+from repro.bench.runners import default_profiles, repo_root
 from repro.bench.series import Series, SweepResult
 from repro.util.errors import ConfigurationError
 from repro.util.units import bytes_per_us_to_mbps
 
 
-def _measure(size: int, observability: bool) -> float:
-    """Aggregate MB/s of one healthy BURST at ``size`` bytes."""
+def _measure(size: int, observability: bool) -> Tuple[float, float, int]:
+    """One healthy BURST at ``size`` bytes: (aggregate MB/s, makespan µs,
+    trace events recorded)."""
     from repro.api.cluster import ClusterBuilder
 
     builder = ClusterBuilder.paper_testbed(strategy="hetero_split").sampling(
@@ -44,25 +49,76 @@ def _measure(size: int, observability: bool) -> float:
     elapsed = max(m.t_complete for m in messages) - min(
         m.t_post for m in messages
     )
-    return bytes_per_us_to_mbps(sum(m.size for m in messages) / elapsed)
+    mbps = bytes_per_us_to_mbps(sum(m.size for m in messages) / elapsed)
+    return mbps, elapsed, len(cluster.obs.tracer)
 
 
-def run() -> SweepResult:
+def _bench_pr2_healthy() -> Dict[int, float]:
+    """Committed healthy MB/s per size from BENCH_PR2.json (empty when
+    the file is absent — e.g. an installed package without the repo)."""
+    path = repo_root() / "BENCH_PR2.json"
+    if not path.exists():
+        return {}
+    payload = json.loads(path.read_text())
+    return {p["size"]: p["healthy_mbps"] for p in payload.get("points", [])}
+
+
+@dataclass
+class ObsOverheadResult(SweepResult):
+    """The OBS sweep plus its BENCH_PR3 points."""
+
+    points: List[Dict] = field(default_factory=list)
+
+    def payload(self) -> Dict:
+        """The BENCH_PR3.json payload: per-size off/on identity checks."""
+        return {
+            "schema": 1,
+            "pr": 3,
+            "description": (
+                "Observability overhead guard: the DEG healthy burst "
+                f"({BURST} messages, paper testbed, hetero_split) with "
+                "repro.obs disabled vs fully enabled.  Simulated makespan "
+                "and throughput must be bit-identical in both modes, and "
+                "the disabled numbers must equal BENCH_PR2.json's "
+                "healthy_mbps exactly.  Each mode runs once; the "
+                "wall-clock cost is measured by benchmarks/e2e."
+            ),
+            "harness": "python -m repro.bench.cli run OBS --json PATH",
+            "scenario": {"burst": BURST, "sizes": list(SIZES)},
+            "points": self.points,
+        }
+
+
+def run() -> ObsOverheadResult:
     """Observability overhead: healthy burst throughput, hooks off vs on."""
-    off: List[float] = []
+    pr2 = _bench_pr2_healthy()
+    points = []
     on: List[float] = []
     for size in SIZES:
-        off.append(_measure(size, observability=False))
-        on.append(_measure(size, observability=True))
-    return SweepResult(
+        bw_off, mk_off, _ = _measure(size, observability=False)
+        bw_on, mk_on, events = _measure(size, observability=True)
+        on.append(bw_on)
+        points.append(
+            {
+                "size": size,
+                "makespan_us": mk_off,
+                "makespan_identical": mk_off == mk_on,
+                "mbps": bw_off,
+                "mbps_identical": bw_off == bw_on,
+                "matches_bench_pr2": pr2[size] == bw_off if size in pr2 else None,
+                "trace_events_recorded": events,
+            }
+        )
+    return ObsOverheadResult(
         title=(
             f"OBS: {BURST}-message healthy burst, observability off vs on "
             "(identical columns = zero simulated overhead)"
         ),
         x_sizes=list(SIZES),
         series=[
-            Series(label="obs off", values=off),
+            Series(label="obs off", values=[p["mbps"] for p in points]),
             Series(label="obs on", values=on),
         ],
         y_label="aggregate bandwidth, MB/s",
+        points=points,
     )

@@ -152,7 +152,7 @@ class Observability:
             return "<Observability off>"
         return (
             f"<Observability trace={self.tracer.enabled} "
-            f"events={len(self.tracer.events)} accuracy={self.accuracy.enabled}>"
+            f"events={len(self.tracer)} accuracy={self.accuracy.enabled}>"
         )
 
     def subscribe(self, hooks: Hooks) -> None:
@@ -235,7 +235,7 @@ class Observability:
             "metrics": self.metrics.snapshot(),
             "accuracy": self.accuracy.snapshot(),
             "trace": {
-                "events": len(self.tracer.events),
+                "events": len(self.tracer),
                 "dropped": self.tracer.dropped,
             },
             "flight": self.flight.snapshot(),

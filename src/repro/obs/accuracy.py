@@ -28,12 +28,20 @@ from typing import Dict, Optional
 from repro.util.units import format_size
 
 
+#: bit length -> the label of the power-of-two bucket of that length
+_POW2_LABELS: Dict[int, str] = {}
+
+
 def size_bucket(size: int) -> str:
     """Power-of-two bucket label for a chunk size (``"1M"`` holds sizes
     in ``[1M, 2M)``); sampling-grid sizes sit exactly on a bucket edge."""
     if size <= 0:
         return "0B"
-    return format_size(1 << (size.bit_length() - 1))
+    bits = size.bit_length()
+    label = _POW2_LABELS.get(bits)
+    if label is None:
+        label = _POW2_LABELS[bits] = format_size(1 << (bits - 1))
+    return label
 
 
 class ErrorStats:
@@ -104,7 +112,6 @@ class PredictionAccuracy:
     def record(
         self,
         rail: str,
-        mode: str,
         size: int,
         predicted: float,
         actual: float,
@@ -115,8 +122,9 @@ class PredictionAccuracy:
         stats = self._transfer.get(rail)
         if stats is None:
             stats = self._transfer[rail] = ErrorStats()
+            self._buckets[rail] = {}
         stats.add(predicted, actual)
-        buckets = self._buckets.setdefault(rail, {})
+        buckets = self._buckets[rail]
         label = size_bucket(size)
         bucket = buckets.get(label)
         if bucket is None:
@@ -139,13 +147,12 @@ class PredictionAccuracy:
             else transfer.t_submit
         )
         self.record(
-            rail=transfer.nic_name or nic.qualified_name,
-            mode=transfer.kind.value,
-            size=transfer.size,
-            predicted=transfer.predicted_time,
-            actual=transfer.t_complete - start,
-            predicted_completion=transfer.predicted_completion,
-            actual_completion=transfer.t_complete,
+            transfer.nic_name or nic.qualified_name,
+            transfer.size,
+            transfer.predicted_time,
+            transfer.t_complete - start,
+            transfer.predicted_completion,
+            transfer.t_complete,
         )
 
     # ------------------------------------------------------------------ #

@@ -8,23 +8,28 @@ Determinism: node→pid and lane→tid maps are assigned in sorted order,
 events are sorted by ``(ts, seq)`` (``seq`` is the tracer's record
 order, so simultaneous events keep a stable order), and the JSON is
 dumped with sorted keys — two identical runs serialize byte-identically.
+The event dicts are built here, from the tracer's flat records.
 """
 
 from __future__ import annotations
 
 import io
 import json
+from operator import itemgetter
 from pathlib import Path
 from typing import Any, Dict, List, Union
+
+from repro.obs.tracer import event_dict
 
 PathOrBuffer = Union[str, Path, io.TextIOBase]
 
 
 def chrome_trace(tracer) -> Dict[str, Any]:
     """Render the tracer's events as a Chrome JSON object-format trace."""
-    nodes = sorted({ev["pid"] for ev in tracer.events})
+    records = tracer.records
+    lanes = sorted({rec[1] for rec in records})
+    nodes = sorted({node for node, _ in lanes})
     pid_of = {node: i + 1 for i, node in enumerate(nodes)}
-    lanes = sorted({(ev["pid"], ev["tid"]) for ev in tracer.events})
     tid_of: Dict[tuple, int] = {}
     per_node_count: Dict[str, int] = {}
     for node, lane in lanes:
@@ -48,16 +53,11 @@ def chrome_trace(tracer) -> Dict[str, Any]:
                 "args": {"name": lane},
             }
         )
-    for ev in sorted(tracer.events, key=lambda e: (e["ts"], e["seq"])):
-        out: Dict[str, Any] = {
-            "ph": ev["ph"], "name": ev["name"], "cat": ev["cat"],
-            "pid": pid_of[ev["pid"]], "tid": tid_of[(ev["pid"], ev["tid"])],
-            "ts": ev["ts"],
-        }
-        for key in ("dur", "id", "s", "args"):
-            if key in ev:
-                out[key] = ev[key]
-        events.append(out)
+    # A stable sort by ts keeps record order among equal timestamps: the
+    # (ts, seq) order.
+    for rec in sorted(records, key=itemgetter(3)):
+        where = rec[1]
+        events.append(event_dict(rec, pid_of[where[0]], tid_of[where]))
     return {
         "traceEvents": events,
         "displayTimeUnit": "ms",

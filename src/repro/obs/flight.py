@@ -16,10 +16,12 @@ structured dump when something goes wrong:
 The recorder is a subscriber of the cluster's hook stream
 (:mod:`repro.obs.hooks`): its ``on_*`` handlers below are the only place
 that knows the record kinds and dump reasons.  Recording is purely
-passive (tuple append into a ``deque``; no events
-scheduled, no simulated state read back into planning), and dumps are
-deterministic — events carry only simulated time and stable identifiers,
-so the same seed ships the same dump byte-for-byte, serial or sharded.
+passive (one flat tuple of values appended to a ``deque``: ``(t, node,
+kind, detail names, *detail values)``; no events scheduled, no simulated
+state read back into planning), the detail dicts are built only when a
+dump is taken, and dumps are deterministic — events carry only simulated
+time and stable identifiers, so the same seed ships the same dump
+byte-for-byte, serial or sharded.
 """
 
 from __future__ import annotations
@@ -36,6 +38,16 @@ DEFAULT_FLIGHT_CAPACITY = 256
 #: dumps retained per recorder (a soak scenario rarely needs more than
 #: the first failure; keep a few in case faults cascade)
 MAX_DUMPS = 8
+
+# detail names of the hook handlers' records
+_SEND = ("msg", "dest", "size", "tag")
+_DUPLICATE = ("msg", "transfer")
+_COMPLETE = ("msg", "retries")
+_DEGRADED = ("msg", "reason", "retries", "bytes_received")
+_RETRY = ("msg", "rail", "reason")
+_REPLAN = (
+    "rank", "tag", "replan", "accounted_bytes", "pending_bytes", "pending_hops",
+)
 
 
 class FlightRecorder:
@@ -66,8 +78,14 @@ class FlightRecorder:
         self, kind: str, t: float, node: str, detail: Optional[Dict] = None
     ) -> None:
         """Append one event to the ring (old events fall off the back)."""
+        if detail:
+            self._append((t, node, kind, tuple(detail)) + tuple(detail.values()))
+        else:
+            self._append((t, node, kind, ()))
+
+    def _append(self, event: tuple) -> None:
         self.recorded += 1
-        self.events.append((t, node, kind, detail))
+        self.events.append(event)
 
     def trigger(
         self, reason: str, t: float, detail: Optional[Dict] = None
@@ -89,8 +107,13 @@ class FlightRecorder:
             "trigger": detail or {},
             "events_recorded": self.recorded,
             "events": [
-                {"time_us": et, "node": node, "kind": kind, "detail": d or {}}
-                for et, node, kind, d in self.events
+                {
+                    "time_us": ev[0],
+                    "node": ev[1],
+                    "kind": ev[2],
+                    "detail": dict(zip(ev[3], ev[4:])),
+                }
+                for ev in self.events
             ],
         }
         self.dumps.append(dump)
@@ -120,33 +143,28 @@ class FlightRecorder:
     # ------------------------------------------------------------------ #
 
     def on_send(self, msg) -> None:
-        self.record(
-            "send", msg.t_post, msg.src,
-            {"msg": msg.msg_id, "dest": msg.dest, "size": msg.size, "tag": msg.tag},
-        )
+        self._append((
+            msg.t_post, msg.src, "send", _SEND,
+            msg.msg_id, msg.dest, msg.size, msg.tag,
+        ))
 
     def on_duplicate(self, msg, transfer, now) -> None:
-        self.record(
-            "duplicate-suppressed", now, msg.dest,
-            {"msg": msg.msg_id, "transfer": transfer.transfer_id},
-        )
+        self._append((
+            now, msg.dest, "duplicate-suppressed", _DUPLICATE,
+            msg.msg_id, transfer.transfer_id,
+        ))
 
     def on_complete(self, msg, now) -> None:
-        self.record(
-            "complete", now, msg.src, {"msg": msg.msg_id, "retries": msg.retries}
+        self._append(
+            (now, msg.src, "complete", _COMPLETE, msg.msg_id, msg.retries)
         )
 
     def on_degraded(self, msg, now, node) -> None:
         reason = msg.outcome.reason
-        self.record(
-            "degraded", now, node,
-            {
-                "msg": msg.msg_id,
-                "reason": reason,
-                "retries": msg.retries,
-                "bytes_received": msg.bytes_received,
-            },
-        )
+        self._append((
+            now, node, "degraded", _DEGRADED,
+            msg.msg_id, reason, msg.retries, msg.bytes_received,
+        ))
         # A send was given up on — dump the ring for post-mortem.
         self.trigger(
             "degraded-send", now,
@@ -154,25 +172,18 @@ class FlightRecorder:
         )
 
     def on_retry(self, msg, old, new, max_retries, now, nic, reason) -> None:
-        self.record(
-            "retry", now, nic.machine.name,
-            {"msg": msg.msg_id, "rail": nic.qualified_name, "reason": reason},
-        )
+        self._append((
+            now, nic.machine.name, "retry", _RETRY,
+            msg.msg_id, nic.qualified_name, reason,
+        ))
 
     def on_replan(
         self, rank, seq, planned, accounted, remaining, now, node, replan, hops
     ) -> None:
-        self.record(
-            "collective-replan", now, node,
-            {
-                "rank": rank,
-                "tag": seq,
-                "replan": replan,
-                "accounted_bytes": accounted,
-                "pending_bytes": remaining,
-                "pending_hops": hops,
-            },
-        )
+        self._append((
+            now, node, "collective-replan", _REPLAN,
+            rank, seq, replan, accounted, remaining, hops,
+        ))
         self.trigger(
             "collective-replan", now, {"rank": rank, "tag": seq, "replan": replan}
         )

@@ -14,11 +14,18 @@ sorted by name, and histogram bucket boundaries are **fixed at creation**
 — never derived from the data — so two identical runs produce
 byte-identical snapshots.  Values are simulated quantities (µs, bytes,
 event counts); wall-clock time never enters the registry.
+
+The handlers that fire per message, plan, transfer or packet format
+their metric names once per key (node; NIC; switch and output port;
+switch and spine) and keep the instruments; the fault, retry and
+calibration handlers, a handful of events per run, look them up by name.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+import math
+from bisect import bisect_left
+from typing import Any, Dict, Iterable, Optional, Sequence, Tuple
 
 from repro.util.errors import ConfigurationError
 
@@ -112,7 +119,12 @@ class Histogram:
     __slots__ = ("name", "bounds", "counts", "count", "total", "min", "max")
 
     def __init__(self, name: str, bounds: Sequence[float] = DEFAULT_TIME_BUCKETS_US) -> None:
-        if not bounds or list(bounds) != sorted(bounds):
+        # NaN edges are refused: observe() bisects, which needs an order
+        if (
+            not bounds
+            or list(bounds) != sorted(bounds)
+            or any(map(math.isnan, bounds))
+        ):
             raise ConfigurationError(
                 f"histogram {name} needs sorted, non-empty bounds: {bounds!r}"
             )
@@ -125,11 +137,9 @@ class Histogram:
         self.max: Optional[float] = None
 
     def observe(self, value: float) -> None:
-        idx = len(self.bounds)
-        for i, bound in enumerate(self.bounds):
-            if value <= bound:
-                idx = i
-                break
+        # The first edge >= value; NaN is above no edge, so it overflows.
+        bounds = self.bounds
+        idx = bisect_left(bounds, value) if value == value else len(bounds)
         self.counts[idx] += 1
         self.count += 1
         self.total += value
@@ -143,7 +153,7 @@ class Histogram:
         return self.total / self.count if self.count else None
 
     def to_dict(self) -> Dict[str, object]:
-        buckets = {f"le_{b:g}": c for b, c in zip(self.bounds, self.counts)}
+        buckets = dict(zip(_bucket_labels(self.bounds), self.counts))
         buckets["inf"] = self.counts[-1]
         return {
             "buckets": buckets,
@@ -157,10 +167,28 @@ class Histogram:
         return f"<Histogram {self.name} n={self.count}>"
 
 
+#: bounds -> their bucket labels
+_BUCKET_LABELS: Dict[Tuple[float, ...], Tuple[str, ...]] = {}
+
+
+def _bucket_labels(bounds: Tuple[float, ...]) -> Tuple[str, ...]:
+    labels = _BUCKET_LABELS.get(bounds)
+    if labels is None:
+        labels = tuple(f"le_{b:g}" for b in bounds)
+        if 0.0 not in bounds:  # 0.0 == -0.0, but "le_0" != "le_-0"
+            _BUCKET_LABELS[bounds] = labels
+    return labels
+
+
 class MetricsRegistry:
     """Get-or-create home for every instrument, keyed by name."""
 
-    __slots__ = ("_counters", "_gauges", "_histograms", "enabled")
+    __slots__ = (
+        "_counters", "_gauges", "_histograms", "enabled",
+        "_sent", "_completed", "_latency", "_activations", "_plans",
+        "_plan_cache", "_splits", "_aggregations", "_nic_sends", "_wires",
+        "_links", "_link_stalls", "_spines", "_spine_stalls",
+    )
 
     def __init__(self) -> None:
         self._counters: Dict[str, Counter] = {}
@@ -168,6 +196,21 @@ class MetricsRegistry:
         self._histograms: Dict[str, Histogram] = {}
         #: subscribed to the hook stream (False: the surface is off)
         self.enabled = True
+        # the hot handlers' instruments, by key (see the module docstring)
+        self._sent: Dict[str, Tuple[Counter, Counter]] = {}
+        self._completed: Dict[str, Counter] = {}
+        self._latency: Dict[str, Histogram] = {}
+        self._activations: Dict[str, Tuple[Counter, Histogram]] = {}
+        self._plans: Dict[str, Tuple[Counter, Histogram]] = {}
+        self._plan_cache: Dict[Tuple[str, bool], Counter] = {}
+        self._splits: Dict[str, Counter] = {}
+        self._aggregations: Dict[str, Counter] = {}
+        self._nic_sends: Dict[Any, Tuple[Counter, Counter]] = {}
+        self._wires: Dict[Tuple, Tuple[Counter, Counter, Counter]] = {}
+        self._links: Dict[Tuple, Tuple[Counter, Counter, Counter, Histogram]] = {}
+        self._link_stalls: Dict[Tuple, Tuple[Counter, Counter, Histogram]] = {}
+        self._spines: Dict[Tuple, Tuple[Counter, Counter, Counter]] = {}
+        self._spine_stalls: Dict[Tuple, Tuple[Counter, Counter, Histogram]] = {}
 
     def __repr__(self) -> str:
         return (
@@ -251,9 +294,23 @@ class MetricsRegistry:
     # hook subscriber (repro.obs.hooks): engine facts -> instruments
     # ------------------------------------------------------------------ #
 
+    def _stall_trio(self, prefix: str) -> Tuple[Counter, Counter, Histogram]:
+        return (
+            self.counter(f"{prefix}.stalled_packets"),
+            self.counter(f"{prefix}.stall_total_us"),
+            self.histogram(f"{prefix}.stall_us"),
+        )
+
     def on_send(self, msg) -> None:
-        self.counter(f"engine.{msg.src}.messages_sent").inc()
-        self.counter(f"engine.{msg.src}.bytes_sent").inc(msg.size)
+        src = msg.src
+        sent = self._sent.get(src)
+        if sent is None:
+            sent = self._sent[src] = (
+                self.counter(f"engine.{src}.messages_sent"),
+                self.counter(f"engine.{src}.bytes_sent"),
+            )
+        sent[0].inc()
+        sent[1].inc(msg.size)
 
     def on_duplicate(self, msg, transfer, now) -> None:
         self.counter(f"engine.{msg.dest}.duplicates_suppressed").inc()
@@ -261,11 +318,20 @@ class MetricsRegistry:
     def on_complete(self, msg, now) -> None:
         # Completions land on the *sender's* lane so the series lines up
         # with its messages_sent (the event fires receiver-side).
-        self.counter(f"engine.{msg.src}.messages_completed").inc()
-        if msg.t_post is not None:
-            self.histogram(f"engine.{msg.src}.message_latency_us").observe(
-                now - msg.t_post
+        src = msg.src
+        completed = self._completed.get(src)
+        if completed is None:
+            completed = self._completed[src] = self.counter(
+                f"engine.{src}.messages_completed"
             )
+        completed.inc()
+        if msg.t_post is not None:
+            latency = self._latency.get(src)
+            if latency is None:
+                latency = self._latency[src] = self.histogram(
+                    f"engine.{src}.message_latency_us"
+                )
+            latency.observe(now - msg.t_post)
 
     def on_degraded(self, msg, now, node) -> None:
         self.counter(f"engine.{node}.messages_degraded").inc()
@@ -276,32 +342,62 @@ class MetricsRegistry:
         self.counter(f"engine.{node}.retries_{reason}").inc()
 
     def on_activation(self, node, outlist, now) -> None:
-        self.counter(f"scheduler.{node}.activations").inc()
-        self.histogram(
-            f"scheduler.{node}.outlist_depth", bounds=DEFAULT_DEPTH_BUCKETS
-        ).observe(len(outlist))
+        activation = self._activations.get(node)
+        if activation is None:
+            activation = self._activations[node] = (
+                self.counter(f"scheduler.{node}.activations"),
+                self.histogram(
+                    f"scheduler.{node}.outlist_depth", bounds=DEFAULT_DEPTH_BUCKETS
+                ),
+            )
+        activation[0].inc()
+        activation[1].observe(len(outlist))
 
     def on_plan(
         self, node, considered, offsets, size, mode, plan, iterations, cached
     ) -> None:
-        self.counter(f"predictor.{node}.plans").inc()
-        self.counter(
-            f"predictor.{node}.plan_cache_{'hits' if cached else 'misses'}"
-        ).inc()
-        self.histogram(
-            f"predictor.{node}.rails_per_plan", bounds=DEFAULT_DEPTH_BUCKETS
-        ).observe(len(plan.nics))
+        plans = self._plans.get(node)
+        if plans is None:
+            plans = self._plans[node] = (
+                self.counter(f"predictor.{node}.plans"),
+                self.histogram(
+                    f"predictor.{node}.rails_per_plan", bounds=DEFAULT_DEPTH_BUCKETS
+                ),
+            )
+        plans[0].inc()
+        key = (node, cached)
+        lookup = self._plan_cache.get(key)
+        if lookup is None:
+            lookup = self._plan_cache[key] = self.counter(
+                f"predictor.{node}.plan_cache_{'hits' if cached else 'misses'}"
+            )
+        lookup.inc()
+        plans[1].observe(len(plan.nics))
 
     def on_split(self, node, msg, plan, to_us, now) -> None:
-        self.counter(f"strategy.{node}.splits").inc()
+        splits = self._splits.get(node)
+        if splits is None:
+            splits = self._splits[node] = self.counter(f"strategy.{node}.splits")
+        splits.inc()
 
     def on_aggregate(self, node, msgs, nic, now) -> None:
-        self.counter(f"strategy.{node}.aggregations").inc()
+        aggregations = self._aggregations.get(node)
+        if aggregations is None:
+            aggregations = self._aggregations[node] = self.counter(
+                f"strategy.{node}.aggregations"
+            )
+        aggregations.inc()
 
     def on_nic_send(self, nic, transfer) -> None:
-        q = nic.qualified_name
-        self.counter(f"nic.{q}.transfers").inc()
-        self.counter(f"nic.{q}.bytes").inc(transfer.size)
+        sends = self._nic_sends.get(nic)
+        if sends is None:
+            q = nic.qualified_name
+            sends = self._nic_sends[nic] = (
+                self.counter(f"nic.{q}.transfers"),
+                self.counter(f"nic.{q}.bytes"),
+            )
+        sends[0].inc()
+        sends[1].inc(transfer.size)
 
     def on_nic_down(self, nic, aborted) -> None:
         self.counter(f"nic.{nic.qualified_name}.down").inc()
@@ -326,33 +422,69 @@ class MetricsRegistry:
         # The point-to-point path shares the switched fabrics' metric
         # family.  A wire has no port contention by construction, so only
         # the occupancy side exists (serialization lives in the NIC).
-        prefix = f"fabric.wire.{src.qualified_name}->{peer.machine.name}"
-        self.counter(f"{prefix}.packets").inc()
-        self.counter(f"{prefix}.queued_bytes").inc(transfer.size)
-        self.counter(f"{prefix}.busy_us").inc(
-            src.profile.wire_latency + src.extra_latency
+        key = (src, peer)
+        wire = self._wires.get(key)
+        if wire is None:
+            wire = self._wires[key] = self._occupancy(
+                f"fabric.wire.{src.qualified_name}->{peer.machine.name}"
+            )
+        packets, queued, busy = wire
+        packets.inc()
+        queued.inc(transfer.size)
+        busy.inc(src.profile.wire_latency + src.extra_latency)
+
+    def _occupancy(self, prefix: str) -> Tuple[Counter, Counter, Counter]:
+        return (
+            self.counter(f"{prefix}.packets"),
+            self.counter(f"{prefix}.queued_bytes"),
+            self.counter(f"{prefix}.busy_us"),
         )
 
     def on_link(self, switch, src, dst, transfer, start, drain, stall) -> None:
-        prefix = f"fabric.{switch.name}.link.{dst.machine.name}"
-        self.counter(f"{prefix}.packets").inc()
-        self.counter(f"{prefix}.queued_bytes").inc(transfer.size)
-        self.counter(f"{prefix}.busy_us").inc(drain)
-        self.histogram(f"{prefix}.packet_bytes").observe(transfer.size)
+        key = (switch, dst)
+        link = self._links.get(key)
+        if link is None:
+            prefix = f"fabric.{switch.name}.link.{dst.machine.name}"
+            link = self._links[key] = self._occupancy(prefix) + (
+                self.histogram(f"{prefix}.packet_bytes"),
+            )
+        packets, queued, busy, sizes = link
+        packets.inc()
+        queued.inc(transfer.size)
+        busy.inc(drain)
+        sizes.observe(transfer.size)
         if stall > 0.0:
-            self.counter(f"{prefix}.stalled_packets").inc()
-            self.counter(f"{prefix}.stall_total_us").inc(stall)
-            self.histogram(f"{prefix}.stall_us").observe(stall)
+            trio = self._link_stalls.get(key)
+            if trio is None:
+                trio = self._link_stalls[key] = self._stall_trio(
+                    f"fabric.{switch.name}.link.{dst.machine.name}"
+                )
+            stalled, stall_total, stalls = trio
+            stalled.inc()
+            stall_total.inc(stall)
+            stalls.observe(stall)
 
     def on_spine(self, switch, src, transfer, spine, start, drain, stall) -> None:
-        prefix = f"fabric.{switch.name}.spine{spine}"
-        self.counter(f"{prefix}.packets").inc()
-        self.counter(f"{prefix}.queued_bytes").inc(transfer.size)
-        self.counter(f"{prefix}.busy_us").inc(drain)
+        key = (switch, spine)
+        occupancy = self._spines.get(key)
+        if occupancy is None:
+            occupancy = self._spines[key] = self._occupancy(
+                f"fabric.{switch.name}.spine{spine}"
+            )
+        packets, queued, busy = occupancy
+        packets.inc()
+        queued.inc(transfer.size)
+        busy.inc(drain)
         if stall > 0.0:
-            self.counter(f"{prefix}.stalled_packets").inc()
-            self.counter(f"{prefix}.stall_total_us").inc(stall)
-            self.histogram(f"{prefix}.stall_us").observe(stall)
+            trio = self._spine_stalls.get(key)
+            if trio is None:
+                trio = self._spine_stalls[key] = self._stall_trio(
+                    f"fabric.{switch.name}.spine{spine}"
+                )
+            stalled, stall_total, stalls = trio
+            stalled.inc()
+            stall_total.inc(stall)
+            stalls.observe(stall)
 
     def on_fabric_drop(self, switch) -> None:
         self.counter(f"fabric.{switch.name}.dropped_packets").inc()

@@ -18,6 +18,12 @@ The tracer is a subscriber of the cluster's hook stream
 into events, and are the only place that knows the trace's lanes.  When
 tracing is off the tracer is simply not subscribed.
 
+An event is recorded as one flat tuple of values, captured when the
+hook fires (see :data:`Record`); the lane and name strings of the hot
+handlers are built once per NIC, switch port, spine or transfer kind.
+Event dicts are built only when something reads them: :attr:`Tracer.events`
+and :func:`repro.obs.chrome_export.chrome_trace`.
+
 A bounded tracer (``limit``) drops the newest events once full — except
 the end of an async span whose begin it kept, so a truncated trace
 still pairs every recorded begin.
@@ -29,70 +35,192 @@ the Chrome JSON format wants and emits the matching metadata events.
 
 from __future__ import annotations
 
+import math
 from typing import Any, Dict, List, Optional, Tuple
 
 #: default cap on recorded events before the tracer starts dropping
 #: (deterministic: based purely on the event count, never on memory)
 DEFAULT_TRACE_LIMIT = 1_000_000
 
+#: One recorded event: ``(shape, where, name, ts, x, *arg values)``.
+#:
+#: * ``shape`` — ``(ph, cat, arg names, arg kinds)``, one constant per
+#:   kind of event;
+#: * ``where`` — ``(pid, tid)``, built once per lane;
+#: * ``x`` — ``dur`` of an ``X``, ``id`` of a ``b``/``e``, else ``None``;
+#: * arg kinds — ``None`` when every arg value is a scalar, else one
+#:   letter per arg: ``v`` as recorded, ``l`` a list kept as a tuple,
+#:   ``d`` a dict kept as a tuple of ``(key, value)`` pairs.
+#:
+#: Every field is a str, int, float, bool, ``None`` or a tuple of these.
+Record = Tuple[Any, ...]
+
+_KINDS = {list: "l", dict: "d"}
+
+# shapes of the hook handlers' events
+_SEND = ("b", "message", ("dest", "size", "tag", "mode"), None)
+_MESSAGE_END = ("e", "message", ("retries",), None)
+_TRANSFER_BEGIN = ("b", "transfer", ("msg", "size", "rail", "chunk"), None)
+_TRANSFER_END = ("e", "transfer", (), None)
+_TX = ("X", "tx", ("transfer", "msg", "size", "aborted"), None)
+_LINK = ("X", "fabric", ("transfer", "msg", "size", "src", "stall_us"), None)
+_SPINE = (
+    "X", "fabric", ("transfer", "msg", "size", "src", "dst", "stall_us"), None,
+)
+
+
+def _freeze(kind: str, value: Any) -> Any:
+    if kind == "l":
+        return tuple(value)
+    if kind == "d":
+        return tuple(value.items())
+    return value
+
+
+def _thaw(kind: str, value: Any) -> Any:
+    if kind == "l":
+        return list(value)
+    if kind == "d":
+        return dict(value)
+    return value
+
+
+def event_dict(record: Record, pid: Any, tid: Any) -> Dict[str, Any]:
+    """``record`` as a Chrome event dict with the given ``pid``/``tid``
+    (the recorded node and lane, or the integers the export maps them
+    to)."""
+    ph, cat, keys, kinds = record[0]
+    ev: Dict[str, Any] = {
+        "ph": ph, "name": record[2], "cat": cat, "pid": pid, "tid": tid,
+        "ts": record[3],
+    }
+    if ph == "X":
+        ev["dur"] = record[4]
+    elif ph == "i":
+        ev["s"] = "t"
+    elif ph != "C":
+        ev["id"] = record[4]
+    if keys:
+        if kinds is None:
+            ev["args"] = dict(zip(keys, record[5:]))
+        else:
+            ev["args"] = {
+                key: _thaw(kind, value)
+                for key, kind, value in zip(keys, kinds, record[5:])
+            }
+    elif ph == "C":
+        ev["args"] = {}
+    return ev
+
 
 class Tracer:
-    """Recording tracer: appends event dicts to an in-memory list."""
+    """Recording tracer: appends one flat :data:`Record` per event."""
 
-    __slots__ = ("events", "limit", "dropped", "enabled", "_seq", "_open")
+    __slots__ = (
+        "_log", "_cap", "dropped", "enabled", "_open",
+        "_messages", "_nics", "_rails", "_links", "_spines", "_names",
+    )
 
     def __init__(self, limit: Optional[int] = DEFAULT_TRACE_LIMIT) -> None:
-        self.events: List[Dict[str, Any]] = []
-        self.limit = limit
+        self._log: List[Record] = []
+        self._cap = math.inf if limit is None else limit
         self.dropped = 0
         #: subscribed to the hook stream (False: the surface is off)
         self.enabled = True
-        self._seq = 0
         #: open async spans (key -> count), tallied once the limit is hit
         self._open: Optional[Dict[Tuple, int]] = None
+        # lanes (pid, tid), built once per emitter: node -> its message
+        # lane, NIC -> its lane, (rail, src node), (switch, dst NIC) and
+        # (switch, spine) -> lane; transfer kind -> ("tx:…", "fwd:…")
+        self._messages: Dict[str, Tuple[str, str]] = {}
+        self._nics: Dict[Any, Tuple[str, str]] = {}
+        self._rails: Dict[Tuple, Tuple[str, str]] = {}
+        self._links: Dict[Tuple, Tuple[str, str]] = {}
+        self._spines: Dict[Tuple, Tuple[str, str]] = {}
+        self._names: Dict[str, Tuple[str, str]] = {}
 
     def __len__(self) -> int:
-        return len(self.events)
+        return len(self._log)
 
     def __repr__(self) -> str:
-        return f"<Tracer {len(self.events)} events, {self.dropped} dropped>"
+        return f"<Tracer {len(self._log)} events, {self.dropped} dropped>"
+
+    @property
+    def limit(self) -> Optional[int]:
+        return None if self._cap == math.inf else self._cap
+
+    @property
+    def records(self) -> List[Record]:
+        """The recorded events, oldest first (read-only view)."""
+        return self._log
+
+    @property
+    def events(self) -> List[Dict[str, Any]]:
+        """The recorded events as dicts; ``seq`` is the record order."""
+        out = []
+        for seq, rec in enumerate(self._log):
+            ev = event_dict(rec, *rec[1])
+            ev["seq"] = seq
+            out.append(ev)
+        return out
 
     def clear(self) -> None:
-        self.events.clear()
+        self._log.clear()
         self.dropped = 0
-        self._seq = 0
         self._open = None
 
     # ------------------------------------------------------------------ #
     # recording primitives
     # ------------------------------------------------------------------ #
 
-    def _push(self, event: Dict[str, Any]) -> None:
-        if self.limit is not None and len(self.events) >= self.limit:
-            if not self._closes_kept_span(event):
-                self.dropped += 1
-                return
-        event["seq"] = self._seq
-        self._seq += 1
-        self.events.append(event)
+    def _push(self, record: Record) -> None:
+        log = self._log
+        if len(log) < self._cap:
+            log.append(record)
+        elif record[0][0] == "e" and self._closes_kept_span(record):
+            log.append(record)
+        else:
+            self.dropped += 1
 
-    def _closes_kept_span(self, event: Dict[str, Any]) -> bool:
-        """Past the limit: is ``event`` the end of a span whose begin was
+    def _closes_kept_span(self, record: Record) -> bool:
+        """Past the limit: is ``record`` the end of a span whose begin was
         recorded?  Such ends are kept, so no exported span dangles."""
-        if event["ph"] != "e":
-            return False
         if self._open is None:
             self._open = {}
-            for ev in self.events:
-                if ev["ph"] in ("b", "e"):
-                    key = (ev["cat"], ev["id"], ev["name"])
-                    step = 1 if ev["ph"] == "b" else -1
+            for rec in self._log:
+                ph = rec[0][0]
+                if ph == "b" or ph == "e":
+                    key = (rec[0][1], rec[4], rec[2])
+                    step = 1 if ph == "b" else -1
                     self._open[key] = self._open.get(key, 0) + step
-        key = (event["cat"], event["id"], event["name"])
+        key = (record[0][1], record[4], record[2])
         if self._open.get(key, 0) <= 0:
             return False
         self._open[key] -= 1
         return True
+
+    def _record(
+        self,
+        ph: str,
+        cat: str,
+        node: str,
+        lane: str,
+        name: str,
+        ts: float,
+        x: Any,
+        args: Optional[Dict[str, Any]],
+    ) -> None:
+        if not args:
+            self._push(((ph, cat, (), None), (node, lane), name, ts, x))
+            return
+        values = tuple(args.values())
+        kinds: Optional[str] = "".join([_KINDS.get(type(v), "v") for v in values])
+        if kinds == "v" * len(values):
+            kinds = None
+        else:
+            values = tuple(map(_freeze, kinds, values))
+        shape = (ph, cat, tuple(args), kinds)
+        self._push((shape, (node, lane), name, ts, x) + values)
 
     def complete(
         self,
@@ -105,13 +233,7 @@ class Tracer:
         args: Optional[Dict[str, Any]] = None,
     ) -> None:
         """A closed ``[ts, ts+dur]`` interval on one lane (phase ``X``)."""
-        ev: Dict[str, Any] = {
-            "ph": "X", "name": name, "cat": cat,
-            "pid": node, "tid": lane, "ts": ts, "dur": dur,
-        }
-        if args:
-            ev["args"] = args
-        self._push(ev)
+        self._record("X", cat, node, lane, name, ts, dur, args)
 
     def instant(
         self,
@@ -123,13 +245,7 @@ class Tracer:
         args: Optional[Dict[str, Any]] = None,
     ) -> None:
         """A point event on one lane (phase ``i``, thread scope)."""
-        ev: Dict[str, Any] = {
-            "ph": "i", "name": name, "cat": cat,
-            "pid": node, "tid": lane, "ts": ts, "s": "t",
-        }
-        if args:
-            ev["args"] = args
-        self._push(ev)
+        self._record("i", cat, node, lane, name, ts, None, args)
 
     def async_begin(
         self,
@@ -143,13 +259,7 @@ class Tracer:
     ) -> None:
         """Open an id-matched span (phase ``b``); close with
         :meth:`async_end` using the same ``(cat, span_id, name)``."""
-        ev: Dict[str, Any] = {
-            "ph": "b", "name": name, "cat": cat,
-            "pid": node, "tid": lane, "ts": ts, "id": span_id,
-        }
-        if args:
-            ev["args"] = args
-        self._push(ev)
+        self._record("b", cat, node, lane, name, ts, span_id, args)
 
     def async_end(
         self,
@@ -161,13 +271,7 @@ class Tracer:
         cat: str = "message",
         args: Optional[Dict[str, Any]] = None,
     ) -> None:
-        ev: Dict[str, Any] = {
-            "ph": "e", "name": name, "cat": cat,
-            "pid": node, "tid": lane, "ts": ts, "id": span_id,
-        }
-        if args:
-            ev["args"] = args
-        self._push(ev)
+        self._record("e", cat, node, lane, name, ts, span_id, args)
 
     def counter(
         self,
@@ -178,33 +282,44 @@ class Tracer:
         cat: str = "metric",
     ) -> None:
         """A sampled value series point (phase ``C``)."""
-        self._push(
-            {
-                "ph": "C", "name": name, "cat": cat,
-                "pid": node, "tid": "counters", "ts": ts,
-                "args": dict(values),
-            }
-        )
+        self._record("C", cat, node, "counters", name, ts, None, values)
+
+    # ------------------------------------------------------------------ #
+    # lanes and names, built on an emitter's first event
+    # ------------------------------------------------------------------ #
+
+    def _message_lane(self, node: str) -> Tuple[str, str]:
+        where = self._messages.get(node)
+        if where is None:
+            where = self._messages[node] = (node, "messages")
+        return where
+
+    def _kind_names(self, kind: str) -> Tuple[str, str]:
+        names = self._names.get(kind)
+        if names is None:
+            names = self._names[kind] = (f"tx:{kind}", f"fwd:{kind}")
+        return names
 
     # ------------------------------------------------------------------ #
     # hook subscriber (repro.obs.hooks): engine facts -> trace events
     # ------------------------------------------------------------------ #
 
     def on_send(self, msg) -> None:
-        self.async_begin(
-            msg.src, "messages", f"msg{msg.msg_id}", msg.msg_id,
-            msg.t_post, cat="message",
-            args={
-                "dest": msg.dest, "size": msg.size, "tag": msg.tag,
-                "mode": msg.mode.value if msg.mode else "deferred",
-            },
-        )
+        # The mode is read now: a message posted while every rail is
+        # down is "deferred" here and gets its mode later.
+        mode = msg.mode
+        self._push((
+            _SEND, self._message_lane(msg.src),
+            f"msg{msg.msg_id}", msg.t_post, msg.msg_id,
+            msg.dest, msg.size, msg.tag,
+            mode.value if mode else "deferred",
+        ))
 
     def on_complete(self, msg, now: float) -> None:
-        self.async_end(
-            msg.src, "messages", f"msg{msg.msg_id}", msg.msg_id,
-            now, cat="message", args={"retries": msg.retries},
-        )
+        self._push((
+            _MESSAGE_END, self._message_lane(msg.src),
+            f"msg{msg.msg_id}", now, msg.msg_id, msg.retries,
+        ))
 
     def on_degraded(self, msg, now: float, node: str) -> None:
         self.instant(
@@ -243,21 +358,21 @@ class Tracer:
             return
         src = transfer.src_node or "?"
         rail = transfer.nic_name or nic.qualified_name
-        lane = f"rail:{rail.split('.')[-1]}"
-        self.async_begin(
-            src, lane, transfer.kind.value, transfer.transfer_id,
-            transfer.t_submit, cat="transfer",
-            args={
-                "msg": transfer.msg_id,
-                "size": transfer.size,
-                "rail": rail,
-                "chunk": f"{transfer.chunk_index + 1}/{transfer.chunk_count}",
-            },
-        )
-        self.async_end(
-            src, lane, transfer.kind.value, transfer.transfer_id,
-            transfer.t_complete, cat="transfer",
-        )
+        where = self._rails.get((rail, src))
+        if where is None:
+            where = self._rails[(rail, src)] = (
+                src, f"rail:{rail.split('.')[-1]}"
+            )
+        name = transfer.kind.value
+        self._push((
+            _TRANSFER_BEGIN, where, name, transfer.t_submit,
+            transfer.transfer_id, transfer.msg_id, transfer.size, rail,
+            f"{transfer.chunk_index + 1}/{transfer.chunk_count}",
+        ))
+        self._push((
+            _TRANSFER_END, where, name, transfer.t_complete,
+            transfer.transfer_id,
+        ))
 
     def on_plan(
         self, node, considered, offsets, size, mode, plan, iterations, cached
@@ -310,16 +425,15 @@ class Tracer:
         events never overlap within one lane."""
         if start is None:
             return
-        self.complete(
-            nic.machine.name, f"nic:{nic.name}",
-            f"tx:{transfer.kind.value}", start, now - start, cat="tx",
-            args={
-                "transfer": transfer.transfer_id,
-                "msg": transfer.msg_id,
-                "size": transfer.size,
-                "aborted": transfer.aborted,
-            },
-        )
+        where = self._nics.get(nic)
+        if where is None:
+            where = self._nics[nic] = (nic.machine.name, f"nic:{nic.name}")
+        self._push((
+            _TX, where, self._kind_names(transfer.kind.value)[0],
+            start, now - start,
+            transfer.transfer_id, transfer.msg_id, transfer.size,
+            transfer.aborted,
+        ))
 
     def _nic_instant(self, nic, name: str, args: Dict[str, Any]) -> None:
         self.instant(
@@ -360,31 +474,30 @@ class Tracer:
         """Output-port drain as an ``X`` span in a per-link lane of a
         ``fabric:{switch}`` pseudo-node: port draining serializes, so
         Perfetto shows incast as back-to-back blocks."""
-        self.complete(
-            f"fabric:{switch.name}", f"link:{dst.machine.name}",
-            f"fwd:{transfer.kind.value}", start, drain, cat="fabric",
-            args={
-                "transfer": transfer.transfer_id,
-                "msg": transfer.msg_id,
-                "size": transfer.size,
-                "src": src.machine.name,
-                "stall_us": stall,
-            },
-        )
+        where = self._links.get((switch, dst))
+        if where is None:
+            where = self._links[(switch, dst)] = (
+                f"fabric:{switch.name}", f"link:{dst.machine.name}"
+            )
+        self._push((
+            _LINK, where, self._kind_names(transfer.kind.value)[1],
+            start, drain,
+            transfer.transfer_id, transfer.msg_id, transfer.size,
+            src.machine.name, stall,
+        ))
 
     def on_spine(self, switch, src, transfer, spine, start, drain, stall) -> None:
-        self.complete(
-            f"fabric:{switch.name}", f"spine:{spine}",
-            f"fwd:{transfer.kind.value}", start, drain, cat="fabric",
-            args={
-                "transfer": transfer.transfer_id,
-                "msg": transfer.msg_id,
-                "size": transfer.size,
-                "src": src.machine.name,
-                "dst": transfer.dst_node,
-                "stall_us": stall,
-            },
-        )
+        where = self._spines.get((switch, spine))
+        if where is None:
+            where = self._spines[(switch, spine)] = (
+                f"fabric:{switch.name}", f"spine:{spine}"
+            )
+        self._push((
+            _SPINE, where, self._kind_names(transfer.kind.value)[1],
+            start, drain,
+            transfer.transfer_id, transfer.msg_id, transfer.size,
+            src.machine.name, transfer.dst_node, stall,
+        ))
 
     def on_offload(self, machine, core, issuing_core, preempt, pending, now) -> None:
         topo = machine.topology

@@ -24,8 +24,8 @@ class TestSizeBucket:
 class TestErrorStats:
     def test_signed_and_absolute_errors(self):
         acc = PredictionAccuracy()
-        acc.record("n.r0", "eager", 4096, predicted=10.0, actual=11.0)
-        acc.record("n.r0", "eager", 4096, predicted=10.0, actual=9.0)
+        acc.record("n.r0", 4096, predicted=10.0, actual=11.0)
+        acc.record("n.r0", 4096, predicted=10.0, actual=9.0)
         s = acc.rail_stats("n.r0")
         assert s.count == 2
         assert s.mean_rel_error == pytest.approx(0.0)
@@ -34,16 +34,16 @@ class TestErrorStats:
 
     def test_zero_prediction_does_not_divide(self):
         acc = PredictionAccuracy()
-        acc.record("n.r0", "eager", 64, predicted=0.0, actual=1.0)
+        acc.record("n.r0", 64, predicted=0.0, actual=1.0)
         assert acc.rail_stats("n.r0").mean_rel_error == 0.0
 
 
 class TestSnapshot:
     def test_shape_and_sorting(self):
         acc = PredictionAccuracy()
-        acc.record("n.z", "eager", 4 * KiB, 10.0, 10.0,
+        acc.record("n.z", 4 * KiB, 10.0, 10.0,
                    predicted_completion=12.0, actual_completion=12.5)
-        acc.record("n.a", "rdv-data", 1 * MiB, 100.0, 101.0)
+        acc.record("n.a", 1 * MiB, 100.0, 101.0)
         snap = acc.snapshot()
         assert snap["samples"] == 2
         assert list(snap["per_rail"]) == ["n.a", "n.z"]
@@ -53,7 +53,7 @@ class TestSnapshot:
 
     def test_report_renders(self):
         acc = PredictionAccuracy()
-        acc.record("n.r0", "eager", 4 * KiB, 10.0, 10.5)
+        acc.record("n.r0", 4 * KiB, 10.0, 10.5)
         text = acc.report()
         assert "n.r0" in text and "4K" in text
 

@@ -113,3 +113,74 @@ class TestNullTracer:
         assert tracer not in cluster.hooks.subscribers
         assert len(tracer.events) == 0
         assert tracer.dropped == 0
+
+
+VALUES = (str, int, float, bool, type(None))
+
+
+def _values_only(record) -> bool:
+    if isinstance(record, tuple):
+        return all(_values_only(field) for field in record)
+    return type(record) in VALUES
+
+
+class TestRecords:
+    """The tracer and the flight ring keep values, never model objects,
+    and build their dicts only at read-out."""
+
+    def test_records_hold_values_only(self):
+        from repro.api import Fabric
+        from repro.api.collectives import moe_matrix
+        from repro.api.mpi import MpiWorld
+        from repro.bench.runners import default_profiles
+
+        rails = ("myri10g", "quadrics")
+        world = MpiWorld.create(
+            fabric=Fabric.fat_tree(8, rails=rails),
+            profiles=default_profiles(rails),
+            observability=True,
+        )
+        # 32 KiB: large enough that the split planner runs (on_plan)
+        matrix = moe_matrix(8, 32 * 1024, hot=[2, 5], skew=6)
+
+        def program(comm):
+            yield from comm.alltoallv(matrix, algorithm="auto")
+
+        world.spawn_all(program)
+        world.run()
+        obs = world.cluster.obs
+        kinds = {rec[0][0] for rec in obs.tracer.records}
+        assert kinds == {"b", "e", "X", "i"}
+        assert len(obs.flight.events) > 0
+        for records in (obs.tracer.records, obs.flight.events):
+            assert all(_values_only(rec) for rec in records)
+        world.cluster.chrome_trace()  # flushes the collective spans
+        assert all(_values_only(rec) for rec in obs.tracer.records)
+
+    def test_a_deferred_send_keeps_its_posted_mode(self):
+        """Posted while every rail is down, a message has no mode yet;
+        the engine picks one once a rail is back, after ``on_send``."""
+        from repro.api import FaultSchedule
+
+        schedule = FaultSchedule(seed=1)
+        for rail in ("node0.myri10g0", "node0.quadrics1"):
+            schedule.nic_down(rail, at=0.0, duration=50.0)
+        cluster = (
+            ClusterBuilder.paper_testbed(strategy="hetero_split")
+            .faults(schedule)
+            .resilience(timeout="200us")
+            .observability()
+            .build()
+        )
+        a, b = cluster.sessions("node0", "node1")
+        b.irecv(source="node0")
+        msgs = []
+        cluster.sim.schedule_at(10.0, lambda: msgs.append(a.isend("node1", "64K")))
+        cluster.run()
+        (msg,) = msgs
+        assert msg.t_complete is not None and msg.mode is not None
+        (begin,) = [
+            ev for ev in cluster.obs.tracer.events
+            if ev["ph"] == "b" and ev["name"] == f"msg{msg.msg_id}"
+        ]
+        assert begin["args"]["mode"] == "deferred"

@@ -51,6 +51,12 @@ COLL_8_32 = (("ranks", (8, 32)),)
 
 ROWS = (
     GoldenRow("DEG", "BENCH_PR2.json", skip=PROSE),
+    # the payload has no wall-clock columns: OBS runs each mode once
+    GoldenRow(
+        "OBS",
+        "BENCH_PR3.json",
+        skip=PROSE + ("points.*.wall_*", "scenario.repeats"),
+    ),
     GoldenRow(
         "CHAOS",
         "BENCH_PR4.json",
