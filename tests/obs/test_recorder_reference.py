@@ -813,3 +813,11 @@ def test_bisect_matches_the_scan(bounds, extra):
 def test_nan_edges_are_rejected():
     with pytest.raises(ConfigurationError):
         Histogram("h", (1.0, math.nan))
+
+
+def test_signed_zero_edges_keep_their_labels():
+    """0.0 == -0.0, so a label cache keyed by the bounds tuple must not
+    hand one's labels to the other."""
+    for bounds in ((0.0, 1.0), (-0.0, 1.0), (0.0, 1.0)):
+        labels = list(Histogram("h", bounds).to_dict()["buckets"])
+        assert labels == list(ScanHistogram("h", bounds).to_dict()["buckets"])
