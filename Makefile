@@ -35,9 +35,11 @@ chaos-silent:
 
 # Fabric chaos soak: 8-rank fat tree, spine outages / port flaps / pod
 # partitions mixed into the episode pool, a re-planning alltoallv as
-# the workload (docs/fabric-faults.md; the CI window).
+# the workload; then the same on flat switches, where the pool draws
+# no spine outages (docs/fabric-faults.md; the CI windows).
 chaos-fabric:
 	$(PYTHON) -m repro.bench.cli chaos --seeds 25 --shape fat_tree --ranks 8
+	$(PYTHON) -m repro.bench.cli chaos --seeds 25 --shape flat --ranks 8 --jobs 2 --flight-dump flight-dumps-flat.json
 
 # Sharded bandwidth sweep: every (strategy, size) cell fanned out over
 # $(JOBS) workers; output identical to the serial sweep.

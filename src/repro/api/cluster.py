@@ -416,17 +416,7 @@ class ClusterBuilder:
         through a switch contend for the destination's port — the incast
         behaviour of real (e.g. T2K-style) fabrics.
         """
-        if isinstance(driver, str):
-            driver = make_driver(driver, **driver_overrides)
-        elif driver_overrides:
-            raise ConfigurationError(
-                "driver overrides only apply to registry-name fabrics"
-            )
-        if len(set(nodes)) < 2:
-            raise ConfigurationError("a switch needs at least two distinct nodes")
-        for node in nodes:
-            if node not in self._machines:
-                raise ConfigurationError(f"unknown node {node!r}; add_node first")
+        driver = self._switch_driver("switch", driver, nodes, driver_overrides)
         self._switches.append((tuple(nodes), driver, switch_latency, {}))
         return self
 
@@ -450,17 +440,7 @@ class ClusterBuilder:
         re-routes flows off down/degraded spines (the default; identical
         to the static hash until a fabric fault fires).
         """
-        if isinstance(driver, str):
-            driver = make_driver(driver, **driver_overrides)
-        elif driver_overrides:
-            raise ConfigurationError(
-                "driver overrides only apply to registry-name fabrics"
-            )
-        if len(set(nodes)) < 2:
-            raise ConfigurationError("a fat tree needs at least two distinct nodes")
-        for node in nodes:
-            if node not in self._machines:
-                raise ConfigurationError(f"unknown node {node!r}; add_node first")
+        driver = self._switch_driver("fat tree", driver, nodes, driver_overrides)
         if pod_size < 1:
             raise ConfigurationError(f"pod_size must be >= 1, got {pod_size}")
         if spines < 1:
@@ -474,6 +454,33 @@ class ClusterBuilder:
             )
         )
         return self
+
+    def _switch_driver(
+        self,
+        kind: str,
+        driver: Union[str, Driver],
+        nodes: List[str],
+        driver_overrides: Dict[str, Any],
+    ) -> Driver:
+        """Check a switch's node list (known nodes, one port each) and
+        resolve its driver."""
+        if isinstance(driver, str):
+            driver = make_driver(driver, **driver_overrides)
+        elif driver_overrides:
+            raise ConfigurationError(
+                "driver overrides only apply to registry-name fabrics"
+            )
+        if len(set(nodes)) < 2:
+            raise ConfigurationError(f"a {kind} needs at least two distinct nodes")
+        if len(set(nodes)) != len(nodes):
+            twice = sorted({n for n in nodes if nodes.count(n) > 1})
+            raise ConfigurationError(
+                f"a {kind} has one port per node; listed twice: {twice}"
+            )
+        for node in nodes:
+            if node not in self._machines:
+                raise ConfigurationError(f"unknown node {node!r}; add_node first")
+        return driver
 
     def fabric(self, fabric: Union[Fabric, Dict[str, Any]]) -> "ClusterBuilder":
         """Materialize a :class:`~repro.hardware.topology.Fabric`.

@@ -446,51 +446,16 @@ class FabricHealth:
     """Liveness view over a built cluster's rails and fabric.
 
     ``alive(i, j)`` is True when *any* rail between ranks ``i`` and
-    ``j`` can currently deliver: both NICs up, both switch edge links up
-    and — for inter-pod fat-tree flows — a usable spine (any up spine
-    when the switch routes adaptively, the statically hashed one
-    otherwise).  Purely read-only: probing health mutates no simulator
-    state.
+    ``j`` can currently deliver.  Each rail's wire or switch answers
+    for its own path (``path_alive``: both NICs up, both switch edge
+    links up and, for inter-pod fat-tree flows, a usable spine).
+    Purely read-only: probing health mutates no simulator state.
     """
 
     def __init__(self, cluster, node_names: Sequence[str]) -> None:
         self.cluster = cluster
         self.node_names = list(node_names)
         self._memo: Dict[Tuple[str, str], bool] = {}
-
-    def invalidate(self) -> None:
-        """Drop memoized liveness (call after any fault fires)."""
-        self._memo.clear()
-
-    def _rail_alive(self, nic, peer_node: str) -> bool:
-        from repro.networks.switch import FatTreeSwitch, Switch
-        from repro.networks.wire import Wire
-
-        if not nic.is_up:
-            return False
-        wire = nic.wire
-        if wire is None:
-            return False
-        if isinstance(wire, Switch):
-            ports = {p.machine.name: p for p in wire._ports}
-            peer = ports.get(peer_node)
-            if peer is None or not peer.is_up:
-                return False
-            src_node = nic.machine.name
-            if not (wire.link_is_up(src_node) and wire.link_is_up(peer_node)):
-                return False
-            if isinstance(wire, FatTreeSwitch):
-                si = wire._ports.index(nic)
-                di = wire._ports.index(peer)
-                if si // wire.pod_size != di // wire.pod_size:
-                    if wire.adaptive:
-                        return any(wire._spine_up)
-                    return wire._spine_up[wire._spine_for(si, di)]
-            return True
-        if isinstance(wire, Wire):
-            peer = wire.nic_b if wire.nic_a is nic else wire.nic_a
-            return peer.machine.name == peer_node and peer.is_up
-        return False
 
     def node_pair_alive(self, node_a: str, node_b: str) -> bool:
         """Any live rail between two cluster nodes (memoized)."""
@@ -502,7 +467,8 @@ class FabricHealth:
             return cached
         machine = self.cluster.machines.get(node_a)
         alive = machine is not None and any(
-            self._rail_alive(nic, node_b) for nic in machine.nics
+            nic.wire is not None and nic.wire.path_alive(nic, node_b)
+            for nic in machine.nics
         )
         self._memo[key] = alive
         return alive

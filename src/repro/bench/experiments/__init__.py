@@ -8,7 +8,7 @@ FIG8        message splitting bandwidth (32 KiB–8 MiB)
 FIG9        small-message splitting latency estimation, eq. (1)
 T1          §IV-A in-text 4 MiB chunk-time table
 T2          §III-D/§IV in-text micro-measurements and plateaus
-A1..A10     design-choice ablations (DESIGN.md §5)
+A1..A11     design-choice ablations (DESIGN.md §5)
 S1          §II-A stream-multiplexing claim (supplementary)
 DEG         degraded-mode bandwidth: one rail flapping at 50% duty
 OBS         observability overhead: hooks off vs fully enabled
@@ -21,9 +21,10 @@ FAB         fabric fault tolerance: re-planning vs blind under spine loss
 Every module exposes ``run(...) -> SweepResult`` (or a small dataclass
 for the non-sweep artefacts) plus module-level constants with the paper's
 reference numbers for EXPERIMENTS.md.  Each ``run`` measures once: its
-result renders the table and, for DEG/CHAOS/CAL/COLL/FAB, builds the
-committed JSON payload (``payload()``, the ``BENCH_PR2/4/5/7/10.json``
-content that ``cli run EXP --json`` writes).
+result renders the table and, for DEG/OBS/CHAOS/CAL/COLL/FAB, builds
+the committed JSON payload (``payload()``, the
+``BENCH_PR2/3/4/5/7/10.json`` content that ``cli run EXP --json``
+writes).
 """
 
 from repro.bench.experiments import (

@@ -66,6 +66,9 @@ FABRIC_EPISODE_KINDS = ("spine_outage", "link_flap", "pod_partition")
 #: fabric scenario shapes run_scenario understands
 CHAOS_SHAPES = ("paper", "flat", "fat_tree")
 
+#: rail technologies of every chaos testbed
+_CHAOS_RAILS = ("myri10g", "quadrics")
+
 #: fat-tree geometry for fabric chaos scenarios (8 ranks = 2 pods)
 FABRIC_POD_SIZE = 4
 FABRIC_SPINES = 2
@@ -480,7 +483,7 @@ def _reset_id_counters() -> None:
     transfer._transfer_ids = itertools.count()
 
 
-def _seeded_workload(cluster, chaos: ChaosSchedule, seed: int) -> List[Any]:
+def _seeded_workload(cluster, chaos: ChaosSchedule, seed: int) -> None:
     """Post a deterministic message mix racing the fault episodes.
 
     Every receive is posted up front (tag-matched), sends are staggered
@@ -492,7 +495,6 @@ def _seeded_workload(cluster, chaos: ChaosSchedule, seed: int) -> List[Any]:
     rng = random.Random(f"workload:{seed}")
     sender, receiver = cluster.sessions("node0", "node1")
     count = 6 + rng.randrange(7)
-    messages: List[Any] = []
     send_engine = cluster.engine("node0")
     for tag in range(count):
         receiver.irecv(tag=tag)
@@ -500,12 +502,8 @@ def _seeded_workload(cluster, chaos: ChaosSchedule, seed: int) -> List[Any]:
         size = rng.choice(_WORKLOAD_SIZES)
         at = _round(rng.uniform(0.0, 0.6 * chaos.horizon))
         cluster.sim.schedule_at(
-            at,
-            lambda s=size, t=tag: messages.append(
-                send_engine.isend("node1", s, tag=t)
-            ),
+            at, partial(send_engine.isend, "node1", size, tag=tag)
         )
-    return messages
 
 
 def fabric_spec(shape: str, rails: int = 2) -> Dict[str, Any]:
@@ -584,65 +582,112 @@ def _violation_flight_dump(cluster, violation) -> Optional[Dict[str, Any]]:
     return dump
 
 
-def _run_fabric_scenario(
-    seed: int,
-    chaos: Optional[ChaosSchedule],
-    shape: str,
-    ranks: int,
-    strategy: str,
-    horizon: float,
-    intensity: int,
-    invariants: bool,
-    obs_metrics: bool,
-) -> ScenarioResult:
-    """One chaos scenario on an N-rank switched fabric.
-
-    The fabric analogue of the paper-testbed path: same watchdog, same
-    invariant monitor, same flight recorder — but the cluster is a
-    flat-switch or fat-tree fabric, the fault pool includes spine
-    outages / link flaps / pod partitions, and the workload is a
-    re-planning alltoallv across all ranks.
-    """
+def _chaos_cluster(shape: str, ranks: int, strategy: str):
+    """The cluster builder of one chaos shape (the paper testbed, or a
+    flat or fat-tree fabric over ``ranks`` nodes)."""
     from repro.api.cluster import ClusterBuilder
-    from repro.api.mpi import MpiWorld
-    from repro.bench.runners import default_profiles
     from repro.hardware.topology import Fabric
 
-    rails = ("myri10g", "quadrics")
-    if ranks < 2:
-        raise ConfigurationError(f"fabric chaos needs >= 2 ranks, got {ranks}")
-    if chaos is None:
-        chaos = _default_chaos(seed, shape, ranks, horizon, intensity)
-    _reset_id_counters()
+    if shape == "paper":
+        return ClusterBuilder.paper_testbed(strategy=strategy)
     if shape == "fat_tree":
         fab = Fabric.fat_tree(
             ranks,
-            rails,
+            _CHAOS_RAILS,
             pod_size=FABRIC_POD_SIZE,
             spines=FABRIC_SPINES,
             prefix="rank",
         )
     else:
-        fab = Fabric.flat(ranks, rails, prefix="rank")
+        fab = Fabric.flat(ranks, _CHAOS_RAILS, prefix="rank")
+    return ClusterBuilder(strategy).fabric(fab)
+
+
+def run_scenario(
+    seed: int,
+    chaos: Optional[ChaosSchedule] = None,
+    strategy: str = "hetero_split",
+    horizon: float = DEFAULT_HORIZON,
+    intensity: int = DEFAULT_INTENSITY,
+    invariants: bool = True,
+    silent: bool = False,
+    calibration: bool = False,
+    obs_metrics: bool = False,
+    shape: str = "paper",
+    ranks: int = 8,
+) -> ScenarioResult:
+    """Run one chaos scenario: a testbed + seeded faults + invariants.
+
+    Builds the testbed with the watchdog armed and the invariant
+    monitor installed, injects ``chaos`` (generated from ``seed`` when
+    not given), drives the seeded workload to drain, then audits the
+    drained cluster.  Never raises on a violation — it is captured in
+    the returned :class:`ScenarioResult` (soak loops keep going).  Every
+    counter of the result is summed over all engines.
+
+    ``invariants=False`` runs the same scenario without the monitor —
+    the BENCH_PR4 overhead comparison; only the drain check remains.
+
+    ``silent=True`` draws episodes from the pool that includes
+    unannounced bandwidth drops; ``calibration=True`` arms the drift
+    loop so those drops can be detected and re-sampled away mid-run.
+
+    The flight recorder is always armed (cheap ring; a violating seed
+    ships its own post-mortem in ``flight_dump``).  ``obs_metrics=True``
+    additionally arms the metrics registry and attaches its snapshot to
+    the result — the per-shard input to
+    :func:`repro.bench.parallel.soak_obs_artifact`'s merge.
+
+    ``shape`` picks the testbed and its workload, nothing else: ``"paper"``
+    (default, the two-node §IV testbed, a tagged point-to-point message
+    mix as the workload), or a switched fabric — ``"flat"`` (one
+    crossbar per rail) or ``"fat_tree"`` (two-tier,
+    :data:`FABRIC_SPINES` spines) across ``ranks`` nodes, where the
+    episode pool additionally draws :data:`FABRIC_EPISODE_KINDS` and the
+    workload is a re-planning alltoallv (``silent``/``calibration`` are
+    paper-shape only).
+    """
+    from repro.api.mpi import MpiWorld
+    from repro.bench.runners import default_profiles
+
+    if shape not in CHAOS_SHAPES:
+        raise ConfigurationError(
+            f"chaos shape must be one of {CHAOS_SHAPES}, got {shape!r}"
+        )
+    paper = shape == "paper"
+    if not paper and ranks < 2:
+        raise ConfigurationError(f"fabric chaos needs >= 2 ranks, got {ranks}")
+    if chaos is None:
+        chaos = _default_chaos(
+            seed, shape, ranks, horizon, intensity, silent=silent and paper
+        )
+    _reset_id_counters()
     builder = (
-        ClusterBuilder(strategy)
-        .fabric(fab)
-        .sampling(profiles=default_profiles(rails))
+        _chaos_cluster(shape, ranks, strategy)
+        .sampling(profiles=default_profiles(_CHAOS_RAILS))
         .resilience(timeout=CHAOS_TIMEOUT, max_retries=CHAOS_MAX_RETRIES)
         .faults(chaos.schedule())
+        # Flight recorder always on: a cheap ring of recent events, so a
+        # violating seed ships its own post-mortem.  Purely passive —
+        # the obs contract guarantees identical timestamps either way.
         .observability(
             trace=False, metrics=obs_metrics, accuracy=False, collectives=False
         )
     )
     if invariants:
         builder.invariants()
+    if calibration and paper:
+        builder.calibration()
     cluster = builder.build()
     monitor = cluster.invariants
     if monitor is not None:
         monitor.bind_context(seed=seed, schedule=chaos.to_json())
     violation: Optional[InvariantViolation] = None
     try:
-        _fabric_workload(MpiWorld.from_cluster(cluster), seed)
+        if paper:
+            _seeded_workload(cluster, chaos, seed)
+        else:
+            _fabric_workload(MpiWorld.from_cluster(cluster), seed)
         cluster.run()
         cluster.check_drain()
     except InvariantViolation as exc:
@@ -664,131 +709,6 @@ def _run_fabric_scenario(
         ),
         checks_performed=monitor.checks_performed if monitor else 0,
         flight_dump=_violation_flight_dump(cluster, violation),
-        metrics_snapshot=(
-            cluster.obs.metrics.snapshot() if obs_metrics else None
-        ),
-    )
-
-
-def run_scenario(
-    seed: int,
-    chaos: Optional[ChaosSchedule] = None,
-    strategy: str = "hetero_split",
-    horizon: float = DEFAULT_HORIZON,
-    intensity: int = DEFAULT_INTENSITY,
-    invariants: bool = True,
-    silent: bool = False,
-    calibration: bool = False,
-    obs_metrics: bool = False,
-    shape: str = "paper",
-    ranks: int = 8,
-) -> ScenarioResult:
-    """Run one chaos scenario: paper testbed + seeded faults + invariants.
-
-    Builds the §IV testbed with the watchdog armed and the invariant
-    monitor installed, injects ``chaos`` (generated from ``seed`` when
-    not given), drives the seeded workload to drain, then audits the
-    drained cluster.  Never raises on a violation — it is captured in
-    the returned :class:`ScenarioResult` (soak loops keep going).
-
-    ``invariants=False`` runs the same scenario without the monitor —
-    the BENCH_PR4 overhead comparison; only the drain check remains.
-
-    ``silent=True`` draws episodes from the pool that includes
-    unannounced bandwidth drops; ``calibration=True`` arms the drift
-    loop so those drops can be detected and re-sampled away mid-run.
-
-    The flight recorder is always armed (cheap ring; a violating seed
-    ships its own post-mortem in ``flight_dump``).  ``obs_metrics=True``
-    additionally arms the metrics registry and attaches its snapshot to
-    the result — the per-shard input to
-    :func:`repro.bench.parallel.soak_obs_artifact`'s merge.
-
-    ``shape`` picks the testbed: ``"paper"`` (default, the two-node §IV
-    testbed), or a switched fabric — ``"flat"`` (one crossbar per rail)
-    or ``"fat_tree"`` (two-tier, :data:`FABRIC_SPINES` spines) across
-    ``ranks`` nodes, where the episode pool additionally draws
-    :data:`FABRIC_EPISODE_KINDS` and the workload is a re-planning
-    alltoallv (``silent``/``calibration`` are paper-shape only).
-    """
-    from repro.api.cluster import ClusterBuilder
-    from repro.bench.runners import default_profiles
-
-    if shape not in CHAOS_SHAPES:
-        raise ConfigurationError(
-            f"chaos shape must be one of {CHAOS_SHAPES}, got {shape!r}"
-        )
-    if shape != "paper":
-        return _run_fabric_scenario(
-            seed,
-            chaos,
-            shape,
-            ranks,
-            strategy,
-            horizon,
-            intensity,
-            invariants,
-            obs_metrics,
-        )
-    if chaos is None:
-        chaos = ChaosSchedule(
-            seed, horizon=horizon, intensity=intensity, silent=silent
-        )
-    _reset_id_counters()
-    builder = (
-        ClusterBuilder.paper_testbed(strategy=strategy)
-        .sampling(profiles=default_profiles(("myri10g", "quadrics")))
-        .resilience(timeout=CHAOS_TIMEOUT, max_retries=CHAOS_MAX_RETRIES)
-        .faults(chaos.schedule())
-        # Flight recorder always on: a cheap ring of recent events, so a
-        # violating seed ships its own post-mortem.  Purely passive —
-        # the obs contract guarantees identical timestamps either way.
-        .observability(
-            trace=False, metrics=obs_metrics, accuracy=False, collectives=False
-        )
-    )
-    if invariants:
-        builder.invariants()
-    if calibration:
-        builder.calibration()
-    cluster = builder.build()
-    monitor = cluster.invariants
-    if monitor is not None:
-        monitor.bind_context(seed=seed, schedule=chaos.to_json())
-    violation: Optional[InvariantViolation] = None
-    messages: List[Any] = []
-    try:
-        messages = _seeded_workload(cluster, chaos, seed)
-        cluster.run()
-        cluster.check_drain()
-    except InvariantViolation as exc:
-        violation = exc
-    flight_dump = _violation_flight_dump(cluster, violation)
-    engine = cluster.engine("node0")
-    return ScenarioResult(
-        seed=seed,
-        ok=violation is None,
-        violation=violation,
-        elapsed_us=cluster.sim.now,
-        messages_sent=len(messages),
-        messages_completed=sum(
-            e.messages_completed for e in cluster.engines.values()
-        ),
-        messages_degraded=sum(
-            e.messages_degraded for e in cluster.engines.values()
-        ),
-        retries_issued=engine.retries_issued,
-        duplicates_suppressed=sum(
-            e.duplicates_suppressed for e in cluster.engines.values()
-        ),
-        deliveries_cancelled=sum(
-            e.deliveries_cancelled for e in cluster.engines.values()
-        ),
-        faults_fired=(
-            cluster.fault_injector.faults_fired if cluster.fault_injector else 0
-        ),
-        checks_performed=monitor.checks_performed if monitor else 0,
-        flight_dump=flight_dump,
         metrics_snapshot=(
             cluster.obs.metrics.snapshot() if obs_metrics else None
         ),

@@ -123,35 +123,12 @@ class FaultInjector:
                     f"switch {sw_name!r} has no spines; {action!r} needs "
                     f"a fat-tree switch"
                 )
-            if target in ("spine*", "*"):
-                indices = list(range(sw.spines))
-            elif target.startswith("spine"):
-                try:
-                    k = int(target[len("spine"):])
-                except ValueError:
-                    raise ConfigurationError(
-                        f"bad spine target {name!r}; expected "
-                        f"'{sw_name}.spine<k>' or '{sw_name}.spine*'"
-                    )
-                sw._check_spine(k)
-                indices = [k]
-            else:
-                raise ConfigurationError(
-                    f"bad spine target {name!r}; expected "
-                    f"'{sw_name}.spine<k>' or '{sw_name}.spine*'"
-                )
-            return [(sw, k, f"{sw_name}.spine{k}") for k in indices]
-        port_nodes = [p.machine.name for p in sw._ports]
-        if target == "*":
-            nodes = port_nodes
-        elif target in port_nodes:
-            nodes = [target]
-        else:
-            raise ConfigurationError(
-                f"switch {sw_name!r} has no port for node {target!r}; "
-                f"ports: {sorted(port_nodes)}"
-            )
-        return [(sw, node, f"{sw_name}.{node}") for node in nodes]
+            return [
+                (sw, k, f"{sw_name}.spine{k}") for k in sw.spine_targets(target)
+            ]
+        return [
+            (sw, node, f"{sw_name}.{node}") for node in sw.link_targets(target)
+        ]
 
     # ------------------------------------------------------------------ #
     # arming

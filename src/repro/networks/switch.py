@@ -3,7 +3,7 @@
 The paper's testbed wires its two nodes back-to-back (:class:`Wire`), but
 the multirail clusters its introduction motivates — the T2K's 4-link
 InfiniBand — run through switches, where flows *share* ports.  A
-:class:`Switch` connects any number of NICs of one technology and models
+:class:`Switch` connects one NIC of one technology per node and models
 the piece a wire cannot: **output-port contention**.
 
 Forwarding model (virtual cut-through):
@@ -16,10 +16,18 @@ Forwarding model (virtual cut-through):
   only the extra switch latency (cut-through), while simultaneous
   senders to one node serialize at the output port — the incast effect.
 
+This module is the one owner of routing: which port, pod and spine a
+packet takes, and whether that path is alive.  Both switch kinds share
+one :meth:`Switch.transmit` pipeline (edge links, the stages between
+the edges, the output port); a :class:`FatTreeSwitch` contributes only
+its spine stage.  :meth:`Switch.path_alive` answers liveness from the
+same state, and :meth:`Switch.link_targets` /
+:meth:`FatTreeSwitch.spine_targets` name what a fault rule addresses.
+
 The engine is fabric-agnostic: both :class:`Wire` and :class:`Switch`
-expose ``peers_of(nic)`` and ``transmit(src, transfer)`` (transfers
-through a switch carry their destination node, which the engine's
-protocol constructors always set).
+expose ``peers_of(nic)``, ``transmit(src, transfer)`` and
+``path_alive(nic, peer_node)`` (transfers through a switch carry their
+destination node, which the engine's protocol constructors always set).
 
 Fabric faults (``docs/fabric-faults.md``): a switch is a fault domain of
 its own.  Per-port *links* (keyed by attached node name) can go down —
@@ -35,7 +43,7 @@ armed is bit-identical to one built before this surface existed.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.util.errors import ConfigurationError, ProtocolError
 
@@ -44,16 +52,20 @@ from repro.networks.transfer import Transfer
 
 
 class Switch:
-    """A shared fabric for one technology, any number of ports."""
+    """A shared fabric for one technology, one port per node."""
 
     def __init__(self, name: str = "switch", switch_latency: float = 0.3) -> None:
         if switch_latency < 0:
             raise ConfigurationError(f"negative switch latency: {switch_latency}")
         self.name = name
         self.switch_latency = switch_latency
-        self._ports: List[Nic] = []
-        #: per destination NIC: instant its output port frees up
-        self._port_free: Dict[int, float] = {}
+        #: attached NICs by node name, in attach order
+        self._ports: Dict[str, Nic] = {}
+        #: per node: its port's attach index (fat-tree pods and the
+        #: spine hash are cut from it)
+        self._index: Dict[str, int] = {}
+        #: per node: instant its output port frees up
+        self._port_free: Dict[str, float] = {}
         self.packets_forwarded = 0
         self.contended_packets = 0
         #: links (keyed by node name) currently down — empty when healthy
@@ -74,29 +86,36 @@ class Switch:
 
     def attach(self, nic: Nic) -> "Switch":
         """Connect a NIC to this switch (its ``wire`` becomes the switch)."""
-        if self._ports and nic.profile.name != self._ports[0].profile.name:
+        first = next(iter(self._ports.values()), None)
+        if first is not None and nic.profile.name != first.profile.name:
             raise ConfigurationError(
-                f"switch {self.name} carries {self._ports[0].profile.name}, "
+                f"switch {self.name} carries {first.profile.name}, "
                 f"got {nic.profile.name}"
             )
         if nic.wire is not None:
             raise ConfigurationError(f"{nic!r} is already wired")
-        if self._ports and nic.sim is not self._ports[0].sim:
+        node = nic.machine.name
+        if node in self._ports:
+            raise ConfigurationError(
+                f"switch {self.name} already has a port on node {node!r}"
+            )
+        if first is not None and nic.sim is not first.sim:
             raise ConfigurationError("switch ports live in different simulators")
         nic.wire = self
-        self._ports.append(nic)
-        self._port_free[id(nic)] = 0.0
+        self._index[node] = len(self._ports)
+        self._ports[node] = nic
+        self._port_free[node] = 0.0
         return self
 
     @property
     def ports(self) -> List[Nic]:
-        return list(self._ports)
+        return list(self._ports.values())
 
     def peers_of(self, nic: Nic) -> List[Nic]:
         """Every other port's NIC (the engine builds routes from this)."""
-        if nic not in self._ports:
+        if self._ports.get(nic.machine.name) is not nic:
             raise ConfigurationError(f"{nic!r} is not a port of {self!r}")
-        return [p for p in self._ports if p is not nic]
+        return [p for p in self._ports.values() if p is not nic]
 
     # Wire-API compatibility: a switch has no single peer; peer_of is only
     # answerable when exactly two ports exist (then it degenerates to a
@@ -111,18 +130,40 @@ class Switch:
             )
         return peers[0]
 
+    def path_alive(self, nic: Nic, peer_node: str) -> bool:
+        """Would a packet sent from ``nic`` now reach ``peer_node``'s port?
+
+        Both NICs up and both edge links up; a fat tree also needs a
+        spine for inter-pod pairs.  Read-only: mutates no switch state.
+        """
+        peer = self._ports.get(peer_node)
+        return (
+            peer is not None
+            and peer is not nic
+            and nic.is_up
+            and peer.is_up
+            and self.link_is_up(nic.machine.name)
+            and self.link_is_up(peer_node)
+        )
+
     # ------------------------------------------------------------------ #
     # fabric faults: per-port link state (docs/fabric-faults.md)
     # ------------------------------------------------------------------ #
 
     def _check_link(self, node: str) -> str:
-        names = {p.machine.name for p in self._ports}
-        if node not in names:
+        if node not in self._ports:
             raise ConfigurationError(
                 f"switch {self.name} has no port on node {node!r}; "
-                f"known: {sorted(names)}"
+                f"known: {sorted(self._ports)}"
             )
         return node
+
+    def link_targets(self, target: str) -> List[str]:
+        """Nodes a link fault target addresses: one node's edge port, or
+        ``"*"`` for every port (in attach order)."""
+        if target == "*":
+            return list(self._ports)
+        return [self._check_link(target)]
 
     def link_fail(self, node: str) -> None:
         """Take the port link of ``node`` down: packets to or from it are
@@ -158,9 +199,17 @@ class Switch:
     def link_is_up(self, node: str) -> bool:
         return node not in self._link_down
 
+    def _drop(self, src: Nic, dst: Nic, transfer: Transfer, delay: float) -> None:
+        """Discard a packet at the edge ``delay`` after it left the NIC
+        (a dead link or spine on its path)."""
+        if src.hooks.on_fabric_drop:
+            src.hooks.on_fabric_drop(self)
+        transfer.wire_event = src.sim.schedule_at(
+            src.sim.now + delay, self._discard, dst, transfer
+        )
+
     @staticmethod
     def _discard(dst: Nic, transfer: Transfer) -> None:
-        """Drop a packet at the switch (dead link/spine on its path)."""
         transfer.wire_event = None
         transfer.dropped = True
         dst.transfers_dropped += 1
@@ -170,12 +219,8 @@ class Switch:
     # ------------------------------------------------------------------ #
 
     def transmit(self, src: Nic, transfer: Transfer) -> None:
-        """Forward a fully-transmitted packet to its destination port."""
-        if not transfer.dst_node:
-            raise ProtocolError(
-                f"{transfer!r} has no destination node; switched transfers "
-                "must carry one"
-            )
+        """Forward a fully-transmitted packet to its destination port:
+        edge links, the stages up to the destination edge, output port."""
         dst = self._resolve(src, transfer.dst_node)
         sim = src.sim
         if self._link_down and (
@@ -185,33 +230,29 @@ class Switch:
             # A dead link rejects traffic: the head reaches the edge one
             # latency in and is discarded there.
             self.link_dropped_packets += 1
-            if src.hooks.on_fabric_drop:
-                src.hooks.on_fabric_drop(self)
-            transfer.wire_event = sim.schedule_at(
-                sim.now + self.switch_latency, self._discard, dst, transfer
-            )
+            self._drop(src, dst, transfer, self.switch_latency)
             return
-        rate = src.profile.dma_rate
-        drain = transfer.size / rate
-        # Cut-through: the head of the packet reached us one latency after
-        # the source started transmitting; the tail leaves the output port
-        # one drain time after the head starts draining.
-        head_in = (
+        drain = transfer.size / src.profile.dma_rate
+        t_start = (
             transfer.t_wire_start if transfer.t_wire_start is not None else sim.now
-        ) + self.switch_latency
-        if self._link_extra:
-            head_in += self._link_extra.get(src.machine.name, 0.0)
+        )
+        reached = self._to_edge(src, dst, transfer, t_start, drain)
+        if reached is None:
+            return
+        head_in, floor = reached
+        # The tail leaves the output port one drain time after the head
+        # starts draining.
         out_drain = drain
         if self._link_bw:
             factor = self._link_bw.get(dst.machine.name, 1.0)
             if factor != 1.0:
                 out_drain = drain / factor
-        free_at = self._port_free[id(dst)]
+        free_at = self._port_free[dst.machine.name]
         start = max(head_in, free_at)
         if free_at > head_in:
             self.contended_packets += 1
-        delivery = max(start + out_drain, sim.now + self.switch_latency)
-        self._port_free[id(dst)] = delivery
+        delivery = max(start + out_drain, floor)
+        self._port_free[dst.machine.name] = delivery
         self.packets_forwarded += 1
         if src.hooks.on_link:
             src.hooks.on_link(
@@ -225,6 +266,21 @@ class Switch:
             delivery + extra, self._deliver, dst, transfer
         )
 
+    def _to_edge(
+        self, src: Nic, dst: Nic, transfer: Transfer, t_start: float, drain: float
+    ) -> Optional[Tuple[float, float]]:
+        """Carry the head to the destination edge switch.
+
+        Returns ``(head at the output port, earliest delivery)``, or
+        ``None`` once the packet was dropped on the way.  A flat switch
+        is one edge hop: cut-through, the head reached us one latency
+        after the source started transmitting.
+        """
+        head_in = t_start + self.switch_latency
+        if self._link_extra:
+            head_in += self._link_extra.get(src.machine.name, 0.0)
+        return head_in, src.sim.now + self.switch_latency
+
     @staticmethod
     def _deliver(dst: Nic, transfer: Transfer) -> None:
         transfer.wire_event = None
@@ -237,13 +293,13 @@ class Switch:
         dst._on_delivery(transfer)
 
     def _resolve(self, src: Nic, dst_node: str) -> Nic:
-        for port in self._ports:
-            if port is not src and port.machine.name == dst_node:
-                return port
-        raise ProtocolError(
-            f"switch {self.name}: no port on node {dst_node!r} "
-            f"(ports: {[p.qualified_name for p in self._ports]})"
-        )
+        dst = self._ports.get(dst_node)
+        if dst is None or dst is src:
+            raise ProtocolError(
+                f"switch {self.name}: no port on node {dst_node!r} "
+                f"(ports: {[p.qualified_name for p in self._ports.values()]})"
+            )
+        return dst
 
 
 class FatTreeSwitch(Switch):
@@ -294,7 +350,7 @@ class FatTreeSwitch(Switch):
         #: cached "any spine faulted" flag — the healthy fast path reads
         #: one bool instead of scanning the spine tables per packet
         self._spines_faulted = False
-        self.intra_pod_packets = 0
+        #: forwarded packets that crossed a spine
         self.inter_pod_packets = 0
         #: inter-pod packets that waited for a busy spine link
         self.spine_contended_packets = 0
@@ -313,19 +369,36 @@ class FatTreeSwitch(Switch):
             f"{pods} pods x {self.pod_size}, {self.spines} spines>"
         )
 
+    @property
+    def intra_pod_packets(self) -> int:
+        """Forwarded packets that stayed inside one pod."""
+        return self.packets_forwarded - self.inter_pod_packets
+
     def pod_of(self, nic: Nic) -> int:
         """Pod index of a port (ports are podded in attach order)."""
-        try:
-            idx = self._ports.index(nic)
-        except ValueError:
-            raise ConfigurationError(f"{nic!r} is not a port of {self!r}") from None
-        return idx // self.pod_size
+        node = nic.machine.name
+        if self._ports.get(node) is not nic:
+            raise ConfigurationError(f"{nic!r} is not a port of {self!r}")
+        return self._index[node] // self.pod_size
 
     def _spine_for(self, src_idx: int, dst_idx: int) -> int:
         """Static flow-hash routing: one spine per (src pod, dst pod)."""
         pods = (len(self._ports) + self.pod_size - 1) // self.pod_size
         src_pod, dst_pod = src_idx // self.pod_size, dst_idx // self.pod_size
         return (src_pod * pods + dst_pod) % self.spines
+
+    def path_alive(self, nic: Nic, peer_node: str) -> bool:
+        """:meth:`Switch.path_alive`, plus a spine for inter-pod pairs:
+        any up spine when routing adaptively, the hashed one when not."""
+        if not super().path_alive(nic, peer_node):
+            return False
+        src_idx = self._index[nic.machine.name]
+        dst_idx = self._index[peer_node]
+        if src_idx // self.pod_size == dst_idx // self.pod_size:
+            return True
+        if self.adaptive:
+            return any(self._spine_up)
+        return self._spine_up[self._spine_for(src_idx, dst_idx)]
 
     # ------------------------------------------------------------------ #
     # fabric faults: spine state + health-aware ECMP
@@ -338,6 +411,22 @@ class FatTreeSwitch(Switch):
                 f"got {spine}"
             )
         return spine
+
+    def spine_targets(self, target: str) -> List[int]:
+        """Spines a spine fault target addresses: ``"spine<k>"``, or
+        ``"spine*"`` / ``"*"`` for every spine."""
+        if target in ("spine*", "*"):
+            return list(range(self.spines))
+        number = target[len("spine"):] if target.startswith("spine") else ""
+        try:
+            spine = int(number)
+        except ValueError:
+            qualified = f"{self.name}.{target}"
+            raise ConfigurationError(
+                f"bad spine target {qualified!r}; expected "
+                f"'{self.name}.spine<k>' or '{self.name}.spine*'"
+            ) from None
+        return [self._check_spine(spine)]
 
     def _refresh_spine_health(self) -> None:
         self._spines_faulted = (not all(self._spine_up)) or any(
@@ -410,43 +499,21 @@ class FatTreeSwitch(Switch):
             self.spine_rerouted_packets += 1
         return chosen
 
-    def transmit(self, src: Nic, transfer: Transfer) -> None:
-        """Forward through edge (and, inter-pod, spine) stages."""
-        if not transfer.dst_node:
-            raise ProtocolError(
-                f"{transfer!r} has no destination node; switched transfers "
-                "must carry one"
-            )
-        dst = self._resolve(src, transfer.dst_node)
-        src_idx, dst_idx = self._ports.index(src), self._ports.index(dst)
+    def _to_edge(
+        self, src: Nic, dst: Nic, transfer: Transfer, t_start: float, drain: float
+    ) -> Optional[Tuple[float, float]]:
+        """Same pod: the flat switch's one edge hop.  Across pods: the
+        spine stage (selection, spine drop, spine serialization)."""
+        src_idx = self._index[src.machine.name]
+        dst_idx = self._index[dst.machine.name]
         if src_idx // self.pod_size == dst_idx // self.pod_size:
-            # Same pod: one edge hop — exactly the flat-switch path
-            # (including its link-fault handling).
-            self.intra_pod_packets += 1
-            super().transmit(src, transfer)
-            return
+            return super()._to_edge(src, dst, transfer, t_start, drain)
         sim = src.sim
-        if self._link_down and (
-            src.machine.name in self._link_down
-            or dst.machine.name in self._link_down
-        ):
-            self.link_dropped_packets += 1
-            if src.hooks.on_fabric_drop:
-                src.hooks.on_fabric_drop(self)
-            transfer.wire_event = sim.schedule_at(
-                sim.now + self.switch_latency, self._discard, dst, transfer
-            )
-            return
-        rate = src.profile.dma_rate
-        drain = transfer.size / rate
-        t_start = (
-            transfer.t_wire_start if transfer.t_wire_start is not None else sim.now
-        )
+        hooks = src.hooks
         # Stage 1+2: the head crosses the source edge switch and reaches
         # its spine two latencies after leaving the NIC, then serializes
         # on the (health-aware) hashed spine link.
         spine = self._select_spine(src_idx, dst_idx)
-        hooks = src.hooks
         if hooks.on_route:
             # Route-liveness: the selector must never pin a flow to a
             # down spine while an alternative is up (static routing and
@@ -461,12 +528,8 @@ class FatTreeSwitch(Switch):
             # Dead spine (static hash) or no spine up at all: discarded
             # at the edge — a dead spine serializes nothing.
             self.spine_dropped_packets += 1
-            if src.hooks.on_fabric_drop:
-                src.hooks.on_fabric_drop(self)
-            transfer.wire_event = sim.schedule_at(
-                sim.now + 2.0 * self.switch_latency, self._discard, dst, transfer
-            )
-            return
+            self._drop(src, dst, transfer, 2.0 * self.switch_latency)
+            return None
         head_at_spine = t_start + 2.0 * self.switch_latency
         if self._link_extra:
             head_at_spine += self._link_extra.get(src.machine.name, 0.0)
@@ -480,44 +543,19 @@ class FatTreeSwitch(Switch):
             spine_drain = drain / bw
         self._spine_free[spine] = spine_start + spine_drain
         self.spine_packets[spine] += 1
-        # Stage 3: the head reaches the destination edge one latency
-        # later and drains through the (possibly busy) output port.  The
-        # tail cannot leave the port before it has arrived off the
-        # spine, so an uncontended inter-pod packet pays exactly two
-        # extra stage latencies over the flat switch.
-        head_at_port = spine_start + self.switch_latency
-        free_at = self._port_free[id(dst)]
-        start = max(head_at_port, free_at)
-        if free_at > head_at_port:
-            self.contended_packets += 1
-        out_drain = drain
-        if self._link_bw:
-            factor = self._link_bw.get(dst.machine.name, 1.0)
-            if factor != 1.0:
-                out_drain = drain / factor
-        delivery = max(start + out_drain, sim.now + 3.0 * self.switch_latency)
-        if spine_drain != drain:
-            # A degraded spine can hold the tail past the port drain.
-            delivery = max(
-                delivery, spine_start + spine_drain + self.switch_latency
-            )
-        self._port_free[id(dst)] = delivery
-        self.packets_forwarded += 1
         self.inter_pod_packets += 1
-        # Spine serialization and output-port drain, both passive.
         if hooks.on_spine:
             hooks.on_spine(
                 self, src, transfer, spine, spine_start, spine_drain,
                 max(0.0, spine_free - head_at_spine),
             )
-        if hooks.on_link:
-            hooks.on_link(
-                self, src, dst, transfer, start, out_drain,
-                max(0.0, free_at - head_at_port),
-            )
-        extra = src.extra_latency
-        if self._link_extra:
-            extra += self._link_extra.get(dst.machine.name, 0.0)
-        transfer.wire_event = sim.schedule_at(
-            delivery + extra, self._deliver, dst, transfer
-        )
+        # Stage 3: the head reaches the destination edge one latency
+        # later and drains through the (possibly busy) output port.  The
+        # tail cannot leave the port before it has arrived off the
+        # spine, so an uncontended inter-pod packet pays exactly two
+        # extra stage latencies over the flat switch.
+        floor = sim.now + 3.0 * self.switch_latency
+        if spine_drain != drain:
+            # A degraded spine can hold the tail past the port drain.
+            floor = max(floor, spine_start + spine_drain + self.switch_latency)
+        return spine_start + self.switch_latency, floor

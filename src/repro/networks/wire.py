@@ -60,6 +60,12 @@ class Wire:
         every NIC reachable from ``nic`` — for a wire, exactly one."""
         return [self.peer_of(nic)]
 
+    def path_alive(self, nic: "Nic", peer_node: str) -> bool:
+        """Fabric protocol: would a packet sent from ``nic`` now reach
+        ``peer_node``?  A wire needs both of its NICs up."""
+        peer = self.peer_of(nic)
+        return nic.is_up and peer.is_up and peer.machine.name == peer_node
+
     def transmit(self, src: "Nic", transfer: "Transfer") -> None:
         """Deliver ``transfer`` to the peer after the wire latency.
 

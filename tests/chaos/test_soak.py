@@ -45,6 +45,26 @@ class TestSoakWindow:
         assert [s.seed for s in report.scenarios] == [3, 5, 8]
 
 
+class TestCounters:
+    def test_paper_counters_sum_over_both_engines(self, monkeypatch):
+        """Seed 54's receiver (node1) retries too; the result counts
+        every engine's retries, not only the sender's."""
+        built = []
+        build = ClusterBuilder.build
+
+        def keep(self):
+            built.append(build(self))
+            return built[-1]
+
+        monkeypatch.setattr(ClusterBuilder, "build", keep)
+        result = run_scenario(54)
+        engines = list(built[0].engines.values())
+        retries = [e.retries_issued for e in engines]
+        assert len(retries) == 2 and all(retries)
+        assert result.retries_issued == sum(retries) == 6
+        assert result.messages_sent == sum(e.messages_sent for e in engines)
+
+
 class TestDeterminism:
     def test_same_seed_same_result(self):
         a = run_scenario(5).to_dict()

@@ -1,6 +1,7 @@
 """Fabric fault surface: link/spine failures, adaptive spine re-routing."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.hardware import Machine
 from repro.networks import Nic, Transfer, TransferKind
@@ -212,3 +213,44 @@ class TestHealthyBitIdentity:
             assert switch.spine_rerouted_packets == 0
             results.append([t.t_delivered for t in transfers])
         assert results[0] == results[1]
+
+
+class TestPathAliveMatchesForwarding:
+    """``path_alive`` and ``transmit`` read the same routing state, so
+    liveness is True exactly when a transfer submitted now arrives."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        kind=st.sampled_from(["flat", "adaptive", "static"]),
+        down_links=st.sets(st.integers(0, 7), max_size=3),
+        down_nics=st.sets(st.integers(0, 7), max_size=3),
+        spines=st.lists(
+            st.sampled_from(["up", "down", "degraded"]), min_size=2, max_size=2
+        ),
+        pair=st.tuples(st.integers(0, 7), st.integers(1, 7)),
+    )
+    def test_alive_iff_delivered(self, kind, down_links, down_nics, spines, pair):
+        sim = Simulator()
+        if kind == "flat":
+            switch, machines = make_star(sim, n_nodes=8)
+        else:
+            switch, machines = make_tree(
+                sim, n_nodes=8, pod_size=4, spines=2, adaptive=kind == "adaptive"
+            )
+            for k, state in enumerate(spines):
+                if state == "down":
+                    switch.spine_fail(k)
+                elif state == "degraded":
+                    switch.spine_degrade(k, bw_factor=0.5)
+        for i in down_links:
+            switch.link_fail(f"node{i}")
+        for i in down_nics:
+            machines[i].nics[0].fail()
+        src_idx, hop = pair
+        src = machines[src_idx].nics[0]
+        dst_node = f"node{(src_idx + hop) % 8}"
+        alive = switch.path_alive(src, dst_node)
+        t = rdv(1 << 16, dst_node)
+        src.submit(t, machines[src_idx].cores[0])
+        sim.run()
+        assert alive == (t.t_delivered is not None)

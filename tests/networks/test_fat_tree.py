@@ -49,6 +49,17 @@ class TestShape:
         assert switch._spine_for(0, 2) == switch._spine_for(1, 3)
         assert switch._spine_for(0, 2) == switch._spine_for(0, 3)
 
+    def test_spine_targets(self, sim):
+        switch, _ = make_tree(sim, spines=3)
+        assert switch.spine_targets("spine*") == [0, 1, 2]
+        assert switch.spine_targets("*") == [0, 1, 2]
+        assert switch.spine_targets("spine2") == [2]
+        with pytest.raises(ConfigurationError, match="spines 0..2"):
+            switch.spine_targets("spine3")
+        for bad in ("spine", "spinex", "node0"):
+            with pytest.raises(ConfigurationError, match="bad spine target"):
+                switch.spine_targets(bad)
+
 
 class TestForwarding:
     def test_intra_pod_matches_flat_switch(self, sim):
@@ -123,3 +134,24 @@ class TestForwarding:
     def test_is_a_switch(self, sim):
         switch, _ = make_tree(sim)
         assert isinstance(switch, Switch)
+
+    def test_pod_counts_cover_exactly_the_forwarded_packets(self, sim):
+        """A packet discarded at a dead edge link is forwarded nowhere,
+        so it counts as neither intra- nor inter-pod."""
+        switch, machines = make_tree(sim, n_nodes=4, pod_size=2)
+        switch.link_fail("node1")
+        sends = [(0, "node1"), (1, "node0"), (1, "node3"), (0, "node2"),
+                 (2, "node3"), (3, "node1")]
+        for i, (src, dst) in enumerate(sends):
+            machines[src].nics[0].submit(
+                rdv(4096, dst, msg_id=i), machines[src].cores[0]
+            )
+        sim.run()
+        assert switch.link_dropped_packets == 4
+        assert switch.packets_forwarded == 2
+        assert switch.intra_pod_packets == 1  # node2 -> node3
+        assert switch.inter_pod_packets == 1  # node0 -> node2
+        assert (
+            switch.intra_pod_packets + switch.inter_pod_packets
+            == switch.packets_forwarded
+        )

@@ -58,6 +58,40 @@ class TestWiring:
         with pytest.raises(ConfigurationError):
             switch.peers_of(stranger)
 
+    def test_node_attached_twice_rejected(self, sim):
+        """One port per node: a second NIC of an attached node would
+        give it a route to itself through the switch."""
+        switch, machines = make_star(sim, 2)
+        second = Nic(machines[0], MxDriver(), name="port2")
+        with pytest.raises(ConfigurationError, match="already has a port"):
+            switch.attach(second)
+        assert second.wire is None
+        assert len(switch.ports) == 2
+
+    @pytest.mark.parametrize("kind", ["add_switch", "add_fat_tree"])
+    def test_builder_rejects_a_node_listed_twice(self, kind):
+        from repro.api import ClusterBuilder
+
+        builder = ClusterBuilder(strategy="single_rail")
+        builder.add_node("node0").add_node("node1")
+        with pytest.raises(ConfigurationError, match="one port per node"):
+            getattr(builder, kind)("myri10g", ["node0", "node0", "node1"])
+
+    def test_no_path_to_itself_or_a_stranger(self, sim):
+        # Faults vs forwarding: test_fabric_faults.TestPathAliveMatchesForwarding.
+        switch, machines = make_star(sim, 2)
+        nic0 = machines[0].nics[0]
+        assert switch.path_alive(nic0, "node1")
+        assert not switch.path_alive(nic0, "node0")
+        assert not switch.path_alive(nic0, "atlantis")
+
+    def test_link_targets(self, sim):
+        switch, _ = make_star(sim, 3)
+        assert switch.link_targets("*") == ["node0", "node1", "node2"]
+        assert switch.link_targets("node1") == ["node1"]
+        with pytest.raises(ConfigurationError, match="no port"):
+            switch.link_targets("node9")
+
 
 class TestForwarding:
     def test_uncontended_costs_only_switch_latency(self, sim):

@@ -45,6 +45,16 @@ class TestWiring:
         with pytest.raises(ConfigurationError):
             Wire(na, na)
 
+    def test_path_alive_needs_both_ends_up(self, sim):
+        a, b = Machine(sim, "a"), Machine(sim, "b")
+        na, nb = Nic(a, MxDriver()), Nic(b, MxDriver())
+        w = Wire(na, nb)
+        assert w.path_alive(na, "b") and w.path_alive(nb, "a")
+        assert not w.path_alive(na, "c")
+        nb.fail()
+        assert not w.path_alive(na, "b")
+        assert not w.path_alive(nb, "a")
+
 
 class TestDuplex:
     def test_both_directions_carry_simultaneously(self, sim):
