@@ -13,9 +13,9 @@ Run:  python examples/custom_strategy.py
 """
 
 from repro.api import ClusterBuilder
-from repro.core import TransferMode
+from repro.core import RailPlan
 from repro.core.strategies import Strategy
-from repro.util.units import KiB, MiB, format_size
+from repro.util.units import KiB
 
 
 class LatencyBiasedStrategy(Strategy):
@@ -36,26 +36,15 @@ class LatencyBiasedStrategy(Strategy):
             return min(rails, key=lambda n: est[n].eager(4))
         return max(rails, key=lambda n: est[n].plateau_bandwidth())
 
-    def schedule_outlist(self):
-        scheduler = self.engine.scheduler
-        while (msg := scheduler.pop_ready()) is not None:
-            nic = self._rail_for(msg)
-            if msg.mode is TransferMode.RENDEZVOUS:
-                self.engine.start_rendezvous(msg, control_nic=nic)
-            else:
-                self.submit_whole_eager(msg, nic)
+    def send_eager(self, msg):
+        self.submit_whole_eager(msg, self._rail_for(msg))
+        return True
+
+    def control_rail(self, msg):
+        return self._rail_for(msg)
 
     def plan_rdv_data(self, msg):
-        from repro.core.prediction import RailPlan
-        from repro.core.split import SplitResult
-
-        nic = self._rail_for(msg)
-        return RailPlan(
-            nics=[nic],
-            sizes=[msg.size],
-            predicted_completion=0.0,
-            split=SplitResult(sizes=[msg.size], predicted_times=[0.0], iterations=0),
-        )
+        return RailPlan.over([self._rail_for(msg)], [msg.size])
 
 
 def run_workload(strategy_spec) -> float:
@@ -81,8 +70,8 @@ def main() -> None:
     ):
         print(f"  {label:<26} {run_workload(spec):9.1f} us")
     print()
-    print("the custom plug-in needed ~40 lines: override schedule_outlist")
-    print("and plan_rdv_data, and the engine does the rest")
+    print("the custom plug-in needed ~30 lines: override send_eager,")
+    print("control_rail and plan_rdv_data, and the engine does the rest")
 
 
 if __name__ == "__main__":

@@ -593,9 +593,6 @@ class ClusterBuilder:
         self,
         timeout: Union[float, str, None] = None,
         max_retries: int = 8,
-        backoff_base: Union[float, str, None] = None,
-        backoff_factor: float = 2.0,
-        backoff_max: Union[float, str, None] = None,
     ) -> "ClusterBuilder":
         """Configure every engine's timeout/retry behaviour.
 
@@ -604,13 +601,7 @@ class ClusterBuilder:
         values accept ``"200us"`` / ``"1.5ms"`` strings.  See
         :class:`~repro.core.engine.NmadEngine` for the full contract.
         """
-        self._resilience = {
-            "timeout": timeout,
-            "max_retries": max_retries,
-            "backoff_base": backoff_base,
-            "backoff_factor": backoff_factor,
-            "backoff_max": backoff_max,
-        }
+        self._resilience = {"timeout": timeout, "max_retries": max_retries}
         return self
 
     def observability(

@@ -92,13 +92,7 @@ _TOP_LEVEL_KEYS = {
 #: config schema versions this loader understands
 _SUPPORTED_VERSIONS = {1}
 
-_RESILIENCE_KEYS = {
-    "timeout",
-    "max_retries",
-    "backoff_base",
-    "backoff_factor",
-    "backoff_max",
-}
+_RESILIENCE_KEYS = {"timeout", "max_retries"}
 
 _OBSERVABILITY_KEYS = {
     "trace",

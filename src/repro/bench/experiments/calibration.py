@@ -31,12 +31,11 @@ and fallback-ladder moves).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.bench.experiments.degraded import BURST, SIZES
-from repro.bench.runners import default_profiles, repo_root
+from repro.bench.experiments.degraded import SIZES, committed_mbps, run_burst
+from repro.bench.runners import default_profiles
 from repro.util.errors import ConfigurationError
 from repro.util.units import bytes_per_us_to_mbps
 
@@ -123,39 +122,8 @@ def _mode_point(mode: str, cluster) -> Dict[str, object]:
 
 def _healthy_burst(calibration: bool) -> Dict[int, float]:
     """The OBS/CHAOS healthy burst per size — the bit-identity probe."""
-    from repro.api.cluster import ClusterBuilder
-
-    out: Dict[int, float] = {}
-    for size in SIZES:
-        builder = ClusterBuilder.paper_testbed(
-            strategy="hetero_split"
-        ).sampling(profiles=default_profiles(("myri10g", "quadrics")))
-        if calibration:
-            builder.calibration()
-        cluster = builder.build()
-        sender, receiver = cluster.sessions("node0", "node1")
-        messages = []
-        for i in range(BURST):
-            receiver.irecv(tag=i)
-            messages.append(sender.isend("node1", size, tag=i))
-        cluster.run()
-        if any(m.t_complete is None for m in messages):
-            raise ConfigurationError(f"burst incomplete at {size}B")
-        elapsed = max(m.t_complete for m in messages) - min(
-            m.t_post for m in messages
-        )
-        out[size] = bytes_per_us_to_mbps(sum(m.size for m in messages) / elapsed)
-    return out
-
-
-def _bench_pr4_healthy() -> Dict[int, float]:
-    """Committed healthy MB/s per size from BENCH_PR4.json (empty when
-    the file is absent)."""
-    path = repo_root() / "BENCH_PR4.json"
-    if not path.exists():
-        return {}
-    payload = json.loads(path.read_text())
-    return {p["size"]: p["mbps"] for p in payload.get("points", [])}
+    configure = (lambda b: b.calibration()) if calibration else None
+    return {size: run_burst(size, configure).mbps for size in SIZES}
 
 
 @dataclass
@@ -261,7 +229,7 @@ def run() -> CalibrationResult:
     by_mode = {p["mode"]: p for p in result.points}
     result.recovery = by_mode["defended"]["mbps"] / by_mode["oracle"]["mbps"]
     result.blind_ratio = by_mode["blind"]["mbps"] / by_mode["oracle"]["mbps"]
-    pr4 = _bench_pr4_healthy()
+    pr4 = committed_mbps("BENCH_PR4.json", "mbps")
     off = _healthy_burst(calibration=False)
     on = _healthy_burst(calibration=True)
     for size in SIZES:

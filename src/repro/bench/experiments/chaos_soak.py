@@ -22,15 +22,10 @@ The PR 4 guard scenario, two halves:
 
 from __future__ import annotations
 
-import json
-import time
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from repro.bench.experiments.degraded import BURST, SIZES
-from repro.bench.runners import default_profiles, repo_root
-from repro.util.errors import ConfigurationError
-from repro.util.units import bytes_per_us_to_mbps
+from repro.bench.experiments.degraded import BURST, SIZES, committed_mbps, run_burst
 
 #: the fixed seed window soaked by `make chaos` / CI and BENCH_PR4.json
 SOAK_SEEDS = 50
@@ -44,35 +39,10 @@ def _measure(size: int, invariants: bool) -> Tuple[float, float, float, int]:
 
     Returns (makespan µs, MB/s, wall seconds, checks performed).
     """
-    from repro.api.cluster import ClusterBuilder
-
-    builder = ClusterBuilder.paper_testbed(strategy="hetero_split").sampling(
-        profiles=default_profiles(("myri10g", "quadrics"))
-    )
-    if invariants:
-        builder.invariants()
-    cluster = builder.build()
-    sender, receiver = cluster.sessions("node0", "node1")
-    t0 = time.perf_counter()
-    messages = []
-    for i in range(BURST):
-        receiver.irecv(tag=i)
-        messages.append(sender.isend("node1", size, tag=i))
-    cluster.run()
-    wall = time.perf_counter() - t0
-    if any(m.t_complete is None for m in messages):
-        raise ConfigurationError(f"message incomplete at {size}B")
-    elapsed = max(m.t_complete for m in messages) - min(
-        m.t_post for m in messages
-    )
-    total = sum(m.size for m in messages)
+    burst = run_burst(size, (lambda b: b.invariants()) if invariants else None)
+    cluster = burst.cluster
     checks = cluster.invariants.checks_performed if cluster.invariants else 0
-    return (
-        cluster.sim.now,
-        bytes_per_us_to_mbps(total / elapsed),
-        wall,
-        checks,
-    )
+    return cluster.sim.now, burst.mbps, burst.wall_s, checks
 
 
 def _best(size: int, invariants: bool) -> Tuple[float, float, float, int]:
@@ -84,16 +54,6 @@ def _best(size: int, invariants: bool) -> Tuple[float, float, float, int]:
         if best is None or sample[2] < best[2]:
             best = sample
     return best
-
-
-def _bench_pr3_healthy() -> Dict[int, float]:
-    """Committed healthy MB/s per size from BENCH_PR3.json (empty when
-    the file is absent — e.g. an installed package without the repo)."""
-    path = repo_root() / "BENCH_PR3.json"
-    if not path.exists():
-        return {}
-    payload = json.loads(path.read_text())
-    return {p["size"]: p["mbps"] for p in payload.get("points", [])}
 
 
 @dataclass
@@ -159,7 +119,7 @@ def run() -> ChaosSoakResult:
     """Chaos soak + invariant-overhead summary (the PR 4 guard)."""
     from repro.faults import soak
 
-    pr3 = _bench_pr3_healthy()
+    pr3 = committed_mbps("BENCH_PR3.json", "mbps")
     points = []
     for size in SIZES:
         mk_off, bw_off, wall_off, _ = _best(size, invariants=False)

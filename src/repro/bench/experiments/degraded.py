@@ -17,10 +17,12 @@ on the survivor.
 
 from __future__ import annotations
 
+import json
+import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
-from repro.bench.runners import default_profiles
+from repro.bench.runners import default_profiles, repo_root
 from repro.bench.series import Series, SweepResult
 from repro.util.errors import ConfigurationError
 from repro.util.units import bytes_per_us_to_mbps
@@ -41,20 +43,73 @@ TIMEOUT = "200us"
 SEED = 2
 
 
-def _measure_burst(
-    size: int, faulty: bool
-) -> Tuple[float, int, int, float]:
-    """Aggregate throughput of a BURST of ``size``-byte sends.
+class Burst(NamedTuple):
+    """One BURST run: its cluster and completed sends, their aggregate
+    MB/s and makespan (first post to last completion, µs), and the wall
+    seconds spent posting and running."""
 
-    Returns (MB/s, retries issued, messages degraded, last completion µs).
+    cluster: Any
+    done: List[Any]
+    mbps: float
+    makespan_us: float
+    wall_s: float
+
+
+def run_burst(
+    size: int,
+    configure: Optional[Callable[[Any], object]] = None,
+    partial: bool = False,
+) -> Burst:
+    """BURST ``size``-byte hetero_split sends node0 -> node1 on the paper
+    testbed, posted at once — the healthy burst of DEG, OBS, CHAOS and
+    CAL.  ``configure(builder)`` adds what a caller measures on top
+    (faults, obs, the invariant monitor, calibration).  Raises when a
+    send is left incomplete, or with ``partial`` when none completed.
     """
     from repro.api.cluster import ClusterBuilder
-    from repro.faults import FaultSchedule
 
     builder = ClusterBuilder.paper_testbed(strategy="hetero_split").sampling(
         profiles=default_profiles(("myri10g", "quadrics"))
     )
-    if faulty:
+    if configure is not None:
+        configure(builder)
+    cluster = builder.build()
+    sender, receiver = cluster.sessions("node0", "node1")
+    t0 = time.perf_counter()
+    messages = []
+    for i in range(BURST):
+        receiver.irecv(tag=i)
+        messages.append(sender.isend("node1", size, tag=i))
+    cluster.run()
+    wall = time.perf_counter() - t0
+    done = [m for m in messages if m.t_complete is not None]
+    if not done or (len(done) < BURST and not partial):
+        raise ConfigurationError(f"burst incomplete at {size}B")
+    elapsed = max(m.t_complete for m in done) - min(m.t_post for m in messages)
+    mbps = bytes_per_us_to_mbps(sum(m.size for m in done) / elapsed)
+    return Burst(cluster, done, mbps, elapsed, wall)
+
+
+def committed_mbps(filename: str, key: str) -> Dict[int, float]:
+    """Per-size ``key`` of a committed BENCH file's points (empty when
+    the file is absent — e.g. an installed package without the repo)."""
+    path = repo_root() / filename
+    if not path.exists():
+        return {}
+    payload = json.loads(path.read_text())
+    return {p["size"]: p[key] for p in payload.get("points", [])}
+
+
+def _measure_burst(
+    size: int, faulty: bool
+) -> Tuple[float, int, int, float]:
+    """The burst healthy, or with the myri10g rail flapping.
+
+    Returns (MB/s, retries issued, messages degraded, last completion µs).
+    """
+    from repro.faults import FaultSchedule
+
+    def flapping(builder) -> None:
         schedule = FaultSchedule(seed=SEED).flapping(
             FLAP_NIC,
             period=FLAP_PERIOD,
@@ -63,24 +118,14 @@ def _measure_burst(
             cycles=FLAP_CYCLES,
         )
         builder.faults(schedule).resilience(timeout=TIMEOUT)
-    cluster = builder.build()
-    sender, receiver = cluster.sessions("node0", "node1")
-    messages = []
-    for i in range(BURST):
-        receiver.irecv(tag=i)
-        messages.append(sender.isend("node1", size, tag=i))
-    cluster.run()
-    done = [m for m in messages if m.t_complete is not None]
-    if not done:
-        raise ConfigurationError(f"no message completed at {size}B (faulty={faulty})")
-    elapsed = max(m.t_complete for m in done) - min(m.t_post for m in messages)
-    total = sum(m.size for m in done)
-    engine = cluster.engine("node0")
+
+    burst = run_burst(size, flapping if faulty else None, partial=faulty)
+    engine = burst.cluster.engine("node0")
     return (
-        bytes_per_us_to_mbps(total / elapsed),
+        burst.mbps,
         engine.retries_issued,
         engine.messages_degraded,
-        max(m.t_complete for m in done),
+        max(m.t_complete for m in burst.done),
     )
 
 

@@ -69,7 +69,7 @@ def run(segment_size: int = DEFAULT_SEGMENT) -> Fig4Result:
     cases = {
         CASES[0]: GreedyStrategy(),
         CASES[1]: AggregateStrategy(),
-        CASES[2]: MulticoreSplitStrategy(min_split=256),
+        CASES[2]: MulticoreSplitStrategy(),
     }
     for label, strategy in cases.items():
         cluster = build_paper_cluster(strategy, profiles=profiles)

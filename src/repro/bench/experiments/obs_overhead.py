@@ -16,51 +16,18 @@ workload (``benchmarks/e2e``).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
-from repro.bench.experiments.degraded import BURST, SIZES
-from repro.bench.runners import default_profiles, repo_root
+from repro.bench.experiments.degraded import BURST, SIZES, committed_mbps, run_burst
 from repro.bench.series import Series, SweepResult
-from repro.util.errors import ConfigurationError
-from repro.util.units import bytes_per_us_to_mbps
 
 
 def _measure(size: int, observability: bool) -> Tuple[float, float, int]:
     """One healthy BURST at ``size`` bytes: (aggregate MB/s, makespan µs,
     trace events recorded)."""
-    from repro.api.cluster import ClusterBuilder
-
-    builder = ClusterBuilder.paper_testbed(strategy="hetero_split").sampling(
-        profiles=default_profiles(("myri10g", "quadrics"))
-    )
-    if observability:
-        builder.observability()
-    cluster = builder.build()
-    sender, receiver = cluster.sessions("node0", "node1")
-    messages = []
-    for i in range(BURST):
-        receiver.irecv(tag=i)
-        messages.append(sender.isend("node1", size, tag=i))
-    cluster.run()
-    if any(m.t_complete is None for m in messages):
-        raise ConfigurationError(f"message incomplete at {size}B")
-    elapsed = max(m.t_complete for m in messages) - min(
-        m.t_post for m in messages
-    )
-    mbps = bytes_per_us_to_mbps(sum(m.size for m in messages) / elapsed)
-    return mbps, elapsed, len(cluster.obs.tracer)
-
-
-def _bench_pr2_healthy() -> Dict[int, float]:
-    """Committed healthy MB/s per size from BENCH_PR2.json (empty when
-    the file is absent — e.g. an installed package without the repo)."""
-    path = repo_root() / "BENCH_PR2.json"
-    if not path.exists():
-        return {}
-    payload = json.loads(path.read_text())
-    return {p["size"]: p["healthy_mbps"] for p in payload.get("points", [])}
+    burst = run_burst(size, (lambda b: b.observability()) if observability else None)
+    return burst.mbps, burst.makespan_us, len(burst.cluster.obs.tracer)
 
 
 @dataclass
@@ -91,7 +58,7 @@ class ObsOverheadResult(SweepResult):
 
 def run() -> ObsOverheadResult:
     """Observability overhead: healthy burst throughput, hooks off vs on."""
-    pr2 = _bench_pr2_healthy()
+    pr2 = committed_mbps("BENCH_PR2.json", "healthy_mbps")
     points = []
     on: List[float] = []
     for size in SIZES:

@@ -31,7 +31,7 @@ a pure function of simulated state.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.core.calibration.drift import DriftDetector
 from repro.core.calibration.ladder import FallbackLadder, TrustLevel
@@ -255,7 +255,7 @@ class CalibrationController:
         """Ladder-aware rendezvous split (HeteroSplitStrategy delegates
         here while calibration is on)."""
         from repro.core.prediction import RailPlan
-        from repro.core.split import SplitResult, equal_split
+        from repro.core.split import equal_split
 
         engine = strategy.engine
         now = engine.sim.now
@@ -275,18 +275,7 @@ class CalibrationController:
             plan = strategy.hetero_plan(msg, rails)
             plan = self._maybe_clamp(strategy, msg, plan)
         elif level is TrustLevel.PARTIAL:
-            sizes = equal_split(msg.size, len(rails))
-            used = [(n, s) for n, s in zip(rails, sizes) if s > 0]
-            plan = RailPlan(
-                nics=[n for n, _ in used],
-                sizes=[s for _, s in used],
-                predicted_completion=0.0,
-                split=SplitResult(
-                    sizes=[s for _, s in used],
-                    predicted_times=[0.0] * len(used),
-                    iterations=0,
-                ),
-            )
+            plan = RailPlan.over(rails, equal_split(msg.size, len(rails)))
         else:  # SINGLE: whole message on the most-trusted rail
             best = min(
                 rails,
@@ -295,16 +284,7 @@ class CalibrationController:
             predicted = engine.predictor.predict(
                 best, msg.size, TransferMode.RENDEZVOUS
             )
-            plan = RailPlan(
-                nics=[best],
-                sizes=[msg.size],
-                predicted_completion=predicted,
-                split=SplitResult(
-                    sizes=[msg.size],
-                    predicted_times=[predicted],
-                    iterations=0,
-                ),
-            )
+            plan = RailPlan.over([best], [msg.size], predicted)
         plan.confidence = confs
         plan.trust = level.name.lower()
         return plan
@@ -342,7 +322,6 @@ class CalibrationController:
         sizes[hi] = cap
         sizes[1 - hi] = total - cap
         plan.sizes = sizes
-        plan.split.sizes = list(sizes)
         self.clamped_splits += 1
         hooks = strategy.engine.hooks
         if hooks.on_clamp:

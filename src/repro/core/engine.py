@@ -243,11 +243,9 @@ class NmadEngine:
         without the fault subsystem compiled in.
     max_retries:
         Retry budget per message; exhausting it yields a
-        :class:`DegradedSend` outcome instead of a hang.
-    backoff_base / backoff_factor / backoff_max:
-        Exponential backoff of the watchdog re-check after a retry:
-        ``delay = min(backoff_max, backoff_base * backoff_factor**n)``.
-        ``backoff_base`` defaults to ``timeout``; ``backoff_max`` to 32x.
+        :class:`DegradedSend` outcome instead of a hang.  The watchdog
+        re-check after the ``n``-th fruitless window backs off
+        exponentially: ``min(32 * timeout, timeout * 2**n)``.
     hooks:
         The cluster's hook stream (:mod:`repro.obs.hooks`), shared with
         this node's scheduler, strategy, predictor, PIOMan and NICs.
@@ -266,9 +264,6 @@ class NmadEngine:
         multicore_rx: bool = False,
         timeout: Union[float, str, None] = None,
         max_retries: int = 8,
-        backoff_base: Union[float, str, None] = None,
-        backoff_factor: float = 2.0,
-        backoff_max: Union[float, str, None] = None,
         hooks: Optional[Hooks] = None,
     ) -> None:
         if not machine.nics:
@@ -324,32 +319,6 @@ class NmadEngine:
         if max_retries < 0:
             raise ConfigurationError(f"negative max_retries: {max_retries}")
         self.max_retries = max_retries
-        self.backoff_factor = float(backoff_factor)
-        if self.backoff_factor < 1.0:
-            raise ConfigurationError(
-                f"backoff factor must be >= 1, got {backoff_factor}"
-            )
-        self.backoff_base = (
-            parse_time(backoff_base)
-            if backoff_base is not None
-            else (self.timeout or 0.0)
-        )
-        self.backoff_max = (
-            parse_time(backoff_max)
-            if backoff_max is not None
-            else 32.0 * (self.timeout or 0.0)
-        )
-        if self.timeout is not None:
-            # A zero backoff would re-fire the watchdog in the same
-            # instant forever; refuse outright.
-            if self.backoff_base <= 0:
-                raise ConfigurationError(
-                    f"backoff_base must be > 0 with a timeout: {backoff_base}"
-                )
-            if self.backoff_max < self.backoff_base:
-                raise ConfigurationError(
-                    f"backoff_max ({backoff_max}) below backoff_base"
-                )
         # fault state
         self._watchdogs: Dict[int, object] = {}  # msg_id -> ScheduledEvent
         self._stranded: List[Transfer] = []  # lost, no up rail to retry on
@@ -490,7 +459,8 @@ class NmadEngine:
         return False
 
     # ------------------------------------------------------------------ #
-    # submission helpers (called by strategies)
+    # submission helpers (called by strategies); each takes the messages
+    # it dispatches off the out-list
     # ------------------------------------------------------------------ #
 
     def _predict_chunk(self, transfer: Transfer, nic: Nic) -> None:
@@ -523,7 +493,6 @@ class NmadEngine:
         msg: Message,
         chunks: Sequence[Tuple[Nic, int]],
         offload: bool = False,
-        allow_preempt: bool = True,
     ) -> None:
         """Send ``msg`` as eager chunks, one per (nic, size) pair.
 
@@ -532,6 +501,7 @@ class NmadEngine:
         (§III-D); otherwise every chunk is posted from the app core.
         """
         self._check_ownership(msg)
+        self.scheduler.remove(msg)
         sizes = [s for _, s in chunks]
         transfers = make_eager_chunks(msg, sizes)
         msg.mode = TransferMode.EAGER
@@ -548,9 +518,7 @@ class NmadEngine:
                 SendRequest(transfer=t, nic=nic)
                 for t, (nic, _) in zip(transfers, chunks)
             ]
-            self.pioman.register_sends(
-                requests, issuing_core=self.app_core, allow_preempt=allow_preempt
-            )
+            self.pioman.register_sends(requests, issuing_core=self.app_core)
         else:
             for t, (nic, _) in zip(transfers, chunks):
                 nic.submit(t, self.app_core)
@@ -559,6 +527,7 @@ class NmadEngine:
         """Pack several messages into one eager packet on one rail."""
         for m in msgs:
             self._check_ownership(m)
+            self.scheduler.remove(m)
         packet = make_aggregated_eager(msgs)
         if packet.size > nic.profile.eager_limit:
             raise ProtocolError(
@@ -589,6 +558,7 @@ class NmadEngine:
     def start_rendezvous(self, msg: Message, control_nic: Nic) -> None:
         """Send the RDV_REQ for ``msg`` on ``control_nic``."""
         self._check_ownership(msg)
+        self.scheduler.remove(msg)
         msg.mode = TransferMode.RENDEZVOUS
         msg.status = MessageStatus.RDV_REQUESTED
         req = make_rdv_req(msg)
@@ -888,11 +858,10 @@ class NmadEngine:
             self.sim.cancel(ev)
 
     def _backoff(self, attempt: int) -> float:
-        if attempt > 64:  # factor**attempt overflows a double long after
-            return self.backoff_max  # the ladder is pinned at the cap anyway
-        return min(
-            self.backoff_max, self.backoff_base * self.backoff_factor ** attempt
-        )
+        cap = 32.0 * self.timeout
+        if attempt > 64:  # 2.0**attempt overflows a double long after
+            return cap  # the ladder is pinned at the cap anyway
+        return min(cap, self.timeout * 2.0 ** attempt)
 
     def _watchdog_fire(self, msg: Message, attempt: int, last_progress) -> None:
         """Periodic loss check for one in-flight message.

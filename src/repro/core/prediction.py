@@ -29,8 +29,9 @@ class RailPlan:
 
     nics: List[Nic]                  # rails actually used (chunk size > 0)
     sizes: List[int]                 # bytes per rail, aligned with nics
-    predicted_completion: float
-    split: SplitResult               # full solver output (diagnostics)
+    predicted_completion: float = 0.0
+    #: split-solver iterations behind the sizes (0 when not solved)
+    iterations: int = 0
     #: per-rail confidence scores, attached when the calibration drift
     #: loop planned (or reviewed) this decision; None otherwise
     confidence: Optional[Dict[str, float]] = None
@@ -41,6 +42,24 @@ class RailPlan:
     def __post_init__(self) -> None:
         if len(self.nics) != len(self.sizes):
             raise ConfigurationError("plan rails/sizes length mismatch")
+
+    @classmethod
+    def over(
+        cls,
+        nics: Sequence[Nic],
+        sizes: Sequence[int],
+        predicted_completion: float = 0.0,
+        iterations: int = 0,
+    ) -> "RailPlan":
+        """The plan sending ``sizes[i]`` bytes on ``nics[i]``; rails
+        given zero bytes are left out."""
+        used = [(n, s) for n, s in zip(nics, sizes) if s > 0]
+        return cls(
+            nics=[n for n, _ in used],
+            sizes=[s for _, s in used],
+            predicted_completion=predicted_completion,
+            iterations=iterations,
+        )
 
     @property
     def total(self) -> int:
@@ -237,29 +256,36 @@ class CompletionPredictor:
             tuple(n.bw_factor for n in nics),
         )
         cached = self._plan_cache.get(cache_key)
-        if cached is not None:
+        hit = cached is not None
+        if hit:
             self.plan_cache_hits += 1
-            subset_idx, sizes, times, iterations, completion = cached
-            split = SplitResult(
-                sizes=list(sizes),
-                predicted_times=list(times),
-                iterations=iterations,
+        else:
+            self.plan_cache_misses += 1
+            cached = self._solve(nics, offsets, size, mode, limit, fixed_cost)
+            if len(self._plan_cache) >= _PLAN_CACHE_LIMIT:
+                self._plan_cache.clear()
+            self._plan_cache[cache_key] = cached
+        subset_idx, sizes, iterations, completion = cached
+        plan = RailPlan.over(
+            [nics[i] for i in subset_idx], sizes, completion, iterations
+        )
+        if self.hooks.on_plan:
+            self.hooks.on_plan(
+                self.node, nics, offsets, size, mode, plan, iterations, hit
             )
-            subset = [nics[i] for i in subset_idx]
-            used = [(n, s) for n, s in zip(subset, split.sizes) if s > 0]
-            plan = RailPlan(
-                nics=[n for n, _ in used],
-                sizes=[s for _, s in used],
-                predicted_completion=completion,
-                split=split,
-            )
-            if self.hooks.on_plan:
-                self.hooks.on_plan(
-                    self.node, nics, offsets, size, mode, plan, iterations, True
-                )
-            return plan
-        self.plan_cache_misses += 1
+        return plan
 
+    def _solve(
+        self,
+        nics: List[Nic],
+        offsets: Tuple[float, ...],
+        size: int,
+        mode: TransferMode,
+        limit: int,
+        fixed_cost: float,
+    ) -> Tuple[Tuple[int, ...], Tuple[int, ...], int, float]:
+        """The best (subset, sizes, iterations, completion) over every
+        subset of at most ``limit`` rails."""
         all_rails = [
             (self._planning_estimator(n), off) for n, off in zip(nics, offsets)
         ]
@@ -287,25 +313,4 @@ class CompletionPredictor:
                     best = (completion, active, subset_idx, split)
         assert best is not None
         completion, _, subset_idx, split = best
-        if len(self._plan_cache) >= _PLAN_CACHE_LIMIT:
-            self._plan_cache.clear()
-        self._plan_cache[cache_key] = (
-            subset_idx,
-            tuple(split.sizes),
-            tuple(split.predicted_times),
-            split.iterations,
-            completion,
-        )
-        subset = [nics[i] for i in subset_idx]
-        used = [(n, s) for n, s in zip(subset, split.sizes) if s > 0]
-        plan = RailPlan(
-            nics=[n for n, _ in used],
-            sizes=[s for _, s in used],
-            predicted_completion=completion,
-            split=split,
-        )
-        if self.hooks.on_plan:
-            self.hooks.on_plan(
-                self.node, nics, offsets, size, mode, plan, split.iterations, False
-            )
-        return plan
+        return subset_idx, tuple(split.sizes), split.iterations, completion

@@ -55,19 +55,14 @@ class OptimizerScheduler:
                 return msg
         return None
 
-    def pop_ready(self) -> Optional[Message]:
-        for msg in self._outlist:
-            if self.engine.sendable(msg):
-                self._outlist.remove(msg)
-                return msg
-        return None
-
     def iter_ready(self) -> Iterator[Message]:
         """Snapshot iteration over sendable messages (safe to
         :meth:`remove` while iterating)."""
         return iter([m for m in self._outlist if self.engine.sendable(m)])
 
     def remove(self, msg: Message) -> None:
+        """Take a dispatched message off the out-list (the engine's
+        submission helpers call this)."""
         try:
             self._outlist.remove(msg)
         except ValueError:

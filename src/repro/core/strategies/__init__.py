@@ -8,9 +8,10 @@ lower layer in order to know what to do at the appropriate time."
 The strategy is invoked at three moments:
 
 * when the scheduler activates on freshly enqueued packets, and when a
-  NIC becomes idle (:meth:`Strategy.schedule_outlist`);
-* just before managing the emission of an eager packet (folded into
-  ``schedule_outlist``: the out-list holds the eager packets to emit);
+  NIC becomes idle (:meth:`Strategy.schedule_outlist`, the one out-list
+  loop, written once in the base class);
+* just before managing the emission of an eager packet
+  (:meth:`Strategy.send_eager`, called by that loop);
 * when a rendezvous acknowledgement allows the data transfer
   (:meth:`Strategy.plan_rdv_data`).
 

@@ -9,12 +9,12 @@ permitting, at a small per-segment cost) and sent over one rail.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
-from repro.core.packets import Message, TransferMode
+from repro.core.packets import Message
+from repro.core.prediction import RailPlan
 from repro.core.strategies.base import Strategy
 from repro.networks.nic import Nic
-from repro.util.errors import ConfigurationError
 
 
 class AggregateStrategy(Strategy):
@@ -25,7 +25,8 @@ class AggregateStrategy(Strategy):
     rail:
         Pin the rail by technology or NIC name (the Fig. 3 "aggregated
         over Myri-10G"/"over Quadrics" series).  ``None`` picks the
-        fastest *available* rail per batch, preferring idle rails.
+        fastest *available* rail per batch, preferring idle rails; a
+        pinned rail that is down fails over to that choice.
     """
 
     name = "aggregate"
@@ -36,16 +37,11 @@ class AggregateStrategy(Strategy):
 
     # ------------------------------------------------------------------ #
 
-    def _pick_rail(self, dest: str, size: int) -> Nic:
-        rails = self.rails_to(dest)
-        if self.rail is not None:
-            for nic in rails:
-                if self.rail in (nic.profile.name, nic.name):
-                    return nic
-            raise ConfigurationError(
-                f"no rail {self.rail!r} towards {dest}; have "
-                f"{[n.name for n in rails]}"
-            )
+    def _pick_rail(self, msg: Message, size: int) -> Nic:
+        rails = self.rails_to(msg.dest)
+        nic = self.pinned_rail(rails, msg)
+        if nic is not None:
+            return nic
         idle = [n for n in rails if n.is_idle]
         pool = idle or rails
         return min(
@@ -53,64 +49,14 @@ class AggregateStrategy(Strategy):
             key=lambda n: (n.busy_until - n.sim.now) + n.profile.eager_oneway(size),
         )
 
-    def schedule_outlist(self) -> None:
-        assert self.engine is not None
-        scheduler = self.engine.scheduler
-        while True:
-            msg = scheduler.peek_ready()
-            if msg is None:
-                return
-            if msg.mode is TransferMode.RENDEZVOUS:
-                scheduler.pop_ready()
-                self.engine.start_rendezvous(msg, control_nic=self.control_rail(msg))
-                continue
-            batch = self._gather_batch(msg)
-            if batch is None:
-                return  # rail busy; retry on the NIC-idle event
-            nic, msgs = batch
-            for m in msgs:
-                scheduler.remove(m)
-            self.engine.submit_aggregated_eager(msgs, nic)
-
-    def _gather_batch(self, head: Message):
-        """Head message plus every queued same-destination eager message
-        that fits an aggregated packet; the rail is picked *afterwards*,
-        by the batch's total size (the size that actually travels)."""
-        assert self.engine is not None
-        rails = self.rails_to(head.dest)
-        limit = min(
-            min(n.profile.max_aggregation, n.profile.eager_limit) for n in rails
-        )
-        if head.size > limit:
-            # Cannot aggregate something larger than a packet; ship alone.
-            nic = self._pick_rail(head.dest, head.size)
-            if self.rail is None and not nic.is_idle:
-                return None
-            return nic, [head]
-        batch: List[Message] = [head]
-        total = head.size
-        for m in self.engine.scheduler.iter_ready():
-            if m is head or m.dest != head.dest:
-                continue
-            if m.mode is TransferMode.RENDEZVOUS:
-                continue
-            if total + m.size > limit:
-                continue
-            batch.append(m)
-            total += m.size
-        nic = self._pick_rail(head.dest, total)
+    def send_eager(self, msg: Message) -> bool:
+        # The rail is picked *after* the batch, by the size that travels.
+        batch = self.eager_batch(msg)
+        nic = self._pick_rail(msg, sum(m.size for m in batch))
         if self.rail is None and not nic.is_idle:
-            return None
-        return nic, batch
+            return False  # rail busy; retry on the NIC-idle event
+        self.engine.submit_aggregated_eager(batch, nic)
+        return True
 
-    def plan_rdv_data(self, msg: Message):
-        from repro.core.prediction import RailPlan
-        from repro.core.split import SplitResult
-
-        nic = self._pick_rail(msg.dest, msg.size)
-        return RailPlan(
-            nics=[nic],
-            sizes=[msg.size],
-            predicted_completion=0.0,
-            split=SplitResult(sizes=[msg.size], predicted_times=[0.0], iterations=0),
-        )
+    def plan_rdv_data(self, msg: Message) -> RailPlan:
+        return RailPlan.over([self._pick_rail(msg, msg.size)], [msg.size])

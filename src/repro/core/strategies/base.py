@@ -5,13 +5,14 @@ from __future__ import annotations
 from typing import List, Optional, TYPE_CHECKING
 
 from repro.core.packets import Message, TransferMode
+from repro.core.prediction import RailPlan
 from repro.networks.nic import Nic
 from repro.util.errors import ConfigurationError, SchedulingError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.engine import NmadEngine
     from repro.core.estimator import NicEstimator
-    from repro.core.prediction import CompletionPredictor, RailPlan
+    from repro.core.prediction import CompletionPredictor
 
 
 def _sampled_mode(est: "NicEstimator", size: int) -> TransferMode:
@@ -28,15 +29,17 @@ def _sampled_mode(est: "NicEstimator", size: int) -> TransferMode:
 class Strategy:
     """Base class of every optimization strategy.
 
-    Subclasses override some of:
+    :meth:`schedule_outlist` is the one out-list loop: it starts each
+    rendezvous handshake on :meth:`control_rail` and hands each eager
+    message to :meth:`send_eager`.  Subclasses override some of:
 
-    * :meth:`schedule_outlist` — REQUIRED: drain (part of) the engine's
-      out-list by submitting eager packets / starting rendezvous;
+    * :meth:`send_eager` — dispatch one eager message, or leave it
+      queued (default: whole on the fastest rail);
     * :meth:`plan_rdv_data` — rails + chunk sizes for a rendezvous data
       phase (default: everything on the fastest rail);
+    * :meth:`control_rail` — rail for REQ/ACK control packets;
     * :meth:`choose_mode` — eager vs rendezvous (default: sampled
-      threshold when a predictor exists, driver eager limit otherwise);
-    * :meth:`control_rail` — rail for REQ/ACK control packets.
+      threshold when a predictor exists, driver eager limit otherwise).
 
     Parameters
     ----------
@@ -48,6 +51,9 @@ class Strategy:
     name = "base"
     #: does this strategy require sampled estimators (a predictor)?
     needs_sampling = False
+    #: technology or NIC name of the rail every send is pinned to
+    #: (``single_rail``, ``aggregate``); ``None`` leaves the choice free
+    rail: Optional[str] = None
 
     def __init__(self, rdv_threshold: Optional[int] = None) -> None:
         if rdv_threshold is not None and rdv_threshold < 1:
@@ -104,6 +110,60 @@ class Strategy:
 
         return min(rails, key=naive)
 
+    def pinned_rail(self, rails: List[Nic], msg: Message) -> Optional[Nic]:
+        """The rail :attr:`rail` names among ``rails`` (the up rails
+        towards ``msg.dest``).
+
+        ``None`` when nothing is pinned, or when the pinned rail is down:
+        the caller then falls back to its unpinned choice rather than
+        wedging the send, and the failover is noted on ``msg``.
+        """
+        name = self.rail
+        if name is None:
+            return None
+        for nic in rails:
+            if name in (nic.profile.name, nic.name):
+                return nic
+        assert self.engine is not None
+        for nic in self.engine.all_rails_to(msg.dest):
+            if name in (nic.profile.name, nic.name):
+                msg.note_rail_avoided(
+                    nic.qualified_name, "down (failover)", nic.sim.now
+                )
+                return None
+        raise ConfigurationError(
+            f"no rail {name!r} towards {msg.dest}; have "
+            f"{[n.name for n in rails]}"
+        )
+
+    def eager_batch(self, head: Message) -> List[Message]:
+        """``head`` plus the queued same-destination eager messages that
+        fit one aggregated packet with it, in out-list order.
+
+        The packet bound is the smallest aggregation and eager limit of
+        the rails towards the destination; a head over it comes back
+        alone.
+        """
+        assert self.engine is not None
+        limit = min(
+            min(n.profile.max_aggregation, n.profile.eager_limit)
+            for n in self.rails_to(head.dest)
+        )
+        batch = [head]
+        if head.size > limit:
+            return batch
+        total = head.size
+        for m in self.engine.scheduler.iter_ready():
+            if m is head or m.dest != head.dest:
+                continue
+            if m.mode is TransferMode.RENDEZVOUS:
+                continue
+            if total + m.size > limit:
+                continue
+            batch.append(m)
+            total += m.size
+        return batch
+
     # ------------------------------------------------------------------ #
     # decision points (the §III-B invocation moments)
     # ------------------------------------------------------------------ #
@@ -136,21 +196,39 @@ class Strategy:
         """Drain what can be drained from the engine's out-list.
 
         Called on scheduler activation (new packets) and whenever a NIC
-        becomes idle.  Must be idempotent under spurious calls.
+        becomes idle; idempotent under spurious calls.  Sendable
+        messages are taken in out-list order: a rendezvous one starts
+        its handshake on :meth:`control_rail`, an eager one goes to
+        :meth:`send_eager`, and the pass ends at the first eager message
+        that must wait.  A message leaves the out-list when the engine
+        dispatches it.
         """
-        raise NotImplementedError
+        assert self.engine is not None
+        engine = self.engine
+        scheduler = engine.scheduler
+        while (msg := scheduler.peek_ready()) is not None:
+            if msg.mode is TransferMode.RENDEZVOUS:
+                engine.start_rendezvous(msg, control_nic=self.control_rail(msg))
+            elif not self.send_eager(msg):
+                return
 
-    def plan_rdv_data(self, msg: Message) -> "RailPlan":
-        """Rails and chunk sizes for a rendezvous data phase."""
-        from repro.core.prediction import RailPlan, SplitResult
+    def send_eager(self, msg: Message) -> bool:
+        """Dispatch the eager message at the head of the out-list.
 
-        nic = self.fastest_rail(msg.dest, msg.size, TransferMode.RENDEZVOUS)
-        return RailPlan(
-            nics=[nic],
-            sizes=[msg.size],
-            predicted_completion=0.0,
-            split=SplitResult(sizes=[msg.size], predicted_times=[0.0], iterations=0),
+        Return True once ``msg`` is submitted (eagerly, or as a
+        rendezvous when no eager packet can carry it), False to leave it
+        queued for the next NIC-idle activation.  Default: the whole
+        message on the fastest rail.
+        """
+        self.submit_whole_eager(
+            msg, self.fastest_rail(msg.dest, msg.size, TransferMode.EAGER)
         )
+        return True
+
+    def plan_rdv_data(self, msg: Message) -> RailPlan:
+        """Rails and chunk sizes for a rendezvous data phase."""
+        nic = self.fastest_rail(msg.dest, msg.size, TransferMode.RENDEZVOUS)
+        return RailPlan.over([nic], [msg.size])
 
     def control_rail(self, msg: Message) -> Nic:
         """Rail for REQ/ACK control packets (default: lowest predicted

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.core.packets import TransferMode
+from repro.core.packets import Message
 from repro.core.strategies.base import Strategy
 from repro.networks.nic import Nic
 
@@ -32,23 +32,11 @@ class GreedyStrategy(Strategy):
         rails.sort(key=lambda n: n.profile.pio_rate, reverse=True)
         return rails
 
-    def schedule_outlist(self) -> None:
-        assert self.engine is not None
-        scheduler = self.engine.scheduler
-        while True:
-            msg = scheduler.peek_ready()
-            if msg is None:
-                return
-            if msg.mode is TransferMode.RENDEZVOUS:
-                scheduler.pop_ready()
-                self.engine.start_rendezvous(msg, control_nic=self.control_rail(msg))
-                continue
-            idle = [
-                n
-                for n in self._idle_rails(msg.dest)
-                if msg.size <= n.profile.eager_limit
-            ]
-            if not idle:
-                return  # every capable rail busy; wait for a NIC-idle event
-            scheduler.pop_ready()
-            self.submit_whole_eager(msg, idle[0])
+    def send_eager(self, msg: Message) -> bool:
+        idle = [
+            n for n in self._idle_rails(msg.dest) if msg.size <= n.profile.eager_limit
+        ]
+        if not idle:
+            return False  # every capable rail busy; wait for a NIC-idle event
+        self.submit_whole_eager(msg, idle[0])
+        return True

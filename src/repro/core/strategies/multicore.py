@@ -21,61 +21,26 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.core.packets import Message, TransferMode
+from repro.core.prediction import RailPlan
 from repro.core.strategies.splitting import HeteroSplitStrategy
-from repro.util.errors import ConfigurationError
+
+#: never split eager messages smaller than this (guards the planner
+#: against pathological chunking; the TO term already pushes the
+#: crossover to ~4 KiB)
+MIN_SPLIT = 256
 
 
 class MulticoreSplitStrategy(HeteroSplitStrategy):
     """hetero_split + eager chunks offloaded to idle cores.
 
-    Parameters
-    ----------
-    offload_cost:
-        TO of equation (1): µs charged (in the *plan*) per additional
-        rail; the actual signalling cost paid at run time comes from the
-        topology (3 µs / 6 µs).  Defaults to the topology's signal cost.
-    min_split:
-        Never split eager messages smaller than this (guards the planner
-        against pathological chunking; the TO term already pushes the
-        crossover to ~4 KiB).
-    allow_preempt:
-        May chunk pickups preempt computing threads (6 µs) or only use
-        idle cores.
+    The eager plan charges the topology's signal cost as TO per
+    additional rail (the run-time signalling cost also comes from the
+    topology: 3 µs idle / 6 µs preempt), and chunk pickups may preempt
+    computing threads.  Parameters are :class:`HeteroSplitStrategy`'s.
     """
 
     name = "multicore_split"
     needs_sampling = True
-
-    def __init__(
-        self,
-        rdv_threshold: Optional[int] = None,
-        max_rails: Optional[int] = None,
-        use_idle_prediction: bool = True,
-        offload_cost: Optional[float] = None,
-        min_split: int = 256,
-        allow_preempt: bool = True,
-    ) -> None:
-        super().__init__(
-            rdv_threshold=rdv_threshold,
-            max_rails=max_rails,
-            use_idle_prediction=use_idle_prediction,
-        )
-        if offload_cost is not None and offload_cost < 0:
-            raise ConfigurationError(f"negative offload cost: {offload_cost}")
-        if min_split < 0:
-            raise ConfigurationError(f"negative min_split: {min_split}")
-        self.offload_cost = offload_cost
-        self.min_split = min_split
-        self.allow_preempt = allow_preempt
-
-    # ------------------------------------------------------------------ #
-
-    def _to(self) -> float:
-        """The planning TO: explicit override or the topology's 3 µs."""
-        if self.offload_cost is not None:
-            return self.offload_cost
-        assert self.engine is not None
-        return self.engine.machine.topology.signal_cost_us
 
     def choose_mode(self, msg: Message) -> TransferMode:
         """Unlike single-rail strategies, chunked eager sends can carry a
@@ -93,33 +58,39 @@ class MulticoreSplitStrategy(HeteroSplitStrategy):
                 return TransferMode.EAGER
         return base
 
-    def _fallback_single(self, msg: Message) -> None:
-        """Whole message on the fastest rail — or rendezvous when it no
-        longer fits a single eager packet."""
+    def send_eager(self, msg: Message) -> bool:
         assert self.engine is not None
-        nic = self.fastest_rail(msg.dest, msg.size, TransferMode.EAGER)
+        engine = self.engine
+        plan = self._eager_plan(msg)
+        if plan is not None and len(plan.nics) > 1:
+            if engine.hooks.on_split:
+                engine.hooks.on_split(
+                    engine.machine.name, msg, plan,
+                    engine.machine.topology.signal_cost_us, engine.sim.now,
+                )
+            engine.submit_eager_chunks(
+                msg, list(zip(plan.nics, plan.sizes)), offload=True
+            )
+            return True
+        # Whole on one rail — or rendezvous when it no longer fits a
+        # single eager packet.
+        if plan is not None:
+            nic = plan.nics[0]
+        else:
+            nic = self.fastest_rail(msg.dest, msg.size, TransferMode.EAGER)
         if msg.size <= nic.profile.eager_limit:
             self.submit_whole_eager(msg, nic)
         else:
-            self.engine.start_rendezvous(msg, control_nic=self.control_rail(msg))
+            engine.start_rendezvous(msg, control_nic=self.control_rail(msg))
+        return True
 
-    def schedule_outlist(self) -> None:
+    def _eager_plan(self, msg: Message) -> Optional[RailPlan]:
+        """Equation (1)'s split of an eager message, or None when it
+        goes whole on the fastest rail."""
         assert self.engine is not None
         engine = self.engine
-        scheduler = engine.scheduler
-        while (msg := scheduler.pop_ready()) is not None:
-            if msg.mode is TransferMode.RENDEZVOUS:
-                engine.start_rendezvous(msg, control_nic=self.control_rail(msg))
-                continue
-            self._emit_eager(msg)
-
-    def _emit_eager(self, msg: Message) -> None:
-        assert self.engine is not None
-        engine = self.engine
-        issuing_core = engine.app_core
-        if msg.size < self.min_split:
-            self._fallback_single(msg)
-            return
+        if msg.size < MIN_SPLIT:
+            return None
         # §III-B: at most min{#idle NICs, #idle cores} chunks.  The
         # issuing core counts as available — it submits the first chunk.
         rails = [
@@ -128,46 +99,21 @@ class MulticoreSplitStrategy(HeteroSplitStrategy):
             if msg.size <= n.profile.eager_limit or n.is_idle
         ]
         idle_rails = [n for n in rails if n.is_idle] or rails
-        cores_avail = 1 + len(
-            [
-                c
-                for c, preempt in engine.pioman.available_cores(exclude=issuing_core)
-                if self.allow_preempt or not preempt
-            ]
-        )
+        cores_avail = 1 + len(engine.pioman.available_cores(exclude=engine.app_core))
         max_rails = min(len(idle_rails), cores_avail)
         if self.max_rails is not None:
             max_rails = min(max_rails, self.max_rails)
         if max_rails <= 1:
-            self._fallback_single(msg)
-            return
+            return None
         plan = self.predictor.plan(
             idle_rails,
             msg.size,
             TransferMode.EAGER,
             max_rails=max_rails,
-            fixed_cost=self._to(),
+            fixed_cost=engine.machine.topology.signal_cost_us,
         )
-        # Respect per-rail eager limits; bail out to single rail if the
-        # plan violates one (rare: tiny limits + huge message).
+        # Respect per-rail eager limits (rare: tiny limits + huge message).
         for nic, chunk in zip(plan.nics, plan.sizes):
             if chunk > nic.profile.eager_limit:
-                self._fallback_single(msg)
-                return
-        if len(plan.nics) == 1:
-            nic = plan.nics[0]
-            if msg.size <= nic.profile.eager_limit:
-                self.submit_whole_eager(msg, nic)
-            else:
-                self.engine.start_rendezvous(msg, control_nic=self.control_rail(msg))
-            return
-        if engine.hooks.on_split:
-            engine.hooks.on_split(
-                engine.machine.name, msg, plan, self._to(), engine.sim.now
-            )
-        engine.submit_eager_chunks(
-            msg,
-            list(zip(plan.nics, plan.sizes)),
-            offload=True,
-            allow_preempt=self.allow_preempt,
-        )
+                return None
+        return plan

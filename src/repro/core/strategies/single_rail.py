@@ -13,10 +13,10 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.core.packets import Message, TransferMode
+from repro.core.packets import Message
+from repro.core.prediction import RailPlan
 from repro.core.strategies.base import Strategy
 from repro.networks.nic import Nic
-from repro.util.errors import ConfigurationError
 
 
 class SingleRailStrategy(Strategy):
@@ -27,7 +27,8 @@ class SingleRailStrategy(Strategy):
     rail:
         Technology name (``"myri10g"``) or NIC name; ``None`` picks the
         rail with the best sampled large-message bandwidth at attach time
-        (or the best ground-truth DMA rate without sampling).
+        (or the best ground-truth DMA rate without sampling).  A pinned
+        rail that is down fails over to that choice.
     """
 
     name = "single_rail"
@@ -36,52 +37,22 @@ class SingleRailStrategy(Strategy):
         super().__init__(rdv_threshold=rdv_threshold)
         self.rail = rail
 
-    def _rail_for(self, dest: str, msg: Optional[Message] = None) -> Nic:
-        rails = self.rails_to(dest, msg)
-        if self.rail is None:
-            return max(rails, key=lambda n: n.profile.dma_rate)
-        for nic in rails:
-            if self.rail in (nic.profile.name, nic.name):
-                return nic
-        # The pinned rail exists but is down: fail over to the best
-        # surviving rail rather than wedging the send.
-        assert self.engine is not None
-        for nic in self.engine.all_rails_to(dest):
-            if self.rail in (nic.profile.name, nic.name):
-                if msg is not None:
-                    msg.note_rail_avoided(
-                        nic.qualified_name, "down (failover)", nic.sim.now
-                    )
-                return max(rails, key=lambda n: n.profile.dma_rate)
-        raise ConfigurationError(
-            f"no rail {self.rail!r} towards {dest}; have "
-            f"{[n.name for n in rails]}"
-        )
+    def _rail_for(self, msg: Message) -> Nic:
+        rails = self.rails_to(msg.dest, msg)
+        nic = self.pinned_rail(rails, msg)
+        if nic is None:
+            nic = max(rails, key=lambda n: n.profile.dma_rate)
+        return nic
 
-    def schedule_outlist(self) -> None:
-        assert self.engine is not None
-        scheduler = self.engine.scheduler
-        while (msg := scheduler.pop_ready()) is not None:
-            nic = self._rail_for(msg.dest, msg)
-            if msg.mode is TransferMode.RENDEZVOUS:
-                self.engine.start_rendezvous(msg, control_nic=nic)
-            else:
-                self.submit_whole_eager(msg, nic)
+    def send_eager(self, msg: Message) -> bool:
+        self.submit_whole_eager(msg, self._rail_for(msg))
+        return True
 
-    def plan_rdv_data(self, msg: Message):
-        from repro.core.prediction import RailPlan
-        from repro.core.split import SplitResult
-
-        nic = self._rail_for(msg.dest, msg)
-        return RailPlan(
-            nics=[nic],
-            sizes=[msg.size],
-            predicted_completion=0.0,
-            split=SplitResult(sizes=[msg.size], predicted_times=[0.0], iterations=0),
-        )
+    def plan_rdv_data(self, msg: Message) -> RailPlan:
+        return RailPlan.over([self._rail_for(msg)], [msg.size])
 
     def control_rail(self, msg: Message) -> Nic:
-        return self._rail_for(msg.dest)
+        return self._rail_for(msg)
 
 
 class RoundRobinStrategy(Strategy):
@@ -99,33 +70,18 @@ class RoundRobinStrategy(Strategy):
         self._next += 1
         return nic
 
-    def schedule_outlist(self) -> None:
-        assert self.engine is not None
-        scheduler = self.engine.scheduler
-        while (msg := scheduler.pop_ready()) is not None:
-            if msg.mode is TransferMode.RENDEZVOUS:
-                # Control packets ride the first rail; the rotation is
-                # reserved for the payloads (plan_rdv_data below).
-                self.engine.start_rendezvous(
-                    msg, control_nic=self.rails_to(msg.dest)[0]
-                )
-                continue
-            nic = self._take_rail(msg.dest)
-            if msg.size <= nic.profile.eager_limit:
-                self.submit_whole_eager(msg, nic)
-            else:  # this rail cannot take it eagerly; rendezvous instead
-                self.engine.start_rendezvous(
-                    msg, control_nic=self.rails_to(msg.dest)[0]
-                )
-
-    def plan_rdv_data(self, msg: Message):
-        from repro.core.prediction import RailPlan
-        from repro.core.split import SplitResult
-
+    def send_eager(self, msg: Message) -> bool:
         nic = self._take_rail(msg.dest)
-        return RailPlan(
-            nics=[nic],
-            sizes=[msg.size],
-            predicted_completion=0.0,
-            split=SplitResult(sizes=[msg.size], predicted_times=[0.0], iterations=0),
-        )
+        if msg.size <= nic.profile.eager_limit:
+            self.submit_whole_eager(msg, nic)
+        else:  # this rail cannot take it eagerly; rendezvous instead
+            self.engine.start_rendezvous(msg, control_nic=self.control_rail(msg))
+        return True
+
+    def plan_rdv_data(self, msg: Message) -> RailPlan:
+        return RailPlan.over([self._take_rail(msg.dest)], [msg.size])
+
+    def control_rail(self, msg: Message) -> Nic:
+        # Control packets ride the first rail; the rotation is reserved
+        # for the payloads.
+        return self.rails_to(msg.dest)[0]

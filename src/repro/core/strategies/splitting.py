@@ -21,6 +21,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.core.packets import Message, TransferMode
+from repro.core.prediction import CompletionPredictor, RailPlan
 from repro.core.strategies.base import Strategy
 from repro.networks.nic import Nic
 from repro.util.errors import ConfigurationError
@@ -59,45 +60,19 @@ def striped_transfer_time(
     return waterfill_split(size, rails, mode).predicted_completion
 
 
-class _SplitBase(Strategy):
-    """Shared eager path: whole message on the fastest rail."""
-
-    def schedule_outlist(self) -> None:
-        assert self.engine is not None
-        scheduler = self.engine.scheduler
-        while (msg := scheduler.pop_ready()) is not None:
-            if msg.mode is TransferMode.RENDEZVOUS:
-                self.engine.start_rendezvous(msg, control_nic=self.control_rail(msg))
-            else:
-                nic = self.fastest_rail(msg.dest, msg.size, TransferMode.EAGER)
-                self.submit_whole_eager(msg, nic)
-
-
-class IsoSplitStrategy(_SplitBase):
+class IsoSplitStrategy(Strategy):
     """Equal-size chunks over all rails (Fig. 1b / Fig. 8 "Iso-split")."""
 
     name = "iso_split"
 
-    def plan_rdv_data(self, msg: Message):
-        from repro.core.prediction import RailPlan
-        from repro.core.split import SplitResult, equal_split
+    def plan_rdv_data(self, msg: Message) -> RailPlan:
+        from repro.core.split import equal_split
 
         rails = self.rails_to(msg.dest, msg)
-        sizes = equal_split(msg.size, len(rails))
-        used = [(n, s) for n, s in zip(rails, sizes) if s > 0]
-        return RailPlan(
-            nics=[n for n, _ in used],
-            sizes=[s for _, s in used],
-            predicted_completion=0.0,
-            split=SplitResult(
-                sizes=[s for _, s in used],
-                predicted_times=[0.0] * len(used),
-                iterations=0,
-            ),
-        )
+        return RailPlan.over(rails, equal_split(msg.size, len(rails)))
 
 
-class StaticRatioStrategy(_SplitBase):
+class StaticRatioStrategy(Strategy):
     """Fixed bandwidth-ratio split, computed once (OpenMPI-style, §II-A).
 
     The weights come from the sampled large-message plateaus — the "maximum
@@ -109,29 +84,17 @@ class StaticRatioStrategy(_SplitBase):
     name = "static_ratio"
     needs_sampling = True
 
-    def plan_rdv_data(self, msg: Message):
-        from repro.core.prediction import RailPlan
-        from repro.core.split import SplitResult, ratio_split
+    def plan_rdv_data(self, msg: Message) -> RailPlan:
+        from repro.core.split import ratio_split
 
         rails = self.rails_to(msg.dest, msg)
         weights = [
             self.predictor.estimator_for(n).plateau_bandwidth() for n in rails
         ]
-        sizes = ratio_split(msg.size, weights)
-        used = [(n, s) for n, s in zip(rails, sizes) if s > 0]
-        return RailPlan(
-            nics=[n for n, _ in used],
-            sizes=[s for _, s in used],
-            predicted_completion=0.0,
-            split=SplitResult(
-                sizes=[s for _, s in used],
-                predicted_times=[0.0] * len(used),
-                iterations=0,
-            ),
-        )
+        return RailPlan.over(rails, ratio_split(msg.size, weights))
 
 
-class HeteroSplitStrategy(_SplitBase):
+class HeteroSplitStrategy(Strategy):
     """THE paper's strategy: sampled equal-time split with idle prediction.
 
     Parameters
@@ -163,20 +126,20 @@ class HeteroSplitStrategy(_SplitBase):
         self._blind_cache: Optional[tuple] = None
 
     def _blind_predictor(self):
-        """Occupancy-blind view of the engine's predictor (ablation A3)."""
-        import repro.core.prediction as prediction
-
+        """Occupancy-blind view of the engine's predictor (ablation A3);
+        its plans reach the engine's hook stream like the source's."""
         source = self.predictor
         if self._blind_cache is None or self._blind_cache[0] is not source:
 
-            class _Blind(prediction.CompletionPredictor):
+            class _Blind(CompletionPredictor):
                 def busy_offset(self, nic: Nic) -> float:
                     return 0.0
 
-            self._blind_cache = (source, _Blind(source.estimators))
+            blind = _Blind(source.estimators, hooks=source.hooks, node=source.node)
+            self._blind_cache = (source, blind)
         return self._blind_cache[1]
 
-    def plan_rdv_data(self, msg: Message):
+    def plan_rdv_data(self, msg: Message) -> RailPlan:
         rails = self.rails_to(msg.dest, msg)
         calib = self.engine.calib
         if calib is not None:
@@ -186,7 +149,7 @@ class HeteroSplitStrategy(_SplitBase):
             return calib.plan_rdv_data(self, msg, rails)
         return self.hetero_plan(msg, rails)
 
-    def hetero_plan(self, msg: Message, rails):
+    def hetero_plan(self, msg: Message, rails) -> RailPlan:
         """The paper's full-trust split (also the calibration ladder's
         FULL level): subset selection + dichotomy over sampled curves."""
         predictor = self.predictor

@@ -212,9 +212,9 @@ class Nic:
         """Take the link down.  Idempotent while already down.
 
         Every transfer whose transmit phase has not drained yet is
-        aborted (its ``tx_done`` fires so offloading cores unblock, its
-        ``done`` never fires) and handed to the ``down_listeners`` — the
-        engine re-plans the stranded bytes onto surviving rails.
+        aborted (its ``tx_done`` fires so offloading cores unblock) and
+        handed to the ``down_listeners`` — the engine re-plans the
+        stranded bytes onto surviving rails.
         """
         if not self._up:
             return []
@@ -325,13 +325,11 @@ class Nic:
     # send pipelines
     # ------------------------------------------------------------------ #
 
-    def submit(self, transfer: Transfer, core: Core) -> SimEvent:
+    def submit(self, transfer: Transfer, core: Core) -> None:
         """Hand ``transfer`` to this NIC, issued from ``core``.
 
-        Returns the transfer's ``done`` event, triggered (with the
-        transfer) when the *receive side* finished processing it.  The
-        caller does not wait for the event to keep issuing — the NIC and
-        core FIFOs provide the back-pressure.
+        The caller keeps issuing without waiting — the NIC and core
+        FIFOs provide the back-pressure.
         """
         if self.wire is None:
             raise ConfigurationError(f"{self!r} is not wired to a peer")
@@ -339,8 +337,6 @@ class Nic:
             raise SchedulingError(
                 f"core {core.core_id} does not belong to {self.machine.name}"
             )
-        if transfer.done is None:
-            transfer.done = SimEvent(self.sim, name=f"transfer{transfer.transfer_id}.done")
         if transfer.tx_done is None:
             transfer.tx_done = SimEvent(
                 self.sim, name=f"transfer{transfer.transfer_id}.tx_done"
@@ -370,11 +366,11 @@ class Nic:
         if not self._up:
             # Submitting into a dead link aborts inline: tx_done fires so
             # offloading cores unblock, down_listeners get the transfer so
-            # the engine can re-plan it, and done never fires here.
+            # the engine can re-plan it.
             self._abort_transfer(transfer)
             for listener in list(self.down_listeners):
                 listener(self, [transfer])
-            return transfer.done
+            return
 
         self._pending.append(transfer)
         if transfer.kind is TransferKind.EAGER:
@@ -391,7 +387,6 @@ class Nic:
         else:  # control packet
             self._declare(0.0)
             self.sim.call_soon(self._control_start, transfer, core)
-        return transfer.done
 
     def expected_tx_time(self, transfer: Transfer) -> float:
         """Transmit-engine occupancy this transfer will be declared with."""

@@ -103,8 +103,6 @@ class Transfer:
     #: retry path so a superseded original never lands); cleared on landing
     wire_event: Optional[object] = None
 
-    #: triggered (with this Transfer) when receive-side processing is done
-    done: Optional[SimEvent] = None
     #: triggered (with this Transfer) when the send side finished its
     #: transmit phase (PIO copy or DMA drained) — what an offloading
     #: tasklet must wait for before letting a preempted thread back on

@@ -404,7 +404,7 @@ class Tracer:
                 "size": msg.size,
                 "rails": [n.qualified_name for n in plan.nics],
                 "chunk_sizes": list(plan.sizes),
-                "iterations": plan.split.iterations,
+                "iterations": plan.iterations,
                 "to_us": to_us,
             },
         )

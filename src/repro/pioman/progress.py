@@ -156,8 +156,6 @@ class PiomanEngine:
         transfer.t_complete = self.sim.now
         if self.hooks.on_rx_done:
             self.hooks.on_rx_done(transfer, nic, self.sim.now)
-        if transfer.done is not None:
-            transfer.done.trigger(transfer)
         if self.rx_dispatch is not None:
             self.rx_dispatch(transfer, nic)
 
@@ -181,7 +179,6 @@ class PiomanEngine:
         self,
         requests: List[SendRequest],
         issuing_core: Core,
-        allow_preempt: bool = True,
     ) -> List[Tasklet]:
         """Register chunk submissions and signal cores to pick them up.
 
@@ -200,15 +197,10 @@ class PiomanEngine:
         self.to_be_sent.extend(requests)
 
         tasklets: List[Tasklet] = []
-        candidates = [
-            (core, preempt)
-            for core, preempt in self.available_cores(exclude=issuing_core)
-            if allow_preempt or not preempt
-        ]
         # One picker per registered request: the issuing core first, then
         # one remote core per remaining request.
         pickers: List[Tuple[Core, bool]] = [(issuing_core, False)]
-        pickers += candidates[: len(requests) - 1]
+        pickers += self.available_cores(exclude=issuing_core)[: len(requests) - 1]
         while len(pickers) < len(requests):
             pickers.append((issuing_core, False))  # fallback: serialize locally
 

@@ -188,6 +188,13 @@ class TestFaultsSection:
         with pytest.raises(ConfigurationError, match="unknown faults keys"):
             builder_from_config(paper_config(faults={"surprise": 1}))
 
+    def test_backoff_keys_rejected(self):
+        for key in ("backoff_base", "backoff_factor", "backoff_max"):
+            with pytest.raises(ConfigurationError, match="unknown resilience keys"):
+                builder_from_config(
+                    paper_config(resilience={"timeout": "200us", key: 2.0})
+                )
+
     def test_bad_resilience_section_rejected(self):
         with pytest.raises(ConfigurationError, match="resilience"):
             builder_from_config(paper_config(resilience="fast please"))

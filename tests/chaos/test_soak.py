@@ -2,10 +2,12 @@
 
 import json
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.api import ClusterBuilder
 from repro.bench.runners import default_profiles
+from repro.core.strategies import strategy_registry
 from repro.faults import ChaosSchedule, run_scenario, soak
 from repro.faults.chaos import (
     CHAOS_MAX_RETRIES,
@@ -43,6 +45,12 @@ class TestSoakWindow:
     def test_explicit_seed_iterable(self):
         report = soak([3, 5, 8])
         assert [s.seed for s in report.scenarios] == [3, 5, 8]
+
+    @pytest.mark.parametrize("name", sorted(strategy_registry))
+    def test_ci_window_is_clean_for_every_strategy(self, name):
+        report = soak(50, strategy=name)
+        assert len(report.scenarios) == 50
+        assert report.violations == []
 
 
 class TestCounters:

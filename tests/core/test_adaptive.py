@@ -80,14 +80,6 @@ class TestModeSelection:
         assert m1.status is MessageStatus.COMPLETE
         assert m2.status is MessageStatus.COMPLETE
 
-    def test_aggregation_limit_parameter(self, profiles):
-        cluster = build(AdaptiveStrategy(aggregation_limit=1 * KiB), profiles)
-        a = cluster.session("node0")
-        m1 = a.isend("node1", 2 * KiB, tag=1)
-        m2 = a.isend("node1", 2 * KiB, tag=2)
-        cluster.run()
-        assert m1.aggregated_with == []  # over the configured limit
-
 
 class TestAdaptiveMatchesSpecialists:
     def test_matches_aggregate_on_fig3_workload(self, profiles):

@@ -126,16 +126,16 @@ class TestRailSelection:
 
 class TestRailPlanValidation:
     def test_mismatched_lengths_rejected(self, sim, rig):
-        from repro.core.split import SplitResult
-
         node_a, _ = rig
         with pytest.raises(ConfigurationError):
-            RailPlan(
-                nics=[node_a.nics[0]],
-                sizes=[1, 2],
-                predicted_completion=0.0,
-                split=SplitResult(sizes=[3], predicted_times=[0.0], iterations=0),
-            )
+            RailPlan(nics=[node_a.nics[0]], sizes=[1, 2])
+
+    def test_over_leaves_zero_byte_rails_out(self, sim, rig):
+        node_a, _ = rig
+        plan = RailPlan.over(node_a.nics, [0, 5], 3.0, 2)
+        assert plan.nics == [node_a.nics[1]]
+        assert plan.sizes == [5]
+        assert (plan.predicted_completion, plan.iterations) == (3.0, 2)
 
     def test_total(self, sim, rig):
         node_a, pred = rig
@@ -156,9 +156,7 @@ class TestPlanCache:
         assert second.nics == first.nics
         assert second.sizes == first.sizes
         assert second.predicted_completion == first.predicted_completion
-        assert second.split.sizes == first.split.sizes
-        assert second.split.predicted_times == first.split.predicted_times
-        assert second.split.iterations == first.split.iterations
+        assert second.iterations == first.iterations
 
     def test_cached_plan_matches_fresh_predictor(self, sim, rig, profiles):
         node_a, pred = rig

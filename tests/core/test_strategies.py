@@ -278,6 +278,26 @@ class TestHeteroSplit:
         assert len(m.rails_used) == 2
         assert m.latency > 50_000.0
 
+    @pytest.mark.parametrize("blind", [False, True])
+    def test_every_plan_reaches_the_hook_stream(self, profiles, blind):
+        """Blind plans (ablation A3) are traced too, with zero offsets."""
+        strategy = HeteroSplitStrategy(use_idle_prediction=not blind)
+        cluster = (
+            ClusterBuilder.paper_testbed(strategy=strategy)
+            .sampling(profiles=profiles)
+            .observability()
+            .build()
+        )
+        a, b = cluster.sessions("node0", "node1")
+        for i in range(3):
+            b.irecv(tag=i)
+            a.isend("node1", 1 * MiB, tag=i)
+        cluster.run()
+        plans = [e for e in cluster.obs.tracer.events if e["name"] == "plan"]
+        assert len(plans) == 3
+        offsets = [off for e in plans for off in e["args"]["busy_offsets_us"]]
+        assert (max(offsets) == 0.0) is blind
+
 
 class TestMulticoreSplit:
     def test_medium_eager_message_splits_across_cores(self, profiles):
@@ -317,7 +337,7 @@ class TestMulticoreSplit:
         assert len(m.rails_used) == 1
 
     def test_preemption_used_when_allowed(self, profiles):
-        cluster = build(MulticoreSplitStrategy(allow_preempt=True), profiles)
+        cluster = build(MulticoreSplitStrategy(), profiles)
         eng = cluster.engine("node0")
         for cid in (1, 2, 3):
             eng.marcel.spawn_compute(

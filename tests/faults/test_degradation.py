@@ -10,9 +10,10 @@ from repro.api import ClusterBuilder, FaultSchedule, RunResult
 from repro.bench.runners import default_profiles
 from repro.core import MessageStatus
 from repro.core.packets import DegradedSend, TransferMode
+from repro.core.strategies import AggregateStrategy, SingleRailStrategy
 from repro.networks import MxDriver
 from repro.obs import Timeline, explain
-from repro.util.units import MiB
+from repro.util.units import KiB, MiB
 
 from tests.conftest import wire_pair
 
@@ -175,6 +176,53 @@ class TestFlappingCluster:
         msgs2, r2 = self.run_stream()
         assert [m.t_complete for m in msgs1] == [m.t_complete for m in msgs2]
         assert r1.events_processed == r2.events_processed
+
+
+class TestPinnedRailFailover:
+    """A pinned rail that is down fails over instead of crashing the run."""
+
+    @pytest.mark.parametrize(
+        "strategy",
+        [SingleRailStrategy(rail="myri10g"), AggregateStrategy(rail="myri10g")],
+        ids=["single_rail", "aggregate"],
+    )
+    def test_down_pinned_rail_fails_over(self, strategy):
+        schedule = FaultSchedule().nic_down(
+            "node0.myri10g0", at=5.0, duration=500.0
+        )
+        cluster = (
+            ClusterBuilder.paper_testbed(strategy=strategy)
+            .faults(schedule)
+            .resilience(timeout="200us")
+            .build()
+        )
+        sender, receiver = cluster.sessions("node0", "node1")
+        msgs = []
+
+        def post():
+            for i in range(4):
+                receiver.irecv(tag=i)
+                msgs.append(sender.isend("node1", 1 * KiB, tag=i))
+
+        cluster.sim.schedule_at(10.0, post)
+        cluster.run()
+        assert all(m.status is MessageStatus.COMPLETE for m in msgs)
+        assert all(m.rails_used == ["node0.quadrics1"] for m in msgs)
+        assert any(
+            note.startswith("node0.myri10g0: down (failover)")
+            for note in msgs[0].rail_notes
+        )
+
+
+class TestBackoff:
+    def test_backoff_doubles_from_timeout_up_to_32x(self):
+        engine = faulty_cluster(None, timeout="100us").engine("node0")
+        ladder = [engine._backoff(n) for n in (0, 1, 4, 5, 6, 65)]
+        assert ladder == [100.0, 200.0, 1600.0, 3200.0, 3200.0, 3200.0]
+
+    def test_backoff_knobs_are_not_options(self):
+        with pytest.raises(TypeError):
+            faulty_cluster(None, backoff_factor=3.0)
 
 
 class TestPlannerFaultAwareness:

@@ -253,16 +253,6 @@ class TestRxHandler:
         sim.run()
         assert got == [t]
 
-    def test_done_event_returned(self, sim, single_rail_pair):
-        node_a, node_b = single_rail_pair
-        t = eager(64)
-        done = node_a.nics[0].submit(t, node_a.cores[0])
-        fired = []
-        node_b.nics[0].rx_handler = lambda tr: tr.done.trigger(tr)
-        done.subscribe(sim, fired.append)
-        sim.run()
-        assert fired == [t]
-
 
 class TestTransmitSlotMisuse:
     """The callback send pipelines keep the transmit slot's release checks."""

@@ -40,7 +40,7 @@ FIXTURE = pathlib.Path(__file__).with_name("timeline_golden.json")
 
 def fig4_multicore(record):
     cluster = build_paper_cluster(
-        MulticoreSplitStrategy(min_split=256), profiles=default_profiles()
+        MulticoreSplitStrategy(), profiles=default_profiles()
     )
     views = {
         "cluster": record(cluster),

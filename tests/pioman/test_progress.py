@@ -77,15 +77,6 @@ class TestReceiveSide:
         sim.run()
         assert got == [(7, node_a.nics[0].name)]
 
-    def test_done_event_triggered_at_completion(self, sim, rig):
-        node_a, _, _, _ = rig
-        t = eager(64)
-        done = node_a.nics[0].submit(t, node_a.cores[0])
-        stamps = []
-        done.subscribe(sim, lambda tr: stamps.append(sim.now))
-        sim.run()
-        assert stamps == [pytest.approx(t.t_complete)]
-
 
 class TestAvailableCores:
     def test_idle_cores_listed_before_preemptable(self, sim, rig):
@@ -168,22 +159,6 @@ class TestSendOffloading:
         assert reqs[1].t_picked == pytest.approx(16.0)  # 10 + 6 µs preempt
         assert reqs[1].picked_by_core == 1
         assert thread.preempt_count == 1
-
-    def test_allow_preempt_false_serializes_instead(self, sim, rig):
-        node_a, _, pio_a, _ = rig
-        marcel = pio_a.marcel
-        for cid in (1, 2, 3):
-            marcel.spawn_compute(node_a.cores[cid], work_us=None, preemptable=True)
-        reqs = [
-            SendRequest(eager(1024, 1), node_a.nics[0]),
-            SendRequest(eager(1024, 2), node_a.nics[1]),
-        ]
-        sim.schedule(10.0, lambda: pio_a.register_sends(
-            reqs, issuing_core=node_a.cores[0], allow_preempt=False
-        ))
-        sim.run(until=200.0)
-        assert reqs[1].picked_by_core == 0
-        assert marcel.preemptions == 0
 
     def test_empty_registration_is_noop(self, sim, rig):
         _, _, pio_a, _ = rig
