@@ -144,95 +144,57 @@ class Cluster:
             ),
         )
 
-    def resample(
-        self,
-        sampler: Optional["NetworkSampler"] = None,
-        rail: Optional[str] = None,
-        blend: Optional[float] = None,
-        repetitions: int = 1,
-    ) -> ProfileStore:
-        """Re-run the §III-C sampling pass and swap fresh estimators into
-        every engine.
+    def resample(self, rail: str, blend: float = 0.5) -> ProfileStore:
+        """Re-sample one live rail online and swap the blended estimator
+        into every engine.
 
         The paper samples once at launch; ablation A8 shows how much a
-        silently degraded rail costs under stale profiles.  Two modes:
+        silently degraded rail costs under stale profiles.  This is the
+        calibration drift loop's re-sample: ``rail`` is a qualified NIC
+        name (``"node0.myri10g0"``), measured with an
+        :class:`~repro.core.sampling.OnlineSampler` that mirrors the
+        live NIC's silent degradation onto the probes; the fresh curve
+        is blended into its technology's estimator with weight ``blend``
+        (``1.0`` replaces it outright).  The ping-pong runs on a
+        *private* simulator, so in-flight traffic is quiesced, not
+        disturbed.
 
-        * ``resample()`` — re-measure **every** technology on a pristine
-          private testbed and replace all estimators (the historical
-          behaviour; use after changing driver profile overrides).
-        * ``resample(rail=...)`` — the calibration drift loop's online
-          re-sample: measure **one** suspect rail with an
-          :class:`~repro.core.sampling.OnlineSampler` that mirrors the
-          live NIC's silent degradation onto the probes, then blend the
-          fresh curve into the existing estimator (``blend`` weight,
-          default 0.5; ``1.0`` replaces outright).  ``rail`` is either a
-          qualified NIC name (``"node0.myri10g0"``) or a technology name
-          (``"myri10g"`` — the slowest-looking NIC of that technology is
-          used as the template).  The ping-pong runs on a *private*
-          simulator, so in-flight traffic is quiesced, not disturbed.
-
-        Either way the engines' predictors are rebuilt, which also
-        invalidates plan caches (they are keyed per predictor instance).
+        The engines' predictors are rebuilt, which also invalidates plan
+        caches (they are keyed per predictor instance).
         """
         from repro.core.prediction import CompletionPredictor
         from repro.core.sampling import OnlineSampler
 
-        if rail is None:
-            drivers = {
-                nic.driver.technology: nic.driver
-                for machine in self.machines.values()
-                for nic in machine.nics
-            }
-            fresh = ProfileStore.sample_drivers(drivers.values(), sampler=sampler)
-            self.profiles = fresh
-        else:
-            nic = self._resolve_rail(rail)
-            if self.profiles is None:
-                raise ConfigurationError(
-                    "resample(rail=...) needs launch-time profiles to blend "
-                    "into; build with sampling enabled"
-                )
-            if sampler is None:
-                sampler = OnlineSampler(nic, repetitions=repetitions)
-            tech = nic.driver.technology
-            fresh_est = sampler.sample(nic.driver).to_estimator()
-            weight = 0.5 if blend is None else blend
-            old = self.profiles.estimators.get(tech)
-            # Copy-on-write: the store may be shared (e.g. the cached
-            # default_profiles), so never mutate it in place.
-            store = ProfileStore(self.profiles.estimators)
-            store.estimators[tech] = (
-                fresh_est if old is None or weight >= 1.0
-                else old.blend(fresh_est, weight)
-            )
-            self.profiles = fresh = store
-        for engine in self.engines.values():
-            engine.predictor = CompletionPredictor(
-                fresh.estimators, hooks=self.hooks, node=engine.machine.name
-            )
-        return fresh
-
-    def _resolve_rail(self, rail: str) -> Nic:
-        """Map ``rail`` to a live NIC: exact qualified name first, else
-        the worst-degraded NIC of that technology (ties by name)."""
-        nics = [
-            nic
+        if not 0.0 < blend <= 1.0:
+            raise ConfigurationError(f"blend must be in (0, 1], got {blend}")
+        nics = {
+            nic.qualified_name: nic
             for machine in self.machines.values()
             for nic in machine.nics
-        ]
-        for nic in nics:
-            if nic.qualified_name == rail:
-                return nic
-        candidates = [n for n in nics if n.driver.technology == rail]
-        if not candidates:
-            have = sorted({n.qualified_name for n in nics})
+        }
+        nic = nics.get(rail)
+        if nic is None:
+            raise ConfigurationError(f"no rail {rail!r}; have {sorted(nics)}")
+        if self.profiles is None:
             raise ConfigurationError(
-                f"no rail {rail!r}; have {have} "
-                f"(or a technology name from {sorted({n.driver.technology for n in nics})})"
+                "resample(rail) needs launch-time profiles to blend into; "
+                "build with sampling enabled"
             )
-        return min(
-            candidates, key=lambda n: (n.silent_bw_factor, n.qualified_name)
+        tech = nic.driver.technology
+        fresh = OnlineSampler(nic).sample(nic.driver).to_estimator()
+        old = self.profiles.estimators.get(tech)
+        # Copy-on-write: the store may be shared (e.g. the cached
+        # default_profiles), so never mutate it in place.
+        store = ProfileStore(self.profiles.estimators)
+        store.estimators[tech] = (
+            fresh if old is None or blend == 1.0 else old.blend(fresh, blend)
         )
+        self.profiles = store
+        for engine in self.engines.values():
+            engine.predictor = CompletionPredictor(
+                store.estimators, hooks=self.hooks, node=engine.machine.name
+            )
+        return store
 
     # ------------------------------------------------------------------ #
     # observability front-door (see docs/observability.md)
@@ -501,21 +463,22 @@ class ClusterBuilder:
         for name in fabric.nodes:
             self.add_node(name)
         nodes = list(fabric.nodes)
+        # Wire rails go pair by pair, each pair over every wire rail: a
+        # node's NICs then number in peer order (MpiWorld.create's mesh).
+        wires = [rail for rail in fabric.rails if rail.kind == "wire"]
+        for i, node_a in enumerate(nodes):
+            for node_b in nodes[i + 1:]:
+                for rail in wires:
+                    self.add_rail(rail.technology, node_a, node_b, **rail.overrides)
         for rail in fabric.rails:
-            if rail.kind == "wire":
-                for i, node_a in enumerate(nodes):
-                    for node_b in nodes[i + 1:]:
-                        self.add_rail(
-                            rail.technology, node_a, node_b, **rail.overrides
-                        )
-            elif rail.kind == "switch":
+            if rail.kind == "switch":
                 self.add_switch(
                     rail.technology,
                     nodes,
                     switch_latency=rail.switch_latency,
                     **rail.overrides,
                 )
-            else:  # fat_tree (FabricRail validated the kind already)
+            elif rail.kind == "fat_tree":
                 self.add_fat_tree(
                     rail.technology,
                     nodes,
@@ -645,10 +608,7 @@ class ClusterBuilder:
         return self
 
     def invariants(
-        self,
-        enabled: bool = True,
-        trail_depth: Optional[int] = None,
-        strict_checksums: bool = True,
+        self, enabled: bool = True, trail_depth: Optional[int] = None
     ) -> "ClusterBuilder":
         """Attach a cluster-wide :class:`repro.core.invariants.InvariantMonitor`.
 
@@ -656,13 +616,12 @@ class ClusterBuilder:
         path is bit-identical to a build without this call: the monitor
         is purely passive (it reads state and raises, never schedules
         events), so enabling it moves no simulated timestamp either.
-        ``trail_depth`` bounds the violation-report observation trail;
-        ``strict_checksums`` toggles per-chunk wire-checksum verification.
+        ``trail_depth`` bounds the violation-report observation trail.
         """
         if not enabled:
             self._invariants = None
             return self
-        spec: Dict[str, Any] = {"strict_checksums": strict_checksums}
+        spec: Dict[str, Any] = {}
         if trail_depth is not None:
             if trail_depth < 1:
                 raise ConfigurationError(
@@ -672,7 +631,9 @@ class ClusterBuilder:
         self._invariants = spec
         return self
 
-    def calibration(self, enabled: bool = True, **knobs) -> "ClusterBuilder":
+    def calibration(
+        self, enabled: bool = True, min_samples: int = 3, cooldown: float = 300.0
+    ) -> "ClusterBuilder":
         """Attach the closed-loop drift defense (docs/calibration.md).
 
         Off by default — and, like :meth:`observability`, the disabled
@@ -682,13 +643,14 @@ class ClusterBuilder:
         drifting rails online, and degrades the split strategy along the
         FULL → PARTIAL → SINGLE fallback ladder while confidence is low.
 
-        ``knobs`` are forwarded to
-        :class:`repro.core.calibration.CalibrationController` (``blend``,
-        ``auto_resample``, ``clamp_frac``, ``resample_repetitions``,
-        detector knobs such as ``drift_threshold``/``cooldown``, and
-        ``ladder_knobs``).
+        ``min_samples`` (observations a size band needs before it may
+        trigger) and ``cooldown`` (simulated µs before the same rail may
+        trigger again) configure the
+        :class:`repro.core.calibration.DriftDetector`.
         """
-        self._calibration = dict(knobs) if enabled else None
+        self._calibration = (
+            {"min_samples": min_samples, "cooldown": cooldown} if enabled else None
+        )
         return self
 
     # ------------------------------------------------------------------ #

@@ -23,8 +23,8 @@ Downstream users describe a testbed once and rebuild it everywhere::
       ]},
       "resilience": {"timeout": "200us", "max_retries": 8},
       "observability": {"trace": true, "metrics": true, "accuracy": true},
-      "invariants": {"strict_checksums": true, "trail_depth": 64},
-      "calibration": {"blend": 0.5, "drift_threshold": 0.15}
+      "invariants": {"trail_depth": 64},
+      "calibration": {"min_samples": 3, "cooldown": 300.0}
     }
 
 Instead of explicit ``nodes`` + ``rails``, a ``fabric`` section
@@ -62,7 +62,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Dict, Union
+from typing import Any, Callable, Dict, Set, Union
 
 from repro.api.cluster import Cluster, ClusterBuilder
 from repro.core.sampling import ProfileStore
@@ -104,21 +104,9 @@ _OBSERVABILITY_KEYS = {
     "collectives",
 }
 
-_INVARIANTS_KEYS = {"strict_checksums", "trail_depth"}
+_INVARIANTS_KEYS = {"trail_depth"}
 
-_CALIBRATION_KEYS = {
-    "blend",
-    "auto_resample",
-    "clamp_frac",
-    "resample_repetitions",
-    "alpha",
-    "drift_threshold",
-    "clear_threshold",
-    "min_samples",
-    "cooldown",
-    "confidence_scale",
-    "ladder_knobs",
-}
+_CALIBRATION_KEYS = {"min_samples", "cooldown"}
 
 
 def _load_dict(source: ConfigSource) -> Dict[str, Any]:
@@ -131,6 +119,35 @@ def _load_dict(source: ConfigSource) -> Dict[str, Any]:
         raise ConfigurationError(f"cannot read cluster config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"{path} is not valid JSON: {exc}") from exc
+
+
+def _on_off_section(
+    config: Dict[str, Any],
+    name: str,
+    method: Callable[..., ClusterBuilder],
+    known: Set[str],
+) -> None:
+    """Apply one on/off section: ``true`` arms ``method``'s defaults,
+    ``false`` turns it off, and a dict of ``known`` keys is forwarded."""
+    section = config.get(name)
+    if section is None:
+        return
+    if section is True:
+        method()
+    elif section is False:
+        method(enabled=False)
+    elif isinstance(section, dict):
+        bad = set(section) - known
+        if bad:
+            raise ConfigurationError(
+                f"unknown {name} keys {sorted(bad)}; known: {sorted(known)}"
+            )
+        method(**section)
+    else:
+        raise ConfigurationError(
+            f"'{name}' must be true, false, or a dict of "
+            f"{sorted(known)}; got {section!r}"
+        )
 
 
 def builder_from_config(source: ConfigSource) -> ClusterBuilder:
@@ -246,65 +263,11 @@ def builder_from_config(source: ConfigSource) -> ClusterBuilder:
             )
         builder.resilience(**resilience)
 
-    observability = config.get("observability")
-    if observability is not None:
-        if observability is True:
-            builder.observability()
-        elif observability is False:
-            builder.observability(enabled=False)
-        elif isinstance(observability, dict):
-            bad = set(observability) - _OBSERVABILITY_KEYS
-            if bad:
-                raise ConfigurationError(
-                    f"unknown observability keys {sorted(bad)}; "
-                    f"known: {sorted(_OBSERVABILITY_KEYS)}"
-                )
-            builder.observability(**observability)
-        else:
-            raise ConfigurationError(
-                f"'observability' must be true, false, or a dict of "
-                f"{sorted(_OBSERVABILITY_KEYS)}; got {observability!r}"
-            )
-
-    invariants = config.get("invariants")
-    if invariants is not None:
-        if invariants is True:
-            builder.invariants()
-        elif invariants is False:
-            builder.invariants(enabled=False)
-        elif isinstance(invariants, dict):
-            bad = set(invariants) - _INVARIANTS_KEYS
-            if bad:
-                raise ConfigurationError(
-                    f"unknown invariants keys {sorted(bad)}; "
-                    f"known: {sorted(_INVARIANTS_KEYS)}"
-                )
-            builder.invariants(**invariants)
-        else:
-            raise ConfigurationError(
-                f"'invariants' must be true, false, or a dict of "
-                f"{sorted(_INVARIANTS_KEYS)}; got {invariants!r}"
-            )
-
-    calibration = config.get("calibration")
-    if calibration is not None:
-        if calibration is True:
-            builder.calibration()
-        elif calibration is False:
-            builder.calibration(enabled=False)
-        elif isinstance(calibration, dict):
-            bad = set(calibration) - _CALIBRATION_KEYS
-            if bad:
-                raise ConfigurationError(
-                    f"unknown calibration keys {sorted(bad)}; "
-                    f"known: {sorted(_CALIBRATION_KEYS)}"
-                )
-            builder.calibration(**calibration)
-        else:
-            raise ConfigurationError(
-                f"'calibration' must be true, false, or a dict of "
-                f"{sorted(_CALIBRATION_KEYS)}; got {calibration!r}"
-            )
+    _on_off_section(
+        config, "observability", builder.observability, _OBSERVABILITY_KEYS
+    )
+    _on_off_section(config, "invariants", builder.invariants, _INVARIANTS_KEYS)
+    _on_off_section(config, "calibration", builder.calibration, _CALIBRATION_KEYS)
     return builder
 
 

@@ -463,39 +463,28 @@ class MpiWorld:
         ``observability=True`` arms the full obs bundle (tracer, metrics,
         link/spine accounting, collective profiler, flight recorder).
         """
-        if fabric is not None:
-            if n_ranks is not None and n_ranks != fabric.size:
+        if fabric is None:
+            if n_ranks is None:
+                raise ConfigurationError("pass n_ranks or a fabric")
+            if n_ranks < 2:
                 raise ConfigurationError(
-                    f"n_ranks {n_ranks} != fabric size {fabric.size}; "
-                    "pass one or the other"
+                    f"an MPI world needs >= 2 ranks, got {n_ranks}"
                 )
-            ranked = fabric.with_node_names(
-                [_rank_name(r) for r in range(fabric.size)]
+            fabric = Fabric.full_mesh(n_ranks, rails)
+        elif n_ranks is not None and n_ranks != fabric.size:
+            raise ConfigurationError(
+                f"n_ranks {n_ranks} != fabric size {fabric.size}; "
+                "pass one or the other"
             )
-            builder = ClusterBuilder(strategy=strategy).fabric(ranked)
-            if profiles is not None:
-                builder.sampling(profiles=profiles)
-            if observability:
-                builder.observability()
-            return cls(
-                builder.build(), fabric.size, collectives=collectives
-            )
-        if n_ranks is None:
-            raise ConfigurationError("pass n_ranks or a fabric")
-        if n_ranks < 2:
-            raise ConfigurationError(f"an MPI world needs >= 2 ranks, got {n_ranks}")
-        builder = ClusterBuilder(strategy=strategy)
-        for r in range(n_ranks):
-            builder.add_node(_rank_name(r))
-        for a in range(n_ranks):
-            for b in range(a + 1, n_ranks):
-                for rail in rails:
-                    builder.add_rail(rail, _rank_name(a), _rank_name(b))
+        ranked = fabric.with_node_names(
+            [_rank_name(r) for r in range(fabric.size)]
+        )
+        builder = ClusterBuilder(strategy=strategy).fabric(ranked)
         if profiles is not None:
             builder.sampling(profiles=profiles)
         if observability:
             builder.observability()
-        return cls(builder.build(), n_ranks, collectives=collectives)
+        return cls(builder.build(), fabric.size, collectives=collectives)
 
     @classmethod
     def from_cluster(

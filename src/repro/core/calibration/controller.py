@@ -14,15 +14,16 @@ When on, the loop closes like this:
    (receiver side, zero simulated cost) and its relative prediction
    error feeds the :class:`~repro.core.calibration.drift.DriftDetector`;
 2. a drift trigger re-samples the suspect rail **online** via
-   ``Cluster.resample(rail=...)`` — an in-sim ping-pong on a private
+   ``Cluster.resample(rail)`` — an in-sim ping-pong on a private
    testbed mirroring the rail's current (possibly silently degraded)
-   speed, exponentially blended into the estimator;
+   speed, exponentially blended (weight :data:`BLEND`) into the
+   estimator;
 3. every rendezvous split consults :meth:`plan_rdv_data`, which walks
    the :class:`~repro.core.calibration.ladder.FallbackLadder`: full
    hetero split while confidence holds, iso split under partial trust,
    single most-trusted rail when the profiles cannot be compared at
-   all.  At full trust, two-rail dichotomy splits are clamped when the
-   rails' error bars overlap.
+   all.  At full trust, two-rail dichotomy splits are clamped to
+   :data:`CLAMP_SHARE` when the rails' error bars overlap.
 
 Unlike obs/invariants, an *enabled* controller deliberately changes
 planning — that is its job.  It stays deterministic: every decision is
@@ -31,17 +32,23 @@ a pure function of simulated state.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List
 
 from repro.core.calibration.drift import DriftDetector
 from repro.core.calibration.ladder import FallbackLadder, TrustLevel
 from repro.core.packets import TransferMode
-from repro.util.errors import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.packets import Message
     from repro.networks.nic import Nic
     from repro.networks.transfer import Transfer
+
+#: weight of each fresh profile blended into the estimator
+#: (``new = (1-BLEND)·old + BLEND·fresh`` per grid point)
+BLEND = 0.5
+#: at full trust, the largest share a two-rail dichotomy split may give
+#: one rail once the rails' confidence intervals overlap
+CLAMP_SHARE = 0.75
 
 
 class ResampleRecord:
@@ -72,51 +79,12 @@ class ResampleRecord:
 class CalibrationController:
     """Drift detection → online re-sampling → fallback ladder, wired.
 
-    Parameters
-    ----------
-    blend:
-        Exponential blending weight of each fresh profile
-        (``new = (1-blend)·old + blend·fresh`` per grid point).
-    auto_resample:
-        When False the controller detects drift and degrades trust but
-        never re-samples on its own — observation-only mode (the
-        experiments use it for the "blind but aware" baseline).
-    clamp_frac:
-        At full trust, the largest share a two-rail dichotomy split may
-        give one rail once the rails' confidence intervals overlap.
-    resample_repetitions:
-        Ping-pong repetitions per grid point of an online re-sample.
-    detector / ladder:
-        Pre-built collaborators (defaults constructed from the
-        remaining keyword knobs; see their classes for semantics).
+    ``min_samples`` and ``cooldown`` configure the
+    :class:`~repro.core.calibration.drift.DriftDetector`.
     """
 
-    def __init__(
-        self,
-        blend: float = 0.5,
-        auto_resample: bool = True,
-        clamp_frac: float = 0.75,
-        resample_repetitions: int = 1,
-        detector: Optional[DriftDetector] = None,
-        ladder_knobs: Optional[Dict[str, float]] = None,
-        **detector_knobs,
-    ) -> None:
-        if not 0.0 < blend <= 1.0:
-            raise ConfigurationError(f"blend must be in (0, 1], got {blend}")
-        if not 0.5 <= clamp_frac < 1.0:
-            raise ConfigurationError(
-                f"clamp_frac must be in [0.5, 1), got {clamp_frac}"
-            )
-        if resample_repetitions < 1:
-            raise ConfigurationError(
-                f"resample_repetitions must be >= 1, got {resample_repetitions}"
-            )
-        self.blend = blend
-        self.auto_resample = auto_resample
-        self.clamp_frac = clamp_frac
-        self.resample_repetitions = resample_repetitions
-        self.detector = detector or DriftDetector(**detector_knobs)
-        self._ladder_knobs = dict(ladder_knobs or {})
+    def __init__(self, min_samples: int = 3, cooldown: float = 300.0) -> None:
+        self.detector = DriftDetector(min_samples=min_samples, cooldown=cooldown)
         self._ladders: Dict[str, FallbackLadder] = {}
         self._cluster = None
         self._nics: Dict[str, "Nic"] = {}
@@ -151,7 +119,7 @@ class CalibrationController:
     def ladder_for(self, node: str) -> FallbackLadder:
         ladder = self._ladders.get(node)
         if ladder is None:
-            ladder = self._ladders[node] = FallbackLadder(**self._ladder_knobs)
+            ladder = self._ladders[node] = FallbackLadder()
         return ladder
 
     # ------------------------------------------------------------------ #
@@ -212,8 +180,7 @@ class CalibrationController:
             hooks = self._cluster.hooks
             if hooks.on_drift:
                 hooks.on_drift(sender, band, self.detector.band_error(rail, band))
-            if self.auto_resample and self._cluster is not None:
-                self._resample(rail, band)
+            self._resample(rail, band)
 
     @staticmethod
     def _band(size: int) -> str:
@@ -229,11 +196,7 @@ class CalibrationController:
         cluster = self._cluster
         nic = self._nics[rail]
         now = nic.sim.now
-        cluster.resample(
-            rail=rail,
-            blend=self.blend,
-            repetitions=self.resample_repetitions,
-        )
+        cluster.resample(rail, blend=BLEND)
         tech = nic.profile.name
         self._resampled_at[tech] = now
         # The whole technology shares one estimator: forget the evidence
@@ -242,10 +205,10 @@ class CalibrationController:
             if other.profile.name == tech:
                 self.detector.reset_rail(qname)
         self.resample_log.append(
-            ResampleRecord(now, rail, tech, self.blend, trigger_band)
+            ResampleRecord(now, rail, tech, BLEND, trigger_band)
         )
         if cluster.hooks.on_resample:
-            cluster.hooks.on_resample(nic, self.blend)
+            cluster.hooks.on_resample(nic, BLEND)
 
     # ------------------------------------------------------------------ #
     # the planning path (strategy side)
@@ -296,7 +259,7 @@ class CalibrationController:
         uncertainty of ``±e_i·t_i`` (its band's error EWMA).  When the
         intervals ``[t_i(1−e_i), t_i(1+e_i)]`` intersect, the solver's
         preference between the rails is within noise — so no rail may
-        receive more than ``clamp_frac`` of the bytes.  With zero
+        receive more than :data:`CLAMP_SHARE` of the bytes.  With zero
         observed error the intervals are points and healthy planning is
         untouched.
         """
@@ -314,7 +277,7 @@ class CalibrationController:
         if abs(t[0] - t[1]) > e[0] * t[0] + e[1] * t[1]:
             return plan
         total = plan.total
-        cap = int(self.clamp_frac * total)
+        cap = int(CLAMP_SHARE * total)
         hi = 0 if plan.sizes[0] >= plan.sizes[1] else 1
         if plan.sizes[hi] <= cap:
             return plan

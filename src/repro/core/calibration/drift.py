@@ -9,11 +9,11 @@ error:
 
     ewma ← (1 − α)·ewma + α·|actual − predicted| / predicted
 
-Three mechanisms keep it from flapping:
+with α = :data:`ALPHA`.  Three mechanisms keep it from flapping:
 
 * **threshold hysteresis** — a band enters the *drifting* state when its
-  EWMA crosses ``drift_threshold`` and only leaves it again below the
-  strictly lower ``clear_threshold``;
+  EWMA crosses :data:`DRIFT_THRESHOLD` and only leaves it again below
+  the strictly lower :data:`CLEAR_THRESHOLD`;
 * **minimum evidence** — no trigger before ``min_samples`` observations
   landed in the band (one noisy chunk is not drift);
 * **cooldown** — after a trigger on some rail, further triggers for the
@@ -21,16 +21,26 @@ Three mechanisms keep it from flapping:
   re-sampled profile time to take effect before being judged.
 
 Each rail also gets a **confidence score** in ``[0, 1]``: the worst
-band's EWMA mapped through ``max(0, 1 − ewma / confidence_scale)``.
+band's EWMA mapped through ``max(0, 1 − ewma / CONFIDENCE_SCALE)``.
 Fresh rails (no evidence) score 1.0 — trust until proven wrong, exactly
 like the paper's engine does.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.util.errors import ConfigurationError
+
+#: EWMA weight of the newest observation
+ALPHA = 0.3
+#: EWMA above which a band enters the drifting state
+DRIFT_THRESHOLD = 0.15
+#: EWMA below which a drifting band is healthy again (the gap to
+#: DRIFT_THRESHOLD is the hysteresis)
+CLEAR_THRESHOLD = 0.05
+#: EWMA value at which a rail's confidence reaches 0
+CONFIDENCE_SCALE = 0.5
 
 
 class BandState:
@@ -60,64 +70,26 @@ class DriftDetector:
 
     Parameters
     ----------
-    alpha:
-        EWMA weight of the newest observation.
-    drift_threshold / clear_threshold:
-        Enter/exit bounds of the *drifting* state (enter must be
-        strictly above exit — that gap is the hysteresis).
     min_samples:
         Observations required in a band before it may trigger.
     cooldown:
         Simulated µs after a trigger during which the same rail cannot
         trigger again.
-    confidence_scale:
-        EWMA value at which a rail's confidence reaches 0.
     """
 
-    def __init__(
-        self,
-        alpha: float = 0.3,
-        drift_threshold: float = 0.15,
-        clear_threshold: float = 0.05,
-        min_samples: int = 3,
-        cooldown: float = 300.0,
-        confidence_scale: float = 0.5,
-    ) -> None:
-        if not 0.0 < alpha <= 1.0:
-            raise ConfigurationError(f"alpha must be in (0, 1], got {alpha}")
-        if drift_threshold <= clear_threshold:
-            raise ConfigurationError(
-                f"drift_threshold ({drift_threshold}) must exceed "
-                f"clear_threshold ({clear_threshold}) — that gap is the "
-                f"hysteresis"
-            )
-        if clear_threshold < 0.0:
-            raise ConfigurationError(f"negative clear_threshold: {clear_threshold}")
+    def __init__(self, min_samples: int = 3, cooldown: float = 300.0) -> None:
         if min_samples < 1:
             raise ConfigurationError(f"min_samples must be >= 1, got {min_samples}")
         if cooldown < 0.0:
             raise ConfigurationError(f"negative cooldown: {cooldown}")
-        if confidence_scale <= 0.0:
-            raise ConfigurationError(
-                f"confidence_scale must be positive, got {confidence_scale}"
-            )
-        self.alpha = alpha
-        self.drift_threshold = drift_threshold
-        self.clear_threshold = clear_threshold
         self.min_samples = min_samples
         self.cooldown = cooldown
-        self.confidence_scale = confidence_scale
         self._bands: Dict[Tuple[str, str], BandState] = {}
         self._last_trigger: Dict[str, float] = {}
-        #: (time, rail, band, ewma) per trigger, in firing order
-        self.trigger_log: List[Tuple[float, str, str, float]] = []
 
     def __repr__(self) -> str:
         drifting = sum(1 for b in self._bands.values() if b.drifting)
-        return (
-            f"<DriftDetector {len(self._bands)} band(s), "
-            f"{drifting} drifting, {len(self.trigger_log)} trigger(s)>"
-        )
+        return f"<DriftDetector {len(self._bands)} band(s), {drifting} drifting>"
 
     # ------------------------------------------------------------------ #
     # observation
@@ -129,7 +101,7 @@ class DriftDetector:
         """Fold one relative error into ``(rail, band)``.
 
         Returns True exactly when this observation *newly* pushes the
-        band into the drifting state (EWMA crossed ``drift_threshold``
+        band into the drifting state (EWMA crossed ``DRIFT_THRESHOLD``
         with enough evidence) and the rail is out of cooldown — i.e. the
         caller should re-sample the rail now.
         """
@@ -141,16 +113,16 @@ class DriftDetector:
         if state.samples == 0:
             state.ewma = rel_error
         else:
-            state.ewma += self.alpha * (rel_error - state.ewma)
+            state.ewma += ALPHA * (rel_error - state.ewma)
         state.samples += 1
         state.last_error = rel_error
         state.last_update = now
         if state.drifting:
             # Hysteresis: only a drop below the *lower* bound clears.
-            if state.ewma < self.clear_threshold:
+            if state.ewma < CLEAR_THRESHOLD:
                 state.drifting = False
             return False
-        if state.ewma <= self.drift_threshold:
+        if state.ewma <= DRIFT_THRESHOLD:
             return False
         if state.samples < self.min_samples:
             return False
@@ -159,7 +131,6 @@ class DriftDetector:
         if last is not None and now - last < self.cooldown:
             return False
         self._last_trigger[rail] = now
-        self.trigger_log.append((now, rail, band, state.ewma))
         return True
 
     # ------------------------------------------------------------------ #
@@ -182,7 +153,7 @@ class DriftDetector:
                     worst = state.ewma
         if not seen:
             return 1.0
-        conf = 1.0 - worst / self.confidence_scale
+        conf = 1.0 - worst / CONFIDENCE_SCALE
         return conf if conf > 0.0 else 0.0
 
     def rails(self) -> List[str]:

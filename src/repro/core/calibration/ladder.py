@@ -12,11 +12,11 @@ confidence drops:
               single most-trusted rail
 
 Transitions are hysteretic twice over: each boundary has distinct
-enter/exit thresholds (``*_exit`` below ``*_enter``), and a minimum
-dwell time must pass between any two transitions — so confidence noise
-around a boundary cannot make the planner oscillate between split
-shapes (which would thrash the predictor's plan cache and produce
-unstable traffic patterns).
+enter/exit thresholds (``*_EXIT`` below ``*_ENTER``), and a minimum
+:data:`DWELL` time must pass between any two transitions — so
+confidence noise around a boundary cannot make the planner oscillate
+between split shapes (which would thrash the predictor's plan cache and
+produce unstable traffic patterns).
 """
 
 from __future__ import annotations
@@ -24,7 +24,15 @@ from __future__ import annotations
 from enum import IntEnum
 from typing import List, Tuple
 
-from repro.util.errors import ConfigurationError
+#: leave FULL below this confidence; return to it at or above FULL_ENTER
+FULL_EXIT = 0.6
+FULL_ENTER = 0.75
+#: the same pair for the PARTIAL/SINGLE boundary (PARTIAL_ENTER must not
+#: exceed FULL_EXIT, or the bands would overlap)
+PARTIAL_EXIT = 0.25
+PARTIAL_ENTER = 0.4
+#: minimum simulated µs between two transitions
+DWELL = 200.0
 
 
 class TrustLevel(IntEnum):
@@ -36,49 +44,9 @@ class TrustLevel(IntEnum):
 
 
 class FallbackLadder:
-    """Hysteretic three-level trust state machine for one sending node.
+    """Hysteretic three-level trust state machine for one sending node."""
 
-    Parameters
-    ----------
-    full_exit / full_enter:
-        Leave FULL below ``full_exit``; return to FULL at or above
-        ``full_enter`` (must be higher — hysteresis).
-    partial_exit / partial_enter:
-        Same pair for the PARTIAL/SINGLE boundary.
-    dwell:
-        Minimum simulated µs between two transitions.
-    """
-
-    def __init__(
-        self,
-        full_exit: float = 0.6,
-        full_enter: float = 0.75,
-        partial_exit: float = 0.25,
-        partial_enter: float = 0.4,
-        dwell: float = 200.0,
-    ) -> None:
-        if not 0.0 <= full_exit < full_enter <= 1.0:
-            raise ConfigurationError(
-                f"need 0 <= full_exit < full_enter <= 1, "
-                f"got {full_exit} / {full_enter}"
-            )
-        if not 0.0 <= partial_exit < partial_enter <= 1.0:
-            raise ConfigurationError(
-                f"need 0 <= partial_exit < partial_enter <= 1, "
-                f"got {partial_exit} / {partial_enter}"
-            )
-        if partial_enter > full_exit:
-            raise ConfigurationError(
-                f"partial_enter ({partial_enter}) must not exceed "
-                f"full_exit ({full_exit}) — the bands would overlap"
-            )
-        if dwell < 0.0:
-            raise ConfigurationError(f"negative dwell: {dwell}")
-        self.full_exit = full_exit
-        self.full_enter = full_enter
-        self.partial_exit = partial_exit
-        self.partial_enter = partial_enter
-        self.dwell = dwell
+    def __init__(self) -> None:
         self.level = TrustLevel.FULL
         self._last_transition: float = float("-inf")
         #: (time, from, to, confidence) per transition, in order
@@ -93,23 +61,23 @@ class FallbackLadder:
     def update(self, confidence: float, now: float) -> TrustLevel:
         """Fold the current minimum rail confidence; return the level.
 
-        At most one step per call, and only after ``dwell`` µs have
+        At most one step per call, and only after :data:`DWELL` µs have
         passed since the previous transition.
         """
-        if now - self._last_transition < self.dwell:
+        if now - self._last_transition < DWELL:
             return self.level
         level = self.level
         target = level
         if level is TrustLevel.FULL:
-            if confidence < self.full_exit:
+            if confidence < FULL_EXIT:
                 target = TrustLevel.PARTIAL
         elif level is TrustLevel.PARTIAL:
-            if confidence < self.partial_exit:
+            if confidence < PARTIAL_EXIT:
                 target = TrustLevel.SINGLE
-            elif confidence >= self.full_enter:
+            elif confidence >= FULL_ENTER:
                 target = TrustLevel.FULL
         else:  # SINGLE
-            if confidence >= self.partial_enter:
+            if confidence >= PARTIAL_ENTER:
                 target = TrustLevel.PARTIAL
         if target is not level:
             self.level = target

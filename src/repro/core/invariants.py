@@ -169,14 +169,10 @@ class InvariantMonitor:
     ----------
     trail_depth:
         How many recent hook observations to keep for violation reports.
-    strict_checksums:
-        Verify the wire checksum of every delivered data chunk (on by
-        default; the check is a handful of integer ops per chunk).
     """
 
     __slots__ = (
         "trail_depth",
-        "strict_checksums",
         "_trail",
         "_last_time",
         "_ledgers",
@@ -187,11 +183,8 @@ class InvariantMonitor:
         "duplicates_seen",
     )
 
-    def __init__(
-        self, trail_depth: int = DEFAULT_TRAIL_DEPTH, strict_checksums: bool = True
-    ) -> None:
+    def __init__(self, trail_depth: int = DEFAULT_TRAIL_DEPTH) -> None:
         self.trail_depth = int(trail_depth)
-        self.strict_checksums = bool(strict_checksums)
         self._trail: Deque[str] = deque(maxlen=self.trail_depth)
         self._last_time: float = float("-inf")
         self._ledgers: Dict[int, _MessageLedger] = {}
@@ -272,7 +265,7 @@ class InvariantMonitor:
             # A receive-side-only view (the sender's engine has no
             # monitor, or the message predates monitor installation).
             ledger = self._ledgers[msg.msg_id] = _MessageLedger(size=msg.size)
-        if self.strict_checksums and transfer.checksum is not None:
+        if transfer.checksum is not None:
             from repro.networks.transfer import wire_checksum
 
             expected = wire_checksum(transfer)

@@ -146,10 +146,13 @@ class Message:
 
         Deduplicated on (rail, reason): re-planning every activation while
         a fault holds produces one note, stamped with its first occurrence.
+        A reason that merely starts like another (``down`` and
+        ``down (failover)``) is a note of its own.
         """
         key = f"{rail}: {reason}"
+        stamped = key + " (first at t="
         for existing in self.rail_notes:
-            if existing.startswith(key):
+            if existing == key or existing.startswith(stamped):
                 return
         stamp = "" if now is None else f" (first at t={now:.2f}us)"
         self.rail_notes.append(key + stamp)

@@ -182,16 +182,8 @@ class OnlineSampler(NetworkSampler):
     estimator view; baking it into the profile would double-count.
     """
 
-    def __init__(
-        self,
-        live_nic: Nic,
-        eager_sizes: Optional[Sequence[int]] = None,
-        dma_sizes: Optional[Sequence[int]] = None,
-        repetitions: int = 1,
-    ) -> None:
-        super().__init__(
-            eager_sizes=eager_sizes, dma_sizes=dma_sizes, repetitions=repetitions
-        )
+    def __init__(self, live_nic: Nic) -> None:
+        super().__init__()
         self.live_nic = live_nic
 
     def _prepare_probe(self, nic_a: Nic, nic_b: Nic) -> None:

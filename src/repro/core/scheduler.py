@@ -38,6 +38,10 @@ class OptimizerScheduler:
     def __len__(self) -> int:
         return len(self._outlist)
 
+    def __iter__(self) -> Iterator[Message]:
+        """The queued messages in out-list order (sendable or not)."""
+        return iter(self._outlist)
+
     # ------------------------------------------------------------------ #
     # out-list access (strategy-facing)
     # ------------------------------------------------------------------ #
@@ -54,11 +58,6 @@ class OptimizerScheduler:
             if self.engine.sendable(msg):
                 return msg
         return None
-
-    def iter_ready(self) -> Iterator[Message]:
-        """Snapshot iteration over sendable messages (safe to
-        :meth:`remove` while iterating)."""
-        return iter([m for m in self._outlist if self.engine.sendable(m)])
 
     def remove(self, msg: Message) -> None:
         """Take a dispatched message off the out-list (the engine's

@@ -142,7 +142,8 @@ class Strategy:
 
         The packet bound is the smallest aggregation and eager limit of
         the rails towards the destination; a head over it comes back
-        alone.
+        alone.  ``head`` is sendable, and so is every candidate: it
+        travels to the same destination over the same rails.
         """
         assert self.engine is not None
         limit = min(
@@ -153,7 +154,7 @@ class Strategy:
         if head.size > limit:
             return batch
         total = head.size
-        for m in self.engine.scheduler.iter_ready():
+        for m in self.engine.scheduler:
             if m is head or m.dest != head.dest:
                 continue
             if m.mode is TransferMode.RENDEZVOUS:

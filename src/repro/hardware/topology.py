@@ -282,7 +282,7 @@ class Fabric:
         prefix: str = "node",
     ) -> "Fabric":
         """N nodes, dedicated point-to-point wires per pair and rail
-        (the shape :meth:`MpiWorld.create` has always built)."""
+        (:meth:`MpiWorld.create`'s default world)."""
         return cls(
             nodes=tuple(f"{prefix}{i}" for i in range(n)),
             rails=tuple(FabricRail(technology=r, kind="wire") for r in rails),

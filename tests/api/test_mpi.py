@@ -29,6 +29,22 @@ class TestWorldConstruction:
         for r in range(3):
             assert len(world.cluster.machines[f"rank{r}"].nics) == 4
 
+    def test_full_mesh_wires_each_peer_over_every_rail(self, profiles):
+        """NICs number pair by pair, every rail of a pair before the next
+        peer's (the order of Fabric.full_mesh through the builder)."""
+        world = make_world(4, profiles)
+        rank0 = world.cluster.machines["rank0"]
+        assert [
+            (nic.name, nic.wire.peer_of(nic).qualified_name) for nic in rank0.nics
+        ] == [
+            ("myri10g0", "rank1.myri10g0"),
+            ("quadrics1", "rank1.quadrics1"),
+            ("myri10g2", "rank2.myri10g0"),
+            ("quadrics3", "rank2.quadrics1"),
+            ("myri10g4", "rank3.myri10g0"),
+            ("quadrics5", "rank3.quadrics1"),
+        ]
+
     def test_size_and_comms(self, profiles):
         world = make_world(2, profiles)
         assert world.size == 2

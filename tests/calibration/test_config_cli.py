@@ -31,7 +31,8 @@ class TestConfigKey:
     def test_true_arms_defaults(self):
         cluster = load_cluster(paper_config(calibration=True))
         assert isinstance(cluster.calibration, CalibrationController)
-        assert cluster.calibration.auto_resample is True
+        assert cluster.calibration.detector.min_samples == 3
+        assert cluster.calibration.detector.cooldown == 300.0
 
     def test_false_is_off(self):
         cluster = load_cluster(paper_config(calibration=False))
@@ -46,24 +47,36 @@ class TestConfigKey:
 
     def test_dict_threads_the_knobs(self):
         cluster = load_cluster(
-            paper_config(
-                calibration={
-                    "blend": 0.3,
-                    "auto_resample": False,
-                    "drift_threshold": 0.2,
-                    "cooldown": 500.0,
-                }
-            )
+            paper_config(calibration={"min_samples": 5, "cooldown": 500.0})
         )
         calib = cluster.calibration
-        assert calib.blend == 0.3
-        assert calib.auto_resample is False
-        assert calib.detector.drift_threshold == 0.2
+        assert calib.detector.min_samples == 5
         assert calib.detector.cooldown == 500.0
 
     def test_unknown_knob_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown calibration"):
             builder_from_config(paper_config(calibration={"turbo": 9000}))
+
+    def test_removed_knobs_rejected(self):
+        """Only min_samples and cooldown are settings; the rest of the
+        loop runs on module constants."""
+        removed = {
+            "alpha": 0.3,
+            "auto_resample": False,
+            "blend": 0.5,
+            "clamp_frac": 0.75,
+            "clear_threshold": 0.05,
+            "confidence_scale": 0.5,
+            "drift_threshold": 0.15,
+            "ladder_knobs": {"dwell": 200.0},
+            "resample_repetitions": 1,
+        }
+        with pytest.raises(ConfigurationError) as err:
+            builder_from_config(paper_config(calibration=removed))
+        assert str(err.value) == (
+            f"unknown calibration keys {sorted(removed)}; "
+            "known: ['cooldown', 'min_samples']"
+        )
 
     def test_non_dict_non_bool_rejected(self):
         with pytest.raises(ConfigurationError, match="calibration"):

@@ -10,6 +10,7 @@ import pytest
 from repro.api.cluster import ClusterBuilder
 from repro.bench.runners import default_profiles
 from repro.core.calibration import CalibrationController
+from repro.core.calibration.controller import CLAMP_SHARE
 from repro.faults import FaultSchedule
 from repro.util.errors import ConfigurationError
 
@@ -90,15 +91,6 @@ class TestClosedLoop:
             assert ladder["level"] == "FULL"
             assert ladder["transitions"] == []
 
-    def test_observation_only_mode_never_resamples(self):
-        cluster = build(auto_resample=False)
-        sequential_stream(cluster)
-        snap = cluster.calibration_snapshot()
-        assert snap["drift_events"] >= 1
-        assert snap["resamples"] == []
-        # ... the ladder still degrades trust on its own evidence.
-        assert snap["ladders"]["node0"]["transitions"]
-
 
 class TestObsIntegration:
     def test_counters_and_trace_instants(self):
@@ -129,25 +121,43 @@ class TestObsIntegration:
 
 
 class TestClamp:
+    @staticmethod
+    def busy_quadrics_split(seeded_error):
+        """Bytes per node0 rail of one 4 MiB send planned while
+        quadrics1 is 2,000 µs busy (which pushes the dichotomy past
+        CLAMP_SHARE on myri10g0), after seeding ``seeded_error`` into
+        both rails' 4M band."""
+        # min_samples keeps the seeded error (above DRIFT_THRESHOLD)
+        # from convicting a rail: a resample would reset the evidence.
+        # Confidence stays above FULL_EXIT, so the ladder stays FULL.
+        cluster = build(degraded=False, min_samples=100)
+        node0 = cluster.machines["node0"]
+        if seeded_error:
+            for nic in node0.nics:
+                cluster.calibration.detector.observe(
+                    nic.qualified_name, "4M", seeded_error, now=0.0
+                )
+        node0.nic_by_name("quadrics1").inject_busy(2000.0)
+        src, dst = cluster.sessions("node0", "node1")
+        dst.irecv(source="node0")
+        msg = src.isend("node1", SIZE)
+        cluster.run()
+        split = {
+            t.nic_name: t.size for t in msg.transfers if not t.kind.is_control
+        }
+        return split, cluster.calibration.clamped_splits
+
     def test_overlapping_error_bars_clamp_the_split(self):
         """Two rails whose confidence intervals overlap: the dichotomy's
         preference is within noise, so neither rail may take more than
-        clamp_frac of the bytes."""
-        # drift_threshold sits above the seeded error so the detector
-        # never convicts (a resample would reset the seeded evidence);
-        # confidence_scale keeps the ladder at FULL despite the noise.
-        cluster = build(
-            degraded=False,
-            confidence_scale=5.0,
-            clamp_frac=0.5,
-            drift_threshold=5.0,
-        )
-        calib = cluster.calibration
-        for nic in cluster.machines["node0"].nics:
-            calib.detector.observe(nic.qualified_name, "4M", 0.6, now=0.0)
-            calib.detector.observe(nic.qualified_name, "4M", 0.6, now=0.1)
-        sequential_stream(cluster, count=2)
-        assert calib.clamped_splits >= 1
+        CLAMP_SHARE of the bytes."""
+        split, clamped = self.busy_quadrics_split(seeded_error=0.0)
+        assert clamped == 0
+        assert split[RAIL] > CLAMP_SHARE * SIZE
+        split, clamped = self.busy_quadrics_split(seeded_error=0.18)
+        assert clamped == 1
+        cap = int(CLAMP_SHARE * SIZE)
+        assert split == {RAIL: cap, "node0.quadrics1": SIZE - cap}
 
     def test_zero_error_never_clamps(self):
         cluster = build(degraded=False)
@@ -190,17 +200,3 @@ class TestAccessors:
         assert "drift event" in report
         assert "resample @" in report
         assert "confidence" in report
-
-    @pytest.mark.parametrize(
-        "kw",
-        [
-            {"blend": 0.0},
-            {"blend": 1.5},
-            {"clamp_frac": 0.4},
-            {"clamp_frac": 1.0},
-            {"resample_repetitions": 0},
-        ],
-    )
-    def test_bad_knobs_rejected(self, kw):
-        with pytest.raises(ConfigurationError):
-            CalibrationController(**kw)

@@ -3,13 +3,16 @@
 import pytest
 
 from repro.core.calibration import DriftDetector
+from repro.core.calibration.drift import (
+    ALPHA,
+    CLEAR_THRESHOLD,
+    CONFIDENCE_SCALE,
+    DRIFT_THRESHOLD,
+)
 from repro.util.errors import ConfigurationError
 
 
 def detector(**kw):
-    kw.setdefault("alpha", 0.5)
-    kw.setdefault("drift_threshold", 0.15)
-    kw.setdefault("clear_threshold", 0.05)
     kw.setdefault("min_samples", 2)
     kw.setdefault("cooldown", 100.0)
     return DriftDetector(**kw)
@@ -22,10 +25,10 @@ class TestEwma:
         assert d.band_error("r", "1M") == 0.4
 
     def test_later_samples_blend_by_alpha(self):
-        d = detector(alpha=0.5)
+        d = detector()
         d.observe("r", "1M", 0.4, now=0.0)
         d.observe("r", "1M", 0.0, now=1.0)
-        assert d.band_error("r", "1M") == pytest.approx(0.2)
+        assert d.band_error("r", "1M") == pytest.approx((1.0 - ALPHA) * 0.4)
 
     def test_bands_are_independent(self):
         d = detector()
@@ -50,19 +53,22 @@ class TestTrigger:
         assert d.observe("r", "1M", 0.9, now=0.0) is True
         for t in range(1, 20):
             assert d.observe("r", "1M", 0.9, now=1000.0 * t) is False
-        assert len(d.trigger_log) == 1
 
     def test_clears_only_below_clear_threshold(self):
-        d = detector(min_samples=1, alpha=1.0)
-        d.observe("r", "1M", 0.9, now=0.0)
-        # 0.10 is below drift_threshold but above clear_threshold:
-        # still drifting, still silent.
-        d.observe("r", "1M", 0.10, now=200.0)
+        d = detector(min_samples=1)
+        assert d.observe("r", "1M", 0.2, now=0.0) is True
+        # One zero error pulls the EWMA below DRIFT_THRESHOLD but not
+        # below CLEAR_THRESHOLD: still drifting, still silent.
+        assert d.observe("r", "1M", 0.0, now=200.0) is False
+        assert CLEAR_THRESHOLD < d.band_error("r", "1M") < DRIFT_THRESHOLD
         assert d.snapshot()["r"]["1M"]["drifting"] is True
-        d.observe("r", "1M", 0.01, now=400.0)
+        now = 200.0
+        while d.band_error("r", "1M") >= CLEAR_THRESHOLD:
+            now += 100.0
+            assert d.observe("r", "1M", 0.0, now=now) is False
         assert d.snapshot()["r"]["1M"]["drifting"] is False
         # ... and a fresh excursion can trigger again (cooldown passed).
-        assert d.observe("r", "1M", 0.9, now=600.0) is True
+        assert d.observe("r", "1M", 0.9, now=now + 100.0) is True
 
     def test_cooldown_suppresses_same_rail(self):
         d = detector(min_samples=1, cooldown=100.0)
@@ -73,13 +79,16 @@ class TestTrigger:
         assert d.observe("q", "1M", 0.9, now=50.0) is True
 
     def test_never_flaps_on_noise_around_threshold(self):
-        """Errors oscillating across the enter threshold produce exactly
-        one trigger, not a trigger train."""
-        d = detector(min_samples=1, alpha=0.9, cooldown=0.0)
-        triggers = sum(
-            d.observe("r", "1M", err, now=float(i))
-            for i, err in enumerate([0.2, 0.1, 0.2, 0.1, 0.2, 0.14, 0.2])
-        )
+        """An EWMA oscillating across the enter threshold produces
+        exactly one trigger, not a trigger train."""
+        d = detector(min_samples=1, cooldown=0.0)
+        crossings = 0
+        triggers = 0
+        for i, err in enumerate([0.2, 0.0, 0.3, 0.0, 0.3, 0.0, 0.3]):
+            was_above = d.band_error("r", "1M") > DRIFT_THRESHOLD
+            triggers += d.observe("r", "1M", err, now=float(i))
+            crossings += was_above != (d.band_error("r", "1M") > DRIFT_THRESHOLD)
+        assert crossings == 7  # every observation crosses it
         assert triggers == 1
 
 
@@ -88,13 +97,13 @@ class TestConfidence:
         assert detector().confidence("never-seen") == 1.0
 
     def test_worst_band_drives_the_score(self):
-        d = detector(confidence_scale=0.5)
+        d = detector()
         d.observe("r", "1M", 0.1, now=0.0)
         d.observe("r", "4M", 0.25, now=0.0)
-        assert d.confidence("r") == pytest.approx(1.0 - 0.25 / 0.5)
+        assert d.confidence("r") == pytest.approx(1.0 - 0.25 / CONFIDENCE_SCALE)
 
     def test_clamped_at_zero(self):
-        d = detector(confidence_scale=0.5)
+        d = detector()
         d.observe("r", "1M", 5.0, now=0.0)
         assert d.confidence("r") == 0.0
 
@@ -110,19 +119,13 @@ class TestConfidence:
 
 
 class TestValidation:
-    def test_enter_must_exceed_exit(self):
-        with pytest.raises(ConfigurationError):
-            DriftDetector(drift_threshold=0.05, clear_threshold=0.05)
-
+    # The ids are the ones these cases had while the list also held the
+    # alpha cases (kw0, kw1), which went with the alpha setting.
     @pytest.mark.parametrize(
         "kw",
         [
-            {"alpha": 0.0},
-            {"alpha": 1.5},
-            {"min_samples": 0},
-            {"cooldown": -1.0},
-            {"confidence_scale": 0.0},
-            {"clear_threshold": -0.1},
+            pytest.param({"min_samples": 0}, id="kw2"),
+            pytest.param({"cooldown": -1.0}, id="kw3"),
         ],
     )
     def test_bad_knobs_rejected(self, kw):

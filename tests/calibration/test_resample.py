@@ -1,4 +1,4 @@
-"""Online re-sampling: OnlineSampler probes + Cluster.resample(rail=...)."""
+"""Online re-sampling: OnlineSampler probes + Cluster.resample(rail)."""
 
 import pytest
 
@@ -69,17 +69,17 @@ class TestClusterResampleRail:
             2.0 * old.dma.times[-1], rel=0.01
         )
 
-    def test_technology_name_picks_worst_nic(self):
-        cluster = degraded_cluster(bw_factor=0.5)
-        cluster.resample(rail="myri10g", blend=1.0)
-        fresh = cluster.profiles.estimators["myri10g"]
-        # Resolved to the degraded node0 NIC, so the fresh curve is 2x.
-        base = NetworkSampler().sample(
-            cluster.machines["node0"].nics[0].driver
-        ).to_estimator()
-        assert fresh.dma.times[-1] == pytest.approx(
-            2.0 * base.dma.times[-1], rel=0.01
-        )
+    def test_technology_name_rejected(self):
+        """``rail`` names one live NIC; a technology name is not one."""
+        cluster = degraded_cluster()
+        with pytest.raises(ConfigurationError, match="node0.myri10g0"):
+            cluster.resample(rail="myri10g")
+
+    @pytest.mark.parametrize("blend", [0.0, 1.5])
+    def test_bad_blend_rejected(self, blend):
+        cluster = degraded_cluster()
+        with pytest.raises(ConfigurationError, match="blend"):
+            cluster.resample(rail="node0.myri10g0", blend=blend)
 
     def test_untouched_technology_keeps_its_estimator(self):
         cluster = degraded_cluster()
@@ -117,9 +117,3 @@ class TestClusterResampleRail:
         cluster = degraded_cluster()
         with pytest.raises(ConfigurationError):
             cluster.resample(rail="node9.ethernet0")
-
-    def test_full_resample_still_works(self):
-        cluster = degraded_cluster()
-        fresh = cluster.resample()
-        assert set(fresh.estimators) == {"myri10g", "quadrics"}
-        assert cluster.profiles is fresh

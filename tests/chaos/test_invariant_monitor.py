@@ -103,14 +103,6 @@ class TestDeliveryChecks:
         with pytest.raises(InvariantViolation, match="chunk-checksum"):
             mon.on_delivery(msg, bad, 10.0)
 
-    def test_checksums_can_be_relaxed(self):
-        mon = InvariantMonitor(strict_checksums=False)
-        msg = msg_stub()
-        mon.on_send(msg)
-        bad = chunk()
-        bad.checksum ^= 0xBEEF
-        mon.on_delivery(msg, bad, 10.0)  # tolerated
-
     def test_incomplete_bytes_at_completion_violate(self):
         mon = InvariantMonitor()
         msg = msg_stub(size=8192)
@@ -215,11 +207,10 @@ class TestBuilderWiring:
             {
                 "nodes": [{"name": "node0"}, {"name": "node1"}],
                 "rails": [{"driver": "myri10g", "between": ["node0", "node1"]}],
-                "invariants": {"strict_checksums": False, "trail_depth": 16},
+                "invariants": {"trail_depth": 16},
             }
         )
         assert cluster.invariants is not None
-        assert cluster.invariants.strict_checksums is False
         assert cluster.invariants.trail_depth == 16
 
     def test_config_rejects_unknown_invariants_key(self):
@@ -236,3 +227,22 @@ class TestBuilderWiring:
                     "invariants": {"ghost": 1},
                 }
             )
+
+    def test_config_rejects_strict_checksums(self):
+        """Checksums are always verified; the old switch is an unknown key."""
+        from repro.api.config import load_cluster
+        from repro.util.errors import ConfigurationError
+
+        with pytest.raises(ConfigurationError) as err:
+            load_cluster(
+                {
+                    "nodes": [{"name": "node0"}, {"name": "node1"}],
+                    "rails": [
+                        {"driver": "myri10g", "between": ["node0", "node1"]}
+                    ],
+                    "invariants": {"strict_checksums": False},
+                }
+            )
+        assert str(err.value) == (
+            "unknown invariants keys ['strict_checksums']; known: ['trail_depth']"
+        )

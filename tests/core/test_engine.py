@@ -192,7 +192,7 @@ class TestResample:
     def test_resample_swaps_estimators_everywhere(self, profiles):
         cluster = build("hetero_split", profiles)
         old_predictors = {n: e.predictor for n, e in cluster.engines.items()}
-        fresh = cluster.resample()
+        fresh = cluster.resample("node0.myri10g0", blend=1.0)
         assert cluster.profiles is fresh
         for name, engine in cluster.engines.items():
             assert engine.predictor is not old_predictors[name]
@@ -225,7 +225,7 @@ class TestResample:
         stale = one_way(build_degraded(stale_profiles))
 
         cluster = build_degraded(stale_profiles)
-        cluster.resample()
+        cluster.resample("node0.myri10g0", blend=1.0)
         fresh = one_way(cluster)
         assert fresh < 0.85 * stale
 

@@ -190,6 +190,38 @@ class TestAggregate:
         assert results["aggregate"] < results["greedy"]
 
 
+class TestEagerBatch:
+    @pytest.mark.parametrize("strategy", ["adaptive", "aggregate"])
+    def test_out_list_depth_adds_no_sendable_checks(
+        self, strategy, profiles, monkeypatch
+    ):
+        """Batch candidates share the head's destination, so gathering a
+        batch checks none of them again: 400 sends posted at once cost
+        at most two ``sendable`` checks each."""
+        from repro.core.engine import NmadEngine
+
+        calls = []
+        sendable = NmadEngine.sendable
+
+        def counting(engine, msg):
+            calls.append(msg)
+            return sendable(engine, msg)
+
+        monkeypatch.setattr(NmadEngine, "sendable", counting)
+        cluster = build(strategy, profiles)
+        a, b = cluster.session("node0"), cluster.session("node1")
+        count = 400
+        for tag in range(count):
+            b.irecv(tag=tag)
+        msgs = [
+            a.isend("node1", 64 if tag % 2 == 0 else 20 * KiB, tag=tag)
+            for tag in range(count)
+        ]
+        cluster.run()
+        assert all(m.status is MessageStatus.COMPLETE for m in msgs)
+        assert len(calls) <= 2 * count
+
+
 class TestIsoSplit:
     def test_equal_chunks(self, profiles):
         cluster = build("iso_split", profiles)

@@ -157,7 +157,7 @@ class TestPredictionAccuracy:
         obs hub (regression: silently losing telemetry)."""
         cluster = _accuracy_cluster(faults=False)
         before = cluster.accuracy_snapshot()["samples"]
-        cluster.resample()
+        cluster.resample("node0.myri10g0", blend=1.0)
         a, b = cluster.sessions("node0", "node1")
         b.irecv(source="node0")
         a.isend("node1", "2M")
