@@ -965,19 +965,20 @@ def _rails_span(ranks: int, plan: Mapping[int, List[int]]) -> int:
 
 def _rails_receives(
     comm: "Communicator",
-    matrix: Sequence[Sequence[int]],
+    column: Sequence[int],
     tag: int,
     plan: Mapping[int, List[int]],
 ) -> List:
     """One receive per incoming segment, posted up front: segment ``t``
-    of every flow rides ``tag + t``."""
+    of every flow rides ``tag + t``.  ``column[src]`` is the bytes rank
+    ``src`` sends to this rank (the matrix column of this rank)."""
     r = comm.rank
     name = comm.peer_name
     return [
         comm.session.irecv(source=name(src), tag=tag + t)
-        for src, flows in enumerate(matrix)
-        if src != r and flows[r] > 0
-        for t in range(len(plan[flows[r]]))
+        for src, size in enumerate(column)
+        if src != r and size > 0
+        for t in range(len(plan[size]))
     ]
 
 
@@ -1041,11 +1042,24 @@ def _rails(
     plan: Mapping[int, List[int]],
 ) -> Iterator:
     """:func:`alltoallv_rails` from a segment plan."""
-    handles = _rails_receives(comm, matrix, tag, plan)
+    r = comm.rank
+    return _rails_flows(comm, matrix[r], [row[r] for row in matrix], tag, plan)
+
+
+def _rails_flows(
+    comm: "Communicator",
+    row: Sequence[int],
+    column: Sequence[int],
+    tag: int,
+    plan: Mapping[int, List[int]],
+) -> Iterator:
+    """:func:`_rails` from this rank's matrix ``row`` (bytes it sends to
+    each rank) and ``column`` (bytes each rank sends to it)."""
+    handles = _rails_receives(comm, column, tag, plan)
     name = comm.peer_name
     sends = [
         comm.session.isend(name(dst), seg, tag=tag + t)
-        for dst, t, seg in _balanced_order(comm.rank, matrix[comm.rank], plan)
+        for dst, t, seg in _balanced_order(comm.rank, row, plan)
     ]
     for msg in sends:
         yield from comm.session.wait(msg)
@@ -1134,7 +1148,7 @@ def _replan(
     n = comm.size
     r = comm.rank
     name = comm.peer_name
-    handles = _rails_receives(comm, matrix, tag, plan)
+    handles = _rails_receives(comm, [row[r] for row in matrix], tag, plan)
     pending = _balanced_order(r, matrix[r], plan)
     planned = sum(seg for _, _, seg in pending)
     accounted = 0
@@ -1271,7 +1285,11 @@ def _matrix_plan(
 def _alltoall_rails(
     comm: "Communicator", nbytes: int, tag: int, plan: Mapping[int, List[int]]
 ) -> Iterator:
-    return _rails(comm, uniform_matrix(comm.size, nbytes), tag, plan)
+    # This rank's row and column of uniform_matrix(n, nbytes), which are
+    # the same list: O(n) per rank and call, where the matrix is O(n^2).
+    r = comm.rank
+    flows = [0 if j == r else nbytes for j in range(comm.size)]
+    return _rails_flows(comm, flows, flows, tag, plan)
 
 
 def _priced_replan(

@@ -496,8 +496,9 @@ class MpiWorld:
         """Wrap an already-built cluster: one rank per node.
 
         Rank order follows ``node_names``, else the cluster's fabric
-        description (config-built clusters carry one), else sorted node
-        names.  Collective defaults fall back to the cluster's
+        description (config-built clusters carry one), else the order
+        the nodes were added in (:meth:`ClusterBuilder.add_node`).
+        Collective defaults fall back to the cluster's
         (:meth:`ClusterBuilder.collectives`, the config ``collectives:``
         section).
         """
@@ -505,7 +506,7 @@ class MpiWorld:
             if cluster.fabric is not None:
                 node_names = list(cluster.fabric.nodes)
             else:
-                node_names = sorted(cluster.engines)
+                node_names = list(cluster.engines)
         unknown = [n for n in node_names if n not in cluster.engines]
         if unknown:
             raise ConfigurationError(

@@ -26,7 +26,6 @@ outcome instead of hanging.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.estimator import NicEstimator
@@ -301,11 +300,18 @@ class NmadEngine:
         self.scheduler = OptimizerScheduler(self)
         self.strategy = strategy
         strategy.attach(self)
-        self._routes: Dict[str, List[Nic]] = defaultdict(list)
+        #: peer node -> local NICs wired towards it, in NIC order; every
+        #: peer reached over the same NICs shares one tuple (on a flat
+        #: switch, all of them)
+        self._routes: Dict[str, Tuple[Nic, ...]] = {}
+        shared: Dict[Tuple[Nic, ...], Tuple[Nic, ...]] = {}
         for nic in machine.nics:
             for peer in nic.wire.peers_of(nic):
-                if nic not in self._routes[peer.machine.name]:
-                    self._routes[peer.machine.name].append(nic)
+                name = peer.machine.name
+                rails = self._routes.get(name, ())
+                if nic not in rails:
+                    rails += (nic,)
+                    self._routes[name] = shared.setdefault(rails, rails)
             nic.idle_listeners.append(self.scheduler.on_nic_idle)
             nic.down_listeners.append(self._on_nic_down)
             nic.up_listeners.append(self._on_nic_up)
@@ -507,8 +513,8 @@ class NmadEngine:
         msg.mode = TransferMode.EAGER
         msg.status = MessageStatus.IN_TRANSFER
         msg.expect_chunks(len(chunks))
-        msg.rails_used = [nic.qualified_name for nic, _ in chunks]
-        msg.chunk_sizes = list(sizes)
+        msg.rails_used = tuple(nic.qualified_name for nic, _ in chunks)
+        msg.chunk_sizes = tuple(sizes)
         msg.transfers.extend(transfers)
         if self.hooks.stamps and self.predictor is not None:
             for t, (nic, _) in zip(transfers, chunks):
@@ -534,14 +540,15 @@ class NmadEngine:
                 f"aggregated packet of {packet.size}B exceeds "
                 f"{nic.profile.name} eager limit"
             )
-        ids = [m.msg_id for m in msgs]
+        ids = packet.aggregated_ids
+        rails_used = (nic.qualified_name,)
         for m in msgs:
             m.mode = TransferMode.EAGER
             m.status = MessageStatus.IN_TRANSFER
             m.expect_chunks(1)
-            m.rails_used = [nic.qualified_name]
-            m.chunk_sizes = [m.size]
-            m.aggregated_with = [i for i in ids if i != m.msg_id]
+            m.rails_used = rails_used
+            m.chunk_sizes = (m.size,)
+            m.aggregated_with = tuple(i for i in ids if i != m.msg_id)
         # Building the aggregate (iovec entries, or a staging copy without
         # gather/scatter hardware) costs CPU before the post.
         agg_cost = nic.driver.aggregation_cpu_cost(
@@ -610,14 +617,13 @@ class NmadEngine:
 
     def _on_eager(self, transfer: Transfer) -> None:
         if transfer.aggregated_ids:
-            for msg in transfer.payload["messages"]:
+            for msg in transfer.messages:
                 self._account_delivery(msg, transfer, msg.size)
             return
-        msg: Message = transfer.payload["message"]
-        self._account_delivery(msg, transfer, transfer.size)
+        self._account_delivery(transfer.message, transfer, transfer.size)
 
     def _on_rdv_req(self, transfer: Transfer, nic: Nic) -> None:
-        msg: Message = transfer.payload["message"]
+        msg = transfer.message
         if msg.status is not MessageStatus.RDV_REQUESTED:
             # Stale REQ: the data phase already started (a retried REQ
             # raced its original, or the send was already given up on).
@@ -634,7 +640,7 @@ class NmadEngine:
 
     def _on_rdv_ack(self, transfer: Transfer) -> None:
         """Back on the sender: the receiver is ready — plan and push data."""
-        msg: Message = transfer.payload["message"]
+        msg = transfer.message
         if msg.src != self.machine.name:
             raise ProtocolError(
                 f"RDV_ACK for msg {msg.msg_id} arrived at {self.machine.name}, "
@@ -656,8 +662,8 @@ class NmadEngine:
         plan = self.strategy.plan_rdv_data(msg)
         msg.status = MessageStatus.IN_TRANSFER
         msg.expect_chunks(len(plan.nics))
-        msg.rails_used = [n.qualified_name for n in plan.nics]
-        msg.chunk_sizes = list(plan.sizes)
+        msg.rails_used = tuple(n.qualified_name for n in plan.nics)
+        msg.chunk_sizes = tuple(plan.sizes)
         stamp = self.hooks.stamps and self.predictor is not None
         for t, nic in zip(make_rdv_chunks(msg, plan.sizes), plan.nics):
             msg.transfers.append(t)
@@ -666,8 +672,7 @@ class NmadEngine:
             nic.submit(t, self.app_core)
 
     def _on_rdv_data(self, transfer: Transfer) -> None:
-        msg: Message = transfer.payload["message"]
-        self._account_delivery(msg, transfer, transfer.size)
+        self._account_delivery(transfer.message, transfer, transfer.size)
 
     def _complete_message(self, msg: Message) -> None:
         if msg.status is MessageStatus.DEGRADED:
@@ -701,7 +706,7 @@ class NmadEngine:
         """
         for t in aborted:
             if t.src_node in ("", self.machine.name):
-                self.sim.schedule(0.0, self._resubmit_transfer, t, "nic-down")
+                self.sim.call_soon(self._resubmit_transfer, t, "nic-down")
 
     def _on_nic_up(self, nic: Nic) -> None:
         """A rail recovered: drain work parked while everything was down."""
@@ -779,11 +784,8 @@ class NmadEngine:
         return True
 
     @staticmethod
-    def _messages_of(transfer: Transfer) -> List[Message]:
-        msgs = transfer.payload.get("messages")
-        if msgs:
-            return list(msgs)
-        return [transfer.payload["message"]]
+    def _messages_of(transfer: Transfer) -> Tuple[Message, ...]:
+        return transfer.messages or (transfer.message,)
 
     @staticmethod
     def _clone_transfer(old: Transfer) -> Transfer:
@@ -796,7 +798,8 @@ class NmadEngine:
             chunk_index=old.chunk_index,
             chunk_count=old.chunk_count,
             offset=old.offset,
-            payload=dict(old.payload),
+            message=old.message,
+            messages=old.messages,
             aggregated_ids=old.aggregated_ids,
             retry_of=old.transfer_id,
         )

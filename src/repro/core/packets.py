@@ -111,13 +111,16 @@ class Message:
     retries: int = 0
     #: set (with status DEGRADED) when the engine gave up on this send
     outcome: Optional[DegradedSend] = None
-    #: human-readable notes on rails the planner avoided and why
-    rail_notes: List[str] = field(default_factory=list)
+    #: human-readable notes on rails the planner avoided and why; grows
+    #: only on faults
+    rail_notes: Tuple[str, ...] = ()
 
-    # how the engine transferred it (filled by strategies; read by tests)
-    rails_used: List[str] = field(default_factory=list)
-    chunk_sizes: List[int] = field(default_factory=list)
-    aggregated_with: List[int] = field(default_factory=list)
+    # how the engine transferred it (written once per plan by the engine;
+    # read by tests, obs and the examples).  Tuples of strings and ints,
+    # which the cyclic collector stops tracking after one pass.
+    rails_used: Tuple[str, ...] = ()
+    chunk_sizes: Tuple[int, ...] = ()
+    aggregated_with: Tuple[int, ...] = ()
     #: every NIC-level transfer that carried (part of) this message,
     #: control packets included — the raw material for obs.explain()
     transfers: List = field(default_factory=list, repr=False)
@@ -155,7 +158,7 @@ class Message:
             if existing == key or existing.startswith(stamped):
                 return
         stamp = "" if now is None else f" (first at t={now:.2f}us)"
-        self.rail_notes.append(key + stamp)
+        self.rail_notes += (key + stamp,)
 
     # ------------------------------------------------------------------ #
     # receiver-side accounting

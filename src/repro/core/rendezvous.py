@@ -6,14 +6,17 @@ the payload schema lives in exactly one place.
 
 Payload schema
 --------------
-Every transfer carries ``payload["message"]`` — the :class:`Message`
+Every transfer carries ``Transfer.message`` — the :class:`Message`
 object itself.  The simulator is a global observer, so sharing the object
 between sender and receiver engines stands in for the (src, msg_id)
 matching tables of the real implementation; the receiver-side accounting
 fields on the message play the role of the receive-side request state.
 
-Aggregated eager packets instead carry ``payload["messages"]`` — the list
-of messages packed into the single wire packet.
+Aggregated eager packets also carry ``Transfer.messages`` — the tuple of
+messages packed into the single wire packet, in packing order — and
+their ``message`` is the first of them (the packet's wire identity:
+``msg_id``, tag and sequence numbers).  Every other transfer leaves
+``messages`` empty.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ def make_rdv_req(msg: Message) -> Transfer:
         msg_id=msg.msg_id,
         tag=msg.tag,
         dst_node=msg.dest,
-        payload={"message": msg},
+        message=msg,
     )
 
 
@@ -45,7 +48,7 @@ def make_rdv_ack(msg: Message) -> Transfer:
         msg_id=msg.msg_id,
         tag=msg.tag,
         dst_node=msg.src,  # the acknowledgement travels back to the sender
-        payload={"message": msg},
+        message=msg,
     )
 
 
@@ -71,7 +74,7 @@ def make_rdv_chunks(msg: Message, sizes: Sequence[int]) -> List[Transfer]:
                 chunk_index=i,
                 chunk_count=len(sizes),
                 offset=offset,
-                payload={"message": msg},
+                message=msg,
             )
         )
         offset += s
@@ -100,7 +103,7 @@ def make_eager_chunks(msg: Message, sizes: Sequence[int]) -> List[Transfer]:
                 chunk_index=i,
                 chunk_count=len(sizes),
                 offset=offset,
-                payload={"message": msg},
+                message=msg,
             )
         )
         offset += s
@@ -122,5 +125,6 @@ def make_aggregated_eager(msgs: Sequence[Message]) -> Transfer:
         tag=msgs[0].tag,
         dst_node=msgs[0].dest,
         aggregated_ids=tuple(m.msg_id for m in msgs),
-        payload={"messages": list(msgs)},
+        message=msgs[0],
+        messages=tuple(msgs),
     )

@@ -40,7 +40,7 @@ from repro.hardware.machine import Machine
 from repro.networks.profile import NetworkProfile
 from repro.networks.transfer import Transfer, TransferKind, wire_checksum
 from repro.obs.hooks import Hooks
-from repro.simtime import Resource, SimEvent, Simulator
+from repro.simtime import Resource, Simulator
 from repro.util.errors import ConfigurationError, SchedulingError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -314,11 +314,7 @@ class Nic:
         self.transfers_aborted += 1
         if self.hooks.on_abort:
             self.hooks.on_abort(self, transfer)
-        if transfer.tx_done is None:
-            transfer.tx_done = SimEvent(
-                self.sim, name=f"transfer{transfer.transfer_id}.tx_done"
-            )
-        if not transfer.tx_done.triggered:
+        if transfer.tx_done is not None and not transfer.tx_done.triggered:
             transfer.tx_done.trigger(transfer)
 
     # ------------------------------------------------------------------ #
@@ -337,10 +333,6 @@ class Nic:
             raise SchedulingError(
                 f"core {core.core_id} does not belong to {self.machine.name}"
             )
-        if transfer.tx_done is None:
-            transfer.tx_done = SimEvent(
-                self.sim, name=f"transfer{transfer.transfer_id}.tx_done"
-            )
         transfer.t_submit = self.sim.now
         transfer.nic_name = self.qualified_name
         transfer.src_node = self.machine.name
@@ -355,10 +347,7 @@ class Nic:
             # chunk's identity.  A retried clone arrives here unstamped
             # and gets fresh ones; stamps survive re-submission of the
             # same object (down-rail abort → inline re-plan).
-            owner = transfer.payload.get("message")
-            if owner is None:
-                msgs = transfer.payload.get("messages")
-                owner = msgs[0] if msgs else None
+            owner = transfer.message
             if owner is not None:
                 transfer.seq_no = owner.next_wire_seq()
                 transfer.checksum = wire_checksum(transfer)
@@ -546,7 +535,7 @@ class Nic:
         # in order to feed it" — notify listeners on the busy→idle edge.
         if self.idle_listeners and self.is_idle:
             for listener in list(self.idle_listeners):
-                self.sim.schedule(0.0, listener, self)
+                self.sim.call_soon(listener, self)
 
     # ------------------------------------------------------------------ #
     # receive side

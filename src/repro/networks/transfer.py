@@ -12,9 +12,12 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from typing import Optional, Tuple, TYPE_CHECKING
 
 from repro.simtime import SimEvent
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.packets import Message
 
 _transfer_ids = itertools.count()
 
@@ -32,19 +35,23 @@ class TransferKind(enum.Enum):
         return self in (TransferKind.RDV_REQ, TransferKind.RDV_ACK)
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class Transfer:
     """One NIC-level transfer.
 
     ``msg_id``/``chunk_index``/``chunk_count`` tie a chunk back to its
-    application message; ``payload`` carries protocol metadata (e.g. the
-    RDV_REQ advertises the full message size).  ``size`` is the wire size
-    in bytes (0 for pure control packets).
+    application message; ``message`` and ``messages`` carry the message
+    objects themselves (the schema is documented, and filled, in
+    :mod:`repro.core.rendezvous`).  ``size`` is the wire size in bytes
+    (0 for pure control packets).
 
     Slotted: tens of thousands of these flow through the wire path per
     run, and the flat layout (no per-instance ``__dict__``) cuts both
     the allocation cost and the attribute loads the NIC/engine hot path
-    performs on every hop.
+    performs on every hop.  Equality is identity, like
+    :class:`~repro.core.packets.Message`'s (``transfer_id`` is unique),
+    so the NIC's and engine's list membership checks never build the
+    field tuples of a generated ``__eq__``.
     """
 
     kind: TransferKind
@@ -56,7 +63,10 @@ class Transfer:
     chunk_index: int = 0
     chunk_count: int = 1
     offset: int = 0
-    payload: Dict[str, Any] = field(default_factory=dict)
+    #: the message this transfer carries (an aggregate's first message)
+    message: Optional["Message"] = None
+    #: an aggregated packet's messages, in packing order; empty otherwise
+    messages: Tuple["Message", ...] = ()
     #: aggregated message ids when several eager messages share one packet
     aggregated_ids: tuple = ()
 
@@ -105,7 +115,9 @@ class Transfer:
 
     #: triggered (with this Transfer) when the send side finished its
     #: transmit phase (PIO copy or DMA drained) — what an offloading
-    #: tasklet must wait for before letting a preempted thread back on
+    #: tasklet must wait for before letting a preempted thread back on.
+    #: Created by that tasklet's picker before it submits; None on every
+    #: transfer nothing waits for
     tx_done: Optional[SimEvent] = None
 
     def __repr__(self) -> str:

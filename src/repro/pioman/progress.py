@@ -11,6 +11,7 @@ from repro.networks.nic import Nic
 from repro.networks.transfer import Transfer, TransferKind
 from repro.obs.hooks import Hooks
 from repro.pioman.requests import SendRequest
+from repro.simtime import SimEvent
 from repro.threading.marcel import MarcelScheduler
 from repro.threading.tasklet import Tasklet
 
@@ -233,9 +234,16 @@ class PiomanEngine:
             req = self.to_be_sent.popleft()
             req.t_picked = self.sim.now
             req.picked_by_core = core.core_id
-            req.nic.submit(req.transfer, core)
             # Hand the transmit-phase completion back to Marcel so a
             # preempted victim only resumes after the PIO copy drained.
-            return req.transfer.tx_done
+            # The picker is its one waiter, so it creates the event: the
+            # NIC triggers it only on transfers that carry one.
+            transfer = req.transfer
+            if transfer.tx_done is None:
+                transfer.tx_done = SimEvent(
+                    self.sim, name=f"transfer{transfer.transfer_id}.tx_done"
+                )
+            req.nic.submit(transfer, core)
+            return transfer.tx_done
 
         return picker

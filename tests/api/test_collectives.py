@@ -267,6 +267,42 @@ class TestAlltoallv:
         assert len(hot) == 2
         assert all(m[i][i] == 0 for i in range(8))
 
+    def test_rails_alltoall_builds_no_matrix(self, profiles, monkeypatch):
+        """Each rank of a ``rails`` alltoall builds only its own row and
+        column; the messages are those of a ``rails`` alltoallv of the
+        full uniform matrix, posted and completed at the same instants."""
+        n, size = 8, 48 * KiB
+        matrix = coll.uniform_matrix(n, size)
+
+        def message_log(world):
+            return [
+                (m.src, m.dest, m.size, m.tag, m.t_post, m.t_complete)
+                for engine in world.cluster.engines.values()
+                for m in engine.sent_log
+            ]
+
+        def run(world, call):
+            world.spawn_all(call)
+            world.run()
+            world.cluster.check_drain()
+            return message_log(world)
+
+        expected = run(
+            make_flat_world(n, profiles),
+            lambda comm: comm.alltoallv(matrix, algorithm="rails"),
+        )
+
+        def no_matrix(*args):
+            raise AssertionError("the rails alltoall built the n x n matrix")
+
+        monkeypatch.setattr(coll, "uniform_matrix", no_matrix)
+        got = run(
+            make_flat_world(n, profiles),
+            lambda comm: comm.alltoall(size, algorithm="rails"),
+        )
+        assert sum(entry[2] for entry in got) == n * (n - 1) * size
+        assert got == expected
+
     def test_balanced_schedule_orders_largest_first(self, profiles):
         ests = profiles.estimators
         matrix = coll.moe_matrix(8, 64 * KiB, hot=[5], skew=8)

@@ -157,6 +157,22 @@ class TestBuilderFabric:
         world = MpiWorld.from_cluster(cluster)
         assert [world.node_name(r) for r in range(3)] == ["c", "a", "b"]
 
+    def test_from_cluster_without_fabric_follows_add_node_order(self, profiles):
+        """A cluster built node by node, with no fabric description,
+        ranks its nodes in the order they were added: ``rank10`` is
+        rank 10, not rank 2 as a sorted name list would make it."""
+        names = [f"rank{i}" for i in range(12)]
+        builder = ClusterBuilder("hetero_split")
+        for name in names:
+            builder.add_node(name)
+        cluster = builder.add_switch("myri10g", names).sampling(
+            profiles=profiles
+        ).build()
+        assert cluster.fabric is None
+        world = MpiWorld.from_cluster(cluster)
+        assert [world.node_name(r) for r in range(12)] == names
+        assert world.comm(10).session.node == "rank10"
+
     def test_from_cluster_unknown_node_rejected(self, profiles):
         cluster = (
             ClusterBuilder("hetero_split")

@@ -76,7 +76,7 @@ class TestModeSelection:
         m1 = a.isend("node1", 48 * KiB, tag=1)
         m2 = a.isend("node1", 48 * KiB, tag=2)
         cluster.run()
-        assert m1.aggregated_with == []
+        assert m1.aggregated_with == ()
         assert m1.status is MessageStatus.COMPLETE
         assert m2.status is MessageStatus.COMPLETE
 

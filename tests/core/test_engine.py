@@ -1,11 +1,15 @@
 """Integration tests: the full engine over the paper's testbed."""
 
+import dataclasses
+import gc
+
 import pytest
 
 from repro.api import ClusterBuilder
 from repro.core import MessageStatus, TransferMode
 from repro.core.sampling import ProfileStore
 from repro.networks import ElanDriver, MxDriver
+from repro.simtime import SimEvent
 from repro.util.errors import ConfigurationError, ProtocolError
 from repro.util.units import KiB, MiB, bytes_per_us_to_mbps
 
@@ -186,6 +190,56 @@ class TestManyMessages:
         eng = cluster.engine("node0")
         assert eng.messages_sent == 1
         assert eng.bytes_sent == 1000
+
+
+class TestMessageRecord:
+    """What a completed message keeps alive until the run ends: few
+    objects the cyclic collector has to scan again at every pass."""
+
+    @staticmethod
+    def tracked_objects(msg):
+        """GC-tracked objects among the message, its ``done``, its
+        transfers, and the containers and events they hold."""
+        kept = {}
+        for record in (msg, *msg.transfers):
+            kept[id(record)] = record
+            for f in dataclasses.fields(record):
+                value = getattr(record, f.name)
+                if isinstance(value, (list, tuple, set, dict, SimEvent)):
+                    kept[id(value)] = value
+        gc.collect()  # untracks tuples that hold only atoms
+        return sum(gc.is_tracked(obj) for obj in kept.values())
+
+    @pytest.mark.parametrize(
+        "size, transfers, limit",
+        [
+            # the message, its done, its transfers list, one packet
+            (1 * KiB, 1, 4),
+            # the same, REQ + ACK + 2 chunks, and the interval set
+            (4 * MiB, 4, 8),
+        ],
+    )
+    def test_tracked_objects_per_message(self, profiles, size, transfers, limit):
+        cluster = build("hetero_split", profiles)
+        a, b = cluster.session("node0"), cluster.session("node1")
+        b.irecv()
+        m = a.isend("node1", size)
+        cluster.run()
+        assert m.status is MessageStatus.COMPLETE
+        assert len(m.transfers) == transfers
+        assert self.tracked_objects(m) <= limit
+
+    def test_no_tx_done_without_offload(self, profiles):
+        """Only an offloading picker waits on ``tx_done``, so a send the
+        app core posts itself never allocates one."""
+        cluster = build("hetero_split", profiles)
+        a, b = cluster.session("node0"), cluster.session("node1")
+        msgs = [a.isend("node1", s, tag=i) for i, s in enumerate((64, 4 * MiB))]
+        for i in range(2):
+            b.irecv(tag=i)
+        cluster.run()
+        assert all(m.status is MessageStatus.COMPLETE for m in msgs)
+        assert [t.tx_done for m in msgs for t in m.transfers] == [None] * 5
 
 
 class TestResample:

@@ -88,10 +88,10 @@ class TestRailNotes:
         m.note_rail_avoided("node0.myri10g0", "down", 2.0)
         m.note_rail_avoided("node0.quadrics1", "down")
         m.note_rail_avoided("node0.quadrics1", "down")
-        assert m.rail_notes == [
+        assert m.rail_notes == (
             "node0.myri10g0: down (first at t=1.00us)",
             "node0.quadrics1: down",
-        ]
+        )
 
     @pytest.mark.parametrize(
         "first, second", [("down (failover)", "down"), ("down", "down (failover)")]
@@ -100,10 +100,10 @@ class TestRailNotes:
         m = msg()
         m.note_rail_avoided("node0.myri10g0", first, 1.0)
         m.note_rail_avoided("node0.myri10g0", second, 2.0)
-        assert m.rail_notes == [
+        assert m.rail_notes == (
             f"node0.myri10g0: {first} (first at t=1.00us)",
             f"node0.myri10g0: {second} (first at t=2.00us)",
-        ]
+        )
 
 
 A, B, C = (0, 10), (10, 10), (20, 10)

@@ -24,14 +24,16 @@ class TestControlPackets:
         t = make_rdv_req(m)
         assert t.kind is TransferKind.RDV_REQ
         assert t.size == 0
-        assert t.payload["message"] is m
+        assert t.message is m
+        assert t.messages == ()
         assert t.msg_id == m.msg_id
 
     def test_ack_mirrors_req(self):
         m = msg()
         t = make_rdv_ack(m)
         assert t.kind is TransferKind.RDV_ACK
-        assert t.payload["message"] is m
+        assert t.message is m
+        assert t.messages == ()
 
 
 class TestDataChunks:
@@ -69,7 +71,8 @@ class TestAggregation:
         ms = [msg(10), msg(20), msg(30)]
         t = make_aggregated_eager(ms)
         assert t.size == 60
-        assert t.payload["messages"] == ms
+        assert t.messages == tuple(ms)
+        assert t.message is ms[0]
         assert t.aggregated_ids == tuple(m.msg_id for m in ms)
 
     def test_mixed_destinations_rejected(self):

@@ -97,12 +97,12 @@ class TestSingleRail:
     def test_pinned_rail_respected(self, profiles):
         cluster = build(SingleRailStrategy(rail="quadrics"), profiles)
         m = one_way(cluster, 1 * MiB)
-        assert m.rails_used == ["node0.quadrics1"]
+        assert m.rails_used == ("node0.quadrics1",)
 
     def test_default_rail_is_fastest(self, profiles):
         cluster = build(SingleRailStrategy(), profiles)
         m = one_way(cluster, 1 * MiB)
-        assert m.rails_used == ["node0.myri10g0"]
+        assert m.rails_used == ("node0.myri10g0",)
 
     def test_unknown_rail_raises_at_send(self, profiles):
         cluster = build(SingleRailStrategy(rail="ethernet9"), profiles)
@@ -167,14 +167,14 @@ class TestAggregate:
         m1 = a.isend("node1", big, tag=1)
         m2 = a.isend("node1", big, tag=2)  # 96K > 64K limit: no aggregation
         cluster.run()
-        assert m1.aggregated_with == []
+        assert m1.aggregated_with == ()
         assert m1.status is MessageStatus.COMPLETE
         assert m2.status is MessageStatus.COMPLETE
 
     def test_pinned_rail(self, profiles):
         cluster = build(AggregateStrategy(rail="myri10g"), profiles)
         m = one_way(cluster, 4 * KiB)
-        assert m.rails_used == ["node0.myri10g0"]
+        assert m.rails_used == ("node0.myri10g0",)
 
     def test_aggregation_beats_greedy_for_small_pairs(self, profiles):
         """The Fig. 3 claim, at one size: aggregating two small segments
@@ -297,7 +297,7 @@ class TestHeteroSplit:
         eng = cluster.engine("node0")
         eng.machine.nic_by_name("myri10g0").inject_busy(1e6)
         m = one_way(cluster, 256 * KiB)
-        assert m.rails_used == ["node0.quadrics1"]
+        assert m.rails_used == ("node0.quadrics1",)
 
     def test_idle_prediction_off_ignores_busy_rail(self, profiles):
         cluster = build(

@@ -79,7 +79,7 @@ class TestSingleRailEdges:
         b.irecv()
         m = a.isend("node1", 1 * MiB)
         cluster.run()
-        assert m.rails_used == ["node0.quadrics1"]
+        assert m.rails_used == ("node0.quadrics1",)
 
     def test_bad_threshold_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -124,7 +124,7 @@ class TestHeteroSplitEdges:
         b.irecv()
         m = a.isend("node1", 4 * MiB)
         cluster.run()
-        assert m.rails_used == ["node0.myri10g0"]
+        assert m.rails_used == ("node0.myri10g0",)
 
     def test_three_heterogeneous_rails_all_used(self, profiles):
         from repro.core.sampling import ProfileStore

@@ -207,7 +207,7 @@ class TestPinnedRailFailover:
         cluster.sim.schedule_at(10.0, post)
         cluster.run()
         assert all(m.status is MessageStatus.COMPLETE for m in msgs)
-        assert all(m.rails_used == ["node0.quadrics1"] for m in msgs)
+        assert all(m.rails_used == ("node0.quadrics1",) for m in msgs)
         assert any(
             note.startswith("node0.myri10g0: down (failover)")
             for note in msgs[0].rail_notes

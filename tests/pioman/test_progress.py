@@ -160,6 +160,48 @@ class TestSendOffloading:
         assert reqs[1].picked_by_core == 1
         assert thread.preempt_count == 1
 
+    def test_preempted_victim_resumes_after_the_copy_drains(self, sim, rig):
+        """The picker hands Marcel the transfer's ``tx_done``: the thread
+        it preempted gets its core back only once the PIO copy drained."""
+        node_a, _, pio_a, _ = rig
+        marcel = pio_a.marcel
+        marcel.spawn_compute(node_a.cores[2], work_us=None, preemptable=False)
+        marcel.spawn_compute(node_a.cores[3], work_us=None, preemptable=False)
+        thread = marcel.spawn_compute(node_a.cores[1], work_us=None, preemptable=True)
+        resumed = []
+        resume = thread.resume
+
+        def recording_resume():
+            resumed.append(sim.now)
+            resume()
+
+        thread.resume = recording_resume
+        reqs = [
+            SendRequest(eager(1024, 1), node_a.nics[0]),
+            SendRequest(eager(16384, 2), node_a.nics[1]),
+        ]
+        sim.schedule(10.0, lambda: pio_a.register_sends(reqs, issuing_core=node_a.cores[0]))
+        sim.run(until=500.0)
+        offloaded = reqs[1].transfer
+        assert reqs[1].picked_by_core == 1
+        assert offloaded.tx_done is not None and offloaded.tx_done.triggered
+        assert offloaded.t_tx_done > offloaded.t_cpu_start > reqs[1].t_picked
+        assert resumed == [offloaded.t_tx_done]
+        assert thread.preempt_count == 1
+
+    def test_direct_submit_allocates_no_tx_done(self, sim, rig):
+        """Nothing waits on a transfer the NIC gets straight from a core
+        (or aborts on a dead link), so it never gets a ``tx_done``."""
+        node_a, _, _, _ = rig
+        mx, elan = node_a.nics
+        sent, aborted = eager(1024, 1), eager(1024, 2)
+        elan.fail()
+        mx.submit(sent, node_a.cores[0])
+        elan.submit(aborted, node_a.cores[0])
+        sim.run()
+        assert sent.t_complete is not None and aborted.aborted
+        assert sent.tx_done is None and aborted.tx_done is None
+
     def test_empty_registration_is_noop(self, sim, rig):
         _, _, pio_a, _ = rig
         assert pio_a.register_sends([], issuing_core=None) == []
