@@ -24,9 +24,14 @@ check: test
 chaos:
 	$(PYTHON) -m repro.bench.cli chaos --seeds 50 --jobs 2 --flight-dump flight-dumps.json
 
-# Wider sweep (minutes, not seconds) — the workflow_dispatch CI job.
+# Wider sweep (minutes, not seconds) over every pool — the
+# workflow_dispatch CI job.  Failing seeds shrink under the settings of
+# the sweep that found them.
 chaos-wide:
-	$(PYTHON) -m repro.bench.cli chaos --seeds 2000 --shrink
+	$(PYTHON) -m repro.bench.cli chaos --seeds 2000 --jobs 2 --shrink
+	$(PYTHON) -m repro.bench.cli chaos --seeds 2000 --silent --calibration --jobs 2 --shrink
+	$(PYTHON) -m repro.bench.cli chaos --seeds 2000 --shape fat_tree --ranks 8 --jobs 2 --shrink
+	$(PYTHON) -m repro.bench.cli chaos --seeds 2000 --shape flat --ranks 8 --jobs 2 --shrink
 
 # Silent-degrade soak: bandwidth drops with no fault event announced,
 # drift loop armed — the invariant monitor must stay silent too.

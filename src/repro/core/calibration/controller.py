@@ -54,16 +54,14 @@ CLAMP_SHARE = 0.75
 class ResampleRecord:
     """One online re-sample, for reports and experiments."""
 
-    __slots__ = ("time", "rail", "technology", "blend", "trigger_band")
+    __slots__ = ("time", "rail", "technology", "trigger_band")
 
     def __init__(
-        self, time: float, rail: str, technology: str, blend: float,
-        trigger_band: str,
+        self, time: float, rail: str, technology: str, trigger_band: str
     ) -> None:
         self.time = time
         self.rail = rail
         self.technology = technology
-        self.blend = blend
         self.trigger_band = trigger_band
 
     def as_dict(self) -> Dict[str, object]:
@@ -71,7 +69,6 @@ class ResampleRecord:
             "time": self.time,
             "rail": self.rail,
             "technology": self.technology,
-            "blend": self.blend,
             "trigger_band": self.trigger_band,
         }
 
@@ -204,11 +201,9 @@ class CalibrationController:
         for qname, other in self._nics.items():
             if other.profile.name == tech:
                 self.detector.reset_rail(qname)
-        self.resample_log.append(
-            ResampleRecord(now, rail, tech, BLEND, trigger_band)
-        )
+        self.resample_log.append(ResampleRecord(now, rail, tech, trigger_band))
         if cluster.hooks.on_resample:
-            cluster.hooks.on_resample(nic, BLEND)
+            cluster.hooks.on_resample(nic)
 
     # ------------------------------------------------------------------ #
     # the planning path (strategy side)
@@ -342,7 +337,7 @@ class CalibrationController:
         for rec in self.resample_log:
             lines.append(
                 f"  resample @{rec.time:.1f}us: {rec.rail} "
-                f"({rec.technology}, blend {rec.blend}, "
+                f"({rec.technology}, blend {BLEND}, "
                 f"band {rec.trigger_band})"
             )
         for node, ladder in sorted(self._ladders.items()):

@@ -226,13 +226,11 @@ class NmadEngine:
         sampling-based strategies.
     app_core_id:
         The core the application (and therefore the strategy and the
-        default submissions) runs on.
-    pioman:
-        Progress engine; built automatically when omitted.  Its poll core
-        defaults to the app core — the single-threaded configuration of
-        the paper's benchmarks.
+        default submissions) runs on.  The node's PIOMan progress engine
+        polls on it too — the single-threaded configuration of the
+        paper's benchmarks.
     multicore_rx:
-        Forwarded to the auto-built PIOMan engine: let receive-side
+        Forwarded to the PIOMan engine: let receive-side
         processing spill onto idle cores (the paper's future-work
         improvement; see :class:`~repro.pioman.PiomanEngine`).
     timeout:
@@ -258,8 +256,6 @@ class NmadEngine:
         strategy: Strategy,
         estimators: Optional[Dict[str, NicEstimator]] = None,
         app_core_id: int = 0,
-        pioman: Optional[PiomanEngine] = None,
-        marcel: Optional[MarcelScheduler] = None,
         multicore_rx: bool = False,
         timeout: Union[float, str, None] = None,
         max_retries: int = 8,
@@ -282,8 +278,8 @@ class NmadEngine:
         #: installed post-build by install_calibration — unlike the hook
         #: subscribers, an armed controller deliberately changes plans
         self.calib = None
-        self.marcel = marcel or MarcelScheduler(machine)
-        self.pioman = pioman or PiomanEngine(
+        self.marcel = MarcelScheduler(machine)
+        self.pioman = PiomanEngine(
             machine,
             marcel=self.marcel,
             poll_core_id=app_core_id,

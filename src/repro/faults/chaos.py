@@ -30,12 +30,13 @@ See ``docs/chaos.md`` for the workflow.
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import random
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.core.invariants import InvariantViolation
 from repro.faults.schedule import FaultSchedule
@@ -524,14 +525,11 @@ def fabric_spec(shape: str, rails: int = 2) -> Dict[str, Any]:
 
 
 def _default_chaos(
-    seed: int,
-    shape: str,
-    ranks: int,
-    horizon: float,
-    intensity: int,
+    seed: int, shape: str, ranks: int, horizon: float, intensity: int,
     silent: bool = False,
 ) -> ChaosSchedule:
-    """The schedule :func:`run_scenario` generates when none is given."""
+    """The schedule :func:`run_scenario` generates when none is given
+    (silent episodes are drawn on the paper shape only)."""
     if shape == "paper":
         return ChaosSchedule(
             seed, horizon=horizon, intensity=intensity, silent=silent
@@ -541,7 +539,6 @@ def _default_chaos(
         nodes=tuple(f"rank{i}" for i in range(ranks)),
         horizon=horizon,
         intensity=intensity,
-        silent=silent,
         fabric=fabric_spec(shape),
     )
 
@@ -658,9 +655,7 @@ def run_scenario(
     if not paper and ranks < 2:
         raise ConfigurationError(f"fabric chaos needs >= 2 ranks, got {ranks}")
     if chaos is None:
-        chaos = _default_chaos(
-            seed, shape, ranks, horizon, intensity, silent=silent and paper
-        )
+        chaos = _default_chaos(seed, shape, ranks, horizon, intensity, silent)
     _reset_id_counters()
     builder = (
         _chaos_cluster(shape, ranks, strategy)
@@ -772,27 +767,19 @@ class SoakReport:
 
 
 def soak(
-    seeds,
-    strategy: str = "hetero_split",
-    horizon: float = DEFAULT_HORIZON,
-    intensity: int = DEFAULT_INTENSITY,
-    shrink_failures: bool = False,
-    invariants: bool = True,
-    silent: bool = False,
-    calibration: bool = False,
-    obs_metrics: bool = False,
-    shape: str = "paper",
-    ranks: int = 8,
-    jobs: Optional[int] = 1,
+    seeds, shrink_failures: bool = False, jobs: Optional[int] = 1, **scenario
 ) -> SoakReport:
     """Run a chaos scenario per seed; collect outcomes, never abort.
 
     ``seeds`` is an iterable of ints (or an int: ``range(seeds)``).
-    With ``shrink_failures``, every failing seed's schedule is reduced
-    to a minimal still-failing episode set (:func:`shrink`) and attached
-    to the report.  ``silent``/``calibration`` run the silent-degrade
-    pool with the drift loop armed (the PR 5 soak).  ``shape``/``ranks``
-    pick the testbed per :func:`run_scenario` — the fabric soak.
+    ``scenario`` is :func:`run_scenario`'s settings (``strategy``,
+    ``horizon``, ``intensity``, ``invariants``, ``silent``,
+    ``calibration``, ``obs_metrics``, ``shape``, ``ranks``), the same
+    for every seed: ``silent``/``calibration`` run the silent-degrade
+    pool with the drift loop armed, ``shape``/``ranks`` the fabric
+    soak.  With ``shrink_failures``, every failing seed's schedule is
+    reduced to a minimal still-failing episode set (:func:`shrink`,
+    under the same settings) and attached to the report.
 
     ``jobs`` shards the seeds over that many processes
     (:func:`repro.util.parallel.parallel_map`; ``0`` = one per CPU).
@@ -804,31 +791,14 @@ def soak(
     """
     if isinstance(seeds, int):
         seeds = range(seeds)
-    scenario = partial(
-        run_scenario,
-        strategy=strategy,
-        horizon=horizon,
-        intensity=intensity,
-        invariants=invariants,
-        silent=silent,
-        calibration=calibration,
-        obs_metrics=obs_metrics,
-        shape=shape,
-        ranks=ranks,
-    )
     report = SoakReport()
     t0 = time.perf_counter()
-    report.scenarios = parallel_map(scenario, [int(s) for s in seeds], jobs)
+    report.scenarios = parallel_map(
+        partial(run_scenario, **scenario), [int(s) for s in seeds], jobs
+    )
     if shrink_failures:
         for result in report.violations:
-            minimal = shrink(
-                result.seed,
-                strategy=strategy,
-                horizon=horizon,
-                intensity=intensity,
-                shape=shape,
-                ranks=ranks,
-            )
+            minimal = shrink(result.seed, **scenario)
             report.shrunk[result.seed] = minimal.to_json()
     report.wall_seconds = time.perf_counter() - t0
     return report
@@ -839,42 +809,38 @@ def soak(
 # ---------------------------------------------------------------------- #
 
 
-def shrink(
-    seed: int,
-    strategy: str = "hetero_split",
-    horizon: float = DEFAULT_HORIZON,
-    intensity: int = DEFAULT_INTENSITY,
-    max_runs: int = 64,
-    shape: str = "paper",
-    ranks: int = 8,
-) -> ChaosSchedule:
+def shrink(seed: int, max_runs: int = 64, **scenario) -> ChaosSchedule:
     """Reduce a failing seed's schedule to a minimal failing episode set.
 
     Greedy delta-debugging over episodes: repeatedly try dropping one
     episode; keep any drop after which the scenario still violates.
     Terminates when no single episode can be removed (1-minimal) or
-    after ``max_runs`` scenario executions.  Returns the reduced
+    after ``max_runs`` scenario executions.  ``scenario`` is
+    :func:`run_scenario`'s settings, as :func:`soak` passes them: the
+    base schedule is the one they draw for ``seed`` and every candidate
+    runs under them.  A candidate is the base schedule's JSON with its
+    episodes replaced, so it keeps the base's ``silent`` flag and, with
+    a fabric ``shape``, its ``fabric`` spec (spine/link episodes replay
+    against the same switch names).  Returns the reduced
     :class:`ChaosSchedule` — deterministic, so the returned schedule
-    replays the violation via ``run_scenario(seed, chaos=shrunk)``.
-    Works over mixed node + fabric episode sets: with a fabric
-    ``shape``, candidate subsets keep the base schedule's ``fabric``
-    spec, so spine/link episodes replay against the same switch names.
+    replays the violation via ``run_scenario(seed, chaos=shrunk,
+    **scenario)``.
     """
-    base = _default_chaos(seed, shape, ranks, horizon, intensity)
+    # Settings the caller left out take run_scenario's own defaults, so
+    # the base is exactly the schedule the scenario draws.
+    call = inspect.signature(run_scenario).bind(seed, **scenario)
+    call.apply_defaults()
+    settings = call.arguments
+    base = _default_chaos(
+        seed, settings["shape"], settings["ranks"], settings["horizon"],
+        settings["intensity"], settings["silent"],
+    )
+
+    def candidate(episodes: List[Dict[str, Any]]) -> ChaosSchedule:
+        return ChaosSchedule.from_json({**base.to_json(), "episodes": episodes})
 
     def fails(episodes: List[Dict[str, Any]]) -> bool:
-        candidate = ChaosSchedule(
-            seed,
-            nics=base.nics,
-            nodes=base.nodes,
-            horizon=base.horizon,
-            intensity=base.intensity,
-            episodes=episodes,
-            fabric=base.fabric,
-        )
-        return not run_scenario(
-            seed, chaos=candidate, strategy=strategy, shape=shape, ranks=ranks
-        ).ok
+        return not run_scenario(seed, chaos=candidate(episodes), **scenario).ok
 
     runs = 0
     if not fails(base.episodes):
@@ -893,15 +859,7 @@ def shrink(
                 episodes = trial
                 reduced = True
                 break
-    return ChaosSchedule(
-        seed,
-        nics=base.nics,
-        nodes=base.nodes,
-        horizon=base.horizon,
-        intensity=base.intensity,
-        episodes=episodes,
-        fabric=base.fabric,
-    )
+    return candidate(episodes)
 
 
 __all__ = [

@@ -2,9 +2,11 @@
 
 The injector is the only piece of the fault subsystem that touches the
 simulation: at :meth:`FaultInjector.arm` time it walks the schedule in
-deterministic order and books one ``schedule_at`` per action.  From then
-on faults are ordinary events interleaved with the engine's own — two
-runs of the same cluster + schedule produce bit-identical traces.
+deterministic order and books one ``schedule_at`` per action and target
+(a NIC, a switch port or a spine).  From then on faults are ordinary
+events interleaved with the engine's own — two runs of the same
+cluster + schedule produce bit-identical traces.  Every firing runs the
+one method :data:`~repro.faults.schedule.ACTIONS` names for its action.
 
 Packet-loss rules get a ``random.Random`` seeded from the schedule seed
 plus the rule's identity, so loss draws are reproducible and independent
@@ -14,23 +16,19 @@ of unrelated schedule edits.
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterable, List, Tuple
+from typing import Any, Dict, Iterable, List, Tuple
 
-from repro.faults.schedule import FABRIC_ACTIONS, FaultAction, FaultSchedule
+from repro.faults.schedule import ACTIONS, FaultAction, FaultSchedule
 from repro.networks.nic import DropRule, Nic
 from repro.networks.switch import FatTreeSwitch, Switch
 from repro.networks.transfer import TransferKind
 from repro.obs.hooks import Hooks
 from repro.util.errors import ConfigurationError
 
-#: fabric actions aimed at fat-tree spines rather than edge links
-_SPINE_ACTIONS = frozenset(
-    {"spine_down", "spine_up", "spine_degrade", "spine_restore"}
-)
-
 
 class FaultInjector:
-    """Arms one fault schedule against one set of NICs."""
+    """Arms one fault schedule against one set of NICs and the switches
+    behind them."""
 
     def __init__(self, nics: Iterable[Nic], schedule: FaultSchedule) -> None:
         self.schedule = schedule
@@ -49,7 +47,7 @@ class FaultInjector:
         self.sim = next(iter(self._by_qualified.values())).sim
         #: count of fault actions that have fired so far
         self.faults_fired: int = 0
-        #: (simulated time, rule id, nic, action) per firing, in order —
+        #: (simulated time, rule id, target, action) per firing, in order —
         #: the audit trail the rule-ordering regression test reads
         self.fired_log: List[Tuple[float, int, str, str]] = []
         self._armed = False
@@ -95,15 +93,22 @@ class FaultInjector:
             f"known: {sorted(self._by_qualified)}"
         )
 
-    def resolve_fabric(self, name: str, action: str) -> List[tuple]:
-        """Switch targets a fabric-targeted schedule entry addresses.
+    def targets(self, action: FaultAction) -> List[Tuple[Any, tuple, str]]:
+        """``(device, leading args, qualified name)`` per target of one
+        schedule entry: ``(nic, (), "node0.myri10g0")`` for NIC actions
+        (addressed as :meth:`resolve` reads them), ``(switch, ("node3",),
+        "fattree0.node3")`` for link actions and ``(switch, (1,),
+        "fattree0.spine1")`` for spine actions.
 
-        Spine actions accept ``"fattree0.spine1"`` or the wildcard
-        ``"fattree0.spine*"`` (also plain ``"fattree0.*"``); link actions
-        accept ``"fattree0.node3"`` (the edge port of one node) or
-        ``"fattree0.*"`` (every port).  Returns ``(switch, target,
-        qualified)`` triples — ``target`` is a spine index or node name.
+        Link actions accept ``"fattree0.node3"`` (the edge port of one
+        node) or ``"fattree0.*"`` (every port); spine actions
+        ``"fattree0.spine1"`` or ``"fattree0.spine*"`` (also plain
+        ``"fattree0.*"``).  The switch answers which ports or spines a
+        name covers.
         """
+        name, kind = action.nic, action.action
+        if not kind.startswith(("link_", "spine_")):
+            return [(nic, (), nic.qualified_name) for nic in self.resolve(name)]
         if "." not in name:
             raise ConfigurationError(
                 f"fabric fault target {name!r} must be qualified "
@@ -117,17 +122,18 @@ class FaultInjector:
                 f"fault schedule names unknown switch {sw_name!r}; "
                 f"known: {sorted(self._switches)}"
             )
-        if action in _SPINE_ACTIONS:
-            if not isinstance(sw, FatTreeSwitch):
-                raise ConfigurationError(
-                    f"switch {sw_name!r} has no spines; {action!r} needs "
-                    f"a fat-tree switch"
-                )
+        if kind.startswith("link_"):
             return [
-                (sw, k, f"{sw_name}.spine{k}") for k in sw.spine_targets(target)
+                (sw, (node,), f"{sw_name}.{node}")
+                for node in sw.link_targets(target)
             ]
+        if not isinstance(sw, FatTreeSwitch):
+            raise ConfigurationError(
+                f"switch {sw_name!r} has no spines; {kind!r} needs "
+                f"a fat-tree switch"
+            )
         return [
-            (sw, node, f"{sw_name}.{node}") for node in sw.link_targets(target)
+            (sw, (k,), f"{sw_name}.spine{k}") for k in sw.spine_targets(target)
         ]
 
     # ------------------------------------------------------------------ #
@@ -139,133 +145,54 @@ class FaultInjector:
 
         Rule ids are assigned here, in ``sorted_actions()`` order (time,
         then schedule insertion order), and the events are booked in
-        rule-id order — the simulator breaks same-instant ties by booking
-        sequence, so two rules at one timestamp always apply in rule-id
-        order, independent of event-heap internals.  The invariant
-        monitor's ``fault-rule-order`` check audits exactly this.
+        rule-id order, one per target — the simulator breaks
+        same-instant ties by booking sequence, so two rules at one
+        timestamp always apply in rule-id order, whether they hit NICs,
+        links or spines, independent of event-heap internals.  The
+        invariant monitor's ``fault-rule-order`` check audits exactly
+        this.  Targets resolve here too: typos surface at arm time, not
+        mid-run.
         """
         if self._armed:
             return self
         self._armed = True
         for rule_id, action in enumerate(self.schedule.sorted_actions()):
-            if action.action in FABRIC_ACTIONS:
-                # Fabric rules share the node-rule id space: a node rule
-                # and a spine rule at one timestamp still apply in
-                # rule-id (booking) order.
-                for sw, target, qualified in self.resolve_fabric(
-                    action.nic, action.action
-                ):
-                    self.sim.schedule_at(
-                        max(action.time, self.sim.now),
-                        self._fire_fabric,
-                        action,
-                        sw,
-                        target,
-                        qualified,
-                        rule_id,
-                    )
-                continue
-            for nic in self.resolve(action.nic):  # resolves eagerly: typos
-                # surface at arm time, not mid-run
+            at = max(action.time, self.sim.now)
+            for device, args, qualified in self.targets(action):
                 self.sim.schedule_at(
-                    max(action.time, self.sim.now),
-                    self._fire,
-                    action,
-                    nic,
-                    rule_id,
+                    at, self._fire, action, device, args, qualified, rule_id
                 )
         return self
 
-    def _fire(self, action: FaultAction, nic: Nic, rule_id: int) -> None:
+    def _fire(
+        self, action: FaultAction, device, args: tuple, qualified: str,
+        rule_id: int,
+    ) -> None:
+        now = self.sim.now
         self.faults_fired += 1
-        self.fired_log.append(
-            (self.sim.now, rule_id, nic.qualified_name, action.action)
-        )
+        self.fired_log.append((now, rule_id, qualified, action.action))
         # Silent actions (the calibration drift loop's test case) are
         # emitted too: the invariant rule-order check audits them, while
         # the obs subscribers ignore them.
         if self.hooks.on_fault:
-            self.hooks.on_fault(
-                rule_id, action, self.sim.now, nic, nic.qualified_name
-            )
-        if action.action == "down":
-            nic.fail()
-        elif action.action == "up":
-            nic.recover()
-        elif action.action == "degrade":
-            nic.degrade(
-                bw_factor=action.params.get("bw_factor", 1.0),
-                extra_latency=action.params.get("extra_latency", 0.0),
-            )
-        elif action.action == "restore":
-            nic.restore()
-        elif action.action == "silent_degrade":
-            nic.silent_degrade(action.params.get("bw_factor", 0.5))
-        elif action.action == "silent_restore":
-            nic.silent_restore()
+            self.hooks.on_fault(rule_id, action, now, device, qualified)
+        method, defaults = ACTIONS[action.action]
+        params = {**defaults, **action.params}
+        if method is not None:
+            getattr(device, method)(*args, **params)
         elif action.action == "drop_start":
-            label = action.params.get("label", "loss")
-            kinds = frozenset(
-                TransferKind(k) for k in action.params.get("kinds", ["eager"])
-            )
+            label = params["label"]
             rng = random.Random(
-                f"{self.schedule.seed}:{nic.qualified_name}:{label}:{rule_id}"
+                f"{self.schedule.seed}:{qualified}:{label}:{rule_id}"
             )
-            nic.drop_rules.append(
-                DropRule(
-                    kinds,
-                    action.params.get("probability", 1.0),
-                    rng,
-                    label=label,
-                )
+            kinds = frozenset(TransferKind(k) for k in params["kinds"])
+            device.drop_rules.append(
+                DropRule(kinds, params["probability"], rng, label=label)
             )
-        elif action.action == "drop_stop":
-            label = action.params.get("label", "loss")
-            nic.drop_rules = [
-                r for r in nic.drop_rules if r.label != label
+        else:  # drop_stop
+            device.drop_rules = [
+                r for r in device.drop_rules if r.label != params["label"]
             ]
-        else:  # pragma: no cover - schedule validation rejects these
-            raise ConfigurationError(f"unknown fault action {action.action!r}")
-
-    def _fire_fabric(
-        self,
-        action: FaultAction,
-        sw: Switch,
-        target,
-        qualified: str,
-        rule_id: int,
-    ) -> None:
-        self.faults_fired += 1
-        self.fired_log.append(
-            (self.sim.now, rule_id, qualified, action.action)
-        )
-        if self.hooks.on_fault:
-            self.hooks.on_fault(rule_id, action, self.sim.now, sw, qualified)
-        a = action.action
-        if a == "link_down":
-            sw.link_fail(target)
-        elif a == "link_up":
-            sw.link_recover(target)
-        elif a == "link_degrade":
-            sw.link_degrade(
-                target,
-                bw_factor=action.params.get("bw_factor", 1.0),
-                extra_latency=action.params.get("extra_latency", 0.0),
-            )
-        elif a == "link_restore":
-            sw.link_restore(target)
-        elif a == "spine_down":
-            sw.spine_fail(target)
-        elif a == "spine_up":
-            sw.spine_recover(target)
-        elif a == "spine_degrade":
-            sw.spine_degrade(
-                target, bw_factor=action.params.get("bw_factor", 0.5)
-            )
-        elif a == "spine_restore":
-            sw.spine_restore(target)
-        else:  # pragma: no cover - FABRIC_ACTIONS gates the dispatch
-            raise ConfigurationError(f"unknown fabric action {a!r}")
 
 
 def install_faults(cluster, schedule: FaultSchedule) -> FaultInjector:

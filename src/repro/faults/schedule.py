@@ -14,6 +14,9 @@ action applies to that NIC on *every* node — convenient for killing both
 endpoints of a point-to-point rail at once.  The wildcard form
 ``"node0.*"`` addresses every NIC of one node — the node-level fault
 class (crash/restart) used by :meth:`FaultSchedule.node_crash`.
+``link_*`` and ``spine_*`` actions name a switch port or spine instead:
+``"fattree0.node3"`` (the edge link of one node), ``"fattree0.*"``
+(every edge link), ``"fattree0.spine1"`` or ``"fattree0.spine*"``.
 
 Times accept anything :func:`repro.util.units.parse_time` does
 (``"2ms"``, ``"500us"``, plain µs floats).
@@ -22,45 +25,42 @@ Times accept anything :func:`repro.util.units.parse_time` does
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.util.errors import ConfigurationError
 from repro.util.units import parse_time
 
-#: actions a schedule may contain, with their recognised parameters
-_ACTIONS = {
-    "down": (),
-    "up": (),
-    "degrade": ("bw_factor", "extra_latency"),
-    "restore": (),
-    "silent_degrade": ("bw_factor",),
-    "silent_restore": (),
-    "drop_start": ("probability", "kinds", "label"),
-    "drop_stop": ("label",),
-    # Fabric-targeted actions (PR 10).  The ``nic`` field names a switch
-    # port or spine instead of a NIC: ``"fattree0.node3"`` (the edge
-    # link of one node), ``"fattree0.*"`` (every edge link),
-    # ``"fattree0.spine1"`` or ``"fattree0.spine*"``.  The injector
-    # resolves these against the cluster's switches.
-    "link_down": (),
-    "link_up": (),
-    "link_degrade": ("bw_factor", "extra_latency"),
-    "link_restore": (),
-    "spine_down": (),
-    "spine_up": (),
-    "spine_degrade": ("bw_factor",),
-    "spine_restore": (),
+#: every fault action: the method its target runs (a NIC's, or a
+#: switch's for ``link_*`` and ``spine_*``) and that method's parameters,
+#: with the defaults the injector applies where a schedule omits them.
+#: ``drop_start``/``drop_stop`` name no method: the injector installs or
+#: removes the seeded drop rule itself.
+ACTIONS: Dict[str, Tuple[Optional[str], Dict[str, Any]]] = {
+    "down": ("fail", {}),
+    "up": ("recover", {}),
+    "degrade": ("degrade", {"bw_factor": 1.0, "extra_latency": 0.0}),
+    "restore": ("restore", {}),
+    "silent_degrade": ("silent_degrade", {"bw_factor": 0.5}),
+    "silent_restore": ("silent_restore", {}),
+    "drop_start": (
+        None, {"probability": 1.0, "kinds": ("eager",), "label": "loss"}
+    ),
+    "drop_stop": (None, {"label": "loss"}),
+    "link_down": ("link_fail", {}),
+    "link_up": ("link_recover", {}),
+    "link_degrade": ("link_degrade", {"bw_factor": 1.0, "extra_latency": 0.0}),
+    "link_restore": ("link_restore", {}),
+    "spine_down": ("spine_fail", {}),
+    "spine_up": ("spine_recover", {}),
+    "spine_degrade": ("spine_degrade", {"bw_factor": 0.5}),
+    "spine_restore": ("spine_restore", {}),
 }
-
-#: the subset of actions resolved against switches rather than NICs
-FABRIC_ACTIONS = frozenset(
-    a for a in _ACTIONS if a.startswith(("link_", "spine_"))
-)
 
 
 @dataclass(frozen=True)
 class FaultAction:
-    """One timestamped fault transition aimed at one NIC (or NIC name)."""
+    """One timestamped fault transition aimed at one NIC, switch port or
+    spine (or a name addressing several)."""
 
     time: float
     nic: str
@@ -70,12 +70,12 @@ class FaultAction:
     def __post_init__(self) -> None:
         if self.time < 0:
             raise ConfigurationError(f"fault scheduled in the past: {self.time}")
-        if self.action not in _ACTIONS:
+        if self.action not in ACTIONS:
             raise ConfigurationError(
                 f"unknown fault action {self.action!r}; "
-                f"known: {sorted(_ACTIONS)}"
+                f"known: {sorted(ACTIONS)}"
             )
-        unknown = set(self.params) - set(_ACTIONS[self.action])
+        unknown = set(self.params) - set(ACTIONS[self.action][1])
         if unknown:
             raise ConfigurationError(
                 f"fault action {self.action!r} does not take {sorted(unknown)}"
@@ -140,17 +140,43 @@ class FaultSchedule:
         )
         return self
 
+    def _window(
+        self, target: str, action: str, end_action: str, at, duration, **params
+    ) -> "FaultSchedule":
+        """``action`` on ``target`` at ``at``; ``end_action`` undoes it
+        ``duration`` later when a duration is given."""
+        start = parse_time(at)
+        self._add(start, target, action, **params)
+        if duration is not None:
+            self._add(start + parse_time(duration), target, end_action)
+        return self
+
+    def _flap(
+        self, what: str, target: str, action: str, end_action: str,
+        period, duty: float, start, cycles: int,
+    ) -> "FaultSchedule":
+        """``cycles`` windows of ``action``, one per ``period``, each
+        ``duty`` of it long (``what`` names the builder in errors)."""
+        if not 0.0 < duty < 1.0:
+            raise ConfigurationError(f"{what} duty must be in (0, 1), got {duty}")
+        if cycles < 1:
+            raise ConfigurationError(f"{what} needs >= 1 cycle, got {cycles}")
+        p = parse_time(period)
+        if p <= 0:
+            raise ConfigurationError(f"{what} period must be positive, got {p}")
+        t = parse_time(start)
+        for _ in range(cycles):
+            self._window(target, action, end_action, t, duty * p)
+            t += p
+        return self
+
     # ------------------------------------------------------------------ #
     # link up/down
     # ------------------------------------------------------------------ #
 
     def nic_down(self, nic: str, at, duration=None) -> "FaultSchedule":
         """Take ``nic`` down at ``at``; back up after ``duration`` if given."""
-        start = parse_time(at)
-        self._add(start, nic, "down")
-        if duration is not None:
-            self._add(start + parse_time(duration), nic, "up")
-        return self
+        return self._window(nic, "down", "up", at, duration)
 
     def nic_up(self, nic: str, at) -> "FaultSchedule":
         return self._add(at, nic, "up")
@@ -164,19 +190,10 @@ class FaultSchedule:
         when ``duration`` is given — all come back together, modelling a
         reboot.  Addresses the injector's ``"<node>.*"`` wildcard.
         """
-        start = parse_time(at)
-        self._add(start, f"{node}.*", "down")
-        if duration is not None:
-            self._add(start + parse_time(duration), f"{node}.*", "up")
-        return self
+        return self._window(f"{node}.*", "down", "up", at, duration)
 
     def flapping(
-        self,
-        nic: str,
-        period,
-        duty: float = 0.5,
-        start=0.0,
-        cycles: int = 1,
+        self, nic: str, period, duty: float = 0.5, start=0.0, cycles: int = 1
     ) -> "FaultSchedule":
         """A flapping link: each ``period``, down for ``duty`` of it.
 
@@ -184,63 +201,38 @@ class FaultSchedule:
         dead half the time.  Expands to ``cycles`` explicit down/up pairs
         so the resulting schedule round-trips through config files.
         """
-        if not 0.0 < duty < 1.0:
-            raise ConfigurationError(f"flapping duty must be in (0, 1), got {duty}")
-        if cycles < 1:
-            raise ConfigurationError(f"flapping needs >= 1 cycle, got {cycles}")
-        p = parse_time(period)
-        if p <= 0:
-            raise ConfigurationError(f"flapping period must be positive, got {p}")
-        t = parse_time(start)
-        for _ in range(cycles):
-            self.nic_down(nic, at=t, duration=duty * p)
-            t += p
-        return self
+        return self._flap(
+            "flapping", nic, "down", "up", period, duty, start, cycles
+        )
 
     # ------------------------------------------------------------------ #
     # degradation
     # ------------------------------------------------------------------ #
 
     def degrade(
-        self,
-        nic: str,
-        at,
-        bw_factor: float = 1.0,
-        extra_latency=0.0,
+        self, nic: str, at, bw_factor: float = 1.0, extra_latency=0.0,
         duration=None,
     ) -> "FaultSchedule":
         """Stretch ``nic``'s timings from ``at`` (optionally for ``duration``)."""
-        start = parse_time(at)
-        self._add(
-            start,
-            nic,
-            "degrade",
-            bw_factor=float(bw_factor),
-            extra_latency=parse_time(extra_latency),
+        return self._window(
+            nic, "degrade", "restore", at, duration,
+            bw_factor=float(bw_factor), extra_latency=parse_time(extra_latency),
         )
-        if duration is not None:
-            self._add(start + parse_time(duration), nic, "restore")
-        return self
 
     def restore(self, nic: str, at) -> "FaultSchedule":
         return self._add(at, nic, "restore")
 
     def silent_degrade(
-        self,
-        nic: str,
-        at,
-        bw_factor: float = 0.5,
-        duration=None,
+        self, nic: str, at, bw_factor: float = 0.5, duration=None
     ) -> "FaultSchedule":
         """Slow ``nic`` *without announcing it* — no fault event, no
         ``is_degraded`` flip, no obs instant.  The predictor keeps using
         the stale healthy profile; only the calibration drift loop
         (``repro.core.calibration``) can notice the error growth."""
-        start = parse_time(at)
-        self._add(start, nic, "silent_degrade", bw_factor=float(bw_factor))
-        if duration is not None:
-            self._add(start + parse_time(duration), nic, "silent_restore")
-        return self
+        return self._window(
+            nic, "silent_degrade", "silent_restore", at, duration,
+            bw_factor=float(bw_factor),
+        )
 
     def silent_restore(self, nic: str, at) -> "FaultSchedule":
         return self._add(at, nic, "silent_restore")
@@ -250,24 +242,14 @@ class FaultSchedule:
     # ------------------------------------------------------------------ #
 
     def eager_loss(
-        self,
-        nic: str,
-        probability: float,
-        start=0.0,
-        stop=None,
+        self, nic: str, probability: float, start=0.0, stop=None,
         label: str = "eager-loss",
     ) -> "FaultSchedule":
         """Drop outgoing eager packets with ``probability`` from ``start``."""
-        return self._loss(
-            nic, probability, ("eager",), start, stop, label
-        )
+        return self._loss(nic, probability, ("eager",), start, stop, label)
 
     def rdv_stall(
-        self,
-        nic: str,
-        probability: float,
-        start=0.0,
-        stop=None,
+        self, nic: str, probability: float, start=0.0, stop=None,
         label: str = "rdv-stall",
     ) -> "FaultSchedule":
         """Lose rendezvous control packets (stalled handshakes)."""
@@ -282,14 +264,9 @@ class FaultSchedule:
             raise ConfigurationError(
                 f"drop probability {probability} outside [0, 1]"
             )
-        t0 = parse_time(start)
         self._add(
-            t0,
-            nic,
-            "drop_start",
-            probability=float(probability),
-            kinds=list(kinds),
-            label=label,
+            start, nic, "drop_start",
+            probability=float(probability), kinds=list(kinds), label=label,
         )
         if stop is not None:
             self._add(parse_time(stop), nic, "drop_stop", label=label)
@@ -303,35 +280,20 @@ class FaultSchedule:
         """Kill a switch edge link (``"fattree0.node3"``, or
         ``"fattree0.*"`` for every port) at ``at``; a dead link rejects
         traffic in both directions.  Back up after ``duration`` if given."""
-        start = parse_time(at)
-        self._add(start, link, "link_down")
-        if duration is not None:
-            self._add(start + parse_time(duration), link, "link_up")
-        return self
+        return self._window(link, "link_down", "link_up", at, duration)
 
     def link_up(self, link: str, at) -> "FaultSchedule":
         return self._add(at, link, "link_up")
 
     def link_degrade(
-        self,
-        link: str,
-        at,
-        bw_factor: float = 1.0,
-        extra_latency=0.0,
+        self, link: str, at, bw_factor: float = 1.0, extra_latency=0.0,
         duration=None,
     ) -> "FaultSchedule":
         """Stretch one edge link's drain/latency from ``at``."""
-        start = parse_time(at)
-        self._add(
-            start,
-            link,
-            "link_degrade",
-            bw_factor=float(bw_factor),
-            extra_latency=parse_time(extra_latency),
+        return self._window(
+            link, "link_degrade", "link_restore", at, duration,
+            bw_factor=float(bw_factor), extra_latency=parse_time(extra_latency),
         )
-        if duration is not None:
-            self._add(start + parse_time(duration), link, "link_restore")
-        return self
 
     def link_restore(self, link: str, at) -> "FaultSchedule":
         return self._add(at, link, "link_restore")
@@ -341,11 +303,7 @@ class FaultSchedule:
         ``"fattree0.spine*"`` for all of them).  A dead spine serializes
         nothing: flows hashed onto it re-route (adaptive) or drop
         (static)."""
-        start = parse_time(at)
-        self._add(start, spine, "spine_down")
-        if duration is not None:
-            self._add(start + parse_time(duration), spine, "spine_up")
-        return self
+        return self._window(spine, "spine_down", "spine_up", at, duration)
 
     def spine_up(self, spine: str, at) -> "FaultSchedule":
         return self._add(at, spine, "spine_up")
@@ -354,43 +312,23 @@ class FaultSchedule:
         self, spine: str, at, bw_factor: float = 0.5, duration=None
     ) -> "FaultSchedule":
         """Slow one spine's serialization rate by ``bw_factor``."""
-        start = parse_time(at)
-        self._add(start, spine, "spine_degrade", bw_factor=float(bw_factor))
-        if duration is not None:
-            self._add(start + parse_time(duration), spine, "spine_restore")
-        return self
+        return self._window(
+            spine, "spine_degrade", "spine_restore", at, duration,
+            bw_factor=float(bw_factor),
+        )
 
     def spine_restore(self, spine: str, at) -> "FaultSchedule":
         return self._add(at, spine, "spine_restore")
 
     def port_flapping(
-        self,
-        link: str,
-        period,
-        duty: float = 0.5,
-        start=0.0,
-        cycles: int = 1,
+        self, link: str, period, duty: float = 0.5, start=0.0, cycles: int = 1
     ) -> "FaultSchedule":
         """A flapping switch port: each ``period``, down for ``duty`` of
         it — the fabric-side analogue of :meth:`flapping`."""
-        if not 0.0 < duty < 1.0:
-            raise ConfigurationError(
-                f"port_flapping duty must be in (0, 1), got {duty}"
-            )
-        if cycles < 1:
-            raise ConfigurationError(
-                f"port_flapping needs >= 1 cycle, got {cycles}"
-            )
-        p = parse_time(period)
-        if p <= 0:
-            raise ConfigurationError(
-                f"port_flapping period must be positive, got {p}"
-            )
-        t = parse_time(start)
-        for _ in range(cycles):
-            self.link_down(link, at=t, duration=duty * p)
-            t += p
-        return self
+        return self._flap(
+            "port_flapping", link, "link_down", "link_up",
+            period, duty, start, cycles,
+        )
 
     # ------------------------------------------------------------------ #
     # (de)serialization — the config-file round trip

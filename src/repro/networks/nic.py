@@ -377,14 +377,6 @@ class Nic:
             self._declare(0.0)
             self.sim.call_soon(self._control_start, transfer, core)
 
-    def expected_tx_time(self, transfer: Transfer) -> float:
-        """Transmit-engine occupancy this transfer will be declared with."""
-        if transfer.kind is TransferKind.EAGER:
-            return self._eager_tx_time(transfer.size)
-        if transfer.kind is TransferKind.RDV_DATA:
-            return self._rdv_tx_time(transfer.size)
-        return 0.0
-
     # -- pipelines ---------------------------------------------------------
 
     def _eager_tx_time(self, size: int) -> float:

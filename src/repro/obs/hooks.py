@@ -85,7 +85,7 @@ EVENTS: Dict[str, str] = {
     "on_collective_complete": "rank, seq, planned, accounted, now",
     # calibration controller
     "on_drift": "nic, band, ewma",
-    "on_resample": "nic, blend",
+    "on_resample": "nic",
     "on_fallback": "nic, node, before, after, confidence",
     "on_clamp": "plan",
     # cluster drain audit

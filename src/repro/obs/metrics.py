@@ -256,40 +256,6 @@ class MetricsRegistry:
             },
         }
 
-    def merge(self, other: "MetricsRegistry") -> "MetricsRegistry":
-        """Fold another registry into this one (cross-process reduce).
-
-        Counters and histogram contents add; gauges take the incoming
-        value (last-merged-wins — merge workers in a deterministic
-        order).  Histograms must agree on their bucket boundaries; the
-        fixed-at-creation contract makes that hold for same-build
-        workers by construction.  Returns ``self`` for chaining.
-        """
-        for name in sorted(other._counters):
-            self.counter(name).value += other._counters[name].value
-        for name in sorted(other._gauges):
-            self.gauge(name).value = other._gauges[name].value
-        for name in sorted(other._histograms):
-            theirs = other._histograms[name]
-            mine = self.histogram(name, theirs.bounds)
-            if mine.bounds != theirs.bounds:
-                raise ConfigurationError(
-                    f"histogram {name}: bucket boundaries differ "
-                    f"({mine.bounds} vs {theirs.bounds})"
-                )
-            for i, c in enumerate(theirs.counts):
-                mine.counts[i] += c
-            mine.count += theirs.count
-            mine.total += theirs.total
-            for attr in ("min", "max"):
-                val = getattr(theirs, attr)
-                if val is None:
-                    continue
-                cur = getattr(mine, attr)
-                pick = min if attr == "min" else max
-                setattr(mine, attr, val if cur is None else pick(cur, val))
-        return self
-
     # ------------------------------------------------------------------ #
     # hook subscriber (repro.obs.hooks): engine facts -> instruments
     # ------------------------------------------------------------------ #
@@ -524,7 +490,7 @@ class MetricsRegistry:
     def on_drift(self, nic, band, ewma) -> None:
         self.counter("calibration.drift_detected").inc()
 
-    def on_resample(self, nic, blend) -> None:
+    def on_resample(self, nic) -> None:
         self.counter("calibration.resamples").inc()
 
     def on_fallback(self, nic, node, before, after, confidence) -> None:
@@ -538,10 +504,12 @@ def merge_snapshots(
     snapshots: Iterable[Dict[str, Dict[str, object]]]
 ) -> Dict[str, Dict[str, object]]:
     """Reduce :meth:`MetricsRegistry.snapshot` dicts from several workers
-    into one (the pickled-artifact counterpart of :meth:`~MetricsRegistry.merge`).
+    into one (the cross-process reduce of a sharded run).
 
-    Same semantics: counters and histogram contents add, gauges take the
-    last value in iteration order.  The reduce is associative and the
+    Counters and histogram contents add (min and max fold), gauges take
+    the last value in iteration order, and histograms must agree on
+    their bucket boundaries — which the fixed-at-creation rule makes
+    hold for same-build workers.  The reduce is associative and the
     output name-sorted, so a serial run and any sharded fan-out of the
     same work merge byte-identically.
     """

@@ -555,14 +555,10 @@ class Tracer:
             {"rail": nic.qualified_name, "band": band, "ewma": ewma},
         )
 
-    def on_resample(self, nic, blend) -> None:
+    def on_resample(self, nic) -> None:
         self._calibration_instant(
             nic, "resample",
-            {
-                "rail": nic.qualified_name,
-                "technology": nic.profile.name,
-                "blend": blend,
-            },
+            {"rail": nic.qualified_name, "technology": nic.profile.name},
         )
 
     def on_fallback(self, nic, node, before, after, confidence) -> None:

@@ -3,8 +3,11 @@
 import pytest
 
 from repro.faults import FaultInjector, FaultSchedule
+from repro.faults.schedule import ACTIONS
 from repro.hardware import Machine
-from repro.networks import MxDriver, Nic, Wire
+from repro.networks import MxDriver, Nic, TransferKind, Wire
+from repro.networks.nic import DropRule
+from repro.networks.switch import FatTreeSwitch
 from repro.obs import Timeline
 from repro.simtime import Simulator
 from repro.util.errors import ConfigurationError
@@ -134,3 +137,59 @@ class TestFiring:
 
         assert draws(1) == draws(1)
         assert draws(1) != draws(2)
+
+
+def four_nodes_on_a_fat_tree(sim):
+    """One NIC ``port`` on each of node0..node3, behind the two-spine
+    fat tree ``ft``."""
+    switch = FatTreeSwitch(name="ft", switch_latency=0.3, pod_size=2, spines=2)
+    nics = [
+        Nic(Machine(sim, f"node{i}"), MxDriver(), name="port") for i in range(4)
+    ]
+    for nic in nics:
+        switch.attach(nic)
+    return switch, nics
+
+
+class TestActionDefaults:
+    """A config-file schedule may omit an action's params; the injector
+    then runs the action's method with the action table's defaults."""
+
+    @pytest.mark.parametrize("action", sorted(ACTIONS))
+    def test_omitted_params_take_the_table_defaults(self, action, monkeypatch):
+        method, defaults = ACTIONS[action]
+        sim = Simulator()
+        switch, nics = four_nodes_on_a_fat_tree(sim)
+        nic = nics[0]
+        target, device, args = {
+            "link": ("ft.node1", switch, ("node1",)),
+            "spine": ("ft.spine1", switch, (1,)),
+        }.get(action.split("_")[0], ("node0.port", nic, ()))
+        calls = []
+        if method is not None:
+            orig = getattr(type(device), method)
+
+            def spy(self, *a, **kw):
+                calls.append((self, a, kw))
+                return orig(self, *a, **kw)
+
+            monkeypatch.setattr(type(device), method, spy)
+        if action == "drop_stop":
+            nic.drop_rules.append(DropRule(frozenset(), 0.0, None))
+        schedule = FaultSchedule.from_dict(
+            {"events": [{"time": 1.0, "nic": target, "action": action}]}
+        )
+        FaultInjector(nics, schedule).arm()
+        sim.run()
+        if method is not None:
+            assert calls == [(device, args, defaults)]
+        if action == "spine_degrade":
+            assert switch._spine_bw[1] == 0.5
+        elif action == "silent_degrade":
+            assert nic.silent_bw_factor == 0.5
+        elif action == "drop_start":
+            [rule] = nic.drop_rules
+            assert rule.kinds == frozenset({TransferKind.EAGER})
+            assert (rule.probability, rule.label) == (1.0, "loss")
+        elif action == "drop_stop":
+            assert nic.drop_rules == []

@@ -48,20 +48,29 @@ def _registry(counter=0, gauge=0, values=()):
     return reg
 
 
+def _merged(*registries):
+    return merge_snapshots([reg.snapshot() for reg in registries])
+
+
 class TestRegistryMerge:
+    """Registries merge through their snapshots (``merge_snapshots``)."""
+
     def test_counters_add_gauges_last_win(self):
-        merged = _registry(counter=2, gauge=10).merge(
-            _registry(counter=3, gauge=20)
+        snap = _merged(
+            _registry(counter=2, gauge=10), _registry(counter=3, gauge=20)
         )
-        snap = merged.snapshot()
         assert snap["counters"]["c"] == 5
         assert snap["gauges"]["g"] == 20
 
     def test_histograms_add_bucketwise(self):
-        merged = _registry(values=[1.0, 100.0]).merge(
-            _registry(values=[100.0, 9e9])
-        )
-        h = merged.snapshot()["histograms"]["h_us"]
+        a = _registry(values=[1.0, 100.0])
+        b = _registry(values=[100.0, 9e9])
+        h = _merged(a, b)["histograms"]["h_us"]
+        ours = a.snapshot()["histograms"]["h_us"]["buckets"]
+        theirs = b.snapshot()["histograms"]["h_us"]["buckets"]
+        assert h["buckets"] == {e: ours[e] + theirs[e] for e in ours}
+        assert (h["buckets"]["le_1"], h["buckets"]["le_100"]) == (1, 2)
+        assert h["buckets"]["inf"] == 1
         assert h["count"] == 4
         assert h["total"] == 201.0 + 9e9
         assert h["min"] == 1.0 and h["max"] == 9e9
@@ -71,24 +80,32 @@ class TestRegistryMerge:
         a.counter("only.a").inc()
         b = MetricsRegistry()
         b.counter("only.b").inc(2)
-        snap = a.merge(b).snapshot()
-        assert snap["counters"] == {"only.a": 1, "only.b": 2}
+        assert _merged(a, b)["counters"] == {"only.a": 1, "only.b": 2}
 
     def test_bucket_mismatch_rejected(self):
         a = MetricsRegistry()
         a.histogram("h", bounds=(1.0, 2.0)).observe(1.0)
         b = MetricsRegistry()
-        b.histogram("h", bounds=(1.0, 3.0)).observe(1.0)
-        with pytest.raises(ConfigurationError):
-            a.merge(b)
+        b.histogram("h", bounds=(1.0, 2.0, 3.0)).observe(1.0)
+        with pytest.raises(ConfigurationError, match="bucket boundaries"):
+            _merged(a, b)
 
 
 class TestSnapshotMerge:
     def test_matches_registry_merge(self):
-        a = _registry(counter=2, gauge=10, values=[5.0])
-        b = _registry(counter=3, gauge=20, values=[50.0])
-        via_snapshots = merge_snapshots([a.snapshot(), b.snapshot()])
-        assert via_snapshots == a.merge(b).snapshot()
+        snap = _merged(
+            _registry(counter=2, gauge=10, values=[5.0]),
+            _registry(counter=3, gauge=20, values=[50.0]),
+        )
+        assert snap["counters"] == {"c": 5}
+        assert snap["gauges"] == {"g": 20}
+        h = snap["histograms"]["h_us"]
+        assert {e: c for e, c in h["buckets"].items() if c} == {
+            "le_5": 1, "le_50": 1,
+        }
+        assert (h["count"], h["total"], h["min"], h["max"]) == (
+            2, 55.0, 5.0, 50.0,
+        )
 
     def test_associative(self):
         snaps = [

@@ -402,14 +402,10 @@ class ReferenceTracer:
             {"rail": nic.qualified_name, "band": band, "ewma": ewma},
         )
 
-    def on_resample(self, nic, blend) -> None:
+    def on_resample(self, nic) -> None:
         self._calibration_instant(
             nic, "resample",
-            {
-                "rail": nic.qualified_name,
-                "technology": nic.profile.name,
-                "blend": blend,
-            },
+            {"rail": nic.qualified_name, "technology": nic.profile.name},
         )
 
     def on_fallback(self, nic, node, before, after, confidence) -> None:
@@ -655,7 +651,7 @@ class ReferenceMetrics(MetricsRegistry):
     def on_drift(self, nic, band, ewma) -> None:
         self.counter("calibration.drift_detected").inc()
 
-    def on_resample(self, nic, blend) -> None:
+    def on_resample(self, nic) -> None:
         self.counter("calibration.resamples").inc()
 
     def on_fallback(self, nic, node, before, after, confidence) -> None:
