@@ -7,7 +7,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 JOBS ?= 0
 
 .PHONY: test check chaos chaos-wide chaos-silent chaos-fabric \
-        bench-parallel soak-parallel
+        bench-parallel soak-parallel bench-pairs
 
 # Tier-1 verify (the ROADMAP contract).
 test:
@@ -18,6 +18,39 @@ test:
 # benchmarks/e2e/README.md).
 check: test
 	$(PYTHON) benchmarks/e2e/run.py --quick
+
+# A change against its parent on the end-to-end benchmark, in alternating
+# pairs: PARENT's committed tree is exported to a temporary directory
+# outside the repo (git archive, so nothing is registered in .git), and
+# run.py runs there and in this working tree in turn, the parent first
+# in odd pairs and the change first in even ones; compare.py then judges
+# the two sets.  The result files stay in the printed directory.
+#   make bench-pairs PARENT=<rev> [PAIRS=10] [SEED=0] [WORKLOAD="w1 w2"]
+PAIRS ?= 10
+SEED ?= 0
+WORKLOAD ?=
+
+bench-pairs:
+	@test -n "$(PARENT)" || { echo "usage: make bench-pairs PARENT=<rev> [PAIRS=10] [SEED=0] [WORKLOAD=...]" >&2; exit 2; }
+	@set -e; \
+	out=$$(mktemp -d); \
+	mkdir "$$out/parent"; \
+	trap 'rm -rf "$$out/parent"' EXIT; \
+	git archive --format=tar "$(PARENT)" | tar -x -C "$$out/parent"; \
+	args="--seed $(SEED) $(foreach w,$(WORKLOAD),--workload $(w))"; \
+	for i in $$(seq 1 $(PAIRS)); do \
+		if [ $$((i % 2)) -eq 1 ]; then order="parent change"; else order="change parent"; fi; \
+		for side in $$order; do \
+			if [ $$side = parent ]; then tree="$$out/parent"; else tree="$(CURDIR)"; fi; \
+			echo "pair $$i/$(PAIRS): $$side"; \
+			n=$$(printf %02d $$i); \
+			$(PYTHON) "$$tree/benchmarks/e2e/run.py" $$args \
+				--out "$$out/$$side-$$n.json" > "$$out/$$side-$$n.log"; \
+		done; \
+	done; \
+	echo "results in $$out"; \
+	$(PYTHON) benchmarks/e2e/compare.py --parent "$$out"/parent-*.json \
+		--change "$$out"/change-*.json
 
 # Chaos soak: the fixed CI seed window under the invariant monitor
 # (exits nonzero on any violation; see docs/chaos.md).

@@ -40,6 +40,7 @@ from repro.core.prediction import CompletionPredictor
 from repro.core.rendezvous import (
     make_aggregated_eager,
     make_eager_chunks,
+    make_eager_packet,
     make_rdv_ack,
     make_rdv_chunks,
     make_rdv_req,
@@ -112,7 +113,9 @@ class RecvMatcher:
         posted = self._posted
         head: Optional[RecvHandle] = None
         head_key: Optional[Pattern] = None
-        for key in _patterns(msg):
+        src, tag = msg.src, msg.tag
+        # the four keys of _patterns(msg), without the call
+        for key in ((src, tag), (src, None), (None, tag), (None, None)):
             bucket = posted.get(key)
             if bucket is not None and (head is None or bucket[0].seq < head.seq):
                 head, head_key = bucket[0], key
@@ -141,9 +144,10 @@ class RecvMatcher:
         message it matches, or make it the latest pending receive and
         return None."""
         source, tag = handle.source, handle.tag
-        taken = self._take(self._unclaimed, (source, tag))
-        if taken is not None:
-            return taken[0]
+        if self._unclaimed:
+            taken = self._take(self._unclaimed, (source, tag))
+            if taken is not None:
+                return taken[0]
         handle.seq = self._seq
         self._seq += 1
         bucket = self._posted.get((source, tag))
@@ -158,6 +162,8 @@ class RecvMatcher:
     ) -> Optional[Tuple[Message, Nic]]:
         """Remove and return the earliest parked REQ the pattern matches,
         with its NIC, or None."""
+        if not self._parked:
+            return None
         return self._take(self._parked, (source, tag))
 
     def cancel(self, handle: RecvHandle) -> bool:
@@ -314,6 +320,7 @@ class NmadEngine:
             nic.hooks = self.hooks
         # receive-side state
         self.matcher = RecvMatcher()
+        self._recv_event_name = f"recv@{machine.name}"
         # resilience knobs (None timeout = watchdogs off)
         self.timeout = None if timeout is None else parse_time(timeout)
         if self.timeout is not None and self.timeout <= 0:
@@ -386,8 +393,12 @@ class NmadEngine:
     ) -> RecvHandle:
         """Post a receive; its ``done`` event fires with the matched
         message once that message fully arrived."""
-        handle = RecvHandle(node=self.machine.name, source=source, tag=tag)
-        handle.done = SimEvent(self.sim, name=f"recv@{self.machine.name}")
+        handle = RecvHandle(
+            node=self.machine.name,
+            source=source,
+            tag=tag,
+            done=SimEvent(self.sim, name=self._recv_event_name),
+        )
         msg = self.matcher.post(handle)
         if msg is not None:
             handle.matched = msg
@@ -421,19 +432,26 @@ class NmadEngine:
             )
         return True
 
-    def rails_to(self, dest: str, msg: Optional[Message] = None) -> List[Nic]:
+    def rails_to(self, dest: str, msg: Optional[Message] = None) -> Sequence[Nic]:
         """Local *up* NICs wired towards ``dest`` (strategy-facing).
 
-        Down rails are excluded; pass ``msg`` to record why each skipped
-        rail was avoided (surfaced by ``obs.explain``).  Raises when no
-        rail is up — callers that can wait should check :meth:`sendable`
-        first (the out-list scheduler does).
+        Read-only: while every rail is up this is the route's shared
+        tuple itself, so the per-message call allocates nothing.  Down
+        rails are excluded (into a new list); pass ``msg`` to record why
+        each skipped rail was avoided (surfaced by ``obs.explain``).
+        Raises when no rail is up — callers that can wait should check
+        :meth:`sendable` first (the out-list scheduler does).
         """
         rails = self._routes.get(dest)
         if not rails:
             raise ConfigurationError(f"no rail towards {dest!r}")
+        for n in rails:
+            if not n.is_up:
+                break
+        else:
+            return rails
         up = [n for n in rails if n.is_up]
-        if msg is not None and len(up) < len(rails):
+        if msg is not None:
             for n in rails:
                 if not n.is_up:
                     msg.note_rail_avoided(n.qualified_name, "down", self.sim.now)
@@ -452,9 +470,9 @@ class NmadEngine:
 
     def sendable(self, msg: Message) -> bool:
         """Can ``msg`` be planned right now (any up rail towards dest)?"""
-        rails = self._routes.get(msg.dest, ())
-        if any(n.is_up for n in rails):
-            return True
+        for n in self._routes.get(msg.dest, ()):
+            if n.is_up:
+                return True
         msg.note_rail_avoided(
             "all rails", f"down towards {msg.dest}", self.sim.now
         )
@@ -504,32 +522,43 @@ class NmadEngine:
         """
         self._check_ownership(msg)
         self.scheduler.remove(msg)
-        sizes = [s for _, s in chunks]
-        transfers = make_eager_chunks(msg, sizes)
+        if len(chunks) == 1:
+            # The whole message on one rail, as most eager sends go: one
+            # packet and its record tuples, without the per-chunk lists
+            # and zips of a split.
+            nic, size = chunks[0]
+            transfers = [make_eager_packet(msg, size)]
+            rails_used = (nic.qualified_name,)
+            sizes = (size,)
+        else:
+            sizes = tuple(s for _, s in chunks)
+            transfers = make_eager_chunks(msg, sizes)
+            rails_used = tuple(n.qualified_name for n, _ in chunks)
         msg.mode = TransferMode.EAGER
         msg.status = MessageStatus.IN_TRANSFER
         msg.expect_chunks(len(chunks))
-        msg.rails_used = tuple(nic.qualified_name for nic, _ in chunks)
-        msg.chunk_sizes = tuple(sizes)
+        msg.rails_used = rails_used
+        msg.chunk_sizes = sizes
         msg.transfers.extend(transfers)
         if self.hooks.stamps and self.predictor is not None:
-            for t, (nic, _) in zip(transfers, chunks):
-                self._predict_chunk(t, nic)
-        if offload and len(chunks) > 1:
+            for t, (n, _) in zip(transfers, chunks):
+                self._predict_chunk(t, n)
+        if len(chunks) == 1:
+            nic.submit(transfers[0], self.app_core)
+        elif offload:
             requests = [
-                SendRequest(transfer=t, nic=nic)
-                for t, (nic, _) in zip(transfers, chunks)
+                SendRequest(transfer=t, nic=n) for t, (n, _) in zip(transfers, chunks)
             ]
             self.pioman.register_sends(requests, issuing_core=self.app_core)
         else:
-            for t, (nic, _) in zip(transfers, chunks):
-                nic.submit(t, self.app_core)
+            for t, (n, _) in zip(transfers, chunks):
+                n.submit(t, self.app_core)
 
     def submit_aggregated_eager(self, msgs: Sequence[Message], nic: Nic) -> None:
         """Pack several messages into one eager packet on one rail."""
         for m in msgs:
             self._check_ownership(m)
-            self.scheduler.remove(m)
+        self.scheduler.remove(*msgs)
         packet = make_aggregated_eager(msgs)
         if packet.size > nic.profile.eager_limit:
             raise ProtocolError(
@@ -538,13 +567,16 @@ class NmadEngine:
             )
         ids = packet.aggregated_ids
         rails_used = (nic.qualified_name,)
-        for m in msgs:
+        for i, m in enumerate(msgs):
             m.mode = TransferMode.EAGER
             m.status = MessageStatus.IN_TRANSFER
             m.expect_chunks(1)
             m.rails_used = rails_used
             m.chunk_sizes = (m.size,)
-            m.aggregated_with = tuple(i for i in ids if i != m.msg_id)
+            # the packet's other ids, in packing order (``remove`` has
+            # checked that no message is packed twice)
+            m.aggregated_with = ids[:i] + ids[i + 1 :]
+            m.transfers.append(packet)
         # Building the aggregate (iovec entries, or a staging copy without
         # gather/scatter hardware) costs CPU before the post.
         agg_cost = nic.driver.aggregation_cpu_cost(
@@ -552,8 +584,6 @@ class NmadEngine:
         )
         if agg_cost > 0:
             self.app_core.run(agg_cost, label="aggregate")
-        for m in msgs:
-            m.transfers.append(packet)
         if self.hooks.stamps and self.predictor is not None:
             self._predict_chunk(packet, nic)
         nic.submit(packet, self.app_core)
@@ -590,7 +620,13 @@ class NmadEngine:
         else:  # pragma: no cover - exhaustive over TransferKind
             raise ProtocolError(f"unknown transfer kind {transfer.kind}")
 
-    def _account_delivery(self, msg: Message, transfer: Transfer, nbytes: int) -> None:
+    def _account_delivery(
+        self,
+        msg: Message,
+        transfer: Transfer,
+        nbytes: int,
+        chunk_key: Tuple[int, int],
+    ) -> None:
         """Receiver-side integrity gate in front of chunk accounting.
 
         Exactly-once delivery: each (message, chunk interval) is summed
@@ -601,7 +637,7 @@ class NmadEngine:
         of corrupting the byte accounting.
         """
         hooks = self.hooks
-        if not msg.register_delivery(transfer.chunk_key):
+        if not msg.register_delivery(chunk_key):
             self.duplicates_suppressed += 1
             if hooks.on_duplicate:
                 hooks.on_duplicate(msg, transfer, self.sim.now)
@@ -612,11 +648,12 @@ class NmadEngine:
             self._complete_message(msg)
 
     def _on_eager(self, transfer: Transfer) -> None:
+        key = transfer.chunk_key
         if transfer.aggregated_ids:
             for msg in transfer.messages:
-                self._account_delivery(msg, transfer, msg.size)
+                self._account_delivery(msg, transfer, msg.size, key)
             return
-        self._account_delivery(transfer.message, transfer, transfer.size)
+        self._account_delivery(transfer.message, transfer, transfer.size, key)
 
     def _on_rdv_req(self, transfer: Transfer, nic: Nic) -> None:
         msg = transfer.message
@@ -668,7 +705,9 @@ class NmadEngine:
             nic.submit(t, self.app_core)
 
     def _on_rdv_data(self, transfer: Transfer) -> None:
-        self._account_delivery(transfer.message, transfer, transfer.size)
+        self._account_delivery(
+            transfer.message, transfer, transfer.size, transfer.chunk_key
+        )
 
     def _complete_message(self, msg: Message) -> None:
         if msg.status is MessageStatus.DEGRADED:
@@ -852,6 +891,8 @@ class NmadEngine:
         )
 
     def _cancel_watchdog(self, msg: Message) -> None:
+        if not self._watchdogs:
+            return
         ev = self._watchdogs.pop(msg.msg_id, None)
         if ev is not None:
             self.sim.cancel(ev)

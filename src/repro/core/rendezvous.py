@@ -110,21 +110,44 @@ def make_eager_chunks(msg: Message, sizes: Sequence[int]) -> List[Transfer]:
     return chunks
 
 
+def make_eager_packet(msg: Message, size: int) -> Transfer:
+    """The whole of ``msg`` as one eager packet: what
+    :func:`make_eager_chunks` builds for ``[size]``, without the list."""
+    if size != msg.size:
+        raise ProtocolError(
+            f"msg {msg.msg_id}: chunks {[size]} sum to {size}, "
+            f"message is {msg.size}B"
+        )
+    return Transfer(
+        kind=TransferKind.EAGER,
+        size=size,
+        msg_id=msg.msg_id,
+        tag=msg.tag,
+        dst_node=msg.dest,
+        message=msg,
+    )
+
+
 def make_aggregated_eager(msgs: Sequence[Message]) -> Transfer:
     """One wire packet carrying several whole messages (same destination)."""
     if not msgs:
         raise ProtocolError("aggregating zero messages")
-    dests = {m.dest for m in msgs}
-    if len(dests) != 1:
-        raise ProtocolError(f"aggregating messages to different nodes: {dests}")
-    total = sum(m.size for m in msgs)
+    first = msgs[0]
+    total = 0
+    ids = []
+    for m in msgs:
+        if m.dest != first.dest:
+            dests = {m.dest for m in msgs}
+            raise ProtocolError(f"aggregating messages to different nodes: {dests}")
+        total += m.size
+        ids.append(m.msg_id)
     return Transfer(
         kind=TransferKind.EAGER,
         size=total,
-        msg_id=msgs[0].msg_id,
-        tag=msgs[0].tag,
-        dst_node=msgs[0].dest,
-        aggregated_ids=tuple(m.msg_id for m in msgs),
-        message=msgs[0],
+        msg_id=first.msg_id,
+        tag=first.tag,
+        dst_node=first.dest,
+        aggregated_ids=tuple(ids),
+        message=first,
         messages=tuple(msgs),
     )

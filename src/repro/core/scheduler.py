@@ -59,13 +59,22 @@ class OptimizerScheduler:
                 return msg
         return None
 
-    def remove(self, msg: Message) -> None:
-        """Take a dispatched message off the out-list (the engine's
-        submission helpers call this)."""
-        try:
-            self._outlist.remove(msg)
-        except ValueError:
-            raise SchedulingError(f"{msg!r} is not in the out-list") from None
+    def remove(self, *msgs: Message) -> None:
+        """Take dispatched messages off the out-list (the engine's
+        submission helpers call this, an aggregate's batch in one call);
+        the others keep their order.
+
+        Each ``deque.remove`` scans from the head, where a dispatched
+        batch sits in out-list order, so a batch costs about one pass
+        over the front of the out-list.  Raises :class:`SchedulingError`
+        at the first message that is not queued (or is given twice).
+        """
+        outlist = self._outlist
+        for msg in msgs:
+            try:
+                outlist.remove(msg)
+            except ValueError:
+                raise SchedulingError(f"{msg!r} is not in the out-list") from None
 
     # ------------------------------------------------------------------ #
     # activation

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List, Optional, TYPE_CHECKING
+from typing import List, Optional, Sequence, TYPE_CHECKING
 
 from repro.core.packets import Message, TransferMode
 from repro.core.prediction import RailPlan
@@ -85,8 +85,10 @@ class Strategy:
 
     # -- rail helpers -------------------------------------------------------
 
-    def rails_to(self, dest: str, msg: Optional[Message] = None) -> List[Nic]:
-        """Up rails towards ``dest``; pass ``msg`` to record avoided rails."""
+    def rails_to(self, dest: str, msg: Optional[Message] = None) -> Sequence[Nic]:
+        """Up rails towards ``dest``, read-only (see
+        :meth:`NmadEngine.rails_to`); pass ``msg`` to record avoided
+        rails."""
         assert self.engine is not None, "strategy not attached"
         return self.engine.rails_to(dest, msg)
 
@@ -98,9 +100,15 @@ class Strategy:
         strategy would hard-code from vendor datasheets)."""
         rails = self.rails_to(dest)
         if self.engine is not None and self.engine.predictor is not None:
-            return min(
-                rails, key=lambda n: self.engine.predictor.predict(n, size, mode)
-            )
+            # min() by prediction, as a loop: the first rail wins a tie
+            predict = self.engine.predictor.predict
+            best = None
+            best_t = 0.0
+            for nic in rails:
+                t = predict(nic, size, mode)
+                if best is None or t < best_t:
+                    best, best_t = nic, t
+            return best
 
         def naive(nic: Nic) -> float:
             offset = nic.busy_until - nic.sim.now
@@ -110,7 +118,7 @@ class Strategy:
 
         return min(rails, key=naive)
 
-    def pinned_rail(self, rails: List[Nic], msg: Message) -> Optional[Nic]:
+    def pinned_rail(self, rails: Sequence[Nic], msg: Message) -> Optional[Nic]:
         """The rail :attr:`rail` names among ``rails`` (the up rails
         towards ``msg.dest``).
 
@@ -183,9 +191,17 @@ class Strategy:
             # which rail that is only matters when the rails disagree.
             predictor = self.engine.predictor
             size = msg.size
-            modes = {_sampled_mode(predictor.estimator_for(n), size) for n in rails}
-            if len(modes) == 1:
-                return modes.pop()
+            # Every rail is asked, so each estimator's mode memo fills.
+            mode = None
+            agree = True
+            for nic in rails:
+                rail_mode = _sampled_mode(predictor.estimator_for(nic), size)
+                if mode is None:
+                    mode = rail_mode
+                elif rail_mode is not mode:
+                    agree = False
+            if agree:
+                return mode
             nic = self.fastest_rail(msg.dest, size, TransferMode.EAGER)
             return _sampled_mode(predictor.estimator_for(nic), size)
         # No sampling: eager whenever some rail accepts the size.

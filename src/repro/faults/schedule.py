@@ -24,9 +24,11 @@ Times accept anything :func:`repro.util.units.parse_time` does
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.networks.transfer import TransferKind
 from repro.util.errors import ConfigurationError
 from repro.util.units import parse_time
 
@@ -56,6 +58,50 @@ ACTIONS: Dict[str, Tuple[Optional[str], Dict[str, Any]]] = {
     "spine_restore": ("spine_restore", {}),
 }
 
+#: actions whose ``bw_factor`` may only slow the target down (a NIC's
+#: ``degrade``/``silent_degrade`` reject a factor above 1); the link and
+#: spine actions take any positive factor
+_SLOWDOWN_ONLY = ("degrade", "silent_degrade")
+
+#: the transfer kinds a drop rule may name
+_KINDS = frozenset(kind.value for kind in TransferKind)
+
+
+def _check_values(action: str, params: Dict[str, Any]) -> None:
+    """Raise :class:`ConfigurationError` for a parameter value the
+    action's target would reject when the fault fires (the rules of
+    ``Nic.degrade``, ``Switch.link_degrade``, ``DropRule`` and
+    ``TransferKind``), so that a bad schedule fails when it is loaded."""
+
+    def bad(name: str, rule: str) -> ConfigurationError:
+        return ConfigurationError(
+            f"fault action {action!r}: {name} {rule}, got {params[name]!r}"
+        )
+
+    for name in ("bw_factor", "extra_latency", "probability"):
+        value = params.get(name, 0.0)
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise bad(name, "must be a number")
+    if "bw_factor" in params:
+        factor = params["bw_factor"]
+        if action in _SLOWDOWN_ONLY:
+            if not 0.0 < factor <= 1.0:
+                raise bad("bw_factor", "must be in (0, 1]")
+        elif not factor > 0.0:
+            raise bad("bw_factor", "must be positive")
+    if "extra_latency" in params and not params["extra_latency"] >= 0.0:
+        raise bad("extra_latency", "must be >= 0")
+    if "probability" in params and not 0.0 <= params["probability"] <= 1.0:
+        raise bad("probability", "must be in [0, 1]")
+    if "kinds" in params:
+        kinds = params["kinds"]
+        if not isinstance(kinds, (list, tuple)) or not all(
+            isinstance(k, str) and k in _KINDS for k in kinds
+        ):
+            raise bad("kinds", f"must list transfer kinds of {sorted(_KINDS)}")
+    if "label" in params and not isinstance(params["label"], str):
+        raise bad("label", "must be a string")
+
 
 @dataclass(frozen=True)
 class FaultAction:
@@ -80,6 +126,7 @@ class FaultAction:
             raise ConfigurationError(
                 f"fault action {self.action!r} does not take {sorted(unknown)}"
             )
+        _check_values(self.action, self.params)
 
     def to_dict(self) -> Dict[str, Any]:
         out: Dict[str, Any] = {
@@ -260,10 +307,6 @@ class FaultSchedule:
     def _loss(
         self, nic: str, probability: float, kinds, start, stop, label: str
     ) -> "FaultSchedule":
-        if not 0.0 <= probability <= 1.0:
-            raise ConfigurationError(
-                f"drop probability {probability} outside [0, 1]"
-            )
         self._add(
             start, nic, "drop_start",
             probability=float(probability), kinds=list(kinds), label=label,

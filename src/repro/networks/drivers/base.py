@@ -76,7 +76,7 @@ class Driver:
         """
         if not sizes:
             return 0.0
-        if any(s < 0 for s in sizes):
+        if min(sizes) < 0:
             raise ConfigurationError(f"negative segment size in {sizes}")
         per_segment = 0.05  # descriptor/iovec entry bookkeeping
         cost = per_segment * len(sizes)

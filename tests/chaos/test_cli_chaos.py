@@ -32,9 +32,9 @@ class TestChaosCommand:
             Message, "register_delivery", lambda self, key: True
         )
 
-        def buggy(self, msg, transfer, nbytes):
-            orig(self, msg, transfer, nbytes)
-            orig(self, msg, transfer, nbytes)
+        def buggy(self, *delivery):
+            orig(self, *delivery)
+            orig(self, *delivery)
 
         monkeypatch.setattr(NmadEngine, "_account_delivery", buggy)
         assert main(["chaos", "--seeds", "7-7", "--shrink"]) == 1

@@ -24,9 +24,9 @@ def double_delivery_bug(monkeypatch):
     orig = NmadEngine._account_delivery
     monkeypatch.setattr(Message, "register_delivery", lambda self, key: True)
 
-    def buggy(self, msg, transfer, nbytes):
-        orig(self, msg, transfer, nbytes)
-        orig(self, msg, transfer, nbytes)
+    def buggy(self, *delivery):
+        orig(self, *delivery)
+        orig(self, *delivery)
 
     monkeypatch.setattr(NmadEngine, "_account_delivery", buggy)
 

@@ -77,6 +77,81 @@ class TestActionValidation:
             FaultAction(0.0, "n", "down", {"bw_factor": 0.5})
 
 
+def _config(action, params):
+    """A config-file schedule with one action at t=50 µs."""
+    return {
+        "seed": 0,
+        "events": [
+            {"time": 50.0, "nic": "node0.myri10g0", "action": action,
+             "params": params}
+        ],
+    }
+
+
+def _load_both_ways(config):
+    """Load a config-file schedule as a user does: on its own, and into
+    a cluster builder (each must raise at load, not when it fires)."""
+    from repro.api import ClusterBuilder
+
+    with pytest.raises(ConfigurationError) as direct:
+        FaultSchedule.from_dict(config)
+    with pytest.raises(ConfigurationError) as built:
+        ClusterBuilder.paper_testbed().faults(config)
+    assert str(direct.value) == str(built.value)
+    return str(direct.value)
+
+
+class TestValueValidationAtLoad:
+    """Bad parameter values fail when the schedule is loaded, with the
+    rules the targets apply when a fault fires."""
+
+    def test_bw_factor_given_as_string(self):
+        assert "number" in _load_both_ways(_config("degrade", {"bw_factor": "0.5"}))
+
+    def test_bw_factor_above_one_on_a_nic(self):
+        assert "(0, 1]" in _load_both_ways(_config("degrade", {"bw_factor": 2.0}))
+
+    def test_unknown_drop_kind(self):
+        message = _load_both_ways(_config("drop_start", {"kinds": ["eagre"]}))
+        assert "eagre" in message
+
+    @pytest.mark.parametrize(
+        "action, params",
+        [
+            ("degrade", {"bw_factor": True}),
+            ("degrade", {"bw_factor": None}),
+            ("degrade", {"bw_factor": 0.0}),
+            ("degrade", {"extra_latency": -1.0}),
+            ("degrade", {"extra_latency": "2us"}),
+            ("silent_degrade", {"bw_factor": 1.5}),
+            ("link_degrade", {"bw_factor": 0.0}),
+            ("spine_degrade", {"bw_factor": -0.5}),
+            ("drop_start", {"probability": 1.5}),
+            ("drop_start", {"probability": "1"}),
+            ("drop_start", {"kinds": "eager"}),
+            ("drop_start", {"label": 7}),
+            ("drop_stop", {"label": None}),
+        ],
+    )
+    def test_each_rule(self, action, params):
+        with pytest.raises(ConfigurationError, match=action):
+            FaultAction(50.0, "n", action, params)
+
+    @pytest.mark.parametrize(
+        "action, params",
+        [
+            ("degrade", {"bw_factor": 1, "extra_latency": 0}),
+            ("silent_degrade", {"bw_factor": 0.25}),
+            ("link_degrade", {"bw_factor": 2.0, "extra_latency": 1.5}),
+            ("spine_degrade", {"bw_factor": 4}),
+            ("drop_start", {"probability": 0, "kinds": ("rdv-req", "rdv-ack")}),
+            ("drop_stop", {"label": "loss"}),
+        ],
+    )
+    def test_values_the_targets_take_still_load(self, action, params):
+        assert FaultAction(50.0, "n", action, params).params == params
+
+
 class TestRoundTrip:
     def make(self):
         return (

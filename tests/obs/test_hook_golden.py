@@ -258,9 +258,9 @@ def _double_delivery_bug():
     orig_account = NmadEngine._account_delivery
     orig_register = Message.register_delivery
 
-    def buggy(self, msg, transfer, nbytes):
-        orig_account(self, msg, transfer, nbytes)
-        orig_account(self, msg, transfer, nbytes)
+    def buggy(self, *delivery):
+        orig_account(self, *delivery)
+        orig_account(self, *delivery)
 
     Message.register_delivery = lambda self, key: True
     NmadEngine._account_delivery = buggy
