@@ -37,7 +37,7 @@ class AdaptiveStrategy(MulticoreSplitStrategy):
         self.splits = 0
 
     def send_eager(self, msg: Message) -> bool:
-        batch = self.eager_batch(msg)
+        batch, total = self.eager_batch(msg)
         if len(batch) < 2:
             # A lone packet: parallel send over separate NICs from
             # different cores when the estimator says it pays off.
@@ -50,9 +50,7 @@ class AdaptiveStrategy(MulticoreSplitStrategy):
         # (paper §I, first branch).
         assert self.engine is not None
         engine = self.engine
-        nic = self.fastest_rail(
-            msg.dest, sum(m.size for m in batch), TransferMode.EAGER
-        )
+        nic = self.fastest_rail(msg.dest, total, TransferMode.EAGER)
         engine.submit_aggregated_eager(batch, nic)
         self.aggregations += 1
         if engine.hooks.on_aggregate:

@@ -51,8 +51,8 @@ class AggregateStrategy(Strategy):
 
     def send_eager(self, msg: Message) -> bool:
         # The rail is picked *after* the batch, by the size that travels.
-        batch = self.eager_batch(msg)
-        nic = self._pick_rail(msg, sum(m.size for m in batch))
+        batch, total = self.eager_batch(msg)
+        nic = self._pick_rail(msg, total)
         if self.rail is None and not nic.is_idle:
             return False  # rail busy; retry on the NIC-idle event
         self.engine.submit_aggregated_eager(batch, nic)

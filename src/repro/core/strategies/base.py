@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, TYPE_CHECKING
+from typing import List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from repro.core.packets import Message, TransferMode
 from repro.core.prediction import RailPlan
@@ -144,9 +144,10 @@ class Strategy:
             f"{[n.name for n in rails]}"
         )
 
-    def eager_batch(self, head: Message) -> List[Message]:
+    def eager_batch(self, head: Message) -> Tuple[List[Message], int]:
         """``head`` plus the queued same-destination eager messages that
-        fit one aggregated packet with it, in out-list order.
+        fit one aggregated packet with it, in out-list order, and their
+        total size (the packet's payload).
 
         The packet bound is the smallest aggregation and eager limit of
         the rails towards the destination; a head over it comes back
@@ -159,9 +160,9 @@ class Strategy:
             for n in self.rails_to(head.dest)
         )
         batch = [head]
-        if head.size > limit:
-            return batch
         total = head.size
+        if total > limit:
+            return batch, total
         for m in self.engine.scheduler:
             if m is head or m.dest != head.dest:
                 continue
@@ -171,7 +172,7 @@ class Strategy:
                 continue
             batch.append(m)
             total += m.size
-        return batch
+        return batch, total
 
     # ------------------------------------------------------------------ #
     # decision points (the §III-B invocation moments)

@@ -53,7 +53,7 @@ class Core:
         self.sim = sim
         self.core_id = core_id
         self.socket_id = socket_id
-        self._res = Resource(sim, capacity=1, name=f"core{core_id}")
+        self._res = Resource(sim, name=f"core{core_id}")
         self._busy_until: float = 0.0
         #: total µs this core has been held, summed in completion order
         self.busy_time: float = 0.0

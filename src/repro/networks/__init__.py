@@ -32,7 +32,7 @@ copies on the polling core — the effects Figs. 3/4 are about.
    delivery ``wire_latency`` later, completion after ``poll_detect``.
 """
 
-from repro.networks.profile import NetworkProfile, Paradigm
+from repro.networks.profile import NetworkProfile
 from repro.networks.transfer import Transfer, TransferKind
 from repro.networks.wire import Wire
 from repro.networks.switch import Switch
@@ -49,7 +49,6 @@ from repro.networks.drivers import (
 
 __all__ = [
     "NetworkProfile",
-    "Paradigm",
     "Transfer",
     "TransferKind",
     "Wire",

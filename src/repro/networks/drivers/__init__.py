@@ -1,16 +1,17 @@
-"""Network drivers: per-technology profiles and capabilities.
+"""Network drivers: per-technology profiles.
 
 NewMadeleine ships drivers for MX/Myrinet, Verbs/InfiniBand, Elan/QsNet
 and TCP/Ethernet (paper §III-A); this package mirrors that set.  A driver
 bundles a calibrated :class:`~repro.networks.profile.NetworkProfile` (the
-costs the simulator charges) with the capability flags the strategy layer
-inspects (§II-B: paradigm, gather/scatter availability, eager limit).
+costs the simulator charges, eager and aggregation limits and
+gather/scatter availability included) with the CPU cost of building an
+aggregated packet.
 
 The Myri-10G and Quadrics profiles are calibrated against the paper's
 §IV numbers — see each module's docstring for the targets.
 """
 
-from repro.networks.drivers.base import Driver, DriverCapabilities
+from repro.networks.drivers.base import Driver
 from repro.networks.drivers.mx import MxDriver
 from repro.networks.drivers.elan import ElanDriver
 from repro.networks.drivers.verbs import VerbsDriver
@@ -50,7 +51,6 @@ def make_driver(name: str, **profile_overrides) -> Driver:
 
 __all__ = [
     "Driver",
-    "DriverCapabilities",
     "MxDriver",
     "ElanDriver",
     "VerbsDriver",

@@ -1,31 +1,22 @@
-"""Driver abstraction: what the strategy layer may ask of a network.
+"""Driver abstraction: one technology's cost model and aggregation cost.
 
 The paper (§II-B) lists the "actual properties" a strategy should know
-about each network: the communication paradigm (message passing vs RDMA),
-the availability of gather/scatter operations, and — most valuably — the
-sampled ability to predict transfer durations.  The first two are static
-capabilities exposed here; the third comes from
+about each network.  The static ones this model uses — eager and
+aggregation limits, gather/scatter availability — are fields of the
+driver's :class:`~repro.networks.profile.NetworkProfile`; gather/scatter
+availability also prices an aggregated packet here
+(:meth:`Driver.aggregation_cpu_cost`).  The most valuable one, the
+ability to predict transfer durations, comes from
 :mod:`repro.core.sampling`, which *measures* the driver rather than
 trusting vendor figures.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from repro.networks.profile import NetworkProfile, Paradigm
+from repro.networks.profile import NetworkProfile
 from repro.util.errors import ConfigurationError
-
-
-@dataclass(frozen=True)
-class DriverCapabilities:
-    """Static per-driver facts the optimizer may branch on."""
-
-    paradigm: Paradigm
-    gather_scatter: bool
-    eager_limit: int
-    max_aggregation: int
 
 
 class Driver:
@@ -54,14 +45,6 @@ class Driver:
         """The calibrated cost model for this technology."""
         raise NotImplementedError
 
-    def capabilities(self) -> DriverCapabilities:
-        return DriverCapabilities(
-            paradigm=self.profile.paradigm,
-            gather_scatter=self.profile.gather_scatter,
-            eager_limit=self.profile.eager_limit,
-            max_aggregation=self.profile.max_aggregation,
-        )
-
     # ------------------------------------------------------------------ #
     # aggregation cost model
     # ------------------------------------------------------------------ #
@@ -83,7 +66,3 @@ class Driver:
         if not self.profile.gather_scatter:
             cost += sum(sizes) / memcpy_rate
         return cost
-
-    def fits_aggregation(self, total: int) -> bool:
-        """Whether an aggregated packet of ``total`` bytes is acceptable."""
-        return 0 <= total <= min(self.profile.max_aggregation, self.profile.eager_limit)

@@ -16,7 +16,7 @@ at 8 MiB and 2396 µs for 2 MiB (so the iso-split idle gap is ≈ 680 µs);
 from __future__ import annotations
 
 from repro.networks.drivers.base import Driver
-from repro.networks.profile import NetworkProfile, Paradigm
+from repro.networks.profile import NetworkProfile
 from repro.util.units import KiB
 
 
@@ -29,7 +29,6 @@ class ElanDriver(Driver):
     def default_profile(cls) -> NetworkProfile:
         return NetworkProfile(
             name=cls.technology,
-            paradigm=Paradigm.RDMA,
             wire_latency=0.8,
             pio_rate=1600.0,
             recv_copy_rate=1600.0,

@@ -15,7 +15,7 @@ With this profile: ``rdv_oneway(s) = 9.5 + s/1228`` µs, giving
 from __future__ import annotations
 
 from repro.networks.drivers.base import Driver
-from repro.networks.profile import NetworkProfile, Paradigm
+from repro.networks.profile import NetworkProfile
 from repro.util.units import KiB
 
 
@@ -28,7 +28,6 @@ class MxDriver(Driver):
     def default_profile(cls) -> NetworkProfile:
         return NetworkProfile(
             name=cls.technology,
-            paradigm=Paradigm.MESSAGE_PASSING,
             wire_latency=1.3,
             pio_rate=2200.0,
             recv_copy_rate=2200.0,

@@ -13,7 +13,7 @@ large-message bandwidth.
 from __future__ import annotations
 
 from repro.networks.drivers.base import Driver
-from repro.networks.profile import NetworkProfile, Paradigm
+from repro.networks.profile import NetworkProfile
 from repro.util.units import KiB
 
 
@@ -26,7 +26,6 @@ class TcpDriver(Driver):
     def default_profile(cls) -> NetworkProfile:
         return NetworkProfile(
             name=cls.technology,
-            paradigm=Paradigm.MESSAGE_PASSING,
             wire_latency=22.0,
             pio_rate=900.0,      # socket write() copy path
             recv_copy_rate=900.0,

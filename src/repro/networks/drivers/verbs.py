@@ -10,7 +10,7 @@ Calibrated to generic DDR 4x figures of the era: ≈ 1.9 µs latency,
 from __future__ import annotations
 
 from repro.networks.drivers.base import Driver
-from repro.networks.profile import NetworkProfile, Paradigm
+from repro.networks.profile import NetworkProfile
 from repro.util.units import KiB
 
 
@@ -23,7 +23,6 @@ class VerbsDriver(Driver):
     def default_profile(cls) -> NetworkProfile:
         return NetworkProfile(
             name=cls.technology,
-            paradigm=Paradigm.RDMA,
             wire_latency=1.0,
             pio_rate=1900.0,
             recv_copy_rate=1900.0,

@@ -90,8 +90,10 @@ class Nic:
         self.driver = driver
         self.profile: NetworkProfile = driver.profile
         self.name = name or f"{self.profile.name}{len(machine.nics)}"
+        #: ``node.nic``; nothing renames a NIC or its machine after this
+        self.qualified_name = f"{machine.name}.{self.name}"
         self.wire: Optional["Wire"] = None
-        self._tx = Resource(self.sim, capacity=1, name=f"{self.qualified_name}.tx")
+        self._tx = Resource(self.sim, name=f"{self.qualified_name}.tx")
         self._busy_until: float = 0.0
         self.rx_handler: Optional[Callable[[Transfer], None]] = None
         self.idle_listeners: List[Callable[["Nic"], None]] = []
@@ -102,7 +104,9 @@ class Nic:
         self.bytes_sent: int = 0
         self.transfers_sent: int = 0
         # -- fault/degradation state (driven by repro.faults) --
-        self._up: bool = True
+        #: link state: False while a scheduled NIC-down fault holds
+        #: (written only by :meth:`fail` and :meth:`recover`)
+        self.is_up: bool = True
         self.bw_factor: float = 1.0
         self.extra_latency: float = 0.0
         # start of the current down / degraded spell (the ``since`` of
@@ -126,17 +130,13 @@ class Nic:
         machine._attach_nic(self)
 
     def __repr__(self) -> str:
-        if not self._up:
+        if not self.is_up:
             state = "DOWN"
         elif self.is_idle:
             state = "idle"
         else:
             state = f"busy until {self._busy_until:.2f}"
         return f"<Nic {self.qualified_name} ({self.profile.name}) {state}>"
-
-    @property
-    def qualified_name(self) -> str:
-        return f"{self.machine.name}.{self.name}"
 
     # ------------------------------------------------------------------ #
     # strategy-facing state
@@ -150,16 +150,11 @@ class Nic:
         try to feed it.
         """
         return (
-            self._up
+            self.is_up
             and self._tx.in_use == 0
             and self._tx.queued == 0
             and self.sim.now >= self._busy_until
         )
-
-    @property
-    def is_up(self) -> bool:
-        """Link state: False while a scheduled NIC-down fault holds."""
-        return self._up
 
     @property
     def is_degraded(self) -> bool:
@@ -216,9 +211,9 @@ class Nic:
         handed to the ``down_listeners`` — the engine re-plans the
         stranded bytes onto surviving rails.
         """
-        if not self._up:
+        if not self.is_up:
             return []
-        self._up = False
+        self.is_up = False
         self._down_since = self.sim.now
         aborted = [t for t in self._pending if t.t_tx_done is None]
         for t in aborted:
@@ -236,9 +231,9 @@ class Nic:
 
     def recover(self) -> None:
         """Bring the link back up.  Idempotent while already up."""
-        if self._up:
+        if self.is_up:
             return
-        self._up = True
+        self.is_up = True
         if self.hooks.on_nic_up:
             self.hooks.on_nic_up(self, self._down_since)
         for listener in list(self.up_listeners):
@@ -352,7 +347,7 @@ class Nic:
                 transfer.seq_no = owner.next_wire_seq()
                 transfer.checksum = wire_checksum(transfer)
 
-        if not self._up:
+        if not self.is_up:
             # Submitting into a dead link aborts inline: tx_done fires so
             # offloading cores unblock, down_listeners get the transfer so
             # the engine can re-plan it.

@@ -9,19 +9,10 @@ what lets the test suite quantify estimator error.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, replace
 
 from repro.util.errors import ConfigurationError
-
-
-class Paradigm(enum.Enum):
-    """Underlying communication paradigm (paper §II-B lists this among the
-    'actual properties' a strategy should know about each network)."""
-
-    MESSAGE_PASSING = "message-passing"
-    RDMA = "rdma"
 
 
 @dataclass(frozen=True)
@@ -34,8 +25,6 @@ class NetworkProfile:
     ----------
     name:
         Technology label, e.g. ``"myri10g"``.
-    paradigm:
-        Message passing (MX-style) or RDMA (Elan/Verbs-style).
     wire_latency:
         One-way propagation + NIC pipeline latency for the last byte.
     pio_rate:
@@ -68,7 +57,6 @@ class NetworkProfile:
     """
 
     name: str
-    paradigm: Paradigm
     wire_latency: float
     pio_rate: float
     recv_copy_rate: float

@@ -12,24 +12,19 @@ Two programming styles are supported and freely mixable:
   ``sim.call_soon(fn, *args)`` for the current instant;
 * **process style** — generator coroutines spawned with ``sim.spawn`` that
   ``yield`` waitables (:class:`Timeout`, :class:`SimEvent`,
-  :class:`AllOf`, :class:`AnyOf`) just like SimPy processes.
+  :class:`AnyOf`, a :class:`ResourceRequest`) just like SimPy processes.
 
-Events for a later instant wait in one binary heap; events for the
-current instant wait in a FIFO lane beside it, which pops them in the
-heap's own order without a sift or a handle each.  A process start, a
-wake-up or a resource grant costs one lane entry.
+Events for a later instant wait in one binary heap keyed on
+``(time, seq)``; events for the current instant wait in a FIFO lane
+beside it, which pops them in the heap's own order without a sift or a
+handle each.  A process start, a wake-up or a resource grant costs one
+lane entry.  :meth:`Simulator.run` (``run(until=)`` for a bounded
+window) is the one event loop.
 """
 
 from repro.simtime.events import EventQueue, ScheduledEvent
 from repro.simtime.simulator import Simulator
-from repro.simtime.process import (
-    Process,
-    SimEvent,
-    Timeout,
-    AllOf,
-    AnyOf,
-    Interrupt,
-)
+from repro.simtime.process import Process, SimEvent, Timeout, AnyOf
 from repro.simtime.resources import Resource, ResourceRequest
 
 __all__ = [
@@ -39,9 +34,7 @@ __all__ = [
     "Process",
     "SimEvent",
     "Timeout",
-    "AllOf",
     "AnyOf",
-    "Interrupt",
     "Resource",
     "ResourceRequest",
 ]

@@ -1,11 +1,11 @@
-"""Capacity-limited resources with FIFO queuing.
+"""One-slot resources with FIFO queuing.
 
 A :class:`Resource` models anything that serializes access in virtual
-time — a CPU core executing PIO copies, a DMA engine, a lock.  Requests
-are themselves waitables, so processes can write::
+time — a CPU core executing PIO copies, a NIC's transmit engine.
+Requests are themselves waitables, so processes can write::
 
     req = core_resource.request()
-    yield req                  # granted when a slot frees up
+    yield req                  # granted when the slot frees up
     yield Timeout(copy_cost)   # hold the core for the copy duration
     core_resource.release(req)
 
@@ -25,7 +25,7 @@ from repro.util.errors import SimulationError
 
 
 class ResourceRequest(Waitable):
-    """A pending or granted claim on a :class:`Resource` slot.
+    """A pending or granted claim on a :class:`Resource`.
 
     One waiter per claim: the process that yields it, or the callback
     given to :meth:`Resource.acquire`.  The waiter resumes one
@@ -43,10 +43,6 @@ class ResourceRequest(Waitable):
 
     def subscribe(self, sim: Simulator, callback) -> None:
         self._wait(callback, (self,))
-
-    def cancel(self) -> None:
-        """Withdraw a not-yet-granted request (e.g. a timed-out waiter)."""
-        self.resource._cancel(self)
 
     def _wait(self, callback: Callable[..., None], args: tuple) -> None:
         if self.granted:
@@ -67,26 +63,24 @@ class ResourceRequest(Waitable):
 
 
 class Resource:
-    """A counted resource with deterministic FIFO admission.
+    """A one-slot resource with deterministic FIFO admission.
 
-    ``capacity`` slots; excess requests queue in arrival order.  The grant
+    Requests beyond the holder queue in arrival order.  The grant
     happens *inline* at release time (not deferred), so utilization
     accounting sees no artificial gaps — important when asserting that a
     core is 100 % busy during serialized PIO copies (paper Fig. 4a).
     """
 
-    def __init__(self, sim: Simulator, capacity: int = 1, name: str = "resource") -> None:
-        if capacity < 1:
-            raise SimulationError(f"resource capacity must be >= 1, got {capacity}")
+    def __init__(self, sim: Simulator, name: str = "resource") -> None:
         self.sim = sim
-        self.capacity = capacity
         self.name = name
+        #: holders right now: 0 or 1
         self.in_use = 0
         self._waiting: Deque[ResourceRequest] = deque()
 
     def __repr__(self) -> str:
         return (
-            f"<Resource {self.name} {self.in_use}/{self.capacity}"
+            f"<Resource {self.name} {self.in_use}/1"
             f" (+{len(self._waiting)} queued)>"
         )
 
@@ -94,14 +88,10 @@ class Resource:
     def queued(self) -> int:
         return len(self._waiting)
 
-    @property
-    def available(self) -> int:
-        return self.capacity - self.in_use
-
     def request(self) -> ResourceRequest:
-        """Claim a slot; the returned request is waitable."""
+        """Claim the slot; the returned request is waitable."""
         req = ResourceRequest(self)
-        if self.in_use < self.capacity:
+        if self.in_use == 0:
             self.in_use += 1
             req.granted = True
         else:
@@ -109,7 +99,7 @@ class Resource:
         return req
 
     def acquire(self, callback: Callable[..., None], *args: Any) -> ResourceRequest:
-        """Claim a slot, callback style: ``callback(req, *args)`` runs
+        """Claim the slot, callback style: ``callback(req, *args)`` runs
         where a process would resume from ``yield req``."""
         req = self.request()
         req._wait(callback, (req, *args))
@@ -126,11 +116,3 @@ class Resource:
             self._waiting.popleft()._grant()
         else:
             self.in_use -= 1
-
-    def _cancel(self, req: ResourceRequest) -> None:
-        if req.granted:
-            raise SimulationError("cannot cancel a granted request; release it")
-        try:
-            self._waiting.remove(req)
-        except ValueError:
-            raise SimulationError("cancelling a request not queued here") from None

@@ -6,25 +6,22 @@ lets the test suite assert exact chunk completion times for the paper's
 split-ratio experiments.
 
 Events for a later instant wait in a binary heap ordered by
-``(time, priority, seq)``.  Events for the *current* instant at
-priority 0 — process starts, wake-ups, resource grants: most of what a
-run schedules — go to a FIFO lane instead.  The event loop fires heap
-entries due now at priority <= 0 first, then the lane, then advances the
-clock.  That is exactly the heap's own pop order: a heap entry due at
-``now`` was pushed before the clock reached ``now``, so its ``seq``
-precedes every lane entry's.
+``(time, seq)``.  Events for the *current* instant — process starts,
+wake-ups, resource grants: most of what a run schedules — go to a FIFO
+lane instead.  The event loop fires heap entries due now first, then the
+lane, then advances the clock.  That is exactly the heap's own pop
+order: a heap entry due at ``now`` was pushed before the clock reached
+``now``, so its ``seq`` precedes every lane entry's.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque, Iterator, Optional, Tuple, TYPE_CHECKING
+from typing import Any, Callable, Deque, Iterator, Optional, Tuple
 
 from repro.simtime.events import EventQueue, ScheduledEvent, new_event
+from repro.simtime.process import Process
 from repro.util.errors import SimulationError
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.simtime.process import Process
 
 #: one lane entry: callback, args, and the handle when one was handed out
 LaneEntry = Tuple[Callable[..., None], Tuple[Any, ...], Optional[ScheduledEvent]]
@@ -48,18 +45,17 @@ class Simulator:
         sim.run()
     """
 
-    def __init__(self, start_time: float = 0.0) -> None:
-        self.now: float = float(start_time)
+    def __init__(self) -> None:
+        self.now: float = 0.0
         self._queue = EventQueue()
         # Bound once: schedule/schedule_at are the hottest calls in every
         # run, and the queue lives as long as the simulator.
         self._push = self._queue.push
-        #: events due at ``now``, priority 0, in push order
+        #: events due at ``now``, in push order
         self._lane: Deque[LaneEntry] = deque()
         #: cancelled lane entries not yet drained
         self._lane_dead = 0
         self._running = False
-        self._processes: int = 0  # live process count, for diagnostics
         #: total events executed over this simulator's lifetime
         self.events_processed: int = 0
 
@@ -68,11 +64,7 @@ class Simulator:
     # ------------------------------------------------------------------ #
 
     def schedule(
-        self,
-        delay: float,
-        callback: Callable[..., None],
-        *args: Any,
-        priority: int = 0,
+        self, delay: float, callback: Callable[..., None], *args: Any
     ) -> ScheduledEvent:
         """Schedule ``callback(*args)`` to run ``delay`` µs from now."""
         if delay < 0:
@@ -81,29 +73,25 @@ class Simulator:
         time = now + delay
         # Routed on the computed time, not on delay == 0: a delay too
         # small to move the clock is the current instant too.
-        if time == now and priority == 0:
-            ev = new_event(time, 0, None, callback, args)
+        if time == now:
+            ev = new_event(time, None, callback, args)
             self._lane.append((callback, args, ev))
             return ev
-        return self._push(time, callback, args, priority)
+        return self._push(time, callback, args)
 
     def schedule_at(
-        self,
-        time: float,
-        callback: Callable[..., None],
-        *args: Any,
-        priority: int = 0,
+        self, time: float, callback: Callable[..., None], *args: Any
     ) -> ScheduledEvent:
         """Schedule ``callback(*args)`` at absolute virtual time ``time``."""
         if time < self.now:
             raise SimulationError(
                 f"cannot schedule at t={time} before now={self.now}"
             )
-        if time == self.now and priority == 0:
-            ev = new_event(time, 0, None, callback, args)
+        if time == self.now:
+            ev = new_event(time, None, callback, args)
             self._lane.append((callback, args, ev))
             return ev
-        return self._push(time, callback, args, priority)
+        return self._push(time, callback, args)
 
     def call_soon(self, callback: Callable[..., None], *args: Any) -> None:
         """Run ``callback(*args)`` at the current instant, after every
@@ -127,7 +115,7 @@ class Simulator:
     # processes
     # ------------------------------------------------------------------ #
 
-    def spawn(self, generator: Iterator[Any], name: str = "") -> "Process":
+    def spawn(self, generator: Iterator[Any], name: str = "") -> Process:
         """Start a generator coroutine as a simulation process.
 
         The process begins executing at the *current* instant but only
@@ -135,43 +123,11 @@ class Simulator:
         called inline), matching SimPy semantics and avoiding reentrancy
         surprises in strategy code.
         """
-        from repro.simtime.process import Process
-
         return Process(self, generator, name=name)
 
     # ------------------------------------------------------------------ #
     # the event loop
     # ------------------------------------------------------------------ #
-
-    def step(self) -> bool:
-        """Run the single earliest event.  Returns False when queue empty."""
-        lane = self._lane
-        while lane:
-            head = self._queue.pop_ahead_of_lane(self.now)
-            if head is not None:
-                self.events_processed += 1
-                head.callback(*head.args)
-                return True
-            callback, args, ev = lane.popleft()
-            if ev is not None:
-                if ev.cancelled:
-                    self._lane_dead -= 1
-                    continue
-                ev.fired = True
-            self.events_processed += 1
-            callback(*args)
-            return True
-        ev = self._queue.pop()
-        if ev is None:
-            return False
-        if ev.time < self.now:
-            raise SimulationError(
-                f"clock would move backwards: {self.now} -> {ev.time}"
-            )
-        self.now = ev.time
-        self.events_processed += 1
-        ev.callback(*ev.args)
-        return True
 
     def run(self, until: Optional[float] = None) -> float:
         """Run events until the queue drains or the clock passes ``until``.
@@ -185,13 +141,10 @@ class Simulator:
         if until is not None and until < self.now:
             return self.now  # every pending event lies beyond the bound
         self._running = True
-        queue = self._queue
-        heap = queue._heap
-        # One pop-with-bound per clock advance: the naive peek_time() +
-        # step() pair costs two heap accesses (and two cancelled-head
-        # drains) per event; pop_due folds them into one.
-        pop_due = queue.pop_due
-        pop_ahead = queue.pop_ahead_of_lane
+        heap = self._queue._heap
+        # One pop-with-bound per event: it drains cancelled heads and
+        # checks the bound in a single heap access.
+        pop_due = self._queue.pop_due
         lane = self._lane
         popleft = lane.popleft
         now = self.now
@@ -199,8 +152,8 @@ class Simulator:
         try:
             while True:
                 if lane:
-                    if heap and heap[0][0] <= now and heap[0][1] <= 0:
-                        ev = pop_ahead(now)
+                    if heap and heap[0][0] <= now:
+                        ev = pop_due(now)
                         if ev is not None:
                             n += 1
                             ev.callback(*ev.args)
@@ -230,17 +183,6 @@ class Simulator:
             self.events_processed += n
         if until is not None and self.now < until:
             self.now = until
-        return self.now
-
-    def run_until_idle(self, max_events: int = 50_000_000) -> float:
-        """Drain the queue with a safety valve against runaway loops."""
-        n = 0
-        while self.step():
-            n += 1
-            if n >= max_events:
-                raise SimulationError(
-                    f"simulation did not quiesce within {max_events} events"
-                )
         return self.now
 
     @property

@@ -126,6 +126,21 @@ class TestAggregateBookkeeping:
             assert m.status is MessageStatus.IN_TRANSFER
         assert list(eng.scheduler) == [msgs[0], msgs[3], msgs[5]]
 
+    def test_eager_batch_total_is_the_packet_size(self, profiles):
+        eng = flat(profiles, strategy="aggregate").engine("node0")
+        limit = min(
+            min(n.profile.max_aggregation, n.profile.eager_limit)
+            for n in eng.rails_to("node1")
+        )
+        head = eng.isend("node1", 100, tag=0)
+        eng.isend("node1", limit, tag=1)  # cannot join the head: skipped
+        for i in range(2, 5):
+            eng.isend("node1", 100 * i, tag=i)
+        batch, total = eng.strategy.eager_batch(head)
+        assert [m.tag for m in batch] == [0, 2, 3, 4]
+        eng.submit_aggregated_eager(batch, eng.machine.nics[0])
+        assert total == head.transfers[-1].size == 1000
+
     def test_a_message_not_queued_raises(self, profiles):
         eng = flat(profiles, strategy="aggregate").engine("node0")
         msgs = [eng.isend("node1", 16, tag=i) for i in range(3)]

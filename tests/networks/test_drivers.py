@@ -1,4 +1,4 @@
-"""Driver registry, capabilities and calibration sanity checks.
+"""Driver registry, profile flags and calibration sanity checks.
 
 The calibration tests pin the *model-level* targets from the paper's §IV;
 the full measured reproduction (through the engine, sampling and
@@ -10,7 +10,6 @@ import pytest
 from repro.networks import (
     ElanDriver,
     MxDriver,
-    Paradigm,
     TcpDriver,
     VerbsDriver,
     make_driver,
@@ -49,16 +48,9 @@ class TestRegistry:
 
 
 class TestCapabilities:
-    def test_mx_is_message_passing(self):
-        caps = MxDriver().capabilities()
-        assert caps.paradigm is Paradigm.MESSAGE_PASSING
-        assert caps.gather_scatter
-
-    def test_elan_is_rdma(self):
-        assert ElanDriver().capabilities().paradigm is Paradigm.RDMA
-
     def test_tcp_lacks_gather_scatter(self):
-        assert not TcpDriver().capabilities().gather_scatter
+        assert not TcpDriver().profile.gather_scatter
+        assert MxDriver().profile.gather_scatter
 
 
 class TestAggregationCost:
@@ -77,12 +69,6 @@ class TestAggregationCost:
     def test_negative_segment_rejected(self):
         with pytest.raises(ConfigurationError):
             MxDriver().aggregation_cpu_cost([10, -1], memcpy_rate=1.0)
-
-    def test_fits_aggregation_bounds(self):
-        d = MxDriver()
-        assert d.fits_aggregation(1024)
-        assert not d.fits_aggregation(d.profile.max_aggregation + 1)
-        assert not d.fits_aggregation(-1)
 
 
 class TestCalibration:

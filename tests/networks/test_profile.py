@@ -2,14 +2,13 @@
 
 import pytest
 
-from repro.networks import NetworkProfile, Paradigm
+from repro.networks import NetworkProfile
 from repro.util.errors import ConfigurationError
 
 
 def make_profile(**overrides):
     base = dict(
         name="testnet",
-        paradigm=Paradigm.MESSAGE_PASSING,
         wire_latency=1.0,
         pio_rate=2000.0,
         recv_copy_rate=2000.0,

@@ -3,8 +3,8 @@
 :class:`~repro.simtime.simulator.Simulator` keeps events for a later
 instant in a heap and events for the current instant in a FIFO lane.
 The contract is that this is *observationally identical* to one heap
-ordered by ``(time, priority, seq)`` for every event: same callbacks,
-same order, same clock readings, same pending counts.  The hypothesis
+ordered by ``(time, seq)`` for every event: same callbacks, same order,
+same clock readings, same pending counts.  The hypothesis
 property below drives both with the same random nested programs and
 compares everything they observe.  ``RefSim`` is that one-heap kernel,
 kept here as the oracle.
@@ -30,22 +30,22 @@ class _RefHandle:
 
 
 class RefSim:
-    """Every event in one heap keyed on ``(time, priority, seq)``."""
+    """Every event in one heap keyed on ``(time, seq)``."""
 
-    def __init__(self, start_time: float = 0.0) -> None:
-        self.now = start_time
+    def __init__(self) -> None:
+        self.now = 0.0
         self._heap = []
         self._seq = count()
         self.pending_events = 0
         self.events_processed = 0
 
-    def schedule(self, delay, callback, *args, priority=0):
-        return self.schedule_at(self.now + delay, callback, *args, priority=priority)
+    def schedule(self, delay, callback, *args):
+        return self.schedule_at(self.now + delay, callback, *args)
 
-    def schedule_at(self, time, callback, *args, priority=0):
+    def schedule_at(self, time, callback, *args):
         assert time >= self.now
         h = _RefHandle(time, callback, args)
-        heappush(self._heap, (time, priority, next(self._seq), h))
+        heappush(self._heap, (time, next(self._seq), h))
         self.pending_events += 1
         return h
 
@@ -56,11 +56,11 @@ class RefSim:
 
     def _pop(self, bound):
         heap = self._heap
-        while heap and heap[0][3].cancelled:
+        while heap and heap[0][2].cancelled:
             heappop(heap)
         if not heap or (bound is not None and heap[0][0] > bound):
             return None
-        h = heappop(heap)[3]
+        h = heappop(heap)[2]
         h.fired = True
         self.pending_events -= 1
         return h
@@ -70,23 +70,11 @@ class RefSim:
         self.events_processed += 1
         h.callback(*h.args)
 
-    def step(self) -> bool:
-        h = self._pop(None)
-        if h is None:
-            return False
-        self._fire(h)
-        return True
-
     def run(self, until=None):
         while (h := self._pop(until)) is not None:
             self._fire(h)
         if until is not None and self.now < until:
             self.now = until
-        return self.now
-
-    def run_until_idle(self):
-        while self.step():
-            pass
         return self.now
 
 
@@ -116,12 +104,9 @@ class RefEvent:
 #: 0.5 and 1.0 vanish into a clock at 2**53 (its spacing is 2.0);
 #: 1e-9 vanishes at 2**53 but not at 0
 _delays = st.sampled_from([0.0, 0.0, 1e-9, 0.5, 1.0, 2.0, 3.0])
-_priorities = st.sampled_from([-1, 0, 0, 1])
 _events = st.integers(min_value=0, max_value=2)
 
-_schedules = st.tuples(
-    st.sampled_from(["after", "at"]), _delays, _priorities, st.just([])
-)
+_schedules = st.tuples(st.sampled_from(["after", "at"]), _delays, st.just([]))
 _leaves = st.one_of(
     _schedules,
     _schedules,
@@ -135,7 +120,6 @@ _actions = st.recursive(
         st.tuples(
             st.sampled_from(["after", "at"]),
             _delays,
-            _priorities,
             st.lists(children, max_size=3),
         ),
         st.tuples(st.just("subscribe"), _events, st.lists(children, max_size=3)),
@@ -147,17 +131,16 @@ _script = st.lists(
         _actions,
         _actions,
         st.tuples(st.just("run"), st.one_of(st.none(), _delays)),
-        st.just(("step",)),
-        st.just(("idle",)),
     ),
     min_size=1,
     max_size=25,
 )
 
 
-def play(sim, make_event, script):
-    """Run ``script`` on ``sim``; return everything it observed."""
-    log = []
+def play(sim, make_event, script, start):
+    """Run ``script`` on ``sim`` from clock ``start``; return everything
+    it observed."""
+    log = [("start", sim.run(until=start))]
     handles = []
     events = [make_event(sim) for _ in range(3)]
     labels = count()
@@ -170,14 +153,12 @@ def play(sim, make_event, script):
     def perform(action):
         kind = action[0]
         if kind in ("after", "at"):
-            _, delay, priority, children = action
+            _, delay, children = action
             label = next(labels)
             if kind == "after":
-                h = sim.schedule(delay, fire, label, children, priority=priority)
+                h = sim.schedule(delay, fire, label, children)
             else:
-                h = sim.schedule_at(
-                    sim.now + delay, fire, label, children, priority=priority
-                )
+                h = sim.schedule_at(sim.now + delay, fire, label, children)
             handles.append(h)
         elif kind == "cancel":
             if handles:
@@ -197,10 +178,6 @@ def play(sim, make_event, script):
         if op[0] == "run":
             until = None if op[1] is None else sim.now + op[1]
             log.append(("run", sim.run(until)))
-        elif op[0] == "step":
-            log.append(("step", sim.step()))
-        elif op[0] == "idle":
-            log.append(("idle", sim.run_until_idle()))
         else:
             perform(op)
         log.append(("pending", sim.pending_events, sim.now))
@@ -214,20 +191,21 @@ def play(sim, make_event, script):
 # a lane entry, then a delay the clock absorbs: both are due now, in
 # push order
 @example(
-    script=[("after", 0.0, 0, []), ("after", 1.0, 0, []), ("run", None)],
+    script=[("after", 0.0, []), ("after", 1.0, []), ("run", None)],
     start=2.0**53,
 )
 # an entry pushed for t=1 before the clock got there precedes the lane
 # entries its predecessor at t=1 pushes
 @example(
-    script=[("after", 1.0, 0, [("after", 0.0, 0, [])]), ("after", 1.0, 0, [])],
+    script=[("after", 1.0, [("after", 0.0, [])]), ("after", 1.0, [])],
     start=0.0,
 )
 def test_lane_kernel_fires_like_one_heap(script, start):
-    """Any mix of nested schedules, cancels, event triggers and run modes
-    fires the same callbacks at the same instants on both kernels."""
-    got = play(Simulator(start_time=start), SimEvent, script)
-    want = play(RefSim(start_time=start), RefEvent, script)
+    """Any mix of nested schedules, cancels, event triggers and bounded
+    or unbounded runs fires the same callbacks at the same instants on
+    both kernels."""
+    got = play(Simulator(), SimEvent, script, start)
+    want = play(RefSim(), RefEvent, script, start)
     assert got == want
 
 
@@ -244,8 +222,9 @@ class TestPendingEvents:
         sim.cancel(dead)
         sim.cancel(dead)  # second cancel is a no-op
         assert sim.pending_events == 3
-        assert sim.step()  # drains the cancelled entry, fires the next
-        assert sim.pending_events == 2
+        # drains the cancelled entry, fires the two live lane entries
+        assert sim.run(until=0.0) == 0.0
+        assert sim.pending_events == 1
         sim.run()
         assert sim.pending_events == 0
         assert sim.events_processed == 3

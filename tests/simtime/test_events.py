@@ -1,12 +1,18 @@
 """Unit tests for the event-queue primitives."""
 
-import pytest
-
 from repro.simtime.events import COMPACT_MIN_DEAD, EventQueue
 
 
 def nop():
     pass
+
+
+def drain(q):
+    """Pop every live event in order (an unbounded ``pop_due``)."""
+    out = []
+    while (ev := q.pop_due(None)) is not None:
+        out.append(ev)
+    return out
 
 
 class TestEventQueueOrdering:
@@ -16,7 +22,7 @@ class TestEventQueueOrdering:
         q.push(3.0, fired.append, ("c",))
         q.push(1.0, fired.append, ("a",))
         q.push(2.0, fired.append, ("b",))
-        while (ev := q.pop()) is not None:
+        for ev in drain(q):
             ev.callback(*ev.args)
         assert fired == ["a", "b", "c"]
 
@@ -25,26 +31,9 @@ class TestEventQueueOrdering:
         order = []
         for i in range(10):
             q.push(5.0, order.append, (i,))
-        while (ev := q.pop()) is not None:
+        for ev in drain(q):
             ev.callback(*ev.args)
         assert order == list(range(10))
-
-    def test_priority_breaks_time_ties(self):
-        q = EventQueue()
-        order = []
-        q.push(5.0, order.append, ("user",), priority=0)
-        q.push(5.0, order.append, ("kernel",), priority=-1)
-        while (ev := q.pop()) is not None:
-            ev.callback(*ev.args)
-        assert order == ["kernel", "user"]
-
-    def test_peek_time_matches_next_pop(self):
-        q = EventQueue()
-        q.push(7.0, nop)
-        q.push(2.0, nop)
-        assert q.peek_time() == 2.0
-        assert q.pop().time == 2.0
-        assert q.peek_time() == 7.0
 
 
 class TestEventQueueCancellation:
@@ -54,7 +43,7 @@ class TestEventQueueCancellation:
         ev = q.push(1.0, fired.append, ("dead",))
         q.push(2.0, fired.append, ("live",))
         q.cancel(ev)
-        while (e := q.pop()) is not None:
+        for e in drain(q):
             e.callback(*e.args)
         assert fired == ["live"]
 
@@ -77,21 +66,23 @@ class TestEventQueueCancellation:
         q = EventQueue()
         ev = q.push(1.0, nop)
         q.push(2.0, nop)
-        assert q.pop() is ev
+        assert q.pop_due(None) is ev
         q.cancel(ev)  # already fired; must not corrupt the live count
         assert len(q) == 1
 
     def test_peek_skips_cancelled_head(self):
         q = EventQueue()
         ev = q.push(1.0, nop)
-        q.push(9.0, nop)
+        live = q.push(9.0, nop)
         q.cancel(ev)
-        assert q.peek_time() == 9.0
+        # the cancelled head is due at the bound, the live event is not
+        assert q.pop_due(1.0) is None
+        assert q.pop_due(9.0) is live
 
     def test_empty_queue_pops_none(self):
         q = EventQueue()
-        assert q.pop() is None
-        assert q.peek_time() is None
+        assert q.pop_due(None) is None
+        assert q.pop_due(1.0) is None
         assert not q
 
 
@@ -106,9 +97,9 @@ class TestPopDue:
     def test_unbounded_equals_pop(self):
         q = EventQueue()
         q.push(2.0, nop)
+        q.push(1e300, nop)
         q.push(1.0, nop)
-        assert q.pop_due(None).time == 1.0
-        assert q.pop().time == 2.0
+        assert [ev.time for ev in drain(q)] == [1.0, 2.0, 1e300]
 
     def test_bound_drains_cancelled_heads_without_firing_live_tail(self):
         q = EventQueue()
@@ -118,14 +109,16 @@ class TestPopDue:
         # The cancelled head is discarded even though the live head is
         # beyond the bound...
         assert q.pop_due(5.0) is None
+        assert len(q._heap) == 1
         # ...and the live event is still intact.
         assert len(q) == 1
-        assert q.peek_time() == 9.0
+        assert q.pop_due(None).time == 9.0
 
 
 class TestDrainConsistency:
-    """peek_time and pop must account for drained-cancelled entries the
-    same way: discarded silently, never marked fired, live count kept."""
+    """A bounded pop that fires nothing and one that fires must account
+    for drained-cancelled entries the same way: discarded silently, never
+    marked fired, live count kept."""
 
     def test_peek_drain_matches_pop_drain(self):
         q = EventQueue()
@@ -135,10 +128,11 @@ class TestDrainConsistency:
         q.cancel(dead1)
         q.cancel(dead2)
         assert len(q) == 1
-        assert q.peek_time() == 3.0  # drains both cancelled heads
+        assert q.pop_due(2.5) is None  # drains both cancelled heads
+        assert len(q._heap) == 1
         assert len(q) == 1  # live count untouched by the drain
         assert not dead1.fired and not dead2.fired
-        assert q.pop() is live
+        assert q.pop_due(None) is live
         assert len(q) == 0
 
     def test_cancel_after_peek_drain_stays_noop(self):
@@ -146,7 +140,7 @@ class TestDrainConsistency:
         dead = q.push(1.0, nop)
         q.push(2.0, nop)
         q.cancel(dead)
-        q.peek_time()  # physically discards the cancelled entry
+        q.pop_due(1.5)  # physically discards the cancelled entry
         q.cancel(dead)  # second cancel after the drain: still a no-op
         assert len(q) == 1
 
@@ -155,15 +149,16 @@ class TestDrainConsistency:
         dead = q.push(1.0, nop)
         live = q.push(2.0, nop)
         q.cancel(dead)
-        assert q.pop() is live  # pop drains the cancelled head first
-        assert q.peek_time() is None
+        assert q.pop_due(None) is live  # drains the cancelled head first
+        assert q.pop_due(None) is None
         assert len(q) == 0
+        assert q._heap == []
 
 
 class TestMassCancellationAccounting:
     """Regression: a retry storm cancelling thousands of watchdogs used
     to leave the storage full of tombstones — ``__len__`` said "almost
-    empty" while ``peek_time`` still faced an O(d log d) drain and the
+    empty" while the next pop still faced an O(d log d) drain and the
     entries pinned memory until the clock swept past them."""
 
     def test_len_and_storage_agree_after_mass_cancel(self):
@@ -176,9 +171,8 @@ class TestMassCancellationAccounting:
         # Compaction must have reclaimed the tombstones: storage is
         # bounded by a small constant over the live population, not by
         # the historical cancellation volume.
-        assert q.storage_size <= COMPACT_MIN_DEAD + 1
-        assert q.peek_time() == 1e6
-        assert q.pop() is keep
+        assert len(q._heap) <= COMPACT_MIN_DEAD + 1
+        assert q.pop_due(None) is keep
 
     def test_compaction_preserves_order_and_cancellability(self):
         q = EventQueue()
@@ -187,8 +181,6 @@ class TestMassCancellationAccounting:
         for ev in doomed:
             q.cancel(ev)
         q.cancel(live[10])  # cancel a survivor after compaction too
-        times = []
-        while (ev := q.pop()) is not None:
-            times.append(ev.time)
+        times = [ev.time for ev in drain(q)]
         expected = [1000.0 + i for i in range(50) if i != 10]
         assert times == expected

@@ -1,4 +1,4 @@
-"""Unit tests for FIFO resources (the core-occupancy primitive)."""
+"""Unit tests for one-slot FIFO resources (the core-occupancy primitive)."""
 
 import pytest
 
@@ -18,7 +18,7 @@ def worker(sim, res, hold, log, tag):
 class TestResourceSerialization:
     def test_capacity_one_serializes_holders(self):
         sim = Simulator()
-        res = Resource(sim, capacity=1, name="core")
+        res = Resource(sim, name="core")
         log = []
         sim.spawn(worker(sim, res, 5.0, log, "a"))
         sim.spawn(worker(sim, res, 3.0, log, "b"))
@@ -32,7 +32,7 @@ class TestResourceSerialization:
 
     def test_fifo_admission_order(self):
         sim = Simulator()
-        res = Resource(sim, capacity=1)
+        res = Resource(sim)
         starts = []
 
         def w(tag):
@@ -47,22 +47,10 @@ class TestResourceSerialization:
         sim.run()
         assert starts == list("abcde")
 
-    def test_capacity_two_allows_two_concurrent(self):
-        sim = Simulator()
-        res = Resource(sim, capacity=2)
-        log = []
-        for tag in "abc":
-            sim.spawn(worker(sim, res, 4.0, log, tag))
-        sim.run()
-        # a and b run together; c starts when the first finishes.
-        assert ("a", "start", 0.0) in log
-        assert ("b", "start", 0.0) in log
-        assert ("c", "start", 4.0) in log
-
     def test_no_gap_between_release_and_next_grant(self):
         """Back-to-back holders leave zero idle time (Fig. 4a serialization)."""
         sim = Simulator()
-        res = Resource(sim, capacity=1)
+        res = Resource(sim)
         log = []
         sim.spawn(worker(sim, res, 2.0, log, "x"))
         sim.spawn(worker(sim, res, 2.0, log, "y"))
@@ -73,11 +61,6 @@ class TestResourceSerialization:
 
 
 class TestResourceErrors:
-    def test_zero_capacity_rejected(self):
-        sim = Simulator()
-        with pytest.raises(SimulationError):
-            Resource(sim, capacity=0)
-
     def test_double_release_rejected(self):
         sim = Simulator()
         res = Resource(sim)
@@ -88,47 +71,35 @@ class TestResourceErrors:
 
     def test_release_of_ungranted_request_rejected(self):
         sim = Simulator()
-        res = Resource(sim, capacity=1)
+        res = Resource(sim)
         res.request()  # takes the slot
         queued = res.request()
         with pytest.raises(SimulationError):
             res.release(queued)
 
-    def test_cancel_queued_request(self):
-        sim = Simulator()
-        res = Resource(sim, capacity=1)
-        first = res.request()
-        queued = res.request()
-        queued.cancel()
-        assert res.queued == 0
-        res.release(first)
-        assert res.available == 1
-
-    def test_cancel_granted_request_rejected(self):
-        sim = Simulator()
-        res = Resource(sim)
-        req = res.request()
-        with pytest.raises(SimulationError):
-            req.cancel()
-
     def test_counters(self):
         sim = Simulator()
-        res = Resource(sim, capacity=2)
+        res = Resource(sim)
         r1 = res.request()
         r2 = res.request()
-        res.request()
-        assert res.in_use == 2
-        assert res.available == 0
-        assert res.queued == 1
+        r3 = res.request()
+        assert res.in_use == 1
+        assert res.queued == 2
+        assert (r1.granted, r2.granted, r3.granted) == (True, False, False)
         res.release(r1)
-        assert res.in_use == 2  # queued waiter got the slot
+        assert res.in_use == 1  # the first queued waiter got the slot
+        assert res.queued == 1
+        assert r2.granted and not r3.granted
+        res.release(r2)
+        res.release(r3)
+        assert res.in_use == 0
         assert res.queued == 0
 
 
 class TestCallbackAcquire:
     def test_callback_runs_one_hop_after_the_grant(self):
         sim = Simulator()
-        res = Resource(sim, capacity=1)
+        res = Resource(sim)
         log = []
         first = res.acquire(lambda req, tag: log.append((tag, req, sim.now)), "a")
         second = res.acquire(lambda req, tag: log.append((tag, req, sim.now)), "b")
@@ -141,7 +112,7 @@ class TestCallbackAcquire:
 
     def test_second_waiter_on_one_request_rejected(self):
         sim = Simulator()
-        res = Resource(sim, capacity=1)
+        res = Resource(sim)
         res.request()
         queued = res.acquire(lambda req: None)
         with pytest.raises(SimulationError, match="already has a waiter"):
