@@ -30,7 +30,9 @@ Checked invariants (the catalogue in ``docs/chaos.md``):
 ``nic-tx-sanity``
     Transmit-engine work intervals are non-negative, never in the
     future, and data transmissions on one NIC never overlap (the tx
-    resource serializes them).
+    resource serializes them): an eager or ``RDV_DATA`` transfer never
+    starts before the previous one on its NIC ended.  Control packets
+    hold no transmit engine and are exempt.
 ``rx-causality``
     Receive-side processing completes at or after wire delivery.
 ``fault-rule-order``
@@ -177,6 +179,7 @@ class InvariantMonitor:
         "_last_time",
         "_ledgers",
         "_last_fault",
+        "_tx_end",
         "seed",
         "schedule_json",
         "checks_performed",
@@ -189,6 +192,8 @@ class InvariantMonitor:
         self._last_time: float = float("-inf")
         self._ledgers: Dict[int, _MessageLedger] = {}
         self._last_fault: Tuple[float, int] = (float("-inf"), -1)
+        #: per NIC, when its last data transmission released the engine
+        self._tx_end: Dict[str, float] = {}
         #: chaos scenario identity, stamped into violations
         self.seed: Optional[int] = None
         self.schedule_json: Optional[Dict[str, Any]] = None
@@ -420,13 +425,19 @@ class InvariantMonitor:
                 f"started at t={start}, after finishing at t={now}",
                 now,
             )
-        if nic._tx.in_use > 1:
+        if transfer.kind.is_control:
+            return  # zero-length, and it never holds the transmit engine
+        name = nic.qualified_name
+        last_end = self._tx_end.get(name)
+        if last_end is not None and start + _EPS < last_end:
             self._violate(
                 "nic-tx-sanity",
-                f"{nic.qualified_name}: transmit engine held "
-                f"{nic._tx.in_use} times concurrently",
+                f"{name}: tx of #{transfer.transfer_id} "
+                f"started at t={start}, before the previous transmission "
+                f"on it ended at t={last_end}",
                 now,
             )
+        self._tx_end[name] = now
 
     def on_rx_done(self, transfer, nic, now: float) -> None:
         self._touch(now, f"rx of transfer {transfer.transfer_id}")

@@ -19,7 +19,10 @@ Events for a later instant wait in one binary heap keyed on
 beside it, which pops them in the heap's own order without a sift or a
 handle each.  A process start, a wake-up or a resource grant costs one
 lane entry.  :meth:`Simulator.run` (``run(until=)`` for a bounded
-window) is the one event loop.
+window) is the one event loop.  While it runs, the cyclic collector's
+full passes wait (young passes do not): a run's records stay alive
+until it ends, so a full pass inside it would only re-scan them.  The
+caller's ``gc`` thresholds are restored exactly when it returns.
 """
 
 from repro.simtime.events import EventQueue, ScheduledEvent

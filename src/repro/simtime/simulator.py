@@ -16,6 +16,7 @@ order: a heap entry due at ``now`` was pushed before the clock reached
 
 from __future__ import annotations
 
+import gc
 from collections import deque
 from typing import Any, Callable, Deque, Iterator, Optional, Tuple
 
@@ -25,6 +26,11 @@ from repro.util.errors import SimulationError
 
 #: one lane entry: callback, args, and the handle when one was handed out
 LaneEntry = Tuple[Callable[..., None], Tuple[Any, ...], Optional[ScheduledEvent]]
+
+#: the collector's generation-2 threshold while :meth:`Simulator.run` runs
+#: (the largest value ``gc.set_threshold`` takes): full passes wait until
+#: the loop returns
+_FULL_PASS_DEFERRED = 2**31 - 1
 
 
 class Simulator:
@@ -135,11 +141,22 @@ class Simulator:
         Returns the final value of :attr:`now`.  With ``until`` given, the
         clock is advanced *to* ``until`` even if the last event fired
         earlier (so bandwidth computations over a fixed window are exact).
+
+        While the loop runs, the cyclic collector's full (generation-2)
+        passes wait: a run keeps its messages, their events and transfers
+        alive until it ends, so a full pass inside it would re-scan live
+        records and free nothing that a young pass would miss.  Young
+        passes run as before, and the caller's thresholds are restored
+        exactly on the way out (return or raise), so a deferred full pass
+        comes due after ``run()`` returns.  ``gc.isenabled()`` is never
+        touched.
         """
         if self._running:
             raise SimulationError("Simulator.run() is not reentrant")
         if until is not None and until < self.now:
             return self.now  # every pending event lies beyond the bound
+        thresholds = gc.get_threshold()
+        gc.set_threshold(thresholds[0], thresholds[1], _FULL_PASS_DEFERRED)
         self._running = True
         heap = self._queue._heap
         # One pop-with-bound per event: it drains cancelled heads and
@@ -179,6 +196,7 @@ class Simulator:
                 n += 1
                 ev.callback(*ev.args)
         finally:
+            gc.set_threshold(*thresholds)
             self._running = False
             self.events_processed += n
         if until is not None and self.now < until:

@@ -8,6 +8,7 @@ from repro.api import ClusterBuilder
 from repro.core.invariants import InvariantMonitor, InvariantViolation
 from repro.networks.transfer import Transfer, TransferKind, wire_checksum
 from repro.obs.hooks import EVENTS, Hooks
+from repro.simtime import Resource, ResourceRequest
 
 
 def msg_stub(msg_id=1, size=4096, **kw):
@@ -150,6 +151,82 @@ class TestRetryAndFaultChecks:
         mon.on_fault(0, act, 100.0)
         mon.on_fault(1, act, 100.0)
         mon.on_fault(0, act, 200.0)  # later instant may restart rule ids
+
+
+class TestNicTxSanity:
+    """Data transmissions on one NIC never overlap: the transmit
+    engine is held by one eager or ``RDV_DATA`` transfer at a time."""
+
+    NIC = SimpleNamespace(qualified_name="node0.myri10g0")
+    OTHER = SimpleNamespace(qualified_name="node0.quadrics1")
+
+    @staticmethod
+    def tx(kind=TransferKind.RDV_DATA):
+        return Transfer(kind=kind, size=4096, msg_id=1)
+
+    def test_overlapping_engine_holds_violate(self):
+        mon = InvariantMonitor()
+        mon.on_tx(self.NIC, self.tx(TransferKind.EAGER), 0.0, 5.0)
+        with pytest.raises(InvariantViolation, match="nic-tx-sanity") as info:
+            mon.on_tx(self.NIC, self.tx(), 3.0, 8.0)
+        assert "before the previous transmission" in info.value.detail
+
+    def test_back_to_back_holds_and_other_nics_pass(self):
+        mon = InvariantMonitor()
+        mon.on_tx(self.NIC, self.tx(TransferKind.EAGER), 0.0, 5.0)
+        mon.on_tx(self.OTHER, self.tx(), 2.0, 6.0)
+        mon.on_tx(self.NIC, self.tx(), 5.0, 9.0)
+        assert mon.checks_performed == 3
+
+    def test_control_packets_hold_no_engine(self):
+        """A control packet leaves while a DMA holds the engine; its
+        zero-length interval neither violates nor ends the hold."""
+        mon = InvariantMonitor()
+        mon.on_tx(self.NIC, self.tx(), 0.0, 5.0)
+        mon.on_tx(self.NIC, self.tx(TransferKind.RDV_ACK), 7.0, 7.0)
+        mon.on_tx(self.NIC, self.tx(), 6.0, 10.0)
+
+    def test_planted_double_held_engine_is_caught(self):
+        """A NIC whose transmit engine grants every request at once, and
+        never counts a holder, lets two rendezvous chunks share the
+        wire: the monitor fires on the intervals alone."""
+
+        class DoubleHeld(Resource):
+            def request(self):
+                req = ResourceRequest(self)
+                req.granted = True
+                return req
+
+            def release(self, req):
+                req.released = True
+
+        cluster = (
+            ClusterBuilder.paper_testbed(strategy="single_rail")
+            .invariants()
+            .build()
+        )
+        nic = cluster.engine("node0").machine.nics[0]
+        nic._tx = DoubleHeld(cluster.sim, name=f"{nic.qualified_name}.tx")
+        sender, receiver = cluster.sessions("node0", "node1")
+        for _ in range(2):
+            receiver.irecv(source="node0")
+            sender.isend("node1", "1M")
+        with pytest.raises(InvariantViolation, match="nic-tx-sanity") as info:
+            cluster.run()
+        assert info.value.detail.startswith(nic.qualified_name)
+
+    def test_healthy_engine_passes_the_same_run(self):
+        cluster = (
+            ClusterBuilder.paper_testbed(strategy="single_rail")
+            .invariants()
+            .build()
+        )
+        sender, receiver = cluster.sessions("node0", "node1")
+        for _ in range(2):
+            receiver.irecv(source="node0")
+            sender.isend("node1", "1M")
+        cluster.run()
+        cluster.check_drain()
 
 
 class TestViolationStructure:

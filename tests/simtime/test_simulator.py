@@ -1,5 +1,7 @@
 """Unit tests for the Simulator event loop."""
 
+import gc
+
 import pytest
 
 from repro.simtime import Simulator
@@ -165,3 +167,141 @@ class TestRunWithBound:
         sim.run(until=3.0)
         assert seen == ["second"]
         assert sim.now == 3.0
+
+
+#: the generation-2 threshold while run() runs: out of reach
+DEFERRED = 2**31 - 1
+
+
+def collector_state():
+    return gc.get_threshold(), gc.isenabled()
+
+
+@pytest.fixture(params=["as found", "own thresholds", "collector off"])
+def caller_gc(request):
+    """The collector settings a caller left before ``run()``: the
+    process's own, thresholds of the caller's choosing, or automatic
+    collection off.  Yields them; puts the process's back afterwards."""
+    thresholds, enabled = collector_state()
+    if request.param == "own thresholds":
+        gc.set_threshold(500, 7, 3)
+    elif request.param == "collector off":
+        gc.disable()
+    try:
+        yield collector_state()
+    finally:
+        gc.set_threshold(*thresholds)
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+
+
+def deferred(state):
+    """What ``run()`` sets while it runs, for a caller's ``state``."""
+    (young, middle, _), enabled = state
+    return (young, middle, DEFERRED), enabled
+
+
+class TestCollectorDeferral:
+    """``run()`` raises only the full-pass threshold while its loop
+    runs and restores the caller's settings exactly on every way out."""
+
+    def test_normal_return(self, caller_gc):
+        sim = Simulator()
+        inside = []
+        sim.schedule(1.0, lambda: inside.append(collector_state()))
+        sim.run()
+        assert inside == [deferred(caller_gc)]
+        assert collector_state() == caller_gc
+
+    def test_callback_raising_out_of_run(self, caller_gc):
+        sim = Simulator()
+
+        def boom():
+            raise RuntimeError("boom")
+
+        sim.schedule(1.0, boom)
+        with pytest.raises(RuntimeError):
+            sim.run()
+        assert collector_state() == caller_gc
+
+    def test_early_return_of_bounded_run(self, caller_gc):
+        sim = Simulator()
+        sim.run(until=5.0)
+        sim.schedule(1.0, lambda: None)
+        assert sim.run(until=1.0) == 5.0
+        assert collector_state() == caller_gc
+
+    def test_reentrant_run_error(self, caller_gc):
+        sim = Simulator()
+        sim.schedule(1.0, sim.run)
+        with pytest.raises(SimulationError):
+            sim.run()
+        assert collector_state() == caller_gc
+
+    def test_second_simulator_nested_in_a_callback(self, caller_gc):
+        """What the online re-sampler does under ``Cluster.resample``."""
+        outer, inner = Simulator(), Simulator()
+        seen = []
+
+        def side_run():
+            inner.schedule(2.0, lambda: seen.append(("inner", collector_state())))
+            inner.run()
+            seen.append(("outer", collector_state()))
+
+        outer.schedule(1.0, side_run)
+        outer.run()
+        assert seen == [
+            ("inner", deferred(caller_gc)),
+            ("outer", deferred(caller_gc)),
+        ]
+        assert collector_state() == caller_gc
+
+    def test_full_passes_wait_until_run_returns(self):
+        """Young passes run inside ``run()``, full passes do not; the
+        deferred one comes due after it returns."""
+        thresholds, enabled = collector_state()
+        gc.collect()
+        # A full pass is also skipped while fewer objects than a quarter
+        # of those the last one kept have reached the oldest generation:
+        # keep enough alive to be past that whatever the process holds.
+        per_event = 1000
+        events = max(300, len(gc.get_objects()) // (2 * per_event))
+        sim = Simulator()
+        kept = []
+        passes = []
+
+        def note(phase, info):
+            if phase == "start":
+                passes.append((info["generation"], sim._running))
+
+        for i in range(events):
+            sim.schedule(float(i + 1), self._grow, kept, per_event)
+        gc.set_threshold(700, 10, 10)
+        gc.enable()
+        gc.callbacks.append(note)
+        try:
+            sim.run()
+            inside = [gen for gen, running in passes if running]
+            assert 2 not in inside
+            assert inside.count(0) > 0 and inside.count(1) > 0
+            # More middle passes than the full-pass threshold since the
+            # last full pass: the next young collection runs it.
+            assert gc.get_count()[2] > 10
+            del passes[:]
+            after = []
+            for _ in range(100):
+                after.append([[] for _ in range(700)])
+                if any(gen == 2 for gen, _ in passes):
+                    break
+            assert (2, False) in passes
+        finally:
+            gc.callbacks.remove(note)
+            gc.set_threshold(*thresholds)
+            if not enabled:
+                gc.disable()
+
+    @staticmethod
+    def _grow(kept, n):
+        kept.extend([] for _ in range(n))
