@@ -16,31 +16,36 @@ other parameters such as rendezvous threshold".
 
 Performance notes
 -----------------
-``SampleTable.__call__`` is the innermost call of every split decision
-(40–60 invocations per planned message), so lookups are pure Python over
-plain lists — numpy scalar indexing costs ~20× a list index.  The numpy
-``sizes``/``times`` arrays are kept for validation at construction and
-for external analysis code; the test suite checks the list path
-bitwise against the original numpy formula.
+``SampleTable.__call__`` is the innermost call of every split decision:
+the two-rail dichotomy evaluates the rails' curves directly, twice per
+bisection step and six times for its three end candidates, so lookups
+are pure Python over plain lists — numpy scalar indexing costs ~20× a
+list index.  The numpy ``sizes``/``times`` arrays are kept for
+validation at construction and for external analysis code; the test
+suite checks the list path bitwise against the original numpy formula.
 
 :class:`NicEstimator` is immutable after construction (enforced via
-``__setattr__``), which makes its derived quantities — ``rdv_threshold``,
-``plateau_bandwidth``, per-``(size, mode)`` transfer times — safe to
-memoize forever.
+``__setattr__``), so its derived quantities — ``rdv_threshold``,
+``plateau_bandwidth``, per-mode transfer times — never go stale.  The
+transfer-time memo serves the callers whose sizes repeat (the zero-byte
+control packet, eager message sizes, chunk prediction stamps, the
+collective cost model's segments); the split solvers' boundary
+candidates rarely repeat, so they read the curves instead of filling
+it.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.core.packets import TransferMode
 from repro.util.errors import SamplingError
 
-#: cap on the per-estimator (size, mode) memo before it is reset wholesale
+#: cap on each per-estimator memo before it is reset wholesale
 _TRANSFER_MEMO_LIMIT = 65_536
 
 
@@ -82,6 +87,8 @@ class SampleTable:
             / (self._sizes_list[i + 1] - self._sizes_list[i])
             for i in range(len(self._sizes_list) - 1)
         ]
+        #: the (extrapolated) zero-size time, the floor of :meth:`inverse`
+        self._zero_time = self(0)
 
     def __len__(self) -> int:
         return len(self._sizes_list)
@@ -94,24 +101,26 @@ class SampleTable:
     def max_size(self) -> int:
         return int(self._sizes_list[-1])
 
-    def _bracket(self, size: float) -> int:
-        """Index ``i`` such that sizes[i] <= size < sizes[i+1] (clamped)."""
-        if self._pow2:
-            i = int(math.floor(math.log2(size))) - self._log0 if size > 0 else 0
-        else:
-            i = bisect_right(self._sizes_list, size) - 1
-        last = self._last_segment
-        return 0 if i < 0 else (last if i > last else i)
-
     def __call__(self, size: float) -> float:
         """Estimated time for ``size`` bytes (linear inter-/extrapolation).
 
-        Results are clamped to be non-negative (extrapolating the first
-        segment below the smallest sample could otherwise go negative).
+        The bracket is the segment ``i`` with sizes[i] <= size <
+        sizes[i+1], clamped to the first and last segments (sizes below
+        one byte use the first).  Results are clamped to be non-negative
+        (extrapolating the first segment below the smallest sample could
+        otherwise go negative).
         """
         if size < 0:
             raise SamplingError(f"negative size: {size}")
-        i = self._bracket(size if size > 1.0 else 1.0)
+        x = size if size > 1.0 else 1.0
+        if self._pow2:
+            i = math.floor(math.log2(x)) - self._log0
+        else:
+            i = bisect_right(self._sizes_list, x) - 1
+        if i < 0:
+            i = 0
+        elif i > self._last_segment:
+            i = self._last_segment
         s0 = self._sizes_list[i]
         s1 = self._sizes_list[i + 1]
         t0 = self._times_list[i]
@@ -128,7 +137,7 @@ class SampleTable:
         """
         times = self._times_list
         sizes = self._sizes_list
-        if time <= self(0):
+        if time <= self._zero_time:
             return 0.0
         if time >= times[-1]:
             # extrapolate along the last segment
@@ -189,8 +198,8 @@ class NicEstimator:
 
     Immutable after construction: attribute assignment raises, which is
     what licenses the internal memoization (``rdv_threshold``,
-    ``plateau_bandwidth`` and the per-``(size, mode)`` transfer-time
-    cache are computed at most once and never invalidated).
+    ``plateau_bandwidth`` and the per-mode transfer-time memos are
+    computed at most once and never invalidated).
 
     Parameters
     ----------
@@ -222,12 +231,15 @@ class NicEstimator:
         self.control_oneway = control_oneway
         self.eager_limit = eager_limit
         # Memoized derivations (estimators are immutable, so these never
-        # need invalidation).  The transfer memo is LRU-style in spirit:
-        # bounded, reset wholesale on overflow — sweeps reuse a few dozen
-        # distinct sizes, so the bound is never hit in practice.
+        # need invalidation).  The transfer memos hold one entry per
+        # distinct size a repeating caller asks for (the split solvers
+        # read the curves directly); each is bounded and reset wholesale
+        # on overflow.  Keyed by the plain size, so no key is a tuple the
+        # cyclic collector has to track.
         self._rdv_threshold_cache: Optional[int] = None
         self._plateau_cache: Optional[float] = None
-        self._transfer_memo: Dict[Tuple[float, TransferMode], float] = {}
+        self._eager_memo: Dict[float, float] = {}
+        self._dma_memo: Dict[float, float] = {}
         self._mode_memo: Dict[float, TransferMode] = {}
         self._frozen = True
 
@@ -255,20 +267,22 @@ class NicEstimator:
         For rendezvous this is the *data* time — the per-message handshake
         is accounted once by the caller, not per chunk.
 
-        Memoized per ``(size, mode)``: split solvers re-evaluate the same
-        boundary candidates dozens of times per message.
+        Memoized per mode, keyed by ``size``: the control packet, eager
+        message sizes, chunk prediction stamps and the collective cost
+        model ask for the same sizes again and again.  A memo hit returns the float the curve
+        computes, so the split solvers, which read ``eager``/``dma``
+        directly, agree with it bit for bit.
         """
-        memo = self._transfer_memo
-        key = (size, mode)
-        t = memo.get(key)
+        if mode is TransferMode.EAGER:
+            memo, table = self._eager_memo, self.eager
+        else:
+            memo, table = self._dma_memo, self.dma
+        t = memo.get(size)
         if t is None:
-            if mode is TransferMode.EAGER:
-                t = self.eager(size)
-            else:
-                t = self.dma(size)
+            t = table(size)
             if len(memo) >= _TRANSFER_MEMO_LIMIT:
                 memo.clear()
-            memo[key] = t
+            memo[size] = t
         return t
 
     def rdv_handshake(self) -> float:

@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.estimator import NicEstimator, SampleTable
 from repro.core.packets import TransferMode
-from repro.core.split import SplitResult, dichotomy_split, waterfill_split
+from repro.core.split import dichotomy_split, mode_curve, waterfill_split
 from repro.networks.nic import Nic
 from repro.obs.hooks import Hooks
 from repro.util.errors import ConfigurationError, SamplingError, SchedulingError
@@ -96,8 +96,8 @@ class _ScaledEstimator:
 
     The split solvers only touch ``name``, ``transfer_time`` and the
     ``eager``/``dma`` tables, so this thin wrapper is all a degraded rail
-    needs; the wrapped estimator's memo tables keep doing the heavy
-    lifting underneath.
+    needs: its tables and ``transfer_time`` both divide the wrapped
+    estimator's times by the factor, so they agree bit for bit.
     """
 
     __slots__ = ("_est", "_factor", "name", "eager", "dma")
@@ -289,28 +289,28 @@ class CompletionPredictor:
         all_rails = [
             (self._planning_estimator(n), off) for n, off in zip(nics, offsets)
         ]
-        best: Optional[Tuple[float, int, Tuple[int, ...], SplitResult]] = None
+        best: Optional[Tuple[float, int, Tuple[int, ...], Tuple[int, ...], int]] = None
         for k in range(1, limit + 1):
             for subset_idx in itertools.combinations(range(len(nics)), k):
-                rails = [all_rails[i] for i in subset_idx]
                 if k == 1:
-                    est, off = rails[0]
-                    split = SplitResult(
-                        sizes=[size],
-                        predicted_times=[off + est.transfer_time(size, mode)],
-                        iterations=0,
-                    )
-                elif k == 2:
-                    split = dichotomy_split(size, rails, mode)
+                    # One rail: the whole message at that rail's curve.
+                    est, off = all_rails[subset_idx[0]]
+                    completion, active = off + mode_curve(est, mode)(size), 1
+                    sizes, iterations = (size,), 0
                 else:
-                    split = waterfill_split(size, rails, mode)
-                active = split.active_rails
-                completion = split.predicted_completion + (
-                    fixed_cost if active > 1 else 0.0
-                )
+                    rails = [all_rails[i] for i in subset_idx]
+                    if k == 2:
+                        split = dichotomy_split(size, rails, mode)
+                    else:
+                        split = waterfill_split(size, rails, mode)
+                    active = split.active_rails
+                    completion = split.predicted_completion + (
+                        fixed_cost if active > 1 else 0.0
+                    )
+                    sizes, iterations = tuple(split.sizes), split.iterations
                 key = (completion, active)
                 if best is None or key < (best[0], best[1]):
-                    best = (completion, active, subset_idx, split)
+                    best = (completion, active, subset_idx, sizes, iterations)
         assert best is not None
-        completion, _, subset_idx, split = best
-        return subset_idx, tuple(split.sizes), split.iterations, completion
+        completion, _, subset_idx, sizes, iterations = best
+        return subset_idx, sizes, iterations, completion

@@ -46,6 +46,13 @@ class SplitResult:
         return sum(1 for s in self.sizes if s > 0)
 
 
+def mode_curve(est: NicEstimator, mode: TransferMode):
+    """The sampled curve behind ``est.transfer_time(·, mode)``: the eager
+    table for eager chunks, the DMA table otherwise.  The solvers read
+    it directly, so their boundary candidates skip the estimator memo."""
+    return est.eager if mode is TransferMode.EAGER else est.dma
+
+
 def _validate(size: int, rails: Sequence[Rail]) -> None:
     if size < 0:
         raise ConfigurationError(f"negative split size: {size}")
@@ -100,6 +107,12 @@ def dichotomy_split(
 
     A boundary driven to one end means the message should not be split at
     all — one rail gets everything (the Fig. 2 discard case).
+
+    Each rail's sampled curve for ``mode`` is read directly
+    (:func:`mode_curve`), and each of the three end candidates — the
+    rounded boundary, nothing on the first rail, everything on it — is
+    priced once; the winner's two times are the result's
+    ``predicted_times``.
     """
     _validate(size, rails)
     if len(rails) != 2:
@@ -108,18 +121,14 @@ def dichotomy_split(
             "use waterfill_split"
         )
     (est_a, off_a), (est_b, off_b) = rails
-
-    def time_a(s: float) -> float:
-        return off_a + est_a.transfer_time(s, mode)
-
-    def time_b(s: float) -> float:
-        return off_b + est_b.transfer_time(s, mode)
+    curve_a, curve_b = mode_curve(est_a, mode), mode_curve(est_b, mode)
 
     x = size / 2.0
     step = size / 4.0
     iterations = 0
     for iterations in range(1, max_iterations + 1):
-        ta, tb = time_a(x), time_b(size - x)
+        ta = off_a + curve_a(x)
+        tb = off_b + curve_b(size - x)
         if abs(ta - tb) <= tolerance or step < 0.5:
             break
         if ta > tb:
@@ -131,25 +140,21 @@ def dichotomy_split(
 
     # Degenerate boundaries: sending everything on one rail may beat any
     # split once an offset or a fixed cost dominates.
-    candidates = [int(round(x)), 0, size]
-    best_sizes, best_completion = None, float("inf")
-    for sa in candidates:
+    best = None
+    best_completion = float("inf")
+    for sa in (int(round(x)), 0, size):
         sb = size - sa
-        completion = max(
-            time_a(sa) if sa > 0 else 0.0,
-            time_b(sb) if sb > 0 else 0.0,
-        )
+        ta = off_a + curve_a(sa)
+        tb = off_b + curve_b(sb)
+        completion = max(ta if sa > 0 else 0.0, tb if sb > 0 else 0.0)
         if size == 0:
             completion = 0.0
         if completion < best_completion - 1e-12:
             best_completion = completion
-            best_sizes = [sa, sb]
-    assert best_sizes is not None
-    return SplitResult(
-        sizes=best_sizes,
-        predicted_times=[time_a(best_sizes[0]), time_b(best_sizes[1])],
-        iterations=iterations,
-    )
+            best = (sa, sb, ta, tb)
+    assert best is not None
+    sa, sb, ta, tb = best
+    return SplitResult(sizes=[sa, sb], predicted_times=[ta, tb], iterations=iterations)
 
 
 def waterfill_split(
@@ -174,12 +179,9 @@ def waterfill_split(
             iterations=0,
         )
 
-    def table(est: NicEstimator):
-        return est.eager if mode is TransferMode.EAGER else est.dma
-
     def capacity(t: float) -> float:
         return sum(
-            table(est).inverse(max(0.0, t - off)) for est, off in rails
+            mode_curve(est, mode).inverse(max(0.0, t - off)) for est, off in rails
         )
 
     # Bracket: lo = cheapest single-byte send; hi = everything on the rail
@@ -196,7 +198,7 @@ def waterfill_split(
         else:
             lo = mid
 
-    shares = [table(est).inverse(max(0.0, hi - off)) for est, off in rails]
+    shares = [mode_curve(est, mode).inverse(max(0.0, hi - off)) for est, off in rails]
     total = sum(shares)
     if total <= 0:
         # Degenerate: give everything to the earliest-finishing rail.

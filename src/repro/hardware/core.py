@@ -73,7 +73,7 @@ class Core:
         """True when nothing holds or waits for the core *and* no declared
         work extends past the current instant."""
         return (
-            self._res.in_use == 0
+            not self._res.busy
             and self._res.queued == 0
             and self.sim.now >= self._busy_until
         )

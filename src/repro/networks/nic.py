@@ -151,7 +151,7 @@ class Nic:
         """
         return (
             self.is_up
-            and self._tx.in_use == 0
+            and not self._tx.busy
             and self._tx.queued == 0
             and self.sim.now >= self._busy_until
         )

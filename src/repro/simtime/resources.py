@@ -74,13 +74,13 @@ class Resource:
     def __init__(self, sim: Simulator, name: str = "resource") -> None:
         self.sim = sim
         self.name = name
-        #: holders right now: 0 or 1
-        self.in_use = 0
+        #: True while a request holds the slot
+        self.busy = False
         self._waiting: Deque[ResourceRequest] = deque()
 
     def __repr__(self) -> str:
         return (
-            f"<Resource {self.name} {self.in_use}/1"
+            f"<Resource {self.name} {'busy' if self.busy else 'free'}"
             f" (+{len(self._waiting)} queued)>"
         )
 
@@ -91,8 +91,8 @@ class Resource:
     def request(self) -> ResourceRequest:
         """Claim the slot; the returned request is waitable."""
         req = ResourceRequest(self)
-        if self.in_use == 0:
-            self.in_use += 1
+        if not self.busy:
+            self.busy = True
             req.granted = True
         else:
             self._waiting.append(req)
@@ -115,4 +115,4 @@ class Resource:
         if self._waiting:
             self._waiting.popleft()._grant()
         else:
-            self.in_use -= 1
+            self.busy = False

@@ -274,12 +274,17 @@ class TestEstimatorImmutabilityAndMemo:
 
     def test_transfer_time_memo_exact(self):
         est = self.make()
-        for size in (0, 1, 37, 4096, 10**6):
+        sizes = (0, 1, 37, 4096, 10**6)
+        for size in sizes:
             for mode in (TransferMode.EAGER, TransferMode.RENDEZVOUS):
                 table = est.eager if mode is TransferMode.EAGER else est.dma
+                memo = est._eager_memo if mode is TransferMode.EAGER else est._dma_memo
                 assert est.transfer_time(size, mode) == table(size)
+                # one memo per mode, keyed by the plain size
+                assert memo[size] == table(size)
                 # second call: memo hit, same bits
                 assert est.transfer_time(size, mode) == table(size)
+        assert sorted(est._eager_memo) == sorted(est._dma_memo) == list(sizes)
 
     def test_plateau_bandwidth_memoized(self):
         est = self.make()

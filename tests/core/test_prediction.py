@@ -1,15 +1,31 @@
 """Tests for CompletionPredictor: point predictions and rail selection."""
 
-import pytest
+import gc
+import itertools
+from types import SimpleNamespace
+from typing import Optional, Tuple
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.api import ClusterBuilder
 from repro.core.packets import TransferMode
 from repro.core.prediction import CompletionPredictor, RailPlan
 from repro.core.sampling import NetworkSampler, ProfileStore
+from repro.core.split import SplitResult, waterfill_split
 from repro.networks import ElanDriver, MxDriver, Transfer, TransferKind
 from repro.util.errors import ConfigurationError, SamplingError
 from repro.util.units import KiB, MiB
 
 from tests.conftest import wire_pair
+from tests.core.test_split import (
+    BW_FACTORS,
+    OFFSETS,
+    SAMPLED,
+    SIZES,
+    float_bits,
+    reference_dichotomy_split,
+)
 
 RDV = TransferMode.RENDEZVOUS
 EAGER = TransferMode.EAGER
@@ -185,3 +201,114 @@ class TestPlanCache:
         pred.plan(node_a.nics, 1 * MiB, RDV, fixed_cost=3.0)
         assert pred.plan_cache_hits == 0
         assert pred.plan_cache_misses == 5
+
+
+class _ReferencePredictor(CompletionPredictor):
+    """``_solve`` as it read before one-rail subsets were priced off the
+    curve: a ``SplitResult`` per subset, every time through
+    ``transfer_time``, two-rail subsets through the reference dichotomy.
+    Kept verbatim as the reference the current planner must match bit
+    for bit."""
+
+    def _solve(self, nics, offsets, size, mode, limit, fixed_cost):
+        all_rails = [
+            (self._planning_estimator(n), off) for n, off in zip(nics, offsets)
+        ]
+        best: Optional[Tuple[float, int, Tuple[int, ...], SplitResult]] = None
+        for k in range(1, limit + 1):
+            for subset_idx in itertools.combinations(range(len(nics)), k):
+                rails = [all_rails[i] for i in subset_idx]
+                if k == 1:
+                    est, off = rails[0]
+                    split = SplitResult(
+                        sizes=[size],
+                        predicted_times=[off + est.transfer_time(size, mode)],
+                        iterations=0,
+                    )
+                elif k == 2:
+                    split = reference_dichotomy_split(size, rails, mode)
+                else:
+                    split = waterfill_split(size, rails, mode)
+                active = split.active_rails
+                completion = split.predicted_completion + (
+                    fixed_cost if active > 1 else 0.0
+                )
+                key = (completion, active)
+                if best is None or key < (best[0], best[1]):
+                    best = (completion, active, subset_idx, split)
+        assert best is not None
+        completion, _, subset_idx, split = best
+        return subset_idx, tuple(split.sizes), split.iterations, completion
+
+
+def _rail_nic(technology: str, bw_factor: float):
+    """What ``_solve`` reads of a NIC: its technology and its bandwidth
+    factor (below 1, the planner prices it through a scaled view)."""
+    return SimpleNamespace(
+        profile=SimpleNamespace(name=technology), bw_factor=bw_factor
+    )
+
+
+@st.composite
+def solve_inputs(draw):
+    n = draw(st.integers(min_value=1, max_value=3))
+    nics = [
+        _rail_nic(draw(st.sampled_from(sorted(SAMPLED))), draw(BW_FACTORS))
+        for _ in range(n)
+    ]
+    offsets = tuple(draw(OFFSETS) for _ in range(n))
+    limit = draw(st.integers(min_value=1, max_value=n))
+    fixed_cost = draw(st.sampled_from([0.0, 3.0, 6.0]))
+    return nics, offsets, limit, fixed_cost
+
+
+class TestSolveMatchesReference:
+    """Pricing one-rail subsets off the curves changes no plan."""
+
+    @given(solve_inputs(), SIZES, st.sampled_from([EAGER, RDV]))
+    @settings(max_examples=200, deadline=None)
+    def test_bit_identical(self, inputs, size, mode):
+        nics, offsets, limit, fixed_cost = inputs
+        new = CompletionPredictor(SAMPLED)._solve(
+            nics, offsets, size, mode, limit, fixed_cost
+        )
+        ref = _ReferencePredictor(SAMPLED)._solve(
+            nics, offsets, size, mode, limit, fixed_cost
+        )
+        assert new[:3] == ref[:3]
+        assert float_bits([new[3]]) == float_bits([ref[3]])
+
+
+class TestEstimatorMemoAfterPlanning:
+    """Rendezvous planning leaves nothing in the estimators' memos: the
+    split solvers read the curves, and the memos hold plain sizes only,
+    which the cyclic collector does not track."""
+
+    def test_distinct_rendezvous_sizes_leave_the_rdv_memo_empty(self):
+        profiles = ProfileStore.sample_drivers([MxDriver(), ElanDriver()])
+        cluster = (
+            ClusterBuilder.paper_testbed(strategy="hetero_split")
+            .sampling(profiles=profiles)
+            .build()
+        )
+        a, b = cluster.session("node0"), cluster.session("node1")
+        sizes = [64 * KiB + 40_961 * i for i in range(200)]
+        for i, size in enumerate(sizes):
+            b.irecv(source="node0", tag=i)
+        sent = [a.isend("node1", size, tag=i) for i, size in enumerate(sizes)]
+        cluster.run()
+        assert all(m.mode is RDV for m in sent)
+        assert sum(len(m.rails_used) == 2 for m in sent) > 100  # split, so planned
+        estimators = list(
+            {
+                id(est): est
+                for engine in cluster.engines.values()
+                for est in engine.predictor.estimators.values()
+            }.values()
+        )
+        assert estimators
+        for est in estimators:
+            assert est._dma_memo == {}
+            assert len(est._eager_memo) <= 1  # the control packet's zero bytes
+            for memo in (est._eager_memo, est._dma_memo):
+                assert not any(gc.is_tracked(key) for key in memo)

@@ -1,16 +1,21 @@
 """Unit and property tests for the split solvers."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.core.estimator import NicEstimator, SampleTable
 from repro.core.packets import TransferMode
+from repro.core.prediction import _ScaledEstimator
+from repro.core.sampling import ProfileStore
 from repro.core.split import (
+    SplitResult,
+    _validate,
     dichotomy_split,
     equal_split,
     ratio_split,
     waterfill_split,
 )
+from repro.networks import ElanDriver, MxDriver
 from repro.util.errors import ConfigurationError
 
 
@@ -198,3 +203,250 @@ class TestWaterfillSplit:
         res = waterfill_split(size, rails, EAGER)
         assert sum(res.sizes) == size
         assert all(s >= 0 for s in res.sizes)
+
+
+def reference_dichotomy_split(
+    size, rails, mode, tolerance: float = 0.05, max_iterations: int = 40
+) -> SplitResult:
+    """The dichotomy as it read before it priced candidates on the
+    curves directly: every time through ``transfer_time`` (and its
+    memo), the winner's times estimated a second time.  Kept verbatim as
+    the reference the current solver must match bit for bit."""
+    _validate(size, rails)
+    if len(rails) != 2:
+        raise ConfigurationError(
+            f"dichotomy_split handles exactly 2 rails, got {len(rails)}; "
+            "use waterfill_split"
+        )
+    (est_a, off_a), (est_b, off_b) = rails
+
+    def time_a(s: float) -> float:
+        return off_a + est_a.transfer_time(s, mode)
+
+    def time_b(s: float) -> float:
+        return off_b + est_b.transfer_time(s, mode)
+
+    x = size / 2.0
+    step = size / 4.0
+    iterations = 0
+    for iterations in range(1, max_iterations + 1):
+        ta, tb = time_a(x), time_b(size - x)
+        if abs(ta - tb) <= tolerance or step < 0.5:
+            break
+        if ta > tb:
+            x -= step
+        else:
+            x += step
+        step /= 2.0
+    x = min(max(x, 0.0), float(size))
+
+    # Degenerate boundaries: sending everything on one rail may beat any
+    # split once an offset or a fixed cost dominates.
+    candidates = [int(round(x)), 0, size]
+    best_sizes, best_completion = None, float("inf")
+    for sa in candidates:
+        sb = size - sa
+        completion = max(
+            time_a(sa) if sa > 0 else 0.0,
+            time_b(sb) if sb > 0 else 0.0,
+        )
+        if size == 0:
+            completion = 0.0
+        if completion < best_completion - 1e-12:
+            best_completion = completion
+            best_sizes = [sa, sb]
+    assert best_sizes is not None
+    return SplitResult(
+        sizes=best_sizes,
+        predicted_times=[time_a(best_sizes[0]), time_b(best_sizes[1])],
+        iterations=iterations,
+    )
+
+
+#: the sampled Myri-10G and Quadrics profiles (curved, unlike make_est's)
+SAMPLED = ProfileStore.sample_drivers([MxDriver(), ElanDriver()]).estimators
+RAIL_POOL = [MYRI, QUAD, *SAMPLED.values()]
+
+#: 1 B to 64 MiB, log-uniform as well as uniform
+SIZES = st.one_of(
+    st.integers(min_value=1, max_value=64 << 20),
+    st.floats(min_value=0.0, max_value=26.0).map(lambda e: int(2.0 ** e)),
+)
+OFFSETS = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=5000.0))
+#: healthy (the estimator itself) or degraded (its scaled planning view)
+BW_FACTORS = st.one_of(st.just(1.0), st.floats(min_value=0.05, max_value=0.99))
+
+
+def planning_view(est, bw_factor):
+    return est if bw_factor == 1.0 else _ScaledEstimator(est, bw_factor)
+
+
+@st.composite
+def two_rails(draw):
+    return [
+        (
+            planning_view(draw(st.sampled_from(RAIL_POOL)), draw(BW_FACTORS)),
+            draw(OFFSETS),
+        )
+        for _ in range(2)
+    ]
+
+
+def float_bits(values):
+    return [float(v).hex() for v in values]
+
+
+class TestDichotomyMatchesReference:
+    """Pricing each candidate once, straight off the curves, changes no
+    bit of any split."""
+
+    @given(SIZES, two_rails(), st.sampled_from([EAGER, RDV]))
+    @settings(max_examples=300, deadline=None)
+    def test_bit_identical(self, size, rails, mode):
+        new = dichotomy_split(size, rails, mode)
+        ref = reference_dichotomy_split(size, rails, mode)
+        assert new.sizes == ref.sizes
+        assert float_bits(new.predicted_times) == float_bits(ref.predicted_times)
+        assert new.iterations == ref.iterations
+
+    @pytest.mark.parametrize("mode", [EAGER, RDV])
+    def test_zero_size_bit_identical(self, mode):
+        rails = [(MYRI, 12.5), (_ScaledEstimator(QUAD, 0.5), 0.0)]
+        new = dichotomy_split(0, rails, mode)
+        ref = reference_dichotomy_split(0, rails, mode)
+        assert (new.sizes, new.iterations) == (ref.sizes, ref.iterations)
+        assert float_bits(new.predicted_times) == float_bits(ref.predicted_times)
+
+    def test_planning_reads_no_memo(self):
+        """The solver reads the curves, so boundary candidates stay out
+        of the estimators' memos."""
+        rails = [
+            (make_est("a", 1100.0, 1228.0), 0.0),
+            (make_est("b", 800.0, 878.0), 7.0),
+        ]
+        for size in (64 << 10, 1 << 20, 5_000_003):
+            dichotomy_split(size, rails, RDV)
+            dichotomy_split(size, rails, EAGER)
+        for est, _ in rails:
+            assert est._eager_memo == {} and est._dma_memo == {}
+
+
+# ---------------------------------------------------------------------- #
+# closed-form oracle (Fig. 1c): two affine rails t = alpha + s / beta
+# ---------------------------------------------------------------------- #
+
+#: the power-of-two grid the affine rails are sampled on (1 B - 128 MiB)
+AFFINE_GRID = [2 ** k for k in range(0, 28)]
+
+
+def affine_rail(alpha, beta):
+    """An estimator whose curves are sampled exactly from t = alpha + s/beta
+    (µs, bytes/µs); linear interpolation reproduces the line everywhere."""
+    table = SampleTable(AFFINE_GRID, [alpha + s / beta for s in AFFINE_GRID])
+    return NicEstimator(
+        "affine", eager=table, dma=table, control_oneway=1.0, eager_limit=1 << 27
+    )
+
+
+def closed_form_boundary(size, rail_a, rail_b):
+    """Equal-time boundary x* and completion T* of two affine rails, each
+    ``(alpha, beta, busy offset)``: o_a + alpha_a + x/beta_a equals
+    o_b + alpha_b + (S - x)/beta_b."""
+    (alpha_a, beta_a, off_a), (alpha_b, beta_b, off_b) = rail_a, rail_b
+    x_star = (off_b + alpha_b - off_a - alpha_a + size / beta_b) / (
+        1.0 / beta_a + 1.0 / beta_b
+    )
+    return x_star, off_a + alpha_a + x_star / beta_a
+
+
+def boundary_tolerance(beta_a, beta_b):
+    """Bytes by which ``sizes[0]`` may miss x*, from the solver's stops.
+
+    * 0.05 µs stop: ta - tb is affine in the boundary with slope
+      1/beta_a + 1/beta_b, so |ta - tb| <= 0.05 puts x within
+      0.05 / (1/beta_a + 1/beta_b) bytes of x*;
+    * ½-byte step stop: the bisection keeps |x - x*| <= 2 * step, and it
+      stops at a step below ½ byte, so x is within 1 byte of x*;
+    * the boundary is then rounded to a whole byte: ½ byte more.
+    """
+    by_time = 0.05 / (1.0 / beta_a + 1.0 / beta_b)
+    return max(by_time, 1.0) + 0.5
+
+
+def oracle_holds(size, split, rail_a, rail_b):
+    """``split`` puts its boundary and both predicted times where the
+    closed form says, to the solver's own tolerance (and 1e-9 relative
+    for float rounding in the curves)."""
+    x_star, t_star = closed_form_boundary(size, rail_a, rail_b)
+    tol = boundary_tolerance(rail_a[1], rail_b[1])
+    slack = 1e-9 * t_star
+    return (
+        abs(split.sizes[0] - x_star) <= tol
+        and abs(split.predicted_times[0] - t_star) <= tol / rail_a[1] + slack
+        and abs(split.predicted_times[1] - t_star) <= tol / rail_b[1] + slack
+    )
+
+
+@st.composite
+def affine_scenarios(draw):
+    """Two affine rails and a size whose equal-time boundary lies in the
+    middle 90% of the message (away from the degenerate one-rail ends):
+    the boundary is drawn, then the busy offsets that put it there."""
+    size = int(2.0 ** draw(st.floats(min_value=16.0, max_value=26.0)))
+    alpha_a, alpha_b = (draw(st.floats(min_value=0.5, max_value=20.0)) for _ in "ab")
+    beta_a, beta_b = (draw(st.floats(min_value=100.0, max_value=2500.0)) for _ in "ab")
+    x_target = size * draw(st.floats(min_value=0.05, max_value=0.95))
+    base = draw(st.floats(min_value=0.0, max_value=500.0))
+    gap = (
+        x_target * (1.0 / beta_a + 1.0 / beta_b)
+        - size / beta_b
+        - alpha_b
+        + alpha_a
+    )  # o_b - o_a
+    off_a, off_b = (base, base + gap) if gap >= 0 else (base - gap, base)
+    return size, (alpha_a, beta_a, off_a), (alpha_b, beta_b, off_b)
+
+
+def affine_split(size, rail_a, rail_b, table_rate_a=None):
+    (alpha_a, beta_a, off_a), (alpha_b, beta_b, off_b) = rail_a, rail_b
+    est_a = affine_rail(alpha_a, beta_a if table_rate_a is None else table_rate_a)
+    return dichotomy_split(
+        size, [(est_a, off_a), (affine_rail(alpha_b, beta_b), off_b)], RDV
+    )
+
+
+class TestDichotomyClosedForm:
+    """The dichotomy against the closed-form equal-time boundary of two
+    affine rails, independent of any earlier run of the solver."""
+
+    @given(affine_scenarios())
+    @settings(max_examples=150, deadline=None)
+    def test_boundary_and_times_match_closed_form(self, scenario):
+        size, rail_a, rail_b = scenario
+        x_star, _ = closed_form_boundary(size, rail_a, rail_b)
+        tol = boundary_tolerance(rail_a[1], rail_b[1])
+        # Away from the ends: the split completes by T* + tol/min(beta),
+        # which beats either one-rail end by a margin.
+        min_beta = min(rail_a[1], rail_b[1])
+        assume(x_star / rail_b[1] > 2 * tol / min_beta)
+        assume((size - x_star) / rail_a[1] > 2 * tol / min_beta)
+        split = affine_split(size, rail_a, rail_b)
+        assert sum(split.sizes) == size
+        assert oracle_holds(size, split, rail_a, rail_b), (split, x_star, tol)
+
+    PAPER_LIKE = [
+        (size, (3.5, 1228.0, off_a), (3.5, 878.0, off_b))
+        for size in (256 << 10, 1 << 20, 4 << 20, 16 << 20)
+        for off_a, off_b in ((0.0, 0.0), (150.0, 0.0), (0.0, 120.0))
+    ]
+
+    @pytest.mark.parametrize("size, rail_a, rail_b", PAPER_LIKE)
+    def test_paper_like_rails(self, size, rail_a, rail_b):
+        assert oracle_holds(size, affine_split(size, rail_a, rail_b), rail_a, rail_b)
+
+    @pytest.mark.parametrize("size, rail_a, rail_b", PAPER_LIKE)
+    def test_planted_rate_error_fails_the_oracle(self, size, rail_a, rail_b):
+        """Rail a's tables run 5% slow while the closed form keeps its
+        true rate: the oracle must notice."""
+        planted = affine_split(size, rail_a, rail_b, table_rate_a=0.95 * rail_a[1])
+        assert not oracle_holds(size, planted, rail_a, rail_b)

@@ -262,7 +262,7 @@ class TestTransmitSlotMisuse:
         nic = node_a.nics[0]
         nic.submit(rdv_data(1 << 20), node_a.cores[0])
         sim.run(until=50.0)  # the DMA holds the transmit engine now
-        assert nic._tx.in_use == 1
+        assert nic._tx.busy
         queued = nic._tx.acquire(lambda req: None)
         with pytest.raises(SimulationError, match="ungranted"):
             nic._tx.release(queued)

@@ -83,16 +83,16 @@ class TestResourceErrors:
         r1 = res.request()
         r2 = res.request()
         r3 = res.request()
-        assert res.in_use == 1
+        assert res.busy
         assert res.queued == 2
         assert (r1.granted, r2.granted, r3.granted) == (True, False, False)
         res.release(r1)
-        assert res.in_use == 1  # the first queued waiter got the slot
+        assert res.busy  # the first queued waiter got the slot
         assert res.queued == 1
         assert r2.granted and not r3.granted
         res.release(r2)
         res.release(r3)
-        assert res.in_use == 0
+        assert not res.busy
         assert res.queued == 0
 
 

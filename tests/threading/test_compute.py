@@ -64,7 +64,7 @@ class TestPreemption:
             released = t.preempt()
 
             def after_release(_):
-                assert core.is_idle or core._res.in_use == 0
+                assert core.is_idle or not core._res.busy
                 # let the core do 10us of other work, then resume
                 core.run(10.0, t.resume)
 
