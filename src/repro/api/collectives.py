@@ -33,12 +33,14 @@ timestamps.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import deque
 from typing import (
     TYPE_CHECKING,
     Callable,
     Dict,
+    FrozenSet,
     Iterable,
     Iterator,
     List,
@@ -240,13 +242,15 @@ class AlgorithmSelector:
         size: int,
         ranks: int,
         health: Optional["FabricHealth"] = None,
+        root: int = 0,
     ) -> Dict[str, float]:
         """Predicted completion (µs) per implemented algorithm.
 
-        With a :class:`FabricHealth` view, algorithms whose schedule
-        requires a currently-down link are excluded outright — pricing a
-        schedule that cannot deliver is worse than useless.  Raises
-        :class:`ConfigurationError` only when *no* algorithm is feasible.
+        With a :class:`FabricHealth` view, algorithms whose schedule,
+        rooted at ``root``, sends over a currently-down link are excluded
+        outright — pricing a schedule that cannot deliver is worse than
+        useless.  Raises :class:`ConfigurationError` only when *no*
+        algorithm is feasible.
         """
         if ranks < 2:
             raise ConfigurationError(f"cost model needs >= 2 ranks, got {ranks}")
@@ -320,7 +324,7 @@ class AlgorithmSelector:
             feasible = {
                 name: cost
                 for name, cost in out.items()
-                if health.feasible(collective, name, ranks)
+                if health.feasible(collective, name, ranks, root)
             }
             if not feasible:
                 raise ConfigurationError(
@@ -336,9 +340,10 @@ class AlgorithmSelector:
         size: int,
         ranks: int,
         health: Optional["FabricHealth"] = None,
+        root: int = 0,
     ) -> str:
         """The cheapest algorithm for this shape (deterministic ties)."""
-        costs = self.costs(collective, size, ranks, health=health)
+        costs = self.costs(collective, size, ranks, health=health, root=root)
         return min(costs.items(), key=lambda kv: (kv[1], kv[0]))[0]
 
     def table(
@@ -347,10 +352,11 @@ class AlgorithmSelector:
         size: int,
         ranks: int,
         health: Optional["FabricHealth"] = None,
+        root: int = 0,
     ) -> str:
         """Human-readable cost table (printed by ``cli run COLL``)."""
-        costs = self.costs(collective, size, ranks, health=health)
-        pick = self.select(collective, size, ranks, health=health)
+        costs = self.costs(collective, size, ranks, health=health, root=root)
+        pick = self.select(collective, size, ranks, health=health, root=root)
         lines = [
             f"{collective} of {size}B across {ranks} ranks "
             f"on {'+'.join(self.technologies)}:"
@@ -366,80 +372,69 @@ class AlgorithmSelector:
 # --------------------------------------------------------------------- #
 
 
+class _Recorder:
+    """Communicator, session and world in one object, for running a rank
+    program without a simulator: ``isend`` records the undirected rank
+    pair, every wait completes at once, peer names are the ranks
+    themselves, and with no rail estimators every hop is one segment."""
+
+    def __init__(self, size: int) -> None:
+        self.size = size
+        self.rank = 0
+        self.pairs: Set[Tuple[int, int]] = set()
+        self.session = self.world = self
+
+    def peer_name(self, rank: int) -> int:
+        return rank
+
+    def rail_estimators(self) -> List["NicEstimator"]:
+        return []
+
+    def isend(self, dest: int, size: int, tag: int) -> None:
+        self.pairs.add((min(self.rank, dest), max(self.rank, dest)))
+
+    def irecv(self, source: int, tag: int) -> None:
+        return None
+
+    def wait(self, handle: object) -> Iterator:
+        return iter(())
+
+
+@functools.lru_cache(maxsize=None)
 def required_pairs(
     collective: str, algorithm: str, ranks: int, root: int = 0
-) -> Set[Tuple[int, int]]:
-    """Rank pairs an algorithm's schedule must be able to reach.
+) -> FrozenSet[Tuple[int, int]]:
+    """Undirected rank pairs ``(i, j)``, ``i < j``, that an algorithm's
+    schedule sends between when ``root`` roots it.
 
-    Undirected ``(i, j)`` pairs (``i < j``) mirroring each schedule's
-    communication pattern: tree edges for binomial schedules, successor
-    edges for rings, XOR/dissemination partners for doubling, and all
-    pairs for the post-everything and balanced all-to-alls.  The
-    feasibility side of the cost model: an algorithm is only priceable
-    if every one of its pairs has a live path.
+    Recorded, not declared: each rank's program from :data:`ALGORITHMS`
+    runs once on a :class:`_Recorder` with 1-byte payloads (alltoallv
+    with :func:`uniform_matrix` of 1 byte), so the pairs are exactly
+    what the schedule sends.  ``replan`` is recorded as ``rails``: it
+    sends the same segments in another order, and its body reads live
+    engine state.  The feasibility side of the cost model: an algorithm
+    is only priceable if each of its pairs has a live path.  Memoized
+    per shape, hence frozen.
     """
     validate_algorithm(collective, algorithm)
     if algorithm == "auto":
         raise ConfigurationError(
             "required_pairs wants a concrete algorithm, not 'auto'"
         )
-    n = ranks
-    if n < 2:
-        return set()
-    pairs: Set[Tuple[int, int]] = set()
-
-    def add(a: int, b: int) -> None:
-        a, b = a % n, b % n
-        if a != b:
-            pairs.add((min(a, b), max(a, b)))
-
-    def add_binomial_tree() -> None:
-        for v in range(1, n):
-            parent, _ = _binomial_parent_children(v, n)
-            if parent is not None:
-                add((v + root) % n, (parent + root) % n)
-
-    def add_ring() -> None:
-        for i in range(n):
-            add(i, (i + 1) % n)
-
-    def add_dissemination() -> None:
-        dist = 1
-        while dist < n:
-            for i in range(n):
-                add(i, (i + dist) % n)
-            dist *= 2
-
-    def add_all() -> None:
-        for i in range(n):
-            for j in range(i + 1, n):
-                pairs.add((i, j))
-
-    if collective in ("alltoall", "alltoallv"):
-        if algorithm == "doubling":
-            add_dissemination()
-        else:  # naive / ring / rails / replan all touch every pair
-            add_all()
-    elif algorithm == "ring":
-        add_ring()
-        if collective == "reduce":
-            # Reduce-scatter rides the ring; the final block gather
-            # converges on the root directly.
-            for j in range(n):
-                add(j, root)
-    elif algorithm == "doubling":  # bcast doubling, allgather doubling
-        if collective == "bcast":
-            add_binomial_tree()
-        add_dissemination()
-    elif collective == "gather" and algorithm == "naive":
-        for j in range(n):
-            add(j, root)
-    elif collective == "allgather":  # naive = dissemination
-        add_dissemination()
+    if collective == "alltoallv":
+        args: tuple = (uniform_matrix(ranks, 1),)
+    elif collective in ("bcast", "gather", "reduce"):
+        args = (1, root)
     else:
-        # bcast/reduce naive+binomial, gather binomial: the mask-walk tree
-        add_binomial_tree()
-    return pairs
+        args = (1,)
+    entry = ALGORITHMS[collective]["rails" if algorithm == "replan" else algorithm]
+    rec = _Recorder(ranks)
+    for rank in range(ranks):
+        rec.rank = rank
+        plan = () if entry.plan is None else (entry.plan(rec, *args),)
+        for _ in entry.schedule(rec, *args, 0, *plan):
+            pass
+    return frozenset(rec.pairs)
 
 
 class FabricHealth:
@@ -1017,11 +1012,11 @@ def balanced_schedule(
     return list(_balanced_order(rank, row, _rails_plan([row], estimators)))
 
 
-def alltoallv_rails(
+def _rails(
     comm: "Communicator",
     matrix: Sequence[Sequence[int]],
     tag: int,
-    estimators: Sequence["NicEstimator"],
+    plan: Mapping[int, List[int]],
 ) -> Iterator:
     """RailS-style load-balanced irregular all-to-all.
 
@@ -1032,16 +1027,6 @@ def alltoallv_rails(
     have imposed), and every segment is big enough to hetero-split
     across all rails.
     """
-    yield from _rails(comm, matrix, tag, _rails_plan(matrix, estimators))
-
-
-def _rails(
-    comm: "Communicator",
-    matrix: Sequence[Sequence[int]],
-    tag: int,
-    plan: Mapping[int, List[int]],
-) -> Iterator:
-    """:func:`alltoallv_rails` from a segment plan."""
     r = comm.rank
     return _rails_flows(comm, matrix[r], [row[r] for row in matrix], tag, plan)
 
@@ -1109,11 +1094,11 @@ def _replan_order(
     return order
 
 
-def alltoallv_rails_replan(
+def _replan(
     comm: "Communicator",
     matrix: Sequence[Sequence[int]],
     tag: int,
-    estimators: Sequence["NicEstimator"],
+    plan: Mapping[int, List[int]],
     window: int = REPLAN_WINDOW,
     price: Optional[Callable[[int], float]] = None,
 ) -> Iterator:
@@ -1126,25 +1111,12 @@ def alltoallv_rails_replan(
     retries, degraded sends, fault-injector firings.  Any movement while
     hops remain pending triggers a re-plan: the remaining schedule is
     re-cut largest-remaining-first (:func:`_replan_order`, re-priced by
-    the selector when sampled), the invariant monitor audits byte
-    conservation across the cut, and the flight recorder dumps the
-    decision.  Completed hops are never re-sent — tags bind each segment
-    to the receive posted for it up front, so exactly-once holds through
-    any number of re-plans.
+    ``price``, the selector's per-hop cost, when sampled), the invariant
+    monitor audits byte conservation across the cut, and the flight
+    recorder dumps the decision.  Completed hops are never re-sent —
+    tags bind each segment to the receive posted for it up front, so
+    exactly-once holds through any number of re-plans.
     """
-    plan = _rails_plan(matrix, estimators)
-    yield from _replan(comm, matrix, tag, plan, window, price)
-
-
-def _replan(
-    comm: "Communicator",
-    matrix: Sequence[Sequence[int]],
-    tag: int,
-    plan: Mapping[int, List[int]],
-    window: int = REPLAN_WINDOW,
-    price: Optional[Callable[[int], float]] = None,
-) -> Iterator:
-    """:func:`alltoallv_rails_replan` from a segment plan."""
     n = comm.size
     r = comm.rank
     name = comm.peer_name

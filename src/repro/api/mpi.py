@@ -150,11 +150,13 @@ class Communicator:
         return tag
 
     def _resolve_algorithm(
-        self, collective: str, algorithm: Optional[str], nbytes: int
+        self, collective: str, algorithm: Optional[str], nbytes: int,
+        root: int,
     ) -> str:
         """Per-call override > world default > ``"naive"``; ``"auto"``
-        goes through the world's cost-model selector.  Barrier and
-        scatter run their one fixed schedule."""
+        goes through the world's cost-model selector, which checks
+        feasibility at the call's ``root``.  Barrier and scatter run
+        their one fixed schedule."""
         if collective not in coll.VALID_ALGORITHMS:
             return next(iter(coll.ALGORITHMS[collective]))
         if algorithm is None:
@@ -166,6 +168,7 @@ class Communicator:
                 max(1, nbytes),
                 self.size,
                 health=self.world.fabric_health(),
+                root=root,
             )
         return algorithm
 
@@ -195,7 +198,7 @@ class Communicator:
         # A lone rank has no peers: the default entry, nothing to run.
         algo, body = next(iter(coll.ALGORITHMS[name])), iter(())
         if self.size > 1:
-            algo = self._resolve_algorithm(name, algorithm, peak)
+            algo = self._resolve_algorithm(name, algorithm, peak, root or 0)
             entry = coll.ALGORITHMS[name][algo]
             plan = () if entry.plan is None else (entry.plan(self, *args),)
             tag = self._next_collective_tag(entry.span(self.size, *plan))

@@ -229,6 +229,8 @@ class CompletionPredictor:
         For two-rail subsets the paper's dichotomy is used; larger subsets
         fall back to waterfilling.
         """
+        if size < 1:
+            raise ConfigurationError(f"plan needs a positive size: {size}")
         nics = list(nics)
         if not nics:
             raise ConfigurationError("plan over zero NICs")

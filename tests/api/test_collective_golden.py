@@ -5,8 +5,10 @@ Each case runs one collective on a fresh world and reduces the sorted
 a SHA-256 digest, next to the final simulated instant.  The fixture
 ``collective_golden.json`` pins those values, so any change to a
 schedule's messages, tags or timing fails here — including schedules
-the end-to-end benchmark never reaches.  A second section pins the
-algorithm name the collective profiler records for every case.
+the end-to-end benchmark never reaches.  Each run's rank pairs are also
+checked against the feasibility record, ``required_pairs``.  A second
+section pins the algorithm name the collective profiler records for
+every case.
 
 Regenerate the fixture only when a schedule change is intended::
 
@@ -122,6 +124,16 @@ def digest(world):
     }
 
 
+def sent_pairs(world):
+    """Undirected ``(i, j)`` rank pairs, ``i < j``, of every sent message."""
+    rank = {world.node_name(r): r for r in range(world.size)}
+    return {
+        tuple(sorted((rank[m.src], rank[m.dest])))
+        for engine in world.cluster.engines.values()
+        for m in engine.sent_log
+    }
+
+
 def profiled_algorithms(shape, n, name, algo, size, arg):
     world = run_case(shape, n, name, algo, size, arg, profiling=True)
     return sorted({op["algorithm"] for op in world.cluster.obs.collectives.ops})
@@ -165,8 +177,13 @@ def test_fixture_covers_every_case(golden):
     "case", cases(), ids=lambda c: c[0]
 )
 def test_schedule_matches_golden(golden, case):
-    cid, *rest = case
-    assert digest(run_case(*rest)) == golden["schedules"][cid]
+    cid, shape, n, name, algo, size, arg = case
+    world = run_case(shape, n, name, algo, size, arg)
+    assert digest(world) == golden["schedules"][cid]
+    # The feasibility record is exactly what the run sent.
+    if size > 0 and name not in ("barrier", "scatter"):
+        root = arg if name in ROOTED else 0
+        assert coll.required_pairs(name, algo, n, root) == sent_pairs(world)
 
 
 @pytest.mark.parametrize(

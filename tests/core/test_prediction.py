@@ -124,6 +124,14 @@ class TestRailSelection:
         with pytest.raises(ConfigurationError):
             pred.plan([], 1024, RDV)
 
+    @pytest.mark.parametrize("max_rails", [None, 1])
+    def test_zero_byte_plan_rejected(self, sim, rig, max_rails):
+        # Over two rails this used to fail inside the split with a bare
+        # ValueError; over one it returned an empty plan.
+        node_a, pred = rig
+        with pytest.raises(ConfigurationError, match="positive size"):
+            pred.plan(node_a.nics, 0, RDV, max_rails=max_rails)
+
     def test_plan_predicted_completion_close_to_reality(self, sim, rig):
         """End-to-end: predicted completion ≈ simulated completion."""
         node_a, pred = rig
