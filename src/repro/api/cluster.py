@@ -181,7 +181,7 @@ class Cluster:
                 "build with sampling enabled"
             )
         tech = nic.driver.technology
-        fresh = OnlineSampler(nic).sample(nic.driver).to_estimator()
+        fresh = OnlineSampler(nic).sample(nic.driver)
         old = self.profiles.estimators.get(tech)
         # Copy-on-write: the store may be shared (e.g. the cached
         # default_profiles), so never mutate it in place.

@@ -70,10 +70,9 @@ def run_a2_sampling_grid(strides: Sequence[int] = (1, 2, 3)) -> SweepResult:
         dma_grid = pow2_sizes(4 * KiB, 16 * MiB)[::stride]
         if len(eager_grid) < 2 or len(dma_grid) < 2:
             raise ValueError(f"stride {stride} leaves too few samples")
-        sample = NetworkSampler(eager_sizes=eager_grid, dma_sizes=dma_grid).sample(
+        est = NetworkSampler(eager_sizes=eager_grid, dma_sizes=dma_grid).sample(
             driver
         )
-        est = sample.to_estimator()
         e_errs, d_errs = [], []
         for s in probe_sizes:
             if s <= truth.eager_limit:

@@ -9,10 +9,11 @@ cluster, reporting aggregate throughput and per-message latency.
 
 from __future__ import annotations
 
+import math
+import random
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Iterable, List, Sequence, Tuple
-
-import numpy as np
 
 from repro.api.cluster import Cluster
 from repro.core.packets import Message
@@ -72,11 +73,16 @@ def random_stream(
     lo, hi = size_range
     if not 1 <= lo <= hi:
         raise ConfigurationError(f"bad size range {size_range}")
-    rng = np.random.default_rng(seed)
-    sizes = np.exp(rng.uniform(np.log(lo), np.log(hi), size=count)).astype(int)
-    gaps = rng.exponential(mean_interval, size=count) if mean_interval > 0 else np.zeros(count)
-    times = np.cumsum(gaps)
-    return [(float(t), int(max(lo, s)), i) for i, (t, s) in enumerate(zip(times, sizes))]
+    if mean_interval < 0:
+        raise ConfigurationError(f"negative mean interval {mean_interval}")
+    rng = random.Random(seed)
+    log_lo, log_hi = math.log(lo), math.log(hi)
+    sizes = [int(math.exp(rng.uniform(log_lo, log_hi))) for _ in range(count)]
+    gaps = [0.0] * count
+    if mean_interval > 0:
+        gaps = [rng.expovariate(1.0 / mean_interval) for _ in range(count)]
+    times = accumulate(gaps)
+    return [(t, max(lo, s), i) for i, (t, s) in enumerate(zip(times, sizes))]
 
 
 @dataclass

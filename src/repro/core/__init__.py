@@ -22,7 +22,7 @@ search, Fig. 1c).
 
 from repro.core.packets import Message, MessageStatus, TransferMode
 from repro.core.estimator import NicEstimator, SampleTable
-from repro.core.sampling import NetworkSampler, NicSample, ProfileStore
+from repro.core.sampling import NetworkSampler, ProfileStore
 from repro.core.prediction import CompletionPredictor, RailPlan
 from repro.core.split import dichotomy_split, waterfill_split, SplitResult
 from repro.core.engine import NmadEngine
@@ -50,7 +50,6 @@ __all__ = [
     "NicEstimator",
     "SampleTable",
     "NetworkSampler",
-    "NicSample",
     "ProfileStore",
     "CompletionPredictor",
     "RailPlan",

@@ -19,10 +19,11 @@ Performance notes
 ``SampleTable.__call__`` is the innermost call of every split decision:
 the two-rail dichotomy evaluates the rails' curves directly, twice per
 bisection step and six times for its three end candidates, so lookups
-are pure Python over plain lists — numpy scalar indexing costs ~20× a
-list index.  The numpy ``sizes``/``times`` arrays are kept for
-validation at construction and for external analysis code; the test
-suite checks the list path bitwise against the original numpy formula.
+are pure Python over the table's one pair of float lists, the only copy
+of each sampled curve.  The test suite checks them bitwise against the
+original numpy formula.  Nothing here imports numpy: what loading it
+cost every run's start-up is in ``docs/performance.md`` ("11. Start-up
+and footprint").
 
 :class:`NicEstimator` is immutable after construction (enforced via
 ``__setattr__``), so its derived quantities — ``rdv_threshold``,
@@ -40,8 +41,6 @@ import math
 from bisect import bisect_right
 from typing import Dict, List, Optional, Sequence
 
-import numpy as np
-
 from repro.core.packets import TransferMode
 from repro.util.errors import SamplingError
 
@@ -52,54 +51,57 @@ _TRANSFER_MEMO_LIMIT = 65_536
 class SampleTable:
     """A sampled (size → time) curve with log-indexed interpolation.
 
-    Sizes must be strictly increasing; powers of two enable the O(1)
-    logarithm lookup of the paper, but any strictly increasing grid works
-    (binary search fallback).
+    ``sizes`` and ``times`` are the curve itself: one pair of float
+    lists, never mutated (``blend`` and ``from_dict`` build new tables).
+    Every value must be finite, sizes strictly increasing and times
+    non-negative.  Consecutive powers of two enable the O(1) logarithm
+    lookup of the paper; any other strictly increasing grid works
+    through a binary search.
     """
 
-    def __init__(self, sizes: Sequence[int], times: Sequence[float]) -> None:
+    def __init__(self, sizes: Sequence[float], times: Sequence[float]) -> None:
         if len(sizes) != len(times):
             raise SamplingError(
                 f"{len(sizes)} sizes vs {len(times)} times"
             )
         if len(sizes) < 2:
             raise SamplingError("a sample table needs at least two points")
-        self.sizes = np.asarray(sizes, dtype=np.float64)
-        self.times = np.asarray(times, dtype=np.float64)
-        if np.any(np.diff(self.sizes) <= 0):
-            raise SamplingError(f"sizes not strictly increasing: {sizes}")
-        if np.any(self.times < 0):
+        self.sizes: List[float] = [float(s) for s in sizes]
+        self.times: List[float] = [float(t) for t in times]
+        for s, t in zip(self.sizes, self.times):
+            if not (math.isfinite(s) and math.isfinite(t)):
+                raise SamplingError(f"non-finite sample point ({s}, {t})")
+        if any(b <= a for a, b in zip(self.sizes, self.sizes[1:])):
+            raise SamplingError(f"sizes not strictly increasing: {self.sizes}")
+        if any(t < 0 for t in self.times):
             raise SamplingError("negative sampled time")
-        # Detect the pure power-of-two grid for the O(1) log path.
-        logs = np.log2(self.sizes)
-        self._pow2 = bool(
-            np.allclose(logs, np.round(logs)) and np.all(np.diff(np.round(logs)) == 1)
+        # The O(1) log path needs exact powers of two (frexp mantissa
+        # 0.5) whose exponents step by one; a grid merely close to one
+        # would put the log bracket off the binary search's.
+        exps = [math.frexp(s) for s in self.sizes]
+        self._pow2 = all(m == 0.5 for m, _ in exps) and all(
+            b - a == 1 for (_, a), (_, b) in zip(exps, exps[1:])
         )
-        self._log0 = int(round(logs[0])) if self._pow2 else 0
-        # Scalar fast path: plain Python lists (and per-segment slopes for
-        # the extrapolation in :meth:`inverse`).  Indexing a list of floats
-        # avoids the numpy-scalar boxing that dominates per-call cost.
-        self._sizes_list: List[float] = self.sizes.tolist()
-        self._times_list: List[float] = self.times.tolist()
-        self._last_segment = len(self._sizes_list) - 2
+        self._log0 = exps[0][1] - 1 if self._pow2 else 0
+        self._last_segment = len(self.sizes) - 2
+        # per-segment slopes, for the extrapolation in :meth:`inverse`
         self._slopes: List[float] = [
-            (self._times_list[i + 1] - self._times_list[i])
-            / (self._sizes_list[i + 1] - self._sizes_list[i])
-            for i in range(len(self._sizes_list) - 1)
+            (self.times[i + 1] - self.times[i]) / (self.sizes[i + 1] - self.sizes[i])
+            for i in range(len(self.sizes) - 1)
         ]
         #: the (extrapolated) zero-size time, the floor of :meth:`inverse`
         self._zero_time = self(0)
 
     def __len__(self) -> int:
-        return len(self._sizes_list)
+        return len(self.sizes)
 
     @property
     def min_size(self) -> int:
-        return int(self._sizes_list[0])
+        return int(self.sizes[0])
 
     @property
     def max_size(self) -> int:
-        return int(self._sizes_list[-1])
+        return int(self.sizes[-1])
 
     def __call__(self, size: float) -> float:
         """Estimated time for ``size`` bytes (linear inter-/extrapolation).
@@ -116,15 +118,15 @@ class SampleTable:
         if self._pow2:
             i = math.floor(math.log2(x)) - self._log0
         else:
-            i = bisect_right(self._sizes_list, x) - 1
+            i = bisect_right(self.sizes, x) - 1
         if i < 0:
             i = 0
         elif i > self._last_segment:
             i = self._last_segment
-        s0 = self._sizes_list[i]
-        s1 = self._sizes_list[i + 1]
-        t0 = self._times_list[i]
-        t1 = self._times_list[i + 1]
+        s0 = self.sizes[i]
+        s1 = self.sizes[i + 1]
+        t0 = self.times[i]
+        t1 = self.times[i + 1]
         t = t0 + (t1 - t0) * (size - s0) / (s1 - s0)
         return t if t > 0.0 else 0.0
 
@@ -135,8 +137,8 @@ class SampleTable:
         extrapolated zero-size transfer exceeds ``time``, and extrapolates
         past the largest sample using the final segment's rate.
         """
-        times = self._times_list
-        sizes = self._sizes_list
+        times = self.times
+        sizes = self.sizes
         if time <= self._zero_time:
             return 0.0
         if time >= times[-1]:
@@ -175,7 +177,7 @@ class SampleTable:
         keep = 1.0 - weight
         times = [
             keep * t + weight * fresh(s)
-            for s, t in zip(self._sizes_list, self._times_list)
+            for s, t in zip(self.sizes, self.times)
         ]
         running = 0.0
         for i, t in enumerate(times):
@@ -183,14 +185,14 @@ class SampleTable:
                 times[i] = running
             else:
                 running = t
-        return SampleTable([int(s) for s in self._sizes_list], times)
+        return SampleTable(self.sizes, times)
 
     def as_dict(self) -> Dict[str, List[float]]:
-        return {"sizes": self.sizes.tolist(), "times": self.times.tolist()}
+        return {"sizes": list(self.sizes), "times": list(self.times)}
 
     @classmethod
     def from_dict(cls, d: Dict[str, List[float]]) -> "SampleTable":
-        return cls([int(s) for s in d["sizes"]], d["times"])
+        return cls(d["sizes"], d["times"])
 
 
 class NicEstimator:
@@ -223,8 +225,10 @@ class NicEstimator:
         control_oneway: float,
         eager_limit: int,
     ) -> None:
-        if control_oneway < 0:
-            raise SamplingError(f"negative control time: {control_oneway}")
+        if not (math.isfinite(control_oneway) and control_oneway >= 0):
+            raise SamplingError(
+                f"control time must be finite and >= 0: {control_oneway}"
+            )
         self.name = name
         self.eager = eager
         self.dma = dma

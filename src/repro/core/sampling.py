@@ -25,9 +25,8 @@ Profiles persist to JSON via :class:`ProfileStore`, mirroring the real
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, Optional, Sequence
 
 from repro.core.estimator import NicEstimator, SampleTable
 from repro.hardware.machine import Machine
@@ -38,31 +37,8 @@ from repro.networks.wire import Wire
 from repro.pioman.progress import PiomanEngine
 from repro.simtime import Simulator
 from repro.util.errors import SamplingError
-from repro.util.stats import RunningStats
+from repro.util.stats import percentile
 from repro.util.units import KiB, MiB, pow2_sizes
-
-
-@dataclass
-class NicSample:
-    """Raw sampling output for one driver."""
-
-    name: str
-    eager_sizes: List[int]
-    eager_times: List[float]
-    dma_sizes: List[int]
-    dma_times: List[float]
-    control_oneway: float
-    eager_limit: int
-    repetitions: int = 1
-
-    def to_estimator(self) -> NicEstimator:
-        return NicEstimator(
-            name=self.name,
-            eager=SampleTable(self.eager_sizes, self.eager_times),
-            dma=SampleTable(self.dma_sizes, self.dma_times),
-            control_oneway=self.control_oneway,
-            eager_limit=self.eager_limit,
-        )
 
 
 class NetworkSampler:
@@ -98,8 +74,13 @@ class NetworkSampler:
     # public API
     # ------------------------------------------------------------------ #
 
-    def sample(self, driver: Driver) -> NicSample:
-        """Measure one driver on a fresh private testbed."""
+    def sample(self, driver: Driver) -> NicEstimator:
+        """Measure one driver on a fresh private testbed.
+
+        Returns the driver's :class:`NicEstimator`.  Its two
+        :class:`SampleTable` curves hold the measured points themselves,
+        so the planner reads the only copy of each curve.
+        """
         eager_sizes = (
             self._eager_sizes
             if self._eager_sizes is not None
@@ -117,15 +98,12 @@ class NetworkSampler:
             self._measure(driver, TransferKind.RDV_DATA, s) for s in self._dma_sizes
         ]
         control = self._measure(driver, TransferKind.RDV_REQ, 0)
-        return NicSample(
+        return NicEstimator(
             name=driver.technology,
-            eager_sizes=list(eager_sizes),
-            eager_times=eager_times,
-            dma_sizes=list(self._dma_sizes),
-            dma_times=dma_times,
+            eager=SampleTable(eager_sizes, eager_times),
+            dma=SampleTable(self._dma_sizes, dma_times),
             control_oneway=control,
             eager_limit=driver.profile.eager_limit,
-            repetitions=self.repetitions,
         )
 
     # ------------------------------------------------------------------ #
@@ -133,10 +111,8 @@ class NetworkSampler:
     # ------------------------------------------------------------------ #
 
     def _measure(self, driver: Driver, kind: TransferKind, size: int) -> float:
-        stats = RunningStats()
-        for _ in range(self.repetitions):
-            stats.add(self._one_shot(driver, kind, size))
-        return stats.median()
+        shots = [self._one_shot(driver, kind, size) for _ in range(self.repetitions)]
+        return percentile(shots, 50.0)
 
     def _one_shot(self, driver: Driver, kind: TransferKind, size: int) -> float:
         sim = Simulator()
@@ -204,6 +180,9 @@ class NoisySampler(NetworkSampler):
     median over ``repetitions`` converges on the truth the way the real
     benchmarks' aggregation does.  Ablation A9 measures how much jitter
     the hetero-split strategy tolerates.
+
+    The library's one numpy import is in ``__init__``: A9's committed
+    numbers come from numpy's Gaussian draws, and only A9 builds one.
     """
 
     def __init__(
@@ -264,7 +243,7 @@ class ProfileStore:
         store = cls()
         for driver in drivers:
             if driver.technology not in store:
-                store.add(sampler.sample(driver).to_estimator())
+                store.add(sampler.sample(driver))
         return store
 
     # -- persistence ------------------------------------------------------
@@ -279,12 +258,22 @@ class ProfileStore:
             data = json.loads(Path(path).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise SamplingError(f"cannot load profile store {path}: {exc}") from exc
+        if not isinstance(data, dict):
+            raise SamplingError(f"profile store {path} is not a JSON object")
         store = cls()
         for name, d in data.items():
-            est = NicEstimator.from_dict(d)
+            # Outside input: a missing key, a wrong type or a non-finite
+            # number (json accepts NaN and Infinity) fails the load here,
+            # not later as a curve that prices some sizes at zero.
+            try:
+                est = NicEstimator.from_dict(d)
+            except (SamplingError, KeyError, TypeError, ValueError, OverflowError) as e:
+                raise SamplingError(
+                    f"profile store {path}: entry {name!r}: {e!r}"
+                ) from e
             if est.name != name:
                 raise SamplingError(
-                    f"profile key {name!r} holds estimator {est.name!r}"
+                    f"profile store {path}: key {name!r} holds estimator {est.name!r}"
                 )
             store.add(est)
         return store

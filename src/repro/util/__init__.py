@@ -24,11 +24,7 @@ from repro.util.units import (
     POW2_SIZES,
     pow2_sizes,
 )
-from repro.util.stats import (
-    RunningStats,
-    percentile,
-    geometric_mean,
-)
+from repro.util.stats import percentile
 
 __all__ = [
     "ReproError",
@@ -47,7 +43,5 @@ __all__ = [
     "mbps_to_bytes_per_us",
     "POW2_SIZES",
     "pow2_sizes",
-    "RunningStats",
     "percentile",
-    "geometric_mean",
 ]

@@ -1,63 +1,13 @@
-"""Small statistics helpers used by the sampler and the bench harness.
+"""The percentile helper shared by the sampler and the bench harness.
 
-Kept dependency-light: only :mod:`math`; numpy is reserved for the hot
-paths in the simulator and bench sweeps.
+Plain :mod:`math`: the library imports numpy only in the noisy sampler
+of ablation A9 (:class:`repro.core.sampling.NoisySampler`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, List, Sequence
-
-
-@dataclass
-class RunningStats:
-    """Welford online mean/variance accumulator.
-
-    Used by the sampler to aggregate repeated ping-pong measurements for a
-    single message size without storing every observation.
-    """
-
-    count: int = 0
-    mean: float = 0.0
-    _m2: float = 0.0
-    min: float = math.inf
-    max: float = -math.inf
-    _values: List[float] = field(default_factory=list, repr=False)
-
-    def add(self, x: float) -> None:
-        """Fold one observation into the accumulator."""
-        self.count += 1
-        delta = x - self.mean
-        self.mean += delta / self.count
-        self._m2 += delta * (x - self.mean)
-        self.min = min(self.min, x)
-        self.max = max(self.max, x)
-        self._values.append(x)
-
-    def extend(self, xs: Iterable[float]) -> None:
-        for x in xs:
-            self.add(x)
-
-    @property
-    def variance(self) -> float:
-        """Sample variance (n-1 denominator); 0 for fewer than 2 points."""
-        if self.count < 2:
-            return 0.0
-        return self._m2 / (self.count - 1)
-
-    @property
-    def stddev(self) -> float:
-        return math.sqrt(self.variance)
-
-    def median(self) -> float:
-        """Median of all folded observations (the sampler's estimator of
-        choice: robust against the occasional simulated-congestion outlier).
-        """
-        if not self._values:
-            raise ValueError("median of empty RunningStats")
-        return percentile(self._values, 50.0)
+from typing import Sequence
 
 
 def percentile(values: Sequence[float], q: float) -> float:
@@ -79,11 +29,3 @@ def percentile(values: Sequence[float], q: float) -> float:
     # [s[lo], s[hi]] even under floating-point rounding.
     return s[lo] + (s[hi] - s[lo]) * frac
 
-
-def geometric_mean(values: Sequence[float]) -> float:
-    """Geometric mean; used to summarize speedup series in EXPERIMENTS.md."""
-    if not values:
-        raise ValueError("geometric mean of empty sequence")
-    if any(v <= 0 for v in values):
-        raise ValueError("geometric mean requires positive values")
-    return math.exp(sum(math.log(v) for v in values) / len(values))

@@ -70,6 +70,10 @@ class TestGenerators:
         with pytest.raises(ConfigurationError):
             random_stream(1, (10, 5), 1.0)
 
+    def test_random_stream_negative_interval_rejected(self):
+        with pytest.raises(ConfigurationError):
+            random_stream(1, (1, 2), -1.0)
+
 
 class TestRunStream:
     @pytest.fixture(scope="class")

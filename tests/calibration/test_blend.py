@@ -75,7 +75,7 @@ class TestSampleTableBlend:
         running = 0.0
         for i, t in enumerate(expected):
             expected[i] = running = max(running, t)
-        assert blended.times.tolist() == expected
+        assert list(blended.times) == expected
 
     @pytest.mark.parametrize("weight", [-0.1, 1.1])
     def test_bad_weight_rejected(self, weight):
@@ -86,8 +86,7 @@ class TestSampleTableBlend:
 
 class TestNicEstimatorBlend:
     def _estimator(self, scale=1.0, name="myri10g"):
-        sample = NetworkSampler().sample(make_driver(name))
-        est = sample.to_estimator()
+        est = NetworkSampler().sample(make_driver(name))
         if scale == 1.0:
             return est
         return NicEstimator(

@@ -1,7 +1,10 @@
 """Unit and property tests for SampleTable and NicEstimator."""
 
+import math
+from bisect import bisect_right
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.core.estimator import NicEstimator, SampleTable
 from repro.core.packets import TransferMode
@@ -14,6 +17,27 @@ def linear_table(sizes, a, b):
 
 
 POW2 = [2 ** k for k in range(2, 15)]  # 4 .. 16384
+
+
+@st.composite
+def near_pow2_grid(draw):
+    """A strictly increasing grid of sizes at, or one byte off, powers of
+    two whose exponents step by 1 or 2."""
+    exp = draw(st.integers(min_value=0, max_value=30))
+    points = draw(
+        st.lists(
+            st.tuples(st.sampled_from([1, 1, 1, 2]), st.sampled_from([0, 1, -1])),
+            min_size=2,
+            max_size=8,
+        )
+    )
+    sizes = []
+    for step, off in points:
+        sizes.append(max(1, 2 ** exp + off))
+        exp += step
+    sizes = sorted(set(sizes))
+    assume(len(sizes) >= 2)
+    return sizes
 
 
 class TestSampleTableLookup:
@@ -49,6 +73,14 @@ class TestSampleTableLookup:
         assert not t._pow2
         assert t(35) == pytest.approx(3.5)
 
+    def test_near_pow2_grid_falls_back_to_search(self):
+        # One byte past each power of two: log2 of every size is within
+        # 1e-4 of an integer, yet the log bracket of 32768 would be the
+        # second segment, where 32768 lies below the first sample.
+        t = SampleTable([16385, 32769, 65537], [1.0, 2.0, 10.0])
+        assert not t._pow2
+        assert t(32768) == 1.0 + (2.0 - 1.0) * (32768 - 16385) / (32769 - 16385)
+
     @given(st.integers(min_value=0, max_value=3 * POW2[-1]))
     def test_monotone_inputs_give_monotone_estimates(self, size):
         t = linear_table(POW2, 3.0, 77.0)
@@ -64,6 +96,26 @@ class TestSampleTableLookup:
         k = int(math.floor(math.log2(size)))
         lo, hi = t(2 ** k), t(2 ** (k + 1))
         assert lo - 1e-9 <= t(size) <= hi + 1e-9
+
+    @given(near_pow2_grid(), st.integers(min_value=0, max_value=2 ** 40))
+    @settings(max_examples=100, deadline=None)
+    def test_log_path_and_search_pick_the_same_bracket(self, sizes, extra):
+        """Whichever path a grid takes, the table interpolates on the
+        bracket a binary search finds, at every whole byte next to a
+        grid point or to a power of two around one.  (A float a rounding
+        step below a power of two can have a log2 that rounds up.)"""
+        t = SampleTable(sizes, [float(i) for i in range(len(sizes))])
+        probes = {extra}
+        for s in sizes:
+            for p in (s, 1 << (s.bit_length() - 1), 1 << s.bit_length()):
+                probes.update(q for q in (p - 1, p, p + 1) if q >= 0)
+        for size in sorted(probes):
+            i = bisect_right(t.sizes, max(size, 1.0)) - 1
+            i = max(0, min(i, len(sizes) - 2))
+            s0, s1 = t.sizes[i], t.sizes[i + 1]
+            t0, t1 = t.times[i], t.times[i + 1]
+            expected = max(0.0, t0 + (t1 - t0) * (size - s0) / (s1 - s0))
+            assert t(size) == expected, size
 
 
 class TestSampleTableInverse:
@@ -111,6 +163,19 @@ class TestSampleTableValidation:
     def test_negative_time_rejected(self):
         with pytest.raises(SamplingError):
             SampleTable([4, 8], [-1.0, 2.0])
+
+    @pytest.mark.parametrize(
+        "sizes, times",
+        [
+            ([4, 8], [math.nan, 2.0]),
+            ([4, 8], [1.0, math.inf]),
+            ([math.nan, 8], [1.0, 2.0]),
+            ([4, math.inf], [1.0, 2.0]),
+        ],
+    )
+    def test_non_finite_value_rejected(self, sizes, times):
+        with pytest.raises(SamplingError):
+            SampleTable(sizes, times)
 
     def test_dict_roundtrip(self):
         t = linear_table(POW2, 2.5, 123.0)
@@ -165,6 +230,11 @@ class TestNicEstimator:
         with pytest.raises(SamplingError):
             make_estimator(control=-1.0)
 
+    @pytest.mark.parametrize("control", [math.nan, math.inf])
+    def test_non_finite_control_rejected(self, control):
+        with pytest.raises(SamplingError):
+            make_estimator(control=control)
+
     def test_dict_roundtrip(self):
         est = make_estimator()
         est2 = NicEstimator.from_dict(est.as_dict())
@@ -182,7 +252,8 @@ def _numpy_reference(table, size):
 
     import numpy as np
 
-    sizes, times = table.sizes, table.times
+    sizes = np.asarray(table.sizes, dtype=np.float64)
+    times = np.asarray(table.times, dtype=np.float64)
     clamped = max(size, 1.0)
     if table._pow2:
         i = int(math.floor(math.log2(clamped))) - table._log0 if clamped > 0 else 0

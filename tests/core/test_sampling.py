@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.packets import TransferMode
-from repro.core.sampling import NetworkSampler, NicSample, ProfileStore
+from repro.core.sampling import NetworkSampler, ProfileStore
 from repro.networks import ElanDriver, MxDriver, TcpDriver
 from repro.util.errors import SamplingError
 from repro.util.units import KiB, MiB
@@ -25,12 +25,12 @@ class TestSamplingFidelity:
 
     def test_eager_curve_matches_ground_truth(self, mx_sample):
         p = MxDriver().profile
-        for size, t in zip(mx_sample.eager_sizes, mx_sample.eager_times):
+        for size, t in zip(mx_sample.eager.sizes, mx_sample.eager.times):
             assert t == pytest.approx(p.eager_oneway(size), rel=1e-9)
 
     def test_dma_curve_matches_ground_truth(self, mx_sample):
         p = MxDriver().profile
-        for size, t in zip(mx_sample.dma_sizes, mx_sample.dma_times):
+        for size, t in zip(mx_sample.dma.sizes, mx_sample.dma.times):
             assert t == pytest.approx(p.rdv_data_oneway(size), rel=1e-9)
 
     def test_control_matches_ground_truth(self, mx_sample):
@@ -38,7 +38,7 @@ class TestSamplingFidelity:
         assert mx_sample.control_oneway == pytest.approx(p.control_oneway())
 
     def test_estimator_interpolates_between_grid_points(self, mx_sample):
-        est = mx_sample.to_estimator()
+        est = mx_sample
         p = MxDriver().profile
         # Off-grid size: the ground truth has a saturating warm-up ramp,
         # so linear interpolation carries a small (but bounded) error.
@@ -48,7 +48,7 @@ class TestSamplingFidelity:
         )
 
     def test_sampled_threshold_in_plausible_range(self, mx_sample):
-        thr = mx_sample.to_estimator().rdv_threshold()
+        thr = mx_sample.rdv_threshold()
         assert 16 * KiB <= thr <= 64 * KiB
 
 
@@ -68,7 +68,7 @@ class TestSamplerValidation:
             eager_sizes=[64, 128], dma_sizes=[4096, 8192], repetitions=3
         )
         s1, s3 = few.sample(ElanDriver()), many.sample(ElanDriver())
-        assert s1.eager_times == s3.eager_times
+        assert s1.eager.times == s3.eager.times
 
 
 class TestNoisySampler:
@@ -88,24 +88,24 @@ class TestNoisySampler:
             eager_sizes=[1024, 2048], dma_sizes=[4096, 8192]
         ).sample(MxDriver())
         noisy = self.make(0.0).sample(MxDriver())
-        assert noisy.eager_times == clean.eager_times
+        assert noisy.eager.times == clean.eager.times
 
     def test_jitter_perturbs_measurements(self):
         clean = NetworkSampler(
             eager_sizes=[1024, 2048], dma_sizes=[4096, 8192]
         ).sample(MxDriver())
         noisy = self.make(10.0).sample(MxDriver())
-        assert noisy.eager_times != clean.eager_times
+        assert noisy.eager.times != clean.eager.times
 
     def test_same_seed_reproduces(self):
         a = self.make(10.0, seed=7).sample(MxDriver())
         b = self.make(10.0, seed=7).sample(MxDriver())
-        assert a.eager_times == b.eager_times
+        assert a.eager.times == b.eager.times
 
     def test_different_seeds_differ(self):
         a = self.make(10.0, seed=7).sample(MxDriver())
         b = self.make(10.0, seed=8).sample(MxDriver())
-        assert a.eager_times != b.eager_times
+        assert a.eager.times != b.eager.times
 
     def test_median_tightens_with_repetitions(self):
         clean = NetworkSampler(
@@ -115,7 +115,7 @@ class TestNoisySampler:
         for reps in (1, 21):
             noisy = self.make(15.0, seed=3, reps=reps).sample(MxDriver())
             errs[reps] = max(
-                abs(n - c) / c for n, c in zip(noisy.dma_times, clean.dma_times)
+                abs(n - c) / c for n, c in zip(noisy.dma.times, clean.dma.times)
             )
         assert errs[21] < errs[1]
 
@@ -125,7 +125,7 @@ class TestNoisySampler:
 
     def test_measurements_stay_positive(self):
         sample = self.make(80.0, seed=1).sample(MxDriver())
-        assert all(t > 0 for t in sample.eager_times + sample.dma_times)
+        assert all(t > 0 for t in sample.eager.times + sample.dma.times)
 
 
 class TestProfileStore:
@@ -143,7 +143,7 @@ class TestProfileStore:
 
     def test_save_load_roundtrip(self, tmp_path, mx_sample):
         store = ProfileStore()
-        store.add(mx_sample.to_estimator())
+        store.add(mx_sample)
         path = tmp_path / "profiles.json"
         store.save(path)
         loaded = ProfileStore.load(path)
@@ -168,8 +168,45 @@ class TestProfileStore:
     def test_load_mismatched_key_raises(self, tmp_path, mx_sample):
         import json
 
-        est = mx_sample.to_estimator()
+        est = mx_sample
         path = tmp_path / "weird.json"
         path.write_text(json.dumps({"wrongname": est.as_dict()}))
         with pytest.raises(SamplingError):
             ProfileStore.load(path)
+
+
+def _nan_dma_time_at_128k(entry):
+    entry["dma"]["times"][entry["dma"]["sizes"].index(128 * KiB)] = float("nan")
+
+
+def _nan_control(entry):
+    entry["control_oneway"] = float("nan")
+
+
+def _no_dma(entry):
+    del entry["dma"]
+
+
+def _infinite_size(entry):
+    entry["eager"]["sizes"][-1] = float("inf")
+
+
+class TestProfileStoreRejectsBadEntries:
+    """A profile file is outside input, and json accepts NaN and
+    Infinity: a bad entry must fail the load, naming the file, rather
+    than load as a curve that prices some sizes at 0 µs."""
+
+    @pytest.mark.parametrize(
+        "spoil", [_nan_dma_time_at_128k, _nan_control, _no_dma, _infinite_size]
+    )
+    def test_load_rejects(self, tmp_path, mx_sample, spoil):
+        import json
+
+        entry = mx_sample.as_dict()
+        spoil(entry)
+        path = tmp_path / "profiles.json"
+        path.write_text(json.dumps({"myri10g": entry}))
+        with pytest.raises(SamplingError) as info:
+            ProfileStore.load(path)
+        assert str(path) in str(info.value)
+        assert "myri10g" in str(info.value)

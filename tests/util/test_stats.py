@@ -1,49 +1,9 @@
 """Unit and property tests for the statistics helpers."""
 
-import math
-
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.util import RunningStats, geometric_mean, percentile
-
-
-class TestRunningStats:
-    def test_mean_and_extrema(self):
-        rs = RunningStats()
-        rs.extend([1.0, 2.0, 3.0, 4.0])
-        assert rs.mean == pytest.approx(2.5)
-        assert rs.min == 1.0
-        assert rs.max == 4.0
-        assert rs.count == 4
-
-    def test_variance_matches_textbook(self):
-        rs = RunningStats()
-        rs.extend([2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0])
-        assert rs.variance == pytest.approx(4.571428571, rel=1e-9)
-
-    def test_variance_of_singleton_is_zero(self):
-        rs = RunningStats()
-        rs.add(3.0)
-        assert rs.variance == 0.0
-        assert rs.stddev == 0.0
-
-    def test_median_odd_and_even(self):
-        rs = RunningStats()
-        rs.extend([5.0, 1.0, 3.0])
-        assert rs.median() == 3.0
-        rs.add(7.0)
-        assert rs.median() == 4.0
-
-    def test_median_empty_raises(self):
-        with pytest.raises(ValueError):
-            RunningStats().median()
-
-    @given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=60))
-    def test_online_mean_matches_batch(self, xs):
-        rs = RunningStats()
-        rs.extend(xs)
-        assert rs.mean == pytest.approx(sum(xs) / len(xs), abs=1e-6)
+from repro.util import percentile
 
 
 class TestPercentile:
@@ -74,20 +34,3 @@ class TestPercentile:
         p = percentile(xs, q)
         assert min(xs) <= p <= max(xs)
 
-
-class TestGeometricMean:
-    def test_known_value(self):
-        assert geometric_mean([1.0, 4.0]) == pytest.approx(2.0)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            geometric_mean([1.0, 0.0])
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            geometric_mean([])
-
-    @given(st.lists(st.floats(min_value=0.1, max_value=10.0), min_size=1, max_size=30))
-    def test_between_min_and_max(self, xs):
-        g = geometric_mean(xs)
-        assert min(xs) - 1e-9 <= g <= max(xs) + 1e-9
