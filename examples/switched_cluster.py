@@ -18,7 +18,7 @@ Run:  python examples/switched_cluster.py
 
 from repro.api import ClusterBuilder
 from repro.core.sampling import ProfileStore
-from repro.networks.drivers import make_driver
+from repro.networks import rail_profile
 from repro.util.units import MiB, bytes_per_us_to_mbps
 
 N_NODES = 4
@@ -47,7 +47,7 @@ def incast(cluster) -> float:
 
 
 def main() -> None:
-    profiles = ProfileStore.sample_drivers([make_driver("infiniband")])
+    profiles = ProfileStore.sample_rails([rail_profile("infiniband")])
     print(f"{N_NODES} nodes, {N_NODES - 1}-to-1 incast of {SIZE}B each")
     print()
     results = {}

@@ -19,7 +19,7 @@ from repro.bench.runners import measure_oneway
 from repro.core.sampling import ProfileStore
 from repro.core.strategies import HeteroSplitStrategy, MulticoreSplitStrategy
 from repro.hardware import CpuTopology
-from repro.networks.drivers import make_driver
+from repro.networks import rail_profile
 from repro.obs import Timeline
 from repro.util.units import KiB, MiB, bytes_per_us_to_mbps
 
@@ -37,8 +37,8 @@ def build_t2k(strategy, profiles):
 
 
 def main() -> None:
-    profiles = ProfileStore.sample_drivers([make_driver("infiniband")])
-    link_bw = bytes_per_us_to_mbps(make_driver("infiniband").profile.dma_rate)
+    profiles = ProfileStore.sample_rails([rail_profile("infiniband")])
+    link_bw = bytes_per_us_to_mbps(rail_profile("infiniband").dma_rate)
 
     print(f"two 16-core nodes, {N_RAILS} InfiniBand rails "
           f"({link_bw:.0f} MB/s per link)")

@@ -20,9 +20,8 @@ from repro.core.strategies import Strategy, make_strategy
 from repro.faults import FaultInjector, FaultSchedule, install_faults
 from repro.hardware.machine import Machine
 from repro.hardware.topology import CpuTopology, Fabric
-from repro.networks.drivers.base import Driver
-from repro.networks.drivers import make_driver
 from repro.networks.nic import Nic
+from repro.networks.profile import NetworkProfile, rail_profile
 from repro.networks.wire import Wire
 from repro.obs import Hooks, Observability
 from repro.simtime import Simulator
@@ -180,8 +179,8 @@ class Cluster:
                 "resample(rail) needs launch-time profiles to blend into; "
                 "build with sampling enabled"
             )
-        tech = nic.driver.technology
-        fresh = OnlineSampler(nic).sample(nic.driver)
+        tech = nic.profile.name
+        fresh = OnlineSampler(nic).sample(nic.profile)
         old = self.profiles.estimators.get(tech)
         # Copy-on-write: the store may be shared (e.g. the cached
         # default_profiles), so never mutate it in place.
@@ -309,11 +308,11 @@ class ClusterBuilder:
         self._strategy = strategy
         self._per_node_strategy: Dict[str, StrategySpec] = {}
         self._machines: Dict[str, Machine] = {}
-        self._rails: List[Tuple[str, str, Driver]] = []
-        #: (nodes, driver, latency, stage spec) — spec {} = flat switch,
+        self._rails: List[Tuple[str, str, NetworkProfile]] = []
+        #: (nodes, profile, latency, stage spec) — spec {} = flat switch,
         #: {"pod_size": ..., "spines": ...} = two-stage fat tree
         self._switches: List[
-            Tuple[Tuple[str, ...], Driver, float, Dict[str, Any]]
+            Tuple[Tuple[str, ...], NetworkProfile, float, Dict[str, Any]]
         ] = []
         self._fabric: Optional[Fabric] = None
         self._collectives: Dict[str, str] = {}
@@ -347,30 +346,27 @@ class ClusterBuilder:
 
     def add_rail(
         self,
-        driver: Union[str, Driver],
+        technology: Union[str, NetworkProfile],
         node_a: str,
         node_b: str,
-        **driver_overrides,
+        **overrides,
     ) -> "ClusterBuilder":
-        """Join two nodes with one rail of the given technology."""
-        if isinstance(driver, str):
-            driver = make_driver(driver, **driver_overrides)
-        elif driver_overrides:
-            raise ConfigurationError(
-                "driver overrides only apply to registry-name rails"
-            )
+        """Join two nodes with one rail of the given technology (a name
+        in :data:`~repro.networks.profile.RAIL_PROFILES`, whose fields
+        ``overrides`` replace, or a :class:`NetworkProfile`)."""
+        profile = self._rail_profile(technology, overrides)
         for node in (node_a, node_b):
             if node not in self._machines:
                 raise ConfigurationError(f"unknown node {node!r}; add_node first")
-        self._rails.append((node_a, node_b, driver))
+        self._rails.append((node_a, node_b, profile))
         return self
 
     def add_switch(
         self,
-        driver: Union[str, Driver],
+        technology: Union[str, NetworkProfile],
         nodes: List[str],
         switch_latency: float = 0.3,
-        **driver_overrides,
+        **overrides,
     ) -> "ClusterBuilder":
         """Join several nodes through one shared switch (one NIC each).
 
@@ -378,19 +374,19 @@ class ClusterBuilder:
         through a switch contend for the destination's port — the incast
         behaviour of real (e.g. T2K-style) fabrics.
         """
-        driver = self._switch_driver("switch", driver, nodes, driver_overrides)
-        self._switches.append((tuple(nodes), driver, switch_latency, {}))
+        profile = self._switch_profile("switch", technology, nodes, overrides)
+        self._switches.append((tuple(nodes), profile, switch_latency, {}))
         return self
 
     def add_fat_tree(
         self,
-        driver: Union[str, Driver],
+        technology: Union[str, NetworkProfile],
         nodes: List[str],
         switch_latency: float = 0.3,
         pod_size: int = 4,
         spines: int = 2,
         adaptive: bool = True,
-        **driver_overrides,
+        **overrides,
     ) -> "ClusterBuilder":
         """Join several nodes through a two-stage fat tree (one NIC each).
 
@@ -402,7 +398,7 @@ class ClusterBuilder:
         re-routes flows off down/degraded spines (the default; identical
         to the static hash until a fabric fault fires).
         """
-        driver = self._switch_driver("fat tree", driver, nodes, driver_overrides)
+        profile = self._switch_profile("fat tree", technology, nodes, overrides)
         if pod_size < 1:
             raise ConfigurationError(f"pod_size must be >= 1, got {pod_size}")
         if spines < 1:
@@ -410,28 +406,37 @@ class ClusterBuilder:
         self._switches.append(
             (
                 tuple(nodes),
-                driver,
+                profile,
                 switch_latency,
                 {"pod_size": pod_size, "spines": spines, "adaptive": adaptive},
             )
         )
         return self
 
-    def _switch_driver(
+    @staticmethod
+    def _rail_profile(
+        technology: Union[str, NetworkProfile], overrides: Dict[str, Any]
+    ) -> NetworkProfile:
+        """Take a rail's profile as given, or resolve its technology name
+        (with its overrides)."""
+        if not isinstance(technology, NetworkProfile):
+            return rail_profile(technology, **overrides)
+        if overrides:
+            raise ConfigurationError(
+                "profile overrides only apply to a technology name"
+            )
+        return technology
+
+    def _switch_profile(
         self,
         kind: str,
-        driver: Union[str, Driver],
+        technology: Union[str, NetworkProfile],
         nodes: List[str],
-        driver_overrides: Dict[str, Any],
-    ) -> Driver:
+        overrides: Dict[str, Any],
+    ) -> NetworkProfile:
         """Check a switch's node list (known nodes, one port each) and
-        resolve its driver."""
-        if isinstance(driver, str):
-            driver = make_driver(driver, **driver_overrides)
-        elif driver_overrides:
-            raise ConfigurationError(
-                "driver overrides only apply to registry-name fabrics"
-            )
+        resolve its profile."""
+        profile = self._rail_profile(technology, overrides)
         if len(set(nodes)) < 2:
             raise ConfigurationError(f"a {kind} needs at least two distinct nodes")
         if len(set(nodes)) != len(nodes):
@@ -442,7 +447,7 @@ class ClusterBuilder:
         for node in nodes:
             if node not in self._machines:
                 raise ConfigurationError(f"unknown node {node!r}; add_node first")
-        return driver
+        return profile
 
     def fabric(self, fabric: Union[Fabric, Dict[str, Any]]) -> "ClusterBuilder":
         """Materialize a :class:`~repro.hardware.topology.Fabric`.
@@ -665,18 +670,18 @@ class ClusterBuilder:
         if not self._rails and not self._switches:
             raise ConfigurationError("cluster has no rails")
         rail_count: Dict[str, int] = {name: 0 for name in self._machines}
-        for node_a, node_b, driver in self._rails:
+        for node_a, node_b, profile in self._rails:
             idx_a, idx_b = rail_count[node_a], rail_count[node_b]
             nic_a = Nic(
-                self._machines[node_a], driver, name=f"{driver.technology}{idx_a}"
+                self._machines[node_a], profile, name=f"{profile.name}{idx_a}"
             )
             nic_b = Nic(
-                self._machines[node_b], driver, name=f"{driver.technology}{idx_b}"
+                self._machines[node_b], profile, name=f"{profile.name}{idx_b}"
             )
             Wire(nic_a, nic_b)
             rail_count[node_a] += 1
             rail_count[node_b] += 1
-        for s_idx, (nodes, driver, latency, stages) in enumerate(self._switches):
+        for s_idx, (nodes, profile, latency, stages) in enumerate(self._switches):
             if stages:
                 switch: Switch = FatTreeSwitch(
                     name=f"fattree{s_idx}",
@@ -692,17 +697,17 @@ class ClusterBuilder:
                 switch.attach(
                     Nic(
                         self._machines[node],
-                        driver,
-                        name=f"{driver.technology}{idx}",
+                        profile,
+                        name=f"{profile.name}{idx}",
                     )
                 )
                 rail_count[node] += 1
 
         profiles = self._profiles
         if profiles is None and self._sample:
-            drivers = [d for _, _, d in self._rails]
-            drivers += [d for _, d, _, _ in self._switches]
-            profiles = ProfileStore.sample_drivers(drivers, sampler=self._sampler)
+            rails = [p for _, _, p in self._rails]
+            rails += [p for _, p, _, _ in self._switches]
+            profiles = ProfileStore.sample_rails(rails, sampler=self._sampler)
 
         # One hook stream per cluster.  Subscription order is delivery
         # order: the monitor checks a fact before the obs surfaces record

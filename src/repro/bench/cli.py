@@ -323,6 +323,7 @@ def _cmd_sweep(
     sizes: str, strategies: str, metric: str, rails: str, jobs: int = 1
 ) -> int:
     from repro.bench.runners import sweep_oneway
+    from repro.util.errors import ConfigurationError
     from repro.util.units import parse_size
 
     try:
@@ -341,7 +342,7 @@ def _cmd_sweep(
             rails=rail_tuple,
             jobs=jobs,
         )
-    except KeyError as exc:
+    except (ConfigurationError, KeyError) as exc:  # unknown rail or strategy
         print(str(exc), file=sys.stderr)
         return 2
     print(result.render())
@@ -720,8 +721,8 @@ def _cmd_topology(
             fabric = maker()
         try:
             profiles = default_profiles(fabric.technologies).estimators
-        except (ConfigurationError, KeyError):
-            profiles = None  # unknown driver: describe without rates
+        except ConfigurationError:
+            profiles = None  # unknown technology: describe without rates
         print(fabric.describe(profiles))
     except ConfigurationError as exc:
         print(str(exc), file=sys.stderr)

@@ -14,7 +14,7 @@ from repro.core.packets import TransferMode
 from repro.core.sampling import NetworkSampler, ProfileStore
 from repro.core.split import dichotomy_split
 from repro.core.strategies import HeteroSplitStrategy, MulticoreSplitStrategy, SingleRailStrategy
-from repro.networks.drivers import make_driver
+from repro.networks.profile import rail_profile
 from repro.util.units import KiB, MiB, bytes_per_us_to_mbps, pow2_sizes
 
 
@@ -60,8 +60,7 @@ def run_a1_dichotomy_depth(
 def run_a2_sampling_grid(strides: Sequence[int] = (1, 2, 3)) -> SweepResult:
     """Max |estimate − ground truth| / ground truth (%) over off-grid
     sizes, when sampling keeps every ``stride``-th power of two."""
-    driver = make_driver("myri10g")
-    truth = driver.profile
+    truth = rail_profile("myri10g")
     probe_sizes = [3 * KiB, 5 * KiB, 48 * KiB, 300 * KiB, 3 * MiB, 12 * MiB]
     eager_err: List[float] = []
     dma_err: List[float] = []
@@ -71,7 +70,7 @@ def run_a2_sampling_grid(strides: Sequence[int] = (1, 2, 3)) -> SweepResult:
         if len(eager_grid) < 2 or len(dma_grid) < 2:
             raise ValueError(f"stride {stride} leaves too few samples")
         est = NetworkSampler(eager_sizes=eager_grid, dma_sizes=dma_grid).sample(
-            driver
+            truth
         )
         e_errs, d_errs = [], []
         for s in probe_sizes:
@@ -191,7 +190,7 @@ def run_a5_nrail(size: int = 8 * MiB) -> SweepResult:
         measured.append(bytes_per_us_to_mbps(size / msg.latency))
         theoretical.append(
             sum(
-                bytes_per_us_to_mbps(make_driver(r).profile.dma_rate)
+                bytes_per_us_to_mbps(rail_profile(r).dma_rate)
                 for r in rails
             )
         )
@@ -308,7 +307,6 @@ def run_a8_stale_sampling(
     """
     from repro.api.cluster import ClusterBuilder
     from repro.core.sampling import ProfileStore
-    from repro.networks.drivers import make_driver
 
     stale: List[float] = []
     fresh: List[float] = []
@@ -316,17 +314,17 @@ def run_a8_stale_sampling(
     for factor in degradations:
         if not 0 < factor <= 1:
             raise ValueError(f"degradation factor {factor} outside (0, 1]")
-        degraded_rate = make_driver("myri10g").profile.dma_rate * factor
-        drivers = [
-            make_driver("myri10g", dma_rate=degraded_rate),
-            make_driver("quadrics"),
+        degraded_rate = rail_profile("myri10g").dma_rate * factor
+        rails = [
+            rail_profile("myri10g", dma_rate=degraded_rate),
+            rail_profile("quadrics"),
         ]
-        resampled = ProfileStore.sample_drivers(drivers)
+        resampled = ProfileStore.sample_rails(rails)
         for store, out in ((nominal_profiles, stale), (resampled, fresh)):
             builder = ClusterBuilder(strategy=HeteroSplitStrategy(rdv_threshold=32 * KiB))
             builder.add_node("node0").add_node("node1")
-            builder.add_rail(drivers[0], "node0", "node1")
-            builder.add_rail(drivers[1], "node0", "node1")
+            builder.add_rail(rails[0], "node0", "node1")
+            builder.add_rail(rails[1], "node0", "node1")
             builder.sampling(profiles=store)
             cluster = builder.build()
             out.append(measure_oneway(cluster, size).latency)
@@ -361,9 +359,8 @@ def run_a9_sampling_noise(
     sampling practical."""
     from repro.api.cluster import ClusterBuilder
     from repro.core.sampling import NoisySampler, ProfileStore
-    from repro.networks.drivers import make_driver
 
-    drivers = [make_driver("myri10g"), make_driver("quadrics")]
+    rails = [rail_profile("myri10g"), rail_profile("quadrics")]
     baseline_cluster = ClusterBuilder.paper_testbed(
         strategy=HeteroSplitStrategy(rdv_threshold=32 * KiB)
     ).sampling(profiles=default_profiles()).build()
@@ -375,7 +372,7 @@ def run_a9_sampling_noise(
         lats: List[float] = []
         for seed in seeds:
             sampler = NoisySampler(jitter_pct=jitter, seed=seed)
-            store = ProfileStore.sample_drivers(drivers, sampler=sampler)
+            store = ProfileStore.sample_rails(rails, sampler=sampler)
             cluster = ClusterBuilder.paper_testbed(
                 strategy=HeteroSplitStrategy(rdv_threshold=32 * KiB)
             ).sampling(profiles=store).build()

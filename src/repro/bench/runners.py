@@ -15,7 +15,7 @@ from repro.api.cluster import Cluster, ClusterBuilder, StrategySpec
 from repro.bench.series import Series, SweepResult
 from repro.core.packets import Message
 from repro.core.sampling import ProfileStore
-from repro.networks.drivers import make_driver
+from repro.networks.profile import rail_profile
 from repro.util.errors import ConfigurationError
 from repro.util.parallel import parallel_map
 
@@ -40,7 +40,7 @@ def default_profiles(rails: Sequence[str] = ("myri10g", "quadrics")) -> ProfileS
 
 @lru_cache(maxsize=None)
 def _sampled_profiles(rails: Tuple[str, ...]) -> ProfileStore:
-    return ProfileStore.sample_drivers([make_driver(r) for r in rails])
+    return ProfileStore.sample_rails([rail_profile(r) for r in rails])
 
 
 def build_paper_cluster(

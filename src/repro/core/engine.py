@@ -579,7 +579,7 @@ class NmadEngine:
             m.transfers.append(packet)
         # Building the aggregate (iovec entries, or a staging copy without
         # gather/scatter hardware) costs CPU before the post.
-        agg_cost = nic.driver.aggregation_cpu_cost(
+        agg_cost = nic.profile.aggregation_cpu_cost(
             [m.size for m in msgs], self.machine.memcpy_rate
         )
         if agg_cost > 0:

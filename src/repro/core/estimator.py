@@ -208,13 +208,16 @@ class NicEstimator:
     name:
         Technology/NIC label (matches ``Nic.profile.name``).
     eager:
-        Sampled one-way eager times (up to the driver's eager limit).
+        Sampled one-way eager times (up to the rail's eager limit).
     dma:
         Sampled one-way rendezvous *data* times (handshake excluded).
     control_oneway:
         Measured one-way control-packet time.
     eager_limit:
-        Driver capability bound on eager sizes.
+        The rail's bound on eager sizes: at least 1 byte, and no smaller
+        than the largest size on ``eager`` (sampling never measures past
+        the limit, so a curve that does came from an edited or corrupt
+        file).
     """
 
     def __init__(
@@ -228,6 +231,11 @@ class NicEstimator:
         if not (math.isfinite(control_oneway) and control_oneway >= 0):
             raise SamplingError(
                 f"control time must be finite and >= 0: {control_oneway}"
+            )
+        if eager_limit < 1 or eager_limit < eager.sizes[-1]:
+            raise SamplingError(
+                f"{name}: eager limit {eager_limit}B is below 1 or below the "
+                f"eager curve's largest size {eager.max_size}B"
             )
         self.name = name
         self.eager = eager

@@ -1,14 +1,15 @@
-"""Network sampling: measure each driver at powers of two (paper §III-C).
+"""Network sampling: measure each rail at powers of two (paper §III-C).
 
 "Instead of simply relying on the usual bandwidth and latency parameters
 provided by the vendors, an accurate profile of each NIC is performed at
 the initialization of NewMadeleine.  Such a profile is measured with the
 help of a set of benchmarks that were designed for that purpose."
 
-The sampler builds a *private* two-node testbed per driver inside its own
-simulator and measures, for each power-of-two size:
+The sampler builds a *private* two-node testbed per rail technology (its
+:class:`~repro.networks.profile.NetworkProfile`) inside its own simulator
+and measures, for each power-of-two size:
 
-* the **eager** one-way time (PIO path, up to the driver's eager limit);
+* the **eager** one-way time (PIO path, up to the profile's eager limit);
 * the **DMA** one-way time (rendezvous data, handshake excluded);
 * the **control** packet one-way time (from which the rendezvous
   handshake is predicted).
@@ -30,8 +31,8 @@ from typing import Dict, Iterable, Optional, Sequence
 
 from repro.core.estimator import NicEstimator, SampleTable
 from repro.hardware.machine import Machine
-from repro.networks.drivers.base import Driver
 from repro.networks.nic import Nic
+from repro.networks.profile import NetworkProfile
 from repro.networks.transfer import Transfer, TransferKind
 from repro.networks.wire import Wire
 from repro.pioman.progress import PiomanEngine
@@ -42,7 +43,7 @@ from repro.util.units import KiB, MiB, pow2_sizes
 
 
 class NetworkSampler:
-    """Runs the §III-C sampling benchmarks for a driver.
+    """Runs the §III-C sampling benchmarks for a rail technology.
 
     Parameters
     ----------
@@ -74,52 +75,52 @@ class NetworkSampler:
     # public API
     # ------------------------------------------------------------------ #
 
-    def sample(self, driver: Driver) -> NicEstimator:
-        """Measure one driver on a fresh private testbed.
+    def sample(self, profile: NetworkProfile) -> NicEstimator:
+        """Measure one rail technology on a fresh private testbed.
 
-        Returns the driver's :class:`NicEstimator`.  Its two
+        Returns its :class:`NicEstimator`.  Its two
         :class:`SampleTable` curves hold the measured points themselves,
         so the planner reads the only copy of each curve.
         """
         eager_sizes = (
             self._eager_sizes
             if self._eager_sizes is not None
-            else pow2_sizes(4, driver.profile.eager_limit)
+            else pow2_sizes(4, profile.eager_limit)
         )
-        bad = [s for s in eager_sizes if s > driver.profile.eager_limit]
+        bad = [s for s in eager_sizes if s > profile.eager_limit]
         if bad:
             raise SamplingError(
-                f"eager grid exceeds {driver.technology} limit: {bad}"
+                f"eager grid exceeds {profile.name} limit: {bad}"
             )
         eager_times = [
-            self._measure(driver, TransferKind.EAGER, s) for s in eager_sizes
+            self._measure(profile, TransferKind.EAGER, s) for s in eager_sizes
         ]
         dma_times = [
-            self._measure(driver, TransferKind.RDV_DATA, s) for s in self._dma_sizes
+            self._measure(profile, TransferKind.RDV_DATA, s) for s in self._dma_sizes
         ]
-        control = self._measure(driver, TransferKind.RDV_REQ, 0)
+        control = self._measure(profile, TransferKind.RDV_REQ, 0)
         return NicEstimator(
-            name=driver.technology,
+            name=profile.name,
             eager=SampleTable(eager_sizes, eager_times),
             dma=SampleTable(self._dma_sizes, dma_times),
             control_oneway=control,
-            eager_limit=driver.profile.eager_limit,
+            eager_limit=profile.eager_limit,
         )
 
     # ------------------------------------------------------------------ #
     # one measurement point
     # ------------------------------------------------------------------ #
 
-    def _measure(self, driver: Driver, kind: TransferKind, size: int) -> float:
-        shots = [self._one_shot(driver, kind, size) for _ in range(self.repetitions)]
+    def _measure(self, profile: NetworkProfile, kind: TransferKind, size: int) -> float:
+        shots = [self._one_shot(profile, kind, size) for _ in range(self.repetitions)]
         return percentile(shots, 50.0)
 
-    def _one_shot(self, driver: Driver, kind: TransferKind, size: int) -> float:
+    def _one_shot(self, profile: NetworkProfile, kind: TransferKind, size: int) -> float:
         sim = Simulator()
         node_a = Machine(sim, "sampler0")
         node_b = Machine(sim, "sampler1")
-        nic_a = Nic(node_a, driver, name="probe")
-        nic_b = Nic(node_b, driver, name="probe")
+        nic_a = Nic(node_a, profile, name="probe")
+        nic_b = Nic(node_b, profile, name="probe")
         self._prepare_probe(nic_a, nic_b)
         Wire(nic_a, nic_b)
         PiomanEngine(node_a).bind()
@@ -129,7 +130,7 @@ class NetworkSampler:
         sim.run()
         if transfer.t_complete is None:
             raise SamplingError(
-                f"{driver.technology}: {kind.value} probe of {size}B never completed"
+                f"{profile.name}: {kind.value} probe of {size}B never completed"
             )
         return transfer.t_complete - transfer.t_submit
 
@@ -204,8 +205,8 @@ class NoisySampler(NetworkSampler):
 
         self._rng = np.random.default_rng(seed)
 
-    def _one_shot(self, driver: Driver, kind: TransferKind, size: int) -> float:
-        clean = super()._one_shot(driver, kind, size)
+    def _one_shot(self, profile: NetworkProfile, kind: TransferKind, size: int) -> float:
+        clean = super()._one_shot(profile, kind, size)
         if self.jitter_pct == 0:
             return clean
         factor = max(0.01, 1.0 + self._rng.normal(0.0, self.jitter_pct / 100.0))
@@ -233,17 +234,17 @@ class ProfileStore:
         self.estimators[estimator.name] = estimator
 
     @classmethod
-    def sample_drivers(
+    def sample_rails(
         cls,
-        drivers: Iterable[Driver],
+        profiles: Iterable[NetworkProfile],
         sampler: Optional[NetworkSampler] = None,
     ) -> "ProfileStore":
-        """Sample every driver once (deduplicated by technology)."""
+        """Sample every rail technology once (deduplicated by name)."""
         sampler = sampler or NetworkSampler()
         store = cls()
-        for driver in drivers:
-            if driver.technology not in store:
-                store.add(sampler.sample(driver))
+        for profile in profiles:
+            if profile.name not in store:
+                store.add(sampler.sample(profile))
         return store
 
     # -- persistence ------------------------------------------------------

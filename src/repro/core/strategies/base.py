@@ -39,13 +39,13 @@ class Strategy:
       phase (default: everything on the fastest rail);
     * :meth:`control_rail` — rail for REQ/ACK control packets;
     * :meth:`choose_mode` — eager vs rendezvous (default: sampled
-      threshold when a predictor exists, driver eager limit otherwise).
+      threshold when a predictor exists, the profile's eager limit otherwise).
 
     Parameters
     ----------
     rdv_threshold:
         Force the eager/rendezvous boundary (bytes).  ``None`` derives it
-        from sampling (or the driver limit without sampling).
+        from sampling (or the profile's limit without sampling).
     """
 
     name = "base"

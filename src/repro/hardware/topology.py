@@ -137,7 +137,7 @@ class FabricRail:
     enables health-aware spine selection: flows hashed onto a
     down/degraded spine deterministically re-route to a healthy one
     (bit-identical to the static ECMP hash while no fabric fault has
-    fired).  ``overrides`` are driver profile overrides, as in
+    fired).  ``overrides`` replace profile fields, as in
     :meth:`ClusterBuilder.add_rail`.
     """
 

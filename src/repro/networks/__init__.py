@@ -1,10 +1,13 @@
-"""Network substrate: profiles, NICs, wires and drivers.
+"""Network substrate: profiles, NICs, wires and switches.
 
 This package replaces the paper's physical rails (Myri-10G/MX and
 Quadrics QsNetII/Elan) with calibrated cost models driven by the
 discrete-event simulator.  The strategy layer above observes exactly what
 it would observe on hardware: per-NIC busy/idle state, predicted
-completion instants, and sampled latency curves.
+completion instants, and sampled latency curves.  A rail technology is
+its :class:`NetworkProfile`: :data:`RAIL_PROFILES` holds the four
+calibrated ones (``myri10g``, ``quadrics``, ``infiniband``, ``tcp``) and
+:func:`rail_profile` looks one up by name.
 
 Timing model (one message, virtual µs)
 --------------------------------------
@@ -32,33 +35,19 @@ copies on the polling core — the effects Figs. 3/4 are about.
    delivery ``wire_latency`` later, completion after ``poll_detect``.
 """
 
-from repro.networks.profile import NetworkProfile
+from repro.networks.profile import RAIL_PROFILES, NetworkProfile, rail_profile
 from repro.networks.transfer import Transfer, TransferKind
 from repro.networks.wire import Wire
 from repro.networks.switch import Switch
 from repro.networks.nic import Nic
-from repro.networks.drivers import (
-    Driver,
-    MxDriver,
-    ElanDriver,
-    VerbsDriver,
-    TcpDriver,
-    driver_registry,
-    make_driver,
-)
 
 __all__ = [
     "NetworkProfile",
+    "RAIL_PROFILES",
+    "rail_profile",
     "Transfer",
     "TransferKind",
     "Wire",
     "Switch",
     "Nic",
-    "Driver",
-    "MxDriver",
-    "ElanDriver",
-    "VerbsDriver",
-    "TcpDriver",
-    "driver_registry",
-    "make_driver",
 ]

@@ -44,7 +44,6 @@ from repro.simtime import Resource, Simulator
 from repro.util.errors import ConfigurationError, SchedulingError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.networks.drivers.base import Driver
     from repro.networks.wire import Wire
 
 
@@ -84,11 +83,12 @@ class DropRule:
 class Nic:
     """One network interface card on one machine."""
 
-    def __init__(self, machine: Machine, driver: "Driver", name: Optional[str] = None) -> None:
+    def __init__(
+        self, machine: Machine, profile: NetworkProfile, name: Optional[str] = None
+    ) -> None:
         self.machine = machine
         self.sim: Simulator = machine.sim
-        self.driver = driver
-        self.profile: NetworkProfile = driver.profile
+        self.profile = profile
         self.name = name or f"{self.profile.name}{len(machine.nics)}"
         #: ``node.nic``; nothing renames a NIC or its machine after this
         self.qualified_name = f"{machine.name}.{self.name}"
@@ -220,8 +220,7 @@ class Nic:
             t.aborted = True
             # Unblock offloading cores immediately; the send pipeline
             # notices the abort at its next link and bails.
-            if t.tx_done is not None and not t.tx_done.triggered:
-                t.tx_done.trigger(t)
+            self._release_submitter(t)
         self.transfers_aborted += len(aborted)
         if self.hooks.on_nic_down:
             self.hooks.on_nic_down(self, aborted)
@@ -309,8 +308,7 @@ class Nic:
         self.transfers_aborted += 1
         if self.hooks.on_abort:
             self.hooks.on_abort(self, transfer)
-        if transfer.tx_done is not None and not transfer.tx_done.triggered:
-            transfer.tx_done.trigger(transfer)
+        self._release_submitter(transfer)
 
     # ------------------------------------------------------------------ #
     # send pipelines
@@ -486,36 +484,32 @@ class Nic:
         if transfer in self._pending:
             self._pending.remove(transfer)
         self.busy_time += self.sim.now - start
-        if transfer.aborted:
-            # The link died mid-transmit: the engine was held but the
-            # bytes never reached the wire.
-            if transfer.tx_done is not None and not transfer.tx_done.triggered:
-                transfer.tx_done.trigger(transfer)
-            self._maybe_notify_idle()
-            return
-        if self._drop_outgoing(transfer):
-            # Lossy-link fault: the packet leaves the NIC but vanishes.
-            if transfer.tx_done is not None and not transfer.tx_done.triggered:
-                transfer.tx_done.trigger(transfer)
-            self._maybe_notify_idle()
-            return
-        self.bytes_sent += transfer.size
-        self.transfers_sent += 1
-        if hooks.on_nic_send:
-            hooks.on_nic_send(self, transfer)
-        assert self.wire is not None
-        self.wire.transmit(self, transfer)
-        if transfer.tx_done is not None and not transfer.tx_done.triggered:
-            transfer.tx_done.trigger(transfer)
+        # Only a live packet reaches the wire: if the link died
+        # mid-transmit the engine was held but the bytes never left, and a
+        # lossy-link fault drops the packet as it leaves the NIC.
+        if not transfer.aborted and not self._drop_outgoing(transfer):
+            self.bytes_sent += transfer.size
+            self.transfers_sent += 1
+            if hooks.on_nic_send:
+                hooks.on_nic_send(self, transfer)
+            self.wire.transmit(self, transfer)
+        self._release_submitter(transfer)
         self._maybe_notify_idle()
 
     def _finish_aborted(self, transfer: Transfer) -> None:
         """Drain an aborted transfer out of the pipeline bookkeeping."""
         if transfer in self._pending:
             self._pending.remove(transfer)
-        if transfer.tx_done is not None and not transfer.tx_done.triggered:
-            transfer.tx_done.trigger(transfer)
+        self._release_submitter(transfer)
         self._maybe_notify_idle()
+
+    @staticmethod
+    def _release_submitter(transfer: Transfer) -> None:
+        """End ``transfer``'s transmit phase for its submitter: fire its
+        ``tx_done`` (once), so an offloading core unblocks."""
+        done = transfer.tx_done
+        if done is not None and not done.triggered:
+            done.trigger(transfer)
 
     def _maybe_notify_idle(self) -> None:
         # "The packet scheduler is only activated when a NIC becomes idle

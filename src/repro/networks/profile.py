@@ -5,14 +5,22 @@ A :class:`NetworkProfile` is the ground truth the simulator executes; the
 through ping-pongs, exactly as the real NewMadeleine samples real NICs
 (paper §III-C).  Keeping ground truth and sampled knowledge separate is
 what lets the test suite quantify estimator error.
+
+A rail technology *is* its profile: NewMadeleine ships one driver per
+network (MX/Myri-10G, Elan/QsNetII, Verbs/InfiniBand, TCP/GigE, paper
+§III-A), and every static property §II-B lists (eager and aggregation
+limits, gather/scatter) is a profile field.  :data:`RAIL_PROFILES` holds
+the four calibrated technologies; :func:`rail_profile` looks one up.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Dict, Sequence
 
 from repro.util.errors import ConfigurationError
+from repro.util.units import KiB
 
 
 @dataclass(frozen=True)
@@ -167,6 +175,24 @@ class NetworkProfile:
         """Uncontended one-way rendezvous time *including* the handshake."""
         return 2 * self.control_oneway() + self.rdv_data_oneway(size)
 
+    def aggregation_cpu_cost(self, sizes: Sequence[int], memcpy_rate: float) -> float:
+        """CPU cost (µs) of building one eager packet from ``sizes`` segments.
+
+        With gather/scatter hardware the NIC sends straight from the
+        scattered application buffers: only a small per-segment descriptor
+        cost.  Without it (TCP), the segments must first be packed into a
+        contiguous staging buffer at host-memcpy speed.
+        """
+        if not sizes:
+            return 0.0
+        if min(sizes) < 0:
+            raise ConfigurationError(f"negative segment size in {sizes}")
+        per_segment = 0.05  # descriptor/iovec entry bookkeeping
+        cost = per_segment * len(sizes)
+        if not self.gather_scatter:
+            cost += sum(sizes) / memcpy_rate
+        return cost
+
     def with_overrides(self, **kwargs) -> "NetworkProfile":
         """A copy with selected fields replaced (for ablations)."""
         return replace(self, **kwargs)
@@ -175,3 +201,124 @@ class NetworkProfile:
     def _check(size: int) -> None:
         if size < 0:
             raise ConfigurationError(f"negative transfer size: {size}")
+
+
+#: the calibrated rail technologies, by name.  Each comment gives the
+#: paper's target where there is one and what the profile computes
+#: (``rdv_oneway`` includes the two-control-packet handshake, the data
+#: phase is ``rdv_data_oneway``).
+RAIL_PROFILES: Dict[str, NetworkProfile] = {
+    # MX over Myri-10G: message passing, gather/scatter capable.  Paper
+    # §IV: a rendezvous plateau of ≈ 1170 MB/s at 8 MiB (Fig. 8), ≈ 1730
+    # µs for a 2 MiB chunk (§IV-A), eager ≈ 60 µs at 64 KiB (Fig. 9).
+    # Computed: 1167.4 MB/s at 8 MiB, 1729.3 µs for a 2 MiB rendezvous
+    # (1723.3 µs data phase), 66.5 µs for a 64 KiB eager send.
+    "myri10g": NetworkProfile(
+        name="myri10g",
+        wire_latency=1.3,
+        pio_rate=2200.0,
+        recv_copy_rate=2200.0,
+        pio_setup=0.5,
+        recv_setup=0.5,
+        post_overhead=0.7,
+        poll_detect=1.0,
+        dma_rate=1228.0,
+        rdv_setup=0.5,
+        eager_limit=64 * KiB,
+        gather_scatter=True,
+        max_aggregation=64 * KiB,
+        dma_ramp_us=12.0,
+        dma_ramp_bytes=256 * KiB,
+        eager_ramp_us=3.0,
+        eager_ramp_bytes=16 * KiB,
+    ),
+    # Elan4 over Quadrics QsNetII: RDMA, gather/scatter capable; a lower
+    # zero-byte latency than MX but a slower eager byte rate.  Paper §IV:
+    # ≈ 837 MB/s at 8 MiB (Fig. 8), ≈ 2400 µs for a 2 MiB chunk, leaving
+    # the Myri-10G rail idle ≈ 670 µs under iso-split (§IV-A), eager ≈ 85
+    # µs at 64 KiB (Fig. 9).  Computed: 835.8 MB/s at 8 MiB, 2406.5 µs
+    # for a 2 MiB rendezvous (2401.5 µs data phase, so a 678 µs idle
+    # gap), 89.1 µs for a 64 KiB eager send.
+    "quadrics": NetworkProfile(
+        name="quadrics",
+        wire_latency=0.8,
+        pio_rate=1600.0,
+        recv_copy_rate=1600.0,
+        pio_setup=0.4,
+        recv_setup=0.4,
+        post_overhead=0.7,
+        poll_detect=1.0,
+        dma_rate=878.0,
+        rdv_setup=0.4,
+        eager_limit=64 * KiB,
+        gather_scatter=True,
+        max_aggregation=64 * KiB,
+        dma_ramp_us=10.0,
+        dma_ramp_bytes=256 * KiB,
+        eager_ramp_us=4.0,
+        eager_ramp_bytes=16 * KiB,
+    ),
+    # OFED Verbs over InfiniBand DDR 4x: RDMA, gather/scatter capable.
+    # Not on the paper's testbed; the n-rail ablation (A5) and the
+    # switched examples use it.  Era-typical DDR 4x, ≈ 1400 MB/s.
+    # Computed: 3.70 µs for a 4 B eager send, 2.80 µs for a control
+    # packet, 1425.7 MB/s at 8 MiB.
+    "infiniband": NetworkProfile(
+        name="infiniband",
+        wire_latency=1.0,
+        pio_rate=1900.0,
+        recv_copy_rate=1900.0,
+        pio_setup=0.45,
+        recv_setup=0.45,
+        post_overhead=0.8,
+        poll_detect=1.0,
+        dma_rate=1500.0,
+        rdv_setup=0.6,
+        eager_limit=32 * KiB,
+        gather_scatter=True,
+        max_aggregation=32 * KiB,
+        dma_ramp_us=10.0,
+        dma_ramp_bytes=256 * KiB,
+        eager_ramp_us=3.0,
+        eager_ramp_bytes=16 * KiB,
+    ),
+    # Kernel TCP over GigE: the commodity fallback rail, an order of
+    # magnitude slower than the HPC rails, with the large fixed costs of
+    # the kernel socket path and no gather/scatter (aggregation pays a
+    # host memcpy).  Era-typical GigE, ≈ 112 MB/s.  Computed: 30.0 µs
+    # for a 4 B eager send, 27.0 µs for a control packet, 112.1 MB/s at
+    # 8 MiB.
+    "tcp": NetworkProfile(
+        name="tcp",
+        wire_latency=22.0,
+        pio_rate=900.0,  # socket write() copy path
+        recv_copy_rate=900.0,
+        pio_setup=1.5,
+        recv_setup=1.5,
+        post_overhead=2.0,
+        poll_detect=3.0,
+        dma_rate=118.0,  # wire-limited ~112 MB/s
+        rdv_setup=2.0,
+        eager_limit=32 * KiB,
+        gather_scatter=False,
+        max_aggregation=32 * KiB,
+        dma_ramp_us=200.0,  # slow-start-like warm-up
+        dma_ramp_bytes=256 * KiB,
+        eager_ramp_us=20.0,
+        eager_ramp_bytes=16 * KiB,
+    ),
+}
+
+
+def rail_profile(technology: str, **overrides) -> NetworkProfile:
+    """The calibrated profile of ``technology`` (case ignored), with
+    ``overrides`` replacing profile fields (the ablation benches'
+    ``rail_profile("myri10g", dma_rate=...)``)."""
+    try:
+        profile = RAIL_PROFILES[str(technology).lower()]
+    except KeyError:
+        known = ", ".join(sorted(RAIL_PROFILES))
+        raise ConfigurationError(
+            f"unknown rail technology {technology!r}; known: {known}"
+        ) from None
+    return profile.with_overrides(**overrides) if overrides else profile

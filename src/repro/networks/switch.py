@@ -458,9 +458,6 @@ class FatTreeSwitch(Switch):
         self._spine_bw[self._check_spine(spine)] = 1.0
         self._refresh_spine_health()
 
-    def spine_is_up(self, spine: int) -> bool:
-        return self._spine_up[self._check_spine(spine)]
-
     def _select_spine(self, src_idx: int, dst_idx: int) -> Optional[int]:
         """Health-aware ECMP: the static hash unless that spine is
         down/degraded and re-routing is allowed.

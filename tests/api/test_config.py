@@ -116,6 +116,15 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="rail entry"):
             builder_from_config(config)
 
+    @pytest.mark.parametrize("technology", ["myri10", 5])
+    def test_unknown_technology_rejected(self, technology):
+        config = paper_config(sampling=False)
+        config["rails"][0]["driver"] = technology
+        with pytest.raises(
+            ConfigurationError, match=f"unknown rail technology {technology!r}"
+        ):
+            load_cluster(config)
+
     def test_bad_sampling_value_rejected(self):
         with pytest.raises(ConfigurationError, match="sampling"):
             builder_from_config(paper_config(sampling="maybe"))

@@ -54,6 +54,12 @@ class TestWorldConstruction:
         with pytest.raises(ConfigurationError):
             MpiWorld.create(1, profiles=profiles)
 
+    def test_unknown_technology_rejected(self):
+        with pytest.raises(
+            ConfigurationError, match="unknown rail technology 'myri10'"
+        ):
+            MpiWorld.create(4, rails=("myri10",))
+
     def test_unknown_rank_rejected(self, profiles):
         world = make_world(2, profiles)
         with pytest.raises(ConfigurationError):

@@ -93,6 +93,13 @@ class TestSweep:
         assert main(["sweep", "--sizes", "64Q"]) == 2
         assert "bad --sizes" in capsys.readouterr().err
 
+    def test_unknown_rail_rejected(self, capsys):
+        assert main(["sweep", "--rails", "myri10"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "unknown rail technology 'myri10'; "
+            "known: infiniband, myri10g, quadrics, tcp"
+        )
+
     def test_unknown_strategy_rejected(self, capsys):
         assert main(["sweep", "--strategies", "teleport"]) == 2
         assert "unknown strategy" in capsys.readouterr().err

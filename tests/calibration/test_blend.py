@@ -11,7 +11,7 @@ import pytest
 
 from repro.core.estimator import NicEstimator, SampleTable
 from repro.core.sampling import NetworkSampler
-from repro.networks.drivers import make_driver
+from repro.networks import rail_profile
 from repro.util.errors import SamplingError
 
 
@@ -86,7 +86,7 @@ class TestSampleTableBlend:
 
 class TestNicEstimatorBlend:
     def _estimator(self, scale=1.0, name="myri10g"):
-        est = NetworkSampler().sample(make_driver(name))
+        est = NetworkSampler().sample(rail_profile(name))
         if scale == 1.0:
             return est
         return NicEstimator(

@@ -24,8 +24,8 @@ class TestOnlineSampler:
         cluster = degraded_cluster(bw_factor=0.5)
         live = cluster.machines["node0"].nics[0]
         assert live.silent_bw_factor == 0.5
-        clean = NetworkSampler().sample(live.driver)
-        seen = OnlineSampler(live).sample(live.driver)
+        clean = NetworkSampler().sample(live.profile)
+        seen = OnlineSampler(live).sample(live.profile)
         assert seen.dma.times[-1] == pytest.approx(
             2.0 * clean.dma.times[-1], rel=0.01
         )
@@ -33,8 +33,8 @@ class TestOnlineSampler:
     def test_healthy_rail_measures_clean(self):
         cluster = ClusterBuilder.paper_testbed().build()
         live = cluster.machines["node0"].nics[0]
-        clean = NetworkSampler().sample(live.driver)
-        seen = OnlineSampler(live).sample(live.driver)
+        clean = NetworkSampler().sample(live.profile)
+        seen = OnlineSampler(live).sample(live.profile)
         assert list(seen.dma.times) == list(clean.dma.times)
 
     def test_probe_runs_on_private_simulator(self):
@@ -44,7 +44,7 @@ class TestOnlineSampler:
         before = cluster.sim.now
         events = cluster.sim.events_processed
         live = cluster.machines["node0"].nics[0]
-        OnlineSampler(live).sample(live.driver)
+        OnlineSampler(live).sample(live.profile)
         assert cluster.sim.now == before
         assert cluster.sim.events_processed == events
 

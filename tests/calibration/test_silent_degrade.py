@@ -14,7 +14,7 @@ from repro.faults.chaos import (
     SILENT_EPISODE_KINDS,
     ChaosSchedule,
 )
-from repro.networks.drivers import make_driver
+from repro.networks import rail_profile
 from repro.networks.nic import Nic
 from repro.hardware import Machine
 from repro.obs import Timeline
@@ -24,7 +24,7 @@ from repro.util.errors import ConfigurationError
 
 def nic():
     sim = Simulator()
-    return Nic(Machine(sim, "node0"), make_driver("myri10g"), name="m0")
+    return Nic(Machine(sim, "node0"), rail_profile("myri10g"), name="m0")
 
 
 def fault_lanes(timeline):
@@ -50,7 +50,7 @@ class TestNicSilentState:
         n.sim.schedule_at(10.0, n.silent_restore)
         n.sim.run()
         clean = Nic(
-            Machine(Simulator(), "x"), make_driver("myri10g"), name="m0"
+            Machine(Simulator(), "x"), rail_profile("myri10g"), name="m0"
         )._rdv_tx_time(1 << 20)
         assert n._rdv_tx_time(1 << 20) == clean
         # ... and the silent spell never reached a fault lane.

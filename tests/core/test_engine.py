@@ -8,7 +8,7 @@ import pytest
 from repro.api import ClusterBuilder
 from repro.core import MessageStatus, TransferMode
 from repro.core.sampling import ProfileStore
-from repro.networks import ElanDriver, MxDriver
+from repro.networks import rail_profile
 from repro.simtime import SimEvent
 from repro.util.errors import ConfigurationError, ProtocolError
 from repro.util.units import KiB, MiB, bytes_per_us_to_mbps
@@ -16,7 +16,9 @@ from repro.util.units import KiB, MiB, bytes_per_us_to_mbps
 
 @pytest.fixture(scope="module")
 def profiles():
-    return ProfileStore.sample_drivers([MxDriver(), ElanDriver()])
+    return ProfileStore.sample_rails(
+        [rail_profile("myri10g"), rail_profile("quadrics")]
+    )
 
 
 def build(strategy, profiles, rails=("myri10g", "quadrics"), **kw):
@@ -253,13 +255,11 @@ class TestResample:
 
     def test_resample_restores_split_quality_after_degradation(self):
         """The A8 scenario as an API workflow: degrade, observe, resample."""
-        from repro.networks.drivers import make_driver
-
         def build_degraded(profiles_arg):
             b = ClusterBuilder(strategy="hetero_split")
             b.add_node("node0").add_node("node1")
             b.add_rail(
-                make_driver("myri10g", dma_rate=MxDriver().profile.dma_rate / 2),
+                rail_profile("myri10g", dma_rate=rail_profile("myri10g").dma_rate / 2),
                 "node0",
                 "node1",
             )
@@ -275,7 +275,9 @@ class TestResample:
             cluster.run()
             return m.latency
 
-        stale_profiles = ProfileStore.sample_drivers([MxDriver(), ElanDriver()])
+        stale_profiles = ProfileStore.sample_rails(
+            [rail_profile("myri10g"), rail_profile("quadrics")]
+        )
         stale = one_way(build_degraded(stale_profiles))
 
         cluster = build_degraded(stale_profiles)

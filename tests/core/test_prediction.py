@@ -13,7 +13,7 @@ from repro.core.packets import TransferMode
 from repro.core.prediction import CompletionPredictor, RailPlan
 from repro.core.sampling import NetworkSampler, ProfileStore
 from repro.core.split import SplitResult, waterfill_split
-from repro.networks import ElanDriver, MxDriver, Transfer, TransferKind
+from repro.networks import Transfer, TransferKind, rail_profile
 from repro.util.errors import ConfigurationError, SamplingError
 from repro.util.units import KiB, MiB
 
@@ -33,12 +33,16 @@ EAGER = TransferMode.EAGER
 
 @pytest.fixture(scope="module")
 def profiles():
-    return ProfileStore.sample_drivers([MxDriver(), ElanDriver()])
+    return ProfileStore.sample_rails(
+        [rail_profile("myri10g"), rail_profile("quadrics")]
+    )
 
 
 @pytest.fixture
 def rig(sim, profiles):
-    node_a, node_b = wire_pair(sim, [MxDriver(), ElanDriver()])
+    node_a, node_b = wire_pair(
+        sim, [rail_profile("myri10g"), rail_profile("quadrics")]
+    )
     return node_a, CompletionPredictor(profiles.estimators)
 
 
@@ -60,9 +64,8 @@ class TestPointPrediction:
         assert pred.predict(mx, 1 * MiB, RDV) == pytest.approx(500.0 + idle_t)
 
     def test_unsampled_technology_raises(self, sim, profiles):
-        from repro.networks import TcpDriver
 
-        node_a, _ = wire_pair(sim, [TcpDriver()])
+        node_a, _ = wire_pair(sim, [rail_profile("tcp")])
         pred = CompletionPredictor(profiles.estimators)
         with pytest.raises(SamplingError):
             pred.estimator_for(node_a.nics[0])
@@ -293,7 +296,9 @@ class TestEstimatorMemoAfterPlanning:
     which the cyclic collector does not track."""
 
     def test_distinct_rendezvous_sizes_leave_the_rdv_memo_empty(self):
-        profiles = ProfileStore.sample_drivers([MxDriver(), ElanDriver()])
+        profiles = ProfileStore.sample_rails(
+            [rail_profile("myri10g"), rail_profile("quadrics")]
+        )
         cluster = (
             ClusterBuilder.paper_testbed(strategy="hetero_split")
             .sampling(profiles=profiles)

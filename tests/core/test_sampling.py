@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.packets import TransferMode
 from repro.core.sampling import NetworkSampler, ProfileStore
-from repro.networks import ElanDriver, MxDriver, TcpDriver
+from repro.networks import rail_profile
 from repro.util.errors import SamplingError
 from repro.util.units import KiB, MiB
 
@@ -16,7 +16,7 @@ def mx_sample():
         eager_sizes=[2 ** k for k in range(2, 17)],
         dma_sizes=[2 ** k for k in range(12, 25)],
     )
-    return sampler.sample(MxDriver())
+    return sampler.sample(rail_profile("myri10g"))
 
 
 class TestSamplingFidelity:
@@ -24,22 +24,22 @@ class TestSamplingFidelity:
     measurements must equal the ground-truth profile costs exactly."""
 
     def test_eager_curve_matches_ground_truth(self, mx_sample):
-        p = MxDriver().profile
+        p = rail_profile("myri10g")
         for size, t in zip(mx_sample.eager.sizes, mx_sample.eager.times):
             assert t == pytest.approx(p.eager_oneway(size), rel=1e-9)
 
     def test_dma_curve_matches_ground_truth(self, mx_sample):
-        p = MxDriver().profile
+        p = rail_profile("myri10g")
         for size, t in zip(mx_sample.dma.sizes, mx_sample.dma.times):
             assert t == pytest.approx(p.rdv_data_oneway(size), rel=1e-9)
 
     def test_control_matches_ground_truth(self, mx_sample):
-        p = MxDriver().profile
+        p = rail_profile("myri10g")
         assert mx_sample.control_oneway == pytest.approx(p.control_oneway())
 
     def test_estimator_interpolates_between_grid_points(self, mx_sample):
         est = mx_sample
-        p = MxDriver().profile
+        p = rail_profile("myri10g")
         # Off-grid size: the ground truth has a saturating warm-up ramp,
         # so linear interpolation carries a small (but bounded) error.
         s = 3000
@@ -56,7 +56,7 @@ class TestSamplerValidation:
     def test_eager_grid_above_limit_rejected(self):
         sampler = NetworkSampler(eager_sizes=[4, 128 * KiB])
         with pytest.raises(SamplingError):
-            sampler.sample(MxDriver())
+            sampler.sample(rail_profile("myri10g"))
 
     def test_bad_repetitions_rejected(self):
         with pytest.raises(SamplingError):
@@ -67,7 +67,8 @@ class TestSamplerValidation:
         many = NetworkSampler(
             eager_sizes=[64, 128], dma_sizes=[4096, 8192], repetitions=3
         )
-        s1, s3 = few.sample(ElanDriver()), many.sample(ElanDriver())
+        elan = rail_profile("quadrics")
+        s1, s3 = few.sample(elan), many.sample(elan)
         assert s1.eager.times == s3.eager.times
 
 
@@ -86,34 +87,34 @@ class TestNoisySampler:
     def test_zero_jitter_is_exact(self):
         clean = NetworkSampler(
             eager_sizes=[1024, 2048], dma_sizes=[4096, 8192]
-        ).sample(MxDriver())
-        noisy = self.make(0.0).sample(MxDriver())
+        ).sample(rail_profile("myri10g"))
+        noisy = self.make(0.0).sample(rail_profile("myri10g"))
         assert noisy.eager.times == clean.eager.times
 
     def test_jitter_perturbs_measurements(self):
         clean = NetworkSampler(
             eager_sizes=[1024, 2048], dma_sizes=[4096, 8192]
-        ).sample(MxDriver())
-        noisy = self.make(10.0).sample(MxDriver())
+        ).sample(rail_profile("myri10g"))
+        noisy = self.make(10.0).sample(rail_profile("myri10g"))
         assert noisy.eager.times != clean.eager.times
 
     def test_same_seed_reproduces(self):
-        a = self.make(10.0, seed=7).sample(MxDriver())
-        b = self.make(10.0, seed=7).sample(MxDriver())
+        a = self.make(10.0, seed=7).sample(rail_profile("myri10g"))
+        b = self.make(10.0, seed=7).sample(rail_profile("myri10g"))
         assert a.eager.times == b.eager.times
 
     def test_different_seeds_differ(self):
-        a = self.make(10.0, seed=7).sample(MxDriver())
-        b = self.make(10.0, seed=8).sample(MxDriver())
+        a = self.make(10.0, seed=7).sample(rail_profile("myri10g"))
+        b = self.make(10.0, seed=8).sample(rail_profile("myri10g"))
         assert a.eager.times != b.eager.times
 
     def test_median_tightens_with_repetitions(self):
         clean = NetworkSampler(
             eager_sizes=[1024, 2048], dma_sizes=[4096, 8192]
-        ).sample(MxDriver())
+        ).sample(rail_profile("myri10g"))
         errs = {}
         for reps in (1, 21):
-            noisy = self.make(15.0, seed=3, reps=reps).sample(MxDriver())
+            noisy = self.make(15.0, seed=3, reps=reps).sample(rail_profile("myri10g"))
             errs[reps] = max(
                 abs(n - c) / c for n, c in zip(noisy.dma.times, clean.dma.times)
             )
@@ -124,16 +125,15 @@ class TestNoisySampler:
             self.make(-1.0)
 
     def test_measurements_stay_positive(self):
-        sample = self.make(80.0, seed=1).sample(MxDriver())
+        sample = self.make(80.0, seed=1).sample(rail_profile("myri10g"))
         assert all(t > 0 for t in sample.eager.times + sample.dma.times)
 
 
 class TestProfileStore:
-    def test_sample_drivers_dedupes_technologies(self):
+    def test_sample_rails_dedupes_technologies(self):
         sampler = NetworkSampler(eager_sizes=[64, 128], dma_sizes=[4096, 8192])
-        store = ProfileStore.sample_drivers(
-            [MxDriver(), MxDriver(), ElanDriver()], sampler=sampler
-        )
+        mx, elan = rail_profile("myri10g"), rail_profile("quadrics")
+        store = ProfileStore.sample_rails([mx, mx, elan], sampler=sampler)
         assert sorted(store.estimators) == ["myri10g", "quadrics"]
 
     def test_getitem_missing_raises(self):
@@ -191,13 +191,37 @@ def _infinite_size(entry):
     entry["eager"]["sizes"][-1] = float("inf")
 
 
+# Sampling never measures past the eager limit, so a limit below 1 byte
+# or below the eager curve's last size came from an edited file; loaded,
+# it sends every message rendezvous (or fails the first threshold query).
+def _zero_eager_limit(entry):
+    entry["eager_limit"] = 0
+
+
+def _eager_limit_below_curve(entry):
+    entry["eager_limit"] = 3
+
+
+def _negative_eager_limit(entry):
+    entry["eager_limit"] = -5
+
+
 class TestProfileStoreRejectsBadEntries:
     """A profile file is outside input, and json accepts NaN and
     Infinity: a bad entry must fail the load, naming the file, rather
     than load as a curve that prices some sizes at 0 µs."""
 
     @pytest.mark.parametrize(
-        "spoil", [_nan_dma_time_at_128k, _nan_control, _no_dma, _infinite_size]
+        "spoil",
+        [
+            _nan_dma_time_at_128k,
+            _nan_control,
+            _no_dma,
+            _infinite_size,
+            _zero_eager_limit,
+            _eager_limit_below_curve,
+            _negative_eager_limit,
+        ],
     )
     def test_load_rejects(self, tmp_path, mx_sample, spoil):
         import json

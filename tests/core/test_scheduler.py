@@ -4,14 +4,16 @@ import pytest
 
 from repro.api import ClusterBuilder
 from repro.core.sampling import ProfileStore
-from repro.networks import ElanDriver, MxDriver
+from repro.networks import rail_profile
 from repro.util.errors import SchedulingError
 from repro.util.units import KiB
 
 
 @pytest.fixture(scope="module")
 def profiles():
-    return ProfileStore.sample_drivers([MxDriver(), ElanDriver()])
+    return ProfileStore.sample_rails(
+        [rail_profile("myri10g"), rail_profile("quadrics")]
+    )
 
 
 @pytest.fixture

@@ -15,7 +15,7 @@ from repro.core.split import (
     ratio_split,
     waterfill_split,
 )
-from repro.networks import ElanDriver, MxDriver
+from repro.networks import rail_profile
 from repro.util.errors import ConfigurationError
 
 
@@ -264,7 +264,9 @@ def reference_dichotomy_split(
 
 
 #: the sampled Myri-10G and Quadrics profiles (curved, unlike make_est's)
-SAMPLED = ProfileStore.sample_drivers([MxDriver(), ElanDriver()]).estimators
+SAMPLED = ProfileStore.sample_rails(
+    [rail_profile("myri10g"), rail_profile("quadrics")]
+).estimators
 RAIL_POOL = [MYRI, QUAD, *SAMPLED.values()]
 
 #: 1 B to 64 MiB, log-uniform as well as uniform

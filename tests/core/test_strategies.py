@@ -16,7 +16,7 @@ from repro.core.strategies import (
     StaticRatioStrategy,
     strategy_registry,
 )
-from repro.networks import ElanDriver, MxDriver
+from repro.networks import rail_profile
 from repro.obs import Timeline
 from repro.util.errors import ConfigurationError
 from repro.util.units import KiB, MiB
@@ -24,7 +24,9 @@ from repro.util.units import KiB, MiB
 
 @pytest.fixture(scope="module")
 def profiles():
-    return ProfileStore.sample_drivers([MxDriver(), ElanDriver()])
+    return ProfileStore.sample_rails(
+        [rail_profile("myri10g"), rail_profile("quadrics")]
+    )
 
 
 def build(strategy, profiles, rails=("myri10g", "quadrics")):

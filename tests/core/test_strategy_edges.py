@@ -91,9 +91,9 @@ class TestTcpAggregation:
         """On TCP (no gather/scatter) aggregation stages a host copy; the
         aggregate send still completes and the app core paid for it."""
         from repro.core.sampling import ProfileStore
-        from repro.networks import TcpDriver
+        from repro.networks import rail_profile
 
-        tcp_profiles = ProfileStore.sample_drivers([TcpDriver()])
+        tcp_profiles = ProfileStore.sample_rails([rail_profile("tcp")])
         cluster = (
             ClusterBuilder.paper_testbed(strategy="aggregate", rails=("tcp",))
             .sampling(profiles=tcp_profiles)
@@ -112,9 +112,9 @@ class TestTcpAggregation:
 class TestHeteroSplitEdges:
     def test_single_rail_cluster_never_splits(self, profiles):
         from repro.core.sampling import ProfileStore
-        from repro.networks import MxDriver
+        from repro.networks import rail_profile
 
-        mono = ProfileStore.sample_drivers([MxDriver()])
+        mono = ProfileStore.sample_rails([rail_profile("myri10g")])
         cluster = (
             ClusterBuilder.paper_testbed(strategy="hetero_split", rails=("myri10g",))
             .sampling(profiles=mono)
@@ -128,9 +128,15 @@ class TestHeteroSplitEdges:
 
     def test_three_heterogeneous_rails_all_used(self, profiles):
         from repro.core.sampling import ProfileStore
-        from repro.networks import ElanDriver, MxDriver, VerbsDriver
+        from repro.networks import rail_profile
 
-        tri = ProfileStore.sample_drivers([MxDriver(), ElanDriver(), VerbsDriver()])
+        tri = ProfileStore.sample_rails(
+            [
+                rail_profile("myri10g"),
+                rail_profile("quadrics"),
+                rail_profile("infiniband"),
+            ]
+        )
         cluster = (
             ClusterBuilder.paper_testbed(
                 strategy=HeteroSplitStrategy(rdv_threshold=32 * KiB),

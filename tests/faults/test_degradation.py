@@ -11,7 +11,7 @@ from repro.bench.runners import default_profiles
 from repro.core import MessageStatus
 from repro.core.packets import DegradedSend, TransferMode
 from repro.core.strategies import AggregateStrategy, SingleRailStrategy
-from repro.networks import MxDriver
+from repro.networks import rail_profile
 from repro.obs import Timeline, explain
 from repro.util.units import KiB, MiB
 
@@ -283,7 +283,7 @@ class TestDegradeToHealthy:
         assert "nic-degrade" not in names and "nic-restore" not in names
 
     def test_degrade_to_healthy_closes_the_window(self, sim):
-        node_a, _ = wire_pair(sim, [MxDriver()])
+        node_a, _ = wire_pair(sim, [rail_profile("myri10g")])
         nic = node_a.nics[0]
         tl = Timeline.record(node_a)
         sim.schedule_at(10.0, nic.degrade, 0.5)

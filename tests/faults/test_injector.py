@@ -5,7 +5,7 @@ import pytest
 from repro.faults import FaultInjector, FaultSchedule
 from repro.faults.schedule import ACTIONS
 from repro.hardware import Machine
-from repro.networks import MxDriver, Nic, TransferKind, Wire
+from repro.networks import Nic, TransferKind, Wire, rail_profile
 from repro.networks.nic import DropRule
 from repro.networks.switch import FatTreeSwitch
 from repro.obs import Timeline
@@ -14,7 +14,7 @@ from repro.util.errors import ConfigurationError
 
 
 def two_node_rail(sim):
-    driver = MxDriver()
+    driver = rail_profile("myri10g")
     a = Machine(sim, "node0")
     b = Machine(sim, "node1")
     Wire(Nic(a, driver, name="myri10g0"), Nic(b, driver, name="myri10g0"))
@@ -144,7 +144,8 @@ def four_nodes_on_a_fat_tree(sim):
     fat tree ``ft``."""
     switch = FatTreeSwitch(name="ft", switch_latency=0.3, pod_size=2, spines=2)
     nics = [
-        Nic(Machine(sim, f"node{i}"), MxDriver(), name="port") for i in range(4)
+        Nic(Machine(sim, f"node{i}"), rail_profile("myri10g"), name="port")
+        for i in range(4)
     ]
     for nic in nics:
         switch.attach(nic)

@@ -62,10 +62,10 @@ class TestNicRegistry:
             node.nic_by_name("ghost")
 
     def test_nics_attach_on_construction(self, sim):
-        from repro.networks import MxDriver, Nic
+        from repro.networks import Nic, rail_profile
 
         node = Machine(sim, "node0")
-        nic = Nic(node, MxDriver(), name="mx0")
+        nic = Nic(node, rail_profile("myri10g"), name="mx0")
         assert node.nics == [nic]
         assert node.nic_by_name("mx0") is nic
         assert node.idle_nics() == [nic]

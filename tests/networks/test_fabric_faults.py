@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.hardware import Machine
 from repro.networks import Nic, Transfer, TransferKind
-from repro.networks.drivers import MxDriver
+from repro.networks import rail_profile
 from repro.networks.switch import FatTreeSwitch, Switch
 from repro.simtime import Simulator
 from repro.util.errors import ConfigurationError
@@ -21,7 +21,7 @@ def make_star(sim, n_nodes=3, latency=0.3):
     switch = Switch(name="sw", switch_latency=latency)
     machines = [Machine(sim, f"node{i}") for i in range(n_nodes)]
     for m in machines:
-        switch.attach(Nic(m, MxDriver(), name="port"))
+        switch.attach(Nic(m, rail_profile("myri10g"), name="port"))
     return switch, machines
 
 
@@ -35,7 +35,7 @@ def make_tree(sim, n_nodes=4, pod_size=2, spines=2, latency=0.3, adaptive=True):
     )
     machines = [Machine(sim, f"node{i}") for i in range(n_nodes)]
     for m in machines:
-        switch.attach(Nic(m, MxDriver(), name="port"))
+        switch.attach(Nic(m, rail_profile("myri10g"), name="port"))
     return switch, machines
 
 

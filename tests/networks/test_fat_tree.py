@@ -4,7 +4,7 @@ import pytest
 
 from repro.hardware import Machine
 from repro.networks import Nic, Transfer, TransferKind
-from repro.networks.drivers import MxDriver
+from repro.networks import rail_profile
 from repro.networks.switch import FatTreeSwitch, Switch
 from repro.util.errors import ConfigurationError
 
@@ -15,7 +15,7 @@ def make_tree(sim, n_nodes=4, pod_size=2, spines=2, latency=0.3):
     )
     machines = [Machine(sim, f"node{i}") for i in range(n_nodes)]
     for m in machines:
-        switch.attach(Nic(m, MxDriver(), name="port"))
+        switch.attach(Nic(m, rail_profile("myri10g"), name="port"))
     return switch, machines
 
 
@@ -33,7 +33,7 @@ class TestShape:
 
     def test_foreign_nic_rejected(self, sim):
         switch, _ = make_tree(sim)
-        stranger = Nic(Machine(sim, "x"), MxDriver())
+        stranger = Nic(Machine(sim, "x"), rail_profile("myri10g"))
         with pytest.raises(ConfigurationError):
             switch.pod_of(stranger)
 

@@ -6,7 +6,7 @@ from repro.networks import Transfer, TransferKind
 from repro.util.errors import ConfigurationError, SchedulingError, SimulationError
 
 from tests.conftest import wire_pair
-from repro.networks import MxDriver, ElanDriver, Nic
+from repro.networks import Nic, rail_profile
 
 
 def eager(size, msg_id=0, **kw):
@@ -70,7 +70,7 @@ class TestEagerPipeline:
         from repro.hardware import Machine
 
         node = Machine(sim, "lonely")
-        nic = Nic(node, MxDriver())
+        nic = Nic(node, rail_profile("myri10g"))
         with pytest.raises(ConfigurationError):
             nic.submit(eager(16), node.cores[0])
 

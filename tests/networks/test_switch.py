@@ -3,15 +3,15 @@
 import pytest
 
 from repro.hardware import Machine
-from repro.networks import ElanDriver, MxDriver, Nic, Switch, Transfer, TransferKind
+from repro.networks import Nic, Switch, Transfer, TransferKind, rail_profile
 from repro.util.errors import ConfigurationError, ProtocolError
 
 
-def make_star(sim, n_nodes=3, driver_cls=MxDriver, latency=0.3):
+def make_star(sim, n_nodes=3, profile=rail_profile("myri10g"), latency=0.3):
     switch = Switch(name="sw", switch_latency=latency)
     machines = [Machine(sim, f"node{i}") for i in range(n_nodes)]
     for m in machines:
-        switch.attach(Nic(m, driver_cls(), name="port"))
+        switch.attach(Nic(m, profile, name="port"))
     return switch, machines
 
 
@@ -31,7 +31,7 @@ class TestWiring:
         switch, machines = make_star(sim, 2)
         stranger = Machine(sim, "odd")
         with pytest.raises(ConfigurationError):
-            switch.attach(Nic(stranger, ElanDriver()))
+            switch.attach(Nic(stranger, rail_profile("quadrics")))
 
     def test_double_wiring_rejected(self, sim):
         switch, machines = make_star(sim, 2)
@@ -54,7 +54,7 @@ class TestWiring:
     def test_foreign_nic_rejected(self, sim):
         switch, machines = make_star(sim, 2)
         stranger_machine = Machine(sim, "x")
-        stranger = Nic(stranger_machine, MxDriver())
+        stranger = Nic(stranger_machine, rail_profile("myri10g"))
         with pytest.raises(ConfigurationError):
             switch.peers_of(stranger)
 
@@ -62,7 +62,7 @@ class TestWiring:
         """One port per node: a second NIC of an attached node would
         give it a route to itself through the switch."""
         switch, machines = make_star(sim, 2)
-        second = Nic(machines[0], MxDriver(), name="port2")
+        second = Nic(machines[0], rail_profile("myri10g"), name="port2")
         with pytest.raises(ConfigurationError, match="already has a port"):
             switch.attach(second)
         assert second.wire is None
@@ -160,9 +160,8 @@ class TestSwitchedCluster:
     @pytest.fixture(scope="class")
     def profiles(self):
         from repro.core.sampling import ProfileStore
-        from repro.networks.drivers import make_driver
 
-        return ProfileStore.sample_drivers([make_driver("infiniband")])
+        return ProfileStore.sample_rails([rail_profile("infiniband")])
 
     def build(self, profiles, n=3):
         from repro.api import ClusterBuilder
@@ -205,10 +204,9 @@ class TestSwitchedCluster:
         switch: hetero-split plans over the union."""
         from repro.api import ClusterBuilder
         from repro.core.sampling import ProfileStore
-        from repro.networks.drivers import make_driver
 
-        mixed_profiles = ProfileStore.sample_drivers(
-            [make_driver("infiniband"), make_driver("myri10g")]
+        mixed_profiles = ProfileStore.sample_rails(
+            [rail_profile("infiniband"), rail_profile("myri10g")]
         )
         builder = ClusterBuilder(strategy="hetero_split")
         builder.add_node("node0").add_node("node1")

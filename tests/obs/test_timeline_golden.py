@@ -26,7 +26,7 @@ from repro.bench.experiments import fig4
 from repro.bench.runners import build_paper_cluster, default_profiles, measure_oneway
 from repro.core.strategies import HeteroSplitStrategy, MulticoreSplitStrategy
 from repro.hardware import Machine
-from repro.networks import MxDriver, Nic, Transfer, TransferKind, Wire
+from repro.networks import Nic, Transfer, TransferKind, Wire, rail_profile
 from repro.simtime import Simulator
 from repro.threading import MarcelScheduler, Tasklet
 from repro.util.units import KiB, MiB
@@ -111,8 +111,8 @@ def raw_machine(record):
     """Two machines wired by hand, no engine: the NIC pipelines alone."""
     sim = Simulator()
     a, b = Machine(sim, "a"), Machine(sim, "b")
-    mx = Nic(a, MxDriver(), name="mx")
-    Wire(mx, Nic(b, MxDriver(), name="mx"))
+    mx = Nic(a, rail_profile("myri10g"), name="mx")
+    Wire(mx, Nic(b, rail_profile("myri10g"), name="mx"))
     views = {"a": record(a)}
     mx.inject_busy(25.0)
     mx.submit(Transfer(kind=TransferKind.EAGER, size=4096, msg_id=1), a.cores[0])

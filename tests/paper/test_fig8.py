@@ -39,11 +39,11 @@ class TestFig8Shape:
         assert measured == pytest.approx(fig8.PAPER_PLATEAUS[label], rel=0.10)
 
     def test_hetero_close_to_theoretical_aggregate(self, result):
-        from repro.networks import ElanDriver, MxDriver
+        from repro.networks import rail_profile
         from repro.util.units import bytes_per_us_to_mbps
 
         theoretical = bytes_per_us_to_mbps(
-            MxDriver().profile.dma_rate + ElanDriver().profile.dma_rate
+            rail_profile("myri10g").dma_rate + rail_profile("quadrics").dma_rate
         )
         measured = result.column(8 * MiB)[fig8.HETERO]
         assert measured > 0.95 * theoretical

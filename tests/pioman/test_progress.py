@@ -7,7 +7,7 @@ from repro.pioman import PiomanEngine, SendRequest
 from repro.threading import MarcelScheduler
 
 from tests.conftest import wire_pair
-from repro.networks import ElanDriver, MxDriver
+from repro.networks import rail_profile
 
 
 def eager(size, msg_id=0):
@@ -17,7 +17,9 @@ def eager(size, msg_id=0):
 @pytest.fixture
 def rig(sim):
     """Paper testbed + pioman on both nodes."""
-    node_a, node_b = wire_pair(sim, [MxDriver(), ElanDriver()])
+    node_a, node_b = wire_pair(
+        sim, [rail_profile("myri10g"), rail_profile("quadrics")]
+    )
     pio_a = PiomanEngine(node_a)
     pio_b = PiomanEngine(node_b)
     pio_a.bind()
@@ -290,7 +292,9 @@ class TestInterruptDetection:
 class TestMulticoreRx:
     @pytest.fixture
     def multicore_rig(self, sim):
-        node_a, node_b = wire_pair(sim, [MxDriver(), ElanDriver()])
+        node_a, node_b = wire_pair(
+            sim, [rail_profile("myri10g"), rail_profile("quadrics")]
+        )
         pio_a = PiomanEngine(node_a)
         pio_b = PiomanEngine(node_b, multicore_rx=True)
         pio_a.bind()

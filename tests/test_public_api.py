@@ -89,9 +89,8 @@ class TestRegistries:
             assert runner.__doc__, f"experiment {key} runner lacks a docstring"
 
     def test_every_driver_default_profile_is_consistent(self):
-        from repro.networks.drivers import driver_registry
+        from repro.networks import RAIL_PROFILES
 
-        for name, cls in driver_registry.items():
-            driver = cls()
-            assert driver.profile.name == cls.technology
-            assert driver.profile.eager_limit >= 1
+        for name, profile in RAIL_PROFILES.items():
+            assert profile.name == name
+            assert profile.eager_limit >= 1

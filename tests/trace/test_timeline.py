@@ -72,14 +72,14 @@ class TestFromMachine:
     def test_fig4_overlap_discriminates_serial_vs_parallel(self, sim):
         """Two PIO copies: same core → no overlap; two cores → overlap."""
         from repro.hardware import Machine
-        from repro.networks import ElanDriver, MxDriver, Nic, Transfer, TransferKind, Wire
+        from repro.networks import Nic, Transfer, TransferKind, Wire, rail_profile
 
         node_a = Machine(sim, "a")
         node_b = Machine(sim, "b")
-        mx = Nic(node_a, MxDriver(), name="mx")
-        elan = Nic(node_a, ElanDriver(), name="elan")
-        Wire(mx, Nic(node_b, MxDriver(), name="mx"))
-        Wire(elan, Nic(node_b, ElanDriver(), name="elan"))
+        mx = Nic(node_a, rail_profile("myri10g"), name="mx")
+        elan = Nic(node_a, rail_profile("quadrics"), name="elan")
+        Wire(mx, Nic(node_b, rail_profile("myri10g"), name="mx"))
+        Wire(elan, Nic(node_b, rail_profile("quadrics"), name="elan"))
 
         timeline = Timeline.record(node_a)
 
@@ -101,11 +101,11 @@ class TestFromMachine:
         """A degrade inside an open window keeps its start; the window
         ends wherever the clock is when the lanes are read."""
         from repro.hardware import Machine
-        from repro.networks import MxDriver, Nic, Wire
+        from repro.networks import Nic, Wire, rail_profile
 
         node_a = Machine(sim, "a")
-        nic = Nic(node_a, MxDriver(), name="mx")
-        Wire(nic, Nic(Machine(sim, "b"), MxDriver(), name="mx"))
+        nic = Nic(node_a, rail_profile("myri10g"), name="mx")
+        Wire(nic, Nic(Machine(sim, "b"), rail_profile("myri10g"), name="mx"))
         timeline = Timeline.record(node_a)
         sim.schedule_at(10.0, nic.degrade, 0.5)
         sim.schedule_at(20.0, nic.degrade, 0.25)
