@@ -444,13 +444,16 @@ class FabricHealth:
     ``j`` can currently deliver.  Each rail's wire or switch answers
     for its own path (``path_alive``: both NICs up, both switch edge
     links up and, for inter-pod fat-tree flows, a usable spine).
-    Purely read-only: probing health mutates no simulator state.
+    Purely read-only: probing health mutates no simulator state.  A
+    view answers for the instant it was built at: pair liveness and
+    each schedule's feasibility are memoized.
     """
 
     def __init__(self, cluster, node_names: Sequence[str]) -> None:
         self.cluster = cluster
         self.node_names = list(node_names)
         self._memo: Dict[Tuple[str, str], bool] = {}
+        self._feasible: Dict[Tuple[str, str, int, int], bool] = {}
 
     def node_pair_alive(self, node_a: str, node_b: str) -> bool:
         """Any live rail between two cluster nodes (memoized)."""
@@ -475,11 +478,16 @@ class FabricHealth:
     def feasible(
         self, collective: str, algorithm: str, ranks: int, root: int = 0
     ) -> bool:
-        """Can this schedule's every required pair still communicate?"""
-        return all(
-            self.alive(i, j)
-            for i, j in required_pairs(collective, algorithm, ranks, root)
-        )
+        """Can this schedule's every required pair still communicate?
+        (memoized)"""
+        key = (collective, algorithm, ranks, root)
+        ok = self._feasible.get(key)
+        if ok is None:
+            ok = self._feasible[key] = all(
+                self.alive(i, j)
+                for i, j in required_pairs(collective, algorithm, ranks, root)
+            )
+        return ok
 
 
 # --------------------------------------------------------------------- #

@@ -38,7 +38,7 @@ fabrics: ``MpiWorld.create(fabric=Fabric.fat_tree(16))``.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Union
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.api import collectives as coll
 from repro.api.cluster import Cluster, ClusterBuilder, RunResult, StrategySpec
@@ -397,6 +397,9 @@ class MpiWorld:
             overrides = dict(cluster.collectives)
         self.collectives: Dict[str, str] = coll.validate_overrides(overrides)
         self._selector: Optional[AlgorithmSelector] = None
+        #: the last health view and the (clock, faults fired) it reads
+        self._health: Optional[coll.FabricHealth] = None
+        self._health_key: Optional[Tuple[float, int]] = None
         self.comms: List[Communicator] = [Communicator(self, r) for r in range(size)]
 
     def __repr__(self) -> str:
@@ -425,10 +428,20 @@ class MpiWorld:
         Only built when a fault schedule is armed against the cluster —
         an un-faulted world skips the probing entirely, so the healthy
         ``auto`` path stays byte-identical to pre-fault-surface builds.
+
+        Every rank's ``auto`` call asks, so one view serves them all
+        while the clock and the injector's ``faults_fired`` stand still:
+        only a fault firing changes the fabric a view reads, and the
+        next call after one, at that instant or later, gets a fresh view.
         """
-        if getattr(self.cluster, "fault_injector", None) is None:
+        injector = getattr(self.cluster, "fault_injector", None)
+        if injector is None:
             return None
-        return coll.FabricHealth(self.cluster, self._node_names)
+        key = (self.cluster.sim.now, injector.faults_fired)
+        if self._health is None or key != self._health_key:
+            self._health = coll.FabricHealth(self.cluster, self._node_names)
+            self._health_key = key
+        return self._health
 
     def selector(self) -> AlgorithmSelector:
         """The cost-model selector behind ``algorithm="auto"``."""

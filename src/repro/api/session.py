@@ -28,7 +28,7 @@ class Session:
         return self.engine.machine.name
 
     # ------------------------------------------------------------------ #
-    # non-blocking API (returns immediately; completion via .done events)
+    # non-blocking API (returns immediately; the handles are completions)
     # ------------------------------------------------------------------ #
 
     def isend(self, dest: str, size: "int | str", tag: int = 0) -> Message:
@@ -57,8 +57,7 @@ class Session:
     def wait(self, handle: Union[Message, RecvHandle]):
         """``yield from session.wait(h)`` inside a simulation process.
 
-        Returns the completed :class:`Message`.
+        Returns the completed :class:`Message` (a receive's is the
+        message it matched).
         """
-        assert handle.done is not None
-        result = yield handle.done
-        return result
+        return (yield handle)

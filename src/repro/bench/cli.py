@@ -342,7 +342,7 @@ def _cmd_sweep(
             rails=rail_tuple,
             jobs=jobs,
         )
-    except (ConfigurationError, KeyError) as exc:  # unknown rail or strategy
+    except ConfigurationError as exc:  # unknown rail or strategy
         print(str(exc), file=sys.stderr)
         return 2
     print(result.render())

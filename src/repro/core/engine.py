@@ -7,10 +7,11 @@ the substrates.
 
 Measurement semantics
 ---------------------
-``Message.done`` triggers when the *receiver* finished processing the
-last chunk.  Sender and receiver live in one simulator, so this global
-observation is exact — it replaces the clock-synchronization/ping-pong-
-halving gymnastics of real-testbed measurements.
+A :class:`Message` is its own completion: it triggers when the
+*receiver* finished processing the last chunk.  Sender and receiver
+live in one simulator, so this global observation is exact — it
+replaces the clock-synchronization/ping-pong-halving gymnastics of
+real-testbed measurements.
 
 Fault awareness (see ``repro.faults`` and ``docs/faults.md``)
 -------------------------------------------------------------
@@ -54,7 +55,6 @@ from repro.networks.transfer import Transfer, TransferKind
 from repro.obs.hooks import Hooks
 from repro.pioman.progress import PiomanEngine
 from repro.pioman.requests import SendRequest
-from repro.simtime import SimEvent
 from repro.threading.marcel import MarcelScheduler
 from repro.util.errors import ConfigurationError, ProtocolError, SchedulingError
 from repro.util.units import parse_size, parse_time
@@ -320,7 +320,6 @@ class NmadEngine:
             nic.hooks = self.hooks
         # receive-side state
         self.matcher = RecvMatcher()
-        self._recv_event_name = f"recv@{machine.name}"
         # resilience knobs (None timeout = watchdogs off)
         self.timeout = None if timeout is None else parse_time(timeout)
         if self.timeout is not None and self.timeout <= 0:
@@ -371,7 +370,7 @@ class NmadEngine:
                 f"{sorted(self._routes)}"
             )
         msg = Message(src=self.machine.name, dest=dest, size=size, tag=tag)
-        msg.done = SimEvent(self.sim, name=f"msg{msg.msg_id}.done")
+        msg.sim = self.sim
         msg.t_post = self.sim.now
         if self.sendable(msg):
             msg.mode = self.strategy.choose_mode(msg)
@@ -391,18 +390,14 @@ class NmadEngine:
     def post_recv(
         self, source: Optional[str] = None, tag: Optional[int] = None
     ) -> RecvHandle:
-        """Post a receive; its ``done`` event fires with the matched
-        message once that message fully arrived."""
-        handle = RecvHandle(
-            node=self.machine.name,
-            source=source,
-            tag=tag,
-            done=SimEvent(self.sim, name=self._recv_event_name),
-        )
+        """Post a receive; the handle completes with the matched message
+        once that message fully arrived."""
+        handle = RecvHandle(node=self.machine.name, source=source, tag=tag)
+        handle.sim = self.sim
         msg = self.matcher.post(handle)
         if msg is not None:
             handle.matched = msg
-            handle.done.trigger(msg)
+            handle.trigger(msg)
             return handle
         # A rendezvous may have been waiting for exactly this buffer.
         parked = self.matcher.release(source, tag)
@@ -720,13 +715,11 @@ class NmadEngine:
         if self.hooks.on_complete:
             self.hooks.on_complete(msg, self.sim.now)
         self._cancel_watchdog(msg)
-        assert msg.done is not None
-        msg.done.trigger(msg)
+        msg.trigger(msg)
         handle = self.matcher.complete(msg)
         if handle is not None:  # else the message waits as unexpected
             handle.matched = msg
-            assert handle.done is not None
-            handle.done.trigger(msg)
+            handle.trigger(msg)
 
     # ------------------------------------------------------------------ #
     # fault handling: rerouting, retries, watchdogs (docs/faults.md)
@@ -859,7 +852,8 @@ class NmadEngine:
         return min(rails, key=lambda n: n.busy_until)
 
     def _degrade_message(self, msg: Message, reason: str) -> None:
-        """Give up on a send: DegradedSend outcome, ``done`` fires, no hang."""
+        """Give up on a send: DegradedSend outcome, the message completes,
+        no hang."""
         if msg.status in _TERMINAL:
             return
         msg.status = MessageStatus.DEGRADED
@@ -874,8 +868,8 @@ class NmadEngine:
         if self.hooks.on_degraded:
             self.hooks.on_degraded(msg, self.sim.now, self.machine.name)
         self._cancel_watchdog(msg)
-        if msg.done is not None and not msg.done.triggered:
-            msg.done.trigger(msg)
+        if not msg.triggered:
+            msg.trigger(msg)
 
     # -- watchdog ----------------------------------------------------------
 
@@ -993,7 +987,7 @@ class NmadEngine:
 
         The end-of-run counterpart of the watchdog: whatever is left
         hanging when the event queue went quiet gets a diagnosable
-        :class:`DegradedSend` (its ``done`` event fires) instead of
+        :class:`DegradedSend` (the message completes) instead of
         staying silently incomplete forever.  Returns the messages
         drained this way.
         """

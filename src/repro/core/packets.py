@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import List, Optional, Set, Tuple
 
-from repro.simtime import SimEvent
+from repro.simtime import Completion
 from repro.util.errors import ProtocolError
 
 _msg_seq = itertools.count()
@@ -60,11 +60,15 @@ class DegradedSend:
 
 
 @dataclass(slots=True, eq=False)
-class Message:
+class Message(Completion):
     """One application send.
 
-    ``done`` triggers (with the message) when the *receiver* finished
-    processing every chunk — the completion the ping-pong benchmarks time.
+    The message is its own completion: it triggers, with itself as the
+    value, when the *receiver* finished processing every chunk — the
+    completion the ping-pong benchmarks time.  A process waits with
+    ``yield msg``; ``msg.done`` is the message too.  The engine that
+    builds it sets its ``sim``: a message built outside an engine
+    cannot be waited on.
 
     Slotted like :class:`~repro.networks.transfer.Transfer`: the chunk
     accounting on the receive path reads/writes these fields per chunk,
@@ -81,7 +85,6 @@ class Message:
     msg_id: int = field(default_factory=lambda: next(_msg_seq))
     mode: Optional[TransferMode] = None
     status: MessageStatus = MessageStatus.CREATED
-    done: Optional[SimEvent] = None
 
     # chunk bookkeeping (receiver side)
     chunks_expected: Optional[int] = None
@@ -128,12 +131,18 @@ class Message:
     def __post_init__(self) -> None:
         if self.size < 0:
             raise ProtocolError(f"negative message size: {self.size}")
+        Completion.__init__(self)
 
     def __repr__(self) -> str:
         return (
             f"<Message #{self.msg_id} {self.size}B {self.src}->{self.dest} "
             f"tag={self.tag} {self.status.value}>"
         )
+
+    @property
+    def done(self) -> "Message":
+        """The completion: the message itself."""
+        return self
 
     @property
     def latency(self) -> Optional[float]:
@@ -221,21 +230,29 @@ class Message:
 
 
 @dataclass(slots=True, eq=False)
-class RecvHandle:
+class RecvHandle(Completion):
     """A posted receive: matches incoming messages by (source, tag).
 
-    ``source``/``tag`` of ``None`` match anything (wildcards).  ``done``
-    triggers with the matched :class:`Message`.  Equality is identity,
-    like :class:`Message`'s.
+    ``source``/``tag`` of ``None`` match anything (wildcards).  The
+    handle is its own completion, like :class:`Message`: it triggers
+    with the matched :class:`Message`, and ``done`` is the handle.
+    Equality is identity, like :class:`Message`'s.
     """
 
     node: str
     source: Optional[str] = None
     tag: Optional[int] = None
-    done: Optional[SimEvent] = None
     matched: Optional[Message] = None
     #: post order on its engine, stamped by the engine's receive matcher
     seq: int = field(default=-1, init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        Completion.__init__(self)
+
+    @property
+    def done(self) -> "RecvHandle":
+        """The completion: the handle itself."""
+        return self
 
     def matches(self, msg: Message) -> bool:
         """The matching predicate: ``source`` and ``tag`` each equal the

@@ -51,6 +51,8 @@ from repro.core.strategies.adaptive import AdaptiveStrategy
 
 from typing import Dict, Type
 
+from repro.util.errors import ConfigurationError
+
 strategy_registry: Dict[str, Type[Strategy]] = {
     "single_rail": SingleRailStrategy,
     "round_robin": RoundRobinStrategy,
@@ -65,12 +67,15 @@ strategy_registry: Dict[str, Type[Strategy]] = {
 
 
 def make_strategy(name: str, **kwargs) -> Strategy:
-    """Build a strategy by registry name."""
+    """Build a strategy by registry name (case ignored); an unknown name
+    raises :class:`ConfigurationError` listing the known ones."""
     try:
         cls = strategy_registry[name.lower()]
     except KeyError:
         known = ", ".join(sorted(strategy_registry))
-        raise KeyError(f"unknown strategy {name!r}; known: {known}") from None
+        raise ConfigurationError(
+            f"unknown strategy {name!r}; known: {known}"
+        ) from None
     return cls(**kwargs)
 
 

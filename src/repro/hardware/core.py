@@ -171,14 +171,14 @@ class Core:
     # callback-style occupancy steps
     # ------------------------------------------------------------------ #
 
-    def _start(self, req, cost, label, on_start, callback, args) -> None:
+    def _start(self, ticket, cost, label, on_start, callback, args) -> None:
         start = self.sim.now
         if on_start is not None:
             on_start(*args)
-        self.sim.schedule(cost, self._end, req, start, label, callback, args)
+        self.sim.schedule(cost, self._end, ticket, start, label, callback, args)
 
-    def _end(self, req, start, label, callback, args) -> None:
-        self._res.release(req)
+    def _end(self, ticket, start, label, callback, args) -> None:
+        self._res.release(ticket)
         self._record(start, self.sim.now, label)
         if callback is not None:
             callback(*args)

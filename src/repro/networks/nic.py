@@ -92,6 +92,12 @@ class Nic:
         self.name = name or f"{self.profile.name}{len(machine.nics)}"
         #: ``node.nic``; nothing renames a NIC or its machine after this
         self.qualified_name = f"{machine.name}.{self.name}"
+        # the core-occupancy labels of the send pipelines, read only by
+        # on_busy subscribers
+        self._post_label = f"post:{self.name}"
+        self._pio_label = f"pio:{self.name}"
+        self._rdv_setup_label = f"rdv-setup:{self.name}"
+        self._ctrl_label = f"ctrl:{self.name}"
         self.wire: Optional["Wire"] = None
         self._tx = Resource(self.sim, name=f"{self.qualified_name}.tx")
         self._busy_until: float = 0.0
@@ -187,11 +193,11 @@ class Nic:
         self._declare(duration)
         self.sim.call_soon(self._tx.acquire, self._background_start, duration)
 
-    def _background_start(self, req, duration: float) -> None:
-        self.sim.schedule(duration, self._background_end, req, self.sim.now)
+    def _background_start(self, ticket: int, duration: float) -> None:
+        self.sim.schedule(duration, self._background_end, ticket, self.sim.now)
 
-    def _background_end(self, req, start: float) -> None:
-        self._tx.release(req)
+    def _background_end(self, ticket: int, start: float) -> None:
+        self._tx.release(ticket)
         self.busy_time += self.sim.now - start
         hooks = self.hooks
         if hooks.on_busy:
@@ -404,7 +410,7 @@ class Nic:
         core.declare(post)
         core.hold(
             post, self._eager_posted, transfer, core, copy,
-            label=f"post:{self.name}", on_start=self._stamp_service,
+            label=self._post_label, on_start=self._stamp_service,
         )
 
     def _eager_posted(self, transfer: Transfer, core: Core, copy: float) -> None:
@@ -416,21 +422,23 @@ class Nic:
         core.declare(copy)
         self._tx.acquire(self._eager_tx_granted, transfer, core, copy)
 
-    def _eager_tx_granted(self, req, transfer: Transfer, core: Core, copy: float) -> None:
+    def _eager_tx_granted(
+        self, ticket: int, transfer: Transfer, core: Core, copy: float
+    ) -> None:
         if transfer.aborted:
-            self._tx.release(req)
+            self._tx.release(ticket)
             self._finish_aborted(transfer)
             return
         core.hold(
-            copy, self._eager_copied, req, transfer,
-            label=f"pio:{self.name}", on_start=self._stamp_copy,
+            copy, self._eager_copied, ticket, transfer,
+            label=self._pio_label, on_start=self._stamp_copy,
         )
 
-    def _stamp_copy(self, req, transfer: Transfer) -> None:
+    def _stamp_copy(self, ticket: int, transfer: Transfer) -> None:
         transfer.t_cpu_start = transfer.t_wire_start = self.sim.now
 
-    def _eager_copied(self, req, transfer: Transfer) -> None:
-        self._tx.release(req)
+    def _eager_copied(self, ticket: int, transfer: Transfer) -> None:
+        self._tx.release(ticket)
         self._finish_tx(transfer, start=transfer.t_cpu_start)
 
     def _rdv_start(self, transfer: Transfer, core: Core) -> None:
@@ -438,7 +446,7 @@ class Nic:
         core.declare(cost)
         core.hold(
             cost, self._rdv_set_up, transfer,
-            label=f"rdv-setup:{self.name}", on_start=self._stamp_service,
+            label=self._rdv_setup_label, on_start=self._stamp_service,
         )
 
     def _rdv_set_up(self, transfer: Transfer) -> None:
@@ -447,18 +455,18 @@ class Nic:
             return
         self._tx.acquire(self._rdv_tx_granted, transfer)
 
-    def _rdv_tx_granted(self, req, transfer: Transfer) -> None:
+    def _rdv_tx_granted(self, ticket: int, transfer: Transfer) -> None:
         if transfer.aborted:
-            self._tx.release(req)
+            self._tx.release(ticket)
             self._finish_aborted(transfer)
             return
         transfer.t_wire_start = self.sim.now
         self.sim.schedule(
-            self._rdv_tx_time(transfer.size), self._rdv_sent, req, transfer
+            self._rdv_tx_time(transfer.size), self._rdv_sent, ticket, transfer
         )
 
-    def _rdv_sent(self, req, transfer: Transfer) -> None:
-        self._tx.release(req)
+    def _rdv_sent(self, ticket: int, transfer: Transfer) -> None:
+        self._tx.release(ticket)
         self._finish_tx(transfer, start=transfer.t_wire_start)
 
     def _control_start(self, transfer: Transfer, core: Core) -> None:
@@ -466,7 +474,7 @@ class Nic:
         core.declare(cost)
         core.hold(
             cost, self._control_posted, transfer,
-            label=f"ctrl:{self.name}", on_start=self._stamp_service,
+            label=self._ctrl_label, on_start=self._stamp_service,
         )
 
     def _control_posted(self, transfer: Transfer) -> None:

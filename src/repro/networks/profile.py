@@ -16,7 +16,8 @@ the four calibrated technologies; :func:`rail_profile` looks one up.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+import numbers
+from dataclasses import dataclass, fields, replace
 from typing import Dict, Sequence
 
 from repro.util.errors import ConfigurationError
@@ -89,6 +90,12 @@ class NetworkProfile:
     eager_ramp_bytes: int = 16 * 1024
 
     def __post_init__(self) -> None:
+        for field_name in _NUMERIC_FIELDS:
+            value = getattr(self, field_name)
+            if not isinstance(value, numbers.Real) or isinstance(value, bool):
+                raise ConfigurationError(
+                    f"{self.name}: {field_name} must be a number, got {value!r}"
+                )
         for field_name in ("pio_rate", "recv_copy_rate", "dma_rate"):
             if getattr(self, field_name) <= 0:
                 raise ConfigurationError(f"{self.name}: {field_name} must be > 0")
@@ -194,13 +201,28 @@ class NetworkProfile:
         return cost
 
     def with_overrides(self, **kwargs) -> "NetworkProfile":
-        """A copy with selected fields replaced (for ablations)."""
+        """A copy with selected fields replaced (for ablations).  A name
+        that is not a field raises :class:`ConfigurationError`."""
+        unknown = sorted(set(kwargs) - set(_FIELDS))
+        if unknown:
+            raise ConfigurationError(
+                f"{self.name}: unknown profile field(s) {', '.join(unknown)}; "
+                f"known: {', '.join(sorted(_FIELDS))}"
+            )
         return replace(self, **kwargs)
 
     @staticmethod
     def _check(size: int) -> None:
         if size < 0:
             raise ConfigurationError(f"negative transfer size: {size}")
+
+
+#: every field of a profile, and those holding a number (annotated
+#: ``float`` or ``int``; this module's annotations are strings)
+_FIELDS = tuple(f.name for f in fields(NetworkProfile))
+_NUMERIC_FIELDS = tuple(
+    f.name for f in fields(NetworkProfile) if f.type in ("float", "int")
+)
 
 
 #: the calibrated rail technologies, by name.  Each comment gives the

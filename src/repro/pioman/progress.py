@@ -81,12 +81,15 @@ class PiomanEngine:
             nic.rx_handler = self._make_rx_handler(nic)
 
     def _make_rx_handler(self, nic: Nic) -> Callable[[Transfer], None]:
+        # the poll core's occupancy label, read only by on_busy subscribers
+        label = f"rx:{nic.name}"
+
         def handler(transfer: Transfer) -> None:
-            self._on_rx(transfer, nic)
+            self._on_rx(transfer, nic, label)
 
         return handler
 
-    def _on_rx(self, transfer: Transfer, nic: Nic) -> None:
+    def _on_rx(self, transfer: Transfer, nic: Nic, label: str) -> None:
         """A transfer's last byte arrived at ``nic``; detect + process it.
 
         PIOMan "is able to choose the most appropriate method (polling or
@@ -129,13 +132,7 @@ class PiomanEngine:
             else:
                 self._rx_via_interrupt(transfer, nic, core, cost)
                 return
-        core.run(
-            cost,
-            self._rx_done,
-            transfer,
-            nic,
-            label=f"rx:{nic.name}",
-        )
+        core.run(cost, self._rx_done, transfer, nic, label=label)
 
     def _rx_via_interrupt(self, transfer: Transfer, nic: Nic, core: Core, cost: float) -> None:
         """Interrupt-based event handling: preempt the computing thread

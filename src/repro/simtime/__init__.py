@@ -11,8 +11,15 @@ Two programming styles are supported and freely mixable:
 * **callback style** — ``sim.schedule(delay, fn, *args)``, or
   ``sim.call_soon(fn, *args)`` for the current instant;
 * **process style** — generator coroutines spawned with ``sim.spawn`` that
-  ``yield`` waitables (:class:`Timeout`, :class:`SimEvent`,
-  :class:`AnyOf`, a :class:`ResourceRequest`) just like SimPy processes.
+  ``yield`` waitables (:class:`Timeout`, a :class:`Completion` such as a
+  :class:`SimEvent`, :class:`AnyOf`, a :class:`ResourceRequest`) just
+  like SimPy processes.
+
+A :class:`Completion` is the one-shot protocol behind :class:`SimEvent`;
+an engine's messages and receives implement it themselves, so a send or
+a receive builds no kernel object.  A :class:`Resource` is a ticket
+lock: a callback-style grant is an int ticket, and only a process's
+claim builds a :class:`ResourceRequest`.
 
 Events for a later instant wait in one binary heap keyed on
 ``(time, seq)``; events for the current instant wait in a FIFO lane
@@ -27,7 +34,7 @@ caller's ``gc`` thresholds are restored exactly when it returns.
 
 from repro.simtime.events import EventQueue, ScheduledEvent
 from repro.simtime.simulator import Simulator
-from repro.simtime.process import Process, SimEvent, Timeout, AnyOf
+from repro.simtime.process import AnyOf, Completion, Process, SimEvent, Timeout
 from repro.simtime.resources import Resource, ResourceRequest
 
 __all__ = [
@@ -35,6 +42,7 @@ __all__ = [
     "ScheduledEvent",
     "Simulator",
     "Process",
+    "Completion",
     "SimEvent",
     "Timeout",
     "AnyOf",

@@ -3,8 +3,9 @@
 A *process* is a generator that yields **waitables**:
 
 * :class:`Timeout` — resume after a virtual delay;
-* :class:`SimEvent` — resume when someone triggers the event (the yielded
-  value of the ``yield`` expression is the event's payload);
+* a :class:`Completion` — resume when someone triggers it (the yielded
+  value of the ``yield`` expression is its payload): a :class:`SimEvent`,
+  or an engine's message or receive;
 * :class:`AnyOf` — race over waitables (a compute thread waits on its
   work budget or a preemption signal, whichever comes first);
 * a :class:`~repro.simtime.resources.ResourceRequest` — resume once the
@@ -33,54 +34,74 @@ class Waitable:
         raise NotImplementedError
 
 
-class SimEvent(Waitable):
-    """A one-shot triggerable event carrying an optional payload.
+class Completion(Waitable):
+    """The one-shot completion protocol: triggers once, with a value.
 
-    Mirrors the "communication event" objects PIOMan detects: many waiters
-    may subscribe; all are resumed (in subscription order) when the event
-    triggers.  Triggering twice is an error — protocol state machines in
-    the engine rely on one-shot semantics to catch double completions.
+    Mirrors the "communication event" objects PIOMan detects: many
+    waiters may subscribe, and all resume, in subscription order, one
+    same-instant lane hop after the trigger (a waiter that subscribes
+    after it resumes one hop after its subscribe).  Triggering twice is
+    an error: protocol state machines in the engine rely on one-shot
+    semantics to catch double completions.
+
+    :class:`SimEvent` is the free-standing form; an engine's
+    :class:`~repro.core.packets.Message` and
+    :class:`~repro.core.packets.RecvHandle` are their own completions,
+    so a send or a receive builds no event.  ``sim`` is the simulator
+    whose lane resumes the waiters; a completion without one (a record
+    built outside an engine) cannot be waited on.
     """
 
-    __slots__ = ("sim", "name", "triggered", "value", "_callbacks")
+    __slots__ = ("sim", "triggered", "value", "_waiters")
 
-    def __init__(self, sim: "Simulator", name: str = "") -> None:
+    def __init__(self, sim: Optional["Simulator"] = None) -> None:
         self.sim = sim
-        self.name = name
         self.triggered = False
         self.value: Any = None
         #: waiters in subscription order; built by the first subscribe
-        self._callbacks: Optional[List[Any]] = None
-
-    def __repr__(self) -> str:
-        state = "set" if self.triggered else "pending"
-        return f"<SimEvent {self.name or hex(id(self))} {state}>"
+        self._waiters: Optional[List[Any]] = None
 
     def trigger(self, value: Any = None) -> None:
-        """Fire the event; waiters resume at the current instant."""
+        """Complete with ``value``; waiters resume at the current instant."""
         if self.triggered:
             raise SimulationError(f"{self!r} triggered twice")
         self.triggered = True
         self.value = value
-        callbacks = self._callbacks
-        if callbacks:
-            self._callbacks = None
+        waiters = self._waiters
+        if waiters:
+            self._waiters = None
             # Deferred same-instant delivery keeps trigger() safe to call
             # from anywhere, including from inside another waiter.
             lane = self.sim._lane
             args = (value,)
-            for cb in callbacks:
+            for cb in waiters:
                 lane.append((cb, args, None))
 
     def subscribe(self, sim: "Simulator", callback) -> None:
         if sim is not self.sim:
+            if self.sim is None:
+                raise SimulationError(f"{self!r} belongs to no simulator")
             raise SimulationError("waiting on an event from another simulator")
         if self.triggered:
             sim._lane.append((callback, (self.value,), None))
-        elif self._callbacks is None:
-            self._callbacks = [callback]
+        elif self._waiters is None:
+            self._waiters = [callback]
         else:
-            self._callbacks.append(callback)
+            self._waiters.append(callback)
+
+
+class SimEvent(Completion):
+    """A free-standing one-shot event carrying an optional payload."""
+
+    __slots__ = ("name",)
+
+    def __init__(self, sim: "Simulator", name: str = "") -> None:
+        super().__init__(sim)
+        self.name = name
+
+    def __repr__(self) -> str:
+        state = "set" if self.triggered else "pending"
+        return f"<SimEvent {self.name or hex(id(self))} {state}>"
 
 
 class Timeout(Waitable):

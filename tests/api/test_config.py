@@ -125,6 +125,36 @@ class TestValidation:
         ):
             load_cluster(config)
 
+    @pytest.mark.parametrize(
+        "extra",
+        [{"strategy": "teleport"}, {"per_node_strategy": {"node1": "teleport"}}],
+        ids=["strategy", "per_node_strategy"],
+    )
+    def test_unknown_strategy_rejected(self, extra, profile_file):
+        config = paper_config(sampling={"profile_file": profile_file}, **extra)
+        with pytest.raises(
+            ConfigurationError,
+            match="unknown strategy 'teleport'; known: adaptive, aggregate, ",
+        ):
+            load_cluster(config)
+
+    def test_misspelled_override_rejected(self):
+        config = paper_config(sampling=False)
+        config["rails"][0]["overrides"] = {"wire_latencyy": 9.0}
+        with pytest.raises(
+            ConfigurationError,
+            match=r"unknown profile field\(s\) wire_latencyy; known: .*wire_latency",
+        ):
+            load_cluster(config)
+
+    def test_mistyped_override_rejected(self):
+        config = paper_config(sampling=False)
+        config["rails"][0]["overrides"] = {"dma_rate": "fast"}
+        with pytest.raises(
+            ConfigurationError, match="dma_rate must be a number, got 'fast'"
+        ):
+            load_cluster(config)
+
     def test_bad_sampling_value_rejected(self):
         with pytest.raises(ConfigurationError, match="sampling"):
             builder_from_config(paper_config(sampling="maybe"))

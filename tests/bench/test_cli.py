@@ -104,6 +104,12 @@ class TestSweep:
         assert main(["sweep", "--strategies", "teleport"]) == 2
         assert "unknown strategy" in capsys.readouterr().err
 
+    def test_unknown_strategy_message_unquoted(self, capsys):
+        assert main(["sweep", "--strategies", "teleport"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "unknown strategy 'teleport'; known: adaptive, aggregate, "
+        )
+
 
 class TestMetricsCommand:
     def test_prints_counters_and_gauges(self, capsys):

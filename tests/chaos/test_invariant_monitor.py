@@ -187,18 +187,23 @@ class TestNicTxSanity:
         mon.on_tx(self.NIC, self.tx(), 6.0, 10.0)
 
     def test_planted_double_held_engine_is_caught(self):
-        """A NIC whose transmit engine grants every request at once, and
-        never counts a holder, lets two rendezvous chunks share the
-        wire: the monitor fires on the intervals alone."""
+        """A NIC whose transmit engine grants every claim at once, in
+        both the process and the callback form, and never counts a
+        holder, lets two rendezvous chunks share the wire: the monitor
+        fires on the intervals alone."""
 
         class DoubleHeld(Resource):
             def request(self):
-                req = ResourceRequest(self)
+                req = ResourceRequest(self, 0)
                 req.granted = True
                 return req
 
-            def release(self, req):
-                req.released = True
+            def acquire(self, callback, *args):
+                self.sim.call_soon(callback, 0, *args)
+                return 0
+
+            def release(self, grant):
+                pass
 
         cluster = (
             ClusterBuilder.paper_testbed(strategy="single_rail")

@@ -215,10 +215,10 @@ class TestMessageRecord:
     @pytest.mark.parametrize(
         "size, transfers, limit",
         [
-            # the message, its done, its transfers list, one packet
-            (1 * KiB, 1, 4),
+            # the message (its own done), its transfers list, one packet
+            (1 * KiB, 1, 3),
             # the same, REQ + ACK + 2 chunks, and the interval set
-            (4 * MiB, 4, 8),
+            (4 * MiB, 4, 7),
         ],
     )
     def test_tracked_objects_per_message(self, profiles, size, transfers, limit):

@@ -53,7 +53,7 @@ class TestRegistry:
             assert make_strategy(name).engine is None
 
     def test_unknown_name(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(ConfigurationError, match="unknown strategy 'quantum'"):
             make_strategy("quantum")
 
 

@@ -168,8 +168,8 @@ class TestCallbackSlotMisuse:
     def test_releasing_ungranted_core_slot_rejected(self, sim, core):
         core.run(10.0)
         sim.run(until=1.0)  # the work item holds the core now
-        queued = core._res.acquire(lambda req: None)
-        assert not queued.granted
+        queued = core._res.acquire(lambda ticket: None)
+        assert core._res.queued == 1
         with pytest.raises(SimulationError, match="ungranted"):
             core._res.release(queued)
 

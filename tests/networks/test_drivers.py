@@ -40,6 +40,19 @@ class TestRegistry:
         assert d.wire_latency == 9.0
         assert rail_profile("myri10g").wire_latency != 9.0
 
+    def test_unknown_override_named_with_known_fields(self):
+        with pytest.raises(
+            ConfigurationError,
+            match=r"myri10g: unknown profile field\(s\) wire_latencyy; "
+            "known: dma_ramp_bytes, ",
+        ):
+            rail_profile("myri10g", wire_latencyy=9.0)
+
+    @pytest.mark.parametrize("value", ["fast", None, True])
+    def test_non_numeric_override_named(self, value):
+        with pytest.raises(ConfigurationError, match="dma_rate must be a number"):
+            rail_profile("myri10g", dma_rate=value)
+
 
 class TestCapabilities:
     def test_tcp_lacks_gather_scatter(self):

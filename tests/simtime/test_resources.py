@@ -114,6 +114,85 @@ class TestCallbackAcquire:
         sim = Simulator()
         res = Resource(sim)
         res.request()
-        queued = res.acquire(lambda req: None)
+        queued = res.request()
+        queued.subscribe(sim, lambda req: None)
         with pytest.raises(SimulationError, match="already has a waiter"):
             queued.subscribe(sim, lambda req: None)
+
+
+class TestTicketLock:
+    """A callback-style grant is a ticket; processes keep their
+    request.  Both take tickets from one counter and queue in one FIFO."""
+
+    def test_interleaved_styles_granted_in_fifo_order(self):
+        sim = Simulator()
+        res = Resource(sim)
+        log = []
+
+        def proc(tag, hold):
+            req = res.request()
+            log.append((tag, "claim", sim.now))
+            yield req
+            log.append((tag, "granted", sim.now))
+            yield Timeout(hold)
+            res.release(req)
+
+        def granted(ticket, tag, hold):
+            log.append((tag, "granted", sim.now))
+            sim.schedule(hold, res.release, ticket)
+
+        def claim(tag, hold):
+            log.append((tag, "claim", sim.now))
+            res.acquire(granted, tag, hold)
+
+        sim.spawn(proc("p0", 2.0))
+        sim.call_soon(claim, "a1", 0.0)
+        sim.spawn(proc("p2", 1.0))
+        sim.call_soon(claim, "a3", 0.0)
+        sim.spawn(proc("p4", 0.0))
+        sim.call_soon(claim, "a5", 1.0)
+        sim.schedule(0.5, claim, "a6", 1.0)
+        sim.run()
+        assert [entry for entry in log if entry[1] == "granted"] == [
+            ("p0", "granted", 0.0),
+            ("a1", "granted", 2.0),
+            ("p2", "granted", 2.0),
+            ("a3", "granted", 3.0),
+            ("p4", "granted", 3.0),
+            ("a5", "granted", 3.0),
+            ("a6", "granted", 4.0),
+        ]
+        # the whole trace, and the event count, of the request-per-grant
+        # resource this lock replaced
+        assert log.index(("a6", "claim", 0.5)) == 7
+        assert (sim.events_processed, sim.now) == (21, 5.0)
+
+    def test_acquire_hands_its_ticket_to_the_callback(self):
+        sim = Simulator()
+        res = Resource(sim)
+        got = []
+        first = res.acquire(got.append)
+        second = res.acquire(got.append)
+        assert isinstance(first, int) and second == first + 1
+        sim.run()
+        assert got == [first]
+        res.release(first)
+        sim.run()
+        assert got == [first, second]
+
+    def test_releasing_a_queued_ticket_rejected(self):
+        sim = Simulator()
+        res = Resource(sim)
+        res.acquire(lambda ticket: None)
+        queued = res.acquire(lambda ticket: None)
+        with pytest.raises(SimulationError, match="ungranted"):
+            res.release(queued)
+
+    def test_releasing_a_ticket_twice_rejected(self):
+        sim = Simulator()
+        res = Resource(sim)
+        ticket = res.acquire(lambda ticket: None)
+        res.acquire(lambda ticket: None)
+        res.release(ticket)
+        with pytest.raises(SimulationError, match="double release"):
+            res.release(ticket)
