@@ -188,6 +188,9 @@ class AlgorithmSelector:
         self.technologies = tuple(technologies)
         self.estimators = [estimators[t] for t in self.technologies]
         self._hop_memo: Dict[int, float] = {}
+        #: pick per ``(collective, size, ranks, root)`` while no fault
+        #: schedule is armed: every rank of a world asks for the same shape
+        self._picks: Dict[Tuple[str, int, int, int], str] = {}
         #: measured/predicted blend applied to unmeasured sizes after
         #: :meth:`calibrate`; 1.0 until measurements arrive
         self.hop_scale: float = 1.0
@@ -231,6 +234,7 @@ class AlgorithmSelector:
             )
             self._hop_memo.clear()
             self._hop_memo.update(overrides)
+            self._picks.clear()
         return self.hop_scale
 
     def _segments_of(self, size: int) -> int:
@@ -342,9 +346,20 @@ class AlgorithmSelector:
         health: Optional["FabricHealth"] = None,
         root: int = 0,
     ) -> str:
-        """The cheapest algorithm for this shape (deterministic ties)."""
-        costs = self.costs(collective, size, ranks, health=health, root=root)
-        return min(costs.items(), key=lambda kv: (kv[1], kv[0]))[0]
+        """The cheapest algorithm for this shape (deterministic ties).
+
+        Without a fault schedule (``health`` None) the pick depends on
+        the shape alone until :meth:`calibrate` rescales the model, so it
+        is priced once and kept: every rank of a world asks for it.
+        """
+        key = (collective, size, ranks, root)
+        pick = self._picks.get(key) if health is None else None
+        if pick is None:
+            costs = self.costs(collective, size, ranks, health=health, root=root)
+            pick = min(costs.items(), key=lambda kv: (kv[1], kv[0]))[0]
+            if health is None:
+                self._picks[key] = pick
+        return pick
 
     def table(
         self,

@@ -88,7 +88,7 @@ class OptimizerScheduler:
         """
         if not self._activation_pending:
             self._activation_pending = True
-            self.sim.schedule(0.0, self._activate)
+            self.sim.call_soon(self._activate)
 
     def on_nic_idle(self, nic: "Nic") -> None:
         """A NIC drained its queue; give the strategy a chance to feed it."""

@@ -175,7 +175,7 @@ class Core:
         start = self.sim.now
         if on_start is not None:
             on_start(*args)
-        self.sim.schedule(cost, self._end, ticket, start, label, callback, args)
+        self.sim.call_later(cost, self._end, ticket, start, label, callback, args)
 
     def _end(self, ticket, start, label, callback, args) -> None:
         self._res.release(ticket)

@@ -194,7 +194,7 @@ class Nic:
         self.sim.call_soon(self._tx.acquire, self._background_start, duration)
 
     def _background_start(self, ticket: int, duration: float) -> None:
-        self.sim.schedule(duration, self._background_end, ticket, self.sim.now)
+        self.sim.call_later(duration, self._background_end, ticket, self.sim.now)
 
     def _background_end(self, ticket: int, start: float) -> None:
         self._tx.release(ticket)
@@ -345,11 +345,16 @@ class Nic:
             # per-message wire sequence number and a checksum over the
             # chunk's identity.  A retried clone arrives here unstamped
             # and gets fresh ones; stamps survive re-submission of the
-            # same object (down-rail abort → inline re-plan).
+            # same object (down-rail abort → inline re-plan).  The
+            # checksum is stamped here, not at the wire hand-off, so a
+            # rewire inside the NIC queue shows; it is computed only
+            # while an ``on_delivery`` subscriber (the invariant monitor)
+            # verifies it.
             owner = transfer.message
             if owner is not None:
                 transfer.seq_no = owner.next_wire_seq()
-                transfer.checksum = wire_checksum(transfer)
+                if self.hooks.on_delivery:
+                    transfer.checksum = wire_checksum(transfer)
 
         if not self.is_up:
             # Submitting into a dead link aborts inline: tx_done fires so
@@ -461,7 +466,7 @@ class Nic:
             self._finish_aborted(transfer)
             return
         transfer.t_wire_start = self.sim.now
-        self.sim.schedule(
+        self.sim.call_later(
             self._rdv_tx_time(transfer.size), self._rdv_sent, ticket, transfer
         )
 

@@ -8,8 +8,10 @@ reusable by every other subpackage.
 
 Two programming styles are supported and freely mixable:
 
-* **callback style** — ``sim.schedule(delay, fn, *args)``, or
-  ``sim.call_soon(fn, *args)`` for the current instant;
+* **callback style** — ``sim.schedule(delay, fn, *args)`` (returns a
+  cancellable handle), ``sim.call_later(delay, fn, *args)`` for a timer
+  nobody cancels, or ``sim.call_soon(fn, *args)`` for the current
+  instant;
 * **process style** — generator coroutines spawned with ``sim.spawn`` that
   ``yield`` waitables (:class:`Timeout`, a :class:`Completion` such as a
   :class:`SimEvent`, :class:`AnyOf`, a :class:`ResourceRequest`) just
@@ -21,24 +23,26 @@ a receive builds no kernel object.  A :class:`Resource` is a ticket
 lock: a callback-style grant is an int ticket, and only a process's
 claim builds a :class:`ResourceRequest`.
 
-Events for a later instant wait in one binary heap keyed on
-``(time, seq)``; events for the current instant wait in a FIFO lane
-beside it, which pops them in the heap's own order without a sift or a
-handle each.  A process start, a wake-up or a resource grant costs one
-lane entry.  :meth:`Simulator.run` (``run(until=)`` for a bounded
-window) is the one event loop.  While it runs, the cyclic collector's
-full passes wait (young passes do not): a run's records stay alive
-until it ends, so a full pass inside it would only re-scan them.  The
-caller's ``gc`` thresholds are restored exactly when it returns.
+Events for a later instant wait in one binary heap of
+``(time, seq, callback, args, handle)`` entries that the event loop
+pops itself; events for the current instant wait in a FIFO lane beside
+it, which pops them in the heap's own order without a sift each.  Only
+``schedule`` and ``schedule_at`` build a :class:`ScheduledEvent`
+handle: a process start, a wake-up, a resource grant, a timeout or a
+core's occupancy end costs one heap or lane entry and nothing else.
+:meth:`Simulator.run` (``run(until=)`` for a bounded window) is the one
+event loop.  While it runs, the cyclic collector's full passes wait
+(young passes do not): a run's records stay alive until it ends, so a
+full pass inside it would only re-scan them.  The caller's ``gc``
+thresholds are restored exactly when it returns.
 """
 
-from repro.simtime.events import EventQueue, ScheduledEvent
+from repro.simtime.events import ScheduledEvent
 from repro.simtime.simulator import Simulator
 from repro.simtime.process import AnyOf, Completion, Process, SimEvent, Timeout
 from repro.simtime.resources import Resource, ResourceRequest
 
 __all__ = [
-    "EventQueue",
     "ScheduledEvent",
     "Simulator",
     "Process",

@@ -116,7 +116,7 @@ class Timeout(Waitable):
         self.value = value
 
     def subscribe(self, sim: "Simulator", callback) -> None:
-        sim.schedule(self.delay, callback, self.value)
+        sim.call_later(self.delay, callback, self.value)
 
 
 class AnyOf(Waitable):

@@ -5,27 +5,52 @@ deterministic: same inputs, same event trace, same results — which is what
 lets the test suite assert exact chunk completion times for the paper's
 split-ratio experiments.
 
-Events for a later instant wait in a binary heap ordered by
-``(time, seq)``.  Events for the *current* instant — process starts,
-wake-ups, resource grants: most of what a run schedules — go to a FIFO
-lane instead.  The event loop fires heap entries due now first, then the
-lane, then advances the clock.  That is exactly the heap's own pop
-order: a heap entry due at ``now`` was pushed before the clock reached
-``now``, so its ``seq`` precedes every lane entry's.
+Events for a later instant wait in one binary heap of plain
+``(time, seq, callback, args, handle)`` tuples.  The monotonically
+increasing ``seq`` makes the order total and deterministic: two events
+for the same instant fire in scheduling order, which is what makes every
+experiment in this repository bit-reproducible.  Because ``seq`` is
+unique, a sift compares small built-in tuples and never reaches the
+callback.  ``handle`` is the :class:`ScheduledEvent` that
+:meth:`Simulator.schedule` and :meth:`Simulator.schedule_at` hand out,
+or None for a timer nobody cancels (:meth:`Simulator.call_later`).
+
+Events for the *current* instant — process starts, wake-ups, resource
+grants: most of what a run schedules — go to a FIFO lane of
+``(callback, args, handle)`` entries instead.  The event loop pops heap
+entries due now first, then the lane, then advances the clock.  That is
+exactly the heap's own pop order: a heap entry due at ``now`` was pushed
+before the clock reached ``now``, so its ``seq`` precedes every lane
+entry's.
+
+Cancelled entries stay where they are until the loop meets them.  The
+simulator counts the heap's tombstones and compacts it once they
+outnumber live entries: a retry storm that cancels thousands of
+watchdogs would otherwise leave the heap pinning memory and the next
+pops an O(d log d) drain.
 """
 
 from __future__ import annotations
 
 import gc
 from collections import deque
-from typing import Any, Callable, Deque, Iterator, Optional, Tuple
+from heapq import heapify, heappop, heappush
+from typing import Any, Callable, Deque, Iterator, List, Optional, Tuple
 
-from repro.simtime.events import EventQueue, ScheduledEvent, new_event
+from repro.simtime.events import ScheduledEvent
 from repro.simtime.process import Process
 from repro.util.errors import SimulationError
 
 #: one lane entry: callback, args, and the handle when one was handed out
 LaneEntry = Tuple[Callable[..., None], Tuple[Any, ...], Optional[ScheduledEvent]]
+#: one heap entry: the ``(time, seq)`` key, then a lane entry's fields
+HeapEntry = Tuple[
+    float, int, Callable[..., None], Tuple[Any, ...], Optional[ScheduledEvent]
+]
+
+#: cancelled heap entries tolerated before a compaction is considered;
+#: below this the rebuild is not worth it
+COMPACT_MIN_DEAD = 512
 
 #: the collector's generation-2 threshold while :meth:`Simulator.run` runs
 #: (the largest value ``gc.set_threshold`` takes): full passes wait until
@@ -53,10 +78,12 @@ class Simulator:
 
     def __init__(self) -> None:
         self.now: float = 0.0
-        self._queue = EventQueue()
-        # Bound once: schedule/schedule_at are the hottest calls in every
-        # run, and the queue lives as long as the simulator.
-        self._push = self._queue.push
+        #: events for a later instant, ordered on ``(time, seq)``
+        self._heap: List[HeapEntry] = []
+        #: the ``seq`` of the next heap entry
+        self._seq = 0
+        #: cancelled heap entries not yet popped or compacted away
+        self._dead = 0
         #: events due at ``now``, in push order
         self._lane: Deque[LaneEntry] = deque()
         #: cancelled lane entries not yet drained
@@ -72,18 +99,11 @@ class Simulator:
     def schedule(
         self, delay: float, callback: Callable[..., None], *args: Any
     ) -> ScheduledEvent:
-        """Schedule ``callback(*args)`` to run ``delay`` µs from now."""
+        """Schedule ``callback(*args)`` to run ``delay`` µs from now;
+        returns the handle :meth:`cancel` takes."""
         if delay < 0:
             raise SimulationError(f"cannot schedule {delay} us in the past")
-        now = self.now
-        time = now + delay
-        # Routed on the computed time, not on delay == 0: a delay too
-        # small to move the clock is the current instant too.
-        if time == now:
-            ev = new_event(time, None, callback, args)
-            self._lane.append((callback, args, ev))
-            return ev
-        return self._push(time, callback, args)
+        return self._push(self.now + delay, callback, args)
 
     def schedule_at(
         self, time: float, callback: Callable[..., None], *args: Any
@@ -93,10 +113,6 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at t={time} before now={self.now}"
             )
-        if time == self.now:
-            ev = new_event(time, None, callback, args)
-            self._lane.append((callback, args, ev))
-            return ev
         return self._push(time, callback, args)
 
     def call_soon(self, callback: Callable[..., None], *args: Any) -> None:
@@ -109,13 +125,68 @@ class Simulator:
         """
         self._lane.append((callback, args, None))
 
+    def call_later(
+        self, delay: float, callback: Callable[..., None], *args: Any
+    ) -> None:
+        """Run ``callback(*args)`` ``delay`` µs from now —
+        ``schedule(delay, ...)`` without a handle, for a timer nobody
+        cancels (an occupancy's end, a timeout).
+
+        It goes exactly where ``schedule`` would put it: on the lane when
+        the clock absorbs ``delay``, otherwise on the heap with the next
+        ``seq``.
+        """
+        if delay < 0:
+            raise SimulationError(f"cannot schedule {delay} us in the past")
+        now = self.now
+        time = now + delay
+        if time == now:
+            self._lane.append((callback, args, None))
+        else:
+            seq = self._seq
+            self._seq = seq + 1
+            heappush(self._heap, (time, seq, callback, args, None))
+
+    def _push(
+        self, time: float, callback: Callable[..., None], args: Tuple[Any, ...]
+    ) -> ScheduledEvent:
+        """Queue ``callback(*args)`` at ``time`` (not before now) with a
+        handle.
+
+        Routed on the time, not on a zero delay: a delay too small to
+        move the clock is the current instant too.
+        """
+        if time == self.now:
+            ev = ScheduledEvent(time, None)
+            self._lane.append((callback, args, ev))
+        else:
+            seq = self._seq
+            self._seq = seq + 1
+            ev = ScheduledEvent(time, seq)
+            heappush(self._heap, (time, seq, callback, args, ev))
+        return ev
+
     def cancel(self, ev: ScheduledEvent) -> None:
-        """Cancel a pending event (no-op if it already fired)."""
-        if ev.seq is not None:
-            self._queue.cancel(ev)
-        elif not ev.cancelled and not ev.fired:
-            ev.cancelled = True
+        """Cancel a pending event in O(1).
+
+        Cancelling twice, or cancelling an event that already fired, is a
+        harmless no-op — exactly the semantics timer APIs offer.  Heap
+        tombstones are compacted away once they outnumber live entries
+        (past :data:`COMPACT_MIN_DEAD`).
+        """
+        if ev.cancelled or ev.fired:
+            return
+        ev.cancelled = True
+        if ev.seq is None:
             self._lane_dead += 1
+            return
+        self._dead += 1
+        heap = self._heap
+        if self._dead > COMPACT_MIN_DEAD and 2 * self._dead > len(heap):
+            # In place: the event loop holds the list itself.
+            heap[:] = [e for e in heap if e[4] is None or not e[4].cancelled]
+            heapify(heap)
+            self._dead = 0
 
     # ------------------------------------------------------------------ #
     # processes
@@ -140,7 +211,8 @@ class Simulator:
 
         Returns the final value of :attr:`now`.  With ``until`` given, the
         clock is advanced *to* ``until`` even if the last event fired
-        earlier (so bandwidth computations over a fixed window are exact).
+        earlier (so bandwidth computations over a fixed window are exact);
+        an event at exactly ``until`` is due.
 
         While the loop runs, the cyclic collector's full (generation-2)
         passes wait: a run keeps its messages, their events and transfers
@@ -158,43 +230,39 @@ class Simulator:
         thresholds = gc.get_threshold()
         gc.set_threshold(thresholds[0], thresholds[1], _FULL_PASS_DEFERRED)
         self._running = True
-        heap = self._queue._heap
-        # One pop-with-bound per event: it drains cancelled heads and
-        # checks the bound in a single heap access.
-        pop_due = self._queue.pop_due
+        heap = self._heap
         lane = self._lane
         popleft = lane.popleft
+        bound = float("inf") if until is None else until
         now = self.now
         n = 0
         try:
             while True:
-                if lane:
-                    if heap and heap[0][0] <= now:
-                        ev = pop_due(now)
-                        if ev is not None:
-                            n += 1
-                            ev.callback(*ev.args)
+                # The heap head goes first while it is due now, or, once
+                # the lane is empty, while it lies within the bound.
+                if heap and heap[0][0] <= (now if lane else bound):
+                    t, _, callback, args, ev = heappop(heap)
+                    if ev is not None:
+                        if ev.cancelled:
+                            self._dead -= 1
                             continue
+                        ev.fired = True
+                    if t < now:
+                        raise SimulationError(
+                            f"clock would move backwards: {now} -> {t}"
+                        )
+                    now = self.now = t
+                elif lane:
                     callback, args, ev = popleft()
                     if ev is not None:
                         if ev.cancelled:
                             self._lane_dead -= 1
                             continue
                         ev.fired = True
-                    n += 1
-                    callback(*args)
-                    continue
-                ev = pop_due(until)
-                if ev is None:
+                else:
                     break
-                t = ev.time
-                if t < now:
-                    raise SimulationError(
-                        f"clock would move backwards: {now} -> {t}"
-                    )
-                now = self.now = t
                 n += 1
-                ev.callback(*ev.args)
+                callback(*args)
         finally:
             gc.set_threshold(*thresholds)
             self._running = False
@@ -206,4 +274,4 @@ class Simulator:
     @property
     def pending_events(self) -> int:
         """Number of live events still queued, lane included (diagnostic)."""
-        return len(self._queue) + len(self._lane) - self._lane_dead
+        return len(self._heap) - self._dead + len(self._lane) - self._lane_dead

@@ -357,6 +357,33 @@ class TestAlgorithmSelector:
         for size in (1 * KiB, 64 * KiB, 4 * MiB):
             assert sel.select("alltoallv", size, 8) in ("naive", "rails")
 
+    def test_auto_prices_each_shape_once_per_world(self, profiles, monkeypatch):
+        """All 32 ranks of a flat world ask ``select`` for the same
+        alltoall shape: ``costs`` runs once, every rank gets the pick it
+        got when each call priced the shape again, and ``calibrate``
+        makes the next call price it afresh."""
+        priced, picks = [], []
+        costs, select = AlgorithmSelector.costs, AlgorithmSelector.select
+
+        def counting_costs(self, *args, **kwargs):
+            priced.append(args)
+            return costs(self, *args, **kwargs)
+
+        def recording_select(self, *args, **kwargs):
+            picks.append(select(self, *args, **kwargs))
+            return picks[-1]
+
+        monkeypatch.setattr(AlgorithmSelector, "costs", counting_costs)
+        monkeypatch.setattr(AlgorithmSelector, "select", recording_select)
+        world = make_flat_world(32, profiles, monitored=False)
+        run_collective(world, "alltoall", "auto", 16 * KiB)
+        assert priced == [("alltoall", 16 * KiB, 32)]
+        assert picks == ["doubling"] * 32
+        selector = world.selector()
+        selector.calibrate({16 * KiB: 1000.0})
+        selector.select("alltoall", 16 * KiB, 32)
+        assert len(priced) == 2
+
     def test_table_marks_selection(self, profiles):
         sel = AlgorithmSelector(profiles.estimators)
         out = sel.table("alltoall", 256 * KiB, 8)

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.api import ClusterBuilder
+from repro.api import ClusterBuilder, FaultSchedule
 from repro.core.invariants import InvariantViolation
+from repro.networks import nic as nic_module
 from repro.networks.transfer import TransferKind, wire_checksum
 
 
@@ -15,16 +16,77 @@ def paper_pair(**builder_kw):
     return cluster, *cluster.sessions("node0", "node1")
 
 
-class TestWireStamps:
-    def test_every_transfer_carries_seq_and_checksum(self):
-        cluster, sender, receiver = paper_pair()
+def flapping_pair(**builder_kw):
+    """``paper_pair`` with the fast rail flapping and retries on."""
+    schedule = FaultSchedule(seed=11).flapping(
+        "node0.myri10g0", period=400.0, duty=0.5, start=100.0, cycles=4
+    )
+    return paper_pair(
+        faults={"schedule": schedule}, resilience={"timeout": "200us"},
+        **builder_kw,
+    )
+
+
+def stamped_sends(cluster, sender, receiver, sizes):
+    """Send ``sizes`` to node1, run to drain; return every transfer."""
+    msgs = []
+    for size in sizes:
         receiver.irecv(source="node0")
-        msg = sender.isend("node1", "4M")
-        cluster.run()
-        assert msg.t_complete is not None
-        for t in msg.transfers:
-            assert t.seq_no is not None
-            assert t.checksum == wire_checksum(t)
+        msgs.append(sender.isend("node1", size))
+    cluster.run()
+    assert all(msg.t_complete is not None for msg in msgs)
+    return [t for msg in msgs for t in msg.transfers]
+
+
+class TestWireStamps:
+    """The invariant monitor verifies checksums at ``on_delivery``, so
+    ``Nic.submit`` stamps one exactly while an ``on_delivery``
+    subscriber is there; the sequence number is stamped always."""
+
+    #: a 4 MiB ``hetero_split`` send, and sends whose chunks are retried
+    #: while the fast rail flaps
+    SCENARIOS = [(paper_pair, ["4M"]), (flapping_pair, ["4K", "64K", "1M", "4M"])]
+
+    def test_every_transfer_carries_seq_and_checksum(self):
+        for make, sizes in self.SCENARIOS:
+            cluster, sender, receiver = make(invariants={})
+            transfers = stamped_sends(cluster, sender, receiver, sizes)
+            if make is flapping_pair:
+                assert any(t.retry_of is not None for t in transfers)
+            for t in transfers:
+                assert t.seq_no is not None
+                assert t.checksum == wire_checksum(t)
+
+    def test_without_a_monitor_no_checksum_is_computed(self, monkeypatch):
+        def never(transfer):
+            raise AssertionError("wire_checksum called with no monitor")
+
+        monkeypatch.setattr(nic_module, "wire_checksum", never)
+        for make, sizes in self.SCENARIOS:
+            cluster, sender, receiver = make()
+            assert cluster.invariants is None
+            transfers = stamped_sends(cluster, sender, receiver, sizes)
+            if make is flapping_pair:
+                assert any(t.retry_of is not None for t in transfers)
+            for t in transfers:
+                assert t.seq_no is not None
+                assert t.checksum is None
+
+    def test_armed_monitor_catches_a_rewire_in_the_nic_queue(self, monkeypatch):
+        """A chunk rewired after ``submit`` stamped it, before its
+        transmit starts, arrives with a stale checksum."""
+        rdv_start = nic_module.Nic._rdv_start
+
+        def rewired(self, transfer, core):
+            transfer.chunk_index += 7
+            rdv_start(self, transfer, core)
+
+        monkeypatch.setattr(nic_module.Nic, "_rdv_start", rewired)
+        cluster, sender, receiver = paper_pair(invariants={})
+        receiver.irecv(source="node0")
+        sender.isend("node1", "4M")
+        with pytest.raises(InvariantViolation, match="chunk-checksum"):
+            cluster.run()
 
     def test_seq_numbers_strictly_increase_per_message(self):
         cluster, sender, receiver = paper_pair()

@@ -7,7 +7,8 @@ ordered by ``(time, seq)`` for every event: same callbacks, same order,
 same clock readings, same pending counts.  The hypothesis
 property below drives both with the same random nested programs and
 compares everything they observe.  ``RefSim`` is that one-heap kernel,
-kept here as the oracle.
+kept here as the oracle; it builds a handle for every event, and takes
+a handle-free ``call_later`` timer as a handle it never cancels.
 """
 
 from heapq import heappop, heappush
@@ -48,6 +49,9 @@ class RefSim:
         heappush(self._heap, (time, next(self._seq), h))
         self.pending_events += 1
         return h
+
+    def call_later(self, delay, callback, *args) -> None:
+        self.schedule(delay, callback, *args)
 
     def cancel(self, h) -> None:
         if not h.cancelled and not h.fired:
@@ -106,7 +110,10 @@ class RefEvent:
 _delays = st.sampled_from([0.0, 0.0, 1e-9, 0.5, 1.0, 2.0, 3.0])
 _events = st.integers(min_value=0, max_value=2)
 
-_schedules = st.tuples(st.sampled_from(["after", "at"]), _delays, st.just([]))
+#: ``after``/``at`` return a cancellable handle; ``later`` is a timer
+#: with none
+_timers = st.sampled_from(["after", "at", "later"])
+_schedules = st.tuples(_timers, _delays, st.just([]))
 _leaves = st.one_of(
     _schedules,
     _schedules,
@@ -117,11 +124,7 @@ _leaves = st.one_of(
 _actions = st.recursive(
     _leaves,
     lambda children: st.one_of(
-        st.tuples(
-            st.sampled_from(["after", "at"]),
-            _delays,
-            st.lists(children, max_size=3),
-        ),
+        st.tuples(_timers, _delays, st.lists(children, max_size=3)),
         st.tuples(st.just("subscribe"), _events, st.lists(children, max_size=3)),
     ),
     max_leaves=30,
@@ -152,7 +155,10 @@ def play(sim, make_event, script, start):
 
     def perform(action):
         kind = action[0]
-        if kind in ("after", "at"):
+        if kind == "later":
+            _, delay, children = action
+            sim.call_later(delay, fire, next(labels), children)
+        elif kind in ("after", "at"):
             _, delay, children = action
             label = next(labels)
             if kind == "after":
@@ -198,6 +204,29 @@ def play(sim, make_event, script, start):
 # entries its predecessor at t=1 pushes
 @example(
     script=[("after", 1.0, [("after", 0.0, [])]), ("after", 1.0, [])],
+    start=0.0,
+)
+# handle-free timers: a zero delay and an absorbed one take the lane
+# between cancellable lane entries, a real one takes the next heap seq
+@example(
+    script=[
+        ("after", 0.0, []),
+        ("later", 1.0, [("later", 0.0, []), ("after", 0.0, [])]),
+        ("later", 0.0, []),
+        ("at", 2.0, [("cancel", 0)]),
+        ("later", 2.0, []),
+        ("run", None),
+    ],
+    start=2.0**53,
+)
+@example(
+    script=[
+        ("later", 1.0, [("later", 1.0, []), ("after", 1.0, [])]),
+        ("after", 1.0, [("later", 0.0, [])]),
+        ("cancel", 0),
+        ("run", 1.0),
+        ("later", 1e-9, []),
+    ],
     start=0.0,
 )
 def test_lane_kernel_fires_like_one_heap(script, start):

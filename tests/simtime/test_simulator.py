@@ -74,7 +74,7 @@ class TestScheduling:
         sim.schedule(1.0, cancel_all)
         sim.run()
         assert seen == ["heap", "lane", 0, 1, 2, 3, 4]
-        assert sim._queue._heap == []
+        assert sim._heap == []
 
     def test_cancel_pending_event(self):
         sim = Simulator()

@@ -9,8 +9,9 @@ parses every module under ``src/repro`` outside ``simtime/`` and fails
 when one touches:
 
 * ``_lane``, ``_lane_dead`` or ``_heap`` on any receiver;
-* ``_queue`` on a receiver named ``sim`` (``sim._queue``,
-  ``self.sim._queue``, ``cluster.sim._queue``...);
+* the heap's ``seq`` counter ``_seq`` or its tombstone count ``_dead``
+  on a receiver named ``sim`` (``sim._seq``, ``self.sim._dead``,
+  ``cluster.sim._seq``...): other classes use those names too;
 
 as an attribute or through ``getattr``/``setattr``/``hasattr`` with a
 literal name.
@@ -30,6 +31,8 @@ SCANNED = sorted(
 )
 
 _STORAGE = {"_lane", "_lane_dead", "_heap"}
+#: flagged only on a receiver named ``sim``
+_SIM_STORAGE = {"_seq", "_dead"}
 _REFLECTION = {"getattr", "setattr", "hasattr"}
 
 
@@ -45,8 +48,8 @@ def _name(node) -> str:
 def _touch(receiver, attr: str):
     if attr in _STORAGE:
         return f".{attr}"
-    if attr == "_queue" and _name(receiver) == "sim":
-        return "sim._queue"
+    if attr in _SIM_STORAGE and _name(receiver) == "sim":
+        return f"sim.{attr}"
     return None
 
 
@@ -85,10 +88,12 @@ def test_scan_covers_every_package_but_simtime():
         "self.sim._lane.append((cb, (), None))",
         "sim._lane_dead += 1",
         "heap = cluster.sim._queue._heap",
-        "self._queue = sim._queue",
-        "queue = self.sim._queue",
+        "self._seq = sim._seq",
+        "dead = self.sim._dead",
+        "cluster.sim._dead -= 1",
         "getattr(sim, '_lane')",
-        "setattr(self.sim, '_queue', q)",
+        "setattr(self.sim, '_seq', 0)",
+        "hasattr(cluster.sim, '_dead')",
     ],
 )
 def test_checker_flags_a_bypass(source):
@@ -100,9 +105,12 @@ def test_checker_allows_the_public_kernel_api():
         "ev = self.sim.schedule(1.0, fn, x)\n"
         "sim.schedule_at(t, fn)\n"
         "sim.call_soon(fn)\n"
+        "sim.call_later(2.0, fn, x)\n"
         "sim.cancel(ev)\n"
         "n = sim.pending_events + sim.events_processed\n"
         "self._queue.append(x)\n"
+        "self._seq += 1\n"
+        "rule._dead = 0\n"
         "port._queue.popleft()\n"
         "self._lanes.setdefault(lane, [])\n"
         "self._message_lane(node)\n"
