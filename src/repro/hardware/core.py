@@ -1,18 +1,17 @@
 """A CPU core as a serially-occupied virtual-time resource.
 
-Two usage styles, matching the simulator's two styles:
+Occupancy is callback style: ``core.run(cost, fn, *args)`` queues a
+work item; when the core reaches it, it holds the core ``cost`` µs then
+calls ``fn``.  ``core.declare(cost)`` then ``core.hold(cost, fn,
+*args)`` splits the announcement from the occupancy, for work that
+waits on something else first (a NIC transmit engine, a tasklet's
+signal).  Each occupancy is a ticket on the core's
+:class:`~repro.simtime.Resource` plus a lane hop and a timer: no
+process, no generator, no request object.
 
-* **process style** — ``yield from core.occupy(cost, label)`` from inside a
-  simulation process: waits for the core, holds it ``cost`` µs, releases;
-* **callback style** — ``core.run(cost, fn, *args)``: queues a work item;
-  when the core reaches it, holds the core ``cost`` µs then calls ``fn``.
-  ``core.declare(cost)`` then ``core.hold(cost, fn, *args)`` splits the
-  announcement from the occupancy, for work that waits on something
-  else first (a NIC transmit engine).  Callback-style work is a chain
-  of lane and timer events: no process, no generator per occupancy.
-
-Both styles share one FIFO, so PIO copies, tasklet bodies and application
-compute contend for the core exactly as they would on real hardware.
+PIO copies, tasklet bodies, receive processing and application compute
+threads all take tickets from that one FIFO, so they contend for the
+core exactly as they would on real hardware.
 
 Every completed occupancy goes out once as an ``on_busy`` event on the
 core's hook stream (the owning engine installs the cluster's), which is
@@ -31,7 +30,7 @@ from __future__ import annotations
 from typing import Any, Callable, Optional
 
 from repro.obs.hooks import Hooks
-from repro.simtime import Resource, Simulator, Timeout
+from repro.simtime import Resource, Simulator
 from repro.util.errors import SchedulingError
 
 
@@ -45,8 +44,8 @@ class Core:
     core_id:
         Global core index within the machine.
     socket_id:
-        Socket (package) the core belongs to; inter-core signalling is
-        cheaper within a socket (see :class:`~repro.hardware.topology.CpuTopology`).
+        Socket (package) the core belongs to (see
+        :class:`~repro.hardware.topology.CpuTopology`).
     """
 
     def __init__(self, sim: Simulator, core_id: int, socket_id: int = 0) -> None:
@@ -99,22 +98,6 @@ class Core:
     # occupancy
     # ------------------------------------------------------------------ #
 
-    def occupy(self, cost: float, label: str = "work"):
-        """Process-style occupancy: ``yield from core.occupy(cost)``.
-
-        Declares ``cost`` up front (feeding :attr:`busy_until`), waits for
-        the core FIFO, holds it for ``cost`` µs, then releases.
-        """
-        if cost < 0:
-            raise SchedulingError(f"negative occupancy cost: {cost}")
-        self._declare(cost)
-        req = self._res.request()
-        yield req
-        start = self.sim.now
-        yield Timeout(cost)
-        self._res.release(req)
-        self._record(start, self.sim.now, label)
-
     def run(
         self,
         cost: float,
@@ -126,7 +109,7 @@ class Core:
         ``callback(*args)`` (if given) the instant the work completes.
 
         The work is declared now and joins the core FIFO one same-instant
-        hop later, as a process spawned now would.
+        hop later.
         """
         if cost < 0:
             raise SchedulingError(f"negative occupancy cost: {cost}")

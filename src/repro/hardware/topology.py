@@ -3,11 +3,10 @@ fabric-scale network descriptions.
 
 Marcel "was carefully designed to ... efficiently exploit hierarchical
 architectures" (paper §III-A).  For the strategy, the observable part of
-that hierarchy is the *cost of poking another core*: raising a tasklet on
-a sibling core (same socket) is cheaper than crossing the interconnect.
-The paper measures the end-to-end offload cost at 3 µs (6 µs when the
-target thread must be preempted by a signal, §III-D); those are exposed
-here as the machine-wide defaults and modulated by distance.
+that hierarchy is the *cost of poking another core*.  The paper measures
+the end-to-end offload cost at 3 µs (6 µs when the target thread must be
+preempted by a signal, §III-D); those are the machine-wide costs here,
+the same whichever socket the target core sits on.
 
 The second half of this module is the :class:`Fabric` description layer:
 a declarative picture of an N-node multirail testbed — named node set
@@ -43,15 +42,12 @@ class CpuTopology:
     that a send request is registered (tasklet wake-up, §III-D: 3 µs);
     ``preempt_cost_us`` is the cost when the remote core runs a computing
     thread that must be preempted by a signal (6 µs).
-    ``cross_socket_factor`` scales both when the target core sits on a
-    different socket (1.0 = flat cost, the paper's reported numbers).
     """
 
     sockets: int = 2
     cores_per_socket: int = 2
     signal_cost_us: float = DEFAULT_SIGNAL_COST_US
     preempt_cost_us: float = DEFAULT_PREEMPT_COST_US
-    cross_socket_factor: float = 1.0
 
     def __post_init__(self) -> None:
         if self.sockets < 1 or self.cores_per_socket < 1:
@@ -61,11 +57,6 @@ class CpuTopology:
             )
         if self.signal_cost_us < 0 or self.preempt_cost_us < 0:
             raise ConfigurationError("signalling costs must be >= 0")
-        if self.cross_socket_factor < 1.0:
-            raise ConfigurationError(
-                "cross_socket_factor < 1 would make remote sockets cheaper "
-                "than local ones"
-            )
 
     @property
     def total_cores(self) -> int:
@@ -82,9 +73,6 @@ class CpuTopology:
     def core_ids(self) -> Iterator[int]:
         return iter(range(self.total_cores))
 
-    def same_socket(self, a: int, b: int) -> bool:
-        return self.socket_of(a) == self.socket_of(b)
-
     def signal_cost(self, src: int, dst: int, preempt: bool = False) -> float:
         """Cost (µs) for core ``src`` to hand work to core ``dst``.
 
@@ -94,10 +82,7 @@ class CpuTopology:
         """
         if src == dst:
             return 0.0
-        base = self.preempt_cost_us if preempt else self.signal_cost_us
-        if not self.same_socket(src, dst):
-            base *= self.cross_socket_factor
-        return base
+        return self.preempt_cost_us if preempt else self.signal_cost_us
 
     @classmethod
     def paper_testbed(cls) -> "CpuTopology":

@@ -113,32 +113,33 @@ class PiomanEngine:
             cost = profile.poll_detect
         core = self.poll_core
         if self.multicore_rx and not core.is_idle:
-            # Spill to an idle polling core (they are already spinning in
-            # PIOMan, so no signalling cost — unlike the send-side 3 µs).
-            idle = self.marcel.idle_cores(exclude=core)
-            if idle:
-                core = idle[0]
-                self.rx_spills += 1
-                if self.hooks.on_rx_spill:
-                    self.hooks.on_rx_spill(self.machine.name)
-        victim = self.marcel.thread_on(core)
-        if victim is not None:
-            idle = self.marcel.idle_cores(exclude=core)
-            if idle:
-                core = idle[0]
-                self.rx_spills += 1
-                if self.hooks.on_rx_spill:
-                    self.hooks.on_rx_spill(self.machine.name)
-            else:
+            core = self._spill(core) or core
+        if self.marcel.thread_on(core) is not None:
+            spill = self._spill(core)
+            if spill is None:
                 self._rx_via_interrupt(transfer, nic, core, cost)
                 return
+            core = spill
         core.run(cost, self._rx_done, transfer, nic, label=label)
+
+    def _spill(self, busy: Core) -> Optional[Core]:
+        """An idle core to take receive processing off ``busy``, counted
+        as a spill; None when every other core is taken.
+
+        Idle cores are already spinning in PIOMan, so a spill costs no
+        signal — unlike the send-side 3 µs.
+        """
+        idle = self.marcel.idle_cores(exclude=busy)
+        if not idle:
+            return None
+        self.rx_spills += 1
+        if self.hooks.on_rx_spill:
+            self.hooks.on_rx_spill(self.machine.name)
+        return idle[0]
 
     def _rx_via_interrupt(self, transfer: Transfer, nic: Nic, core: Core, cost: float) -> None:
         """Interrupt-based event handling: preempt the computing thread
         on ``core``, process the event, let the thread resume."""
-        from repro.threading.tasklet import Tasklet
-
         self.interrupts += 1
         if self.hooks.on_rx_interrupt:
             self.hooks.on_rx_interrupt(nic, transfer, core, cost)

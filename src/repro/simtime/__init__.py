@@ -10,18 +10,18 @@ Two programming styles are supported and freely mixable:
 
 * **callback style** — ``sim.schedule(delay, fn, *args)`` (returns a
   cancellable handle), ``sim.call_later(delay, fn, *args)`` for a timer
-  nobody cancels, or ``sim.call_soon(fn, *args)`` for the current
-  instant;
+  nobody cancels, ``sim.call_soon(fn, *args)`` for the current instant,
+  and ``resource.acquire(fn, *args)`` to claim a :class:`Resource`;
 * **process style** — generator coroutines spawned with ``sim.spawn`` that
-  ``yield`` waitables (:class:`Timeout`, a :class:`Completion` such as a
-  :class:`SimEvent`, :class:`AnyOf`, a :class:`ResourceRequest`) just
-  like SimPy processes.
+  ``yield`` waitables (:class:`Timeout`, or a :class:`Completion` such as
+  a :class:`SimEvent`) just like SimPy processes.
 
-A :class:`Completion` is the one-shot protocol behind :class:`SimEvent`;
+The runtime (cores, NICs, tasklets, compute threads) is written in the
+callback style; rank programs and collectives are processes.  A
+:class:`Completion` is the one-shot protocol behind :class:`SimEvent`;
 an engine's messages and receives implement it themselves, so a send or
 a receive builds no kernel object.  A :class:`Resource` is a ticket
-lock: a callback-style grant is an int ticket, and only a process's
-claim builds a :class:`ResourceRequest`.
+lock whose grant is an int ticket, so a claim builds none either.
 
 Events for a later instant wait in one binary heap of
 ``(time, seq, callback, args, handle)`` entries that the event loop
@@ -39,8 +39,8 @@ thresholds are restored exactly when it returns.
 
 from repro.simtime.events import ScheduledEvent
 from repro.simtime.simulator import Simulator
-from repro.simtime.process import AnyOf, Completion, Process, SimEvent, Timeout
-from repro.simtime.resources import Resource, ResourceRequest
+from repro.simtime.process import Completion, Process, SimEvent, Timeout
+from repro.simtime.resources import Resource
 
 __all__ = [
     "ScheduledEvent",
@@ -49,7 +49,5 @@ __all__ = [
     "Completion",
     "SimEvent",
     "Timeout",
-    "AnyOf",
     "Resource",
-    "ResourceRequest",
 ]

@@ -5,18 +5,16 @@ A *process* is a generator that yields **waitables**:
 * :class:`Timeout` — resume after a virtual delay;
 * a :class:`Completion` — resume when someone triggers it (the yielded
   value of the ``yield`` expression is its payload): a :class:`SimEvent`,
-  or an engine's message or receive;
-* :class:`AnyOf` — race over waitables (a compute thread waits on its
-  work budget or a preemption signal, whichever comes first);
-* a :class:`~repro.simtime.resources.ResourceRequest` — resume once the
-  resource is granted.
+  or an engine's message or receive.
 
-A process runs until its generator returns; nothing waits on it.
+A process runs until its generator returns; nothing waits on it.  Rank
+programs and collectives are processes; the runtime below them (cores,
+NICs, tasklets, compute threads) is callback chains.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator, List, Optional, TYPE_CHECKING
+from typing import Any, Iterator, List, Optional, TYPE_CHECKING
 
 from repro.util.errors import SimulationError
 
@@ -117,33 +115,6 @@ class Timeout(Waitable):
 
     def subscribe(self, sim: "Simulator", callback) -> None:
         sim.call_later(self.delay, callback, self.value)
-
-
-class AnyOf(Waitable):
-    """Race: completes when the *first* child completes.
-
-    Payload is ``(index, value)`` of the winner.  Later completions are
-    ignored (the race result is latched).
-    """
-
-    def __init__(self, waitables: Iterable[Waitable]) -> None:
-        self.children = list(waitables)
-        if not self.children:
-            raise SimulationError("AnyOf of zero waitables")
-
-    def subscribe(self, sim: "Simulator", callback) -> None:
-        done = [False]
-
-        def make_child_cb(i: int):
-            def child_cb(value: Any) -> None:
-                if not done[0]:
-                    done[0] = True
-                    callback((i, value))
-
-            return child_cb
-
-        for i, child in enumerate(self.children):
-            child.subscribe(sim, make_child_cb(i))
 
 
 class Process:

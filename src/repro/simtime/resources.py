@@ -4,65 +4,20 @@ A :class:`Resource` models anything that serializes access in virtual
 time — a CPU core executing PIO copies, a NIC's transmit engine.  Every
 claim takes the next ticket, and the slot serves tickets in order.
 
-Callback code passes its continuation:
-``core_resource.acquire(fn, *args)`` takes a ticket and runs
-``fn(ticket, *args)`` one same-instant hop after the grant; the holder
-hands the slot on with ``core_resource.release(ticket)``.  The grant is
-the ticket, an int: nothing is built per claim but its lane entry.
-
-Processes claim with :meth:`Resource.request`, whose
-:class:`ResourceRequest` is a waitable::
-
-    req = core_resource.request()
-    yield req                  # granted when the slot frees up
-    yield Timeout(copy_cost)   # hold the core for the copy duration
-    core_resource.release(req)
-
-Both styles take tickets from one counter and queue in one FIFO.
+A claim passes its continuation: ``core_resource.acquire(fn, *args)``
+takes a ticket and runs ``fn(ticket, *args)`` one same-instant hop
+after the grant; the holder hands the slot on with
+``core_resource.release(ticket)``.  The grant is the ticket, an int:
+nothing is built per claim but its lane entry.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque, Optional, Union
+from typing import Any, Callable, Deque
 
-from repro.simtime.process import Waitable
 from repro.simtime.simulator import LaneEntry, Simulator
 from repro.util.errors import SimulationError
-
-
-class ResourceRequest(Waitable):
-    """A process's pending or granted claim on a :class:`Resource`.
-
-    One waiter per claim: the process that yields it.  The waiter
-    resumes one same-instant hop after the grant.
-    """
-
-    __slots__ = ("resource", "ticket", "granted", "_then")
-
-    def __init__(self, resource: "Resource", ticket: int) -> None:
-        self.resource = resource
-        self.ticket = ticket
-        self.granted = False
-        #: the waiter's lane entry, held until the grant
-        self._then: Optional[LaneEntry] = None
-
-    def subscribe(self, sim: Simulator, callback) -> None:
-        if self.granted:
-            self.resource._lane.append((callback, (self,), None))
-        elif self._then is None:
-            self._then = (callback, (self,), None)
-        else:
-            raise SimulationError(
-                f"request on {self.resource.name} already has a waiter"
-            )
-
-    def _grant(self) -> None:
-        self.granted = True
-        then = self._then
-        if then is not None:
-            self._then = None
-            self.resource._lane.append(then)
 
 
 class Resource:
@@ -86,9 +41,8 @@ class Resource:
         self._next = 0
         #: the ticket holding the slot, or the next one to when it is free
         self._serving = 0
-        #: queued claims in ticket order: a callback's lane entry, or a
-        #: process's request
-        self._waiting: Deque[Union[LaneEntry, ResourceRequest]] = deque()
+        #: the lane entries of queued claims, in ticket order
+        self._waiting: Deque[LaneEntry] = deque()
 
     def __repr__(self) -> str:
         return (
@@ -100,22 +54,10 @@ class Resource:
     def queued(self) -> int:
         return len(self._waiting)
 
-    def request(self) -> ResourceRequest:
-        """Claim the slot; the returned request is waitable."""
-        ticket = self._next
-        self._next = ticket + 1
-        req = ResourceRequest(self, ticket)
-        if self.busy:
-            self._waiting.append(req)
-        else:
-            self.busy = True
-            req.granted = True
-        return req
-
     def acquire(self, callback: Callable[..., None], *args: Any) -> int:
-        """Claim the slot, callback style: ``callback(ticket, *args)``
-        runs where a process would resume from ``yield req``.  Returns
-        the ticket, which is the grant :meth:`release` takes back."""
+        """Claim the slot: ``callback(ticket, *args)`` runs one
+        same-instant hop after the grant.  Returns the ticket, which is
+        the grant :meth:`release` takes back."""
         ticket = self._next
         self._next = ticket + 1
         entry = (callback, (ticket, *args), None)
@@ -126,10 +68,9 @@ class Resource:
             self._lane.append(entry)
         return ticket
 
-    def release(self, grant: Union[int, ResourceRequest]) -> None:
-        """Return a granted slot (a ticket, or a process's request); the
-        next FIFO waiter (if any) is granted."""
-        ticket = grant.ticket if isinstance(grant, ResourceRequest) else grant
+    def release(self, ticket: int) -> None:
+        """Return the granted slot; the next FIFO waiter (if any) is
+        granted."""
         serving = self._serving
         if ticket != serving or not self.busy:
             if ticket < serving:
@@ -138,10 +79,6 @@ class Resource:
         self._serving = serving + 1
         waiting = self._waiting
         if waiting:
-            head = waiting.popleft()
-            if head.__class__ is tuple:
-                self._lane.append(head)
-            else:
-                head._grant()
+            self._lane.append(waiting.popleft())
         else:
             self.busy = False

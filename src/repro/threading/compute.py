@@ -6,6 +6,13 @@ can be preempted so a communication tasklet may run (paper §III-D: "a
 signal is sent in order to preempt the thread and to let the packet
 submission occur").  After the tasklet finishes, the thread resumes and
 completes its *remaining* work — no progress is lost, only time.
+
+The thread is a callback chain on its core's ticket lock.  Each slice
+claims the core with ``acquire`` and arms a deadline for the remaining
+work; the slice ends when the deadline fires or when a preemption
+signal lands, whichever comes first.  A preempted slice's deadline
+stays armed and fires as a no-op: cancelling it would take an event
+out of ``events_processed`` and could move the clock a run drains at.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ import math
 from typing import Optional, TYPE_CHECKING
 
 from repro.hardware.core import Core
-from repro.simtime import AnyOf, SimEvent, Timeout
+from repro.simtime import SimEvent
 from repro.util.errors import SchedulingError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -56,12 +63,18 @@ class ComputeThread:
         self.finished = SimEvent(self.sim, name=f"{name}.finished")
         self.preempt_count: int = 0
         self._completed: float = 0.0
-        self._slice_start: Optional[float] = None
-        self._holding = False
-        self._preempt_evt: Optional[SimEvent] = None
-        self._resume_evt: Optional[SimEvent] = None
+        self._slice_start: float = 0.0
+        #: the core ticket of the running slice; None off the core
+        self._ticket: Optional[int] = None
+        #: True while a preemption signal is on its way to the thread
+        self._signalled = False
+        #: the resume gate: None outside a preemption, False once
+        #: preempt() armed it, True once resume() opened it
+        self._gate: Optional[bool] = None
+        #: True while the thread waits off its core for the gate to open
+        self._parked = False
         marcel._register_thread(self)
-        self.sim.spawn(self._body(), name=f"{name}@core{core.core_id}")
+        self.sim.call_soon(self._claim)
 
     def __repr__(self) -> str:
         return (
@@ -76,12 +89,18 @@ class ComputeThread:
     @property
     def on_core(self) -> bool:
         """True while the thread actually holds its core's slot."""
-        return self._holding
+        return self._ticket is not None
+
+    @property
+    def signalled(self) -> bool:
+        """True from :meth:`preempt` until its signal lands: the thread
+        still holds its core but is already being preempted."""
+        return self._signalled
 
     @property
     def progress(self) -> float:
         """CPU time consumed so far, live (includes the current slice)."""
-        if self._holding and self._slice_start is not None:
+        if self._ticket is not None:
             return self._completed + (self.sim.now - self._slice_start)
         return self._completed
 
@@ -95,67 +114,90 @@ class ComputeThread:
 
     def preempt(self) -> SimEvent:
         """Signal the thread off its core; returns the event that fires
-        when :meth:`resume` is legal (i.e. the core slice was released).
+        when the core slice was released.  :meth:`resume` is legal from
+        the moment this returns.
 
-        Raises unless the thread is currently holding the core and is
-        preemptable.
+        The signal lands one same-instant hop later.  Raises unless the
+        thread is currently holding the core, is preemptable and no
+        signal is already on its way.
         """
         if not self.preemptable:
             raise SchedulingError(f"{self.name} is not preemptable")
-        if not self._holding or self._preempt_evt is None:
+        if self._ticket is None:
             raise SchedulingError(f"{self.name} is not on its core right now")
-        if self._preempt_evt.triggered:
+        if self._signalled:
             raise SchedulingError(f"{self.name} is already being preempted")
         released = SimEvent(self.sim, name=f"{self.name}.released")
-        # Arm the resume gate here so resume() is legal the instant
-        # preempt() returns, regardless of event-delivery interleaving.
-        self._resume_evt = SimEvent(self.sim, name=f"{self.name}.resume")
-        self._preempt_evt.trigger(released)
+        self._signalled = True
+        self._gate = False
+        self.sim.call_soon(self._land, self._ticket, released)
         return released
 
     def resume(self) -> None:
         """Let a preempted thread re-queue for its core.
 
-        Legal any time after :meth:`preempt`; the thread re-queues as soon
-        as it has actually released its slice.
+        Legal any time after :meth:`preempt`; the thread re-queues one
+        hop after it has actually released its slice.
         """
-        if self._resume_evt is None or self._resume_evt.triggered:
+        if self._gate is not False:
             raise SchedulingError(f"{self.name} is not waiting to resume")
-        self._resume_evt.trigger()
+        self._gate = True
+        if self._parked:
+            self._parked = False
+            self.sim.call_soon(self._wake)
 
     # ------------------------------------------------------------------ #
-    # thread body
+    # thread body: claim, run, and leave the core on deadline or signal
     # ------------------------------------------------------------------ #
 
-    def _body(self):
-        while self.remaining > 0:
-            req = self.core._res.request()
-            yield req
-            self._holding = True
-            self._preempt_evt = SimEvent(self.sim, name=f"{self.name}.preempt")
-            start = self.sim.now
-            self._slice_start = start
-            # An unbounded thread waits on the preempt signal alone —
-            # adding a Timeout(inf) would keep the event queue alive and
-            # make Simulator.run() jump to the end of time.
-            waits = [self._preempt_evt]
-            if not math.isinf(self.remaining):
-                waits.insert(0, Timeout(self.remaining))
-            index, value = yield AnyOf(waits)
-            preempted = waits[index] is self._preempt_evt
-            self._completed += self.sim.now - start
-            self._slice_start = None
-            self._holding = False
-            self.core._res.release(req)
-            self.core._record(start, self.sim.now, f"compute:{self.name}")
-            if preempted:
-                # Acknowledge the release, then park until the scheduler
-                # resumes us (the resume gate was armed by preempt()).
-                self.preempt_count += 1
-                released_evt = value
-                released_evt.trigger()
-                yield self._resume_evt
-                self._resume_evt = None
-            self._preempt_evt = None
-        self.marcel._unregister_thread(self)
-        self.finished.trigger(self.progress)
+    def _claim(self) -> None:
+        """Queue for the core while work remains; else finish."""
+        if self.remaining > 0:
+            self.core._res.acquire(self._run)
+        else:
+            self.marcel._unregister_thread(self)
+            self.finished.trigger(self.progress)
+
+    def _run(self, ticket: int) -> None:
+        """The core is granted: compute until the work runs out."""
+        self._ticket = ticket
+        self._slice_start = self.sim.now
+        # An unbounded thread waits on the preempt signal alone — a
+        # deadline at infinity would keep the event queue alive and
+        # make Simulator.run() jump to the end of time.
+        remaining = self.remaining
+        if not math.isinf(remaining):
+            self.sim.call_later(remaining, self._deadline, ticket)
+
+    def _deadline(self, ticket: int) -> None:
+        # A preempted slice's deadline is a no-op.
+        if ticket == self._ticket:
+            self._leave_core()
+            self._claim()
+
+    def _land(self, ticket: int, released: SimEvent) -> None:
+        """The preemption signal lands: leave the core, acknowledge the
+        release, and park until :meth:`resume` opens the gate."""
+        self._signalled = False
+        if ticket != self._ticket:
+            return  # the deadline ended the slice first
+        self._leave_core()
+        self.preempt_count += 1
+        released.trigger()
+        if self._gate:
+            self.sim.call_soon(self._wake)
+        else:
+            self._parked = True
+
+    def _wake(self) -> None:
+        self._gate = None
+        self._claim()
+
+    def _leave_core(self) -> None:
+        start = self._slice_start
+        now = self.sim.now
+        self._completed += now - start
+        ticket = self._ticket
+        self._ticket = None
+        self.core._res.release(ticket)
+        self.core._record(start, now, f"compute:{self.name}")

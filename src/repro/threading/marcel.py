@@ -5,15 +5,21 @@ running compute threads (the information PIOMan asks for, paper §III-A:
 "the MARCEL thread scheduler ... provides information on the running
 threads and the available CPUs") and executes tasklets on target cores,
 charging the topology's signalling costs.
+
+A tasklet is a callback chain, one hop per step of the protocol: a lane
+hop to start, a 0.5 µs timer per look at a victim that is not back on
+its core, the victim's ``released`` event, a timer for the signalling
+cost, a ticket on the target core for the body's CPU cost, and the
+``tx_done`` the body may hand back.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, List, Optional
 
 from repro.hardware.core import Core
 from repro.hardware.machine import Machine
-from repro.simtime import SimEvent, Timeout
 from repro.simtime.process import Waitable
 from repro.threading.compute import ComputeThread
 from repro.threading.tasklet import Tasklet, TaskletState
@@ -87,17 +93,19 @@ class MarcelScheduler:
         tasklet: Tasklet,
         target: Core,
         from_core: Optional[Core] = None,
-    ) -> SimEvent:
+    ) -> None:
         """Run ``tasklet`` on ``target``, signalled from ``from_core``.
 
         Charges ``topology.signal_cost`` (3 µs idle / 6 µs preempt by
         default) between the signal and the moment the body may start —
-        the TO of the paper's equation (1).  Returns an event triggered
-        when the body finished.
+        the TO of the paper's equation (1).  The tasklet's ``state``
+        reads ``DONE`` once its body, and any work the body returned,
+        finished.
 
         If the target runs a preemptable compute thread, the thread is
         signalled off the core, the tasklet runs, then the thread resumes
-        — the full §III-D protocol.
+        — the full §III-D protocol.  The tasklet is a callback chain
+        whose first step runs one same-instant hop from now.
         """
         if tasklet.state is not TaskletState.PENDING:
             raise SchedulingError(f"{tasklet!r} was already scheduled")
@@ -114,7 +122,6 @@ class MarcelScheduler:
         tasklet.t_created = tasklet.t_created or self.sim.now
         tasklet.t_signalled = self.sim.now
         tasklet.core_id = target.core_id
-        done = SimEvent(self.sim, name=f"{tasklet.name}.done")
         if from_core is not None:
             cost = self.machine.topology.signal_cost(
                 from_core.core_id, target.core_id, preempt=victim is not None
@@ -126,32 +133,52 @@ class MarcelScheduler:
             cost = (
                 self.machine.topology.preempt_cost_us if victim is not None else 0.0
             )
-        self.sim.spawn(
-            self._run_tasklet(tasklet, target, victim, cost, done),
-            name=f"tasklet{tasklet.tasklet_id}@{self.machine.name}",
-        )
-        return done
+        self.sim.call_soon(self._look, tasklet, target, victim, cost)
 
-    def _run_tasklet(self, tasklet, target, victim, cost, done):
-        if victim is not None:
-            # The victim may be parked mid-preemption by a concurrent
-            # tasklet; wait until it is back on its core (or gone) so the
-            # preemption handshake is well-defined.
-            while not victim.done and not victim.on_core:
-                yield Timeout(0.5)
-            if victim.done:
-                victim = None
-        if victim is not None:
+    def _look(self, tasklet, target, victim, cost) -> None:
+        """Signal ``victim`` off ``target``, or go straight to the
+        signalling cost when the core has no (live) victim.
+
+        A victim parked by a concurrent tasklet, or with another
+        preemption already on its way, is looked at again every 0.5 µs
+        until it is back on its core (or gone), so the preemption
+        handshake is well-defined.
+        """
+        if victim is None or victim.done:
+            self._signal(tasklet, target, None, cost)
+        elif not victim.on_core or victim.signalled:
+            self.sim.call_later(0.5, self._look, tasklet, target, victim, cost)
+        else:
             tasklet.preempted_someone = True
             self.preemptions += 1
             released = victim.preempt()
-            yield released  # the thread's core slice is actually free now
+            # the thread's core slice is actually free once this fires
+            released.subscribe(
+                self.sim, partial(self._signal, tasklet, target, victim, cost)
+            )
+
+    def _signal(self, tasklet, target, victim, cost, _released=None) -> None:
+        """The target core is free for the tasklet: charge the
+        signalling cost, then start it."""
         if cost > 0:
-            yield Timeout(cost)
+            self.sim.call_later(cost, self._start, tasklet, target, victim)
+        else:
+            self._start(tasklet, target, victim)
+
+    def _start(self, tasklet, target, victim) -> None:
         tasklet.state = TaskletState.RUNNING
         tasklet.t_started = self.sim.now
-        if tasklet.cpu_cost > 0:
-            yield from target.occupy(tasklet.cpu_cost, label=f"tasklet:{tasklet.name}")
+        cpu_cost = tasklet.cpu_cost
+        if cpu_cost > 0:
+            target.declare(cpu_cost)
+            target.hold(
+                cpu_cost, self._run_body, tasklet, victim,
+                label=f"tasklet:{tasklet.name}",
+            )
+        else:
+            self._run_body(tasklet, victim)
+
+    def _run_body(self, tasklet, victim) -> None:
         continuation = tasklet.body()
         if isinstance(continuation, Waitable):
             # The body started asynchronous work on this core (e.g. a NIC
@@ -159,13 +186,16 @@ class MarcelScheduler:
             # particular the release of its preemption victim — must wait
             # for it, or the victim would retake the core and starve the
             # copy forever.
-            yield continuation
+            continuation.subscribe(self.sim, partial(self._finish, tasklet, victim))
+        else:
+            self._finish(tasklet, victim)
+
+    def _finish(self, tasklet, victim, _value=None) -> None:
         tasklet.state = TaskletState.DONE
         tasklet.t_finished = self.sim.now
         self.tasklets_run += 1
         if victim is not None and not victim.done:
             victim.resume()
-        done.trigger(tasklet)
 
     # ------------------------------------------------------------------ #
     # ComputeThread registry hooks

@@ -8,7 +8,7 @@ from repro.api import ClusterBuilder
 from repro.core.invariants import InvariantMonitor, InvariantViolation
 from repro.networks.transfer import Transfer, TransferKind, wire_checksum
 from repro.obs.hooks import EVENTS, Hooks
-from repro.simtime import Resource, ResourceRequest
+from repro.simtime import Resource
 
 
 def msg_stub(msg_id=1, size=4096, **kw):
@@ -187,22 +187,16 @@ class TestNicTxSanity:
         mon.on_tx(self.NIC, self.tx(), 6.0, 10.0)
 
     def test_planted_double_held_engine_is_caught(self):
-        """A NIC whose transmit engine grants every claim at once, in
-        both the process and the callback form, and never counts a
-        holder, lets two rendezvous chunks share the wire: the monitor
-        fires on the intervals alone."""
+        """A NIC whose transmit engine grants every claim at once and
+        never counts a holder lets two rendezvous chunks share the wire:
+        the monitor fires on the intervals alone."""
 
         class DoubleHeld(Resource):
-            def request(self):
-                req = ResourceRequest(self, 0)
-                req.granted = True
-                return req
-
             def acquire(self, callback, *args):
                 self.sim.call_soon(callback, 0, *args)
                 return 0
 
-            def release(self, grant):
+            def release(self, ticket):
                 pass
 
         cluster = (

@@ -386,6 +386,35 @@ class TestMulticoreSplit:
         assert len(m.rails_used) == 2
         assert eng.marcel.preemptions >= 1
 
+    def test_two_offloads_onto_one_computing_core_at_one_instant(self):
+        """Two sends of one instant both offload to the first computing
+        core: the second picker waits until the first preemption landed
+        and the thread is back on its core, then preempts it again."""
+        cluster = ClusterBuilder.paper_testbed(strategy="multicore_split").build()
+        eng = cluster.engine("node0")
+        threads = [
+            eng.marcel.spawn_compute(core, work_us=500.0)
+            for core in eng.machine.cores[1:]
+        ]
+        sender, receiver = cluster.sessions("node0", "node1")
+        sent = []
+
+        def burst():
+            for _ in range(2):
+                receiver.irecv(source="node0")
+                sent.append(sender.isend("node1", 16 * KiB))
+
+        cluster.sim.schedule_at(10.0, burst)
+        cluster.run()
+        assert [m.status for m in sent] == [MessageStatus.COMPLETE] * 2
+        assert [m.t_complete - m.t_post for m in sent] == [
+            pytest.approx(20.357, abs=1e-3),
+            pytest.approx(33.177, abs=1e-3),
+        ]
+        assert eng.pioman.offloads == eng.marcel.preemptions == 2
+        assert [t.preempt_count for t in threads] == [2, 0, 0]
+        assert cluster.sim.now == pytest.approx(526.357, abs=1e-3)
+
     def test_rdv_path_unchanged_from_hetero(self, profiles):
         cluster = build("multicore_split", profiles)
         m = one_way(cluster, 4 * MiB)

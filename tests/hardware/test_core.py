@@ -3,7 +3,7 @@
 import pytest
 
 from repro.hardware import Core
-from repro.simtime import Simulator, Timeout
+from repro.simtime import Simulator
 from repro.util.errors import SchedulingError, SimulationError
 
 
@@ -28,28 +28,15 @@ class BusyLog:
 
 
 class TestOccupy:
-    def test_occupy_holds_for_cost(self, sim, core):
-        marks = []
-
-        def proc():
-            yield from core.occupy(7.5, label="copy")
-            marks.append(sim.now)
-
-        sim.spawn(proc())
-        sim.run()
-        assert marks == [7.5]
-        assert core.busy_time == 7.5
-
     def test_two_occupiers_serialize(self, sim, core):
         """Two PIO copies on one core serialize — the Fig. 4a effect."""
         ends = []
 
-        def proc(cost, tag):
-            yield from core.occupy(cost, label=tag)
+        def mark(tag):
             ends.append((tag, sim.now))
 
-        sim.spawn(proc(5.0, "a"))
-        sim.spawn(proc(3.0, "b"))
+        core.run(5.0, mark, "a")
+        core.run(3.0, mark, "b")
         sim.run()
         assert ends == [("a", 5.0), ("b", 8.0)]
 
@@ -58,22 +45,17 @@ class TestOccupy:
         c1, c2 = Core(sim, 0), Core(sim, 1)
         ends = []
 
-        def proc(core, tag):
-            yield from core.occupy(5.0, label=tag)
+        def mark(tag):
             ends.append((tag, sim.now))
 
-        sim.spawn(proc(c1, "a"))
-        sim.spawn(proc(c2, "b"))
+        c1.run(5.0, mark, "a")
+        c2.run(5.0, mark, "b")
         sim.run()
         assert ends == [("a", 5.0), ("b", 5.0)]
 
     def test_negative_cost_rejected(self, sim, core):
-        def proc():
-            yield from core.occupy(-1.0)
-
-        sim.spawn(proc())
         with pytest.raises(SchedulingError):
-            sim.run()
+            core.declare(-1.0)
 
 
 class TestRun:

@@ -38,30 +38,18 @@ class TestLayout:
 
 class TestSignalCosts:
     def test_paper_costs_are_3_and_6_us(self):
-        """§III-D: 3 µs to signal an idle core, 6 µs with preemption."""
+        """§III-D: 3 µs to signal an idle core, 6 µs with preemption,
+        on either socket."""
         topo = CpuTopology.paper_testbed()
         assert topo.signal_cost(0, 1) == 3.0
         assert topo.signal_cost(0, 1, preempt=True) == 6.0
+        assert topo.signal_cost(0, 2) == 3.0
+        assert topo.signal_cost(0, 3, preempt=True) == 6.0
 
     def test_self_signal_is_free(self):
         topo = CpuTopology.paper_testbed()
         assert topo.signal_cost(2, 2) == 0.0
         assert topo.signal_cost(2, 2, preempt=True) == 0.0
-
-    def test_cross_socket_factor_scales_cost(self):
-        topo = CpuTopology(sockets=2, cores_per_socket=2, cross_socket_factor=1.5)
-        assert topo.signal_cost(0, 1) == 3.0        # same socket
-        assert topo.signal_cost(0, 2) == 4.5        # cross socket
-        assert topo.signal_cost(0, 3, preempt=True) == 9.0
-
-    def test_same_socket_predicate(self):
-        topo = CpuTopology.paper_testbed()
-        assert topo.same_socket(0, 1)
-        assert not topo.same_socket(1, 2)
-
-    def test_sub_one_factor_rejected(self):
-        with pytest.raises(ConfigurationError):
-            CpuTopology(cross_socket_factor=0.5)
 
     def test_negative_costs_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -13,8 +13,8 @@ kernel path a run uses:
 * ``flapping_hetero`` — ``hetero_split`` sends of 4K-4M while the fast
   rail flaps, with resilience on (watchdog arms and cancels, retries);
 * ``computing_receiver`` — ``multicore_split`` eager sends into a node
-  whose four cores all run compute threads (tasklets, preemption,
-  ``AnyOf``, interrupts and offloads).
+  whose four cores all run compute threads (tasklets, preemption and
+  its parked-victim looks, interrupts and offloads).
 
 A mismatch means the model changed.  Regenerate the golden with
 ``PYTHONPATH=src python tests/simtime/test_event_count_golden.py``, and

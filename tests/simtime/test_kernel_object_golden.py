@@ -1,22 +1,22 @@
 """Golden kernel-object budget: what the four canonical episodes build.
 
-A send, a receive and a callback-style core or NIC grant build no
-kernel object: a message and a receive are their own completions, and
-a callback grant is a ticket.  A timer nobody cancels (a core's
-occupancy end, a DMA's end, a ``Timeout``) is a heap or lane entry with
-no handle.  This test pins how many
-:class:`~repro.simtime.SimEvent`, :class:`~repro.simtime.ResourceRequest`,
+A send, a receive and a core or NIC grant build no kernel object: a
+message and a receive are their own completions, and a grant is a
+ticket.  A timer nobody cancels (a core's occupancy end, a DMA's end,
+a compute thread's deadline, a tasklet's signalling cost, a
+``Timeout``) is a heap or lane entry with no handle, and tasklets and
+compute threads are callback chains, not processes.  This test pins
+how many :class:`~repro.simtime.SimEvent`,
 :class:`~repro.simtime.Process` and
 :class:`~repro.simtime.ScheduledEvent` objects each episode of
 ``test_event_count_golden`` builds, next to its message count.  What
-remains comes from compute threads (a process, its request per slice
-and its events), tasklets (a process and a ``done`` event each, a
-request when the tasklet occupies its core), the ``tx_done`` events of
-offloaded sends, and the handles of what can be cancelled: wire
-deliveries, retry watchdogs and ``schedule_at`` calls.  So the counts
-only move when one of those does, or when a per-message object creeps
-back in.  Each class is counted at its ``__init__``, the one place the
-kernel builds it.
+remains comes from rank programs (a process each), compute threads
+(a ``finished`` event each, a ``released`` event per preemption), the
+``tx_done`` events of offloaded sends, and the handles of what can be
+cancelled: wire deliveries, retry watchdogs and ``schedule_at`` calls.
+So the counts only move when one of those does, or when a per-message
+object creeps back in.  Each class is counted at its ``__init__``, the
+one place the kernel builds it.
 
 Regenerate the golden with
 ``PYTHONPATH=src:. python tests/simtime/test_kernel_object_golden.py``,
@@ -28,7 +28,7 @@ import pathlib
 
 import pytest
 
-from repro.simtime import Process, ResourceRequest, ScheduledEvent, SimEvent
+from repro.simtime import Process, ScheduledEvent, SimEvent
 from tests.simtime import test_event_count_golden as event_golden
 
 GOLDEN = pathlib.Path(__file__).with_name("kernel_object_golden.json")
@@ -36,7 +36,6 @@ GOLDEN = pathlib.Path(__file__).with_name("kernel_object_golden.json")
 #: the kernel classes counted, by golden key
 KINDS = {
     "SimEvent": SimEvent,
-    "ResourceRequest": ResourceRequest,
     "Process": Process,
     "ScheduledEvent": ScheduledEvent,
 }

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.simtime import AnyOf, SimEvent, Simulator, Timeout
+from repro.simtime import SimEvent, Simulator, Timeout
 from repro.util.errors import SimulationError
 
 
@@ -133,36 +133,3 @@ class TestProcessJoin:
         sim.spawn(bad())
         with pytest.raises(SimulationError, match="not a Waitable"):
             sim.run()
-
-
-class TestCombinators:
-    def test_anyof_returns_first_winner(self):
-        sim = Simulator()
-        got = []
-
-        def parent():
-            res = yield AnyOf([Timeout(5.0, "slow"), Timeout(2.0, "fast")])
-            got.append((res, sim.now))
-
-        sim.spawn(parent())
-        sim.run()
-        assert got == [((1, "fast"), 2.0)]
-
-    def test_empty_combinators_rejected(self):
-        with pytest.raises(SimulationError):
-            AnyOf([])
-
-    def test_anyof_loser_does_not_double_resume(self):
-        sim = Simulator()
-        resumes = []
-
-        def parent():
-            res = yield AnyOf([Timeout(1.0, "w"), Timeout(1.5, "l")])
-            resumes.append(res)
-            yield Timeout(10.0)  # still waiting when the loser fires
-            resumes.append("end")
-
-        sim.spawn(parent())
-        sim.run()
-        assert resumes == [(0, "w"), "end"]
-

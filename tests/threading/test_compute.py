@@ -78,6 +78,18 @@ class TestPreemption:
         assert sim.now == pytest.approx(110.0)
         assert t.preempt_count == 1
 
+    def test_preempted_slice_deadline_fires_as_a_no_op(self, sim, node, marcel):
+        """A preempted slice's deadline stays armed: the run drains at
+        it, and it neither ends the parked thread nor takes the core."""
+        core = node.cores[0]
+        t = marcel.spawn_compute(core, work_us=100.0)
+        sim.schedule(30.0, t.preempt)
+        sim.run()
+        assert sim.now == 100.0
+        assert t.progress == pytest.approx(30.0)
+        assert not t.done and not t.on_core
+        assert core.is_idle
+
     def test_preempt_nonpreemptable_rejected(self, sim, node, marcel):
         t = marcel.spawn_compute(node.cores[0], work_us=100.0, preemptable=False)
         sim.schedule(10.0, lambda: pytest.raises(SchedulingError, t.preempt))

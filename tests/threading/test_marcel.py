@@ -71,14 +71,6 @@ class TestTaskletOnIdleCore:
         assert node.cores[1].busy_time == pytest.approx(5.0)
         assert sim.now == pytest.approx(8.0)  # 3 signal + 5 body
 
-    def test_done_event_fires_with_tasklet(self, sim, node, marcel):
-        tasklet = Tasklet(body=lambda: None)
-        done = marcel.schedule_tasklet(tasklet, node.cores[1], from_core=node.cores[0])
-        got = []
-        done.subscribe(sim, got.append)
-        sim.run()
-        assert got == [tasklet]
-
     def test_rescheduling_rejected(self, sim, node, marcel):
         tasklet = Tasklet(body=lambda: None)
         marcel.schedule_tasklet(tasklet, node.cores[1])
@@ -133,6 +125,51 @@ class TestTaskletWithPreemption:
         assert thread.progress == pytest.approx(50.0)
         # 20 compute + 6 preempt + 10 tasklet + 30 remaining compute
         assert sim.now == pytest.approx(66.0)
+
+    def test_parked_victim_is_looked_at_every_half_microsecond(
+        self, sim, node, marcel
+    ):
+        """A tasklet aimed at a thread another tasklet has parked looks
+        again every 0.5 µs until the thread is back on its core, then
+        pays the full preemption."""
+        thread = marcel.spawn_compute(node.cores[1], work_us=1000.0)
+        a = Tasklet(body=lambda: None, cpu_cost=5.0, name="a")
+        b = Tasklet(body=lambda: None, name="b")
+        sim.schedule(100.0, marcel.schedule_tasklet, a, node.cores[1], node.cores[0])
+        sim.schedule(101.2, marcel.schedule_tasklet, b, node.cores[1], node.cores[0])
+        sim.run()
+        assert (a.t_started, a.t_finished) == (106.0, 111.0)
+        # The thread retakes its core at 111 µs; b's looks fall at
+        # 101.7, 102.2, ..., so the first to find it there is at 111.2.
+        assert b.t_started == pytest.approx(111.2 + 6.0)
+        assert marcel.preemptions == thread.preempt_count == 2
+        assert thread.done and thread.progress == pytest.approx(1000.0)
+        assert sim.now == pytest.approx(1017.0)
+
+    def test_two_tasklets_onto_one_computing_core_at_one_instant(
+        self, sim, node, marcel
+    ):
+        """The second tasklet finds the first one's preemption signal
+        still on its way: it waits as for a parked thread, then preempts
+        the thread in turn."""
+        thread = marcel.spawn_compute(node.cores[1], work_us=1000.0)
+        a = Tasklet(body=lambda: None, cpu_cost=5.0, name="a")
+        b = Tasklet(body=lambda: None, cpu_cost=5.0, name="b")
+
+        def fire():
+            for tasklet in (a, b):
+                marcel.schedule_tasklet(tasklet, node.cores[1], from_core=node.cores[0])
+
+        sim.schedule(100.0, fire)
+        sim.run()
+        assert (a.t_started, a.t_finished) == (106.0, 111.0)
+        # b's look at 111.0 comes before the thread retakes its core
+        # that instant; the next one, at 111.5, preempts it.
+        assert (b.t_started, b.t_finished) == (117.5, 122.5)
+        assert a.state is b.state is TaskletState.DONE
+        assert marcel.preemptions == thread.preempt_count == 2
+        assert thread.done and thread.progress == pytest.approx(1000.0)
+        assert sim.now == pytest.approx(1022.0)
 
     def test_nonpreemptable_target_rejected(self, sim, node, marcel):
         marcel.spawn_compute(node.cores[1], work_us=None, preemptable=False)
