@@ -22,7 +22,6 @@ class LatencyBiasedStrategy(Strategy):
     """Small packets on the low-latency rail, bulk on the fat rail."""
 
     name = "latency_biased"
-    needs_sampling = True
 
     def __init__(self, small_cutoff: int = 1 * KiB, **kwargs) -> None:
         super().__init__(**kwargs)

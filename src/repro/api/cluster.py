@@ -74,7 +74,7 @@ class Cluster:
         sim: Simulator,
         machines: Dict[str, Machine],
         engines: Dict[str, NmadEngine],
-        profiles: Optional[ProfileStore],
+        profiles: ProfileStore,
         hooks: Hooks,
         observability: Observability,
     ) -> None:
@@ -174,11 +174,6 @@ class Cluster:
         nic = nics.get(rail)
         if nic is None:
             raise ConfigurationError(f"no rail {rail!r}; have {sorted(nics)}")
-        if self.profiles is None:
-            raise ConfigurationError(
-                "resample(rail) needs launch-time profiles to blend into; "
-                "build with sampling enabled"
-            )
         tech = nic.profile.name
         fresh = OnlineSampler(nic).sample(nic.profile)
         old = self.profiles.estimators.get(tech)
@@ -316,10 +311,8 @@ class ClusterBuilder:
         ] = []
         self._fabric: Optional[Fabric] = None
         self._collectives: Dict[str, str] = {}
-        self._sample = True
         self._sampler: Optional[NetworkSampler] = None
         self._profiles: Optional[ProfileStore] = None
-        self._app_core_id = 0
         self._multicore_rx = False
         self._faults: Optional[FaultSchedule] = None
         self._resilience: Dict[str, Any] = {}
@@ -512,22 +505,18 @@ class ClusterBuilder:
 
     def sampling(
         self,
-        enabled: bool = True,
         sampler: Optional[NetworkSampler] = None,
         profiles: Optional[ProfileStore] = None,
     ) -> "ClusterBuilder":
-        """Control the §III-C sampling pass.
+        """Control the §III-C sampling pass, which every build runs.
 
-        ``profiles`` short-circuits measurement with pre-recorded tables
-        (the real system loads its sampling files at launch, too).
+        ``sampler`` measures the rails (default: a
+        :class:`~repro.core.sampling.NetworkSampler`); ``profiles``
+        short-circuits measurement with pre-recorded tables (the real
+        system loads its sampling files at launch, too).
         """
-        self._sample = enabled
         self._sampler = sampler
         self._profiles = profiles
-        return self
-
-    def app_core(self, core_id: int) -> "ClusterBuilder":
-        self._app_core_id = core_id
         return self
 
     def multicore_rx(self, enabled: bool = True) -> "ClusterBuilder":
@@ -704,7 +693,7 @@ class ClusterBuilder:
                 rail_count[node] += 1
 
         profiles = self._profiles
-        if profiles is None and self._sample:
+        if profiles is None:
             rails = [p for _, _, p in self._rails]
             rails += [p for _, p, _, _ in self._switches]
             profiles = ProfileStore.sample_rails(rails, sampler=self._sampler)
@@ -728,8 +717,7 @@ class ClusterBuilder:
             engines[name] = NmadEngine(
                 machine,
                 strategy=_resolve_strategy(spec),
-                estimators=profiles.estimators if profiles else None,
-                app_core_id=self._app_core_id,
+                estimators=profiles.estimators,
                 multicore_rx=self._multicore_rx,
                 hooks=hooks,
                 **self._resilience,
@@ -760,7 +748,6 @@ class ClusterBuilder:
         cls,
         strategy: StrategySpec = "hetero_split",
         rails: Tuple[str, ...] = ("myri10g", "quadrics"),
-        sample: bool = True,
     ) -> "ClusterBuilder":
         """The §IV platform: two dual dual-core nodes, Myri-10G + Quadrics.
 
@@ -772,5 +759,4 @@ class ClusterBuilder:
         builder.add_node("node1", topology=CpuTopology.paper_testbed())
         for rail in rails:
             builder.add_rail(rail, "node0", "node1")
-        builder.sampling(enabled=sample)
         return builder

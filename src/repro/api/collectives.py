@@ -125,8 +125,8 @@ def pipeline_segments(
     (default :data:`MIN_SEGMENT_BYTES`) whose predicted striped hop time
     (:func:`striped_transfer_time` — the hetero-split waterfill over the
     sampled curves) amortizes the fixed per-hop cost by
-    :data:`PIPELINE_COST_RATIO`; without profiles the message stays
-    whole.  Deterministic, and exact: segment sizes always sum to
+    :data:`PIPELINE_COST_RATIO`; without estimators (a schedule recorded
+    by :func:`required_pairs`) the message stays whole.  Deterministic, and exact: segment sizes always sum to
     ``nbytes``.
     """
     if nbytes <= 0:
@@ -1087,7 +1087,7 @@ def _replan_order(
     triples and rebuilds the cycle order of :func:`balanced_schedule`
     from what is *actually* left — the destinations that lost the most
     to the fault lead every cycle.  ``price`` (the selector's per-hop
-    cost, when sampled) re-prices the remaining work against the
+    cost, from :func:`_replan`) re-prices the remaining work against the
     degraded fabric; without it raw bytes stand in.  Per-destination
     segment order is preserved, so segment indices — and therefore tags
     — still match the receives posted up front: a re-plan reorders
@@ -1123,7 +1123,6 @@ def _replan(
     tag: int,
     plan: Mapping[int, List[int]],
     window: int = REPLAN_WINDOW,
-    price: Optional[Callable[[int], float]] = None,
 ) -> Iterator:
     """Balanced all-to-all with mid-collective re-planning.
 
@@ -1134,9 +1133,9 @@ def _replan(
     retries, degraded sends, fault-injector firings.  Any movement while
     hops remain pending triggers a re-plan: the remaining schedule is
     re-cut largest-remaining-first (:func:`_replan_order`, re-priced by
-    ``price``, the selector's per-hop cost, when sampled), the invariant
-    monitor audits byte conservation across the cut, and the flight
-    recorder dumps the decision.  Completed hops are never re-sent —
+    the selector's per-hop cost), the invariant monitor audits byte
+    conservation across the cut, and the flight recorder dumps the
+    decision.  Completed hops are never re-sent —
     tags bind each segment to the receive posted for it up front, so
     exactly-once holds through any number of re-plans.
     """
@@ -1152,6 +1151,7 @@ def _replan(
     engine = comm.session.engine
     injector = getattr(cluster, "fault_injector", None)
     hooks = cluster.hooks
+    price = comm._hop_predict()
 
     def signals() -> Tuple[int, int, int]:
         return (
@@ -1287,15 +1287,6 @@ def _alltoall_rails(
     return _rails_flows(comm, flows, flows, tag, plan)
 
 
-def _priced_replan(
-    comm: "Communicator",
-    sizes: Sequence[Sequence[int]],
-    tag: int,
-    plan: Mapping[int, List[int]],
-) -> Iterator:
-    return _replan(comm, sizes, tag, plan, price=comm._hop_predict())
-
-
 class Algorithm(NamedTuple):
     """One entry of :data:`ALGORITHMS`.
 
@@ -1347,7 +1338,7 @@ ALGORITHMS: Dict[str, Dict[str, Algorithm]] = {
     "alltoallv": {
         "naive": Algorithm(alltoallv_naive, _one),
         "rails": Algorithm(_rails, _rails_span, _matrix_plan),
-        "replan": Algorithm(_priced_replan, _rails_span, _matrix_plan),
+        "replan": Algorithm(_replan, _rails_span, _matrix_plan),
     },
     # One fixed schedule each: no choice, so no override and no "auto".
     "barrier": {"dissemination": Algorithm(barrier_dissemination, _rounds)},

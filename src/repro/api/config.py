@@ -13,7 +13,7 @@ Downstream users describe a testbed once and rebuild it everywhere::
         {"driver": "quadrics", "between": ["node0", "node1"],
          "overrides": {"wire_latency": 1.5}}
       ],
-      "options": {"multicore_rx": true, "app_core": 0},
+      "options": {"multicore_rx": true},
       "per_node_strategy": {"node1": "greedy"},
       "sampling": {"profile_file": "profiles.json"},
       "version": 1,
@@ -47,11 +47,15 @@ default being the paper's two-node back-to-back testbed::
 cluster (:meth:`ClusterBuilder.collectives`; unknown algorithm names
 raise with the valid choices listed).
 
-``version`` is optional (defaults to 1); unknown top-level keys and
-unknown versions raise :class:`ConfigurationError` so typos never pass
-silently.  ``faults`` takes a schedule in its
-:meth:`~repro.faults.FaultSchedule.to_dict` form; ``resilience`` maps to
-:meth:`ClusterBuilder.resilience`.
+``version`` is optional (defaults to 1).  Unknown versions, and unknown
+keys at the top level, in a node or rail entry, in ``options`` and in
+every section, raise :class:`ConfigurationError` naming the known keys,
+so typos never pass silently.  ``sampling`` is ``true`` (the default:
+sample every rail technology at build) or ``{"profile_file": ...}`` (a
+saved :class:`~repro.core.sampling.ProfileStore`); every engine plans
+with sampled curves, so there is no ``false``.  ``faults`` takes a
+schedule in its :meth:`~repro.faults.FaultSchedule.to_dict` form;
+``resilience`` maps to :meth:`ClusterBuilder.resilience`.
 
 ``load_cluster(path_or_dict)`` returns a built :class:`Cluster`;
 ``builder_from_config`` stops one step earlier for callers that want to
@@ -62,7 +66,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Callable, Dict, Set, Union
+from typing import Any, Callable, Dict, Mapping, Set, Union
 
 from repro.api.cluster import Cluster, ClusterBuilder
 from repro.core.sampling import ProfileStore
@@ -91,6 +95,21 @@ _TOP_LEVEL_KEYS = {
 
 #: config schema versions this loader understands
 _SUPPORTED_VERSIONS = {1}
+
+_NODE_KEYS = {
+    "name",
+    "sockets",
+    "cores_per_socket",
+    "signal_cost_us",
+    "preempt_cost_us",
+    "memcpy_rate",
+}
+
+_RAIL_KEYS = {"driver", "between", "overrides"}
+
+_OPTIONS_KEYS = {"multicore_rx"}
+
+_SAMPLING_KEYS = {"profile_file"}
 
 _RESILIENCE_KEYS = {"timeout", "max_retries"}
 
@@ -121,6 +140,15 @@ def _load_dict(source: ConfigSource) -> Dict[str, Any]:
         raise ConfigurationError(f"{path} is not valid JSON: {exc}") from exc
 
 
+def _check_keys(name: str, entry: Mapping[str, Any], known: Set[str]) -> None:
+    """Raise naming the known keys when ``entry`` has any other."""
+    bad = set(entry) - known
+    if bad:
+        raise ConfigurationError(
+            f"unknown {name} keys {sorted(bad)}; known: {sorted(known)}"
+        )
+
+
 def _on_off_section(
     config: Dict[str, Any],
     name: str,
@@ -137,11 +165,7 @@ def _on_off_section(
     elif section is False:
         method(enabled=False)
     elif isinstance(section, dict):
-        bad = set(section) - known
-        if bad:
-            raise ConfigurationError(
-                f"unknown {name} keys {sorted(bad)}; known: {sorted(known)}"
-            )
+        _check_keys(name, section, known)
         method(**section)
     else:
         raise ConfigurationError(
@@ -153,11 +177,7 @@ def _on_off_section(
 def builder_from_config(source: ConfigSource) -> ClusterBuilder:
     """Build a :class:`ClusterBuilder` from a config dict or JSON file."""
     config = _load_dict(source)
-    unknown = set(config) - _TOP_LEVEL_KEYS
-    if unknown:
-        raise ConfigurationError(
-            f"unknown config keys {sorted(unknown)}; known: {sorted(_TOP_LEVEL_KEYS)}"
-        )
+    _check_keys("config", config, _TOP_LEVEL_KEYS)
     version = config.get("version", 1)
     if version not in _SUPPORTED_VERSIONS:
         raise ConfigurationError(
@@ -182,6 +202,7 @@ def builder_from_config(source: ConfigSource) -> ClusterBuilder:
         for node in nodes:
             if "name" not in node:
                 raise ConfigurationError(f"node entry without a name: {node}")
+            _check_keys("node", node, _NODE_KEYS)
             topology = None
             if "sockets" in node or "cores_per_socket" in node:
                 topology = CpuTopology(
@@ -202,6 +223,7 @@ def builder_from_config(source: ConfigSource) -> ClusterBuilder:
                 "config needs a non-empty 'rails' list (or a 'fabric')"
             )
         for rail in rails:
+            _check_keys("rail", rail, _RAIL_KEYS)
             try:
                 driver = rail["driver"]
                 node_a, node_b = rail["between"]
@@ -224,19 +246,18 @@ def builder_from_config(source: ConfigSource) -> ClusterBuilder:
         builder.strategy_for(node_name, strategy)
 
     options = config.get("options", {})
+    _check_keys("options", options, _OPTIONS_KEYS)
     if options.get("multicore_rx"):
         builder.multicore_rx(True)
-    if "app_core" in options:
-        builder.app_core(int(options["app_core"]))
 
     sampling = config.get("sampling", True)
-    if sampling is False:
-        builder.sampling(enabled=False)
-    elif isinstance(sampling, dict) and "profile_file" in sampling:
+    if isinstance(sampling, dict):
+        _check_keys("sampling", sampling, _SAMPLING_KEYS)
+    if isinstance(sampling, dict) and "profile_file" in sampling:
         builder.sampling(profiles=ProfileStore.load(sampling["profile_file"]))
     elif sampling is not True:
         raise ConfigurationError(
-            f"'sampling' must be true, false, or {{'profile_file': ...}}; "
+            f"'sampling' must be true or {{'profile_file': ...}}; "
             f"got {sampling!r}"
         )
 
@@ -255,12 +276,7 @@ def builder_from_config(source: ConfigSource) -> ClusterBuilder:
             raise ConfigurationError(
                 f"'resilience' must be a dict; got {resilience!r}"
             )
-        bad = set(resilience) - _RESILIENCE_KEYS
-        if bad:
-            raise ConfigurationError(
-                f"unknown resilience keys {sorted(bad)}; "
-                f"known: {sorted(_RESILIENCE_KEYS)}"
-            )
+        _check_keys("resilience", resilience, _RESILIENCE_KEYS)
         builder.resilience(**resilience)
 
     _on_off_section(

@@ -267,10 +267,7 @@ class Communicator:
         self._profile_seq += 1
 
     def _hop_predict(self):
-        """The cost model's memoized per-hop lookup, or None unsampled."""
-        profiles = self.world.cluster.profiles
-        if profiles is None or not profiles.estimators:
-            return None
+        """The cost model's memoized per-hop lookup."""
         return self.world.selector().hop
 
     def barrier(self) -> Iterator:
@@ -412,15 +409,13 @@ class MpiWorld:
         return self._node_names[rank]
 
     def rail_estimators(self) -> List:
-        """Sampled per-technology estimators (sorted; empty unsampled).
+        """Sampled per-technology estimators, sorted by technology.
 
         The hetero-split curves the collective algorithms size their
         pipeline segments from.
         """
-        profiles = self.cluster.profiles
-        if profiles is None:
-            return []
-        return [profiles.estimators[t] for t in sorted(profiles.estimators)]
+        estimators = self.cluster.profiles.estimators
+        return [estimators[t] for t in sorted(estimators)]
 
     def fabric_health(self) -> Optional[coll.FabricHealth]:
         """Liveness view for feasibility filtering, or ``None`` healthy.
@@ -446,13 +441,7 @@ class MpiWorld:
     def selector(self) -> AlgorithmSelector:
         """The cost-model selector behind ``algorithm="auto"``."""
         if self._selector is None:
-            profiles = self.cluster.profiles
-            if profiles is None or not profiles.estimators:
-                raise ConfigurationError(
-                    'algorithm="auto" needs sampled profiles; build the '
-                    "cluster with sampling enabled"
-                )
-            self._selector = AlgorithmSelector(profiles.estimators)
+            self._selector = AlgorithmSelector(self.cluster.profiles.estimators)
         return self._selector
 
     @classmethod

@@ -228,13 +228,9 @@ class NmadEngine:
         The optimization strategy plug-in.
     estimators:
         Sampled per-technology profiles (from
-        :class:`~repro.core.sampling.ProfileStore`); required by the
-        sampling-based strategies.
-    app_core_id:
-        The core the application (and therefore the strategy and the
-        default submissions) runs on.  The node's PIOMan progress engine
-        polls on it too — the single-threaded configuration of the
-        paper's benchmarks.
+        :class:`~repro.core.sampling.ProfileStore`): the curves the
+        engine's :class:`~repro.core.prediction.CompletionPredictor`
+        plans every send from.  At least one is required.
     multicore_rx:
         Forwarded to the PIOMan engine: let receive-side
         processing spill onto idle cores (the paper's future-work
@@ -260,8 +256,7 @@ class NmadEngine:
         self,
         machine: Machine,
         strategy: Strategy,
-        estimators: Optional[Dict[str, NicEstimator]] = None,
-        app_core_id: int = 0,
+        estimators: Dict[str, NicEstimator],
         multicore_rx: bool = False,
         timeout: Union[float, str, None] = None,
         max_retries: int = 8,
@@ -274,7 +269,10 @@ class NmadEngine:
                 raise ConfigurationError(f"{nic.qualified_name} is not wired")
         self.machine = machine
         self.sim = machine.sim
-        self.app_core: Core = machine.cores[app_core_id]
+        #: the core the application, the strategy and the submissions
+        #: run on; PIOMan polls on it too (the paper's single-threaded
+        #: configuration)
+        self.app_core: Core = machine.cores[0]
         #: the cluster's hook stream; installed onto this node's cores,
         #: PIOMan engine, predictor and NICs below
         self.hooks = hooks if hooks is not None else Hooks()
@@ -286,18 +284,13 @@ class NmadEngine:
         self.calib = None
         self.marcel = MarcelScheduler(machine)
         self.pioman = PiomanEngine(
-            machine,
-            marcel=self.marcel,
-            poll_core_id=app_core_id,
-            multicore_rx=multicore_rx,
+            machine, marcel=self.marcel, multicore_rx=multicore_rx
         )
         self.pioman.bind()
         self.pioman.rx_dispatch = self._on_transfer
         self.pioman.hooks = self.hooks
-        self.predictor = (
-            CompletionPredictor(estimators, hooks=self.hooks, node=machine.name)
-            if estimators
-            else None
+        self.predictor = CompletionPredictor(
+            estimators, hooks=self.hooks, node=machine.name
         )
         self.scheduler = OptimizerScheduler(self)
         self.strategy = strategy
@@ -482,8 +475,7 @@ class NmadEngine:
         """Stamp accuracy-telemetry predictions on an outgoing data chunk.
 
         Only called when ``hooks.stamps`` is set (obs or calibration on:
-        accuracy telemetry and the drift feed read the stamps) and a
-        predictor exists.
+        accuracy telemetry and the drift feed read the stamps).
         Purely passive: the estimator lookups are memoized value lookups
         that change no planning state, so simulated timestamps are
         unmoved with or without the stamps.
@@ -504,16 +496,13 @@ class NmadEngine:
         )
 
     def submit_eager_chunks(
-        self,
-        msg: Message,
-        chunks: Sequence[Tuple[Nic, int]],
-        offload: bool = False,
+        self, msg: Message, chunks: Sequence[Tuple[Nic, int]]
     ) -> None:
         """Send ``msg`` as eager chunks, one per (nic, size) pair.
 
-        ``offload=True`` routes the submissions through PIOMan's
-        to-be-sent list so idle cores perform the PIO copies in parallel
-        (§III-D); otherwise every chunk is posted from the app core.
+        One chunk is posted from the app core.  Several go through
+        PIOMan's to-be-sent list, so idle cores perform the PIO copies
+        in parallel (§III-D).
         """
         self._check_ownership(msg)
         self.scheduler.remove(msg)
@@ -535,19 +524,16 @@ class NmadEngine:
         msg.rails_used = rails_used
         msg.chunk_sizes = sizes
         msg.transfers.extend(transfers)
-        if self.hooks.stamps and self.predictor is not None:
+        if self.hooks.stamps:
             for t, (n, _) in zip(transfers, chunks):
                 self._predict_chunk(t, n)
         if len(chunks) == 1:
             nic.submit(transfers[0], self.app_core)
-        elif offload:
+        else:
             requests = [
                 SendRequest(transfer=t, nic=n) for t, (n, _) in zip(transfers, chunks)
             ]
             self.pioman.register_sends(requests, issuing_core=self.app_core)
-        else:
-            for t, (n, _) in zip(transfers, chunks):
-                n.submit(t, self.app_core)
 
     def submit_aggregated_eager(self, msgs: Sequence[Message], nic: Nic) -> None:
         """Pack several messages into one eager packet on one rail."""
@@ -579,7 +565,7 @@ class NmadEngine:
         )
         if agg_cost > 0:
             self.app_core.run(agg_cost, label="aggregate")
-        if self.hooks.stamps and self.predictor is not None:
+        if self.hooks.stamps:
             self._predict_chunk(packet, nic)
         nic.submit(packet, self.app_core)
 
@@ -692,7 +678,7 @@ class NmadEngine:
         msg.expect_chunks(len(plan.nics))
         msg.rails_used = tuple(n.qualified_name for n in plan.nics)
         msg.chunk_sizes = tuple(plan.sizes)
-        stamp = self.hooks.stamps and self.predictor is not None
+        stamp = self.hooks.stamps
         for t, nic in zip(make_rdv_chunks(msg, plan.sizes), plan.nics):
             msg.transfers.append(t)
             if stamp:
@@ -806,7 +792,7 @@ class NmadEngine:
             hooks.on_retry(
                 primary, old, new, self.max_retries, self.sim.now, nic, reason
             )
-        if hooks.stamps and self.predictor is not None:
+        if hooks.stamps:
             self._predict_chunk(new, nic)
         nic.submit(new, self.app_core)
         return True
@@ -839,17 +825,13 @@ class NmadEngine:
             rails = [n for n in rails if transfer.size <= n.profile.eager_limit]
         if not rails:
             return None
-        if self.predictor is not None:
-            mode = (
-                TransferMode.RENDEZVOUS
-                if transfer.kind is TransferKind.RDV_DATA
-                else TransferMode.EAGER
-            )
-            return min(
-                rails,
-                key=lambda n: self.predictor.predict(n, transfer.size, mode),
-            )
-        return min(rails, key=lambda n: n.busy_until)
+        mode = (
+            TransferMode.RENDEZVOUS
+            if transfer.kind is TransferKind.RDV_DATA
+            else TransferMode.EAGER
+        )
+        predict = self.predictor.predict
+        return min(rails, key=lambda n: predict(n, transfer.size, mode))
 
     def _degrade_message(self, msg: Message, reason: str) -> None:
         """Give up on a send: DegradedSend outcome, the message completes,

@@ -439,7 +439,8 @@ class InvariantMonitor:
             )
         self._tx_end[name] = now
 
-    def on_rx_done(self, transfer, nic, now: float) -> None:
+    def on_arrival(self, transfer, nic) -> None:
+        now = nic.sim.now
         self._touch(now, f"rx of transfer {transfer.transfer_id}")
         if (
             transfer.t_delivered is not None

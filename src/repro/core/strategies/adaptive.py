@@ -29,7 +29,6 @@ class AdaptiveStrategy(MulticoreSplitStrategy):
     """
 
     name = "adaptive"
-    needs_sampling = True
 
     def __init__(self, **kwargs) -> None:
         super().__init__(**kwargs)

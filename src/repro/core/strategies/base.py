@@ -38,19 +38,20 @@ class Strategy:
     * :meth:`plan_rdv_data` — rails + chunk sizes for a rendezvous data
       phase (default: everything on the fastest rail);
     * :meth:`control_rail` — rail for REQ/ACK control packets;
-    * :meth:`choose_mode` — eager vs rendezvous (default: sampled
-      threshold when a predictor exists, the profile's eager limit otherwise).
+    * :meth:`choose_mode` — eager vs rendezvous (default: the sampled
+      threshold).
+
+    Every engine plans with its sampled curves: :attr:`predictor` is
+    the engine's :class:`~repro.core.prediction.CompletionPredictor`.
 
     Parameters
     ----------
     rdv_threshold:
         Force the eager/rendezvous boundary (bytes).  ``None`` derives it
-        from sampling (or the profile's limit without sampling).
+        from sampling.
     """
 
     name = "base"
-    #: does this strategy require sampled estimators (a predictor)?
-    needs_sampling = False
     #: technology or NIC name of the rail every send is pinned to
     #: (``single_rail``, ``aggregate``); ``None`` leaves the choice free
     rail: Optional[str] = None
@@ -70,17 +71,10 @@ class Strategy:
 
     def attach(self, engine: "NmadEngine") -> None:
         self.engine = engine
-        if self.needs_sampling and engine.predictor is None:
-            raise ConfigurationError(
-                f"{type(self).__name__} needs sampling profiles; build the "
-                "engine with estimators (ClusterBuilder does this by default)"
-            )
 
     @property
     def predictor(self) -> "CompletionPredictor":
         assert self.engine is not None, "strategy not attached"
-        if self.engine.predictor is None:
-            raise ConfigurationError(f"{type(self).__name__}: no predictor")
         return self.engine.predictor
 
     # -- rail helpers -------------------------------------------------------
@@ -93,30 +87,18 @@ class Strategy:
         return self.engine.rails_to(dest, msg)
 
     def fastest_rail(self, dest: str, size: int, mode: TransferMode) -> Nic:
-        """Rail with the smallest predicted completion for this transfer.
-
-        With sampling: busy offset + sampled curve.  Without: busy offset
-        + ground-truth profile (the naive knowledge a non-sampling
-        strategy would hard-code from vendor datasheets)."""
+        """Rail with the smallest predicted completion for this transfer:
+        busy offset + sampled curve."""
         rails = self.rails_to(dest)
-        if self.engine is not None and self.engine.predictor is not None:
-            # min() by prediction, as a loop: the first rail wins a tie
-            predict = self.engine.predictor.predict
-            best = None
-            best_t = 0.0
-            for nic in rails:
-                t = predict(nic, size, mode)
-                if best is None or t < best_t:
-                    best, best_t = nic, t
-            return best
-
-        def naive(nic: Nic) -> float:
-            offset = nic.busy_until - nic.sim.now
-            if mode is TransferMode.EAGER:
-                return offset + nic.profile.eager_oneway(size)
-            return offset + nic.profile.rdv_data_oneway(size)
-
-        return min(rails, key=naive)
+        # min() by prediction, as a loop: the first rail wins a tie
+        predict = self.engine.predictor.predict
+        best = None
+        best_t = 0.0
+        for nic in rails:
+            t = predict(nic, size, mode)
+            if best is None or t < best_t:
+                best, best_t = nic, t
+        return best
 
     def pinned_rail(self, rails: Sequence[Nic], msg: Message) -> Optional[Nic]:
         """The rail :attr:`rail` names among ``rails`` (the up rails
@@ -187,28 +169,23 @@ class Strategy:
             if any(msg.size <= n.profile.eager_limit for n in rails):
                 return TransferMode.EAGER
             return TransferMode.RENDEZVOUS
-        if self.engine is not None and self.engine.predictor is not None:
-            # Sampled threshold of the rail that would carry the message;
-            # which rail that is only matters when the rails disagree.
-            predictor = self.engine.predictor
-            size = msg.size
-            # Every rail is asked, so each estimator's mode memo fills.
-            mode = None
-            agree = True
-            for nic in rails:
-                rail_mode = _sampled_mode(predictor.estimator_for(nic), size)
-                if mode is None:
-                    mode = rail_mode
-                elif rail_mode is not mode:
-                    agree = False
-            if agree:
-                return mode
-            nic = self.fastest_rail(msg.dest, size, TransferMode.EAGER)
-            return _sampled_mode(predictor.estimator_for(nic), size)
-        # No sampling: eager whenever some rail accepts the size.
-        if any(msg.size <= n.profile.eager_limit for n in rails):
-            return TransferMode.EAGER
-        return TransferMode.RENDEZVOUS
+        # Sampled threshold of the rail that would carry the message;
+        # which rail that is only matters when the rails disagree.
+        predictor = self.engine.predictor
+        size = msg.size
+        # Every rail is asked, so each estimator's mode memo fills.
+        mode = None
+        agree = True
+        for nic in rails:
+            rail_mode = _sampled_mode(predictor.estimator_for(nic), size)
+            if mode is None:
+                mode = rail_mode
+            elif rail_mode is not mode:
+                agree = False
+        if agree:
+            return mode
+        nic = self.fastest_rail(msg.dest, size, TransferMode.EAGER)
+        return _sampled_mode(predictor.estimator_for(nic), size)
 
     def schedule_outlist(self) -> None:
         """Drain what can be drained from the engine's out-list.

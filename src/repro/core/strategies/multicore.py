@@ -40,7 +40,6 @@ class MulticoreSplitStrategy(HeteroSplitStrategy):
     """
 
     name = "multicore_split"
-    needs_sampling = True
 
     def choose_mode(self, msg: Message) -> TransferMode:
         """Unlike single-rail strategies, chunked eager sends can carry a
@@ -68,9 +67,7 @@ class MulticoreSplitStrategy(HeteroSplitStrategy):
                     engine.machine.name, msg, plan,
                     engine.machine.topology.signal_cost_us, engine.sim.now,
                 )
-            engine.submit_eager_chunks(
-                msg, list(zip(plan.nics, plan.sizes)), offload=True
-            )
+            engine.submit_eager_chunks(msg, list(zip(plan.nics, plan.sizes)))
             return True
         # Whole on one rail — or rendezvous when it no longer fits a
         # single eager packet.

@@ -25,10 +25,9 @@ class SingleRailStrategy(Strategy):
     Parameters
     ----------
     rail:
-        Technology name (``"myri10g"``) or NIC name; ``None`` picks the
-        rail with the best sampled large-message bandwidth at attach time
-        (or the best ground-truth DMA rate without sampling).  A pinned
-        rail that is down fails over to that choice.
+        Technology name (``"myri10g"``) or NIC name; ``None`` picks, on
+        every send, the up rail with the highest ``profile.dma_rate``.
+        A pinned rail that is down fails over to that choice.
     """
 
     name = "single_rail"

@@ -82,7 +82,6 @@ class StaticRatioStrategy(Strategy):
     """
 
     name = "static_ratio"
-    needs_sampling = True
 
     def plan_rdv_data(self, msg: Message) -> RailPlan:
         from repro.core.split import ratio_split
@@ -107,7 +106,6 @@ class HeteroSplitStrategy(Strategy):
     """
 
     name = "hetero_split"
-    needs_sampling = True
 
     def __init__(
         self,

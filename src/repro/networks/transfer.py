@@ -82,7 +82,7 @@ class Transfer:
     nic_name: Optional[str] = None
 
     # -- prediction fields (repro.obs accuracy telemetry; None when the
-    #    sending engine has observability off or no predictor) --
+    #    sending engine has observability and calibration off) --
     #: planning estimator's pure service-time prediction (µs, no offsets)
     predicted_time: Optional[float] = None
     #: absolute predicted completion instant (busy offset included)

@@ -211,13 +211,12 @@ class Observability:
         for name in sorted(cluster.engines):
             engine = cluster.engines[name]
             m.gauge(f"scheduler.{name}.outlist_depth").set(len(engine.scheduler))
-            if engine.predictor is not None:
-                m.gauge(f"predictor.{name}.plan_cache_hits").set(
-                    engine.predictor.plan_cache_hits
-                )
-                m.gauge(f"predictor.{name}.plan_cache_misses").set(
-                    engine.predictor.plan_cache_misses
-                )
+            m.gauge(f"predictor.{name}.plan_cache_hits").set(
+                engine.predictor.plan_cache_hits
+            )
+            m.gauge(f"predictor.{name}.plan_cache_misses").set(
+                engine.predictor.plan_cache_misses
+            )
         calib = cluster.calibration
         if calib is not None:
             # Drift-defense gauges only exist when calibration is armed,

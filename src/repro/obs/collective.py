@@ -26,7 +26,7 @@ Post-run analyzers:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 
 class CollectiveProfiler:
@@ -55,7 +55,7 @@ class CollectiveProfiler:
         t_start: float,
         t_end: float,
         msgs: List,
-        hop_predict: Optional[Callable[[int], float]] = None,
+        hop_predict: Callable[[int], float],
     ) -> None:
         """Record one finished collective call on one rank.
 
@@ -66,10 +66,9 @@ class CollectiveProfiler:
         lookup — a pure table read).
         """
         predicted = {}
-        if hop_predict is not None:
-            for m in msgs:
-                if m.size not in predicted:
-                    predicted[m.size] = hop_predict(m.size)
+        for m in msgs:
+            if m.size not in predicted:
+                predicted[m.size] = hop_predict(m.size)
         self.ops.append(
             {
                 "rank": rank,

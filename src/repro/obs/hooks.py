@@ -71,7 +71,6 @@ EVENTS: Dict[str, str] = {
     "on_offload": "machine, core, issuing_core, preempt, pending, now",
     "on_rx_interrupt": "nic, transfer, core, cost",
     "on_rx_spill": "node",
-    "on_rx_done": "transfer, nic, now",
     # fault injector
     "on_fault": "rule_id, action, now, device, target",
     # collectives

@@ -26,10 +26,6 @@ class PiomanEngine:
     marcel:
         The node's thread scheduler (supplies core availability and runs
         the offloading tasklets).
-    poll_core_id:
-        The core on which receive-side processing runs.  Defaults to
-        core 0 — the application/communication core of the paper's
-        single-threaded ping-pong benchmarks.
     multicore_rx:
         The paper's future-work direction ("the multithreading subsystem
         ... has to be improved"): when True, receive-side processing may
@@ -43,13 +39,15 @@ class PiomanEngine:
         self,
         machine: Machine,
         marcel: Optional[MarcelScheduler] = None,
-        poll_core_id: int = 0,
         multicore_rx: bool = False,
     ) -> None:
         self.machine = machine
         self.sim = machine.sim
         self.marcel = marcel or MarcelScheduler(machine)
-        self.poll_core: Core = machine.cores[poll_core_id]
+        #: the core receive-side processing runs on: core 0, the
+        #: application/communication core of the paper's single-threaded
+        #: ping-pong benchmarks
+        self.poll_core: Core = machine.cores[0]
         self.multicore_rx = multicore_rx
         self.rx_spills: int = 0
         #: protocol handler installed by the NewMadeleine engine;
@@ -153,8 +151,6 @@ class PiomanEngine:
     def _rx_done(self, transfer: Transfer, nic: Nic) -> None:
         self.events_detected += 1
         transfer.t_complete = self.sim.now
-        if self.hooks.on_rx_done:
-            self.hooks.on_rx_done(transfer, nic, self.sim.now)
         if self.rx_dispatch is not None:
             self.rx_dispatch(transfer, nic)
 

@@ -180,7 +180,10 @@ class ComputeThread:
         release, and park until :meth:`resume` opens the gate."""
         self._signalled = False
         if ticket != self._ticket:
-            return  # the deadline ended the slice first
+            # The deadline ended the slice first and already freed the
+            # core: the preempting tasklet may start.
+            released.trigger()
+            return
         self._leave_core()
         self.preempt_count += 1
         released.trigger()

@@ -208,18 +208,6 @@ class TestAlgorithmResolution:
         total = run_collective(world, "alltoall", "auto", 256 * KiB)
         assert total > 0
 
-    def test_auto_without_profiles_rejected(self):
-        fabric = Fabric.flat(4)
-        cluster = (
-            ClusterBuilder("single_rail")
-            .fabric(fabric)
-            .sampling(enabled=False)
-            .build()
-        )
-        world = MpiWorld.from_cluster(cluster)
-        with pytest.raises(ConfigurationError):
-            list(world.comm(0).alltoall(64, algorithm="auto"))
-
 
 class TestAlltoallv:
     def test_matrix_shape_validated(self, profiles):

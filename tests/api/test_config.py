@@ -1,9 +1,11 @@
 """Tests for declarative cluster configuration."""
 
 import json
+import textwrap
 
 import pytest
 
+from repro.api import config as config_module
 from repro.api import load_cluster
 from repro.api.config import builder_from_config
 from repro.bench.runners import default_profiles
@@ -74,13 +76,12 @@ class TestLoadCluster:
     def test_options_forwarded(self, profile_file):
         cluster = load_cluster(
             paper_config(
-                options={"multicore_rx": True, "app_core": 1},
+                options={"multicore_rx": True},
                 sampling={"profile_file": profile_file},
             )
         )
         eng = cluster.engine("node0")
         assert eng.pioman.multicore_rx
-        assert eng.app_core.core_id == 1
 
     def test_topology_from_config(self, profile_file):
         config = paper_config(sampling={"profile_file": profile_file})
@@ -118,7 +119,7 @@ class TestValidation:
 
     @pytest.mark.parametrize("technology", ["myri10", 5])
     def test_unknown_technology_rejected(self, technology):
-        config = paper_config(sampling=False)
+        config = paper_config()
         config["rails"][0]["driver"] = technology
         with pytest.raises(
             ConfigurationError, match=f"unknown rail technology {technology!r}"
@@ -139,7 +140,7 @@ class TestValidation:
             load_cluster(config)
 
     def test_misspelled_override_rejected(self):
-        config = paper_config(sampling=False)
+        config = paper_config()
         config["rails"][0]["overrides"] = {"wire_latencyy": 9.0}
         with pytest.raises(
             ConfigurationError,
@@ -148,7 +149,7 @@ class TestValidation:
             load_cluster(config)
 
     def test_mistyped_override_rejected(self):
-        config = paper_config(sampling=False)
+        config = paper_config()
         config["rails"][0]["overrides"] = {"dma_rate": "fast"}
         with pytest.raises(
             ConfigurationError, match="dma_rate must be a number, got 'fast'"
@@ -158,6 +159,54 @@ class TestValidation:
     def test_bad_sampling_value_rejected(self):
         with pytest.raises(ConfigurationError, match="sampling"):
             builder_from_config(paper_config(sampling="maybe"))
+
+    def test_sampling_false_rejected(self):
+        with pytest.raises(
+            ConfigurationError,
+            match=r"'sampling' must be true or \{'profile_file': \.\.\.\}; got False",
+        ):
+            builder_from_config(paper_config(sampling=False))
+
+    def test_misspelled_node_key_rejected(self):
+        config = paper_config()
+        config["nodes"][0] = {
+            "name": "node0", "sockets": 2, "cores_per_sockett": 4,
+        }
+        with pytest.raises(
+            ConfigurationError,
+            match=r"unknown node keys \['cores_per_sockett'\]; known: .*'cores_per_socket'",
+        ):
+            builder_from_config(config)
+
+    def test_misspelled_rail_key_rejected(self):
+        config = paper_config()
+        config["rails"][0]["overides"] = {"wire_latency": 9.0}
+        with pytest.raises(
+            ConfigurationError,
+            match=r"unknown rail keys \['overides'\]; known: .*'overrides'",
+        ):
+            builder_from_config(config)
+
+    def test_misspelled_option_rejected(self):
+        with pytest.raises(
+            ConfigurationError,
+            match=r"unknown options keys \['multicore_rxx'\]; known: \['multicore_rx'\]",
+        ):
+            builder_from_config(paper_config(options={"multicore_rxx": True}))
+
+    def test_app_core_option_rejected(self):
+        """The application core is always core 0."""
+        with pytest.raises(
+            ConfigurationError, match=r"unknown options keys \['app_core'\]"
+        ):
+            builder_from_config(paper_config(options={"app_core": 1}))
+
+    def test_misspelled_sampling_key_rejected(self):
+        with pytest.raises(
+            ConfigurationError,
+            match=r"unknown sampling keys \['profile_fille'\]; known: \['profile_file'\]",
+        ):
+            builder_from_config(paper_config(sampling={"profile_fille": "p.json"}))
 
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(ConfigurationError, match="cannot read"):
@@ -174,7 +223,36 @@ class TestValidation:
             builder_from_config(paper_config(version=99))
 
     def test_version_one_accepted(self):
-        builder_from_config(paper_config(version=1, sampling=False))
+        builder_from_config(paper_config(version=1))
+
+
+def docstring_examples():
+    """The JSON examples of the ``repro.api.config`` module docstring:
+    each indented block after a ``::``."""
+    examples = []
+    for part in config_module.__doc__.split("::\n")[1:]:
+        block = []
+        for line in part.splitlines():
+            if line.strip() and not line.startswith(" "):
+                break
+            block.append(line)
+        examples.append(json.loads(textwrap.dedent("\n".join(block))))
+    return examples
+
+
+class TestDocstringExamples:
+    """The documented schema and the loader cannot drift apart."""
+
+    def test_both_examples_found(self):
+        assert len(docstring_examples()) == 2
+
+    @pytest.mark.parametrize("index", [0, 1], ids=["explicit", "fabric"])
+    def test_example_loads(self, index, profile_file):
+        config = docstring_examples()[index]
+        if "sampling" in config:
+            config["sampling"]["profile_file"] = profile_file
+        cluster = load_cluster(config)
+        assert sorted(cluster.machines) == ["node0", "node1"]
 
 
 class TestFaultsSection:

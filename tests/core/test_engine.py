@@ -310,12 +310,6 @@ class TestBuilderValidation:
         with pytest.raises(ConfigurationError):
             b.add_rail("myri10g", "x", "ghost")
 
-    def test_sampling_strategy_without_profiles_rejected(self):
-        b = ClusterBuilder.paper_testbed(strategy="hetero_split")
-        b.sampling(enabled=False)
-        with pytest.raises(ConfigurationError):
-            b.build()
-
     def test_per_node_strategy_override(self, profiles):
         cluster = (
             ClusterBuilder.paper_testbed(strategy="hetero_split")

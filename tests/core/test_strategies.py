@@ -287,12 +287,6 @@ class TestHeteroSplit:
         m = one_way(cluster, 4 * MiB)
         assert len(m.rails_used) == 1
 
-    def test_needs_sampling(self):
-        with pytest.raises(ConfigurationError):
-            ClusterBuilder.paper_testbed(strategy="hetero_split").sampling(
-                enabled=False
-            ).build()
-
     def test_busy_rail_avoided(self, profiles):
         """The Fig. 2 rule, live: a rail busy for ages is not used."""
         cluster = build("hetero_split", profiles)

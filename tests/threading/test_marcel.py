@@ -171,6 +171,26 @@ class TestTaskletWithPreemption:
         assert thread.done and thread.progress == pytest.approx(1000.0)
         assert sim.now == pytest.approx(1022.0)
 
+    def test_preempting_a_slice_that_ends_in_the_same_instant(
+        self, sim, node, marcel
+    ):
+        """b's look preempts the thread at 111.25 µs, the instant its
+        slice deadline ends it: the signal lands on a slice already
+        over, and b still starts once the core is free."""
+        thread = marcel.spawn_compute(node.cores[1], work_us=100.25)
+        ran = []
+        a = Tasklet(body=lambda: ran.append(("a", sim.now)), cpu_cost=5.0)
+        b = Tasklet(body=lambda: ran.append(("b", sim.now)), cpu_cost=5.0)
+        sim.schedule(100.0, marcel.schedule_tasklet, a, node.cores[1], node.cores[0])
+        sim.schedule(100.75, marcel.schedule_tasklet, b, node.cores[1], node.cores[0])
+        sim.run()
+        # a: 6 µs preemption, then 5 µs of work; the thread retakes its
+        # core at 111 µs with 0.25 µs of work left.  b: the same 6 + 5.
+        assert ran == [("a", 111.0), ("b", 122.25)]
+        assert a.state is b.state is TaskletState.DONE
+        assert thread.done and thread.preempt_count == 1
+        assert sim.now == pytest.approx(122.25)
+
     def test_nonpreemptable_target_rejected(self, sim, node, marcel):
         marcel.spawn_compute(node.cores[1], work_us=None, preemptable=False)
         errors = []
