@@ -499,7 +499,9 @@ class ClusterBuilder:
         return self
 
     def strategy_for(self, node: str, strategy: StrategySpec) -> "ClusterBuilder":
-        """Override the strategy for one node (defaults apply elsewhere)."""
+        """Override the strategy for one node (defaults apply elsewhere).
+        The node may be added later; :meth:`build` rejects a name that
+        no node has."""
         self._per_node_strategy[node] = strategy
         return self
 
@@ -658,6 +660,12 @@ class ClusterBuilder:
             raise ConfigurationError("cluster has no nodes")
         if not self._rails and not self._switches:
             raise ConfigurationError("cluster has no rails")
+        unknown = sorted(set(self._per_node_strategy) - set(self._machines))
+        if unknown:
+            raise ConfigurationError(
+                f"per-node strategy for unknown node(s) {unknown}; "
+                f"known: {sorted(self._machines)}"
+            )
         rail_count: Dict[str, int] = {name: 0 for name in self._machines}
         for node_a, node_b, profile in self._rails:
             idx_a, idx_b = rail_count[node_a], rail_count[node_b]

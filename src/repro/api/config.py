@@ -96,14 +96,13 @@ _TOP_LEVEL_KEYS = {
 #: config schema versions this loader understands
 _SUPPORTED_VERSIONS = {1}
 
-_NODE_KEYS = {
-    "name",
-    "sockets",
-    "cores_per_socket",
-    "signal_cost_us",
-    "preempt_cost_us",
-    "memcpy_rate",
+#: a node's CPU topology keys: any one of them builds its CpuTopology,
+#: with the paper's 2 x 2 layout and 3 / 6 µs costs for the others
+_TOPOLOGY_KEYS = {
+    "sockets", "cores_per_socket", "signal_cost_us", "preempt_cost_us",
 }
+
+_NODE_KEYS = {"name", "memcpy_rate"} | _TOPOLOGY_KEYS
 
 _RAIL_KEYS = {"driver", "between", "overrides"}
 
@@ -204,7 +203,7 @@ def builder_from_config(source: ConfigSource) -> ClusterBuilder:
                 raise ConfigurationError(f"node entry without a name: {node}")
             _check_keys("node", node, _NODE_KEYS)
             topology = None
-            if "sockets" in node or "cores_per_socket" in node:
+            if not _TOPOLOGY_KEYS.isdisjoint(node):
                 topology = CpuTopology(
                     sockets=int(node.get("sockets", 2)),
                     cores_per_socket=int(node.get("cores_per_socket", 2)),

@@ -8,7 +8,9 @@ Determinism: node→pid and lane→tid maps are assigned in sorted order,
 events are sorted by ``(ts, seq)`` (``seq`` is the tracer's record
 order, so simultaneous events keep a stable order), and the JSON is
 dumped with sorted keys — two identical runs serialize byte-identically.
-The event dicts are built here, from the tracer's flat records.
+The event dicts are built in one loop over the sorted records by
+:func:`repro.obs.tracer.event_dicts`, the builder :attr:`Tracer.events`
+uses too, with one ``(node, lane) → (pid, tid)`` map.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Any, Dict, List, Union
 
-from repro.obs.tracer import event_dict
+from repro.obs.tracer import event_dicts
 
 PathOrBuffer = Union[str, Path, io.TextIOBase]
 
@@ -30,34 +32,30 @@ def chrome_trace(tracer) -> Dict[str, Any]:
     lanes = sorted({rec[1] for rec in records})
     nodes = sorted({node for node, _ in lanes})
     pid_of = {node: i + 1 for i, node in enumerate(nodes)}
-    tid_of: Dict[tuple, int] = {}
-    per_node_count: Dict[str, int] = {}
-    for node, lane in lanes:
-        per_node_count[node] = per_node_count.get(node, 0) + 1
-        tid_of[(node, lane)] = per_node_count[node]
+    ids: Dict[tuple, tuple] = {}
+    tids: Dict[str, int] = {}
+    for where in lanes:
+        node = where[0]
+        tid = tids[node] = tids.get(node, 0) + 1
+        ids[where] = (pid_of[node], tid)
 
-    events: List[Dict[str, Any]] = []
-    for node in nodes:
-        events.append(
-            {
-                "ph": "M", "name": "process_name", "cat": "__metadata",
-                "pid": pid_of[node], "tid": 0, "ts": 0,
-                "args": {"name": node},
-            }
-        )
-    for node, lane in lanes:
-        events.append(
-            {
-                "ph": "M", "name": "thread_name", "cat": "__metadata",
-                "pid": pid_of[node], "tid": tid_of[(node, lane)], "ts": 0,
-                "args": {"name": lane},
-            }
-        )
+    events: List[Dict[str, Any]] = [
+        {
+            "ph": "M", "name": "process_name", "cat": "__metadata",
+            "pid": pid_of[node], "tid": 0, "ts": 0, "args": {"name": node},
+        }
+        for node in nodes
+    ]
+    events += [
+        {
+            "ph": "M", "name": "thread_name", "cat": "__metadata",
+            "pid": pid, "tid": tid, "ts": 0, "args": {"name": where[1]},
+        }
+        for where, (pid, tid) in ids.items()
+    ]
     # A stable sort by ts keeps record order among equal timestamps: the
     # (ts, seq) order.
-    for rec in sorted(records, key=itemgetter(3)):
-        where = rec[1]
-        events.append(event_dict(rec, pid_of[where[0]], tid_of[where]))
+    events += event_dicts(sorted(records, key=itemgetter(3)), ids)
     return {
         "traceEvents": events,
         "displayTimeUnit": "ms",

@@ -7,7 +7,10 @@ the call finishes.  The scope is purely passive: it marks the rank's send log be
 the schedule runs and slices the messages the schedule posted after it
 finishes — no extra events, no timestamp moved.  Each message becomes a
 *hop* row once the run drains (``t_post``/``t_complete`` are stamped by
-the engine either way).
+the engine either way).  At read-out, :meth:`CollectiveProfiler
+.flush_to_tracer` hands each op whose messages all completed to
+:meth:`repro.obs.tracer.Tracer.collective`, once, as fixed-shape
+records: the op's span and its hops' span pairs.
 
 Post-run analyzers:
 
@@ -140,9 +143,13 @@ class CollectiveProfiler:
 
     def flush_to_tracer(self, tracer) -> None:
         """Emit op spans + completed hop spans (once per op) so Perfetto
-        shows each rank's collective rounds; exporter re-sorts by ts."""
+        shows each rank's collective rounds; exporter re-sorts by ts.
+
+        Each op goes to :meth:`repro.obs.tracer.Tracer.collective`, which
+        pushes fixed-shape records."""
         if not tracer.enabled:
             return
+        spans = tracer.collective
         for op in self.ops:
             if op["traced"]:
                 continue
@@ -152,33 +159,11 @@ class CollectiveProfiler:
                 # op on a later flush (post-drain flushes see them all).
                 continue
             op["traced"] = True
-            name = f"{op['collective']}[{op['seq']}]"
-            tracer.complete(
-                op["node"], "collectives", name,
-                op["t_start"], op["t_end"] - op["t_start"],
-                cat="collective",
-                args={
-                    "algorithm": op["algorithm"],
-                    "nbytes": op["nbytes"],
-                    "rank": op["rank"],
-                    "hops": len(op["msgs"]),
-                },
+            spans(
+                op["node"], op["collective"], op["seq"], op["algorithm"],
+                op["nbytes"], op["rank"], op["t_start"], op["t_end"],
+                op["msgs"],
             )
-            for m in op["msgs"]:
-                hop_args = {
-                    "collective": op["collective"],
-                    "dst": m.dest,
-                    "size": m.size,
-                    "tag": m.tag,
-                }
-                tracer.async_begin(
-                    op["node"], "coll-hops", f"hop{m.msg_id}", m.msg_id,
-                    m.t_post, cat="collective-hop", args=hop_args,
-                )
-                tracer.async_end(
-                    op["node"], "coll-hops", f"hop{m.msg_id}", m.msg_id,
-                    m.t_complete, cat="collective-hop",
-                )
 
     def clear(self) -> None:
         self.ops.clear()

@@ -19,6 +19,12 @@ The handlers that fire per message, plan, transfer or packet format
 their metric names once per key (node; NIC; switch and output port;
 switch and spine) and keep the instruments; the fault, retry and
 calibration handlers, a handful of events per run, look them up by name.
+``on_send``, ``on_complete``, ``on_plan``, ``on_nic_send``, ``on_link``
+and ``on_spine``, the handlers a fat-tree run fires per message,
+transfer or packet, add to ``Counter.value`` directly: their amounts
+(1, sizes, drain and stall times) are non-negative by construction, so
+the check in :meth:`Counter.inc`, which every other caller keeps,
+cannot fire there.
 """
 
 from __future__ import annotations
@@ -119,17 +125,8 @@ class Histogram:
     __slots__ = ("name", "bounds", "counts", "count", "total", "min", "max")
 
     def __init__(self, name: str, bounds: Sequence[float] = DEFAULT_TIME_BUCKETS_US) -> None:
-        # NaN edges are refused: observe() bisects, which needs an order
-        if (
-            not bounds
-            or list(bounds) != sorted(bounds)
-            or any(map(math.isnan, bounds))
-        ):
-            raise ConfigurationError(
-                f"histogram {name} needs sorted, non-empty bounds: {bounds!r}"
-            )
         self.name = name
-        self.bounds: Tuple[float, ...] = tuple(float(b) for b in bounds)
+        self.bounds: Tuple[float, ...] = _edges(name, bounds)
         self.counts = [0] * (len(self.bounds) + 1)
         self.count = 0
         self.total = 0.0
@@ -178,6 +175,32 @@ def _bucket_labels(bounds: Tuple[float, ...]) -> Tuple[str, ...]:
         if 0.0 not in bounds:  # 0.0 == -0.0, but "le_0" != "le_-0"
             _BUCKET_LABELS[bounds] = labels
     return labels
+
+
+#: bounds tuple -> its checked float edges (no zero edge: see
+#: _bucket_labels)
+_EDGES: Dict[Tuple[float, ...], Tuple[float, ...]] = {}
+
+
+def _edges(name: str, bounds: Sequence[float]) -> Tuple[float, ...]:
+    """``bounds`` checked and converted to floats, once per tuple."""
+    hashable = type(bounds) is tuple
+    edges = _EDGES.get(bounds) if hashable else None
+    if edges is None:
+        # NaN edges are refused: observe() bisects, which needs an order
+        if (
+            not bounds
+            or list(bounds) != sorted(bounds)
+            or any(map(math.isnan, bounds))
+        ):
+            raise ConfigurationError(
+                f"histogram {name} needs sorted, non-empty bounds: {bounds!r}"
+            )
+        edges = tuple(float(b) for b in bounds)
+        # 0 == 0.0 == -0.0, but each converts to its own edge and label
+        if hashable and 0.0 not in edges:
+            _EDGES[bounds] = edges
+    return edges
 
 
 class MetricsRegistry:
@@ -275,8 +298,8 @@ class MetricsRegistry:
                 self.counter(f"engine.{src}.messages_sent"),
                 self.counter(f"engine.{src}.bytes_sent"),
             )
-        sent[0].inc()
-        sent[1].inc(msg.size)
+        sent[0].value += 1
+        sent[1].value += msg.size
 
     def on_duplicate(self, msg, transfer, now) -> None:
         self.counter(f"engine.{msg.dest}.duplicates_suppressed").inc()
@@ -290,7 +313,7 @@ class MetricsRegistry:
             completed = self._completed[src] = self.counter(
                 f"engine.{src}.messages_completed"
             )
-        completed.inc()
+        completed.value += 1
         if msg.t_post is not None:
             latency = self._latency.get(src)
             if latency is None:
@@ -330,14 +353,14 @@ class MetricsRegistry:
                     f"predictor.{node}.rails_per_plan", bounds=DEFAULT_DEPTH_BUCKETS
                 ),
             )
-        plans[0].inc()
+        plans[0].value += 1
         key = (node, cached)
         lookup = self._plan_cache.get(key)
         if lookup is None:
             lookup = self._plan_cache[key] = self.counter(
                 f"predictor.{node}.plan_cache_{'hits' if cached else 'misses'}"
             )
-        lookup.inc()
+        lookup.value += 1
         plans[1].observe(len(plan.nics))
 
     def on_split(self, node, msg, plan, to_us, now) -> None:
@@ -362,8 +385,8 @@ class MetricsRegistry:
                 self.counter(f"nic.{q}.transfers"),
                 self.counter(f"nic.{q}.bytes"),
             )
-        sends[0].inc()
-        sends[1].inc(transfer.size)
+        sends[0].value += 1
+        sends[1].value += transfer.size
 
     def on_nic_down(self, nic, aborted) -> None:
         self.counter(f"nic.{nic.qualified_name}.down").inc()
@@ -415,9 +438,9 @@ class MetricsRegistry:
                 self.histogram(f"{prefix}.packet_bytes"),
             )
         packets, queued, busy, sizes = link
-        packets.inc()
-        queued.inc(transfer.size)
-        busy.inc(drain)
+        packets.value += 1
+        queued.value += transfer.size
+        busy.value += drain
         sizes.observe(transfer.size)
         if stall > 0.0:
             trio = self._link_stalls.get(key)
@@ -426,8 +449,8 @@ class MetricsRegistry:
                     f"fabric.{switch.name}.link.{dst.machine.name}"
                 )
             stalled, stall_total, stalls = trio
-            stalled.inc()
-            stall_total.inc(stall)
+            stalled.value += 1
+            stall_total.value += stall
             stalls.observe(stall)
 
     def on_spine(self, switch, src, transfer, spine, start, drain, stall) -> None:
@@ -438,9 +461,9 @@ class MetricsRegistry:
                 f"fabric.{switch.name}.spine{spine}"
             )
         packets, queued, busy = occupancy
-        packets.inc()
-        queued.inc(transfer.size)
-        busy.inc(drain)
+        packets.value += 1
+        queued.value += transfer.size
+        busy.value += drain
         if stall > 0.0:
             trio = self._spine_stalls.get(key)
             if trio is None:
@@ -448,8 +471,8 @@ class MetricsRegistry:
                     f"fabric.{switch.name}.spine{spine}"
                 )
             stalled, stall_total, stalls = trio
-            stalled.inc()
-            stall_total.inc(stall)
+            stalled.value += 1
+            stall_total.value += stall
             stalls.observe(stall)
 
     def on_fabric_drop(self, switch) -> None:

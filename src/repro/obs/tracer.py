@@ -21,8 +21,16 @@ tracing is off the tracer is simply not subscribed.
 An event is recorded as one flat tuple of values, captured when the
 hook fires (see :data:`Record`); the lane and name strings of the hot
 handlers are built once per NIC, switch port, spine or transfer kind.
-Event dicts are built only when something reads them: :attr:`Tracer.events`
-and :func:`repro.obs.chrome_export.chrome_trace`.
+The hot handlers and :meth:`Tracer.collective` (the collective
+profiler's spans, pushed at read-out) push module-constant shapes
+straight to the log; the generic primitives (:meth:`Tracer.complete`,
+:meth:`Tracer.instant`, ...) derive a shape from an args dict, for the
+handful of fault, calibration and offload events.  Enum members are
+read through ``_value_``, a plain attribute: ``.value`` and hashing a
+member run Python code in :mod:`enum` on every call.
+Event dicts are built only when something reads them, by one builder,
+:func:`event_dicts`, for :attr:`Tracer.events` and
+:func:`repro.obs.chrome_export.chrome_trace`.
 
 A bounded tracer (``limit``) drops the newest events once full — except
 the end of an async span whose begin it kept, so a truncated trace
@@ -36,7 +44,7 @@ the Chrome JSON format wants and emits the matching metadata events.
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 #: default cap on recorded events before the tracer starts dropping
 #: (deterministic: based purely on the event count, never on memory)
@@ -67,6 +75,18 @@ _LINK = ("X", "fabric", ("transfer", "msg", "size", "src", "stall_us"), None)
 _SPINE = (
     "X", "fabric", ("transfer", "msg", "size", "src", "dst", "stall_us"), None,
 )
+_PLAN = (
+    "i", "decision",
+    (
+        "size", "mode", "considered", "busy_offsets_us", "chosen",
+        "chunk_sizes", "iterations", "predicted_completion_us", "cache",
+    ),
+    "vvllllvvv",
+)
+# shapes of the collective profiler's spans (Tracer.collective)
+_COLLECTIVE = ("X", "collective", ("algorithm", "nbytes", "rank", "hops"), None)
+_HOP_BEGIN = ("b", "collective-hop", ("collective", "dst", "size", "tag"), None)
+_HOP_END = ("e", "collective-hop", (), None)
 
 
 def _freeze(kind: str, value: Any) -> Any:
@@ -85,32 +105,43 @@ def _thaw(kind: str, value: Any) -> Any:
     return value
 
 
-def event_dict(record: Record, pid: Any, tid: Any) -> Dict[str, Any]:
-    """``record`` as a Chrome event dict with the given ``pid``/``tid``
-    (the recorded node and lane, or the integers the export maps them
-    to)."""
-    ph, cat, keys, kinds = record[0]
-    ev: Dict[str, Any] = {
-        "ph": ph, "name": record[2], "cat": cat, "pid": pid, "tid": tid,
-        "ts": record[3],
-    }
-    if ph == "X":
-        ev["dur"] = record[4]
-    elif ph == "i":
-        ev["s"] = "t"
-    elif ph != "C":
-        ev["id"] = record[4]
-    if keys:
-        if kinds is None:
-            ev["args"] = dict(zip(keys, record[5:]))
+def event_dicts(
+    records: Iterable[Record], ids: Dict[Tuple[str, str], Tuple[Any, Any]]
+) -> List[Dict[str, Any]]:
+    """``records`` as Chrome event dicts, in their order.
+
+    ``ids`` maps each recorded ``(node, lane)`` to the event's
+    ``(pid, tid)``: the integers the export assigns, or the lane itself.
+    Keys come in the order ``ph, name, cat, pid, tid, ts``, then ``dur``,
+    ``s`` or ``id``, then ``args``.
+    """
+    out: List[Dict[str, Any]] = []
+    append = out.append
+    for rec in records:
+        ph, cat, keys, kinds = rec[0]
+        pid, tid = ids[rec[1]]
+        ev = {
+            "ph": ph, "name": rec[2], "cat": cat, "pid": pid, "tid": tid,
+            "ts": rec[3],
+        }
+        if ph == "X":
+            ev["dur"] = rec[4]
+        elif ph == "i":
+            ev["s"] = "t"
+        elif ph == "C":
+            ev["args"] = {}
         else:
-            ev["args"] = {
-                key: _thaw(kind, value)
-                for key, kind, value in zip(keys, kinds, record[5:])
-            }
-    elif ph == "C":
-        ev["args"] = {}
-    return ev
+            ev["id"] = rec[4]
+        if keys:
+            if kinds is None:
+                ev["args"] = dict(zip(keys, rec[5:]))
+            else:
+                ev["args"] = {
+                    key: _thaw(kind, value)
+                    for key, kind, value in zip(keys, kinds, rec[5:])
+                }
+        append(ev)
+    return out
 
 
 class Tracer:
@@ -156,12 +187,12 @@ class Tracer:
 
     @property
     def events(self) -> List[Dict[str, Any]]:
-        """The recorded events as dicts; ``seq`` is the record order."""
-        out = []
-        for seq, rec in enumerate(self._log):
-            ev = event_dict(rec, *rec[1])
+        """The recorded events as dicts, ``pid``/``tid`` the recorded
+        node and lane; ``seq`` is the record order."""
+        log = self._log
+        out = event_dicts(log, {where: where for where in {r[1] for r in log}})
+        for seq, ev in enumerate(out):
             ev["seq"] = seq
-            out.append(ev)
         return out
 
     def clear(self) -> None:
@@ -284,6 +315,36 @@ class Tracer:
         """A sampled value series point (phase ``C``)."""
         self._record("C", cat, node, "counters", name, ts, None, values)
 
+    def collective(
+        self,
+        node: str,
+        collective: str,
+        seq: int,
+        algorithm: str,
+        nbytes: int,
+        rank: int,
+        t_start: float,
+        t_end: float,
+        msgs: List[Any],
+    ) -> None:
+        """One profiled collective call of one rank, its hops complete:
+        an ``X`` span on the node's ``collectives`` lane, then each hop
+        message's ``b``/``e`` pair on ``coll-hops``."""
+        push = self._push
+        push((
+            _COLLECTIVE, (node, "collectives"), f"{collective}[{seq}]",
+            t_start, t_end - t_start, algorithm, nbytes, rank, len(msgs),
+        ))
+        hops = (node, "coll-hops")
+        for m in msgs:
+            msg_id = m.msg_id
+            name = f"hop{msg_id}"
+            push((
+                _HOP_BEGIN, hops, name, m.t_post, msg_id,
+                collective, m.dest, m.size, m.tag,
+            ))
+            push((_HOP_END, hops, name, m.t_complete, msg_id))
+
     # ------------------------------------------------------------------ #
     # lanes and names, built on an emitter's first event
     # ------------------------------------------------------------------ #
@@ -312,7 +373,7 @@ class Tracer:
             _SEND, self._message_lane(msg.src),
             f"msg{msg.msg_id}", msg.t_post, msg.msg_id,
             msg.dest, msg.size, msg.tag,
-            mode.value if mode else "deferred",
+            mode._value_ if mode else "deferred",
         ))
 
     def on_complete(self, msg, now: float) -> None:
@@ -343,7 +404,7 @@ class Tracer:
             nic.machine.name, "faults", "retry", now, cat="fault",
             args={
                 "msg": msg.msg_id,
-                "kind": new.kind.value,
+                "kind": new.kind._value_,
                 "old_transfer": old.transfer_id,
                 "new_transfer": new.transfer_id,
                 "rail": nic.qualified_name,
@@ -363,7 +424,7 @@ class Tracer:
             where = self._rails[(rail, src)] = (
                 src, f"rail:{rail.split('.')[-1]}"
             )
-        name = transfer.kind.value
+        name = transfer.kind._value_
         self._push((
             _TRANSFER_BEGIN, where, name, transfer.t_submit,
             transfer.transfer_id, transfer.msg_id, transfer.size, rail,
@@ -380,21 +441,16 @@ class Tracer:
         """One §II-B decision: rails considered with their busy offsets,
         rails chosen (the others are the Fig. 2 discards), split ratio,
         dichotomy iterations."""
-        chosen = {n.qualified_name for n in plan.nics}
-        self.instant(
-            node, "planner", "plan", considered[0].sim.now, cat="decision",
-            args={
-                "size": size,
-                "mode": mode.value,
-                "considered": [n.qualified_name for n in considered],
-                "busy_offsets_us": list(offsets),
-                "chosen": sorted(chosen),
-                "chunk_sizes": list(plan.sizes),
-                "iterations": iterations,
-                "predicted_completion_us": plan.predicted_completion,
-                "cache": "hit" if cached else "miss",
-            },
-        )
+        self._push((
+            _PLAN, (node, "planner"), "plan", considered[0].sim.now, None,
+            size, mode._value_,
+            tuple([n.qualified_name for n in considered]),
+            tuple(offsets),
+            tuple(sorted({n.qualified_name for n in plan.nics})),
+            tuple(plan.sizes),
+            iterations, plan.predicted_completion,
+            "hit" if cached else "miss",
+        ))
 
     def on_split(self, node, msg, plan, to_us, now) -> None:
         self.instant(
@@ -429,7 +485,7 @@ class Tracer:
         if where is None:
             where = self._nics[nic] = (nic.machine.name, f"nic:{nic.name}")
         self._push((
-            _TX, where, self._kind_names(transfer.kind.value)[0],
+            _TX, where, self._kind_names(transfer.kind._value_)[0],
             start, now - start,
             transfer.transfer_id, transfer.msg_id, transfer.size,
             transfer.aborted,
@@ -465,7 +521,7 @@ class Tracer:
             nic, "packet-drop",
             {
                 "transfer": transfer.transfer_id,
-                "kind": transfer.kind.value,
+                "kind": transfer.kind._value_,
                 "rule": rule.label,
             },
         )
@@ -480,7 +536,7 @@ class Tracer:
                 f"fabric:{switch.name}", f"link:{dst.machine.name}"
             )
         self._push((
-            _LINK, where, self._kind_names(transfer.kind.value)[1],
+            _LINK, where, self._kind_names(transfer.kind._value_)[1],
             start, drain,
             transfer.transfer_id, transfer.msg_id, transfer.size,
             src.machine.name, stall,
@@ -493,7 +549,7 @@ class Tracer:
                 f"fabric:{switch.name}", f"spine:{spine}"
             )
         self._push((
-            _SPINE, where, self._kind_names(transfer.kind.value)[1],
+            _SPINE, where, self._kind_names(transfer.kind._value_)[1],
             start, drain,
             transfer.transfer_id, transfer.msg_id, transfer.size,
             src.machine.name, transfer.dst_node, stall,

@@ -73,6 +73,17 @@ class TestLoadCluster:
         assert cluster.engine("node0").strategy.name == "hetero_split"
         assert cluster.engine("node1").strategy.name == "greedy"
 
+    def test_per_node_strategy_for_unknown_node_rejected(self, profile_file):
+        config = paper_config(
+            per_node_strategy={"nod1": "greedy"},
+            sampling={"profile_file": profile_file},
+        )
+        with pytest.raises(
+            ConfigurationError,
+            match=r"unknown node\(s\) \['nod1'\]; known: \['node0', 'node1'\]",
+        ):
+            load_cluster(config)
+
     def test_options_forwarded(self, profile_file):
         cluster = load_cluster(
             paper_config(
@@ -88,6 +99,25 @@ class TestLoadCluster:
         config["nodes"][0]["cores_per_socket"] = 4
         cluster = load_cluster(config)
         assert len(cluster.machines["node0"].cores) == 8
+
+    @pytest.mark.parametrize(
+        "costs",
+        [
+            {"signal_cost_us": 9.0},
+            {"preempt_cost_us": 12.0},
+            {"signal_cost_us": 9.0, "preempt_cost_us": 12.0},
+        ],
+    )
+    def test_signal_costs_without_layout(self, costs, profile_file):
+        """A cost alone builds the topology, on the 2 x 2 layout."""
+        config = paper_config(sampling={"profile_file": profile_file})
+        config["nodes"][0] = {"name": "node0", **costs}
+        cluster = load_cluster(config)
+        topology = cluster.machines["node0"].topology
+        assert topology.signal_cost_us == costs.get("signal_cost_us", 3.0)
+        assert topology.preempt_cost_us == costs.get("preempt_cost_us", 6.0)
+        assert (topology.sockets, topology.cores_per_socket) == (2, 2)
+        assert len(cluster.machines["node0"].cores) == 4
 
 
 class TestValidation:

@@ -320,6 +320,26 @@ class TestBuilderValidation:
         assert cluster.engine("node0").strategy.name == "hetero_split"
         assert cluster.engine("node1").strategy.name == "greedy"
 
+    def test_per_node_strategy_before_its_node(self, profiles):
+        b = ClusterBuilder("hetero_split").strategy_for("late", "greedy")
+        b.add_node("early").add_node("late").add_rail("myri10g", "early", "late")
+        cluster = b.sampling(profiles=profiles).build()
+        assert cluster.engine("late").strategy.name == "greedy"
+
+    def test_per_node_strategy_for_unknown_node_rejected(self, profiles):
+        builder = (
+            ClusterBuilder.paper_testbed(strategy="hetero_split")
+            .strategy_for("nod1", "greedy")
+            .strategy_for("node9", "greedy")
+            .sampling(profiles=profiles)
+        )
+        with pytest.raises(
+            ConfigurationError,
+            match=r"unknown node\(s\) \['nod1', 'node9'\]; "
+            r"known: \['node0', 'node1'\]",
+        ):
+            builder.build()
+
     def test_unknown_session_rejected(self, profiles):
         cluster = build("greedy", profiles)
         with pytest.raises(ConfigurationError):

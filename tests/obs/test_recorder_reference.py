@@ -8,12 +8,19 @@ dict-per-event tracer and the name-per-event metric handlers as they
 were before the recorders kept flat records, with the linear-scan
 histogram.  The Chrome trace, the event dicts, the drop count and the
 metrics snapshot must be equal, unbounded and, for four scenarios, at
-every trace limit up to the event count.  A property test checks the bisecting
-``Histogram.observe`` against the scan for every value, edges, ±inf
-and NaN included.
+every trace limit up to the event count; the collective profiler's
+spans, flushed into both, at limits sampled across them.  A property
+test checks the bisecting ``Histogram.observe`` against the scan for
+every value, edges, ±inf and NaN included.  Two more checks hold the
+current recorders alone: no function of :mod:`enum` runs while they
+record, flush and export a fat-tree stream, and ``Tracer.events``
+agrees with the Chrome export event for event.
 """
 
+import cProfile
+import enum
 import math
+import pstats
 from typing import Any, Dict, List, Optional, Tuple
 
 import pytest
@@ -163,6 +170,46 @@ class ReferenceTracer:
                 "args": dict(values),
             }
         )
+
+    def collective(
+        self, node, collective, seq, algorithm, nbytes, rank, t_start, t_end,
+        msgs,
+    ) -> None:
+        """One op's spans as ``CollectiveProfiler.flush_to_tracer`` emitted
+        them through the primitives (its loop body, verbatim)."""
+        tracer = self
+        op = {
+            "node": node, "collective": collective, "seq": seq,
+            "algorithm": algorithm, "nbytes": nbytes, "rank": rank,
+            "t_start": t_start, "t_end": t_end, "msgs": msgs,
+        }
+        name = f"{op['collective']}[{op['seq']}]"
+        tracer.complete(
+            op["node"], "collectives", name,
+            op["t_start"], op["t_end"] - op["t_start"],
+            cat="collective",
+            args={
+                "algorithm": op["algorithm"],
+                "nbytes": op["nbytes"],
+                "rank": op["rank"],
+                "hops": len(op["msgs"]),
+            },
+        )
+        for m in op["msgs"]:
+            hop_args = {
+                "collective": op["collective"],
+                "dst": m.dest,
+                "size": m.size,
+                "tag": m.tag,
+            }
+            tracer.async_begin(
+                op["node"], "coll-hops", f"hop{m.msg_id}", m.msg_id,
+                m.t_post, cat="collective-hop", args=hop_args,
+            )
+            tracer.async_end(
+                op["node"], "coll-hops", f"hop{m.msg_id}", m.msg_id,
+                m.t_complete, cat="collective-hop",
+            )
 
     def on_send(self, msg) -> None:
         self.async_begin(
@@ -757,6 +804,90 @@ def test_every_trace_limit_matches_reference(streams, scenario):
         assert_same_trace(new, ref)
     assert Tracer(limit).limit == limit
     assert Tracer().limit == DEFAULT_TRACE_LIMIT
+
+
+def test_collective_flush_at_sampled_trace_limits(streams):
+    """The fat-tree alltoallv flushed at every seventh limit across its
+    120 collective records, and at each edge of them: the op spans and
+    hop pairs are dropped past the limit, except the ends of kept hops,
+    as the primitives did."""
+    stream = max(streams["rails_alltoallv_fat_tree8"], key=len)
+    unbounded, coll = Tracer(limit=None), CollectiveProfiler()
+    replay(stream, unbounded, coll)
+    run = len(unbounded)
+    coll.flush_to_tracer(unbounded)
+    total = len(unbounded)
+    assert total - run > 100
+    limits = {run - 1, run, run + 1, total - 1, total, total + 1}
+    limits.update(range(run, total, 7))
+    for limit in sorted(limits):
+        new, ref = Tracer(limit), ReferenceTracer(limit)
+        coll, ref_coll = CollectiveProfiler(), CollectiveProfiler()
+        replay(stream, new, ref, coll, ref_coll)
+        coll.flush_to_tracer(new)
+        ref_coll.flush_to_tracer(ref)
+        assert_same_trace(new, ref)
+
+
+def test_recorders_run_no_enum_code(streams):
+    """A fat-tree stream (the spine outage: plans, sends, transmits,
+    link and spine drains, arrivals) replayed into the tracer and the
+    registry, then the collective flush and the export, run no function
+    of :mod:`enum`: ``.value`` and hashing a member are Python code
+    there, paid per event."""
+    stream = max(streams["spine_outage_replan"], key=len)
+    coll = CollectiveProfiler()
+    replay(stream, coll)
+    tracer, metrics = Tracer(limit=None), MetricsRegistry()
+    profiler = cProfile.Profile()
+    profiler.enable()
+    try:
+        replay(stream, tracer, metrics)
+        coll.flush_to_tracer(tracer)
+        chrome_trace(tracer)
+    finally:
+        profiler.disable()
+    assert len(tracer) > 3000
+    ran = {
+        f"{name}:{line}": row[1]
+        for (path, line, name), row in pstats.Stats(profiler).stats.items()
+        if path == enum.__file__
+    }
+    assert not ran, ran
+
+
+#: every key an event dict may have, in the order it has them
+_KEY_ORDER = ("ph", "name", "cat", "pid", "tid", "ts", "dur", "s", "id", "args")
+
+
+@pytest.mark.parametrize("scenario", sorted(golden.SCENARIOS))
+def test_events_agree_with_chrome_trace(streams, scenario):
+    """``Tracer.events`` and the export hold the same events, key order
+    included: sorted by ``(ts, seq)``, ``seq`` dropped, and each node
+    and lane mapped to the export's ``pid``/``tid``."""
+    for stream in streams[scenario]:
+        tracer, coll = Tracer(limit=None), CollectiveProfiler()
+        replay(stream, tracer, coll)
+        coll.flush_to_tracer(tracer)
+        trace = chrome_trace(tracer)["traceEvents"]
+        meta = [ev for ev in trace if ev["ph"] == "M"]
+        node_of = {
+            ev["pid"]: ev["args"]["name"]
+            for ev in meta if ev["name"] == "process_name"
+        }
+        ids = {
+            (node_of[ev["pid"]], ev["args"]["name"]): (ev["pid"], ev["tid"])
+            for ev in meta if ev["name"] == "thread_name"
+        }
+        expected = []
+        for ev in sorted(tracer.events, key=lambda e: (e["ts"], e["seq"])):
+            assert list(ev) == [k for k in _KEY_ORDER if k in ev] + ["seq"]
+            del ev["seq"]
+            ev["pid"], ev["tid"] = ids[ev["pid"], ev["tid"]]
+            expected.append(ev)
+        body = trace[len(meta):]
+        assert body == expected
+        assert [list(ev) for ev in body] == [list(ev) for ev in expected]
 
 
 def test_primitives_match_reference():
