@@ -55,7 +55,7 @@ bench-pairs:
 # Chaos soak: the fixed CI seed window under the invariant monitor
 # (exits nonzero on any violation; see docs/chaos.md).
 chaos:
-	$(PYTHON) -m repro.bench.cli chaos --seeds 50 --jobs 2 --flight-dump flight-dumps.json
+	$(PYTHON) -m repro.bench.cli chaos --seeds 50 --jobs 2 --artifact chaos.json
 
 # Wider sweep (minutes, not seconds) over every pool — the
 # workflow_dispatch CI job.  Failing seeds shrink under the settings of
@@ -69,15 +69,15 @@ chaos-wide:
 # Silent-degrade soak: bandwidth drops with no fault event announced,
 # drift loop armed — the invariant monitor must stay silent too.
 chaos-silent:
-	$(PYTHON) -m repro.bench.cli chaos --seeds 50 --silent --calibration --jobs 2 --flight-dump flight-dumps-silent.json
+	$(PYTHON) -m repro.bench.cli chaos --seeds 50 --silent --calibration --jobs 2 --artifact chaos-silent.json
 
 # Fabric chaos soak: 8-rank fat tree, spine outages / port flaps / pod
 # partitions mixed into the episode pool, a re-planning alltoallv as
 # the workload; then the same on flat switches, where the pool draws
 # no spine outages (docs/fabric-faults.md; the CI windows).
 chaos-fabric:
-	$(PYTHON) -m repro.bench.cli chaos --seeds 25 --shape fat_tree --ranks 8 --jobs 2 --flight-dump flight-dumps-fabric.json
-	$(PYTHON) -m repro.bench.cli chaos --seeds 25 --shape flat --ranks 8 --jobs 2 --flight-dump flight-dumps-flat.json
+	$(PYTHON) -m repro.bench.cli chaos --seeds 25 --shape fat_tree --ranks 8 --jobs 2 --artifact chaos-fabric.json
+	$(PYTHON) -m repro.bench.cli chaos --seeds 25 --shape flat --ranks 8 --jobs 2 --artifact chaos-flat.json
 
 # Sharded bandwidth sweep: every (strategy, size) cell fanned out over
 # $(JOBS) workers; output identical to the serial sweep.

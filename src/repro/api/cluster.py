@@ -105,7 +105,7 @@ class Cluster:
     @property
     def obs(self) -> Observability:
         """The obs read-outs (tracer, metrics, accuracy, flight recorder,
-        collective profiler); surfaces that are off stay empty."""
+        collective profiler); with observability off they stay empty."""
         return self._observability
 
     def engine(self, node: str) -> NmadEngine:
@@ -211,6 +211,8 @@ class Cluster:
 
     def accuracy_report(self) -> str:
         """Human-readable per-rail/per-size prediction-error table."""
+        if not self.obs.on:
+            return "prediction accuracy: telemetry disabled"
         return self.obs.accuracy.report()
 
     def calibration_snapshot(self) -> Dict[str, Any]:
@@ -316,7 +318,7 @@ class ClusterBuilder:
         self._multicore_rx = False
         self._faults: Optional[FaultSchedule] = None
         self._resilience: Dict[str, Any] = {}
-        self._observability: Optional[Dict[str, Any]] = None
+        self._observability = False
         self._invariants: Optional[Dict[str, Any]] = None
         self._calibration: Optional[Dict[str, Any]] = None
 
@@ -563,44 +565,16 @@ class ClusterBuilder:
         self._resilience = {"timeout": timeout, "max_retries": max_retries}
         return self
 
-    def observability(
-        self,
-        enabled: bool = True,
-        trace: bool = True,
-        metrics: bool = True,
-        accuracy: bool = True,
-        trace_limit: Optional[int] = None,
-        flight: bool = True,
-        flight_capacity: Optional[int] = None,
-        collectives: bool = True,
-    ) -> "ClusterBuilder":
-        """Attach a cluster-wide :class:`repro.obs.Observability` bundle.
+    def observability(self, enabled: bool = True) -> "ClusterBuilder":
+        """Attach a cluster-wide :class:`repro.obs.Observability` bundle:
+        all five surfaces, or none.
 
         Off by default — and the disabled path is bit-identical to a
         build without this call (the surfaces are record-only hook
-        subscribers).
-        ``trace``/``metrics``/``accuracy``/``flight``/``collectives``
-        toggle the telemetry planes individually; ``trace_limit`` bounds
-        the trace event buffer (oldest runs keep, newest drop, counted
-        deterministically); ``flight_capacity`` sizes the flight
-        recorder's event ring (see :mod:`repro.obs.flight`).
+        subscribers).  To record one surface alone, subscribe it to the
+        built cluster's ``hooks`` instead.
         """
-        if not enabled:
-            self._observability = None
-            return self
-        spec: Dict[str, Any] = {
-            "trace": trace,
-            "metrics": metrics,
-            "accuracy": accuracy,
-            "flight": flight,
-            "collectives": collectives,
-        }
-        Observability.check_limits(trace_limit, flight_capacity)
-        if trace_limit is not None:
-            spec["trace_limit"] = trace_limit
-        if flight_capacity is not None:
-            spec["flight_capacity"] = flight_capacity
-        self._observability = spec
+        self._observability = bool(enabled)
         return self
 
     def invariants(
@@ -707,9 +681,11 @@ class ClusterBuilder:
             profiles = ProfileStore.sample_rails(rails, sampler=self._sampler)
 
         # One hook stream per cluster.  Subscription order is delivery
-        # order: the monitor checks a fact before the obs surfaces record
+        # order: the obs surfaces record a fact before the monitor checks
         # it, and the drift feed (install_calibration) comes last.
         hooks = Hooks()
+        obs = Observability(self._observability)
+        obs.subscribe(hooks)
         inv = (
             InvariantMonitor(**self._invariants)
             if self._invariants is not None
@@ -717,8 +693,6 @@ class ClusterBuilder:
         )
         if inv is not None:
             hooks.subscribe(inv)
-        obs = Observability(**(self._observability or {"enabled": False}))
-        obs.subscribe(hooks)
         engines: Dict[str, NmadEngine] = {}
         for name, machine in self._machines.items():
             spec = self._per_node_strategy.get(name, self._strategy)

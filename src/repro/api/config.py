@@ -22,7 +22,7 @@ Downstream users describe a testbed once and rebuild it everywhere::
         {"time": 650.0, "nic": "node0.myri10g0", "action": "up"}
       ]},
       "resilience": {"timeout": "200us", "max_retries": 8},
-      "observability": {"trace": true, "metrics": true, "accuracy": true},
+      "observability": true,
       "invariants": {"trail_depth": 64},
       "calibration": {"min_samples": 3, "cooldown": 300.0}
     }
@@ -56,6 +56,7 @@ saved :class:`~repro.core.sampling.ProfileStore`); every engine plans
 with sampled curves, so there is no ``false``.  ``faults`` takes a
 schedule in its :meth:`~repro.faults.FaultSchedule.to_dict` form;
 ``resilience`` maps to :meth:`ClusterBuilder.resilience`.
+``observability`` is ``true`` (all five obs surfaces) or ``false``.
 
 ``load_cluster(path_or_dict)`` returns a built :class:`Cluster`;
 ``builder_from_config`` stops one step earlier for callers that want to
@@ -111,16 +112,6 @@ _OPTIONS_KEYS = {"multicore_rx"}
 _SAMPLING_KEYS = {"profile_file"}
 
 _RESILIENCE_KEYS = {"timeout", "max_retries"}
-
-_OBSERVABILITY_KEYS = {
-    "trace",
-    "metrics",
-    "accuracy",
-    "trace_limit",
-    "flight",
-    "flight_capacity",
-    "collectives",
-}
 
 _INVARIANTS_KEYS = {"trail_depth"}
 
@@ -278,9 +269,13 @@ def builder_from_config(source: ConfigSource) -> ClusterBuilder:
         _check_keys("resilience", resilience, _RESILIENCE_KEYS)
         builder.resilience(**resilience)
 
-    _on_off_section(
-        config, "observability", builder.observability, _OBSERVABILITY_KEYS
-    )
+    observability = config.get("observability")
+    if observability is not None:
+        if not isinstance(observability, bool):
+            raise ConfigurationError(
+                f"'observability' must be true or false; got {observability!r}"
+            )
+        builder.observability(observability)
     _on_off_section(config, "invariants", builder.invariants, _INVARIANTS_KEYS)
     _on_off_section(config, "calibration", builder.calibration, _CALIBRATION_KEYS)
     return builder

@@ -187,12 +187,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "--silent",
         action="store_true",
         help="add silent-degrade episodes (bandwidth drops with no fault "
-        "event announced — only the drift loop can notice)",
+        "event announced — only the drift loop can notice; paper shape)",
     )
     chaos.add_argument(
         "--calibration",
         action="store_true",
-        help="arm the calibration drift loop during the soak",
+        help="arm the calibration drift loop during the soak (paper shape)",
     )
     chaos.add_argument(
         "--shape",
@@ -218,15 +218,9 @@ def _build_parser() -> argparse.ArgumentParser:
     chaos.add_argument(
         "--artifact",
         metavar="PATH",
-        help="dump the deterministic soak results as JSON (wall-clock "
-        "fields excluded: byte-identical for --jobs 1 and --jobs N)",
-    )
-    chaos.add_argument(
-        "--flight-dump",
-        metavar="PATH",
-        dest="flight_dump",
-        help="write the flight-recorder post-mortems of every failing "
-        "seed as JSON (empty list when the soak is green)",
+        help="dump the deterministic soak results as JSON, each failing "
+        "seed's violation and trail included (wall-clock fields excluded: "
+        "byte-identical for --jobs 1 and --jobs N)",
     )
 
     topo = sub.add_parser(
@@ -632,13 +626,13 @@ def _cmd_chaos(
     calibration: bool = False,
     jobs: int = 1,
     artifact_path: Optional[str] = None,
-    flight_dump_path: Optional[str] = None,
     shape: str = "paper",
     ranks: int = 8,
 ) -> int:
     from repro.bench.parallel import soak_artifact
     from repro.faults import soak
     from repro.faults.chaos import DEFAULT_INTENSITY
+    from repro.util.errors import ConfigurationError
     from repro.util.parallel import resolve_jobs
 
     try:
@@ -653,28 +647,33 @@ def _cmd_chaos(
             file=sys.stderr,
         )
         return 2
+    if not seeds:
+        # A green run over no seed would pass a mistyped window.
+        print(
+            f"empty --seeds window {seeds_spec!r}: expected a count N >= 1 "
+            "or LO-HI with LO <= HI",
+            file=sys.stderr,
+        )
+        return 2
     workers = resolve_jobs(jobs)
-    report = soak(
-        seeds,
-        intensity=intensity if intensity is not None else DEFAULT_INTENSITY,
-        shrink_failures=do_shrink,
-        silent=silent,
-        calibration=calibration,
-        shape=shape,
-        ranks=ranks,
-        jobs=workers,
-    )
+    try:
+        report = soak(
+            seeds,
+            intensity=intensity if intensity is not None else DEFAULT_INTENSITY,
+            shrink_failures=do_shrink,
+            silent=silent,
+            calibration=calibration,
+            shape=shape,
+            ranks=ranks,
+            jobs=workers,
+        )
+    except ConfigurationError as exc:  # settings the shape cannot run
+        print(str(exc), file=sys.stderr)
+        return 2
     if workers > 1:
         print(f"[{workers} workers]")
     if artifact_path:
         _dump_json(soak_artifact(report), artifact_path, "soak artifact")
-    if flight_dump_path:
-        dumps = [
-            {"seed": s.seed, "dump": s.flight_dump}
-            for s in report.scenarios
-            if not s.ok
-        ]
-        _dump_json(dumps, flight_dump_path, "flight-recorder dumps")
     print(report.summary())
     for bad in report.violations:
         assert bad.violation is not None
@@ -765,7 +764,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 calibration=args.calibration,
                 jobs=args.jobs,
                 artifact_path=args.artifact,
-                flight_dump_path=args.flight_dump,
                 shape=args.shape,
                 ranks=args.ranks,
             )

@@ -28,33 +28,4 @@ def soak_artifact(report) -> Dict[str, Any]:
     return payload
 
 
-def soak_obs_artifact(report) -> Dict[str, Any]:
-    """Merged observability artifact of a metrics-armed soak.
-
-    Each scenario carries its own per-seed metrics snapshot (workers
-    cannot share a registry across process boundaries); this folds them
-    with :func:`repro.obs.metrics.merge_snapshots` — counters add,
-    histograms add bucket-wise, gauges keep the last shard's value —
-    and collects every flight dump.  ``soak`` returns scenarios in seed
-    order, so the merge order (and therefore the serialized artifact) is
-    byte-identical for ``--jobs 1`` and ``--jobs N``.
-    """
-    from repro.obs.metrics import merge_snapshots
-
-    snapshots = [
-        s.metrics_snapshot
-        for s in report.scenarios
-        if s.metrics_snapshot is not None
-    ]
-    return {
-        "seeds": len(report.scenarios),
-        "metrics": merge_snapshots(snapshots),
-        "flight_dumps": [
-            {"seed": s.seed, "dump": s.flight_dump}
-            for s in report.scenarios
-            if s.flight_dump is not None
-        ],
-    }
-
-
-__all__ = ["soak_artifact", "soak_obs_artifact"]
+__all__ = ["soak_artifact"]

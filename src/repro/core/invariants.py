@@ -202,10 +202,6 @@ class InvariantMonitor:
         #: duplicate deliveries correctly suppressed by the engine
         self.duplicates_seen: int = 0
 
-    #: a suppressed duplicate reaches the obs surfaces before this
-    #: monitor checks it, so a violation dump taken here still holds it
-    hook_late = ("on_duplicate",)
-
     def __repr__(self) -> str:
         return (
             f"<InvariantMonitor checks={self.checks_performed} "

@@ -441,12 +441,6 @@ class ScenarioResult:
     deliveries_cancelled: int
     faults_fired: int
     checks_performed: int
-    #: flight-recorder post-mortem for the violation (None when ok or
-    #: when the recorder was not armed) — see repro.obs.flight
-    flight_dump: Optional[Dict[str, Any]] = None
-    #: metrics snapshot (only with ``run_scenario(obs_metrics=True)``);
-    #: merged across shards by repro.bench.parallel.soak_obs_artifact
-    metrics_snapshot: Optional[Dict[str, Any]] = None
 
     def to_dict(self) -> Dict[str, Any]:
         out = {
@@ -464,8 +458,6 @@ class ScenarioResult:
         }
         if self.violation is not None:
             out["violation"] = self.violation.to_dict()
-        if self.flight_dump is not None:
-            out["flight_dump"] = self.flight_dump
         return out
 
 
@@ -564,19 +556,37 @@ def _fabric_workload(world, seed: int) -> List[List[int]]:
     return matrix
 
 
-def _violation_flight_dump(cluster, violation) -> Optional[Dict[str, Any]]:
-    """The post-mortem for a violation (snapshotting if none landed)."""
-    if violation is None:
-        return None
-    flight = cluster.obs.flight
-    dump = flight.last_dump()
-    if dump is None or dump.get("reason") != "invariant-violation":
-        # Mid-run violations (monitor raises inside cluster.run())
-        # bypass check_drain's trigger — snapshot the ring now.
-        if cluster.hooks.on_violation:
-            cluster.hooks.on_violation(violation, cluster.sim.now)
-        dump = flight.last_dump()
-    return dump
+def _check_settings(
+    shape: str, ranks: int, silent: bool, calibration: bool
+) -> None:
+    """Reject settings a chaos shape cannot run: an unknown shape, a
+    fabric of fewer than two ranks, or the silent pool or drift loop
+    (paper shape only) on a fabric."""
+    if shape not in CHAOS_SHAPES:
+        raise ConfigurationError(
+            f"chaos shape must be one of {CHAOS_SHAPES}, got {shape!r}"
+        )
+    if shape == "paper":
+        return
+    if ranks < 2:
+        raise ConfigurationError(f"fabric chaos needs >= 2 ranks, got {ranks}")
+    if silent or calibration:
+        raise ConfigurationError(
+            f"silent and calibration run on the paper shape only, not {shape!r}"
+        )
+
+
+def _settings(scenario: Dict[str, Any]) -> Dict[str, Any]:
+    """:func:`run_scenario`'s settings: ``scenario`` with the defaults it
+    leaves out filled in, checked before any scenario runs."""
+    call = inspect.signature(run_scenario).bind(0, **scenario)
+    call.apply_defaults()
+    settings = call.arguments
+    _check_settings(
+        settings["shape"], settings["ranks"], settings["silent"],
+        settings["calibration"],
+    )
+    return settings
 
 
 def _chaos_cluster(shape: str, ranks: int, strategy: str):
@@ -609,7 +619,6 @@ def run_scenario(
     invariants: bool = True,
     silent: bool = False,
     calibration: bool = False,
-    obs_metrics: bool = False,
     shape: str = "paper",
     ranks: int = 8,
 ) -> ScenarioResult:
@@ -629,11 +638,9 @@ def run_scenario(
     unannounced bandwidth drops; ``calibration=True`` arms the drift
     loop so those drops can be detected and re-sampled away mid-run.
 
-    The flight recorder is always armed (cheap ring; a violating seed
-    ships its own post-mortem in ``flight_dump``).  ``obs_metrics=True``
-    additionally arms the metrics registry and attaches its snapshot to
-    the result — the per-shard input to
-    :func:`repro.bench.parallel.soak_obs_artifact`'s merge.
+    A violating seed's post-mortem is the trail of recent hook
+    observations its :class:`InvariantViolation` carries (in ``report()``
+    and ``to_dict()``); no obs surface is armed.
 
     ``shape`` picks the testbed and its workload, nothing else: ``"paper"``
     (default, the two-node §IV testbed, a tagged point-to-point message
@@ -642,18 +649,14 @@ def run_scenario(
     :data:`FABRIC_SPINES` spines) across ``ranks`` nodes, where the
     episode pool additionally draws :data:`FABRIC_EPISODE_KINDS` and the
     workload is a re-planning alltoallv (``silent``/``calibration`` are
-    paper-shape only).
+    paper-shape only: a fabric shape with either raises
+    :class:`ConfigurationError`).
     """
     from repro.api.mpi import MpiWorld
     from repro.bench.runners import default_profiles
 
-    if shape not in CHAOS_SHAPES:
-        raise ConfigurationError(
-            f"chaos shape must be one of {CHAOS_SHAPES}, got {shape!r}"
-        )
+    _check_settings(shape, ranks, silent, calibration)
     paper = shape == "paper"
-    if not paper and ranks < 2:
-        raise ConfigurationError(f"fabric chaos needs >= 2 ranks, got {ranks}")
     if chaos is None:
         chaos = _default_chaos(seed, shape, ranks, horizon, intensity, silent)
     _reset_id_counters()
@@ -662,16 +665,10 @@ def run_scenario(
         .sampling(profiles=default_profiles(_CHAOS_RAILS))
         .resilience(timeout=CHAOS_TIMEOUT, max_retries=CHAOS_MAX_RETRIES)
         .faults(chaos.schedule())
-        # Flight recorder always on: a cheap ring of recent events, so a
-        # violating seed ships its own post-mortem.  Purely passive —
-        # the obs contract guarantees identical timestamps either way.
-        .observability(
-            trace=False, metrics=obs_metrics, accuracy=False, collectives=False
-        )
     )
     if invariants:
         builder.invariants()
-    if calibration and paper:
+    if calibration:
         builder.calibration()
     cluster = builder.build()
     monitor = cluster.invariants
@@ -703,10 +700,6 @@ def run_scenario(
             cluster.fault_injector.faults_fired if cluster.fault_injector else 0
         ),
         checks_performed=monitor.checks_performed if monitor else 0,
-        flight_dump=_violation_flight_dump(cluster, violation),
-        metrics_snapshot=(
-            cluster.obs.metrics.snapshot() if obs_metrics else None
-        ),
     )
 
 
@@ -774,12 +767,13 @@ def soak(
     ``seeds`` is an iterable of ints (or an int: ``range(seeds)``).
     ``scenario`` is :func:`run_scenario`'s settings (``strategy``,
     ``horizon``, ``intensity``, ``invariants``, ``silent``,
-    ``calibration``, ``obs_metrics``, ``shape``, ``ranks``), the same
-    for every seed: ``silent``/``calibration`` run the silent-degrade
-    pool with the drift loop armed, ``shape``/``ranks`` the fabric
-    soak.  With ``shrink_failures``, every failing seed's schedule is
-    reduced to a minimal still-failing episode set (:func:`shrink`,
-    under the same settings) and attached to the report.
+    ``calibration``, ``shape``, ``ranks``), the same for every seed and
+    checked before any scenario runs: ``silent``/``calibration`` run the
+    silent-degrade pool with the drift loop armed (paper shape only),
+    ``shape``/``ranks`` the fabric soak.  With ``shrink_failures``,
+    every failing seed's schedule is reduced to a minimal still-failing
+    episode set (:func:`shrink`, under the same settings) and attached
+    to the report.
 
     ``jobs`` shards the seeds over that many processes
     (:func:`repro.util.parallel.parallel_map`; ``0`` = one per CPU).
@@ -791,6 +785,7 @@ def soak(
     """
     if isinstance(seeds, int):
         seeds = range(seeds)
+    _settings(scenario)
     report = SoakReport()
     t0 = time.perf_counter()
     report.scenarios = parallel_map(
@@ -828,9 +823,7 @@ def shrink(seed: int, max_runs: int = 64, **scenario) -> ChaosSchedule:
     """
     # Settings the caller left out take run_scenario's own defaults, so
     # the base is exactly the schedule the scenario draws.
-    call = inspect.signature(run_scenario).bind(seed, **scenario)
-    call.apply_defaults()
-    settings = call.arguments
+    settings = _settings(scenario)
     base = _default_chaos(
         seed, settings["shape"], settings["ranks"], settings["horizon"],
         settings["intensity"], settings["silent"],

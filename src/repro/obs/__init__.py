@@ -16,10 +16,12 @@ section does the same declaratively) holds the five read-out surfaces:
 * :attr:`Observability.collectives` — the collective critical-path
   profiler (:mod:`repro.obs.collective`).
 
-Each surface is a subscriber of the cluster's hook stream
-(:mod:`repro.obs.hooks`); a disabled surface is simply not subscribed
-and stays empty.  With everything off nothing subscribes, and every hook
-site costs one attribute read.  The surfaces are **purely passive**:
+The bundle is one switch: on, all five surfaces subscribe to the
+cluster's hook stream (:mod:`repro.obs.hooks`); off, none does, they
+stay empty, and every hook site costs one attribute read.  Code that
+wants a single surface builds it (``Tracer(limit)``,
+``FlightRecorder(capacity)``, ...) and subscribes it to
+``cluster.hooks`` itself.  The surfaces are **purely passive**:
 they read simulated state but never schedule events, occupy resources
 or alter control flow, so enabling them moves *no simulated timestamp*
 (the determinism tests assert this bit-for-bit).
@@ -37,7 +39,7 @@ level: the cores and NICs import :mod:`repro.obs.hooks`.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 from repro.obs.accuracy import PredictionAccuracy, size_bucket
 from repro.obs.chrome_export import (
@@ -71,102 +73,49 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
     bucket_preset_for,
-    merge_snapshots,
 )
 from repro.obs.timeline import Interval, Timeline
 from repro.obs.tracer import DEFAULT_TRACE_LIMIT, Tracer
-from repro.util.errors import ConfigurationError
 
 
 class Observability:
     """The five read-out surfaces of one cluster.
 
-    Parameters
-    ----------
-    enabled:
-        Master switch.  ``False`` subscribes nothing (every surface
-        stays empty).
-    trace / metrics / accuracy:
-        Disable individual surfaces while keeping the others.
-    trace_limit:
-        Cap on recorded trace events before deterministic dropping
-        (``None`` = unbounded).
-    flight / flight_capacity:
-        The crash-dump flight recorder (:mod:`repro.obs.flight`): a
-        bounded ring of recent events dumped on invariant violations,
-        degraded sends and calibration ladder drops.
-    collectives:
-        The collective critical-path profiler
-        (:mod:`repro.obs.collective`).
+    ``enabled=False`` subscribes none of them (every surface stays
+    empty).  The tracer keeps at most :data:`DEFAULT_TRACE_LIMIT` events
+    and the flight recorder's ring :data:`DEFAULT_FLIGHT_CAPACITY`
+    (:mod:`repro.obs.flight`: recent events dumped on invariant
+    violations, degraded sends and calibration ladder drops).
     """
 
     __slots__ = ("on", "tracer", "metrics", "accuracy", "flight", "collectives")
 
-    def __init__(
-        self,
-        enabled: bool = True,
-        trace: bool = True,
-        metrics: bool = True,
-        accuracy: bool = True,
-        trace_limit: Optional[int] = DEFAULT_TRACE_LIMIT,
-        flight: bool = True,
-        flight_capacity: Optional[int] = None,
-        collectives: bool = True,
-    ) -> None:
-        self.check_limits(trace_limit, flight_capacity)
+    def __init__(self, enabled: bool = True) -> None:
         self.on = bool(enabled)
-        self.tracer = Tracer(trace_limit)
+        self.tracer = Tracer()
         self.metrics = MetricsRegistry()
         self.accuracy = PredictionAccuracy()
-        self.flight = FlightRecorder(
-            DEFAULT_FLIGHT_CAPACITY if flight_capacity is None else flight_capacity
-        )
+        self.flight = FlightRecorder()
         self.collectives = CollectiveProfiler()
-        wanted = (trace, metrics, accuracy, flight, collectives)
-        for surface, on in zip(self.surfaces, wanted):
-            surface.enabled = self.on and bool(on)
-
-    @property
-    def surfaces(self) -> tuple:
-        """The five surfaces, in subscription order."""
-        return (
-            self.tracer, self.metrics, self.accuracy, self.flight, self.collectives
-        )
-
-    @staticmethod
-    def check_limits(
-        trace_limit: Optional[int], flight_capacity: Optional[int]
-    ) -> None:
-        """Reject non-positive bounds (``None`` means the default)."""
-        if trace_limit is not None and trace_limit < 1:
-            raise ConfigurationError(
-                f"trace_limit must be positive, got {trace_limit}"
-            )
-        if flight_capacity is not None and flight_capacity < 1:
-            raise ConfigurationError(
-                f"flight_capacity must be positive, got {flight_capacity}"
-            )
 
     def __repr__(self) -> str:
         if not self.on:
             return "<Observability off>"
-        return (
-            f"<Observability trace={self.tracer.enabled} "
-            f"events={len(self.tracer)} accuracy={self.accuracy.enabled}>"
-        )
+        return f"<Observability events={len(self.tracer)}>"
 
     def subscribe(self, hooks: Hooks) -> None:
-        """Subscribe every enabled surface to ``hooks``.
+        """Subscribe the five surfaces to ``hooks`` (nothing when off).
 
         An enabled bundle also arms prediction stamps on outgoing data
-        chunks, whichever surfaces are on (what accuracy telemetry reads).
+        chunks (what accuracy telemetry reads).
         """
         if not self.on:
             return
         hooks.stamps = True
-        for surface in self.surfaces:
-            if surface.enabled:
-                hooks.subscribe(surface)
+        for surface in (
+            self.tracer, self.metrics, self.accuracy, self.flight, self.collectives
+        ):
+            hooks.subscribe(surface)
 
     def chrome_trace(self) -> Dict[str, Any]:
         """The trace so far, with the profiled collectives flushed in."""
@@ -190,7 +139,7 @@ class Observability:
         point-in-time state (utilization, queue depths, cache hit rates)
         and are only meaningful after this call.
         """
-        if not self.metrics.enabled:
+        if not self.on:
             return
         m = self.metrics
         m.gauge("sim.now_us").set(cluster.sim.now)
@@ -257,7 +206,6 @@ __all__ = [
     "DEFAULT_BYTE_BUCKETS",
     "DEFAULT_BANDWIDTH_BUCKETS_MBPS",
     "bucket_preset_for",
-    "merge_snapshots",
     "FlightRecorder",
     "DEFAULT_FLIGHT_CAPACITY",
     "CollectiveProfiler",

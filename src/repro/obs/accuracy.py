@@ -95,7 +95,7 @@ class ErrorStats:
 class PredictionAccuracy:
     """Cluster-wide accumulator, keyed by sending rail (qualified name)."""
 
-    __slots__ = ("_transfer", "_completion", "_buckets", "samples", "enabled")
+    __slots__ = ("_transfer", "_completion", "_buckets", "samples")
 
     def __init__(self) -> None:
         self._transfer: Dict[str, ErrorStats] = {}
@@ -103,8 +103,6 @@ class PredictionAccuracy:
         #: (rail, bucket-label) -> transfer-time error stats
         self._buckets: Dict[str, Dict[str, ErrorStats]] = {}
         self.samples = 0
-        #: subscribed to the hook stream (False: the surface is off)
-        self.enabled = True
 
     def __repr__(self) -> str:
         return f"<PredictionAccuracy {self.samples} samples, {len(self._transfer)} rails>"
@@ -191,8 +189,6 @@ class PredictionAccuracy:
 
     def report(self) -> str:
         """Fixed-width table: per-rail, then per-(rail, size-bucket)."""
-        if not self.enabled:
-            return "prediction accuracy: telemetry disabled"
         if not self.samples:
             return "prediction accuracy: no samples recorded"
         lines = [f"prediction accuracy ({self.samples} chunks):"]

@@ -35,14 +35,12 @@ from typing import Callable, Dict, List
 class CollectiveProfiler:
     """Per-collective-invocation records with lazy hop materialization."""
 
-    __slots__ = ("ops", "enabled")
+    __slots__ = ("ops",)
 
     def __init__(self) -> None:
         #: one dict per profiled collective call (any rank), in the
         #: deterministic order the simulator finished them
         self.ops: List[Dict] = []
-        #: subscribed to the hook stream (False: the surface is off)
-        self.enabled = True
 
     def __repr__(self) -> str:
         return f"<CollectiveProfiler {len(self.ops)} op(s)>"
@@ -147,8 +145,6 @@ class CollectiveProfiler:
 
         Each op goes to :meth:`repro.obs.tracer.Tracer.collective`, which
         pushes fixed-shape records."""
-        if not tracer.enabled:
-            return
         spans = tracer.collective
         for op in self.ops:
             if op["traced"]:

@@ -3,11 +3,11 @@
 The third obs surface after tracing and metrics.  Where the tracer keeps
 *everything* (up to its limit) for offline visualization, the flight
 recorder keeps only the last ``capacity`` events — cheap enough to leave
-armed through long chaos soaks — and *snapshots* the ring into a
-structured dump when something goes wrong:
+armed through long runs — and *snapshots* the ring into a structured
+dump when something goes wrong:
 
-* an :class:`~repro.core.invariants.InvariantViolation` (chaos scenarios
-  and :meth:`Cluster.check_drain` both trigger it),
+* an :class:`~repro.core.invariants.InvariantViolation` found by
+  :meth:`Cluster.check_drain`,
 * a :class:`~repro.core.packets.DegradedSend` (the engine's retry ladder
   ran out),
 * a calibration fallback-ladder drop (trust demoted a level),
@@ -20,8 +20,8 @@ passive (one flat tuple of values appended to a ``deque``: ``(t, node,
 kind, detail names, *detail values)``; no events scheduled, no simulated
 state read back into planning), the detail dicts are built only when a
 dump is taken, and dumps are deterministic — events carry only simulated
-time and stable identifiers, so the same seed ships the same dump
-byte-for-byte, serial or sharded.
+time and stable identifiers, so the same run ships the same dump
+byte-for-byte.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ _REPLAN = (
 class FlightRecorder:
     """Bounded ring buffer of recent simulator events + trigger dumps."""
 
-    __slots__ = ("capacity", "events", "dumps", "recorded", "triggered", "enabled")
+    __slots__ = ("capacity", "events", "dumps", "recorded", "triggered")
 
     def __init__(self, capacity: int = DEFAULT_FLIGHT_CAPACITY) -> None:
         if capacity < 1:
@@ -65,8 +65,6 @@ class FlightRecorder:
         self.dumps: List[Dict[str, object]] = []
         self.recorded = 0
         self.triggered = 0
-        #: subscribed to the hook stream (False: the surface is off)
-        self.enabled = True
 
     def __repr__(self) -> str:
         return (

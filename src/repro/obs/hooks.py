@@ -10,7 +10,7 @@ collectives, calibration controller) holds the cluster's one
         hooks.on_retry(msg, old, new, self.max_retries, now, nic, reason)
 
 Each event attribute is ``None`` until a subscriber handles that event,
-so a cluster with every surface off pays one attribute read per hook
+so a cluster with no subscriber pays one attribute read per hook
 site, and a cluster whose subscribers ignore an event pays no call for
 it either (``hooks.on`` tells whether anything subscribed).  Subscribers
 are plain objects with ``on_<event>`` methods for the events they care
@@ -22,10 +22,10 @@ itself.  Only the subscribers know metric names, trace lanes and
 flight-record kinds; the emitters only state what happened.
 
 Subscribers see an event in subscription order (the cluster builder
-subscribes the invariant monitor, then the obs surfaces, then the drift
-feed).  A subscriber may list events in ``hook_late``: it then sees
-those events after every other subscriber.  Subscribers never schedule
-simulator events, so subscribing changes no simulated timestamp.
+subscribes the obs surfaces, then the invariant monitor, then the drift
+feed, so every event is recorded before it is checked).  Subscribers
+never schedule simulator events, so subscribing changes no simulated
+timestamp.
 """
 
 from __future__ import annotations
@@ -104,8 +104,8 @@ class Hooks:
         #: telemetry and the drift feed read the stamps)
         self.stamps = False
         self._subscribers: List[object] = []
-        #: event -> (handlers in subscription order, late handlers)
-        self._handlers: Dict[str, Tuple[List[Callable], List[Callable]]] = {}
+        #: event -> its handlers, in subscription order
+        self._handlers: Dict[str, List[Callable]] = {}
 
     def __repr__(self) -> str:
         names = [type(s).__name__ for s in self._subscribers]
@@ -127,12 +127,10 @@ class Hooks:
             )
         self._subscribers.append(subscriber)
         self.on = True
-        late = getattr(subscriber, "hook_late", ())
         for name in handled:
-            early_handlers, late_handlers = self._handlers.setdefault(name, ([], []))
-            handler = getattr(subscriber, name)
-            (late_handlers if name in late else early_handlers).append(handler)
-            setattr(self, name, _fan_out(early_handlers + late_handlers))
+            handlers = self._handlers.setdefault(name, [])
+            handlers.append(getattr(subscriber, name))
+            setattr(self, name, _fan_out(handlers))
 
 
 def _fan_out(handlers: List[Callable]) -> Callable:

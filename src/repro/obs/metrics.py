@@ -6,7 +6,7 @@ registry is the cluster-wide, uniformly-named view).
 
 The registry is a subscriber of the cluster's hook stream
 (:mod:`repro.obs.hooks`): its ``on_*`` handlers below are the only place
-that knows the metric names.  When metrics are off it is simply not
+that knows the metric names.  With observability off it is simply not
 subscribed.
 
 Determinism contract: instrument names are plain strings, snapshots are
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from typing import Any, Dict, Iterable, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 from repro.util.errors import ConfigurationError
 
@@ -207,7 +207,7 @@ class MetricsRegistry:
     """Get-or-create home for every instrument, keyed by name."""
 
     __slots__ = (
-        "_counters", "_gauges", "_histograms", "enabled",
+        "_counters", "_gauges", "_histograms",
         "_sent", "_completed", "_latency", "_activations", "_plans",
         "_plan_cache", "_splits", "_aggregations", "_nic_sends", "_wires",
         "_links", "_link_stalls", "_spines", "_spine_stalls",
@@ -217,8 +217,6 @@ class MetricsRegistry:
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
-        #: subscribed to the hook stream (False: the surface is off)
-        self.enabled = True
         # the hot handlers' instruments, by key (see the module docstring)
         self._sent: Dict[str, Tuple[Counter, Counter]] = {}
         self._completed: Dict[str, Counter] = {}
@@ -521,68 +519,3 @@ class MetricsRegistry:
 
     def on_clamp(self, plan) -> None:
         self.counter("calibration.clamped_splits").inc()
-
-
-def merge_snapshots(
-    snapshots: Iterable[Dict[str, Dict[str, object]]]
-) -> Dict[str, Dict[str, object]]:
-    """Reduce :meth:`MetricsRegistry.snapshot` dicts from several workers
-    into one (the cross-process reduce of a sharded run).
-
-    Counters and histogram contents add (min and max fold), gauges take
-    the last value in iteration order, and histograms must agree on
-    their bucket boundaries — which the fixed-at-creation rule makes
-    hold for same-build workers.  The reduce is associative and the
-    output name-sorted, so a serial run and any sharded fan-out of the
-    same work merge byte-identically.
-    """
-    counters: Dict[str, float] = {}
-    gauges: Dict[str, float] = {}
-    histograms: Dict[str, Dict[str, object]] = {}
-    for snap in snapshots:
-        for name, value in snap.get("counters", {}).items():
-            counters[name] = counters.get(name, 0) + value
-        for name, value in snap.get("gauges", {}).items():
-            gauges[name] = value
-        for name, h in snap.get("histograms", {}).items():
-            cur = histograms.get(name)
-            if cur is None:
-                histograms[name] = {
-                    "buckets": dict(h["buckets"]),
-                    "count": h["count"],
-                    "total": h["total"],
-                    "min": h["min"],
-                    "max": h["max"],
-                }
-                continue
-            if set(cur["buckets"]) != set(h["buckets"]):
-                raise ConfigurationError(
-                    f"histogram {name}: bucket boundaries differ across "
-                    "snapshots"
-                )
-            for edge, c in h["buckets"].items():
-                cur["buckets"][edge] += c
-            cur["count"] += h["count"]
-            cur["total"] += h["total"]
-            for attr, pick in (("min", min), ("max", max)):
-                val = h[attr]
-                if val is None:
-                    continue
-                cur[attr] = val if cur[attr] is None else pick(cur[attr], val)
-    return {
-        "counters": {n: counters[n] for n in sorted(counters)},
-        "gauges": {n: gauges[n] for n in sorted(gauges)},
-        "histograms": {
-            n: {
-                "buckets": {
-                    e: histograms[n]["buckets"][e]
-                    for e in sorted(histograms[n]["buckets"])
-                },
-                "count": histograms[n]["count"],
-                "total": histograms[n]["total"],
-                "min": histograms[n]["min"],
-                "max": histograms[n]["max"],
-            }
-            for n in sorted(histograms)
-        },
-    }

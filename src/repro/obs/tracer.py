@@ -15,8 +15,8 @@ lists.  Events follow the Chrome ``trace_event`` vocabulary:
 
 The tracer is a subscriber of the cluster's hook stream
 (:mod:`repro.obs.hooks`): its ``on_*`` handlers below turn engine facts
-into events, and are the only place that knows the trace's lanes.  When
-tracing is off the tracer is simply not subscribed.
+into events, and are the only place that knows the trace's lanes.  With
+observability off the tracer is simply not subscribed.
 
 An event is recorded as one flat tuple of values, captured when the
 hook fires (see :data:`Record`); the lane and name strings of the hot
@@ -45,6 +45,8 @@ from __future__ import annotations
 
 import math
 from typing import Any, Dict, Iterable, List, Optional, Tuple
+
+from repro.util.errors import ConfigurationError
 
 #: default cap on recorded events before the tracer starts dropping
 #: (deterministic: based purely on the event count, never on memory)
@@ -148,16 +150,16 @@ class Tracer:
     """Recording tracer: appends one flat :data:`Record` per event."""
 
     __slots__ = (
-        "_log", "_cap", "dropped", "enabled", "_open",
+        "_log", "_cap", "dropped", "_open",
         "_messages", "_nics", "_rails", "_links", "_spines", "_names",
     )
 
     def __init__(self, limit: Optional[int] = DEFAULT_TRACE_LIMIT) -> None:
+        if limit is not None and limit < 1:
+            raise ConfigurationError(f"trace limit must be >= 1, got {limit}")
         self._log: List[Record] = []
         self._cap = math.inf if limit is None else limit
         self.dropped = 0
-        #: subscribed to the hook stream (False: the surface is off)
-        self.enabled = True
         #: open async spans (key -> count), tallied once the limit is hit
         self._open: Optional[Dict[Tuple, int]] = None
         # lanes (pid, tid), built once per emitter: node -> its message

@@ -26,6 +26,7 @@ from repro.api import collectives as coll
 from repro.api.collectives import VALID_ALGORITHMS
 from repro.api.mpi import MpiWorld
 from repro.bench.runners import default_profiles
+from repro.obs import CollectiveProfiler
 from repro.util.units import MiB
 
 FIXTURE = pathlib.Path(__file__).with_name("collective_golden.json")
@@ -67,16 +68,14 @@ def cases():
     return out
 
 
-def make_world(shape, n, profiling=False):
+def make_world(shape, n, profiler=None):
     fabric = Fabric.flat(n) if shape == "flat" else Fabric.fat_tree(n)
-    builder = ClusterBuilder("hetero_split").fabric(fabric).sampling(
+    cluster = ClusterBuilder("hetero_split").fabric(fabric).sampling(
         profiles=default_profiles()
-    )
-    if profiling:
-        builder.observability(
-            trace=False, metrics=False, accuracy=False, collectives=True
-        )
-    return MpiWorld.from_cluster(builder.build())
+    ).build()
+    if profiler is not None:
+        cluster.hooks.subscribe(profiler)
+    return MpiWorld.from_cluster(cluster)
 
 
 def call(comm, name, algo, size, arg):
@@ -98,8 +97,8 @@ def call(comm, name, algo, size, arg):
     return getattr(comm, name)(size, algorithm=algo)
 
 
-def run_case(shape, n, name, algo, size, arg, profiling=False):
-    world = make_world(shape, n, profiling=profiling)
+def run_case(shape, n, name, algo, size, arg, profiler=None):
+    world = make_world(shape, n, profiler=profiler)
 
     def program(comm):
         yield from call(comm, name, algo, size, arg)
@@ -135,8 +134,9 @@ def sent_pairs(world):
 
 
 def profiled_algorithms(shape, n, name, algo, size, arg):
-    world = run_case(shape, n, name, algo, size, arg, profiling=True)
-    return sorted({op["algorithm"] for op in world.cluster.obs.collectives.ops})
+    profiler = CollectiveProfiler()
+    run_case(shape, n, name, algo, size, arg, profiler=profiler)
+    return sorted({op["algorithm"] for op in profiler.ops})
 
 
 #: profiler names are checked on one mid-sized world at one size

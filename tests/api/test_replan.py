@@ -53,9 +53,7 @@ def fat_tree_world(
     if invariants:
         builder.invariants()
     if metrics:
-        builder.observability(
-            trace=False, metrics=True, accuracy=False, collectives=False
-        )
+        builder.observability()
     return MpiWorld.from_cluster(builder.build())
 
 

@@ -19,6 +19,31 @@ class TestChaosCommand:
         assert main(["chaos", "--seeds", "many"]) == 2
         assert "bad --seeds" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("window", ["0", "10-5"])
+    def test_empty_window_is_a_usage_error(self, capsys, window):
+        # A soak over no seed would print "0 clean" and pass green.
+        assert main(["chaos", "--seeds", window]) == 2
+        captured = capsys.readouterr()
+        assert "empty --seeds window" in captured.err
+        assert "scenario(s)" not in captured.out
+
+    @pytest.mark.parametrize(
+        "argv, reason",
+        [
+            (["--shape", "flat", "--silent", "--calibration"], "paper shape"),
+            (["--shape", "fat_tree", "--silent"], "paper shape"),
+            (["--shape", "flat", "--calibration"], "paper shape"),
+            (["--shape", "flat", "--ranks", "1"], ">= 2 ranks"),
+        ],
+    )
+    def test_settings_the_shape_cannot_run_are_a_usage_error(
+        self, capsys, argv, reason
+    ):
+        assert main(["chaos", "--seeds", "2", *argv]) == 2
+        captured = capsys.readouterr()
+        assert reason in captured.err
+        assert "scenario(s)" not in captured.out
+
     def test_intensity_is_forwarded(self, capsys):
         assert main(["chaos", "--seeds", "2", "--intensity", "1"]) == 0
         assert "2 clean" in capsys.readouterr().out

@@ -8,11 +8,15 @@ shrunk to a 1-minimal *fabric* episode set, and sharding the soak over
 processes changes nothing but wall-clock.
 """
 
+import functools
 import json
+
+import pytest
 
 from repro.bench.parallel import soak_artifact
 from repro.faults import chaos
 from repro.networks.switch import FatTreeSwitch
+from repro.util.errors import ConfigurationError
 
 # Seed 16's default fat-tree schedule mixes two spine outages with two
 # link flaps, a loss burst and a degrade storm — the mixed node+fabric
@@ -48,14 +52,41 @@ class TestFabricSoak:
             ), seed
 
 
+class TestPaperOnlySettings:
+    """The silent pool and the drift loop exist on the paper shape only;
+    a fabric shape rejects them instead of soaking the plain pool."""
+
+    @pytest.mark.parametrize("setting", ["silent", "calibration"])
+    @pytest.mark.parametrize("shape", ["flat", "fat_tree"])
+    def test_scenario_rejects_them(self, shape, setting):
+        with pytest.raises(ConfigurationError, match="paper shape only"):
+            chaos.run_scenario(0, shape=shape, **{setting: True})
+
+    def test_soak_rejects_them_before_any_scenario_runs(self, monkeypatch):
+        ran = []
+        real = chaos.run_scenario
+
+        @functools.wraps(real)
+        def counting(seed, **settings):
+            ran.append(seed)
+            return real(seed, **settings)
+
+        monkeypatch.setattr(chaos, "run_scenario", counting)
+        with pytest.raises(ConfigurationError, match="paper shape only"):
+            chaos.soak(range(3), shape="flat", silent=True, calibration=True)
+        assert ran == []
+
+
 class TestPlantedRoutingBug:
     def test_health_blind_ecmp_trips_route_liveness(self, monkeypatch):
         monkeypatch.setattr(FatTreeSwitch, "_select_spine", _static_hash)
         result = chaos.run_scenario(BUGGY_SEED, shape="fat_tree")
         assert not result.ok
         assert "route-liveness" in str(result.violation)
-        # A violating fabric seed ships its own post-mortem.
-        assert result.flight_dump is not None
+        # A violating fabric seed ships its own post-mortem: the trail
+        # of hook observations leading up to the violation.
+        assert result.violation.trail
+        assert result.to_dict()["violation"]["trail"] == result.violation.trail
 
     def test_shrink_reduces_mixed_schedule_to_the_fabric_episode(
         self, monkeypatch

@@ -62,18 +62,17 @@ class TestSnapshot:
 
 
 class TestNullAccuracy:
-    """Accuracy off: the surface is not subscribed and records nothing."""
+    """Observability off: the surface is not subscribed, records nothing,
+    and the cluster's report says so."""
 
     def test_inert(self):
-        cluster = (
-            ClusterBuilder.paper_testbed().observability(accuracy=False).build()
-        )
+        cluster = ClusterBuilder.paper_testbed().build()
         a, b = cluster.sessions("node0", "node1")
         b.irecv(source="node0")
         a.isend("node1", "1M")
         cluster.run()
         acc = cluster.obs.accuracy
-        assert acc.enabled is False
+        assert cluster.obs.on is False
         assert acc not in cluster.hooks.subscribers
         assert acc.samples == 0
         assert acc.snapshot()["per_rail"] == {}

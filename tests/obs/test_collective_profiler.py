@@ -169,7 +169,7 @@ class TestTraceFlush:
 
 
 class TestNullProfiler:
-    """Profiling off: the profiler is not subscribed and sees no op."""
+    """Observability off: the profiler is not subscribed and sees no op."""
 
     def test_all_methods_are_noops(self):
         from repro.api.cluster import ClusterBuilder
@@ -178,7 +178,6 @@ class TestNullProfiler:
             ClusterBuilder("hetero_split")
             .fabric(Fabric.flat(4, rails=RAILS))
             .sampling(profiles=default_profiles(RAILS))
-            .observability(collectives=False)
             .build()
         )
         world = MpiWorld.from_cluster(cluster)
@@ -189,7 +188,7 @@ class TestNullProfiler:
         world.spawn_all(program)
         world.run()
         profiler = cluster.obs.collectives
-        assert profiler.enabled is False
+        assert cluster.obs.on is False
         assert profiler not in cluster.hooks.subscribers
         assert profiler.hops() == []
         assert profiler.op_rows() == []

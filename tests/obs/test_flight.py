@@ -1,10 +1,11 @@
-"""Flight recorder: ring semantics, trigger sites, config plumbing."""
+"""Flight recorder: ring semantics, trigger sites, and chaos scenarios
+that arm none."""
 
 import json
 
 import pytest
 
-from repro.api import ClusterBuilder, load_cluster
+from repro.api import ClusterBuilder
 from repro.core.invariants import InvariantViolation
 from repro.faults.chaos import run_scenario
 from repro.obs.flight import DEFAULT_FLIGHT_CAPACITY, MAX_DUMPS, FlightRecorder
@@ -55,14 +56,9 @@ class TestRing:
         assert fr.last_dump() is None
 
     def test_null_recorder_is_inert(self):
-        """Flight off: the recorder is not subscribed; even a violation
-        at drain leaves it empty."""
-        cluster = (
-            ClusterBuilder.paper_testbed()
-            .invariants()
-            .observability(flight=False)
-            .build()
-        )
+        """Observability off: the recorder is not subscribed; even a
+        violation at drain leaves it empty."""
+        cluster = ClusterBuilder.paper_testbed().invariants().build()
         sender, _ = cluster.sessions("node0", "node1")
         sender.isend("node1", "4M")
         cluster.run()
@@ -75,26 +71,28 @@ class TestRing:
 
 
 def _stuck_cluster():
-    """An unmatched 4M rendezvous send: parks at drain, audit raises."""
+    """An unmatched 4M rendezvous send: parks at drain, audit raises.
+    A flight recorder, the only obs surface, is subscribed to the
+    cluster's hooks."""
     cluster = (
         ClusterBuilder.paper_testbed(strategy="hetero_split")
         .invariants()
-        .observability(trace=False, metrics=False, accuracy=False,
-                       collectives=False)
         .build()
     )
+    flight = FlightRecorder()
+    cluster.hooks.subscribe(flight)
     sender, _ = cluster.sessions("node0", "node1")
     msg = sender.isend("node1", "4M")
     cluster.run()
-    return cluster, msg
+    return cluster, flight, msg
 
 
 class TestClusterTriggers:
     def test_check_drain_violation_dumps_the_ring(self):
-        cluster, msg = _stuck_cluster()
+        cluster, flight, msg = _stuck_cluster()
         with pytest.raises(InvariantViolation):
             cluster.check_drain()
-        dump = cluster.obs.flight.last_dump()
+        dump = flight.last_dump()
         assert dump is not None
         assert dump["reason"] == "invariant-violation"
         assert dump["trigger"]["invariant"] == "drain-no-stuck"
@@ -103,10 +101,10 @@ class TestClusterTriggers:
         assert any(e["detail"]["msg"] == msg.msg_id for e in sends)
 
     def test_drain_stuck_dumps_before_degrading(self):
-        cluster, msg = _stuck_cluster()
+        cluster, flight, msg = _stuck_cluster()
         drained = cluster.drain_stuck()
         assert [m.msg_id for m in drained] == [msg.msg_id]
-        dump = cluster.obs.flight.last_dump()
+        dump = flight.last_dump()
         assert dump["reason"] == "drain-stuck"
         assert dump["trigger"]["drained"] == 1
         assert msg.msg_id in dump["trigger"]["msg_ids"]
@@ -129,55 +127,42 @@ class TestClusterTriggers:
 
     def test_obs_off_cluster_has_null_recorder(self):
         cluster = ClusterBuilder.paper_testbed().build()
-        assert cluster.obs.flight.enabled is False
+        assert cluster.obs.on is False
         assert cluster.obs.flight not in cluster.hooks.subscribers
+
+
+def _scenario_cluster(monkeypatch, **settings):
+    """The cluster one chaos scenario builds (seed 5, a clean seed)."""
+    built = []
+    build = ClusterBuilder.build
+
+    def capture(self):
+        built.append(build(self))
+        return built[-1]
+
+    monkeypatch.setattr(ClusterBuilder, "build", capture)
+    assert run_scenario(5, **settings).ok
+    (cluster,) = built
+    return cluster
 
 
 class TestChaosIntegration:
     def test_clean_scenario_ships_no_dump(self):
         result = run_scenario(5)
-        assert result.ok
-        assert result.flight_dump is None
-        assert "flight_dump" not in result.to_dict()
+        assert result.ok and result.violation is None
+        assert "violation" not in result.to_dict()
 
-    def test_obs_metrics_attaches_snapshot_out_of_band(self):
-        result = run_scenario(5, obs_metrics=True)
-        assert result.metrics_snapshot is not None
-        assert result.metrics_snapshot["counters"]
-        # the deterministic soak artifact stays lean: snapshots merge
-        # via soak_obs_artifact, they don't ride to_dict
-        assert "metrics_snapshot" not in result.to_dict()
+    def test_scenario_subscribes_only_the_monitor(self, monkeypatch):
+        """A violation's post-mortem is the monitor's trail: no obs
+        surface records, and no prediction stamp is computed."""
+        cluster = _scenario_cluster(monkeypatch)
+        assert cluster.hooks.subscribers == (cluster.invariants,)
+        assert cluster.hooks.stamps is False
+        assert cluster.obs.on is False
 
-    def test_obs_metrics_moves_no_timestamp(self):
-        bare = run_scenario(7)
-        armed = run_scenario(7, obs_metrics=True)
-        assert bare.elapsed_us == armed.elapsed_us
-        assert bare.to_dict() == armed.to_dict()
-
-
-class TestConfig:
-    def _config(self, observability):
-        return {
-            "nodes": [{"name": "node0"}, {"name": "node1"}],
-            "rails": [{"driver": "myri10g", "between": ["node0", "node1"]}],
-            "observability": observability,
-        }
-
-    def test_flight_keys_accepted(self):
-        cluster = load_cluster(
-            self._config({"flight": True, "flight_capacity": 32,
-                          "collectives": False})
+    def test_calibrated_scenario_adds_only_the_drift_feed(self, monkeypatch):
+        cluster = _scenario_cluster(monkeypatch, silent=True, calibration=True)
+        assert cluster.hooks.subscribers == (
+            cluster.invariants, cluster.calibration,
         )
-        assert cluster.obs.flight.capacity == 32
-        assert cluster.obs.collectives.enabled is False
-
-    def test_flight_can_be_disabled(self):
-        cluster = load_cluster(self._config({"flight": False}))
-        assert cluster.obs.on is True
-        assert cluster.obs.flight.enabled is False
-
-    def test_bad_capacity_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ClusterBuilder.paper_testbed().observability(flight_capacity=0)
-        with pytest.raises(ConfigurationError):
-            load_cluster(self._config({"flight_capacity": 0}))
+        assert cluster.obs.on is False

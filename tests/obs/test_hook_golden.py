@@ -8,8 +8,8 @@ invariants-only run.  Each scenario reduces every read-out to the
 SHA-256 of its canonical JSON: the metrics snapshot, the accuracy
 snapshot, the Chrome trace, the flight recorder, the collective
 profiler, the calibration and invariant snapshots, any violation, and
-the ``explain`` text of the scenario's headline message.  A
-surface that is not enabled in a scenario is recorded as ``None``.
+the ``explain`` text of the scenario's headline message.  With
+observability off, each obs surface is recorded as ``None``.
 
 The fixture ``hook_golden.json`` pins those digests, so moving, merging
 or reordering a hook site fails here even when no simulated timestamp
@@ -53,24 +53,16 @@ def _sha(value) -> str:
     return hashlib.sha256(_canonical(value).encode()).hexdigest()
 
 
-def _enabled(surface) -> bool:
-    return bool(getattr(surface, "enabled", False))
-
-
 def read_out(cluster, msg=None, violation=None):
     """Every hook-fed read-out of a finished cluster, as digests."""
     obs = cluster.obs
     out = {
         "now": repr(cluster.sim.now),
         "metrics": cluster.metrics_snapshot(),
-        "accuracy": (
-            obs.accuracy.snapshot() if _enabled(obs.accuracy) else None
-        ),
-        "trace": cluster.chrome_trace() if _enabled(obs.tracer) else None,
-        "flight": obs.flight.snapshot() if _enabled(obs.flight) else None,
-        "collectives": (
-            obs.collectives.snapshot() if _enabled(obs.collectives) else None
-        ),
+        "accuracy": obs.accuracy.snapshot() if obs.on else None,
+        "trace": cluster.chrome_trace() if obs.on else None,
+        "flight": obs.flight.snapshot() if obs.on else None,
+        "collectives": obs.collectives.snapshot() if obs.on else None,
         "calibration": (
             cluster.calibration_snapshot()
             if cluster.calibration is not None
@@ -273,11 +265,10 @@ def _double_delivery_bug():
 
 def double_delivery():
     with _double_delivery_bug():
-        result = run_scenario(7, obs_metrics=True)
+        result = run_scenario(7)
     assert result.violation is not None
     return {
         "result": _sha(result.to_dict()),
-        "metrics": _sha(result.metrics_snapshot),
         "violation": _sha(result.violation.to_dict()),
     }
 

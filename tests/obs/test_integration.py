@@ -15,7 +15,14 @@ import pytest
 
 from repro.api import ClusterBuilder, FaultSchedule, load_cluster
 from repro.hardware.topology import CpuTopology
-from repro.obs import Observability, validate_chrome_trace
+from repro.obs import (
+    DEFAULT_FLIGHT_CAPACITY,
+    DEFAULT_TRACE_LIMIT,
+    FlightRecorder,
+    Observability,
+    Tracer,
+    validate_chrome_trace,
+)
 from repro.util.errors import ConfigurationError
 
 
@@ -177,14 +184,6 @@ class TestConfigAndBuilder:
         cluster = load_cluster(self._config(True))
         assert cluster.obs.on is True
 
-    def test_config_dict_selects_surfaces(self):
-        cluster = load_cluster(
-            self._config({"trace": False, "metrics": True, "accuracy": False})
-        )
-        assert cluster.obs.on is True
-        assert cluster.obs.tracer.enabled is False
-        assert cluster.obs.accuracy.enabled is False
-
     def test_config_false_disables(self):
         assert load_cluster(self._config(False)).obs.on is False
 
@@ -196,27 +195,15 @@ class TestConfigAndBuilder:
         with pytest.raises(ConfigurationError):
             load_cluster(self._config("yes"))
 
-    def test_builder_rejects_bad_trace_limit(self):
-        with pytest.raises(ConfigurationError):
-            ClusterBuilder.paper_testbed().observability(trace_limit=0)
-
-    @pytest.mark.parametrize(
-        "bad",
-        [{"trace_limit": 0}, {"trace_limit": -5}, {"flight_capacity": 0},
-         {"flight_capacity": -1}],
-        ids=lambda kw: "=".join(map(str, next(iter(kw.items())))),
-    )
-    def test_both_entry_points_reject_non_positive_bounds(self, bad):
-        with pytest.raises(ConfigurationError):
-            Observability(**bad)
-        with pytest.raises(ConfigurationError):
-            ClusterBuilder.paper_testbed().observability(**bad)
-
     def test_explicit_bounds_are_honoured(self):
-        obs = Observability(trace_limit=3, flight_capacity=5)
-        assert obs.tracer.limit == 3
-        assert obs.flight.capacity == 5
-        assert Observability(trace_limit=None).tracer.limit is None
+        """A surface built alone takes its bound; the bundle's are the
+        defaults."""
+        assert Tracer(3).limit == 3
+        assert FlightRecorder(5).capacity == 5
+        assert Tracer(None).limit is None
+        obs = Observability()
+        assert obs.tracer.limit == DEFAULT_TRACE_LIMIT
+        assert obs.flight.capacity == DEFAULT_FLIGHT_CAPACITY
 
     def test_shared_hub_across_engines(self):
         """One hook stream per cluster, every obs surface on it."""

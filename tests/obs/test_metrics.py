@@ -76,13 +76,11 @@ class TestSnapshot:
 
 
 class TestNullMetrics:
-    """Metrics off: the registry is not subscribed and stays empty, and
-    no gauge is sampled into it."""
+    """Observability off: the registry is not subscribed and stays empty,
+    and no gauge is sampled into it."""
 
     def test_inert(self):
-        cluster = (
-            ClusterBuilder.paper_testbed().observability(metrics=False).build()
-        )
+        cluster = ClusterBuilder.paper_testbed().build()
         a, b = cluster.sessions("node0", "node1")
         b.irecv(source="node0")
         a.isend("node1", "64K")

@@ -55,7 +55,6 @@ class ReferenceTracer:
         self.events: List[Dict[str, Any]] = []
         self.limit = limit
         self.dropped = 0
-        self.enabled = True
         self._seq = 0
         self._open: Optional[Dict[Tuple, int]] = None
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.api import ClusterBuilder
 from repro.obs import Tracer
+from repro.util.errors import ConfigurationError
 
 
 class TestRecording:
@@ -45,6 +46,11 @@ class TestRecording:
 
 
 class TestLimit:
+    @pytest.mark.parametrize("limit", [0, -5])
+    def test_limit_must_be_positive(self, limit):
+        with pytest.raises(ConfigurationError):
+            Tracer(limit)
+
     def test_drops_deterministically_past_limit(self):
         tr = Tracer(limit=3)
         for i in range(5):
@@ -83,33 +89,32 @@ class TestLimit:
         limit still pairs every recorded async begin with its end."""
         from repro.obs import validate_chrome_trace
 
-        cluster = (
-            ClusterBuilder.paper_testbed(strategy="hetero_split")
-            .observability(trace_limit=limit)
-            .build()
-        )
+        from repro.obs import chrome_trace
+
+        cluster = ClusterBuilder.paper_testbed(strategy="hetero_split").build()
+        tracer = Tracer(limit)
+        cluster.hooks.subscribe(tracer)
         a, b = cluster.sessions("node0", "node1")
         for _ in range(3):
             b.irecv(source="node0")
             a.isend("node1", "64K")
         cluster.run()
-        assert cluster.obs.tracer.dropped > 0
-        assert validate_chrome_trace(cluster.chrome_trace()) == []
+        assert tracer.dropped > 0
+        assert validate_chrome_trace(chrome_trace(tracer)) == []
 
 
 class TestNullTracer:
-    """Tracing off: the tracer is not subscribed and records nothing."""
+    """Observability off: the tracer is not subscribed and records
+    nothing."""
 
     def test_is_disabled_and_inert(self):
-        cluster = (
-            ClusterBuilder.paper_testbed().observability(trace=False).build()
-        )
+        cluster = ClusterBuilder.paper_testbed().build()
         a, b = cluster.sessions("node0", "node1")
         b.irecv(source="node0")
         a.isend("node1", "1M")
         cluster.run()
         tracer = cluster.obs.tracer
-        assert tracer.enabled is False
+        assert cluster.obs.on is False
         assert tracer not in cluster.hooks.subscribers
         assert len(tracer.events) == 0
         assert tracer.dropped == 0
