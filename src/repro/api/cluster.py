@@ -14,7 +14,11 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.core.engine import NmadEngine
-from repro.core.invariants import InvariantMonitor, InvariantViolation
+from repro.core.invariants import (
+    InvariantMonitor,
+    InvariantViolation,
+    stuck_detail,
+)
 from repro.core.sampling import NetworkSampler, ProfileStore  # noqa: F401 (re-export)
 from repro.core.strategies import Strategy, make_strategy
 from repro.faults import FaultInjector, FaultSchedule, install_faults
@@ -104,8 +108,8 @@ class Cluster:
 
     @property
     def obs(self) -> Observability:
-        """The obs read-outs (tracer, metrics, accuracy, flight recorder,
-        collective profiler); with observability off they stay empty."""
+        """The obs read-outs (tracer, metrics, accuracy, collective
+        profiler); with observability off they stay empty."""
         return self._observability
 
     def engine(self, node: str) -> NmadEngine:
@@ -266,25 +270,14 @@ class Cluster:
         context in the violation); otherwise performs the stuck-message
         check directly.  Raises :class:`InvariantViolation` on failure.
         """
-        try:
-            if self.invariants is not None:
-                self.invariants.check_drain(self)
-                return
-            stuck = self.drain_report()
-            if stuck:
-                raise InvariantViolation(
-                    "drain-no-stuck",
-                    f"{len(stuck)} message(s) non-terminal at drain: "
-                    + "; ".join(stuck[:6])
-                    + ("; ..." if len(stuck) > 6 else ""),
-                    self.sim.now,
-                )
-        except InvariantViolation as exc:
-            # Post-mortem before propagating: the flight recorder's ring
-            # holds the events leading up to the violation.
-            if self.hooks.on_violation:
-                self.hooks.on_violation(exc, self.sim.now)
-            raise
+        if self.invariants is not None:
+            self.invariants.check_drain(self)
+            return
+        stuck = self.drain_report()
+        if stuck:
+            raise InvariantViolation(
+                "drain-no-stuck", stuck_detail(stuck), self.sim.now
+            )
 
     def drain_stuck(self) -> List[Any]:
         """Degrade every still-pending send on every node (see
@@ -292,8 +285,6 @@ class Cluster:
         drained: List[Any] = []
         for name in sorted(self.engines):
             drained.extend(self.engines[name].drain_stuck())
-        if drained and self.hooks.on_drain_stuck:
-            self.hooks.on_drain_stuck(drained, self.sim.now)
         return drained
 
 
@@ -319,7 +310,7 @@ class ClusterBuilder:
         self._faults: Optional[FaultSchedule] = None
         self._resilience: Dict[str, Any] = {}
         self._observability = False
-        self._invariants: Optional[Dict[str, Any]] = None
+        self._invariants = False
         self._calibration: Optional[Dict[str, Any]] = None
 
     # ------------------------------------------------------------------ #
@@ -567,7 +558,7 @@ class ClusterBuilder:
 
     def observability(self, enabled: bool = True) -> "ClusterBuilder":
         """Attach a cluster-wide :class:`repro.obs.Observability` bundle:
-        all five surfaces, or none.
+        all four surfaces, or none.
 
         Off by default — and the disabled path is bit-identical to a
         build without this call (the surfaces are record-only hook
@@ -577,28 +568,17 @@ class ClusterBuilder:
         self._observability = bool(enabled)
         return self
 
-    def invariants(
-        self, enabled: bool = True, trail_depth: Optional[int] = None
-    ) -> "ClusterBuilder":
+    def invariants(self, enabled: bool = True) -> "ClusterBuilder":
         """Attach a cluster-wide :class:`repro.core.invariants.InvariantMonitor`.
 
         Off by default — and, like :meth:`observability`, the disabled
         path is bit-identical to a build without this call: the monitor
         is purely passive (it reads state and raises, never schedules
         events), so enabling it moves no simulated timestamp either.
-        ``trail_depth`` bounds the violation-report observation trail.
+        A violation's trail holds the monitor's last
+        :data:`~repro.core.invariants.DEFAULT_TRAIL_DEPTH` observations.
         """
-        if not enabled:
-            self._invariants = None
-            return self
-        spec: Dict[str, Any] = {}
-        if trail_depth is not None:
-            if trail_depth < 1:
-                raise ConfigurationError(
-                    f"trail_depth must be positive, got {trail_depth}"
-                )
-            spec["trail_depth"] = trail_depth
-        self._invariants = spec
+        self._invariants = bool(enabled)
         return self
 
     def calibration(
@@ -686,11 +666,7 @@ class ClusterBuilder:
         hooks = Hooks()
         obs = Observability(self._observability)
         obs.subscribe(hooks)
-        inv = (
-            InvariantMonitor(**self._invariants)
-            if self._invariants is not None
-            else None
-        )
+        inv = InvariantMonitor() if self._invariants else None
         if inv is not None:
             hooks.subscribe(inv)
         engines: Dict[str, NmadEngine] = {}

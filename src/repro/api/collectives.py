@@ -1134,8 +1134,8 @@ def _replan(
     hops remain pending triggers a re-plan: the remaining schedule is
     re-cut largest-remaining-first (:func:`_replan_order`, re-priced by
     the selector's per-hop cost), the invariant monitor audits byte
-    conservation across the cut, and the flight recorder dumps the
-    decision.  Completed hops are never re-sent —
+    conservation across the cut, and the ``collective.replans`` metric
+    counts it.  Completed hops are never re-sent —
     tags bind each segment to the receive posted for it up front, so
     exactly-once holds through any number of re-plans.
     """

@@ -23,7 +23,7 @@ Downstream users describe a testbed once and rebuild it everywhere::
       ]},
       "resilience": {"timeout": "200us", "max_retries": 8},
       "observability": true,
-      "invariants": {"trail_depth": 64},
+      "invariants": true,
       "calibration": {"min_samples": 3, "cooldown": 300.0}
     }
 
@@ -56,7 +56,8 @@ saved :class:`~repro.core.sampling.ProfileStore`); every engine plans
 with sampled curves, so there is no ``false``.  ``faults`` takes a
 schedule in its :meth:`~repro.faults.FaultSchedule.to_dict` form;
 ``resilience`` maps to :meth:`ClusterBuilder.resilience`.
-``observability`` is ``true`` (all five obs surfaces) or ``false``.
+``observability`` (all four obs surfaces) and ``invariants`` (the
+invariant monitor) are ``true`` or ``false``.
 
 ``load_cluster(path_or_dict)`` returns a built :class:`Cluster`;
 ``builder_from_config`` stops one step earlier for callers that want to
@@ -113,8 +114,6 @@ _SAMPLING_KEYS = {"profile_file"}
 
 _RESILIENCE_KEYS = {"timeout", "max_retries"}
 
-_INVARIANTS_KEYS = {"trail_depth"}
-
 _CALIBRATION_KEYS = {"min_samples", "cooldown"}
 
 
@@ -139,29 +138,17 @@ def _check_keys(name: str, entry: Mapping[str, Any], known: Set[str]) -> None:
         )
 
 
-def _on_off_section(
-    config: Dict[str, Any],
-    name: str,
-    method: Callable[..., ClusterBuilder],
-    known: Set[str],
+def _switch(
+    config: Dict[str, Any], name: str, method: Callable[..., ClusterBuilder]
 ) -> None:
-    """Apply one on/off section: ``true`` arms ``method``'s defaults,
-    ``false`` turns it off, and a dict of ``known`` keys is forwarded."""
-    section = config.get(name)
-    if section is None:
+    """Apply one switch: ``true`` or ``false`` is passed to ``method``;
+    a missing key or ``null`` leaves it uncalled."""
+    value = config.get(name)
+    if value is None:
         return
-    if section is True:
-        method()
-    elif section is False:
-        method(enabled=False)
-    elif isinstance(section, dict):
-        _check_keys(name, section, known)
-        method(**section)
-    else:
-        raise ConfigurationError(
-            f"'{name}' must be true, false, or a dict of "
-            f"{sorted(known)}; got {section!r}"
-        )
+    if not isinstance(value, bool):
+        raise ConfigurationError(f"'{name}' must be true or false; got {value!r}")
+    method(value)
 
 
 def builder_from_config(source: ConfigSource) -> ClusterBuilder:
@@ -269,15 +256,19 @@ def builder_from_config(source: ConfigSource) -> ClusterBuilder:
         _check_keys("resilience", resilience, _RESILIENCE_KEYS)
         builder.resilience(**resilience)
 
-    observability = config.get("observability")
-    if observability is not None:
-        if not isinstance(observability, bool):
-            raise ConfigurationError(
-                f"'observability' must be true or false; got {observability!r}"
-            )
-        builder.observability(observability)
-    _on_off_section(config, "invariants", builder.invariants, _INVARIANTS_KEYS)
-    _on_off_section(config, "calibration", builder.calibration, _CALIBRATION_KEYS)
+    _switch(config, "observability", builder.observability)
+    _switch(config, "invariants", builder.invariants)
+    calibration = config.get("calibration")
+    if isinstance(calibration, dict):
+        _check_keys("calibration", calibration, _CALIBRATION_KEYS)
+        builder.calibration(**calibration)
+    elif isinstance(calibration, bool):
+        builder.calibration(calibration)
+    elif calibration is not None:
+        raise ConfigurationError(
+            f"'calibration' must be true, false, or a dict of "
+            f"{sorted(_CALIBRATION_KEYS)}; got {calibration!r}"
+        )
     return builder
 
 

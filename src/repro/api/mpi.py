@@ -465,8 +465,9 @@ class MpiWorld:
 
         ``collectives`` sets the world's default algorithm per
         collective; individual calls can still override it.
-        ``observability=True`` arms the full obs bundle (tracer, metrics,
-        link/spine accounting, collective profiler, flight recorder).
+        ``observability=True`` arms the full obs bundle (tracer, metrics
+        with link/spine accounting, prediction accuracy, collective
+        profiler).
         """
         if fabric is None:
             if n_ranks is None:

@@ -67,7 +67,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, List, Optional, Set, Tuple
 
-from repro.util.errors import ReproError
+from repro.util.errors import ConfigurationError, ReproError
 
 #: how many hook observations the violation trail keeps by default
 DEFAULT_TRAIL_DEPTH = 64
@@ -152,6 +152,16 @@ class InvariantViolation(ReproError):
         }
 
 
+def stuck_detail(stuck: List[str]) -> str:
+    """The ``drain-no-stuck`` diagnosis of a non-empty
+    :meth:`Cluster.drain_report <repro.api.cluster.Cluster.drain_report>`."""
+    return (
+        f"{len(stuck)} message(s) non-terminal at drain: "
+        + "; ".join(stuck[:6])
+        + ("; ..." if len(stuck) > 6 else "")
+    )
+
+
 @dataclass
 class _MessageLedger:
     """Receiver-side double-entry bookkeeping for one message."""
@@ -170,7 +180,8 @@ class InvariantMonitor:
     Parameters
     ----------
     trail_depth:
-        How many recent hook observations to keep for violation reports.
+        How many recent hook observations to keep for violation reports
+        (at least 1).
     """
 
     __slots__ = (
@@ -187,6 +198,10 @@ class InvariantMonitor:
     )
 
     def __init__(self, trail_depth: int = DEFAULT_TRAIL_DEPTH) -> None:
+        if trail_depth < 1:
+            raise ConfigurationError(
+                f"trail depth must be >= 1, got {trail_depth}"
+            )
         self.trail_depth = int(trail_depth)
         self._trail: Deque[str] = deque(maxlen=self.trail_depth)
         self._last_time: float = float("-inf")
@@ -537,18 +552,9 @@ class InvariantMonitor:
                 f"event(s) still queued",
                 now,
             )
-        stuck: List[str] = []
-        for name in sorted(cluster.engines):
-            engine = cluster.engines[name]
-            stuck.extend(engine.stuck_messages())
+        stuck = cluster.drain_report()
         if stuck:
-            self._violate(
-                "drain-no-stuck",
-                f"{len(stuck)} message(s) non-terminal at drain: "
-                + "; ".join(stuck[:6])
-                + ("; ..." if len(stuck) > 6 else ""),
-                now,
-            )
+            self._violate("drain-no-stuck", stuck_detail(stuck), now)
         for name in sorted(cluster.machines):
             for nic in cluster.machines[name].nics:
                 live = [
@@ -577,4 +583,5 @@ __all__ = [
     "DEFAULT_TRAIL_DEPTH",
     "InvariantMonitor",
     "InvariantViolation",
+    "stuck_detail",
 ]

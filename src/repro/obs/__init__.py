@@ -2,7 +2,7 @@
 
 One :class:`Observability` bundle per cluster (``ClusterBuilder
 .observability()`` builds it; the config file's ``observability:``
-section does the same declaratively) holds the five read-out surfaces:
+section does the same declaratively) holds the four read-out surfaces:
 
 * :attr:`Observability.tracer` — span-based structured tracer
   (:mod:`repro.obs.tracer`), exported as Chrome ``trace_event`` JSON by
@@ -11,16 +11,14 @@ section does the same declaratively) holds the five read-out surfaces:
   histograms (:mod:`repro.obs.metrics`);
 * :attr:`Observability.accuracy` — predicted-vs-actual transfer-time
   telemetry (:mod:`repro.obs.accuracy`);
-* :attr:`Observability.flight` — the post-mortem flight recorder
-  (:mod:`repro.obs.flight`);
 * :attr:`Observability.collectives` — the collective critical-path
   profiler (:mod:`repro.obs.collective`).
 
-The bundle is one switch: on, all five surfaces subscribe to the
+The bundle is one switch: on, all four surfaces subscribe to the
 cluster's hook stream (:mod:`repro.obs.hooks`); off, none does, they
 stay empty, and every hook site costs one attribute read.  Code that
 wants a single surface builds it (``Tracer(limit)``,
-``FlightRecorder(capacity)``, ...) and subscribes it to
+``MetricsRegistry()``, ...) and subscribes it to
 ``cluster.hooks`` itself.  The surfaces are **purely passive**:
 they read simulated state but never schedule events, occupy resources
 or alter control flow, so enabling them moves *no simulated timestamp*
@@ -61,7 +59,6 @@ from repro.obs.export import (
     export_timeline_csv,
     load_timeline_csv,
 )
-from repro.obs.flight import DEFAULT_FLIGHT_CAPACITY, FlightRecorder
 from repro.obs.hooks import EVENTS, Hooks
 from repro.obs.metrics import (
     DEFAULT_BANDWIDTH_BUCKETS_MBPS,
@@ -79,23 +76,19 @@ from repro.obs.tracer import DEFAULT_TRACE_LIMIT, Tracer
 
 
 class Observability:
-    """The five read-out surfaces of one cluster.
+    """The four read-out surfaces of one cluster.
 
     ``enabled=False`` subscribes none of them (every surface stays
-    empty).  The tracer keeps at most :data:`DEFAULT_TRACE_LIMIT` events
-    and the flight recorder's ring :data:`DEFAULT_FLIGHT_CAPACITY`
-    (:mod:`repro.obs.flight`: recent events dumped on invariant
-    violations, degraded sends and calibration ladder drops).
+    empty).  The tracer keeps at most :data:`DEFAULT_TRACE_LIMIT` events.
     """
 
-    __slots__ = ("on", "tracer", "metrics", "accuracy", "flight", "collectives")
+    __slots__ = ("on", "tracer", "metrics", "accuracy", "collectives")
 
     def __init__(self, enabled: bool = True) -> None:
         self.on = bool(enabled)
         self.tracer = Tracer()
         self.metrics = MetricsRegistry()
         self.accuracy = PredictionAccuracy()
-        self.flight = FlightRecorder()
         self.collectives = CollectiveProfiler()
 
     def __repr__(self) -> str:
@@ -104,7 +97,7 @@ class Observability:
         return f"<Observability events={len(self.tracer)}>"
 
     def subscribe(self, hooks: Hooks) -> None:
-        """Subscribe the five surfaces to ``hooks`` (nothing when off).
+        """Subscribe the four surfaces to ``hooks`` (nothing when off).
 
         An enabled bundle also arms prediction stamps on outgoing data
         chunks (what accuracy telemetry reads).
@@ -112,9 +105,7 @@ class Observability:
         if not self.on:
             return
         hooks.stamps = True
-        for surface in (
-            self.tracer, self.metrics, self.accuracy, self.flight, self.collectives
-        ):
+        for surface in (self.tracer, self.metrics, self.accuracy, self.collectives):
             hooks.subscribe(surface)
 
     def chrome_trace(self) -> Dict[str, Any]:
@@ -186,7 +177,6 @@ class Observability:
                 "events": len(self.tracer),
                 "dropped": self.tracer.dropped,
             },
-            "flight": self.flight.snapshot(),
             "collectives": self.collectives.snapshot(),
         }
 
@@ -206,8 +196,6 @@ __all__ = [
     "DEFAULT_BYTE_BUCKETS",
     "DEFAULT_BANDWIDTH_BUCKETS_MBPS",
     "bucket_preset_for",
-    "FlightRecorder",
-    "DEFAULT_FLIGHT_CAPACITY",
     "CollectiveProfiler",
     "critical_path",
     "stragglers",

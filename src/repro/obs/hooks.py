@@ -12,14 +12,13 @@ collectives, calibration controller) holds the cluster's one
 Each event attribute is ``None`` until a subscriber handles that event,
 so a cluster with no subscriber pays one attribute read per hook
 site, and a cluster whose subscribers ignore an event pays no call for
-it either (``hooks.on`` tells whether anything subscribed).  Subscribers
-are plain objects with ``on_<event>`` methods for the events they care
-about: the invariant monitor, the five obs surfaces (metrics, tracer,
-prediction accuracy, flight recorder, collective profiler), the
-calibration drift feed, and the occupancy timeline
+it either.  Subscribers are plain objects with ``on_<event>`` methods
+for the events they care about: the invariant monitor, the four obs
+surfaces (metrics, tracer, prediction accuracy, collective profiler),
+the calibration drift feed, and the occupancy timeline
 (:meth:`repro.obs.timeline.Timeline.record`), which a caller attaches
-itself.  Only the subscribers know metric names, trace lanes and
-flight-record kinds; the emitters only state what happened.
+itself.  Only the subscribers know metric names and trace lanes; the
+emitters only state what happened.
 
 Subscribers see an event in subscription order (the cluster builder
 subscribes the obs surfaces, then the invariant monitor, then the drift
@@ -87,9 +86,6 @@ EVENTS: Dict[str, str] = {
     "on_resample": "nic",
     "on_fallback": "nic, node, before, after, confidence",
     "on_clamp": "plan",
-    # cluster drain audit
-    "on_violation": "violation, now",
-    "on_drain_stuck": "drained, now",
 }
 
 
@@ -97,8 +93,6 @@ class Hooks:
     """One cluster's event stream (see the module docstring)."""
 
     def __init__(self) -> None:
-        #: any subscriber at all
-        self.on = False
         #: stamp predicted times on outgoing data chunks; set while an
         #: obs bundle is enabled or calibration is armed (accuracy
         #: telemetry and the drift feed read the stamps)
@@ -126,7 +120,6 @@ class Hooks:
                 f"{unknown}; known: {sorted(EVENTS)}"
             )
         self._subscribers.append(subscriber)
-        self.on = True
         for name in handled:
             handlers = self._handlers.setdefault(name, [])
             handlers.append(getattr(subscriber, name))

@@ -203,6 +203,21 @@ class TestDrainAccounting:
         with pytest.raises(InvariantViolation, match="drain-no-stuck"):
             cluster.check_drain()
 
+    @pytest.mark.parametrize("monitor", [True, False])
+    def test_both_audits_write_one_diagnosis(self, monitor):
+        cluster, sender, receiver = paper_pair(
+            invariants={"enabled": monitor}
+        )
+        sender.isend("node1", "4M")
+        cluster.run()
+        (stuck,) = cluster.drain_report()
+        with pytest.raises(InvariantViolation) as err:
+            cluster.check_drain()
+        assert err.value.invariant == "drain-no-stuck"
+        assert err.value.detail == (
+            f"1 message(s) non-terminal at drain: {stuck}"
+        )
+
     def test_drain_stuck_degrades_with_diagnosis(self):
         cluster, sender, receiver = paper_pair(invariants={})
         msg = sender.isend("node1", "4M")

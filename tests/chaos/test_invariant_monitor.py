@@ -5,10 +5,15 @@ from types import SimpleNamespace
 import pytest
 
 from repro.api import ClusterBuilder
-from repro.core.invariants import InvariantMonitor, InvariantViolation
+from repro.core.invariants import (
+    DEFAULT_TRAIL_DEPTH,
+    InvariantMonitor,
+    InvariantViolation,
+)
 from repro.networks.transfer import Transfer, TransferKind, wire_checksum
 from repro.obs.hooks import EVENTS, Hooks
 from repro.simtime import Resource
+from repro.util.errors import ConfigurationError
 
 
 def msg_stub(msg_id=1, size=4096, **kw):
@@ -44,12 +49,11 @@ class TestNullMonitor:
     def test_singleton_is_off(self):
         cluster = ClusterBuilder.paper_testbed().build()
         assert cluster.invariants is None
-        assert cluster.hooks.on is False
         assert cluster.hooks.subscribers == ()
 
     def test_every_hook_is_a_noop(self):
         hooks = Hooks()
-        assert hooks.on is False
+        assert hooks.subscribers == ()
         assert all(getattr(hooks, name) is None for name in EVENTS)
 
 
@@ -253,6 +257,10 @@ class TestViolationStructure:
             mon.on_send(msg_stub(msg_id=i))
         assert len(mon._trail) == 4
 
+    def test_trail_depth_below_one_is_rejected(self):
+        with pytest.raises(ConfigurationError, match="trail depth"):
+            InvariantMonitor(trail_depth=0)
+
 
 class TestBuilderWiring:
     def test_builder_installs_monitor_everywhere(self):
@@ -277,48 +285,46 @@ class TestBuilderWiring:
         )
 
     def test_config_accepts_invariants_section(self):
+        """``true`` subscribes the monitor with the default trail,
+        ``false`` and ``null`` leave it off."""
         from repro.api.config import load_cluster
 
-        cluster = load_cluster(
-            {
-                "nodes": [{"name": "node0"}, {"name": "node1"}],
-                "rails": [{"driver": "myri10g", "between": ["node0", "node1"]}],
-                "invariants": {"trail_depth": 16},
-            }
-        )
+        cluster = load_cluster(_config(True))
         assert cluster.invariants is not None
-        assert cluster.invariants.trail_depth == 16
+        assert cluster.invariants.trail_depth == DEFAULT_TRAIL_DEPTH
+        assert load_cluster(_config(False)).invariants is None
+        assert load_cluster(_config(None)).invariants is None
 
     def test_config_rejects_unknown_invariants_key(self):
         from repro.api.config import load_cluster
-        from repro.util.errors import ConfigurationError
 
         with pytest.raises(ConfigurationError, match="ghost"):
-            load_cluster(
-                {
-                    "nodes": [{"name": "node0"}, {"name": "node1"}],
-                    "rails": [
-                        {"driver": "myri10g", "between": ["node0", "node1"]}
-                    ],
-                    "invariants": {"ghost": 1},
-                }
-            )
+            load_cluster(_config({"ghost": 1}))
+
+    @pytest.mark.parametrize("section", [{"trail_depth": 16}, {}, "yes", 1])
+    def test_config_section_is_a_switch(self, section):
+        """A dict, even of the old ``trail_depth``, or any value but
+        ``true``/``false``/``null`` is rejected."""
+        from repro.api.config import load_cluster
+
+        with pytest.raises(ConfigurationError, match="must be true or false"):
+            load_cluster(_config(section))
 
     def test_config_rejects_strict_checksums(self):
-        """Checksums are always verified; the old switch is an unknown key."""
+        """Checksums are always verified; the old switch is no setting."""
         from repro.api.config import load_cluster
-        from repro.util.errors import ConfigurationError
 
         with pytest.raises(ConfigurationError) as err:
-            load_cluster(
-                {
-                    "nodes": [{"name": "node0"}, {"name": "node1"}],
-                    "rails": [
-                        {"driver": "myri10g", "between": ["node0", "node1"]}
-                    ],
-                    "invariants": {"strict_checksums": False},
-                }
-            )
+            load_cluster(_config({"strict_checksums": False}))
         assert str(err.value) == (
-            "unknown invariants keys ['strict_checksums']; known: ['trail_depth']"
+            "'invariants' must be true or false; "
+            "got {'strict_checksums': False}"
         )
+
+
+def _config(invariants):
+    return {
+        "nodes": [{"name": "node0"}, {"name": "node1"}],
+        "rails": [{"driver": "myri10g", "between": ["node0", "node1"]}],
+        "invariants": invariants,
+    }

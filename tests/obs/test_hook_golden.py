@@ -6,10 +6,10 @@ collective profiling, spine re-routing and re-planning, drift
 re-sampling and fallback-ladder drops, a planted double delivery and an
 invariants-only run.  Each scenario reduces every read-out to the
 SHA-256 of its canonical JSON: the metrics snapshot, the accuracy
-snapshot, the Chrome trace, the flight recorder, the collective
-profiler, the calibration and invariant snapshots, any violation, and
-the ``explain`` text of the scenario's headline message.  With
-observability off, each obs surface is recorded as ``None``.
+snapshot, the Chrome trace, the collective profiler, the calibration
+and invariant snapshots, any violation, and the ``explain`` text of
+the scenario's headline message.  With observability off, each obs
+surface is recorded as ``None``.
 
 The fixture ``hook_golden.json`` pins those digests, so moving, merging
 or reordering a hook site fails here even when no simulated timestamp
@@ -61,7 +61,6 @@ def read_out(cluster, msg=None, violation=None):
         "metrics": cluster.metrics_snapshot(),
         "accuracy": obs.accuracy.snapshot() if obs.on else None,
         "trace": cluster.chrome_trace() if obs.on else None,
-        "flight": obs.flight.snapshot() if obs.on else None,
         "collectives": obs.collectives.snapshot() if obs.on else None,
         "calibration": (
             cluster.calibration_snapshot()
@@ -282,7 +281,7 @@ def invariants_only():
         ClusterBuilder.paper_testbed(strategy="hetero_split")
         .faults(schedule)
         .resilience(timeout="100us")
-        .invariants(trail_depth=16)
+        .invariants()
         .build()
     )
     a, b = cluster.sessions("node0", "node1")

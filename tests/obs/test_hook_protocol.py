@@ -2,19 +2,22 @@
 
 Every fact an engine component records goes out as one ``hooks.on_*``
 event; only the subscribers in ``repro.obs`` (and the invariant monitor
-and calibration drift feed) know metric names, trace lanes and flight
-record kinds.  This test parses the instrumented modules and fails when
-one of them records around the protocol:
+and calibration drift feed) know metric names and trace lanes.  This
+test parses the instrumented modules and fails when one of them records
+around the protocol:
 
 * calls ``.metrics.counter`` / ``.metrics.gauge`` / ``.metrics.histogram``;
 * calls a tracer record method (``complete``, ``instant``,
   ``async_begin``, ``async_end``, ``counter``) on a ``tracer``;
-* calls ``record`` or ``trigger`` on a ``flight`` recorder;
 * calls a hook event (``on_*`` of :data:`repro.obs.hooks.EVENTS`) on
   anything but a ``hooks`` handle — e.g. straight on the monitor;
 * stores an ``obs``, ``_obs`` or ``inv`` attribute.
 
 Snapshot readers (``cluster.obs.metrics.snapshot()``...) stay allowed.
+It also fails when an event of ``EVENTS`` has no ``hooks.on_<event>(``
+emission or no ``on_<event>`` handler in a class under ``src/repro``:
+an event that loses its last emitter or subscriber is deleted, not
+kept.
 """
 
 import ast
@@ -35,7 +38,6 @@ SCANNED = sorted(
 
 _METRIC_CALLS = {"counter", "gauge", "histogram"}
 _TRACER_CALLS = {"complete", "instant", "async_begin", "async_end", "counter"}
-_FLIGHT_CALLS = {"record", "trigger"}
 _HANDLE_ATTRS = {"obs", "_obs", "inv"}
 
 
@@ -57,8 +59,6 @@ def violations(source: str, filename: str = "<src>"):
                 out.append((node.lineno, f"metrics.{method}()"))
             elif method in _TRACER_CALLS and receiver in ("tracer", "tr"):
                 out.append((node.lineno, f"tracer.{method}()"))
-            elif method in _FLIGHT_CALLS and receiver == "flight":
-                out.append((node.lineno, f"flight.{method}()"))
             elif method in EVENTS and receiver != "hooks":
                 out.append((node.lineno, f"{receiver}.{method}() off the hooks"))
         targets = []
@@ -99,7 +99,6 @@ def test_scan_covers_the_instrumented_packages():
         "self.obs.metrics.counter('x').inc()",
         "obs.tracer.instant('n', 'l', 'x', 0.0)",
         "tr.async_end('n', 'l', 'x', 1, 0.0)",
-        "cluster.obs.flight.trigger('why', 0.0)",
         "self.inv.on_send(msg)",
         "monitor.on_fault(1, action, 0.0)",
         "self.obs = obs",
@@ -125,3 +124,27 @@ def test_checker_allows_hooks_and_readers():
 )
 def test_module_uses_only_the_hook_protocol(path):
     assert violations(path.read_text(), str(path)) == []
+
+
+def _emitted_and_handled():
+    """The events emitted on a ``hooks`` handle and the events some class
+    handles, over all of ``src/repro``."""
+    emitted, handled = set(), set()
+    for path in SRC.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                if node.func.attr in EVENTS and _name(node.func.value) == "hooks":
+                    emitted.add(node.func.attr)
+            elif isinstance(node, ast.ClassDef):
+                handled.update(
+                    item.name
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef) and item.name in EVENTS
+                )
+    return emitted, handled
+
+
+def test_every_event_is_emitted_and_handled():
+    emitted, handled = _emitted_and_handled()
+    assert sorted(set(EVENTS) - emitted) == []
+    assert sorted(set(EVENTS) - handled) == []

@@ -16,9 +16,7 @@ import pytest
 from repro.api import ClusterBuilder, FaultSchedule, load_cluster
 from repro.hardware.topology import CpuTopology
 from repro.obs import (
-    DEFAULT_FLIGHT_CAPACITY,
     DEFAULT_TRACE_LIMIT,
-    FlightRecorder,
     Observability,
     Tracer,
     validate_chrome_trace,
@@ -196,17 +194,14 @@ class TestConfigAndBuilder:
             load_cluster(self._config("yes"))
 
     def test_explicit_bounds_are_honoured(self):
-        """A surface built alone takes its bound; the bundle's are the
-        defaults."""
+        """A tracer built alone takes its limit; the bundle's is the
+        default."""
         assert Tracer(3).limit == 3
-        assert FlightRecorder(5).capacity == 5
         assert Tracer(None).limit is None
-        obs = Observability()
-        assert obs.tracer.limit == DEFAULT_TRACE_LIMIT
-        assert obs.flight.capacity == DEFAULT_FLIGHT_CAPACITY
+        assert Observability().tracer.limit == DEFAULT_TRACE_LIMIT
 
     def test_shared_hub_across_engines(self):
-        """One hook stream per cluster, every obs surface on it."""
+        """One hook stream per cluster, all four obs surfaces on it."""
         cluster = ClusterBuilder.paper_testbed().observability().build()
         hubs = {id(engine.hooks) for engine in cluster.engines.values()}
         assert hubs == {id(cluster.hooks)}
@@ -215,12 +210,15 @@ class TestConfigAndBuilder:
                 assert nic.hooks is cluster.hooks
         obs = cluster.obs
         assert cluster.hooks.subscribers == (
-            obs.tracer, obs.metrics, obs.accuracy, obs.flight, obs.collectives
+            obs.tracer, obs.metrics, obs.accuracy, obs.collectives
         )
 
     def test_obs_snapshot_shape(self):
         cluster, _ = _run_testbed(observability=True)
         snap = cluster.obs.snapshot()
+        assert sorted(snap) == [
+            "accuracy", "collectives", "enabled", "metrics", "trace",
+        ]
         assert snap["enabled"] is True
         assert snap["trace"]["events"] == len(cluster.obs.tracer.events)
         assert snap["trace"]["dropped"] == 0
