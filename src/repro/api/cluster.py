@@ -61,10 +61,8 @@ def _resolve_strategy(spec: StrategySpec) -> Strategy:
     if isinstance(spec, Strategy):
         # A strategy instance may be given once but serve several nodes;
         # every engine needs its own (strategies hold per-engine state),
-        # so hand out detached shallow copies.
-        clone = copy.copy(spec)
-        clone.engine = None
-        return clone
+        # so hand out shallow copies, each attached by its engine.
+        return copy.copy(spec)
     if isinstance(spec, str):
         return make_strategy(spec)
     return spec()

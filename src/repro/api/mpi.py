@@ -38,6 +38,7 @@ fabrics: ``MpiWorld.create(fabric=Fabric.fat_tree(16))``.
 
 from __future__ import annotations
 
+import weakref
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.api import collectives as coll
@@ -61,8 +62,10 @@ class Communicator:
     """One rank's handle on the world (MPI_COMM_WORLD equivalent)."""
 
     def __init__(self, world: "MpiWorld", rank: int) -> None:
-        self.world = world
+        #: the world owns its communicators, so each holds it weakly
+        self._world = weakref.ref(world)
         self.rank = rank
+        self.size: int = world.size
         self.session: Session = world.cluster.session(world.node_name(rank))
         self._collective_seq = 0
         #: per-rank profiled-op counter (ranks call collectives in the
@@ -72,14 +75,16 @@ class Communicator:
     def peer_name(self, rank: int) -> str:
         """Node name of a rank (``rank3`` in default worlds; the fabric's
         node names when the world was built from one)."""
-        return self.world.node_name(rank)
+        return self._world().node_name(rank)
 
     def __repr__(self) -> str:
         return f"<Communicator rank {self.rank}/{self.size}>"
 
     @property
-    def size(self) -> int:
-        return self.world.size
+    def world(self) -> "MpiWorld":
+        """The world of this rank.  It owns its communicators, which
+        hold it weakly, so it must outlive the rank programs it runs."""
+        return self._world()
 
     def _check_peer(self, peer: int) -> None:
         if not 0 <= peer < self.size:

@@ -32,11 +32,13 @@ a pure function of simulated state.
 
 from __future__ import annotations
 
+import weakref
 from typing import TYPE_CHECKING, Dict, List
 
 from repro.core.calibration.drift import DriftDetector
 from repro.core.calibration.ladder import FallbackLadder, TrustLevel
 from repro.core.packets import TransferMode
+from repro.util.refs import unbound
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.packets import Message
@@ -49,6 +51,16 @@ BLEND = 0.5
 #: at full trust, the largest share a two-rail dichotomy split may give
 #: one rail once the rails' confidence intervals overlap
 CLAMP_SHARE = 0.75
+
+
+def _nic(cluster, rail: str) -> "Nic":
+    """The NIC whose qualified name is ``rail``."""
+    return next(
+        nic
+        for machine in cluster.machines.values()
+        for nic in machine.nics
+        if nic.qualified_name == rail
+    )
 
 
 class ResampleRecord:
@@ -83,8 +95,11 @@ class CalibrationController:
     def __init__(self, min_samples: int = 3, cooldown: float = 300.0) -> None:
         self.detector = DriftDetector(min_samples=min_samples, cooldown=cooldown)
         self._ladders: Dict[str, FallbackLadder] = {}
-        self._cluster = None
-        self._nics: Dict[str, "Nic"] = {}
+        #: the cluster, held weakly: it owns this controller
+        self._cluster = unbound
+        #: each NIC's technology, by qualified name (names, not NICs: a
+        #: NIC reaches this subscriber through its hook stream)
+        self._techs: Dict[str, str] = {}
         #: simulated instant each technology's profile was last blended;
         #: errors from chunks predicted before that instant are ignored
         self._resampled_at: Dict[str, float] = {}
@@ -106,9 +121,9 @@ class CalibrationController:
 
     def install(self, cluster) -> None:
         """Bind to a built cluster (called by ``install_calibration``)."""
-        self._cluster = cluster
-        self._nics = {
-            nic.qualified_name: nic
+        self._cluster = weakref.ref(cluster)
+        self._techs = {
+            nic.qualified_name: nic.profile.name
             for machine in cluster.machines.values()
             for nic in machine.nics
         }
@@ -140,13 +155,13 @@ class CalibrationController:
         rail = transfer.nic_name
         if not rail:
             return
-        sender = self._nics.get(rail)
-        if sender is None:
+        tech = self._techs.get(rail)
+        if tech is None:
             return
         # Errors measured on chunks whose prediction predates the last
         # blend for this technology carry stale information — skipping
         # them keeps a fresh profile from being re-convicted instantly.
-        stamped = self._resampled_at.get(sender.profile.name)
+        stamped = self._resampled_at.get(tech)
         if (
             stamped is not None
             and transfer.t_submit is not None
@@ -174,10 +189,14 @@ class CalibrationController:
         self.observations += 1
         if self.detector.observe(rail, band, rel_error, now):
             self.drift_events += 1
-            hooks = self._cluster.hooks
+            cluster = self._cluster()
+            hooks = cluster.hooks
             if hooks.on_drift:
-                hooks.on_drift(sender, band, self.detector.band_error(rail, band))
-            self._resample(rail, band)
+                hooks.on_drift(
+                    _nic(cluster, rail), band,
+                    self.detector.band_error(rail, band),
+                )
+            self._resample(cluster, rail, band)
 
     @staticmethod
     def _band(size: int) -> str:
@@ -189,21 +208,19 @@ class CalibrationController:
     # online re-sampling
     # ------------------------------------------------------------------ #
 
-    def _resample(self, rail: str, trigger_band: str) -> None:
-        cluster = self._cluster
-        nic = self._nics[rail]
-        now = nic.sim.now
+    def _resample(self, cluster, rail: str, trigger_band: str) -> None:
+        now = cluster.sim.now
         cluster.resample(rail, blend=BLEND)
-        tech = nic.profile.name
+        tech = self._techs[rail]
         self._resampled_at[tech] = now
         # The whole technology shares one estimator: forget the evidence
         # of every rail it backs, on every node.
-        for qname, other in self._nics.items():
-            if other.profile.name == tech:
+        for qname, other in self._techs.items():
+            if other == tech:
                 self.detector.reset_rail(qname)
         self.resample_log.append(ResampleRecord(now, rail, tech, trigger_band))
         if cluster.hooks.on_resample:
-            cluster.hooks.on_resample(nic)
+            cluster.hooks.on_resample(_nic(cluster, rail))
 
     # ------------------------------------------------------------------ #
     # the planning path (strategy side)

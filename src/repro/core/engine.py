@@ -27,6 +27,7 @@ outcome instead of hanging.
 
 from __future__ import annotations
 
+import weakref
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.estimator import NicEstimator
@@ -60,6 +61,17 @@ from repro.util.errors import ConfigurationError, ProtocolError, SchedulingError
 from repro.util.units import parse_size, parse_time
 
 _TERMINAL = (MessageStatus.COMPLETE, MessageStatus.DEGRADED)
+
+
+def _release_messages(transfer: Transfer) -> None:
+    """A transfer done with its messages lets go of them: it was
+    processed at the receiver, or a replacement carries them now.  Each
+    message keeps the transfer in ``Message.transfers``, so a transfer
+    that held on would close a cycle; it keeps ``msg_id`` and
+    ``aggregated_ids``."""
+    transfer.message = None
+    transfer.messages = ()
+
 
 #: a receive's (source, tag); ``None`` is a wildcard
 Pattern = Tuple[Optional[str], Optional[int]]
@@ -287,7 +299,6 @@ class NmadEngine:
             machine, marcel=self.marcel, multicore_rx=multicore_rx
         )
         self.pioman.bind()
-        self.pioman.rx_dispatch = self._on_transfer
         self.pioman.hooks = self.hooks
         self.predictor = CompletionPredictor(
             estimators, hooks=self.hooks, node=machine.name
@@ -300,16 +311,16 @@ class NmadEngine:
         #: switch, all of them)
         self._routes: Dict[str, Tuple[Nic, ...]] = {}
         shared: Dict[Tuple[Nic, ...], Tuple[Nic, ...]] = {}
+        # every part that calls back into this engine holds it weakly
+        ref = weakref.ref(self)
         for nic in machine.nics:
             for peer in nic.wire.peers_of(nic):
-                name = peer.machine.name
+                name = peer.node
                 rails = self._routes.get(name, ())
                 if nic not in rails:
                     rails += (nic,)
                     self._routes[name] = shared.setdefault(rails, rails)
-            nic.idle_listeners.append(self.scheduler.on_nic_idle)
-            nic.down_listeners.append(self._on_nic_down)
-            nic.up_listeners.append(self._on_nic_up)
+            nic._engine = ref
             nic.hooks = self.hooks
         # receive-side state
         self.matcher = RecvMatcher()
@@ -362,8 +373,9 @@ class NmadEngine:
                 f"no rail from {self.machine.name} to {dest!r}; reachable: "
                 f"{sorted(self._routes)}"
             )
-        msg = Message(src=self.machine.name, dest=dest, size=size, tag=tag)
-        msg.sim = self.sim
+        msg = Message(
+            src=self.machine.name, dest=dest, size=size, tag=tag, sim=self.sim
+        )
         msg.t_post = self.sim.now
         if self.sendable(msg):
             msg.mode = self.strategy.choose_mode(msg)
@@ -385,8 +397,9 @@ class NmadEngine:
     ) -> RecvHandle:
         """Post a receive; the handle completes with the matched message
         once that message fully arrived."""
-        handle = RecvHandle(node=self.machine.name, source=source, tag=tag)
-        handle.sim = self.sim
+        handle = RecvHandle(
+            node=self.machine.name, source=source, tag=tag, sim=self.sim
+        )
         msg = self.matcher.post(handle)
         if msg is not None:
             handle.matched = msg
@@ -580,7 +593,7 @@ class NmadEngine:
         control_nic.submit(req, self.app_core)
 
     # ------------------------------------------------------------------ #
-    # receive path (rx_dispatch target; runs after PIOMan charged costs)
+    # receive path (PIOMan's dispatch target; runs after it charged costs)
     # ------------------------------------------------------------------ #
 
     def _on_transfer(self, transfer: Transfer, nic: Nic) -> None:
@@ -600,6 +613,7 @@ class NmadEngine:
             self._on_rdv_data(transfer)
         else:  # pragma: no cover - exhaustive over TransferKind
             raise ProtocolError(f"unknown transfer kind {transfer.kind}")
+        _release_messages(transfer)
 
     def _account_delivery(
         self,
@@ -715,7 +729,7 @@ class NmadEngine:
         """A local rail died; re-plan what it stranded onto survivors.
 
         Deferred by one zero-delay event so the NIC finishes its own
-        abort bookkeeping (and every listener sees a consistent state)
+        abort bookkeeping (and every hook subscriber sees a consistent state)
         before replacement submissions hit the event queue.
         """
         for t in aborted:
@@ -747,6 +761,7 @@ class NmadEngine:
         primary = msgs[0]
         if primary.status in _TERMINAL:
             old.retried = True
+            _release_messages(old)
             return True
         if primary.retries >= self.max_retries:
             self._degrade_message(
@@ -760,6 +775,7 @@ class NmadEngine:
             # is to repeat the REQ — the receiver dedups and re-acks.
             if primary.status is not MessageStatus.RDV_REQUESTED:
                 old.retried = True
+                _release_messages(old)
                 return True
             new = make_rdv_req(primary)
             new.retry_of = old.transfer_id
@@ -774,6 +790,7 @@ class NmadEngine:
                 self._stranded.append(old)
             return False
         old.retried = True
+        _release_messages(old)
         # The replacement supersedes the original outright.  If the
         # original is somehow still in flight (its drop/abort marking
         # raced actual transmission), cancel its pending delivery — a

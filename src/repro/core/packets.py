@@ -12,10 +12,13 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import List, Optional, Set, Tuple
+from typing import Any, List, Optional, Set, Tuple, TYPE_CHECKING
 
 from repro.simtime import Completion
 from repro.util.errors import ProtocolError
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.simtime import Simulator
 
 _msg_seq = itertools.count()
 
@@ -67,7 +70,7 @@ class Message(Completion):
     value, when the *receiver* finished processing every chunk — the
     completion the ping-pong benchmarks time.  A process waits with
     ``yield msg``; ``msg.done`` is the message too.  The engine that
-    builds it sets its ``sim``: a message built outside an engine
+    builds it passes its ``sim``: a message built outside an engine
     cannot be waited on.
 
     Slotted like :class:`~repro.networks.transfer.Transfer`: the chunk
@@ -128,10 +131,15 @@ class Message(Completion):
     #: control packets included — the raw material for obs.explain()
     transfers: List = field(default_factory=list, repr=False)
 
+    # the completion's state (see Completion), set by the generated
+    # __init__; the value is the message itself (the ``value`` property)
+    sim: Optional["Simulator"] = field(default=None, repr=False)
+    triggered: bool = field(default=False, init=False, repr=False)
+    _waiters: Optional[List[Any]] = field(default=None, init=False, repr=False)
+
     def __post_init__(self) -> None:
         if self.size < 0:
             raise ProtocolError(f"negative message size: {self.size}")
-        Completion.__init__(self)
 
     def __repr__(self) -> str:
         return (
@@ -143,6 +151,11 @@ class Message(Completion):
     def done(self) -> "Message":
         """The completion: the message itself."""
         return self
+
+    @property
+    def value(self) -> Optional["Message"]:
+        """The completion's payload: the message, once complete."""
+        return self if self.triggered else None
 
     @property
     def latency(self) -> Optional[float]:
@@ -246,13 +259,21 @@ class RecvHandle(Completion):
     #: post order on its engine, stamped by the engine's receive matcher
     seq: int = field(default=-1, init=False, repr=False)
 
-    def __post_init__(self) -> None:
-        Completion.__init__(self)
+    # the completion's state (see Completion), set by the generated
+    # __init__; the value is the matched message (the ``value`` property)
+    sim: Optional["Simulator"] = field(default=None, repr=False)
+    triggered: bool = field(default=False, init=False, repr=False)
+    _waiters: Optional[List[Any]] = field(default=None, init=False, repr=False)
 
     @property
     def done(self) -> "RecvHandle":
         """The completion: the handle itself."""
         return self
+
+    @property
+    def value(self) -> Optional[Message]:
+        """The completion's payload: the matched message, once complete."""
+        return self.matched if self.triggered else None
 
     def matches(self, msg: Message) -> bool:
         """The matching predicate: ``source`` and ``tag`` each equal the

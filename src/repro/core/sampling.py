@@ -123,8 +123,10 @@ class NetworkSampler:
         nic_b = Nic(node_b, profile, name="probe")
         self._prepare_probe(nic_a, nic_b)
         Wire(nic_a, nic_b)
-        PiomanEngine(node_a).bind()
-        PiomanEngine(node_b).bind()
+        # the NICs hold their PIOMan weakly: these locals keep it alive
+        pioman_a, pioman_b = PiomanEngine(node_a), PiomanEngine(node_b)
+        pioman_a.bind()
+        pioman_b.bind()
         transfer = Transfer(kind=kind, size=size, msg_id=0)
         nic_a.submit(transfer, node_a.cores[0])
         sim.run()

@@ -10,6 +10,7 @@ several ``isend`` calls issued back-to-back are visible to the strategy
 
 from __future__ import annotations
 
+import weakref
 from collections import deque
 from typing import Deque, Iterator, Optional, TYPE_CHECKING
 
@@ -25,15 +26,17 @@ class OptimizerScheduler:
     """Waiting-pack list + strategy activation for one engine."""
 
     def __init__(self, engine: "NmadEngine") -> None:
-        self.engine = engine
+        #: the engine that owns this scheduler, held weakly
+        self._engine = weakref.ref(engine)
         self.sim = engine.sim
+        self.node: str = engine.machine.name
         self._outlist: Deque[Message] = deque()
         self._activation_pending = False
         self._in_activation = False
         self.activations: int = 0
 
     def __repr__(self) -> str:
-        return f"<OptimizerScheduler {self.engine.machine.name}: {len(self._outlist)} waiting>"
+        return f"<OptimizerScheduler {self.node}: {len(self._outlist)} waiting>"
 
     def __len__(self) -> int:
         return len(self._outlist)
@@ -54,8 +57,9 @@ class OptimizerScheduler:
     def peek_ready(self) -> Optional[Message]:
         """First *sendable* queued message (skips messages whose every
         rail is down — they stay parked until a recovery event)."""
+        sendable = self._engine().sendable
         for msg in self._outlist:
-            if self.engine.sendable(msg):
+            if sendable(msg):
                 return msg
         return None
 
@@ -104,17 +108,16 @@ class OptimizerScheduler:
         self._in_activation = True
         try:
             self.activations += 1
-            hooks = self.engine.hooks
+            engine = self._engine()
+            hooks = engine.hooks
             if hooks.on_activation:
-                hooks.on_activation(
-                    self.engine.machine.name, self._outlist, self.sim.now
-                )
+                hooks.on_activation(self.node, self._outlist, self.sim.now)
             for msg in self._outlist:
                 # A message posted while every rail was down carries no
                 # mode yet; decide it at the first activation that can
                 # actually send (strategies branch on msg.mode).
-                if msg.mode is None and self.engine.sendable(msg):
-                    msg.mode = self.engine.strategy.choose_mode(msg)
-            self.engine.strategy.schedule_outlist()
+                if msg.mode is None and engine.sendable(msg):
+                    msg.mode = engine.strategy.choose_mode(msg)
+            engine.strategy.schedule_outlist()
         finally:
             self._in_activation = False

@@ -47,8 +47,8 @@ class AdaptiveStrategy(MulticoreSplitStrategy):
         # Several waiting packets, one destination: aggregate them on
         # the best-predicted rail and let a single core handle them
         # (paper §I, first branch).
-        assert self.engine is not None
-        engine = self.engine
+        engine = self._engine()
+        assert engine is not None
         nic = self.fastest_rail(msg.dest, total, TransferMode.EAGER)
         engine.submit_aggregated_eager(batch, nic)
         self.aggregations += 1

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import weakref
 from typing import List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from repro.core.packets import Message, TransferMode
 from repro.core.prediction import RailPlan
 from repro.networks.nic import Nic
 from repro.util.errors import ConfigurationError, SchedulingError
+from repro.util.refs import unbound
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.engine import NmadEngine
@@ -43,6 +45,8 @@ class Strategy:
 
     Every engine plans with its sampled curves: :attr:`predictor` is
     the engine's :class:`~repro.core.prediction.CompletionPredictor`.
+    The engine owns its strategy, so the strategy holds it weakly:
+    :attr:`engine` reads a ``weakref.ref``.
 
     Parameters
     ----------
@@ -60,7 +64,7 @@ class Strategy:
         if rdv_threshold is not None and rdv_threshold < 1:
             raise ConfigurationError(f"bad rdv threshold: {rdv_threshold}")
         self.rdv_threshold = rdv_threshold
-        self.engine: Optional["NmadEngine"] = None
+        self._engine = unbound
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__}>"
@@ -70,12 +74,19 @@ class Strategy:
     # ------------------------------------------------------------------ #
 
     def attach(self, engine: "NmadEngine") -> None:
-        self.engine = engine
+        self._engine = weakref.ref(engine)
+
+    @property
+    def engine(self) -> Optional["NmadEngine"]:
+        """The engine this strategy plans for (``None`` before
+        :meth:`attach`)."""
+        return self._engine()
 
     @property
     def predictor(self) -> "CompletionPredictor":
-        assert self.engine is not None, "strategy not attached"
-        return self.engine.predictor
+        engine = self._engine()
+        assert engine is not None, "strategy not attached"
+        return engine.predictor
 
     # -- rail helpers -------------------------------------------------------
 
@@ -83,15 +94,17 @@ class Strategy:
         """Up rails towards ``dest``, read-only (see
         :meth:`NmadEngine.rails_to`); pass ``msg`` to record avoided
         rails."""
-        assert self.engine is not None, "strategy not attached"
-        return self.engine.rails_to(dest, msg)
+        engine = self._engine()
+        assert engine is not None, "strategy not attached"
+        return engine.rails_to(dest, msg)
 
     def fastest_rail(self, dest: str, size: int, mode: TransferMode) -> Nic:
         """Rail with the smallest predicted completion for this transfer:
         busy offset + sampled curve."""
-        rails = self.rails_to(dest)
+        engine = self._engine()
+        rails = engine.rails_to(dest)
         # min() by prediction, as a loop: the first rail wins a tie
-        predict = self.engine.predictor.predict
+        predict = engine.predictor.predict
         best = None
         best_t = 0.0
         for nic in rails:
@@ -114,8 +127,9 @@ class Strategy:
         for nic in rails:
             if name in (nic.profile.name, nic.name):
                 return nic
-        assert self.engine is not None
-        for nic in self.engine.all_rails_to(msg.dest):
+        engine = self._engine()
+        assert engine is not None
+        for nic in engine.all_rails_to(msg.dest):
             if name in (nic.profile.name, nic.name):
                 msg.note_rail_avoided(
                     nic.qualified_name, "down (failover)", nic.sim.now
@@ -136,16 +150,17 @@ class Strategy:
         alone.  ``head`` is sendable, and so is every candidate: it
         travels to the same destination over the same rails.
         """
-        assert self.engine is not None
+        engine = self._engine()
+        assert engine is not None
         limit = min(
             min(n.profile.max_aggregation, n.profile.eager_limit)
-            for n in self.rails_to(head.dest)
+            for n in engine.rails_to(head.dest)
         )
         batch = [head]
         total = head.size
         if total > limit:
             return batch, total
-        for m in self.engine.scheduler:
+        for m in engine.scheduler:
             if m is head or m.dest != head.dest:
                 continue
             if m.mode is TransferMode.RENDEZVOUS:
@@ -162,7 +177,8 @@ class Strategy:
 
     def choose_mode(self, msg: Message) -> TransferMode:
         """Eager or rendezvous for this message."""
-        rails = self.rails_to(msg.dest)
+        engine = self._engine()
+        rails = engine.rails_to(msg.dest)
         if self.rdv_threshold is not None:
             if msg.size >= self.rdv_threshold:
                 return TransferMode.RENDEZVOUS
@@ -171,7 +187,7 @@ class Strategy:
             return TransferMode.RENDEZVOUS
         # Sampled threshold of the rail that would carry the message;
         # which rail that is only matters when the rails disagree.
-        predictor = self.engine.predictor
+        predictor = engine.predictor
         size = msg.size
         # Every rail is asked, so each estimator's mode memo fills.
         mode = None
@@ -198,8 +214,8 @@ class Strategy:
         that must wait.  A message leaves the out-list when the engine
         dispatches it.
         """
-        assert self.engine is not None
-        engine = self.engine
+        engine = self._engine()
+        assert engine is not None
         scheduler = engine.scheduler
         while (msg := scheduler.peek_ready()) is not None:
             if msg.mode is TransferMode.RENDEZVOUS:
@@ -236,10 +252,11 @@ class Strategy:
 
     def submit_whole_eager(self, msg: Message, nic: Nic) -> None:
         """Send a message as one eager packet on one rail."""
-        assert self.engine is not None
+        engine = self._engine()
+        assert engine is not None
         if msg.size > nic.profile.eager_limit:
             raise SchedulingError(
                 f"msg {msg.msg_id} ({msg.size}B) exceeds {nic.profile.name} "
                 f"eager limit"
             )
-        self.engine.submit_eager_chunks(msg, [(nic, msg.size)])
+        engine.submit_eager_chunks(msg, [(nic, msg.size)])

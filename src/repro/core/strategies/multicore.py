@@ -58,8 +58,8 @@ class MulticoreSplitStrategy(HeteroSplitStrategy):
         return base
 
     def send_eager(self, msg: Message) -> bool:
-        assert self.engine is not None
-        engine = self.engine
+        engine = self._engine()
+        assert engine is not None
         plan = self._eager_plan(msg)
         if plan is not None and len(plan.nics) > 1:
             if engine.hooks.on_split:
@@ -84,8 +84,8 @@ class MulticoreSplitStrategy(HeteroSplitStrategy):
     def _eager_plan(self, msg: Message) -> Optional[RailPlan]:
         """Equation (1)'s split of an eager message, or None when it
         goes whole on the fastest rail."""
-        assert self.engine is not None
-        engine = self.engine
+        engine = self._engine()
+        assert engine is not None
         if msg.size < MIN_SPLIT:
             return None
         # §III-B: at most min{#idle NICs, #idle cores} chunks.  The

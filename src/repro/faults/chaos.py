@@ -679,7 +679,10 @@ def run_scenario(
         if paper:
             _seeded_workload(cluster, chaos, seed)
         else:
-            _fabric_workload(MpiWorld.from_cluster(cluster), seed)
+            # the world owns its communicators, which hold it weakly, so
+            # it lives until its rank programs have run
+            world = MpiWorld.from_cluster(cluster)
+            _fabric_workload(world, seed)
         cluster.run()
         cluster.check_drain()
     except InvariantViolation as exc:

@@ -80,13 +80,13 @@ class FaultInjector:
             nics = [
                 nic
                 for nic in self._by_qualified.values()
-                if nic.machine.name == node
+                if nic.node == node
             ]
             if nics:
                 return nics
             raise ConfigurationError(
                 f"fault schedule names unknown node {node!r}; known nodes: "
-                f"{sorted({n.machine.name for n in self._by_qualified.values()})}"
+                f"{sorted({n.node for n in self._by_qualified.values()})}"
             )
         raise ConfigurationError(
             f"fault schedule names unknown NIC {name!r}; "

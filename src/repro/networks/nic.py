@@ -33,6 +33,7 @@ total busy time stays on the NIC.
 
 from __future__ import annotations
 
+import weakref
 from typing import Callable, List, Optional, TYPE_CHECKING
 
 from repro.hardware.core import Core
@@ -42,9 +43,12 @@ from repro.networks.transfer import Transfer, TransferKind, wire_checksum
 from repro.obs.hooks import Hooks
 from repro.simtime import Resource, Simulator
 from repro.util.errors import ConfigurationError, SchedulingError
+from repro.util.refs import unbound
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.engine import NmadEngine
     from repro.networks.wire import Wire
+    from repro.pioman.progress import PiomanEngine
 
 
 class DropRule:
@@ -81,12 +85,22 @@ class DropRule:
 
 
 class Nic:
-    """One network interface card on one machine."""
+    """One network interface card on one machine.
+
+    A NIC is a part of its machine and of its node's engine, so it holds
+    neither strongly (``docs/architecture.md``, "Ownership"): it keeps
+    the plain values it needs from the machine (``node``, the core list,
+    ``sim``) and a ``weakref.ref`` to the machine behind :attr:`machine`,
+    and reports to the engines that bind it through two weak links.
+    """
 
     def __init__(
         self, machine: Machine, profile: NetworkProfile, name: Optional[str] = None
     ) -> None:
-        self.machine = machine
+        self._machine = weakref.ref(machine)
+        #: the machine's name; nothing renames a machine after this
+        self.node: str = machine.name
+        self._cores = machine.cores
         self.sim: Simulator = machine.sim
         self.profile = profile
         self.name = name or f"{self.profile.name}{len(machine.nics)}"
@@ -98,11 +112,19 @@ class Nic:
         self._pio_label = f"pio:{self.name}"
         self._rdv_setup_label = f"rdv-setup:{self.name}"
         self._ctrl_label = f"ctrl:{self.name}"
+        #: the poll core's receive-processing label, read only by on_busy
+        #: subscribers
+        self._rx_label = f"rx:{self.name}"
         self.wire: Optional["Wire"] = None
+        #: the node's engine, told of every idle edge (its scheduler), of
+        #: the link going down or up, and of each processed delivery
+        #: (through PIOMan); a weak link, set when the engine binds
+        self._engine: Callable[[], Optional["NmadEngine"]] = unbound
+        #: the PIOMan that detects and processes this NIC's deliveries;
+        #: a weak link, set by :meth:`PiomanEngine.bind`
+        self._pioman: Callable[[], Optional["PiomanEngine"]] = unbound
         self._tx = Resource(self.sim, name=f"{self.qualified_name}.tx")
         self._busy_until: float = 0.0
-        self.rx_handler: Optional[Callable[[Transfer], None]] = None
-        self.idle_listeners: List[Callable[["Nic"], None]] = []
         #: total µs the transmit engine has been held, summed in
         #: completion order (transfers, aborted ones included, and
         #: injected background work)
@@ -126,8 +148,6 @@ class Nic:
         self.silent_bw_factor: float = 1.0
         self.drop_rules: List[DropRule] = []
         self._pending: List[Transfer] = []  # submitted, transmit not drained
-        self.down_listeners: List[Callable[["Nic", List[Transfer]], None]] = []
-        self.up_listeners: List[Callable[["Nic"], None]] = []
         self.transfers_aborted: int = 0
         self.transfers_dropped: int = 0
         #: the cluster's hook stream; installed by the owning engine (and
@@ -143,6 +163,11 @@ class Nic:
         else:
             state = f"busy until {self._busy_until:.2f}"
         return f"<Nic {self.qualified_name} ({self.profile.name}) {state}>"
+
+    @property
+    def machine(self) -> Optional[Machine]:
+        """The machine this NIC is attached to (``None`` once it is gone)."""
+        return self._machine()
 
     # ------------------------------------------------------------------ #
     # strategy-facing state
@@ -214,8 +239,8 @@ class Nic:
 
         Every transfer whose transmit phase has not drained yet is
         aborted (its ``tx_done`` fires so offloading cores unblock) and
-        handed to the ``down_listeners`` — the engine re-plans the
-        stranded bytes onto surviving rails.
+        handed to the node's engine, which re-plans the stranded bytes
+        onto surviving rails.
         """
         if not self.is_up:
             return []
@@ -230,8 +255,9 @@ class Nic:
         self.transfers_aborted += len(aborted)
         if self.hooks.on_nic_down:
             self.hooks.on_nic_down(self, aborted)
-        for listener in list(self.down_listeners):
-            listener(self, list(aborted))
+        engine = self._engine()
+        if engine is not None:
+            engine._on_nic_down(self, list(aborted))
         return aborted
 
     def recover(self) -> None:
@@ -241,8 +267,9 @@ class Nic:
         self.is_up = True
         if self.hooks.on_nic_up:
             self.hooks.on_nic_up(self, self._down_since)
-        for listener in list(self.up_listeners):
-            listener(self)
+        engine = self._engine()
+        if engine is not None:
+            engine._on_nic_up(self)
         self._maybe_notify_idle()
 
     def degrade(self, bw_factor: float = 1.0, extra_latency: float = 0.0) -> None:
@@ -328,18 +355,18 @@ class Nic:
         """
         if self.wire is None:
             raise ConfigurationError(f"{self!r} is not wired to a peer")
-        if core not in self.machine.cores:
+        if core not in self._cores:
             raise SchedulingError(
-                f"core {core.core_id} does not belong to {self.machine.name}"
+                f"core {core.core_id} does not belong to {self.node}"
             )
         transfer.t_submit = self.sim.now
         transfer.nic_name = self.qualified_name
-        transfer.src_node = self.machine.name
+        transfer.src_node = self.node
         if not transfer.dst_node:
             # Point-to-point fabrics have a single peer; a shared switch
             # with >2 ports needs the destination set by the caller (the
             # engine's protocol constructors always set it).
-            transfer.dst_node = self.wire.peer_of(self).machine.name
+            transfer.dst_node = self.wire.peer_of(self).node
         if transfer.seq_no is None:
             # Delivery-integrity stamps (pure arithmetic, no events): a
             # per-message wire sequence number and a checksum over the
@@ -358,11 +385,12 @@ class Nic:
 
         if not self.is_up:
             # Submitting into a dead link aborts inline: tx_done fires so
-            # offloading cores unblock, down_listeners get the transfer so
-            # the engine can re-plan it.
+            # offloading cores unblock, and the engine gets the transfer
+            # so it can re-plan it.
             self._abort_transfer(transfer)
-            for listener in list(self.down_listeners):
-                listener(self, [transfer])
+            engine = self._engine()
+            if engine is not None:
+                engine._on_nic_down(self, [transfer])
             return
 
         self._pending.append(transfer)
@@ -519,17 +547,19 @@ class Nic:
     @staticmethod
     def _release_submitter(transfer: Transfer) -> None:
         """End ``transfer``'s transmit phase for its submitter: fire its
-        ``tx_done`` (once), so an offloading core unblocks."""
+        ``tx_done`` (once), so an offloading core unblocks.  The event
+        carries no value: its waiter knows the transfer, and an event
+        holding the transfer that holds it would be a cycle."""
         done = transfer.tx_done
         if done is not None and not done.triggered:
-            done.trigger(transfer)
+            done.trigger()
 
     def _maybe_notify_idle(self) -> None:
         # "The packet scheduler is only activated when a NIC becomes idle
-        # in order to feed it" — notify listeners on the busy→idle edge.
-        if self.idle_listeners and self.is_idle:
-            for listener in list(self.idle_listeners):
-                self.sim.call_soon(listener, self)
+        # in order to feed it" — tell the scheduler on the busy→idle edge.
+        engine = self._engine()
+        if engine is not None and self.is_idle:
+            self.sim.call_soon(engine.scheduler.on_nic_idle, self)
 
     # ------------------------------------------------------------------ #
     # receive side
@@ -538,8 +568,9 @@ class Nic:
     def _on_delivery(self, transfer: Transfer) -> None:
         """Last byte arrived; hand off to the progress engine."""
         transfer.t_delivered = self.sim.now
-        if self.rx_handler is not None:
-            self.rx_handler(transfer)
+        pioman = self._pioman()
+        if pioman is not None:
+            pioman._on_rx(transfer, self)
 
     # ------------------------------------------------------------------ #
     # internals

@@ -43,7 +43,8 @@ armed is bit-identical to one built before this surface existed.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+import weakref
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.util.errors import ConfigurationError, ProtocolError
 
@@ -52,15 +53,19 @@ from repro.networks.transfer import Transfer
 
 
 class Switch:
-    """A shared fabric for one technology, one port per node."""
+    """A shared fabric for one technology, one port per node.
+
+    Each attached NIC owns the switch it transmits into (``Nic.wire``),
+    so the switch holds its ports weakly.
+    """
 
     def __init__(self, name: str = "switch", switch_latency: float = 0.3) -> None:
         if switch_latency < 0:
             raise ConfigurationError(f"negative switch latency: {switch_latency}")
         self.name = name
         self.switch_latency = switch_latency
-        #: attached NICs by node name, in attach order
-        self._ports: Dict[str, Nic] = {}
+        #: attached NICs by node name, in attach order (weak links)
+        self._ports: Dict[str, Callable[[], Optional[Nic]]] = {}
         #: per node: its port's attach index (fat-tree pods and the
         #: spine hash are cut from it)
         self._index: Dict[str, int] = {}
@@ -86,7 +91,7 @@ class Switch:
 
     def attach(self, nic: Nic) -> "Switch":
         """Connect a NIC to this switch (its ``wire`` becomes the switch)."""
-        first = next(iter(self._ports.values()), None)
+        first = next(iter(self.ports), None)
         if first is not None and nic.profile.name != first.profile.name:
             raise ConfigurationError(
                 f"switch {self.name} carries {first.profile.name}, "
@@ -94,7 +99,7 @@ class Switch:
             )
         if nic.wire is not None:
             raise ConfigurationError(f"{nic!r} is already wired")
-        node = nic.machine.name
+        node = nic.node
         if node in self._ports:
             raise ConfigurationError(
                 f"switch {self.name} already has a port on node {node!r}"
@@ -103,19 +108,23 @@ class Switch:
             raise ConfigurationError("switch ports live in different simulators")
         nic.wire = self
         self._index[node] = len(self._ports)
-        self._ports[node] = nic
+        self._ports[node] = weakref.ref(nic)
         self._port_free[node] = 0.0
         return self
 
     @property
     def ports(self) -> List[Nic]:
-        return list(self._ports.values())
+        return [port() for port in self._ports.values()]
+
+    def _port(self, node: str) -> Optional[Nic]:
+        port = self._ports.get(node)
+        return None if port is None else port()
 
     def peers_of(self, nic: Nic) -> List[Nic]:
         """Every other port's NIC (the engine builds routes from this)."""
-        if self._ports.get(nic.machine.name) is not nic:
+        if self._port(nic.node) is not nic:
             raise ConfigurationError(f"{nic!r} is not a port of {self!r}")
-        return [p for p in self._ports.values() if p is not nic]
+        return [p for p in self.ports if p is not nic]
 
     # Wire-API compatibility: a switch has no single peer; peer_of is only
     # answerable when exactly two ports exist (then it degenerates to a
@@ -136,13 +145,13 @@ class Switch:
         Both NICs up and both edge links up; a fat tree also needs a
         spine for inter-pod pairs.  Read-only: mutates no switch state.
         """
-        peer = self._ports.get(peer_node)
+        peer = self._port(peer_node)
         return (
             peer is not None
             and peer is not nic
             and nic.is_up
             and peer.is_up
-            and self.link_is_up(nic.machine.name)
+            and self.link_is_up(nic.node)
             and self.link_is_up(peer_node)
         )
 
@@ -224,8 +233,8 @@ class Switch:
         dst = self._resolve(src, transfer.dst_node)
         sim = src.sim
         if self._link_down and (
-            src.machine.name in self._link_down
-            or dst.machine.name in self._link_down
+            src.node in self._link_down
+            or dst.node in self._link_down
         ):
             # A dead link rejects traffic: the head reaches the edge one
             # latency in and is discarded there.
@@ -244,15 +253,15 @@ class Switch:
         # starts draining.
         out_drain = drain
         if self._link_bw:
-            factor = self._link_bw.get(dst.machine.name, 1.0)
+            factor = self._link_bw.get(dst.node, 1.0)
             if factor != 1.0:
                 out_drain = drain / factor
-        free_at = self._port_free[dst.machine.name]
+        free_at = self._port_free[dst.node]
         start = max(head_in, free_at)
         if free_at > head_in:
             self.contended_packets += 1
         delivery = max(start + out_drain, floor)
-        self._port_free[dst.machine.name] = delivery
+        self._port_free[dst.node] = delivery
         self.packets_forwarded += 1
         if src.hooks.on_link:
             src.hooks.on_link(
@@ -261,7 +270,7 @@ class Switch:
             )
         extra = src.extra_latency
         if self._link_extra:
-            extra += self._link_extra.get(dst.machine.name, 0.0)
+            extra += self._link_extra.get(dst.node, 0.0)
         transfer.wire_event = sim.schedule_at(
             delivery + extra, self._deliver, dst, transfer
         )
@@ -278,7 +287,7 @@ class Switch:
         """
         head_in = t_start + self.switch_latency
         if self._link_extra:
-            head_in += self._link_extra.get(src.machine.name, 0.0)
+            head_in += self._link_extra.get(src.node, 0.0)
         return head_in, src.sim.now + self.switch_latency
 
     @staticmethod
@@ -293,11 +302,12 @@ class Switch:
         dst._on_delivery(transfer)
 
     def _resolve(self, src: Nic, dst_node: str) -> Nic:
-        dst = self._ports.get(dst_node)
+        port = self._ports.get(dst_node)
+        dst = None if port is None else port()
         if dst is None or dst is src:
             raise ProtocolError(
                 f"switch {self.name}: no port on node {dst_node!r} "
-                f"(ports: {[p.qualified_name for p in self._ports.values()]})"
+                f"(ports: {[p.qualified_name for p in self.ports]})"
             )
         return dst
 
@@ -376,8 +386,8 @@ class FatTreeSwitch(Switch):
 
     def pod_of(self, nic: Nic) -> int:
         """Pod index of a port (ports are podded in attach order)."""
-        node = nic.machine.name
-        if self._ports.get(node) is not nic:
+        node = nic.node
+        if self._port(node) is not nic:
             raise ConfigurationError(f"{nic!r} is not a port of {self!r}")
         return self._index[node] // self.pod_size
 
@@ -392,7 +402,7 @@ class FatTreeSwitch(Switch):
         any up spine when routing adaptively, the hashed one when not."""
         if not super().path_alive(nic, peer_node):
             return False
-        src_idx = self._index[nic.machine.name]
+        src_idx = self._index[nic.node]
         dst_idx = self._index[peer_node]
         if src_idx // self.pod_size == dst_idx // self.pod_size:
             return True
@@ -501,8 +511,8 @@ class FatTreeSwitch(Switch):
     ) -> Optional[Tuple[float, float]]:
         """Same pod: the flat switch's one edge hop.  Across pods: the
         spine stage (selection, spine drop, spine serialization)."""
-        src_idx = self._index[src.machine.name]
-        dst_idx = self._index[dst.machine.name]
+        src_idx = self._index[src.node]
+        dst_idx = self._index[dst.node]
         if src_idx // self.pod_size == dst_idx // self.pod_size:
             return super()._to_edge(src, dst, transfer, t_start, drain)
         sim = src.sim
@@ -529,7 +539,7 @@ class FatTreeSwitch(Switch):
             return None
         head_at_spine = t_start + 2.0 * self.switch_latency
         if self._link_extra:
-            head_at_spine += self._link_extra.get(src.machine.name, 0.0)
+            head_at_spine += self._link_extra.get(src.node, 0.0)
         spine_free = self._spine_free[spine]
         spine_start = max(head_at_spine, spine_free)
         if spine_free > head_at_spine:

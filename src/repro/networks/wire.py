@@ -13,7 +13,8 @@ and spines, which *can* fail independently of the NICs, live in
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+import weakref
+from typing import TYPE_CHECKING, Optional
 
 from repro.util.errors import ConfigurationError
 
@@ -23,7 +24,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 class Wire:
-    """Connects exactly two NICs of the same technology."""
+    """Connects exactly two NICs of the same technology.
+
+    Each NIC owns the wire it transmits into (``Nic.wire``), so the wire
+    holds its two NICs weakly.
+    """
 
     def __init__(self, nic_a: "Nic", nic_b: "Nic") -> None:
         if nic_a is nic_b:
@@ -40,19 +45,29 @@ class Wire:
         for nic in (nic_a, nic_b):
             if nic.wire is not None:
                 raise ConfigurationError(f"{nic!r} is already wired")
-        self.nic_a = nic_a
-        self.nic_b = nic_b
+        self._a = weakref.ref(nic_a)
+        self._b = weakref.ref(nic_b)
+        self._names = (nic_a.qualified_name, nic_b.qualified_name)
         nic_a.wire = self
         nic_b.wire = self
 
     def __repr__(self) -> str:
-        return f"<Wire {self.nic_a.qualified_name} <-> {self.nic_b.qualified_name}>"
+        return f"<Wire {self._names[0]} <-> {self._names[1]}>"
+
+    @property
+    def nic_a(self) -> Optional["Nic"]:
+        return self._a()
+
+    @property
+    def nic_b(self) -> Optional["Nic"]:
+        return self._b()
 
     def peer_of(self, nic: "Nic") -> "Nic":
-        if nic is self.nic_a:
-            return self.nic_b
-        if nic is self.nic_b:
-            return self.nic_a
+        a = self._a()
+        if nic is a:
+            return self._b()
+        if nic is self._b():
+            return a
         raise ConfigurationError(f"{nic!r} is not an endpoint of {self!r}")
 
     def peers_of(self, nic: "Nic"):
@@ -64,7 +79,7 @@ class Wire:
         """Fabric protocol: would a packet sent from ``nic`` now reach
         ``peer_node``?  A wire needs both of its NICs up."""
         peer = self.peer_of(nic)
-        return nic.is_up and peer.is_up and peer.machine.name == peer_node
+        return nic.is_up and peer.is_up and peer.node == peer_node
 
     def transmit(self, src: "Nic", transfer: "Transfer") -> None:
         """Deliver ``transfer`` to the peer after the wire latency.

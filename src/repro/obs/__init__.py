@@ -166,20 +166,6 @@ class Observability:
                     calib.confidence(rail)
                 )
 
-    def snapshot(self) -> Dict[str, Any]:
-        """Deterministic dump of every surface (schema in
-        ``docs/observability.md``)."""
-        return {
-            "enabled": self.on,
-            "metrics": self.metrics.snapshot(),
-            "accuracy": self.accuracy.snapshot(),
-            "trace": {
-                "events": len(self.tracer),
-                "dropped": self.tracer.dropped,
-            },
-            "collectives": self.collectives.snapshot(),
-        }
-
 
 __all__ = [
     "Observability",

@@ -226,7 +226,10 @@ class MetricsRegistry:
         self._plan_cache: Dict[Tuple[str, bool], Counter] = {}
         self._splits: Dict[str, Counter] = {}
         self._aggregations: Dict[str, Counter] = {}
-        self._nic_sends: Dict[Any, Tuple[Counter, Counter]] = {}
+        # the per-device counters below are keyed by names: a NIC or a
+        # switch reaches this subscriber through its hook stream, so an
+        # object key would close a cycle
+        self._nic_sends: Dict[str, Tuple[Counter, Counter]] = {}
         self._wires: Dict[Tuple, Tuple[Counter, Counter, Counter]] = {}
         self._links: Dict[Tuple, Tuple[Counter, Counter, Counter, Histogram]] = {}
         self._link_stalls: Dict[Tuple, Tuple[Counter, Counter, Histogram]] = {}
@@ -324,7 +327,7 @@ class MetricsRegistry:
         self.counter(f"engine.{node}.messages_degraded").inc()
 
     def on_retry(self, msg, old, new, max_retries, now, nic, reason) -> None:
-        node = nic.machine.name
+        node = nic.node
         self.counter(f"engine.{node}.retries_issued").inc()
         self.counter(f"engine.{node}.retries_{reason}").inc()
 
@@ -376,10 +379,10 @@ class MetricsRegistry:
         aggregations.inc()
 
     def on_nic_send(self, nic, transfer) -> None:
-        sends = self._nic_sends.get(nic)
+        q = nic.qualified_name
+        sends = self._nic_sends.get(q)
         if sends is None:
-            q = nic.qualified_name
-            sends = self._nic_sends[nic] = (
+            sends = self._nic_sends[q] = (
                 self.counter(f"nic.{q}.transfers"),
                 self.counter(f"nic.{q}.bytes"),
             )
@@ -409,11 +412,11 @@ class MetricsRegistry:
         # The point-to-point path shares the switched fabrics' metric
         # family.  A wire has no port contention by construction, so only
         # the occupancy side exists (serialization lives in the NIC).
-        key = (src, peer)
+        key = (src.qualified_name, peer.node)
         wire = self._wires.get(key)
         if wire is None:
             wire = self._wires[key] = self._occupancy(
-                f"fabric.wire.{src.qualified_name}->{peer.machine.name}"
+                f"fabric.wire.{src.qualified_name}->{peer.node}"
             )
         packets, queued, busy = wire
         packets.inc()
@@ -428,10 +431,10 @@ class MetricsRegistry:
         )
 
     def on_link(self, switch, src, dst, transfer, start, drain, stall) -> None:
-        key = (switch, dst)
+        key = (switch.name, dst.node)
         link = self._links.get(key)
         if link is None:
-            prefix = f"fabric.{switch.name}.link.{dst.machine.name}"
+            prefix = f"fabric.{switch.name}.link.{dst.node}"
             link = self._links[key] = self._occupancy(prefix) + (
                 self.histogram(f"{prefix}.packet_bytes"),
             )
@@ -444,7 +447,7 @@ class MetricsRegistry:
             trio = self._link_stalls.get(key)
             if trio is None:
                 trio = self._link_stalls[key] = self._stall_trio(
-                    f"fabric.{switch.name}.link.{dst.machine.name}"
+                    f"fabric.{switch.name}.link.{dst.node}"
                 )
             stalled, stall_total, stalls = trio
             stalled.value += 1
@@ -452,7 +455,7 @@ class MetricsRegistry:
             stalls.observe(stall)
 
     def on_spine(self, switch, src, transfer, spine, start, drain, stall) -> None:
-        key = (switch, spine)
+        key = (switch.name, spine)
         occupancy = self._spines.get(key)
         if occupancy is None:
             occupancy = self._spines[key] = self._occupancy(
@@ -488,7 +491,7 @@ class MetricsRegistry:
         )
 
     def on_rx_interrupt(self, nic, transfer, core, cost) -> None:
-        node = nic.machine.name
+        node = nic.node
         self.counter(f"pioman.{node}.interrupts").inc()
         self.counter(f"pioman.{node}.offload_cost_us").inc(
             nic.machine.topology.preempt_cost_us

@@ -56,10 +56,12 @@ class Timeline:
         self._lanes: Dict[str, List[Interval]] = {}
         # recorder state: the clock, each device's (Core or Nic) lane,
         # each NIC's node prefix, and the start of every open fault
-        # window by fault lane and kind
+        # window by fault lane and kind.  Devices are keyed by ``id``: a
+        # device reaches this subscriber through its hook stream, so a
+        # device key would close a cycle.
         self._sim = None
-        self._device_lanes: Dict[object, str] = {}
-        self._prefixes: Dict[object, str] = {}
+        self._device_lanes: Dict[int, str] = {}
+        self._prefixes: Dict[int, str] = {}
         self._open: Dict[str, Dict[str, float]] = {}
 
     def __repr__(self) -> str:
@@ -112,13 +114,16 @@ class Timeline:
         tl = cls()
         tl._sim = target.sim
         machines = getattr(target, "machines", None)
+        devices = []
         for name, machine in sorted((machines or {"": target}).items()):
             prefix = f"{name}/" if name else ""
             for core in machine.cores:
-                tl._device_lanes[core] = f"{prefix}core{core.core_id}"
+                tl._device_lanes[id(core)] = f"{prefix}core{core.core_id}"
+                devices.append(core)
             for nic in machine.nics:
-                tl._device_lanes[nic] = f"{prefix}nic:{nic.name}"
-                tl._prefixes[nic] = prefix
+                tl._device_lanes[id(nic)] = f"{prefix}nic:{nic.name}"
+                tl._prefixes[id(nic)] = prefix
+                devices.append(nic)
         for lane in tl._device_lanes.values():
             tl._lanes[lane] = []
         if machines is not None:
@@ -126,13 +131,13 @@ class Timeline:
         else:
             # a machine's devices share its engine's stream, or each
             # holds a private one when no engine is built on it
-            streams = {id(d.hooks): d.hooks for d in tl._device_lanes}
+            streams = {id(d.hooks): d.hooks for d in devices}
             for hooks in streams.values():
                 hooks.subscribe(tl)
         return tl
 
     def on_busy(self, device, start: float, now: float, label: str) -> None:
-        lane = self._device_lanes.get(device)
+        lane = self._device_lanes.get(id(device))
         if lane is not None and now > start:
             self._lanes[lane].append(Interval(start, now, label))
 
@@ -140,7 +145,7 @@ class Timeline:
         self.on_busy(nic, start, now, transfer.kind.value)
 
     def on_retry(self, msg, old, new, max_retries, now, nic, reason) -> None:
-        prefix = self._prefixes.get(nic)
+        prefix = self._prefixes.get(id(nic))
         if prefix is not None:
             label = f"msg{msg.msg_id} {new.kind.value} {reason}"
             self.add(f"{prefix}retry", Interval(now, now, label))
@@ -160,7 +165,7 @@ class Timeline:
     def _fault(self, nic, kind: str, since: Optional[float] = None) -> None:
         """Open a ``kind`` window on ``nic`` (kept open if it already
         is), or close the one that opened at ``since``."""
-        prefix = self._prefixes.get(nic)
+        prefix = self._prefixes.get(id(nic))
         if prefix is None:
             return
         lane = f"{prefix}fault:{nic.name}"

@@ -163,10 +163,12 @@ class Tracer:
         #: open async spans (key -> count), tallied once the limit is hit
         self._open: Optional[Dict[Tuple, int]] = None
         # lanes (pid, tid), built once per emitter: node -> its message
-        # lane, NIC -> its lane, (rail, src node), (switch, dst NIC) and
-        # (switch, spine) -> lane; transfer kind -> ("tx:…", "fwd:…")
+        # lane, NIC -> its lane, (rail, src node), (switch, dst node) and
+        # (switch, spine) -> lane; transfer kind -> ("tx:…", "fwd:…").
+        # Keyed by names: a NIC reaches this subscriber through its hook
+        # stream, so a NIC key would close a cycle.
         self._messages: Dict[str, Tuple[str, str]] = {}
-        self._nics: Dict[Any, Tuple[str, str]] = {}
+        self._nics: Dict[str, Tuple[str, str]] = {}
         self._rails: Dict[Tuple, Tuple[str, str]] = {}
         self._links: Dict[Tuple, Tuple[str, str]] = {}
         self._spines: Dict[Tuple, Tuple[str, str]] = {}
@@ -403,7 +405,7 @@ class Tracer:
 
     def on_retry(self, msg, old, new, max_retries, now, nic, reason) -> None:
         self.instant(
-            nic.machine.name, "faults", "retry", now, cat="fault",
+            nic.node, "faults", "retry", now, cat="fault",
             args={
                 "msg": msg.msg_id,
                 "kind": new.kind._value_,
@@ -483,9 +485,9 @@ class Tracer:
         events never overlap within one lane."""
         if start is None:
             return
-        where = self._nics.get(nic)
+        where = self._nics.get(nic.qualified_name)
         if where is None:
-            where = self._nics[nic] = (nic.machine.name, f"nic:{nic.name}")
+            where = self._nics[nic.qualified_name] = (nic.node, f"nic:{nic.name}")
         self._push((
             _TX, where, self._kind_names(transfer.kind._value_)[0],
             start, now - start,
@@ -495,7 +497,7 @@ class Tracer:
 
     def _nic_instant(self, nic, name: str, args: Dict[str, Any]) -> None:
         self.instant(
-            nic.machine.name, f"nic:{nic.name}", name, nic.sim.now,
+            nic.node, f"nic:{nic.name}", name, nic.sim.now,
             cat="fault", args=args,
         )
 
@@ -532,29 +534,31 @@ class Tracer:
         """Output-port drain as an ``X`` span in a per-link lane of a
         ``fabric:{switch}`` pseudo-node: port draining serializes, so
         Perfetto shows incast as back-to-back blocks."""
-        where = self._links.get((switch, dst))
+        key = (switch.name, dst.node)
+        where = self._links.get(key)
         if where is None:
-            where = self._links[(switch, dst)] = (
-                f"fabric:{switch.name}", f"link:{dst.machine.name}"
+            where = self._links[key] = (
+                f"fabric:{switch.name}", f"link:{dst.node}"
             )
         self._push((
             _LINK, where, self._kind_names(transfer.kind._value_)[1],
             start, drain,
             transfer.transfer_id, transfer.msg_id, transfer.size,
-            src.machine.name, stall,
+            src.node, stall,
         ))
 
     def on_spine(self, switch, src, transfer, spine, start, drain, stall) -> None:
-        where = self._spines.get((switch, spine))
+        key = (switch.name, spine)
+        where = self._spines.get(key)
         if where is None:
-            where = self._spines[(switch, spine)] = (
+            where = self._spines[key] = (
                 f"fabric:{switch.name}", f"spine:{spine}"
             )
         self._push((
             _SPINE, where, self._kind_names(transfer.kind._value_)[1],
             start, drain,
             transfer.transfer_id, transfer.msg_id, transfer.size,
-            src.machine.name, transfer.dst_node, stall,
+            src.node, transfer.dst_node, stall,
         ))
 
     def on_offload(self, machine, core, issuing_core, preempt, pending, now) -> None:
@@ -574,7 +578,7 @@ class Tracer:
 
     def on_rx_interrupt(self, nic, transfer, core, cost) -> None:
         self.instant(
-            nic.machine.name, "pioman", "rx-interrupt", nic.sim.now,
+            nic.node, "pioman", "rx-interrupt", nic.sim.now,
             cat="offload",
             args={
                 "nic": nic.qualified_name,
@@ -591,9 +595,9 @@ class Tracer:
             # nothing downstream of obs may learn about them.
             return
         params = {"rule_id": rule_id, "params": dict(action.params)}
-        machine = getattr(device, "machine", None)
-        if machine is not None:
-            node, lane, args = machine.name, f"nic:{device.name}", {"nic": target}
+        node = getattr(device, "node", None)
+        if node is not None:
+            lane, args = f"nic:{device.name}", {"nic": target}
         else:
             node, lane, args = device.name, "fabric", {"target": target}
         args.update(params)
@@ -603,7 +607,7 @@ class Tracer:
 
     def _calibration_instant(self, nic, name: str, args: Dict[str, Any]) -> None:
         self.instant(
-            nic.machine.name, "calibration", name, nic.sim.now,
+            nic.node, "calibration", name, nic.sim.now,
             cat="calibration", args=args,
         )
 

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+import weakref
 from collections import deque
-from typing import Callable, Deque, List, Optional, Tuple
+from typing import Deque, List, Optional, Tuple
 
 from repro.hardware.core import Core
 from repro.hardware.machine import Machine
@@ -50,9 +51,6 @@ class PiomanEngine:
         self.poll_core: Core = machine.cores[0]
         self.multicore_rx = multicore_rx
         self.rx_spills: int = 0
-        #: protocol handler installed by the NewMadeleine engine;
-        #: called (on the poll core, costs already charged) per transfer
-        self.rx_dispatch: Optional[Callable[[Transfer, Nic], None]] = None
         self.to_be_sent: Deque[SendRequest] = deque()
         self.events_detected: int = 0
         self.offloads: int = 0
@@ -71,23 +69,17 @@ class PiomanEngine:
     # ------------------------------------------------------------------ #
 
     def bind(self) -> None:
-        """Attach to every NIC currently on the machine.
+        """Detect the deliveries of every NIC currently on the machine.
 
         Call after all NICs are wired (the engine's builder does this).
+        Each NIC holds this engine weakly (the node's engine owns it), so
+        whoever binds a bare PIOMan keeps it alive while it runs.
         """
+        ref = weakref.ref(self)
         for nic in self.machine.nics:
-            nic.rx_handler = self._make_rx_handler(nic)
+            nic._pioman = ref
 
-    def _make_rx_handler(self, nic: Nic) -> Callable[[Transfer], None]:
-        # the poll core's occupancy label, read only by on_busy subscribers
-        label = f"rx:{nic.name}"
-
-        def handler(transfer: Transfer) -> None:
-            self._on_rx(transfer, nic, label)
-
-        return handler
-
-    def _on_rx(self, transfer: Transfer, nic: Nic, label: str) -> None:
+    def _on_rx(self, transfer: Transfer, nic: Nic) -> None:
         """A transfer's last byte arrived at ``nic``; detect + process it.
 
         PIOMan "is able to choose the most appropriate method (polling or
@@ -118,7 +110,7 @@ class PiomanEngine:
                 self._rx_via_interrupt(transfer, nic, core, cost)
                 return
             core = spill
-        core.run(cost, self._rx_done, transfer, nic, label=label)
+        core.run(cost, self._rx_done, transfer, nic, label=nic._rx_label)
 
     def _spill(self, busy: Core) -> Optional[Core]:
         """An idle core to take receive processing off ``busy``, counted
@@ -149,10 +141,14 @@ class PiomanEngine:
         self.marcel.schedule_tasklet(tasklet, core, from_core=None)
 
     def _rx_done(self, transfer: Transfer, nic: Nic) -> None:
+        """Processing done (on the poll core, costs charged): hand the
+        transfer to the protocol layer of the NIC's engine, if one is
+        bound."""
         self.events_detected += 1
         transfer.t_complete = self.sim.now
-        if self.rx_dispatch is not None:
-            self.rx_dispatch(transfer, nic)
+        engine = nic._engine()
+        if engine is not None:
+            engine._on_transfer(transfer, nic)
 
     # ------------------------------------------------------------------ #
     # send-side offloading (paper §III-D, Fig. 7)

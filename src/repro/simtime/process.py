@@ -45,26 +45,24 @@ class Completion(Waitable):
     :class:`SimEvent` is the free-standing form; an engine's
     :class:`~repro.core.packets.Message` and
     :class:`~repro.core.packets.RecvHandle` are their own completions,
-    so a send or a receive builds no event.  ``sim`` is the simulator
-    whose lane resumes the waiters; a completion without one (a record
-    built outside an engine) cannot be waited on.
+    so a send or a receive builds no event.  Each concrete class holds
+    the protocol's state in its own slots, which its constructor sets:
+    ``sim``, the simulator whose lane resumes the waiters (a completion
+    without one, a record built outside an engine, cannot be waited
+    on), ``triggered``, ``_waiters`` (the waiters in subscription order,
+    built by the first subscribe) and ``value``, the payload, read by a
+    waiter that subscribes after the trigger.  A message's value is the
+    message itself, so it is a property there, not a stored
+    self-reference.
     """
 
-    __slots__ = ("sim", "triggered", "value", "_waiters")
-
-    def __init__(self, sim: Optional["Simulator"] = None) -> None:
-        self.sim = sim
-        self.triggered = False
-        self.value: Any = None
-        #: waiters in subscription order; built by the first subscribe
-        self._waiters: Optional[List[Any]] = None
+    __slots__ = ()
 
     def trigger(self, value: Any = None) -> None:
         """Complete with ``value``; waiters resume at the current instant."""
         if self.triggered:
             raise SimulationError(f"{self!r} triggered twice")
         self.triggered = True
-        self.value = value
         waiters = self._waiters
         if waiters:
             self._waiters = None
@@ -91,11 +89,18 @@ class Completion(Waitable):
 class SimEvent(Completion):
     """A free-standing one-shot event carrying an optional payload."""
 
-    __slots__ = ("name",)
+    __slots__ = ("sim", "triggered", "value", "_waiters", "name")
 
     def __init__(self, sim: "Simulator", name: str = "") -> None:
-        super().__init__(sim)
+        self.sim = sim
+        self.triggered = False
+        self.value: Any = None
+        self._waiters: Optional[List[Any]] = None
         self.name = name
+
+    def trigger(self, value: Any = None) -> None:
+        Completion.trigger(self, value)
+        self.value = value
 
     def __repr__(self) -> str:
         state = "set" if self.triggered else "pending"

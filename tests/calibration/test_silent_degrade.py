@@ -23,8 +23,10 @@ from repro.util.errors import ConfigurationError
 
 
 def nic():
-    sim = Simulator()
-    return Nic(Machine(sim, "node0"), rail_profile("myri10g"), name="m0")
+    """A NIC on a bare machine, and the machine (a NIC holds its machine
+    weakly, so the caller keeps it)."""
+    machine = Machine(Simulator(), "node0")
+    return Nic(machine, rail_profile("myri10g"), name="m0"), machine
 
 
 def fault_lanes(timeline):
@@ -33,8 +35,8 @@ def fault_lanes(timeline):
 
 class TestNicSilentState:
     def test_stretches_tx_time_without_announcing(self):
-        n = nic()
-        timeline = Timeline.record(n.machine)
+        n, machine = nic()
+        timeline = Timeline.record(machine)
         clean = n._rdv_tx_time(1 << 20)
         n.silent_degrade(0.5)
         n.sim.schedule_at(10.0, lambda: None)
@@ -44,8 +46,8 @@ class TestNicSilentState:
         assert fault_lanes(timeline) == []
 
     def test_restore_closes_a_silent_window(self):
-        n = nic()
-        timeline = Timeline.record(n.machine)
+        n, machine = nic()
+        timeline = Timeline.record(machine)
         n.silent_degrade(0.5)
         n.sim.schedule_at(10.0, n.silent_restore)
         n.sim.run()
@@ -59,7 +61,7 @@ class TestNicSilentState:
     def test_factor_one_is_bit_identical(self):
         """bw_factor * silent_bw_factor multiplies by 1.0 exactly —
         the healthy formula must not move a single float."""
-        n = nic()
+        n, _ = nic()
         for size in (4096, 1 << 20, 4 << 20):
             before = n._rdv_tx_time(size)
             n.silent_degrade(0.5)
@@ -69,7 +71,7 @@ class TestNicSilentState:
     @pytest.mark.parametrize("bad", [0.0, -0.5, 1.5])
     def test_bad_factor_rejected(self, bad):
         with pytest.raises(ConfigurationError):
-            nic().silent_degrade(bad)
+            nic()[0].silent_degrade(bad)
 
 
 class TestInjectorSilence:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.api import ClusterBuilder, FaultSchedule
 from repro.core.invariants import InvariantViolation
+from repro.core.rendezvous import make_eager_packet
 from repro.networks import nic as nic_module
 from repro.networks.transfer import TransferKind, wire_checksum
 
@@ -117,9 +118,13 @@ class TestDuplicateSuppression:
         assert msg.t_complete is not None
         bytes_before = msg.bytes_received
         eager = next(t for t in msg.transfers if t.kind is TransferKind.EAGER)
-        # Replay the delivery — a late original racing a retry would look
-        # exactly like this on the receive path.
-        cluster.engine("node1")._on_eager(eager)
+        # Replay the delivery as a late original racing its retry would
+        # arrive: the same chunk, still carrying its message (a processed
+        # transfer has let go of it).
+        assert eager.message is None
+        late = make_eager_packet(msg, msg.size)
+        assert late.chunk_key == eager.chunk_key
+        cluster.engine("node1")._on_eager(late)
         assert msg.bytes_received == bytes_before
         assert msg.duplicates_suppressed == 1
         assert cluster.engine("node1").duplicates_suppressed == 1

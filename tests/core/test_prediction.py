@@ -43,7 +43,8 @@ def rig(sim, profiles):
     node_a, node_b = wire_pair(
         sim, [rail_profile("myri10g"), rail_profile("quadrics")]
     )
-    return node_a, CompletionPredictor(profiles.estimators)
+    # node_b stays alive for the test: a wire holds its NICs weakly
+    yield node_a, CompletionPredictor(profiles.estimators)
 
 
 class TestPointPrediction:

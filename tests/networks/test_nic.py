@@ -1,5 +1,7 @@
 """Integration tests for the NIC send pipelines and state machine."""
 
+import weakref
+
 import pytest
 
 from repro.networks import Transfer, TransferKind
@@ -245,13 +247,20 @@ class TestBusyTime:
 
 class TestRxHandler:
     def test_rx_handler_invoked_on_delivery(self, sim, single_rail_pair):
+        """A delivery goes to the PIOMan bound to the receiving NIC."""
         node_a, node_b = single_rail_pair
         got = []
-        node_b.nics[0].rx_handler = got.append
+
+        class Pioman:
+            def _on_rx(self, transfer, nic):
+                got.append((transfer, nic))
+
+        pioman = Pioman()
+        node_b.nics[0]._pioman = weakref.ref(pioman)
         t = eager(64)
         node_a.nics[0].submit(t, node_a.cores[0])
         sim.run()
-        assert got == [t]
+        assert got == [(t, node_b.nics[0])]
 
 
 class TestTransmitSlotMisuse:

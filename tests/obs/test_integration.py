@@ -212,13 +212,3 @@ class TestConfigAndBuilder:
         assert cluster.hooks.subscribers == (
             obs.tracer, obs.metrics, obs.accuracy, obs.collectives
         )
-
-    def test_obs_snapshot_shape(self):
-        cluster, _ = _run_testbed(observability=True)
-        snap = cluster.obs.snapshot()
-        assert sorted(snap) == [
-            "accuracy", "collectives", "enabled", "metrics", "trace",
-        ]
-        assert snap["enabled"] is True
-        assert snap["trace"]["events"] == len(cluster.obs.tracer.events)
-        assert snap["trace"]["dropped"] == 0

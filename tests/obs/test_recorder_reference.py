@@ -35,6 +35,7 @@ from repro.obs import (
     bucket_preset_for,
     chrome_trace,
 )
+from repro.api import ClusterBuilder
 from repro.obs.hooks import EVENTS, Hooks
 from repro.obs.tracer import DEFAULT_TRACE_LIMIT
 from repro.util.errors import ConfigurationError
@@ -243,7 +244,7 @@ class ReferenceTracer:
 
     def on_retry(self, msg, old, new, max_retries, now, nic, reason) -> None:
         self.instant(
-            nic.machine.name, "faults", "retry", now, cat="fault",
+            nic.node, "faults", "retry", now, cat="fault",
             args={
                 "msg": msg.msg_id,
                 "kind": new.kind.value,
@@ -322,7 +323,7 @@ class ReferenceTracer:
         if start is None:
             return
         self.complete(
-            nic.machine.name, f"nic:{nic.name}",
+            nic.node, f"nic:{nic.name}",
             f"tx:{transfer.kind.value}", start, now - start, cat="tx",
             args={
                 "transfer": transfer.transfer_id,
@@ -334,7 +335,7 @@ class ReferenceTracer:
 
     def _nic_instant(self, nic, name: str, args: Dict[str, Any]) -> None:
         self.instant(
-            nic.machine.name, f"nic:{nic.name}", name, nic.sim.now,
+            nic.node, f"nic:{nic.name}", name, nic.sim.now,
             cat="fault", args=args,
         )
 
@@ -369,13 +370,13 @@ class ReferenceTracer:
 
     def on_link(self, switch, src, dst, transfer, start, drain, stall) -> None:
         self.complete(
-            f"fabric:{switch.name}", f"link:{dst.machine.name}",
+            f"fabric:{switch.name}", f"link:{dst.node}",
             f"fwd:{transfer.kind.value}", start, drain, cat="fabric",
             args={
                 "transfer": transfer.transfer_id,
                 "msg": transfer.msg_id,
                 "size": transfer.size,
-                "src": src.machine.name,
+                "src": src.node,
                 "stall_us": stall,
             },
         )
@@ -388,7 +389,7 @@ class ReferenceTracer:
                 "transfer": transfer.transfer_id,
                 "msg": transfer.msg_id,
                 "size": transfer.size,
-                "src": src.machine.name,
+                "src": src.node,
                 "dst": transfer.dst_node,
                 "stall_us": stall,
             },
@@ -411,7 +412,7 @@ class ReferenceTracer:
 
     def on_rx_interrupt(self, nic, transfer, core, cost) -> None:
         self.instant(
-            nic.machine.name, "pioman", "rx-interrupt", nic.sim.now,
+            nic.node, "pioman", "rx-interrupt", nic.sim.now,
             cat="offload",
             args={
                 "nic": nic.qualified_name,
@@ -426,9 +427,9 @@ class ReferenceTracer:
         if action.action.startswith("silent_"):
             return
         params = {"rule_id": rule_id, "params": dict(action.params)}
-        machine = getattr(device, "machine", None)
-        if machine is not None:
-            node, lane, args = machine.name, f"nic:{device.name}", {"nic": target}
+        node = getattr(device, "node", None)
+        if node is not None:
+            lane, args = f"nic:{device.name}", {"nic": target}
         else:
             node, lane, args = device.name, "fabric", {"target": target}
         args.update(params)
@@ -438,7 +439,7 @@ class ReferenceTracer:
 
     def _calibration_instant(self, nic, name: str, args: Dict[str, Any]) -> None:
         self.instant(
-            nic.machine.name, "calibration", name, nic.sim.now,
+            nic.node, "calibration", name, nic.sim.now,
             cat="calibration", args=args,
         )
 
@@ -581,7 +582,7 @@ class ReferenceMetrics(MetricsRegistry):
         self.counter(f"engine.{node}.messages_degraded").inc()
 
     def on_retry(self, msg, old, new, max_retries, now, nic, reason) -> None:
-        node = nic.machine.name
+        node = nic.node
         self.counter(f"engine.{node}.retries_issued").inc()
         self.counter(f"engine.{node}.retries_{reason}").inc()
 
@@ -633,7 +634,7 @@ class ReferenceMetrics(MetricsRegistry):
         self.counter(f"nic.{nic.qualified_name}.aborted").inc()
 
     def on_wire(self, src, peer, transfer) -> None:
-        prefix = f"fabric.wire.{src.qualified_name}->{peer.machine.name}"
+        prefix = f"fabric.wire.{src.qualified_name}->{peer.node}"
         self.counter(f"{prefix}.packets").inc()
         self.counter(f"{prefix}.queued_bytes").inc(transfer.size)
         self.counter(f"{prefix}.busy_us").inc(
@@ -641,7 +642,7 @@ class ReferenceMetrics(MetricsRegistry):
         )
 
     def on_link(self, switch, src, dst, transfer, start, drain, stall) -> None:
-        prefix = f"fabric.{switch.name}.link.{dst.machine.name}"
+        prefix = f"fabric.{switch.name}.link.{dst.node}"
         self.counter(f"{prefix}.packets").inc()
         self.counter(f"{prefix}.queued_bytes").inc(transfer.size)
         self.counter(f"{prefix}.busy_us").inc(drain)
@@ -674,7 +675,7 @@ class ReferenceMetrics(MetricsRegistry):
         )
 
     def on_rx_interrupt(self, nic, transfer, core, cost) -> None:
-        node = nic.machine.name
+        node = nic.node
         self.counter(f"pioman.{node}.interrupts").inc()
         self.counter(f"pioman.{node}.offload_cost_us").inc(
             nic.machine.topology.preempt_cost_us
@@ -731,11 +732,13 @@ for _event in EVENTS:
 del _event
 
 
-def capture(scenario: str) -> List[List[Tuple[str, tuple]]]:
+def capture(scenario: str, worlds: List[Any]) -> List[List[Tuple[str, tuple]]]:
     """Run one hook-golden scenario with a recorder subscribed first to
-    every cluster's hooks; returns each non-empty stream."""
+    every cluster's hooks; returns each non-empty stream.  The clusters
+    it builds go to ``worlds``: a stream's NICs hold their machines
+    weakly, so a replay needs the world the stream came from."""
     recorders: List[Recorder] = []
-    original = Hooks.__init__
+    original, build = Hooks.__init__, ClusterBuilder.build
 
     def init(self) -> None:
         original(self)
@@ -743,11 +746,18 @@ def capture(scenario: str) -> List[List[Tuple[str, tuple]]]:
         recorders.append(recorder)
         self.subscribe(recorder)
 
+    def building(builder):
+        cluster = build(builder)
+        worlds.append(cluster)
+        return cluster
+
     Hooks.__init__ = init
+    ClusterBuilder.build = building
     try:
         golden.run(scenario)
     finally:
         Hooks.__init__ = original
+        ClusterBuilder.build = build
     return [r.stream for r in recorders if r.stream]
 
 
@@ -768,7 +778,8 @@ def assert_same_trace(new: Tracer, ref: ReferenceTracer) -> None:
 
 @pytest.fixture(scope="module")
 def streams():
-    return {scenario: capture(scenario) for scenario in golden.SCENARIOS}
+    worlds: List[Any] = []
+    yield {scenario: capture(scenario, worlds) for scenario in golden.SCENARIOS}
 
 
 @pytest.mark.parametrize("scenario", sorted(golden.SCENARIOS))

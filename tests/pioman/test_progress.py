@@ -1,5 +1,7 @@
 """Tests for the PIOMan progress engine: rx serialization and offloading."""
 
+import weakref
+
 import pytest
 
 from repro.networks import Transfer, TransferKind
@@ -72,12 +74,21 @@ class TestReceiveSide:
         assert pio_b.events_detected == 2
 
     def test_rx_dispatch_hook_called(self, sim, rig):
-        node_a, _, _, pio_b = rig
+        """A processed delivery goes to the engine its NIC reports to."""
+        node_a, node_b, _, _ = rig
         got = []
-        pio_b.rx_dispatch = lambda t, nic: got.append((t.msg_id, nic.name))
-        node_a.nics[0].submit(eager(64, msg_id=7), node_a.cores[0])
+
+        class Engine:
+            def _on_transfer(self, t, nic):
+                got.append((t.msg_id, nic.name, t.t_complete))
+
+        engine = Engine()
+        for nic in node_b.nics:
+            nic._engine = weakref.ref(engine)
+        t = eager(64, msg_id=7)
+        node_a.nics[0].submit(t, node_a.cores[0])
         sim.run()
-        assert got == [(7, node_a.nics[0].name)]
+        assert got == [(7, node_a.nics[0].name, t.t_complete)]
 
 
 class TestAvailableCores:
